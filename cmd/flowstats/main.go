@@ -98,12 +98,12 @@ func run(pcapPath, tablePath string, top int, chart bool, sp *scheme.Spec, inter
 		if err != nil {
 			return err
 		}
-		route, ok := table.Lookup(sum.DstIP)
+		prefix, ok := table.LookupPrefix(sum.DstIP)
 		if !ok {
 			unrouted++
 			continue
 		}
-		volumes[route.Prefix] += float64(sum.WireLength)
+		volumes[prefix] += float64(sum.WireLength)
 		totalBytes += float64(sum.WireLength)
 	}
 	ps := src.ParserStats()

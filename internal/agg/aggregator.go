@@ -46,13 +46,13 @@ func (a *Aggregator) AddPacket(ts time.Time, sum packet.Summary) {
 		a.Stats.OutOfRange++
 		return
 	}
-	route, ok := a.table.Lookup(sum.DstIP)
+	prefix, ok := a.table.LookupPrefix(sum.DstIP)
 	if !ok {
 		a.Stats.Unrouted++
 		return
 	}
 	a.Stats.Routed++
-	a.series.AddBits(route.Prefix, t, float64(sum.WireLength)*8)
+	a.series.AddBits(prefix, t, float64(sum.WireLength)*8)
 }
 
 // ReadPcap streams an entire pcap capture through parser and aggregator.

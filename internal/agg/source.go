@@ -116,12 +116,12 @@ func (s *PacketRecordSource) Next() (Record, error) {
 			return Record{}, err
 		}
 		s.Stats.Packets++
-		route, ok := s.table.Lookup(sum.DstIP)
+		prefix, ok := s.table.LookupPrefix(sum.DstIP)
 		if !ok {
 			s.Stats.Unrouted++
 			continue
 		}
 		s.Stats.Routed++
-		return Record{Prefix: route.Prefix, Time: ts, Bits: float64(sum.WireLength) * 8}, nil
+		return Record{Prefix: prefix, Time: ts, Bits: float64(sum.WireLength) * 8}, nil
 	}
 }

@@ -2,6 +2,8 @@ package bgp
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net/netip"
 	"strings"
 	"testing"
 )
@@ -30,5 +32,29 @@ func FuzzReadText(f *testing.F) {
 		if back.Len() != tab.Len() {
 			t.Fatalf("roundtrip length %d != %d", back.Len(), tab.Len())
 		}
+	})
+}
+
+// FuzzLookupEquivalence builds a table from the input — five bytes a
+// route: address, then length mod 33 — and compares the flat index with
+// the binary-trie oracle after every insert, at every prefix edge and at
+// one probe taken from the input's first four bytes.
+func FuzzLookupEquivalence(f *testing.F) {
+	f.Add([]byte{10, 1, 2, 3})
+	f.Add([]byte{10, 1, 2, 0, 24, 10, 0, 0, 0, 8, 10, 1, 2, 128, 25})
+	f.Add([]byte{0, 0, 0, 0, 0, 10, 1, 2, 3, 32, 10, 1, 0, 0, 17, 10, 1, 2, 3, 32})
+	f.Add([]byte{192, 0, 2, 255, 32, 192, 0, 2, 0, 23, 192, 0, 0, 0, 9, 192, 0, 2, 254, 31})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 || len(data) > 5*64 {
+			return
+		}
+		probe := binary.BigEndian.Uint32(data)
+		var prefixes []netip.Prefix
+		for ; len(data) >= 5; data = data[5:] {
+			addr := addrFromV4bits(binary.BigEndian.Uint32(data))
+			prefixes = append(prefixes, netip.PrefixFrom(addr, int(data[4])%33))
+		}
+		diffSequence(t, prefixes, []uint32{probe})
 	})
 }

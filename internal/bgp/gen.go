@@ -123,7 +123,7 @@ func Generate(cfg GenConfig) (*Table, error) {
 			if first == 192 && (raw>>16)&0xFF == 168 {
 				continue
 			}
-			addr = netip.AddrFrom4([4]byte{byte(raw >> 24), byte(raw >> 16), byte(raw >> 8), byte(raw)})
+			addr = addrFromV4bits(raw)
 			break
 		}
 		p, err := addr.Prefix(plen)
@@ -165,6 +165,5 @@ func RandomAddrInPrefix(rng *rand.Rand, p netip.Prefix) netip.Addr {
 	if hostBits > 0 {
 		off = uint32(rng.Int63()) & (1<<uint(hostBits) - 1)
 	}
-	v := base | off
-	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
+	return addrFromV4bits(base | off)
 }

@@ -1,7 +1,8 @@
 // Package bgp models the routing-table substrate of the reproduction: BGP
-// network prefixes with attributes, a binary radix (Patricia) trie for
-// longest-prefix match, a text table format, and a synthetic table
-// generator calibrated to the prefix-length mix of a 2001 Tier-1 table.
+// network prefixes with attributes, a flat two-level index for IPv4
+// longest-prefix match (lpm.go), a text table format, and a synthetic
+// table generator calibrated to the prefix-length mix of a 2001 Tier-1
+// table.
 //
 // The paper defines a "flow" as the traffic destined to one BGP routing
 // table entry; every packet on the link is attributed to a prefix by
@@ -65,12 +66,12 @@ type Route struct {
 }
 
 // Table is an immutable-after-build BGP routing table with longest-prefix
-// match. The zero value is an empty table; call Insert to populate it and
-// do not mutate it concurrently with lookups.
+// match. The zero value is an empty table that matches nothing; build one
+// with NewTable and Insert, and do not mutate it concurrently with lookups.
 type Table struct {
-	v4     trieNode
 	routes []Route
 	byPfx  map[netip.Prefix]int // index into routes
+	v4     lpm                  // last: see lpm.root
 }
 
 // NewTable returns an empty table.
@@ -85,22 +86,31 @@ func (t *Table) Len() int { return len(t.routes) }
 // shared; callers must not modify it.
 func (t *Table) Routes() []Route { return t.routes }
 
-// Insert adds or replaces a route. Only IPv4 prefixes participate in
-// longest-prefix match; IPv6 routes are stored but matched exactly (the
-// paper's traces are IPv4).
+// Insert adds or replaces a route. An IPv4-mapped IPv6 prefix
+// (::ffff:a.b.c.d/96+n) is stored as the IPv4 prefix a.b.c.d/n it
+// denotes, the form Lookup searches for mapped addresses. IPv4 routes
+// go into the LPM index; IPv6 routes are found by probing the prefix
+// map once per length (the paper's traces are IPv4).
 func (t *Table) Insert(r Route) error {
 	if !r.Prefix.IsValid() {
 		return fmt.Errorf("bgp: invalid prefix %v", r.Prefix)
 	}
 	r.Prefix = r.Prefix.Masked()
-	if i, ok := t.byPfx[r.Prefix]; ok {
-		t.routes[i] = r
-	} else {
-		t.byPfx[r.Prefix] = len(t.routes)
-		t.routes = append(t.routes, r)
+	if a := r.Prefix.Addr(); a.Is4In6() && r.Prefix.Bits() >= 96 {
+		r.Prefix = netip.PrefixFrom(a.Unmap(), r.Prefix.Bits()-96)
 	}
+	if i, ok := t.byPfx[r.Prefix]; ok {
+		t.routes[i] = r // same index, so the LPM leaf already names it
+		return nil
+	}
+	idx := len(t.routes)
+	if idx >= maxRoutes {
+		return fmt.Errorf("bgp: table is full (%d routes)", maxRoutes)
+	}
+	t.byPfx[r.Prefix] = idx
+	t.routes = append(t.routes, r)
 	if r.Prefix.Addr().Is4() {
-		t.v4.insert(v4bits(r.Prefix.Addr()), r.Prefix.Bits(), t.byPfx[r.Prefix])
+		t.v4.insert(v4bits(r.Prefix.Addr()), r.Prefix.Bits(), makeLeaf(idx, r.Prefix.Bits()))
 	}
 	return nil
 }
@@ -109,26 +119,53 @@ func (t *Table) Insert(r Route) error {
 // no route covers it.
 func (t *Table) Lookup(addr netip.Addr) (Route, bool) {
 	if addr.Is4() || addr.Is4In6() {
-		if addr.Is4In6() {
-			addr = addr.Unmap()
-		}
-		idx, ok := t.v4.lookup(v4bits(addr))
-		if !ok {
+		leaf := t.v4.lookup(v4bits(addr))
+		if leaf == 0 {
 			return Route{}, false
 		}
-		return t.routes[idx], true
+		return t.routes[leafIndex(leaf)], true
 	}
-	// Exact-match fallback for IPv6: walk candidate prefix lengths.
+	i, ok := t.lookup6(addr)
+	if !ok {
+		return Route{}, false
+	}
+	return t.routes[i], true
+}
+
+// LookupPrefix returns Lookup(addr).Prefix without touching the route:
+// for IPv4 the leaf carries the matched length, and the prefix is the
+// address masked to it. It is what record attribution needs.
+func (t *Table) LookupPrefix(addr netip.Addr) (netip.Prefix, bool) {
+	if addr.Is4() || addr.Is4In6() {
+		bits := v4bits(addr)
+		leaf := t.v4.lookup(bits)
+		if leaf == 0 {
+			return netip.Prefix{}, false
+		}
+		plen := leafLen(leaf)
+		bits &= ^uint32(0) << (32 - plen)
+		return netip.PrefixFrom(addrFromV4bits(bits), plen), true
+	}
+	i, ok := t.lookup6(addr)
+	if !ok {
+		return netip.Prefix{}, false
+	}
+	return t.routes[i].Prefix, true
+}
+
+// lookup6 finds the longest IPv6 route covering addr by probing the
+// prefix map at every length from /128 down.
+func (t *Table) lookup6(addr netip.Addr) (int, bool) {
 	for bits := 128; bits >= 0; bits-- {
 		p, err := addr.Prefix(bits)
 		if err != nil {
-			continue
+			return 0, false // the zero Addr
 		}
 		if i, ok := t.byPfx[p]; ok {
-			return t.routes[i], true
+			return i, true
 		}
 	}
-	return Route{}, false
+	return 0, false
 }
 
 // PrefixLengthHistogram returns a 33-element histogram of IPv4 prefix
@@ -148,42 +185,8 @@ func v4bits(a netip.Addr) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
-// trieNode is a node of a binary trie over IPv4 address bits. A fixed
-// two-way branch per bit keeps the implementation simple and fast enough
-// for table sizes in the 10^5 range; route indices mark terminal entries.
-type trieNode struct {
-	child [2]*trieNode
-	route int // index+1 into routes; 0 = no route here
-}
-
-func (n *trieNode) insert(bits uint32, plen int, idx int) {
-	cur := n
-	for i := 0; i < plen; i++ {
-		b := bits >> (31 - i) & 1
-		if cur.child[b] == nil {
-			cur.child[b] = &trieNode{}
-		}
-		cur = cur.child[b]
-	}
-	cur.route = idx + 1
-}
-
-func (n *trieNode) lookup(bits uint32) (int, bool) {
-	best := 0
-	cur := n
-	for i := 0; i < 32 && cur != nil; i++ {
-		if cur.route != 0 {
-			best = cur.route
-		}
-		cur = cur.child[bits>>(31-i)&1]
-	}
-	if cur != nil && cur.route != 0 {
-		best = cur.route
-	}
-	if best == 0 {
-		return 0, false
-	}
-	return best - 1, true
+func addrFromV4bits(v uint32) netip.Addr {
+	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
 }
 
 // WriteText serializes the table in the package's text format:

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mustInsert(t *testing.T, tab *Table, prefix string, as uint32, tier Tier) {
@@ -72,6 +74,37 @@ func TestLookup4In6(t *testing.T) {
 	r, ok := tab.Lookup(netip.MustParseAddr("::ffff:192.0.2.5"))
 	if !ok || r.OriginAS != 7 {
 		t.Errorf("4-in-6 lookup: %+v ok=%v", r, ok)
+	}
+}
+
+// TestInsertMappedPrefix: an IPv4-mapped prefix is the IPv4 prefix it
+// denotes, reachable by plain and by mapped probes (it used to be stored
+// where no lookup searched).
+func TestInsertMappedPrefix(t *testing.T) {
+	tab := NewTable()
+	mustInsert(t, tab, "::ffff:10.0.0.0/104", 7, Tier2)
+	mustInsert(t, tab, "10.0.0.0/8", 8, Tier1) // same route, plain spelling
+	if tab.Len() != 1 {
+		t.Fatalf("Len = %d, want mapped and plain spellings to be one route", tab.Len())
+	}
+	want := netip.MustParsePrefix("10.0.0.0/8")
+	for _, probe := range []string{"10.1.2.3", "::ffff:10.1.2.3"} {
+		r, ok := tab.Lookup(netip.MustParseAddr(probe))
+		if !ok || r.Prefix != want || r.OriginAS != 8 {
+			t.Errorf("Lookup(%s) = %+v ok=%v, want %v AS8", probe, r, ok, want)
+		}
+		if p, ok := tab.LookupPrefix(netip.MustParseAddr(probe)); !ok || p != want {
+			t.Errorf("LookupPrefix(%s) = %v ok=%v, want %v", probe, p, ok, want)
+		}
+	}
+	// Shorter than /96 it covers more than the mapped block: a true
+	// IPv6 route, which IPv6 probes match and IPv4 ones do not.
+	mustInsert(t, tab, "::ffff:0:0/90", 9, Tier3)
+	if r, ok := tab.Lookup(netip.MustParseAddr("::fffe:1:2")); !ok || r.OriginAS != 9 {
+		t.Errorf("IPv6 probe under the /90: %+v ok=%v", r, ok)
+	}
+	if _, ok := tab.Lookup(netip.MustParseAddr("11.0.0.1")); ok {
+		t.Error("the /90 IPv6 route answered an IPv4 probe")
 	}
 }
 
@@ -406,4 +439,246 @@ func TestSortedPrefixes(t *testing.T) {
 			t.Fatalf("not sorted at %d: %v then %v", i, ps[i-1], ps[i])
 		}
 	}
+}
+
+// trieNode is the one-bit-per-level binary trie that was the product's
+// longest-prefix match before the flat index replaced it. It stays here
+// as the oracle the index is compared against: obviously correct, one
+// pointer hop per address bit.
+type trieNode struct {
+	child [2]*trieNode
+	route int // index+1 into routes; 0 = no route here
+}
+
+func (n *trieNode) insert(bits uint32, plen int, idx int) {
+	cur := n
+	for i := 0; i < plen; i++ {
+		b := bits >> (31 - i) & 1
+		if cur.child[b] == nil {
+			cur.child[b] = &trieNode{}
+		}
+		cur = cur.child[b]
+	}
+	cur.route = idx + 1
+}
+
+func (n *trieNode) lookup(bits uint32) (int, bool) {
+	best := 0
+	cur := n
+	for i := 0; i < 32 && cur != nil; i++ {
+		if cur.route != 0 {
+			best = cur.route
+		}
+		cur = cur.child[bits>>(31-i)&1]
+	}
+	if cur != nil && cur.route != 0 {
+		best = cur.route
+	}
+	if best == 0 {
+		return 0, false
+	}
+	return best - 1, true
+}
+
+// lpmDiff feeds one insertion sequence to a Table and to the trie
+// oracle and compares them probe by probe.
+type lpmDiff struct {
+	tab    *Table
+	trie   trieNode
+	routes []Route
+	idx    map[netip.Prefix]int
+}
+
+func newLPMDiff() *lpmDiff {
+	return &lpmDiff{tab: NewTable(), idx: make(map[netip.Prefix]int)}
+}
+
+func (d *lpmDiff) insert(t testing.TB, r Route) {
+	t.Helper()
+	if err := d.tab.Insert(r); err != nil {
+		t.Fatalf("Insert(%v): %v", r.Prefix, err)
+	}
+	r.Prefix = r.Prefix.Masked()
+	i, ok := d.idx[r.Prefix]
+	if !ok {
+		i = len(d.routes)
+		d.idx[r.Prefix] = i
+		d.routes = append(d.routes, Route{})
+	}
+	d.routes[i] = r
+	d.trie.insert(v4bits(r.Prefix.Addr()), r.Prefix.Bits(), i)
+}
+
+// check compares Lookup and LookupPrefix with the oracle at one address.
+func (d *lpmDiff) check(t testing.TB, bits uint32) {
+	t.Helper()
+	addr := addrFromV4bits(bits)
+	got, gotOK := d.tab.Lookup(addr)
+	pfx, pfxOK := d.tab.LookupPrefix(addr)
+	var want Route
+	i, wantOK := d.trie.lookup(bits)
+	if wantOK {
+		want = d.routes[i]
+	}
+	if gotOK != wantOK || got != want {
+		t.Fatalf("Lookup(%v) = %+v ok=%v, trie says %+v ok=%v", addr, got, gotOK, want, wantOK)
+	}
+	if pfxOK != wantOK || pfx != want.Prefix {
+		t.Fatalf("LookupPrefix(%v) = %v ok=%v, trie says %v ok=%v", addr, pfx, pfxOK, want.Prefix, wantOK)
+	}
+}
+
+// edgeProbes returns the addresses where p can change an answer: its
+// first and last address and the ones just outside.
+func edgeProbes(p netip.Prefix) [4]uint32 {
+	first := v4bits(p.Masked().Addr())
+	last := first | uint32(uint64(1)<<(32-p.Bits())-1)
+	return [4]uint32{first, last, first - 1, last + 1}
+}
+
+// diffSequence inserts prefixes in order, checking every edge of every
+// prefix of the sequence — inserted yet or not — after each insert, so
+// Lookup is exercised on every intermediate state of the structure.
+func diffSequence(t testing.TB, prefixes []netip.Prefix, extra []uint32) {
+	t.Helper()
+	d := newLPMDiff()
+	probes := append([]uint32(nil), extra...)
+	for _, p := range prefixes {
+		e := edgeProbes(p)
+		probes = append(probes, e[:]...)
+	}
+	for i, p := range prefixes {
+		d.insert(t, Route{Prefix: p, OriginAS: uint32(i + 1), Tier: Tier(i % 4)})
+		for _, b := range probes {
+			d.check(t, b)
+		}
+	}
+}
+
+// TestLookupMatchesTrie compares the flat index with the binary-trie
+// oracle on the shapes Generate never draws: a default route, short
+// prefixes arriving after the long ones they cover (the push-down
+// path), deep nesting inside one /16, host routes at the corners of the
+// address space, and a route replaced in place — each in both insertion
+// orders.
+func TestLookupMatchesTrie(t *testing.T) {
+	cases := map[string][]string{
+		"default route": {"0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "128.0.0.0/1"},
+		"short after long": {
+			"10.1.2.0/24", "10.1.2.128/25", "10.1.2.192/26", "10.1.2.224/27", "10.1.2.240/28",
+			"10.1.2.248/29", "10.1.2.252/30", "10.1.2.254/31", "10.1.2.255/32", "10.200.7.0/24",
+			"10.0.0.0/15", "10.0.0.0/14", "10.0.0.0/13", "10.0.0.0/12", "10.0.0.0/11",
+			"10.0.0.0/10", "10.0.0.0/9", "10.0.0.0/8",
+		},
+		"three deep in one /16": {
+			"172.16.0.0/16", "172.16.64.0/18", "172.16.64.0/22", "172.16.65.32/27", "172.16.65.40/32",
+			"172.16.128.0/17", "172.16.255.0/24", "172.16.0.0/17", "172.16.66.0/23",
+		},
+		"host routes": {
+			"0.0.0.0/32", "255.255.255.255/32", "10.1.0.0/32", "10.1.255.255/32", "10.1.128.0/32",
+			"10.1.127.255/32", "10.1.0.0/16", "10.1.128.0/17",
+		},
+		"replaced in place": {"10.1.0.0/16", "10.1.2.0/24", "10.1.0.0/16", "10.1.2.0/24", "10.0.0.0/8", "10.0.0.0/8"},
+	}
+	for name, list := range cases {
+		prefixes := make([]netip.Prefix, len(list))
+		for i, s := range list {
+			prefixes[i] = netip.MustParsePrefix(s)
+		}
+		t.Run(name, func(t *testing.T) { diffSequence(t, prefixes, nil) })
+		t.Run(name+"/reversed", func(t *testing.T) {
+			rev := make([]netip.Prefix, len(prefixes))
+			for i, p := range prefixes {
+				rev[len(rev)-1-i] = p
+			}
+			diffSequence(t, rev, nil)
+		})
+	}
+}
+
+// TestLookupMatchesTrieSeeded does the same on random tables crowded
+// into four /16s and their covering short prefixes, any length from /0
+// to /32, so nesting, push-down, slot growth and slot reuse all happen
+// many times per table.
+func TestLookupMatchesTrieSeeded(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tops := [4]uint32{rng.Uint32() >> 16, rng.Uint32() >> 16, rng.Uint32() >> 16, rng.Uint32() >> 16}
+		prefixes := make([]netip.Prefix, 300)
+		for i := range prefixes {
+			bits := tops[rng.Intn(len(tops))]<<16 | rng.Uint32()>>16
+			prefixes[i] = netip.PrefixFrom(addrFromV4bits(bits), rng.Intn(33)).Masked()
+		}
+		random := make([]uint32, 64)
+		for i := range random {
+			random[i] = rng.Uint32()
+		}
+		diffSequence(t, prefixes, random)
+	}
+}
+
+// TestLookupZeroAllocs pins both lookups at zero allocations.
+func TestLookupZeroAllocs(t *testing.T) {
+	tab, err := Generate(GenConfig{Routes: 2000, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	hit := RandomAddrInPrefix(rng, tab.Routes()[7].Prefix)
+	miss := netip.MustParseAddr("10.1.2.3") // Generate leaves 10/8 empty
+	if n := testing.AllocsPerRun(100, func() { tab.Lookup(hit); tab.Lookup(miss) }); n != 0 {
+		t.Errorf("Lookup allocates %v times per run", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { tab.LookupPrefix(hit); tab.LookupPrefix(miss) }); n != 0 {
+		t.Errorf("LookupPrefix allocates %v times per run", n)
+	}
+}
+
+// TestLookupSharedTable is the daemon's -readers shape: several
+// goroutines look up one table nobody writes any more. Lookup must not
+// write either — `go test -race` is what checks it.
+func TestLookupSharedTable(t *testing.T) {
+	tab, err := Generate(GenConfig{Routes: 5000, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := tab.Routes()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 5000; i++ {
+				want := routes[rng.Intn(len(routes))].Prefix
+				addr := RandomAddrInPrefix(rng, want)
+				r, ok := tab.Lookup(addr)
+				p, pok := tab.LookupPrefix(addr)
+				// A longer route may cover addr; it still lies inside want.
+				if !ok || !pok || r.Prefix != p || p.Bits() < want.Bits() || !want.Contains(p.Addr()) {
+					t.Errorf("Lookup(%v) = %v ok=%v, LookupPrefix = %v ok=%v, drawn from %v", addr, r.Prefix, ok, p, pok, want)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+}
+
+// TestLPMFootprint bounds the index for the benchmark's 60 000-route
+// table. A second level of full 256-entry nodes (≈50 MB here) makes
+// lookups faster still and set-up several times slower; this keeps that
+// trade from coming back unnoticed.
+func TestLPMFootprint(t *testing.T) {
+	tab, err := Generate(GenConfig{Routes: 60000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &tab.v4
+	size := unsafe.Sizeof(l.root) + uintptr(cap(l.arena))*unsafe.Sizeof(span{})
+	if limit := uintptr(8 << 20); size > limit {
+		t.Errorf("LPM index holds %d bytes for 60000 routes, limit %d", size, limit)
+	}
+	t.Logf("LPM index: %d KiB (root %d KiB, arena %d of %d spans)",
+		size>>10, unsafe.Sizeof(l.root)>>10, len(l.arena), cap(l.arena))
 }

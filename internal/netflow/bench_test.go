@@ -1,12 +1,55 @@
 package netflow
 
 import (
+	"math/rand"
 	"net/netip"
 	"testing"
 	"time"
 
+	"repro/internal/agg"
+	"repro/internal/bgp"
 	"repro/internal/packet"
 )
+
+var attributeSink agg.Record
+
+// BenchmarkAttributeShuffled is record→flow attribution on the record
+// shape the benchmark harness replays: a 60 000-route table, 8192 flow
+// prefixes with 4 records each to random destinations inside the
+// prefix, shuffled — so consecutive lookups share no cache line of the
+// table, unlike a loop over a handful of warm probes. One op is one pass
+// over all 32 768 records (a -benchtime 1x run still means something);
+// ns/record is the figure to read.
+func BenchmarkAttributeShuffled(b *testing.B) {
+	table, err := bgp.Generate(bgp.GenConfig{Routes: 60000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	routes := table.Routes()
+	var recs []Record
+	for _, ri := range rng.Perm(len(routes))[:8192] {
+		for q := 0; q < 4; q++ {
+			rec := sampleRecord()
+			rec.DstAddr = bgp.RandomAddrInPrefix(rng, routes[ri].Prefix)
+			recs = append(recs, rec)
+		}
+	}
+	rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+	h := Header{SysUptime: 99000, UnixSecs: uint32(t0.Unix())}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range recs {
+			rec, ok := Attribute(table, h, recs[k])
+			if !ok {
+				b.Fatal("generated destination is unrouted")
+			}
+			attributeSink = rec
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+}
 
 func BenchmarkEncode30(b *testing.B) {
 	recs := make([]Record, MaxRecordsPerDatagram)

@@ -1,6 +1,8 @@
 package netflow
 
 import (
+	"time"
+
 	"repro/internal/agg"
 	"repro/internal/bgp"
 )
@@ -68,18 +70,19 @@ func (c *Collector) addRecord(h Header, r Record) {
 // streaming RecordSource and the serving daemon's UDP ingest, so every
 // ingest path classifies identical traffic identically.
 func Attribute(table *bgp.Table, h Header, r Record) (agg.Record, bool) {
-	route, ok := table.Lookup(r.DstAddr)
+	prefix, ok := table.LookupPrefix(r.DstAddr)
 	if !ok {
 		return agg.Record{}, false
 	}
-	first, last := h.Timestamps(r)
 	rec := agg.Record{
-		Prefix: route.Prefix,
-		Time:   first,
+		Prefix: prefix,
+		Time:   h.wallTime(r.First),
 		Bits:   float64(r.Octets) * 8,
 	}
-	if span := last.Sub(first); span > 0 {
-		rec.Span = span
+	// First and Last tick on one uptime clock, so the span is their
+	// difference; it needs neither wall time.
+	if r.Last > r.First {
+		rec.Span = time.Duration(r.Last-r.First) * time.Millisecond
 	}
 	return rec, true
 }

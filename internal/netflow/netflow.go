@@ -199,9 +199,14 @@ func DecodeInto(data []byte, d *Datagram) error {
 // times using the datagram header's (SysUptime, UnixSecs, UnixNsecs)
 // anchor.
 func (h Header) Timestamps(r Record) (first, last time.Time) {
-	boot := time.Unix(int64(h.UnixSecs), int64(h.UnixNsecs)).
-		Add(-time.Duration(h.SysUptime) * time.Millisecond)
-	first = boot.Add(time.Duration(r.First) * time.Millisecond)
-	last = boot.Add(time.Duration(r.Last) * time.Millisecond)
-	return first, last
+	return h.wallTime(r.First), h.wallTime(r.Last)
+}
+
+// wallTime places an uptime reading (milliseconds since the exporter
+// booted) on the wall clock. The whole offset goes into time.Unix's
+// nanosecond argument, which normalises any sign and size: one
+// constructor in place of a chain of Time.Add calls on the record path.
+func (h Header) wallTime(uptimeMillis uint32) time.Time {
+	sinceHeader := (int64(uptimeMillis) - int64(h.SysUptime)) * int64(time.Millisecond)
+	return time.Unix(int64(h.UnixSecs), int64(h.UnixNsecs)+sinceHeader)
 }

@@ -2,10 +2,13 @@ package netflow
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"net/netip"
 	"testing"
 	"time"
 
+	"repro/internal/bgp"
 	"repro/internal/packet"
 )
 
@@ -202,6 +205,72 @@ func TestHeaderTimestamps(t *testing.T) {
 	}
 	if want := t0.Add(-30 * time.Second); !last.Equal(want) {
 		t.Errorf("last = %v, want %v", last, want)
+	}
+}
+
+// TestAttributeTimesMatchAddChain compares the single-constructor wall
+// times and the uptime-difference span with the arithmetic they
+// replaced — boot = header time − SysUptime, first/last = boot + reading,
+// span = last − first — over the corners of the wire fields: readings
+// before the header's, nanoseconds past a second, full-range uptimes.
+// The Time values must be identical (==), not merely Equal: they end up
+// in records whose results are compared byte for byte.
+func TestAttributeTimesMatchAddChain(t *testing.T) {
+	table := bgp.NewTable()
+	if err := table.Insert(bgp.Route{Prefix: netip.MustParsePrefix("192.0.2.0/24")}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	corner := func() uint32 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return math.MaxUint32
+		case 2:
+			return uint32(rng.Intn(2000))
+		}
+		return rng.Uint32()
+	}
+	for i := 0; i < 20000; i++ {
+		h := Header{SysUptime: corner(), UnixSecs: corner(), UnixNsecs: corner()}
+		r := Record{DstAddr: bIP, First: corner(), Last: corner(), Octets: 1}
+		boot := time.Unix(int64(h.UnixSecs), int64(h.UnixNsecs)).Add(-time.Duration(h.SysUptime) * time.Millisecond)
+		wantFirst := boot.Add(time.Duration(r.First) * time.Millisecond)
+		wantLast := boot.Add(time.Duration(r.Last) * time.Millisecond)
+		if first, last := h.Timestamps(r); first != wantFirst || last != wantLast {
+			t.Fatalf("Timestamps(%+v, First=%d Last=%d) = %v, %v; want %v, %v", h, r.First, r.Last, first, last, wantFirst, wantLast)
+		}
+		rec, ok := Attribute(table, h, r)
+		if !ok {
+			t.Fatal("routed destination reported unrouted")
+		}
+		wantSpan := max(wantLast.Sub(wantFirst), 0)
+		if rec.Time != wantFirst || rec.Span != wantSpan {
+			t.Fatalf("Attribute(%+v, First=%d Last=%d) = time %v span %v; want %v, %v", h, r.First, r.Last, rec.Time, rec.Span, wantFirst, wantSpan)
+		}
+	}
+}
+
+// TestAttributeZeroAllocs pins record→flow attribution, routed or not,
+// at zero allocations: it runs once per record on every ingest path.
+func TestAttributeZeroAllocs(t *testing.T) {
+	table, err := bgp.Generate(bgp.GenConfig{Routes: 2000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := Header{SysUptime: 99000, UnixSecs: uint32(t0.Unix())}
+	routed, unrouted := sampleRecord(), sampleRecord()
+	routed.DstAddr = table.Routes()[3].Prefix.Addr()
+	unrouted.DstAddr = netip.MustParseAddr("10.1.2.3") // Generate leaves 10/8 empty
+	if _, ok := Attribute(table, h, routed); !ok {
+		t.Fatal("routed record reported unrouted")
+	}
+	if _, ok := Attribute(table, h, unrouted); ok {
+		t.Fatal("unrouted record attributed")
+	}
+	if n := testing.AllocsPerRun(100, func() { Attribute(table, h, routed); Attribute(table, h, unrouted) }); n != 0 {
+		t.Errorf("Attribute allocates %v times per run, want 0", n)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/report"
@@ -168,25 +167,27 @@ func TestRegistryPanics(t *testing.T) {
 }
 
 // TestRegistryConcurrentRenderAndRegister: scrapes racing link
-// registration must not tear (run under -race).
+// registration must not tear (run under -race). The producer registers a
+// fixed number of links and the scraper renders until it has finished,
+// so the page is bounded whatever the host: an unbounded producer
+// against a fixed number of renders outgrew the renders on two CPUs.
 func TestRegistryConcurrentRenderAndRegister(t *testing.T) {
+	const links = 200
 	r := NewRegistry()
 	NewLinkMetrics(r, "seed@0", 1, DefaultStageBounds())
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		defer close(done)
+		for i := 0; i < links; i++ {
 			NewLinkMetrics(r, fmt.Sprintf("link%d@0", i), 1, DefaultStageBounds())
 		}
 	}()
-	for i := 0; i < 50; i++ {
+	for registering, i := true, 0; registering; i++ {
+		select {
+		case <-done:
+			registering = false // one last render, of the complete registry
+		default:
+		}
 		var buf bytes.Buffer
 		m := report.NewMetricsWriter(&buf)
 		r.Render(m)
@@ -197,6 +198,4 @@ func TestRegistryConcurrentRenderAndRegister(t *testing.T) {
 			t.Errorf("render %d failed lint: %v", i, err)
 		}
 	}
-	close(stop)
-	wg.Wait()
 }
