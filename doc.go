@@ -44,16 +44,20 @@
 // classifier's per-flow windows (incrementally summed, O(1) per flow),
 // the elephant-state tracker — runs on flat ID-indexed columns instead
 // of prefix-keyed maps. Snapshots carry the ID column from producer to
-// classifier, so steady-state classification performs a single hash
-// per record at ingest and none per flow per interval. Classifier
-// eviction recycles IDs through a quarantined free list sized to the
-// accumulator's open window, keeping resident-daemon memory bounded by
-// the live flow set; equivalence of the ID path with the prefix-keyed
+// classifier, so steady-state classification performs at most a single
+// hash per record at ingest — none for a NetFlow record, whose
+// longest-prefix-match answer doubles as a verified key into the table
+// — and none per flow per interval. Classifier eviction recycles IDs
+// through a quarantined free list sized to the accumulator's open
+// window, keeping resident-daemon memory bounded by the live flow set;
+// equivalence of the ID path with the prefix-keyed
 // semantics is pinned by dual-implementation tests in internal/core
 // and the eviction/recycling stream≡batch test in internal/engine.
-// BENCH_baseline.json records the bench suite's reference numbers;
-// cmd/benchdiff compares fresh runs against it and fails on >30%
-// ns/op regressions (wired as a non-blocking CI report).
+// Performance has one record: bench/ (a module of its own, declared in
+// BENCHMARK.json) measures four workloads end to end and layer by
+// layer. The Benchmark functions beside the tests run once each in CI
+// so that they keep working, and the zero-allocation pins
+// (testing.AllocsPerRun in alloc_test.go and the packages) are tests.
 //
 // The streaming stack also runs resident: internal/serve is a live
 // monitoring daemon (cmd/elephantd) that collects NetFlow v5 datagrams

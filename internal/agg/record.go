@@ -3,6 +3,7 @@ package agg
 import (
 	"errors"
 	"io"
+	"math"
 	"net/netip"
 	"time"
 )
@@ -24,15 +25,28 @@ type Record struct {
 	// Time is the start of the observation.
 	Time time.Time
 	// Span is the observation's duration: zero for point observations
-	// (a packet), positive for flow records.
+	// (a packet), positive for flow records. A negative Span is treated
+	// as zero.
 	Span time.Duration
 	// Bits is the observed volume in bits.
 	Bits float64
+	// Key is an optional interning shortcut: a non-zero value the source
+	// promises to pair with this Prefix every time (netflow.Attribute
+	// sets the routing table's bgp.Table.LookupKey answer). The
+	// accumulator hands it to core.FlowTable.InternKeyed, which verifies
+	// it against Prefix, so a wrong or reused key costs a hash and never
+	// a misattribution. Zero means no key.
+	Key uint32
 }
 
-// End returns the end of the observation (equal to Time for point
-// records).
-func (r Record) End() time.Time { return r.Time.Add(r.Span) }
+// extent places the record on the integer clock both accumulators run
+// on: its start in nanoseconds since origin (saturating the way
+// time.Time.Sub does, so a timestamp centuries off reads as the far
+// past or the far future rather than wrapping) and its span, negative
+// spans clamped to a point at Time.
+func (r *Record) extent(origin time.Time) (off, span int64) {
+	return int64(r.Time.Sub(origin)), int64(max(r.Span, 0))
+}
 
 // RecordSource is the unified iterator every ingest substrate adapts
 // to: pcap captures (PacketRecordSource), NetFlow streams
@@ -44,51 +58,51 @@ type RecordSource interface {
 	Next() (Record, error)
 }
 
-// spreadRecord apportions rec.Bits over measurement intervals, calling
-// add(t, bits) for every in-window interval, and reports whether any
-// bits landed. It is the single implementation of the apportioning
-// arithmetic shared by the batch Series and the StreamAccumulator, so
-// the two paths accumulate bit-identical values:
+// spreadRecord apportions bits over measurement intervals, calling
+// add(t, bits) for every interval of the window it reaches, and reports
+// whether any bits landed. It is the single implementation of the
+// apportioning arithmetic shared by the batch Series and the
+// StreamAccumulator, so the two paths accumulate bit-identical values:
 //
-//   - a point record lands wholly in the interval containing Time;
+//   - a point record lands wholly in the interval containing off;
 //   - a span record is spread uniformly: each covered interval gets
-//     Bits × (overlap / Span), with the fraction's denominator the
+//     bits × (overlap / span), with the fraction's denominator the
 //     *full* span, so portions clipped off by the window are dropped
 //     rather than renormalised (matching the NetFlow collector's
 //     historical behaviour).
 //
-// origin is the left edge of interval 0; clipStart is the earliest
-// admissible instant (the series start, or the streaming window's
-// closed edge); intervalOf maps a timestamp to its interval index or -1
-// when out of window.
-func spreadRecord(rec Record, origin time.Time, interval time.Duration, clipStart time.Time, intervalOf func(time.Time) int, add func(t int, bits float64)) bool {
-	if rec.Span <= 0 {
-		t := intervalOf(rec.Time)
-		if t < 0 {
+// off and span are the record's extent and interval is Δ, all in
+// nanoseconds on the clock whose zero is the left edge of interval 0;
+// the window is intervals [lo, hi).
+func spreadRecord(off, span int64, bits float64, interval int64, lo, hi int, add func(t int, bits float64)) bool {
+	t := lo - 1 // off < 0 lies before interval 0, hence before the window
+	if off >= 0 {
+		t = int(off / interval)
+	}
+	end := off + span
+	if end < off { // a saturated far-future off plus its span
+		end = math.MaxInt64
+	}
+	if t >= lo && end <= int64(t+1)*interval {
+		// The record lies inside one interval (every point record does):
+		// overlap = span, and bits × 1 is bits.
+		if t >= hi {
 			return false
 		}
-		add(t, rec.Bits)
+		add(t, bits)
 		return true
 	}
-	last := rec.End()
-	span := rec.Span
+	if span == 0 {
+		return false // a point before the window
+	}
+	cur := off
+	if t < lo {
+		t, cur = lo, int64(lo)*interval
+	}
 	landed := false
-	for cur := rec.Time; cur.Before(last); {
-		t := intervalOf(cur)
-		if t < 0 {
-			// Before the window: skip ahead; after: done.
-			if cur.Before(clipStart) {
-				cur = clipStart
-				continue
-			}
-			break
-		}
-		segEnd := last
-		if intervalEnd := origin.Add(time.Duration(t+1) * interval); intervalEnd.Before(segEnd) {
-			segEnd = intervalEnd
-		}
-		frac := float64(segEnd.Sub(cur)) / float64(span)
-		add(t, rec.Bits*frac)
+	for ; t < hi && cur < end; t++ {
+		segEnd := min(end, int64(t+1)*interval)
+		add(t, bits*(float64(segEnd-cur)/float64(span)))
 		landed = true
 		cur = segEnd
 	}
@@ -102,7 +116,8 @@ func spreadRecord(rec Record, origin time.Time, interval time.Duration, clipStar
 // series filled by AddRecord and a stream fed the same records carry
 // bit-identical interval values.
 func (s *Series) AddRecord(rec Record) bool {
-	return spreadRecord(rec, s.Start, s.Interval, s.Start, s.IntervalOf, func(t int, bits float64) {
+	off, span := rec.extent(s.Start)
+	return spreadRecord(off, span, rec.Bits, int64(s.Interval), 0, s.Intervals, func(t int, bits float64) {
 		s.AddBits(rec.Prefix, t, bits)
 	})
 }

@@ -3,7 +3,6 @@ package agg
 import (
 	"encoding/binary"
 	"net/netip"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -144,10 +143,9 @@ func (s *accShard) apply(ops []shardOp) {
 	}
 }
 
-// prepareSeal sorts interval g's dirty IDs into ComparePrefix order
-// and publishes the slot's columns for the coordinator's merge. The
-// rank-vs-direct sort heuristic matches the serial closeOldest; both
-// orders are the same, only the comparison cost differs.
+// prepareSeal puts interval g's dirty IDs into ComparePrefix order, as
+// the serial closeOldest does, and publishes the slot's columns for the
+// coordinator's merge.
 func (s *accShard) prepareSeal(g int32) {
 	sl := &s.slots[int(g)%len(s.slots)]
 	if sl.cur != g {
@@ -155,20 +153,10 @@ func (s *accShard) prepareSeal(g int32) {
 		s.dirty = nil
 		return
 	}
-	pf := s.table.Prefixes()
-	if s.table.RanksFresh() || len(sl.dirty)*8 >= s.table.Len() {
-		ranks := s.table.Ranks()
-		slices.SortFunc(sl.dirty, func(x, y uint32) int {
-			return int(ranks[x]) - int(ranks[y])
-		})
-	} else {
-		slices.SortFunc(sl.dirty, func(x, y uint32) int {
-			return core.ComparePrefix(pf[x], pf[y])
-		})
-	}
+	s.table.SortIDs(sl.dirty)
 	s.dirty = sl.dirty
 	s.col = sl.col
-	s.pf = pf
+	s.pf = s.table.Prefixes()
 }
 
 // recycleInterval releases the sealed interval's flow rows and ticks

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -93,9 +93,9 @@ type StreamStats struct {
 // Series.Snapshot bit for bit. A generation tag per cell (seen) marks
 // which cells belong to the current interval, so recycling a slot for
 // interval g+Window is O(1): bump the generation and truncate the dirty
-// list — stale cells are simply never read. Closing an interval sorts
-// only the dirty IDs into prefix order instead of re-sorting every key
-// of a map, and steady-state accumulation never hashes nor allocates.
+// list — stale cells are simply never read. Closing an interval orders
+// only the dirty IDs instead of re-sorting every key of a map, and
+// steady-state accumulation does not allocate.
 type streamSlot struct {
 	col    []float64 // id -> accumulated bandwidth, valid iff seen[id] == gen
 	seen   []uint32  // id -> generation that last touched the cell
@@ -160,10 +160,17 @@ type StreamAccumulator struct {
 	start time.Time // resolved left edge of interval 0
 	began bool      // start is resolved (first record seen or explicit Start)
 
-	base       int       // oldest open interval (global index)
-	clip       time.Time // left edge of interval base, cached off the Add path
-	maxTouched int       // highest interval that received bits; -1 before any
-	newest     time.Time // newest bit-carrying instant accepted past the far-future gate
+	// The interior clock is integer nanoseconds since start: a record's
+	// Time is converted once (Record.extent) and every gate, clip and
+	// apportioning below is integer arithmetic on the same durations the
+	// time.Time form would produce. time.Time is rebuilt only at the API
+	// edge (Newest, IntervalTime).
+	interval int64   // Δ in nanoseconds
+	secs     float64 // Δ in seconds, the bits→bandwidth divisor
+
+	base       int   // oldest open interval (global index)
+	maxTouched int   // highest interval that received bits; -1 before any
+	newest     int64 // newest bit-carrying instant accepted past the far-future gate; -1 before any
 	table      *core.FlowTable
 	slots      []streamSlot
 	sh         *shardedAcc // non-nil in sharded mode (Shards > 1)
@@ -202,34 +209,31 @@ func NewStreamAccumulator(cfg StreamConfig) (*StreamAccumulator, error) {
 		if cfg.Shards > MaxShards {
 			return nil, fmt.Errorf("agg: NewStreamAccumulator: shards %d > %d", cfg.Shards, MaxShards)
 		}
-		a := &StreamAccumulator{
-			cfg:        cfg,
-			start:      cfg.Start,
-			clip:       cfg.Start,
-			began:      !cfg.Start.IsZero(),
-			maxTouched: -1,
-			sh:         newShardedAcc(cfg.Shards, cfg.Window, cfg.Interval.Seconds()),
-			snap:       core.NewFlowSnapshot(0),
+	} else {
+		if cfg.Table == nil {
+			cfg.Table = core.NewFlowTable()
 		}
-		return a, nil
+		// A released ID must survive long enough for every open slot that
+		// might hold its bits to close, or those bits would be emitted
+		// under a recycled identity.
+		cfg.Table.EnsureQuarantine(cfg.Window)
 	}
-	if cfg.Table == nil {
-		cfg.Table = core.NewFlowTable()
-	}
-	// A released ID must survive long enough for every open slot that
-	// might hold its bits to close, or those bits would be emitted under
-	// a recycled identity.
-	cfg.Table.EnsureQuarantine(cfg.Window)
 	a := &StreamAccumulator{
 		cfg:        cfg,
 		start:      cfg.Start,
-		clip:       cfg.Start,
 		began:      !cfg.Start.IsZero(),
+		interval:   int64(cfg.Interval),
+		secs:       cfg.Interval.Seconds(),
 		maxTouched: -1,
+		newest:     -1,
 		table:      cfg.Table,
-		slots:      make([]streamSlot, cfg.Window),
 		snap:       core.NewFlowSnapshot(0),
 	}
+	if cfg.Shards > 1 {
+		a.sh = newShardedAcc(cfg.Shards, cfg.Window, a.secs)
+		return a, nil
+	}
+	a.slots = make([]streamSlot, cfg.Window)
 	for i := range a.slots {
 		a.slots[i].gen = 1
 	}
@@ -295,10 +299,15 @@ func (a *StreamAccumulator) Stats() StreamStats { return a.stats }
 
 // Newest returns the stream watermark: the newest bit-carrying instant
 // of any record accepted past the far-future gate (zero before the
-// first such record). Pre-origin and behind-the-window records still
-// advance it — their timestamps are genuine — but records dropped as
-// corrupt do not.
-func (a *StreamAccumulator) Newest() time.Time { return a.newest }
+// first such record). Behind-the-window records still advance it —
+// their timestamps are genuine — but records before the stream origin
+// and records dropped as corrupt do not.
+func (a *StreamAccumulator) Newest() time.Time {
+	if a.newest < 0 {
+		return time.Time{}
+	}
+	return a.start.Add(time.Duration(a.newest))
+}
 
 // WatermarkLag returns how far the stream watermark has run ahead of
 // the sealed edge: Newest minus the left edge of the oldest open
@@ -309,14 +318,12 @@ func (a *StreamAccumulator) Newest() time.Time { return a.newest }
 // Clamped to zero (Flush seals through the watermark, leaving the
 // sealed edge at or past it); zero before any record.
 func (a *StreamAccumulator) WatermarkLag() time.Duration {
-	if a.newest.IsZero() {
-		return 0
-	}
-	if lag := a.newest.Sub(a.clip); lag > 0 {
-		return lag
-	}
-	return 0
+	return time.Duration(max(a.newest-a.sealedEdge(), 0))
 }
+
+// sealedEdge is the left edge of the oldest open interval on the
+// interior clock: the instant before which bits are late.
+func (a *StreamAccumulator) sealedEdge() int64 { return int64(a.base) * a.interval }
 
 // ClosedThrough returns the number of intervals closed so far (closed
 // intervals are exactly [0, ClosedThrough)).
@@ -326,27 +333,6 @@ func (a *StreamAccumulator) ClosedThrough() int { return a.base }
 // Start is resolved).
 func (a *StreamAccumulator) IntervalTime(t int) time.Time {
 	return a.start.Add(time.Duration(t) * a.cfg.Interval)
-}
-
-// intervalIndex maps a timestamp to its global interval index, or -1
-// before the stream origin.
-func (a *StreamAccumulator) intervalIndex(ts time.Time) int {
-	d := ts.Sub(a.start)
-	if d < 0 {
-		return -1
-	}
-	return int(d / a.cfg.Interval)
-}
-
-// openIntervalOf maps a timestamp to its interval index when that
-// interval is open, -1 otherwise — the window predicate spreadRecord
-// clips against.
-func (a *StreamAccumulator) openIntervalOf(ts time.Time) int {
-	g := a.intervalIndex(ts)
-	if g < a.base || g >= a.base+a.cfg.Window {
-		return -1
-	}
-	return g
 }
 
 // slot returns the ring slot of open interval g.
@@ -359,10 +345,7 @@ func (a *StreamAccumulator) slot(g int) *streamSlot { return &a.slots[g%a.cfg.Wi
 func (a *StreamAccumulator) addBits(id uint32, g int, bits float64) {
 	sl := a.slot(g)
 	sl.grow(a.table.Cap())
-	sl.touch(id, bits/a.cfg.Interval.Seconds())
-	if g > a.maxTouched {
-		a.maxTouched = g
-	}
+	sl.touch(id, bits/a.secs)
 }
 
 // TotalBandwidth returns the aggregate load accumulated so far in open
@@ -421,44 +404,40 @@ func (a *StreamAccumulator) Add(rec Record) error {
 	if !a.began {
 		a.began = true
 		a.start = rec.Time
-		a.clip = rec.Time
 	}
+	off, span := rec.extent(a.start)
 	// The last instant that actually carries bits: span records spread
 	// over [Time, End), so a span ending exactly on an interval boundary
 	// stops in the interval before it — advancing to End's own interval
 	// there would close one interval too many and strand in-order bits
 	// behind the closed edge.
-	last := rec.End()
-	if rec.Span > 0 {
-		last = last.Add(-time.Nanosecond)
+	last := off
+	if span > 0 {
+		if last = off + span - 1; last < off { // a saturated far-future off
+			last = math.MaxInt64
+		}
 	}
-	end := a.intervalIndex(last)
-	if end < 0 {
+	if last < 0 {
 		// The whole record precedes the stream origin.
 		a.stats.Late++
 		a.stats.LateBits += rec.Bits
 		return nil
 	}
+	end := int(last / a.interval)
 	// A timestamp this far past all traffic seen is corruption, not an
 	// idle link; advancing would close an unbounded run of empty
 	// intervals and poison the stream for every genuine record after
 	// it. Before any bits land (maxTouched -1) the bound is taken from
 	// the closed edge instead, so a corrupt FIRST record under an
 	// explicit Start is guarded too.
-	floor := a.maxTouched
-	if floor < a.base-1 {
-		floor = a.base - 1
-	}
-	if end > floor+a.cfg.MaxGap {
+	if end > max(a.maxTouched, a.base-1)+a.cfg.MaxGap {
 		a.stats.FarFuture++
 		return nil
 	}
 	// The watermark advances only past the corruption gate: a far-future
 	// timestamp must not poison the lag reading any more than it may
 	// close intervals.
-	if last.After(a.newest) {
-		a.newest = last
-	}
+	a.newest = max(a.newest, last)
 	if end >= a.base+a.cfg.Window {
 		if err := a.advanceTo(end - a.cfg.Window + 1); err != nil {
 			return err
@@ -480,46 +459,35 @@ func (a *StreamAccumulator) Add(rec Record) error {
 		// spoofable zero-octet NetFlow records. The record still counts
 		// and still advances the flush/far-future horizon, exactly as a
 		// zero-bit cell write would have.
-		if end > a.maxTouched {
-			a.maxTouched = end
-		}
+		a.maxTouched = max(a.maxTouched, end)
 		a.stats.InWindow++
 		return nil
 	}
-	clip := a.clip
-	var landed bool
+	// end is open, so the record reaches the window; bits it spent before
+	// the closed edge are the only ones that can miss.
 	if a.sh != nil {
 		// Sharded mode defers the intern to the flow's home shard — the
 		// prefix hash leaves the coordinator's serial section entirely.
 		// The routing hash is computed once per record, shared by every
 		// interval the span touches.
 		si := a.sh.shardOf(rec.Prefix)
-		landed = spreadRecord(rec, a.start, a.cfg.Interval, clip, a.openIntervalOf, func(t int, bits float64) {
+		spreadRecord(off, span, rec.Bits, a.interval, a.base, a.base+a.cfg.Window, func(t int, bits float64) {
 			a.sh.enqueue(si, rec.Prefix, t, bits)
-			if t > a.maxTouched {
-				a.maxTouched = t
-			}
 		})
-		if landed {
-			a.sh.recs[si]++
-		}
+		a.sh.recs[si]++
 	} else {
 		// One intern per record, shared by every interval the span
-		// touches — the only hash on the accumulation path.
-		id := a.table.Intern(rec.Prefix)
-		landed = spreadRecord(rec, a.start, a.cfg.Interval, clip, a.openIntervalOf, func(t int, bits float64) {
+		// touches; a keyed record's is a verified table probe, not a hash.
+		id := a.table.InternKeyed(rec.Prefix, rec.Key)
+		spreadRecord(off, span, rec.Bits, a.interval, a.base, a.base+a.cfg.Window, func(t int, bits float64) {
 			a.addBits(id, t, bits)
 		})
 	}
-	if landed {
-		a.stats.InWindow++
-		if rec.Span > 0 && rec.Time.Before(clip) {
-			// Leading portion clipped off by the closed edge.
-			a.stats.LateBits += rec.Bits * float64(clip.Sub(rec.Time)) / float64(rec.Span)
-		}
-	} else {
-		a.stats.Late++
-		a.stats.LateBits += rec.Bits
+	a.maxTouched = max(a.maxTouched, end)
+	a.stats.InWindow++
+	if clip := a.sealedEdge(); off < clip {
+		// Leading portion clipped off by the closed edge.
+		a.stats.LateBits += rec.Bits * float64(clip-off) / float64(span)
 	}
 	return nil
 }
@@ -537,13 +505,14 @@ func (a *StreamAccumulator) advanceTo(newBase int) error {
 // closeOldest emits the oldest open interval as a sorted snapshot and
 // recycles its slot. Emission order and values match Series.Snapshot:
 // positive-bandwidth flows in core.ComparePrefix order, appended into a
-// reused snapshot. Only the interval's dirty IDs are sorted — the cost
-// scales with the flows active in that interval, not with every flow
-// the link has ever seen — and the IDs must be sorted into prefix order
-// BEFORE appending (rather than appending unordered and calling
-// snap.Sort): Append folds each bandwidth into the snapshot's running
-// total, and that float sum is only bit-identical to the batch path's
-// if the addition order is the same sorted order Series.Snapshot uses.
+// reused snapshot. Only the interval's dirty IDs are put in order
+// (core.FlowTable.SortIDs: normally a bitmap sweep over the table's
+// rank column, no comparisons) — not every flow the link has ever seen
+// — and they must be in prefix order BEFORE appending (rather than
+// appending unordered and calling snap.Sort): Append folds each
+// bandwidth into the snapshot's running total, and that float sum is
+// only bit-identical to the batch path's if the addition order is the
+// same sorted order Series.Snapshot uses.
 func (a *StreamAccumulator) closeOldest() error {
 	g := a.base
 	if a.sh != nil {
@@ -557,29 +526,14 @@ func (a *StreamAccumulator) closeOldest() error {
 		a.stats.Closed++
 		a.stats.EvictedFlows += uint64(evicted)
 		a.base++
-		a.clip = a.clip.Add(a.cfg.Interval)
 		if a.Emit != nil {
 			return a.Emit(g, a.snap)
 		}
 		return nil
 	}
 	sl := a.slot(g)
+	a.table.SortIDs(sl.dirty)
 	pf := a.table.Prefixes()
-	// Rank-based ordering (integer compares) when the table's rank
-	// column is fresh or the interval is busy enough to amortise a
-	// rebuild; direct prefix compares when a huge table just gained a
-	// binding and this interval touches only a handful of flows. All
-	// paths produce the same ComparePrefix order.
-	if a.table.RanksFresh() || len(sl.dirty)*8 >= a.table.Len() {
-		ranks := a.table.Ranks()
-		slices.SortFunc(sl.dirty, func(x, y uint32) int {
-			return int(ranks[x]) - int(ranks[y])
-		})
-	} else {
-		slices.SortFunc(sl.dirty, func(x, y uint32) int {
-			return core.ComparePrefix(pf[x], pf[y])
-		})
-	}
 	a.snap.Reset()
 	a.snap.SetIDTable(a.table)
 	for _, id := range sl.dirty {
@@ -599,7 +553,6 @@ func (a *StreamAccumulator) closeOldest() error {
 	sl.total = 0
 	sl.active = 0
 	a.base++
-	a.clip = a.clip.Add(a.cfg.Interval)
 	a.pubRecords.Store(a.stats.Records)
 	if a.Emit != nil {
 		return a.Emit(g, a.snap)

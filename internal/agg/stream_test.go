@@ -3,6 +3,7 @@ package agg
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -549,5 +550,205 @@ func TestStreamEmitsIDColumns(t *testing.T) {
 		if err := acc.Flush(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestStreamClockEdges pins the accumulator's interior clock — integer
+// nanoseconds since Start — where it could part from the time.Time
+// arithmetic it replaced, and from its batch twin: each case's records
+// go through StreamAccumulator.Add (serial and sharded) and through
+// Series.AddRecord, and must leave identical cells; the stream's
+// counters are pinned beside them. The batch series of a case starts at
+// the stream's sealed edge (batchFrom intervals in), which is where both
+// clip a span.
+func TestStreamClockEdges(t *testing.T) {
+	const iv = time.Minute
+	at := func(intervals float64) time.Time { return start.Add(time.Duration(intervals * float64(iv))) }
+	cases := []struct {
+		name      string
+		zeroStart bool // align interval 0 to the first record
+		window    int
+		maxGap    int
+		recs      []Record
+		batchFrom int
+		intervals int             // length of the batch series
+		want      StreamStats     // Closed and EvictedFlows aside
+		cells     map[int]float64 // bits of pfxA per global interval
+	}{
+		{
+			name:   "span ending exactly on a boundary stays in its interval",
+			window: 1,
+			recs: []Record{
+				{Prefix: pfxA, Time: at(0.5), Span: iv / 2, Bits: 300},
+				{Prefix: pfxA, Time: at(1), Span: iv, Bits: 600, Key: 3},
+			},
+			intervals: 3,
+			want:      StreamStats{Records: 2, InWindow: 2},
+			cells:     map[int]float64{0: 300, 1: 600},
+		},
+		{
+			name:   "span clipped by the sealed edge",
+			window: 2,
+			recs: []Record{
+				{Prefix: pfxB, Time: at(3), Bits: 8}, // seals 0 and 1
+				{Prefix: pfxA, Time: at(1.5), Span: 2 * iv, Bits: 1000, Key: 3},
+				{Prefix: pfxA, Time: at(1.75), Span: iv / 4, Bits: 64}, // ends on the edge
+			},
+			batchFrom: 2,
+			intervals: 2,
+			want:      StreamStats{Records: 3, InWindow: 2, Late: 1, LateBits: 250 + 64},
+			cells:     map[int]float64{2: 500, 3: 250},
+		},
+		{
+			name:   "span clipped by an explicit Start",
+			window: 2,
+			recs: []Record{
+				{Prefix: pfxA, Time: at(-0.25), Span: iv, Bits: 1000},
+				{Prefix: pfxA, Time: at(-1), Span: iv, Bits: 64}, // ends on Start
+			},
+			intervals: 2,
+			want:      StreamStats{Records: 2, InWindow: 1, Late: 1, LateBits: 250 + 64},
+			cells:     map[int]float64{0: 750},
+		},
+		{
+			name:   "three centuries either side of Start saturate, never wrap",
+			window: 2,
+			recs: []Record{
+				{Prefix: pfxA, Time: at(0.5), Bits: 100},
+				{Prefix: pfxA, Time: start.AddDate(300, 0, 0), Bits: 1},
+				{Prefix: pfxA, Time: start.AddDate(300, 0, 0), Span: time.Hour, Bits: 2, Key: 3},
+				{Prefix: pfxA, Time: start.AddDate(-300, 0, 0), Bits: 4},
+				{Prefix: pfxA, Time: start.AddDate(-300, 0, 0), Span: time.Hour, Bits: 8, Key: 3},
+				{Prefix: pfxA, Time: start.AddDate(-300, 0, 0), Span: math.MaxInt64, Bits: 16},
+			},
+			intervals: 2,
+			want:      StreamStats{Records: 6, InWindow: 1, Late: 3, LateBits: 4 + 8 + 16, FarFuture: 2},
+			cells:     map[int]float64{0: 100},
+		},
+		{
+			name:      "first record under a zero Start is interval 0's left edge",
+			zeroStart: true,
+			window:    2,
+			recs: []Record{
+				{Prefix: pfxA, Time: at(0.3), Span: 3 * iv / 2, Bits: 900, Key: 3},
+				{Prefix: pfxA, Time: at(0.3).Add(-time.Nanosecond), Bits: 7},
+				{Prefix: pfxA, Time: at(0.3).Add(-time.Nanosecond), Span: time.Nanosecond, Bits: 9},
+			},
+			intervals: 2,
+			want:      StreamStats{Records: 3, InWindow: 1, Late: 2, LateBits: 7 + 9},
+			cells:     map[int]float64{0: 600, 1: 300},
+		},
+		{
+			name:   "MaxGap counts from the newest interval with bits, inclusive",
+			window: 2,
+			maxGap: 10,
+			recs: []Record{
+				{Prefix: pfxA, Time: at(0), Bits: 1},
+				{Prefix: pfxA, Time: at(10.5), Bits: 2, Key: 3},
+				{Prefix: pfxA, Time: at(21), Bits: 4},                    // 10+11
+				{Prefix: pfxA, Time: at(21), Span: iv, Bits: 8},          // likewise
+				{Prefix: pfxA, Time: at(20), Span: iv, Bits: 16, Key: 3}, // last instant in 20
+			},
+			intervals: 21,
+			want:      StreamStats{Records: 5, InWindow: 3, FarFuture: 2},
+			cells:     map[int]float64{0: 1, 10: 2, 20: 16},
+		},
+		{
+			name:   "a negative span is a point at Time",
+			window: 2,
+			recs: []Record{
+				{Prefix: pfxA, Time: at(0.5), Span: -time.Hour, Bits: 100}, // Time+Span is before Start
+				{Prefix: pfxB, Time: at(0.5), Bits: 8},
+				{Prefix: pfxA, Time: at(3.5), Span: -3 * iv, Bits: 200, Key: 3}, // Time+Span is in interval 0
+			},
+			intervals: 4,
+			want:      StreamStats{Records: 3, InWindow: 3},
+			cells:     map[int]float64{0: 100, 3: 200},
+		},
+	}
+	for _, tc := range cases {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
+				cfg := StreamConfig{Start: start, Interval: iv, Window: tc.window, MaxGap: tc.maxGap, Shards: shards}
+				origin := start
+				if tc.zeroStart {
+					cfg.Start, origin = time.Time{}, tc.recs[0].Time
+				}
+				acc, got := collectStream(t, cfg, tc.recs)
+				st := acc.Stats()
+				st.Closed, st.EvictedFlows = 0, 0
+				if st != tc.want {
+					t.Errorf("Stats() = %+v, want %+v", st, tc.want)
+				}
+				if !acc.Start().Equal(origin) {
+					t.Errorf("Start() = %v, want %v", acc.Start(), origin)
+				}
+				batch := NewSeries(origin.Add(time.Duration(tc.batchFrom)*iv), iv, tc.intervals)
+				for _, rec := range tc.recs {
+					batch.AddRecord(rec)
+				}
+				if want := tc.batchFrom + tc.intervals; len(got) > want {
+					t.Fatalf("stream emitted %d intervals, want at most %d", len(got), want)
+				}
+				for len(got) < tc.batchFrom+tc.intervals {
+					got = append(got, core.NewFlowSnapshot(0)) // past the last bits: nothing to flush
+				}
+				for tt := 0; tt < tc.intervals; tt++ {
+					g := tc.batchFrom + tt
+					ref := batch.Snapshot(tt, nil)
+					snapEqual(t, fmt.Sprintf("interval %d, stream vs batch", g), got[g], ref)
+					if got[g].TotalLoad() != ref.TotalLoad() {
+						t.Errorf("interval %d: total %v, batch %v", g, got[g].TotalLoad(), ref.TotalLoad())
+					}
+					var bw float64
+					if i, ok := got[g].Lookup(pfxA); ok {
+						bw = got[g].Bandwidth(i)
+					}
+					if want := tc.cells[g] / iv.Seconds(); !floatEq(bw, want) {
+						t.Errorf("interval %d: %v bit/s of %v, want %v", g, bw, pfxA, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestStreamAddSteadyStateAllocs is the Type-1 gate on the record path:
+// once the flow population and the window have been seen, Add of keyed
+// span records — what netflow.Attribute yields — allocates nothing,
+// interval closes included.
+func TestStreamAddSteadyStateAllocs(t *testing.T) {
+	const iv = time.Minute
+	const flows = 512
+	acc, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc.Emit = func(int, *core.FlowSnapshot) error { return nil }
+	recs := make([]Record, flows)
+	for f := range recs {
+		recs[f] = Record{
+			Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(f >> 8), byte(f), 0}), 24),
+			Key:    uint32(f*117 + 1),
+			Span:   time.Duration(f+1) * iv / flows, // the longer ones cross into the next interval
+			Bits:   1e4,
+		}
+	}
+	interval := 0
+	feed := func() {
+		at := start.Add(time.Duration(interval)*iv + iv/3)
+		for f := range recs {
+			recs[f].Time = at
+			if err := acc.Add(recs[f]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		interval++
+	}
+	for i := 0; i < 8; i++ { // warm: slot columns, dirty lists, rank column, key table
+		feed()
+	}
+	if avg := testing.AllocsPerRun(32, feed); avg != 0 {
+		t.Errorf("warm Add averages %v allocs per %d records, want 0", avg, flows)
 	}
 }

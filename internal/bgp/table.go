@@ -132,25 +132,36 @@ func (t *Table) Lookup(addr netip.Addr) (Route, bool) {
 	return t.routes[i], true
 }
 
-// LookupPrefix returns Lookup(addr).Prefix without touching the route:
-// for IPv4 the leaf carries the matched length, and the prefix is the
-// address masked to it. It is what record attribution needs.
+// LookupPrefix returns Lookup(addr).Prefix without touching the route.
 func (t *Table) LookupPrefix(addr netip.Addr) (netip.Prefix, bool) {
+	p, _, ok := t.LookupKey(addr)
+	return p, ok
+}
+
+// LookupKey returns Lookup(addr).Prefix and the route's key: its index
+// into Routes plus one, so 0 never names a route. For IPv4 neither
+// touches the route: the leaf carries the index and the matched length,
+// and the prefix is the address masked to it. It is what record
+// attribution needs — a key is stable for the life of the table
+// (replacing a route keeps its index), so a consumer may use it to
+// remember what it derived from the prefix, provided it still compares
+// the prefix: keys of two tables name unrelated routes.
+func (t *Table) LookupKey(addr netip.Addr) (netip.Prefix, uint32, bool) {
 	if addr.Is4() || addr.Is4In6() {
 		bits := v4bits(addr)
 		leaf := t.v4.lookup(bits)
 		if leaf == 0 {
-			return netip.Prefix{}, false
+			return netip.Prefix{}, 0, false
 		}
 		plen := leafLen(leaf)
 		bits &= ^uint32(0) << (32 - plen)
-		return netip.PrefixFrom(addrFromV4bits(bits), plen), true
+		return netip.PrefixFrom(addrFromV4bits(bits), plen), leaf & leafIdxMask, true
 	}
 	i, ok := t.lookup6(addr)
 	if !ok {
-		return netip.Prefix{}, false
+		return netip.Prefix{}, 0, false
 	}
-	return t.routes[i].Prefix, true
+	return t.routes[i].Prefix, uint32(i + 1), true
 }
 
 // lookup6 finds the longest IPv6 route covering addr by probing the

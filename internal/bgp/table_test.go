@@ -148,6 +148,58 @@ func TestInsertInvalidPrefix(t *testing.T) {
 	}
 }
 
+// TestLookupKey: the key is the index, plus one, of the route Lookup
+// returns — for IPv4, IPv4-mapped and IPv6 probes, for mapped and plain
+// spellings of one route, and still after the route is replaced.
+func TestLookupKey(t *testing.T) {
+	tab, err := Generate(GenConfig{Routes: 500, Seed: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInsert(t, tab, "2001:db8::/32", 8, Tier1)
+	mustInsert(t, tab, "2001:db8:1::/48", 9, Tier2)
+	mustInsert(t, tab, "::ffff:198.18.0.0/111", 10, Tier3) // stored as 198.18.0.0/15
+	check := func(addr netip.Addr) {
+		t.Helper()
+		r, ok := tab.Lookup(addr)
+		p, key, keyOK := tab.LookupKey(addr)
+		if keyOK != ok {
+			t.Fatalf("LookupKey(%v) ok=%v, Lookup ok=%v", addr, keyOK, ok)
+		}
+		if !ok {
+			if key != 0 {
+				t.Fatalf("LookupKey(%v) missed with key %d", addr, key)
+			}
+			return
+		}
+		if key == 0 || tab.Routes()[key-1] != r || p != r.Prefix {
+			t.Fatalf("LookupKey(%v) = %v key %d, Lookup = %+v", addr, p, key, r)
+		}
+	}
+	probe := func() {
+		t.Helper()
+		rng := rand.New(rand.NewSource(16))
+		for _, r := range tab.Routes() {
+			if r.Prefix.Addr().Is4() {
+				addr := RandomAddrInPrefix(rng, r.Prefix)
+				check(addr)
+				check(netip.AddrFrom16(addr.As16())) // the mapped spelling
+			}
+		}
+		for _, v6 := range []string{"2001:db8::1", "2001:db8:1::1", "2001:db9::1", "0.0.0.1", "::ffff:0.0.0.1"} {
+			check(netip.MustParseAddr(v6))
+		}
+	}
+	probe()
+	_, before, _ := tab.LookupKey(netip.MustParseAddr("198.18.0.1"))
+	mustInsert(t, tab, "198.18.0.0/15", 11, Tier1) // replaces the mapped insert
+	mustInsert(t, tab, "2001:db8:1::/48", 12, Tier1)
+	if _, after, _ := tab.LookupKey(netip.MustParseAddr("::ffff:198.18.0.1")); after != before || tab.Routes()[after-1].OriginAS != 11 {
+		t.Errorf("key %d -> %d across a replace (route now %+v)", before, after, tab.Routes()[after-1])
+	}
+	probe()
+}
+
 // TestLookupAgainstLinearScan cross-checks the trie against a brute-force
 // longest-prefix match over random tables and probes.
 func TestLookupAgainstLinearScan(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"slices"
 )
@@ -62,9 +63,21 @@ type FlowTable struct {
 	// every id<->prefix (re)binding; a stale rank column is rebuilt on
 	// demand.
 	ranks   []int32
-	rankIDs []uint32 // rebuild scratch
+	rankIDs []uint32 // rank -> id, the inverse of ranks over bound IDs
+	rankSet []uint64 // SortIDs scratch: a bitmap over ranks, all zero between calls
 	bindGen uint64
 	rankGen uint64
+
+	// keyTab is InternKeyed's shortcut in front of ids: open-addressed,
+	// linear probing, an entry is key<<32 | id+1 and 0 is empty. It is
+	// only ever a hint — a hit counts once prefixes[id] matches — so
+	// nothing here is invalidated when an ID is released, recycled or
+	// its key is reused for another prefix; a stale entry is overwritten
+	// by the map's answer. Kept at most half full; when it fills it is
+	// resized for the flows bound now and left empty, to be refilled
+	// through the map. len is 0 or a power of two.
+	keyTab   []uint64
+	keyCount int
 }
 
 type pendingRelease struct {
@@ -125,6 +138,103 @@ func (tb *FlowTable) Intern(p netip.Prefix) uint32 {
 	tb.ids[p] = id
 	tb.bindGen++ // a new binding invalidates the rank column
 	return id
+}
+
+// InternKeyed is Intern for a caller that holds a key for the prefix —
+// any non-zero number it pairs with p every time, such as the routing
+// table's index of the route p came from. A key seen before with the
+// same prefix finds the ID by one probe of a small table instead of
+// hashing the prefix. The key is never trusted: a hit is checked
+// against the prefix bound to the ID, and everything else (key 0, an
+// unknown key, a key last seen with another prefix, an ID recycled
+// since) is answered by Intern, so the result always equals Intern(p).
+// The shortcut's table has four to eight 8-byte slots per flow bound,
+// whatever the range of the keys.
+func (tb *FlowTable) InternKeyed(p netip.Prefix, key uint32) uint32 {
+	if key == 0 {
+		return tb.Intern(p)
+	}
+	// Fibonacci hashing: route indices are dense, their products are not.
+	h := uint32(uint64(key) * 0x9E3779B97F4A7C15 >> 32)
+	if n := uint32(len(tb.keyTab)); n != 0 {
+		for i := h & (n - 1); tb.keyTab[i] != 0; i = (i + 1) & (n - 1) {
+			e := tb.keyTab[i]
+			if uint32(e>>32) != key {
+				continue
+			}
+			id := uint32(e) - 1
+			if tb.prefixes[id] == p && tb.state[id] != flowFree {
+				tb.state[id] = flowLive // as Intern: a quarantined flow is resurrected
+				return id
+			}
+			id = tb.Intern(p)
+			tb.keyTab[i] = uint64(key)<<32 | uint64(id+1)
+			return id
+		}
+	}
+	id := tb.Intern(p)
+	if (tb.keyCount+1)*2 > len(tb.keyTab) {
+		tb.resetKeys()
+	}
+	mask := uint32(len(tb.keyTab) - 1)
+	i := h & mask
+	for tb.keyTab[i] != 0 {
+		i = (i + 1) & mask
+	}
+	tb.keyTab[i] = uint64(key)<<32 | uint64(id+1)
+	tb.keyCount++
+	return id
+}
+
+// resetKeys empties the key table, sized so the flows bound now refill
+// it to at most a quarter.
+func (tb *FlowTable) resetKeys() {
+	n := 64
+	for n < 4*len(tb.ids) {
+		n <<= 1
+	}
+	if n == len(tb.keyTab) {
+		clear(tb.keyTab)
+	} else {
+		tb.keyTab = make([]uint64, n)
+	}
+	tb.keyCount = 0
+}
+
+// SortIDs puts ids — distinct bound IDs — into ComparePrefix order of
+// their prefixes, in place. When the rank column is fresh, or ids are
+// enough of the table to pay for rebuilding it, no comparison is made
+// at all: each ID's rank is marked in a bitmap and the set bits, swept
+// in ascending order, name the IDs back through the inverse
+// permutation — O(len(ids) + bound/64). A huge table that just gained a
+// binding, asked to order a handful of IDs, compares prefixes directly.
+func (tb *FlowTable) SortIDs(ids []uint32) {
+	if !tb.RanksFresh() && len(ids)*8 < tb.Len() {
+		slices.SortFunc(ids, func(x, y uint32) int {
+			return ComparePrefix(tb.prefixes[x], tb.prefixes[y])
+		})
+		return
+	}
+	ranks := tb.Ranks()
+	words := (len(tb.rankIDs) + 63) / 64
+	if len(tb.rankSet) < words {
+		tb.rankSet = append(tb.rankSet, make([]uint64, words-len(tb.rankSet))...)
+	}
+	for _, id := range ids {
+		r := ranks[id]
+		tb.rankSet[r>>6] |= 1 << (r & 63)
+	}
+	k := 0
+	for w, word := range tb.rankSet[:words] {
+		for ; word != 0; word &= word - 1 {
+			ids[k] = tb.rankIDs[w<<6|bits.TrailingZeros64(word)]
+			k++
+		}
+		tb.rankSet[w] = 0
+	}
+	if k != len(ids) {
+		panic(fmt.Sprintf("core: FlowTable.SortIDs: %d of %d ids are distinct and bound", k, len(ids)))
+	}
 }
 
 // Ranks returns the prefix-rank column: ranks[id] orders bound IDs by

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 )
 
@@ -147,6 +150,103 @@ func TestFlowTableRanks(t *testing.T) {
 	}
 }
 
+// TestFlowTableSortIDs: the comparison-free bitmap sweep and the direct
+// prefix sort are the same order, on a table with free and quarantined
+// IDs in it, whether the rank column is fresh or stale.
+func TestFlowTableSortIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tb := NewFlowTable()
+	tb.quarantine = 1
+	for _, n := range rng.Perm(300) {
+		tb.Intern(pfx(n))
+	}
+	for n := 0; n < 300; n += 3 { // a third released, half of those recycled
+		id, _ := tb.Lookup(pfx(n))
+		tb.Release(id)
+		if n%2 == 0 {
+			tb.Advance()
+		}
+	}
+	for n := 300; n < 340; n++ {
+		tb.Intern(pfx(n))
+	}
+	var bound []uint32
+	for n := 0; n < 340; n++ {
+		if id, ok := tb.Lookup(pfx(n)); ok {
+			bound = append(bound, id)
+		}
+	}
+	for _, size := range []int{0, 1, 5, len(bound) / 8, len(bound) / 2, len(bound)} {
+		for _, fresh := range []bool{false, true} {
+			rng.Shuffle(len(bound), func(i, j int) { bound[i], bound[j] = bound[j], bound[i] })
+			ids := slices.Clone(bound[:size])
+			want := slices.Clone(ids)
+			slices.SortFunc(want, func(x, y uint32) int { return ComparePrefix(tb.PrefixOf(x), tb.PrefixOf(y)) })
+			if tb.bindGen++; fresh {
+				tb.Ranks()
+			}
+			tb.SortIDs(ids)
+			if !slices.Equal(ids, want) {
+				t.Fatalf("SortIDs of %d ids (ranks fresh: %v) = %v, want %v", size, fresh, ids, want)
+			}
+		}
+	}
+}
+
+// TestFlowTableInternKeyedStaleKey walks the one way a key can point at
+// the wrong flow — its ID was recycled to another prefix — and the one
+// way it can point at a flow that is going away.
+func TestFlowTableInternKeyedStaleKey(t *testing.T) {
+	tb := NewFlowTable()
+	tb.quarantine = 1
+	a, b := pfx(1), pfx(2)
+	ida := tb.InternKeyed(a, 7)
+	if got := tb.InternKeyed(a, 7); got != ida {
+		t.Fatalf("keyed re-intern changed id: %d -> %d", ida, got)
+	}
+	tb.Release(ida)
+	if got := tb.InternKeyed(a, 7); got != ida || tb.state[ida] != flowLive {
+		t.Fatalf("keyed intern of a quarantined flow = id %d state %d, want id %d resurrected", got, tb.state[got], ida)
+	}
+	tb.Release(ida)
+	tb.Advance()
+	if idb := tb.Intern(b); idb != ida {
+		t.Fatalf("b got id %d, want the recycled %d", idb, ida)
+	}
+	ida2 := tb.InternKeyed(a, 7)
+	if ida2 == ida || tb.PrefixOf(ida2) != a || tb.PrefixOf(ida) != b {
+		t.Fatalf("stale key 7 -> id %d (a is %v there); b's id %d holds %v", ida2, tb.PrefixOf(ida2), ida, tb.PrefixOf(ida))
+	}
+	if got := tb.InternKeyed(b, 7); got != ida { // the key moves to b
+		t.Fatalf("InternKeyed(b, 7) = %d, want %d", got, ida)
+	}
+	if got := tb.InternKeyed(a, 7); got != ida2 { // and back
+		t.Fatalf("InternKeyed(a, 7) = %d, want %d", got, ida2)
+	}
+}
+
+// TestFlowTableInternKeyedSizedByFlows: the key table grows with the
+// flows bound, however large the keys are and however many of them
+// have been seen, and agrees with the prefix map throughout.
+func TestFlowTableInternKeyedSizedByFlows(t *testing.T) {
+	tb := NewFlowTable()
+	const flows = 1000
+	for round := 0; round < 3; round++ {
+		for n := 0; n < flows; n++ {
+			// Each round brings every flow under a key of its own, as a
+			// link sees after the routing table is replaced.
+			key := uint32(round*flows+n+1) * 16001
+			want, bound := tb.Lookup(pfx(n))
+			if id := tb.InternKeyed(pfx(n), key); bound && id != want || tb.PrefixOf(id) != pfx(n) {
+				t.Fatalf("round %d: InternKeyed(pfx(%d), %d) = %d (%v), the map says %d", round, n, key, id, tb.PrefixOf(id), want)
+			}
+		}
+	}
+	if n := len(tb.keyTab); n < 2*flows || n > 8*flows {
+		t.Errorf("%d flows under %d keys: key table has %d slots, want 4–8 a flow", flows, 3*flows, n)
+	}
+}
+
 func TestFillIDs(t *testing.T) {
 	tb := NewFlowTable()
 	s := NewFlowSnapshot(4)
@@ -178,10 +278,24 @@ func TestFillIDs(t *testing.T) {
 // operation panics, Intern is a bijection over the bound IDs (two
 // resolvable prefixes never share an ID, and every resolvable mapping
 // round-trips through PrefixOf), and recycling can never leave a
-// recycled ID aliased by two live prefixes.
+// recycled ID aliased by two live prefixes. Bits 4–5 of an intern op
+// pick how the prefix is interned: plainly, or through InternKeyed with
+// the prefix's own key, with a key four prefixes share (a route
+// replaced, or a key from another routing table), or with a key never
+// seen before and far above the table's size (which also fills the key
+// table until it is emptied and resized); a fresh key of 0 is the "no
+// key" value. Whatever the key, InternKeyed must answer as the prefix
+// map does.
 func FuzzFlowTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0x40, 0x80, 0, 0x41, 0x80, 0x80, 0x80, 0})
 	f.Add([]byte{5, 5, 0x45, 0x80, 0x45, 5, 0x80})
+	// Own key, released, recycled to another prefix, then the stale key.
+	f.Add([]byte{0x15, 0x45, 0x80, 0x80, 0x80, 0x06, 0x15, 0x16})
+	// One shared key walking over four prefixes, with and without it.
+	f.Add([]byte{0x20, 0x24, 0x28, 0x2c, 0x20, 0x04, 0x60, 0x80, 0x80, 0x24, 0x20})
+	// Enough fresh keys to empty and resize the key table twice, own
+	// keys before, between and after.
+	f.Add(append(append(append([]byte{0x11, 0x12}, bytes.Repeat([]byte{0x31, 0x13, 0x32}, 15)...), 0x11, 0x12, 0x13), bytes.Repeat([]byte{0x34, 0x11}, 40)...))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tb := NewFlowTable()
 		tb.quarantine = 2 // short quarantine: more recycling per op budget
@@ -189,7 +303,7 @@ func FuzzFlowTable(f *testing.F) {
 		for i := range pool {
 			pool[i] = pfx(i)
 		}
-		for _, op := range ops {
+		for i, op := range ops {
 			switch {
 			case op&0x80 != 0:
 				tb.Advance()
@@ -198,9 +312,18 @@ func FuzzFlowTable(f *testing.F) {
 					tb.Release(id)
 				}
 			default:
-				id := tb.Intern(pool[op&0x0f])
-				if got := tb.PrefixOf(id); got != pool[op&0x0f] {
-					t.Fatalf("Intern(%v) -> id %d -> PrefixOf %v", pool[op&0x0f], id, got)
+				p := pool[op&0x0f]
+				key := [4]uint32{0, uint32(op&0x0f) + 1, uint32(op&0x03) + 1, uint32(i) << 12}[op>>4&3]
+				want, bound := tb.Lookup(p)
+				id := tb.InternKeyed(p, key)
+				if bound && id != want {
+					t.Fatalf("InternKeyed(%v, %d) = id %d, the map says %d", p, key, id, want)
+				}
+				if got := tb.PrefixOf(id); got != p || tb.state[id] != flowLive {
+					t.Fatalf("InternKeyed(%v, %d) -> id %d -> PrefixOf %v, state %d", p, key, id, got, tb.state[id])
+				}
+				if n := len(tb.keyTab); tb.keyCount*2 > n || n&(n-1) != 0 {
+					t.Fatalf("key table holds %d keys in %d slots", tb.keyCount, n)
 				}
 			}
 			// Bijection over resolvable mappings.

@@ -70,12 +70,13 @@ func (c *Collector) addRecord(h Header, r Record) {
 // streaming RecordSource and the serving daemon's UDP ingest, so every
 // ingest path classifies identical traffic identically.
 func Attribute(table *bgp.Table, h Header, r Record) (agg.Record, bool) {
-	prefix, ok := table.LookupPrefix(r.DstAddr)
+	prefix, key, ok := table.LookupKey(r.DstAddr)
 	if !ok {
 		return agg.Record{}, false
 	}
 	rec := agg.Record{
 		Prefix: prefix,
+		Key:    key,
 		Time:   h.wallTime(r.First),
 		Bits:   float64(r.Octets) * 8,
 	}

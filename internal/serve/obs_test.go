@@ -307,8 +307,12 @@ func TestMetricsShardFamilies(t *testing.T) {
 // /links from several goroutines while ingest creates new links (one
 // per engine ID) and seals intervals — the scrape paths race link
 // registration and pipeline workers. Every scraped page must pass the
-// exposition lint. Run with -race.
+// exposition lint. Run with -race. The sender moves the interval clock
+// on by 20 s a datagram, so it has a fixed number to send: stopping only
+// when the scrapers are done made the seals, and the pages the scrapers
+// read, grow with how slow the host is.
 func TestMetricsScrapesRaceIngest(t *testing.T) {
+	const datagrams = 2000 // ≥0.4 s of sending: the scrapers' first rounds overlap it on any host
 	d := newObsDaemon(t, nil)
 	base := "http://" + d.HTTPAddr().String()
 	start := d.cfg.Start
@@ -324,7 +328,7 @@ func TestMetricsScrapesRaceIngest(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		for i := 0; ; i++ {
+		for i := 0; i < datagrams; i++ {
 			select {
 			case <-stop:
 				return
