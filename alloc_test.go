@@ -79,7 +79,7 @@ func TestInstrumentedStepSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	om := obs.NewLinkMetrics(obs.NewRegistry(), "pin@0", 1, obs.DefaultStageBounds())
+	om := obs.NewLinkMetrics(obs.NewRegistry(), "pin@0", obs.DefaultStageBounds())
 	cc.Observer = om
 	pipe, err := core.NewPipeline(cc)
 	if err != nil {

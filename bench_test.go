@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/scheme"
 )
 
@@ -404,60 +403,9 @@ func BenchmarkSnapshotStep(b *testing.B) {
 	b.ReportMetric(float64(snap.Len()), "flows/interval")
 }
 
-// BenchmarkSnapshotStepInstrumented is BenchmarkSnapshotStep with the
-// full per-link observability attached — stage-latency histograms,
-// churn counters and gauges (obs.LinkMetrics as the pipeline's
-// observer) plus one flight-recorder trace per interval — measuring
-// the instrumentation overhead the resident daemon pays on its hot
-// path. Compare ns/op against BenchmarkSnapshotStep: the budget is a
-// few percent, and allocs/op must stay 0 (pinned by
-// TestInstrumentedStepSteadyStateAllocs).
-func BenchmarkSnapshotStepInstrumented(b *testing.B) {
-	ls := buildLinks(b)
-	cfg, err := scheme.MustParse("load+latent").Config()
-	if err != nil {
-		b.Fatal(err)
-	}
-	om := obs.NewLinkMetrics(obs.NewRegistry(), "bench@0", 1, obs.DefaultStageBounds())
-	cfg.Observer = om
-	pipe, err := core.NewPipeline(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fr := obs.NewFlightRecorder(256)
-	var snap *core.FlowSnapshot
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap = ls.West.Snapshot(i%ls.West.Intervals, snap)
-		res, err := pipe.Step(snap)
-		if err != nil {
-			b.Fatal(err)
-		}
-		o := om.Last()
-		fr.Record(obs.IntervalTrace{
-			Interval:        res.Interval,
-			SealedUnixNanos: time.Now().UnixNano(),
-			DetectNanos:     o.DetectNanos,
-			ClassifyNanos:   o.ClassifyNanos,
-			FinalizeNanos:   o.FinalizeNanos,
-			StepNanos:       o.StepNanos,
-			RawThreshold:    o.RawThreshold,
-			Threshold:       o.Threshold,
-			TotalLoad:       o.TotalLoad,
-			ElephantLoad:    o.ElephantLoad,
-			ActiveFlows:     o.ActiveFlows,
-			Elephants:       o.Elephants,
-			Promoted:        o.Promoted,
-			Demoted:         o.Demoted,
-		})
-	}
-	b.ReportMetric(float64(snap.Len()), "flows/interval")
-}
-
 // BenchmarkMultiLinkEngine measures the concurrent multi-link engine on
 // an 8-link backbone (the two evaluation links replicated under distinct
-// seeds), the scaling unit all future sharding work builds on.
+// seeds): the link is the unit of parallelism, one pipeline each.
 func BenchmarkMultiLinkEngine(b *testing.B) {
 	cfg := benchConfig()
 	links := make([]engine.Link, 0, 8)

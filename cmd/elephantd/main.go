@@ -54,11 +54,6 @@
 //	-history N      per-link interval-summary ring (default 288 —
 //	                a day of five-minute slots)
 //	-buffer N       per-link record queue capacity
-//	-shards N       per-link accumulation shards (default
-//	                min(GOMAXPROCS, 4)): N worker goroutines split each
-//	                link's flow columns and a k-way merge reassembles
-//	                sealed intervals bit-identically, so one hot link
-//	                scales across cores; 1 keeps the serial path
 //	-stale-after D  link staleness threshold for /readyz (default 3×Δ)
 //	-flight N       per-link flight-recorder capacity (default 256)
 //	-pprof          serve net/http/pprof under /debug/pprof/ (off by
@@ -103,7 +98,6 @@ func main() {
 		window     = flag.Int("window", 0, "open-interval window (memory bound); 0 derives it from the scheme")
 		history    = flag.Int("history", serve.DefaultHistory, "per-link interval-summary ring capacity")
 		buffer     = flag.Int("buffer", 0, "per-link record queue capacity; 0 selects the engine default")
-		shards     = flag.Int("shards", serve.DefaultShards(), "per-link accumulation shards; 1 keeps the serial path")
 		staleAfter = flag.Duration("stale-after", 0, "per-link staleness threshold for /readyz; 0 selects 3x the interval")
 		flight     = flag.Int("flight", 0, "per-link flight-recorder capacity (sealed-interval traces retained for /links/{id}/debug/intervals and SIGUSR1 dumps); 0 selects 256")
 		pprofFlag  = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/ on the API listener (off by default)")
@@ -137,7 +131,6 @@ func main() {
 		Window:         *window,
 		History:        *history,
 		Buffer:         *buffer,
-		Shards:         *shards,
 		StaleAfter:     *staleAfter,
 		FlightRecorder: *flight,
 		Pprof:          *pprofFlag,

@@ -33,9 +33,9 @@
 //	-duration D       replay until D has elapsed (overrides -count)
 //	-pace D           sleep between datagrams per sender (default 1ms; 0 blasts)
 //	-single-link      all senders keep the first engine ID, so S sockets
-//	                  blast ONE collector link — the intra-link
-//	                  saturation shape (-shards sweeps) instead of the
-//	                  S-links ingest shape
+//	                  blast ONE collector link — one hot link's record
+//	                  queue and accumulate stage under load — instead
+//	                  of the S-links ingest shape
 //
 // On exit it prints the achieved aggregate rate (datagrams/s, records/s,
 // Mbit/s), making saturation runs scriptable: blast with -senders 4

@@ -73,10 +73,8 @@ type linksPage struct {
 }
 
 type linkPipeline struct {
-	Link         string   `json:"link"`
-	Shards       int      `json:"shards"`
-	ShardRecords []uint64 `json:"shard_records"`
-	Stalls       uint64   `json:"stalls"`
+	Link   string `json:"link"`
+	Stalls uint64 `json:"stalls"`
 }
 
 type linkSummary struct {
@@ -192,18 +190,10 @@ func monitorDaemon(base string) error {
 				float64(last.ClassifyNanos)/1e3, float64(last.WatermarkLagNanos)/1e9,
 				last.Promoted, last.Demoted)
 		}
-		// The pipeline row shows where the link's in-window records landed
-		// across its accumulation shards and whether ingest ever stalled
-		// on a full queue.
-		if p, ok := pipes[l.ID]; ok && p.Shards > 0 {
-			counts := make([]float64, len(p.ShardRecords))
-			var total uint64
-			for i, n := range p.ShardRecords {
-				counts[i] = float64(n)
-				total += n
-			}
-			fmt.Printf("shards (%d): records %s (%d in window), stalls %d\n",
-				p.Shards, report.Sparkline(counts), total, p.Stalls)
+		// The pipeline row shows whether ingest ever stalled on a full
+		// record queue.
+		if p, ok := pipes[l.ID]; ok {
+			fmt.Printf("stalls %d\n", p.Stalls)
 		}
 		fmt.Println()
 	}
@@ -284,7 +274,7 @@ func runLocal() {
 	// local pipeline: the metrics bundle observes every step (stage
 	// histograms, churn counters) and the flight recorder keeps the last
 	// traces — both allocation-free on the hot path.
-	om := obs.NewLinkMetrics(obs.NewRegistry(), "live@0", 1, obs.DefaultStageBounds())
+	om := obs.NewLinkMetrics(obs.NewRegistry(), "live@0", obs.DefaultStageBounds())
 	cfg.Observer = om
 	fr := obs.NewFlightRecorder(intervals)
 	pipe, err := core.NewPipeline(cfg)

@@ -9,50 +9,6 @@ import (
 	"repro/internal/core"
 )
 
-// BenchmarkStreamAccumulatorSharded measures intra-link accumulation
-// scaling: one heavy link (many flows per interval) streamed through
-// the accumulator at increasing shard counts. The emitted snapshots
-// are bit-identical at every shard count (pinned by the equivalence
-// tests); what changes is where the intern/touch work runs. Compare
-// ns/op across the shards= sub-benchmarks.
-func BenchmarkStreamAccumulatorSharded(b *testing.B) {
-	const intervals = 24
-	const flows = 8192
-	iv := time.Minute
-	recs := synthRecords(11, intervals, flows, iv)
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			emitted := 0
-			for i := 0; i < b.N; i++ {
-				acc, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: 4, Shards: shards})
-				if err != nil {
-					b.Fatal(err)
-				}
-				acc.Emit = func(t int, snap *core.FlowSnapshot) error {
-					emitted++
-					return nil
-				}
-				for _, rec := range recs {
-					if err := acc.Add(rec); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := acc.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				acc.Close()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrecords/s")
-			if emitted != intervals*b.N {
-				b.Fatalf("emitted %d intervals, want %d", emitted, intervals*b.N)
-			}
-		})
-	}
-}
-
 // BenchmarkStreamAccumulator measures the bounded-memory claim: one op
 // streams a whole trace of K intervals through an accumulator, and the
 // reported allocs/interval must stay flat as K grows — per-interval

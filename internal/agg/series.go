@@ -13,14 +13,11 @@
 // unseals it and drops the index (and panics under
 // core.DebugInvariants, where it is treated as a programmer error).
 //
-// The streaming accumulator can additionally split one link's
-// accumulation across P shard workers (StreamConfig.Shards): each flow
-// is assigned to exactly one shard by a hash of its prefix, so the
-// per-flow float summation order is untouched, and sealed intervals
-// are reassembled by a k-way merge of the shards' rank-sorted columns
-// — emitted snapshots are bitwise identical to the serial path at any
-// shard count. See StreamConfig.Shards and ARCHITECTURE.md
-// ("Intra-link parallelism").
+// The streaming accumulator folds one link's records on one goroutine;
+// links are the unit of parallelism, one accumulator each. Handing a
+// record to another goroutine costs more than folding it, so splitting
+// one link's flows across workers cannot pay — see ARCHITECTURE.md
+// ("Why one link accumulates on one goroutine").
 package agg
 
 import (

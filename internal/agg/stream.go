@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -33,8 +32,9 @@ type StreamConfig struct {
 	Interval time.Duration
 	// Window is W, the number of simultaneously open intervals (the
 	// reordering/span tolerance of the source). Memory is bounded by W
-	// columns of active flows regardless of trace length. Defaults to
-	// DefaultStreamWindow.
+	// columns of active flows regardless of trace length, given that the
+	// table's rows are released as flows go quiet — see Table for who
+	// does that. Defaults to DefaultStreamWindow.
 	Window int
 	// MaxGap bounds how many intervals beyond the newest bit-carrying
 	// interval a single record may advance the window. Records jumping
@@ -46,20 +46,17 @@ type StreamConfig struct {
 	// Table is the flow identity table prefixes are interned against —
 	// pass the consuming pipeline's table (core.Pipeline.Table) so
 	// emitted snapshots carry IDs the classifier can index directly.
-	// Nil allocates a private table. The accumulator raises the table's
-	// quarantine to at least Window, so an ID released downstream can
-	// never be re-bound while an open slot still references it.
-	// Incompatible with Shards > 1 (sharded accumulation interns into
-	// per-shard private tables).
+	// The accumulator raises a caller's table's quarantine to at least
+	// Window, so an ID released downstream can never be re-bound while an
+	// open slot still references it, and otherwise leaves the table's
+	// lifecycle to the caller: the classifier releases rows as it evicts
+	// flows and the pipeline ticks the quarantine clock.
+	// Nil allocates a private table, whose rows nobody else can release:
+	// the accumulator then releases a flow's row itself when the newest
+	// interval that touched the flow closes, and ticks the clock once per
+	// closed interval, so the table tracks the flows of the last
+	// quarantine's worth of intervals rather than every flow ever seen.
 	Table *core.FlowTable
-	// Shards selects sharded accumulation: values above 1 split the
-	// flow columns across that many concurrent shard workers (each flow
-	// hashed to exactly one shard), with sealed intervals reassembled
-	// by a k-way merge that is bit-identical to the single-shard path.
-	// 0 and 1 select the serial accumulator. Sharded snapshots carry no
-	// dense-ID column (consumers re-intern via core.FlowTable.FillIDs),
-	// and a sharded accumulator must be released with Close.
-	Shards int
 }
 
 // StreamStats counts streaming attribution outcomes.
@@ -173,16 +170,18 @@ type StreamAccumulator struct {
 	newest     int64 // newest bit-carrying instant accepted past the far-future gate; -1 before any
 	table      *core.FlowTable
 	slots      []streamSlot
-	sh         *shardedAcc // non-nil in sharded mode (Shards > 1)
-	closed     bool        // shard workers released (Close called)
+	// ownTable marks a private table (StreamConfig.Table nil), whose rows
+	// the accumulator releases itself. lastSeen is kept only then: per
+	// dense ID, the newest interval that touched the flow. A row is
+	// released when that interval closes, so a flow recurring every
+	// interval is never released at all — releasing and resurrecting it
+	// each close would churn the table's pending list and put a map
+	// operation back on the steady-state path.
+	ownTable bool
+	lastSeen []int
 
 	snap  *core.FlowSnapshot // reused emission buffer
 	stats StreamStats
-
-	// pubRecords is the serial-mode counterpart of the per-shard record
-	// atomics: total records accepted as of the last interval close,
-	// readable from any goroutine via ShardRecords.
-	pubRecords atomic.Uint64
 }
 
 // NewStreamAccumulator validates cfg and returns an empty accumulator.
@@ -202,22 +201,6 @@ func NewStreamAccumulator(cfg StreamConfig) (*StreamAccumulator, error) {
 	if cfg.MaxGap < 1 {
 		return nil, fmt.Errorf("agg: NewStreamAccumulator: max gap %d < 1", cfg.MaxGap)
 	}
-	if cfg.Shards > 1 {
-		if cfg.Table != nil {
-			return nil, fmt.Errorf("agg: NewStreamAccumulator: Shards %d is incompatible with a caller-supplied Table (shards intern into private tables)", cfg.Shards)
-		}
-		if cfg.Shards > MaxShards {
-			return nil, fmt.Errorf("agg: NewStreamAccumulator: shards %d > %d", cfg.Shards, MaxShards)
-		}
-	} else {
-		if cfg.Table == nil {
-			cfg.Table = core.NewFlowTable()
-		}
-		// A released ID must survive long enough for every open slot that
-		// might hold its bits to close, or those bits would be emitted
-		// under a recycled identity.
-		cfg.Table.EnsureQuarantine(cfg.Window)
-	}
 	a := &StreamAccumulator{
 		cfg:        cfg,
 		start:      cfg.Start,
@@ -227,61 +210,32 @@ func NewStreamAccumulator(cfg StreamConfig) (*StreamAccumulator, error) {
 		maxTouched: -1,
 		newest:     -1,
 		table:      cfg.Table,
+		slots:      make([]streamSlot, cfg.Window),
 		snap:       core.NewFlowSnapshot(0),
 	}
-	if cfg.Shards > 1 {
-		a.sh = newShardedAcc(cfg.Shards, cfg.Window, a.secs)
-		return a, nil
-	}
-	a.slots = make([]streamSlot, cfg.Window)
 	for i := range a.slots {
 		a.slots[i].gen = 1
+	}
+	if a.table == nil {
+		a.table = core.NewFlowTable()
+		a.ownTable = true
+		// One tick more than the window keeps a row released at close g
+		// bound until every interval open after that close (g+1 … g+Window)
+		// has closed too: a straggler of the same flow landing in any of
+		// them resurrects the row — same ID, no new binding, no rank
+		// rebuild — instead of minting another.
+		a.table.EnsureQuarantine(cfg.Window + 1)
+	} else {
+		// A released ID must survive long enough for every open slot that
+		// might hold its bits to close, or those bits would be emitted
+		// under a recycled identity.
+		a.table.EnsureQuarantine(cfg.Window)
 	}
 	return a, nil
 }
 
-// MaxShards bounds StreamConfig.Shards — far past the point where the
-// coordinator's fan-out becomes the bottleneck.
-const MaxShards = 64
-
 // Table returns the flow identity table the accumulator interns into.
-// Nil in sharded mode: flows then live in per-shard private tables and
-// emitted snapshots carry no ID column.
 func (a *StreamAccumulator) Table() *core.FlowTable { return a.table }
-
-// Shards returns the number of accumulation shards (1 in serial mode).
-func (a *StreamAccumulator) Shards() int {
-	if a.sh != nil {
-		return len(a.sh.shards)
-	}
-	return 1
-}
-
-// ShardRecords appends each shard's cumulative record count (as of the
-// last interval close) to dst and returns it — one entry per shard, or
-// a single total in serial mode. Safe from any goroutine: the counters
-// are published atomically at every seal.
-func (a *StreamAccumulator) ShardRecords(dst []uint64) []uint64 {
-	if a.sh == nil {
-		return append(dst, a.pubRecords.Load())
-	}
-	for i := range a.sh.pub {
-		dst = append(dst, a.sh.pub[i].Load())
-	}
-	return dst
-}
-
-// Close releases the accumulator's shard workers. It does not flush —
-// call Flush first if remaining open intervals should be emitted. A
-// serial accumulator's Close is a no-op, and Close is idempotent.
-// Add/Flush must not be called after Close; Shards, ShardRecords and
-// Stats remain valid.
-func (a *StreamAccumulator) Close() {
-	if a.sh != nil && !a.closed {
-		a.closed = true
-		a.sh.close()
-	}
-}
 
 // Start returns the resolved left edge of interval 0 — the configured
 // Start, or the first record's Time when aligning automatically (zero
@@ -351,23 +305,9 @@ func (a *StreamAccumulator) addBits(id uint32, g int, bits float64) {
 // TotalBandwidth returns the aggregate load accumulated so far in open
 // interval t (bit/s) — the streaming counterpart of
 // Series.TotalBandwidth, defined only while t is open.
-// In sharded mode it is a barrier: the coordinator waits for every
-// shard to drain, then sums the per-shard partials in shard order (the
-// float sum's grouping differs from the serial single-column fold, so
-// the value may differ in final ulps; ActiveFlows is exact).
 func (a *StreamAccumulator) TotalBandwidth(t int) float64 {
 	if t < a.base || t >= a.base+a.cfg.Window {
 		panic(fmt.Sprintf("agg: TotalBandwidth: interval %d outside open window [%d,%d)", t, a.base, a.base+a.cfg.Window))
-	}
-	if a.sh != nil {
-		a.sh.sync()
-		total := 0.0
-		for _, s := range a.sh.shards {
-			if sl := &s.slots[t%a.cfg.Window]; sl.cur == int32(t) {
-				total += sl.total
-			}
-		}
-		return total
 	}
 	return a.slot(t).total
 }
@@ -380,16 +320,6 @@ func (a *StreamAccumulator) TotalBandwidth(t int) float64 {
 func (a *StreamAccumulator) ActiveFlows(t int) int {
 	if t < a.base || t >= a.base+a.cfg.Window {
 		panic(fmt.Sprintf("agg: ActiveFlows: interval %d outside open window [%d,%d)", t, a.base, a.base+a.cfg.Window))
-	}
-	if a.sh != nil {
-		a.sh.sync()
-		active := 0
-		for _, s := range a.sh.shards {
-			if sl := &s.slots[t%a.cfg.Window]; sl.cur == int32(t) {
-				active += sl.active
-			}
-		}
-		return active
 	}
 	return a.slot(t).active
 }
@@ -465,24 +395,19 @@ func (a *StreamAccumulator) Add(rec Record) error {
 	}
 	// end is open, so the record reaches the window; bits it spent before
 	// the closed edge are the only ones that can miss.
-	if a.sh != nil {
-		// Sharded mode defers the intern to the flow's home shard — the
-		// prefix hash leaves the coordinator's serial section entirely.
-		// The routing hash is computed once per record, shared by every
-		// interval the span touches.
-		si := a.sh.shardOf(rec.Prefix)
-		spreadRecord(off, span, rec.Bits, a.interval, a.base, a.base+a.cfg.Window, func(t int, bits float64) {
-			a.sh.enqueue(si, rec.Prefix, t, bits)
-		})
-		a.sh.recs[si]++
-	} else {
-		// One intern per record, shared by every interval the span
-		// touches; a keyed record's is a verified table probe, not a hash.
-		id := a.table.InternKeyed(rec.Prefix, rec.Key)
-		spreadRecord(off, span, rec.Bits, a.interval, a.base, a.base+a.cfg.Window, func(t int, bits float64) {
-			a.addBits(id, t, bits)
-		})
+	// One intern per record, shared by every interval the span touches; a
+	// keyed record's is a verified table probe, not a hash.
+	id := a.table.InternKeyed(rec.Prefix, rec.Key)
+	if a.ownTable {
+		if int(id) >= len(a.lastSeen) {
+			a.lastSeen = append(a.lastSeen, make([]int, a.table.Cap()-len(a.lastSeen))...)
+		}
+		// end is the last interval the record's bits reach.
+		a.lastSeen[id] = max(a.lastSeen[id], end)
 	}
+	spreadRecord(off, span, rec.Bits, a.interval, a.base, a.base+a.cfg.Window, func(t int, bits float64) {
+		a.addBits(id, t, bits)
+	})
 	a.maxTouched = max(a.maxTouched, end)
 	a.stats.InWindow++
 	if clip := a.sealedEdge(); off < clip {
@@ -515,22 +440,6 @@ func (a *StreamAccumulator) advanceTo(newBase int) error {
 // same sorted order Series.Snapshot uses.
 func (a *StreamAccumulator) closeOldest() error {
 	g := a.base
-	if a.sh != nil {
-		// Sharded close: each shard sorts its own dirty subset, the
-		// coordinator k-way-merges the sorted runs (shardedAcc.seal).
-		// Each flow's bandwidth was folded in one shard in arrival
-		// order, and the merge appends in the same global ComparePrefix
-		// order closeOldest uses below, so both the per-flow values and
-		// the snapshot's running total are bit-identical to serial.
-		evicted := a.sh.seal(g, a.snap)
-		a.stats.Closed++
-		a.stats.EvictedFlows += uint64(evicted)
-		a.base++
-		if a.Emit != nil {
-			return a.Emit(g, a.snap)
-		}
-		return nil
-	}
 	sl := a.slot(g)
 	a.table.SortIDs(sl.dirty)
 	pf := a.table.Prefixes()
@@ -541,6 +450,17 @@ func (a *StreamAccumulator) closeOldest() error {
 	}
 	a.stats.Closed++
 	a.stats.EvictedFlows += uint64(len(sl.dirty))
+	if a.ownTable {
+		// Only flows whose newest bits are in the closing interval go
+		// quiet; anything touched by a later (still open) interval stays
+		// live and is reconsidered at that close.
+		for _, id := range sl.dirty {
+			if a.lastSeen[id] == g {
+				a.table.Release(id)
+			}
+		}
+		a.table.Advance()
+	}
 	// Recycle the slot for interval g+Window: bumping the generation
 	// invalidates every cell at once, so steady-state accumulation
 	// neither clears columns nor allocates.
@@ -553,7 +473,6 @@ func (a *StreamAccumulator) closeOldest() error {
 	sl.total = 0
 	sl.active = 0
 	a.base++
-	a.pubRecords.Store(a.stats.Records)
 	if a.Emit != nil {
 		return a.Emit(g, a.snap)
 	}

@@ -47,7 +47,6 @@ func collectStream(t *testing.T, cfg StreamConfig, recs []Record) (*StreamAccumu
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(acc.Close)
 	var got []*core.FlowSnapshot
 	acc.Emit = func(tt int, snap *core.FlowSnapshot) error {
 		if tt != len(got) {
@@ -418,6 +417,133 @@ func TestStreamEvictionBoundsMemory(t *testing.T) {
 	}
 }
 
+// churnRecords is a trace of heavy flow churn: per interval, anchors
+// flows that recur every interval and churners flows never seen again.
+func churnRecords(intervals, anchors, churners int, iv time.Duration) []Record {
+	var recs []Record
+	for tt := 0; tt < intervals; tt++ {
+		at := start.Add(time.Duration(tt) * iv)
+		for f := 0; f < anchors; f++ {
+			p := netip.MustParsePrefix(fmt.Sprintf("10.0.%d.0/24", f))
+			recs = append(recs, Record{Prefix: p, Time: at.Add(time.Second), Bits: 5e4 + float64(tt*f)})
+		}
+		for f := 0; f < churners; f++ {
+			n := tt*churners + f
+			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{172, byte(n >> 16), byte(n >> 8), byte(n)}), 32)
+			recs = append(recs, Record{Prefix: p, Time: at.Add(2 * time.Second), Bits: 1e4 * float64(1+f)})
+		}
+	}
+	return recs
+}
+
+// TestStreamRowReleaseMatchesSeries drives a private-table accumulator
+// through enough closes under churn that the rows it releases are
+// quarantined, freed and re-bound to other prefixes, and requires
+// bit-equality with batch throughout: a recycled ID must never carry
+// one flow's bits out under another's prefix.
+func TestStreamRowReleaseMatchesSeries(t *testing.T) {
+	const intervals = 40
+	iv := time.Minute
+	recs := churnRecords(intervals, 4, 12, iv)
+	batch := NewSeries(start, iv, intervals)
+	for _, rec := range recs {
+		if !batch.AddRecord(rec) {
+			t.Fatalf("batch dropped record %+v", rec)
+		}
+	}
+	for _, window := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			acc, got := collectStream(t, StreamConfig{Start: start, Interval: iv, Window: window}, recs)
+			if len(got) != intervals {
+				t.Fatalf("emitted %d intervals, want %d", len(got), intervals)
+			}
+			for tt, snap := range got {
+				snapEqual(t, fmt.Sprintf("interval %d, stream vs batch", tt), snap, batch.Snapshot(tt, nil))
+			}
+			if n := acc.Table().Cap(); n >= 4+12*intervals {
+				t.Errorf("ID space grew to %d: no released ID was ever re-bound", n)
+			}
+		})
+	}
+}
+
+// TestStreamRowReleaseBoundsTable: an accumulator that owns its table
+// releases a flow's row once the newest interval that touched the flow
+// has closed, so the table follows the flows of the last quarantine's
+// worth of intervals, not every prefix the link ever carried — while a
+// flow that recurs every interval keeps its row and its ID. A caller's
+// table is the caller's to release: the accumulator leaves it whole.
+func TestStreamRowReleaseBoundsTable(t *testing.T) {
+	const (
+		iv       = time.Minute
+		window   = 4
+		anchors  = 4
+		churners = 12
+	)
+	anchor := netip.MustParsePrefix("10.0.0.0/24")
+	// run streams the trace and checks, at every close, that the anchor
+	// still holds the ID it had at the first; it returns the table and
+	// the most rows it held at any close.
+	run := func(t *testing.T, table *core.FlowTable, recs []Record) (tb *core.FlowTable, maxLen int) {
+		acc, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: window, Table: table})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var anchorID uint32
+		acc.Emit = func(tt int, _ *core.FlowSnapshot) error {
+			id, ok := acc.Table().Lookup(anchor)
+			if tt == 0 {
+				anchorID = id
+			}
+			if !ok || id != anchorID {
+				t.Fatalf("close %d: anchor has ID %d (bound: %v), want %d", tt, id, ok, anchorID)
+			}
+			maxLen = max(maxLen, acc.Table().Len())
+			return nil
+		}
+		for _, rec := range recs {
+			if err := acc.Add(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := acc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return acc.Table(), maxLen
+	}
+
+	t.Run("recurring flows keep their rows", func(t *testing.T) {
+		if _, maxLen := run(t, nil, churnRecords(40, anchors, 0, iv)); maxLen != anchors {
+			t.Errorf("table held up to %d rows, want the %d recurring flows throughout", maxLen, anchors)
+		}
+	})
+
+	const intervals = 20000 / churners
+	churn := churnRecords(intervals, anchors, churners, iv)
+	t.Run("private table follows the live flows", func(t *testing.T) {
+		tb, _ := run(t, nil, churn)
+		if bound := (int(tb.Quarantine()) + 1) * (anchors + churners); tb.Len() > bound {
+			t.Errorf("table holds %d rows after %d one-interval flows, want <= %d", tb.Len(), intervals*churners, bound)
+		}
+	})
+	t.Run("caller's table is left whole", func(t *testing.T) {
+		// A row the caller released stays quarantined unless somebody ticks
+		// the clock; rows somebody else released go once the caller does.
+		tb := core.NewFlowTable()
+		tb.Release(tb.Intern(pfxB))
+		run(t, tb, churn)
+		if _, ok := tb.Lookup(pfxB); !ok {
+			t.Error("the accumulator advanced the caller's quarantine clock")
+		}
+		for i := uint64(0); i <= tb.Quarantine(); i++ {
+			tb.Advance()
+		}
+		if want := anchors + intervals*churners; tb.Len() != want {
+			t.Errorf("caller's table holds %d rows, want every flow of the trace still bound: %d", tb.Len(), want)
+		}
+	})
+}
+
 // TestStreamEmitError: an Emit error aborts the Add/Flush that
 // triggered it.
 func TestStreamEmitError(t *testing.T) {
@@ -556,11 +682,10 @@ func TestStreamEmitsIDColumns(t *testing.T) {
 // TestStreamClockEdges pins the accumulator's interior clock — integer
 // nanoseconds since Start — where it could part from the time.Time
 // arithmetic it replaced, and from its batch twin: each case's records
-// go through StreamAccumulator.Add (serial and sharded) and through
-// Series.AddRecord, and must leave identical cells; the stream's
-// counters are pinned beside them. The batch series of a case starts at
-// the stream's sealed edge (batchFrom intervals in), which is where both
-// clip a span.
+// go through StreamAccumulator.Add and through Series.AddRecord, and
+// must leave identical cells; the stream's counters are pinned beside
+// them. The batch series of a case starts at the stream's sealed edge
+// (batchFrom intervals in), which is where both clip a span.
 func TestStreamClockEdges(t *testing.T) {
 	const iv = time.Minute
 	at := func(intervals float64) time.Time { return start.Add(time.Duration(intervals * float64(iv))) }
@@ -667,49 +792,47 @@ func TestStreamClockEdges(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, shards := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
-				cfg := StreamConfig{Start: start, Interval: iv, Window: tc.window, MaxGap: tc.maxGap, Shards: shards}
-				origin := start
-				if tc.zeroStart {
-					cfg.Start, origin = time.Time{}, tc.recs[0].Time
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := StreamConfig{Start: start, Interval: iv, Window: tc.window, MaxGap: tc.maxGap}
+			origin := start
+			if tc.zeroStart {
+				cfg.Start, origin = time.Time{}, tc.recs[0].Time
+			}
+			acc, got := collectStream(t, cfg, tc.recs)
+			st := acc.Stats()
+			st.Closed, st.EvictedFlows = 0, 0
+			if st != tc.want {
+				t.Errorf("Stats() = %+v, want %+v", st, tc.want)
+			}
+			if !acc.Start().Equal(origin) {
+				t.Errorf("Start() = %v, want %v", acc.Start(), origin)
+			}
+			batch := NewSeries(origin.Add(time.Duration(tc.batchFrom)*iv), iv, tc.intervals)
+			for _, rec := range tc.recs {
+				batch.AddRecord(rec)
+			}
+			if want := tc.batchFrom + tc.intervals; len(got) > want {
+				t.Fatalf("stream emitted %d intervals, want at most %d", len(got), want)
+			}
+			for len(got) < tc.batchFrom+tc.intervals {
+				got = append(got, core.NewFlowSnapshot(0)) // past the last bits: nothing to flush
+			}
+			for tt := 0; tt < tc.intervals; tt++ {
+				g := tc.batchFrom + tt
+				ref := batch.Snapshot(tt, nil)
+				snapEqual(t, fmt.Sprintf("interval %d, stream vs batch", g), got[g], ref)
+				if got[g].TotalLoad() != ref.TotalLoad() {
+					t.Errorf("interval %d: total %v, batch %v", g, got[g].TotalLoad(), ref.TotalLoad())
 				}
-				acc, got := collectStream(t, cfg, tc.recs)
-				st := acc.Stats()
-				st.Closed, st.EvictedFlows = 0, 0
-				if st != tc.want {
-					t.Errorf("Stats() = %+v, want %+v", st, tc.want)
+				var bw float64
+				if i, ok := got[g].Lookup(pfxA); ok {
+					bw = got[g].Bandwidth(i)
 				}
-				if !acc.Start().Equal(origin) {
-					t.Errorf("Start() = %v, want %v", acc.Start(), origin)
+				if want := tc.cells[g] / iv.Seconds(); !floatEq(bw, want) {
+					t.Errorf("interval %d: %v bit/s of %v, want %v", g, bw, pfxA, want)
 				}
-				batch := NewSeries(origin.Add(time.Duration(tc.batchFrom)*iv), iv, tc.intervals)
-				for _, rec := range tc.recs {
-					batch.AddRecord(rec)
-				}
-				if want := tc.batchFrom + tc.intervals; len(got) > want {
-					t.Fatalf("stream emitted %d intervals, want at most %d", len(got), want)
-				}
-				for len(got) < tc.batchFrom+tc.intervals {
-					got = append(got, core.NewFlowSnapshot(0)) // past the last bits: nothing to flush
-				}
-				for tt := 0; tt < tc.intervals; tt++ {
-					g := tc.batchFrom + tt
-					ref := batch.Snapshot(tt, nil)
-					snapEqual(t, fmt.Sprintf("interval %d, stream vs batch", g), got[g], ref)
-					if got[g].TotalLoad() != ref.TotalLoad() {
-						t.Errorf("interval %d: total %v, batch %v", g, got[g].TotalLoad(), ref.TotalLoad())
-					}
-					var bw float64
-					if i, ok := got[g].Lookup(pfxA); ok {
-						bw = got[g].Bandwidth(i)
-					}
-					if want := tc.cells[g] / iv.Seconds(); !floatEq(bw, want) {
-						t.Errorf("interval %d: %v bit/s of %v, want %v", g, bw, pfxA, want)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

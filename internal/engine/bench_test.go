@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -11,52 +10,43 @@ import (
 )
 
 // BenchmarkLivePipelineSaturation drives one heavy link — thousands of
-// flows per interval — through the full live path and compares shard
-// counts. With >1 shard the intern/touch work spreads across shard
-// workers and interval t+1 accumulates while interval t classifies, so
-// on a multi-core host throughput should scale toward ~2× at 4 shards;
-// on a single-core host the sub-benchmarks only expose the coordination
-// overhead (the results stay bit-identical either way — pinned by the
-// equivalence tests). Compare the Mrecords/s column.
+// flows per interval — through the full live path: record queue,
+// accumulate stage, double-buffered seal hand-off, classify stage. Read
+// the Mrecords/s column.
 func BenchmarkLivePipelineSaturation(b *testing.B) {
 	s := synthSeries(7, 4096, 16)
 	recs := seriesRecords(s)
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				intervals := 0
-				lp, err := NewLivePipeline(LiveLink{
-					ID:       "saturation",
-					Start:    start,
-					Interval: s.Interval,
-					Window:   4,
-					Buffer:   4096,
-					Shards:   shards,
-					Config:   schemeConfig,
-					OnResult: func(int, time.Time, core.Result, agg.StreamStats) error {
-						intervals++
-						return nil
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := lp.SendBatch(recs); err != nil {
-					b.Fatal(err)
-				}
-				if err := lp.Close(); err != nil {
-					b.Fatal(err)
-				}
-				if intervals != s.Intervals {
-					b.Fatalf("classified %d intervals, want %d", intervals, s.Intervals)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrecords/s")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		intervals := 0
+		lp, err := NewLivePipeline(LiveLink{
+			ID:       "saturation",
+			Start:    start,
+			Interval: s.Interval,
+			Window:   4,
+			Buffer:   4096,
+			Config:   schemeConfig,
+			OnResult: func(int, time.Time, core.Result, agg.StreamStats) error {
+				intervals++
+				return nil
+			},
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := lp.SendBatch(recs); err != nil {
+			b.Fatal(err)
+		}
+		if err := lp.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if intervals != s.Intervals {
+			b.Fatalf("classified %d intervals, want %d", intervals, s.Intervals)
+		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrecords/s")
 }
 
 // benchMatrix is the spec-sweep shape the experiments package runs: one

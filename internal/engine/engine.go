@@ -19,13 +19,12 @@
 // accumulator's window, not the trace length, and the classifications
 // are byte-identical to the batch path on the same records.
 //
-// Parallelism also reaches inside a single link. A LivePipeline runs
-// as two stages — accumulate and classify — joined by a bounded channel
-// of double-buffered sealed snapshots, so interval t+1 accumulates
-// while interval t classifies; and the accumulate stage itself can
-// shard a link's flow columns across cores (StreamLink.Shards /
-// LiveLink.Shards), with sealed intervals reassembled by a k-way merge
-// that preserves bit-for-bit equality with the serial path.
+// Inside a single link the only concurrency is the stage split: a
+// LivePipeline runs as two stages — accumulate and classify — joined by
+// a bounded channel of double-buffered sealed snapshots, so interval
+// t+1 accumulates while interval t classifies. Each stage is one
+// goroutine; the link is the unit of parallelism (ARCHITECTURE.md,
+// "Why one link accumulates on one goroutine").
 //
 // RunMatrix fans a set of scheme specs over a set of links. Its unit of
 // work is the (link, spec-group) task, not the cell: the engine seals
@@ -86,11 +85,6 @@ type StreamLink struct {
 	// agg.DefaultStreamWindow). Size it to cover the source's
 	// out-of-orderness — e.g. a NetFlow active timeout.
 	Window int
-	// Shards selects sharded accumulation (agg.StreamConfig.Shards):
-	// values above 1 split the link's flow columns across that many
-	// concurrent shard workers, with results bit-identical to the
-	// serial path. 0 and 1 accumulate serially.
-	Shards int
 	// Config returns a fresh pipeline configuration for this link.
 	Config func() (core.Config, error)
 }
@@ -275,27 +269,18 @@ func RunStreamLink(l StreamLink) LinkResult {
 		lr.Err = err
 		return lr
 	}
-	cfg := agg.StreamConfig{
+	acc, err := agg.NewStreamAccumulator(agg.StreamConfig{
 		Start:    l.Start,
 		Interval: l.Interval,
 		Window:   l.Window,
-	}
-	if l.Shards > 1 {
-		// Sharded accumulation interns into per-shard private tables;
-		// emitted snapshots carry no IDs and the classify path
-		// re-interns via FillIDs.
-		cfg.Shards = l.Shards
-	} else {
 		// Share the pipeline's flow identity table: emitted snapshots
 		// carry dense IDs, so the classifier never hashes a prefix.
-		cfg.Table = pipe.Table()
-	}
-	acc, err := agg.NewStreamAccumulator(cfg)
+		Table: pipe.Table(),
+	})
 	if err != nil {
 		lr.Err = fmt.Errorf("engine: link %q: %w", l.ID, err)
 		return lr
 	}
-	defer acc.Close()
 	acc.Emit = func(t int, snap *core.FlowSnapshot) error {
 		res, err := pipe.StepSnapshot(t, snap)
 		if err != nil {

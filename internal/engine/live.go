@@ -49,11 +49,6 @@ type LiveLink struct {
 	Window int
 	// Buffer is the Send queue capacity; 0 selects DefaultLiveBuffer.
 	Buffer int
-	// Shards selects sharded accumulation (agg.StreamConfig.Shards):
-	// values above 1 spread the link's flow columns across that many
-	// concurrent shard workers. 0 and 1 accumulate serially. Either
-	// way the results are bit-identical.
-	Shards int
 	// Config returns a fresh pipeline configuration for this link —
 	// the same fresh-instances-per-link determinism contract as every
 	// other engine mode.
@@ -85,10 +80,9 @@ type sealedInterval struct {
 // core.Pipeline and consumes sealed interval snapshots, firing
 // OnResult per interval. The stages are joined by a bounded channel of
 // double-buffered snapshot copies, so interval t+1 accumulates while
-// interval t classifies — and within the accumulate stage the flow
-// columns may additionally be sharded across cores (LiveLink.Shards).
+// interval t classifies.
 //
-// The determinism contract survives both overlaps: sealed intervals
+// The determinism contract survives the overlap: sealed intervals
 // are copied out in seal order and classified strictly in that order
 // by a single consumer, and each stage owns its state exclusively
 // (the accumulator's tables never touch the classifier's), so a
@@ -156,8 +150,7 @@ type LivePipeline struct {
 
 	// Accumulate-stage-owned; read by other goroutines only after done
 	// is closed (Stats, Dropped) — the channel close/receive pair
-	// orders those accesses. ShardRecords/Shards are safe earlier: they
-	// only read atomics published at each seal.
+	// orders those accesses.
 	acc     *agg.StreamAccumulator
 	dropped uint64
 }
@@ -169,26 +162,20 @@ func NewLivePipeline(l LiveLink) (*LivePipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := l.Shards
-	if shards < 1 {
-		shards = 1
-	}
+	// No Table: the accumulator's flow identities are private to the
+	// accumulate stage, which also releases their rows as flows go quiet.
+	// The classify stage runs concurrently and owns the core pipeline's
+	// table, so sharing one table across the stage boundary would race;
+	// the classify path re-interns each sealed column via FillIDs.
 	acc, err := agg.NewStreamAccumulator(agg.StreamConfig{
 		Start:    l.Start,
 		Interval: l.Interval,
 		Window:   l.Window,
-		// The accumulator's flow identities are private to the
-		// accumulate stage (per-shard tables when sharded): the classify
-		// stage runs concurrently and owns the core pipeline's table, so
-		// sharing one table across the stage boundary would race. The
-		// classify path re-interns each sealed column via FillIDs.
-		Shards: shards,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("engine: link %q: %w", l.ID, err)
 	}
 	if l.OnResult == nil {
-		acc.Close()
 		return nil, fmt.Errorf("engine: link %q: nil OnResult", l.ID)
 	}
 	buffer := l.Buffer
@@ -303,10 +290,9 @@ func (p *LivePipeline) run() {
 	p.finish()
 }
 
-// finish releases the accumulator's shard workers, closes the stage
-// channel and waits for classify to drain, then signals done.
+// finish closes the stage channel and waits for classify to drain,
+// then signals done.
 func (p *LivePipeline) finish() {
-	p.acc.Close()
 	close(p.sealed)
 	<-p.classifyDone
 	close(p.done)
@@ -341,16 +327,6 @@ func (p *LivePipeline) Stalls() uint64 { return p.stalls.Load() }
 // lockstep). Safe from any goroutine at any time.
 func (p *LivePipeline) LastOverlap() time.Duration {
 	return time.Duration(p.lastOverlap.Load())
-}
-
-// Shards returns the link's accumulation shard count (1 when serial).
-func (p *LivePipeline) Shards() int { return p.acc.Shards() }
-
-// ShardRecords appends each accumulation shard's cumulative record
-// count (as of the last interval seal) to dst — the per-shard balance
-// a scrape handler exports. Safe from any goroutine at any time.
-func (p *LivePipeline) ShardRecords(dst []uint64) []uint64 {
-	return p.acc.ShardRecords(dst)
 }
 
 // Send pushes one record into the link, blocking when the buffer is

@@ -42,6 +42,9 @@ func TestLivePipelineMatchesRunStreamLink(t *testing.T) {
 			if tt != len(got) {
 				t.Errorf("result for interval %d, want %d (in order, gap-free)", tt, len(got))
 			}
+			if want := start.Add(time.Duration(tt) * 5 * time.Minute); !at.Equal(want) {
+				t.Errorf("interval %d at %v, want %v", tt, at, want)
+			}
 			got = append(got, res)
 			lastStats = stats
 			return nil
@@ -257,5 +260,141 @@ func TestLivePipelineStatsBeforeClose(t *testing.T) {
 	}
 	if st := lp.Stats(); st.Records != 0 || st.Closed != 0 {
 		t.Errorf("empty link stats = %+v", st)
+	}
+}
+
+// oneFlowConfig classifies single-flow intervals (the stall tests feed
+// one record per interval).
+func oneFlowConfig() (core.Config, error) {
+	return core.Config{
+		Detector:   constDetector{100},
+		Alpha:      0.5,
+		Classifier: core.SingleFeatureClassifier{},
+		MinFlows:   1,
+	}, nil
+}
+
+// TestLivePipelineStalls: a full record queue makes Send block — and
+// the block is counted, surfacing backpressure instead of swallowing
+// it. The classify stage is gated shut so the whole pipeline wedges
+// deterministically: transfer buffers fill, the accumulate stage
+// blocks on the seal handoff, the record queue fills, and further
+// sends must stall.
+func TestLivePipelineStalls(t *testing.T) {
+	iv := time.Minute
+	gate := make(chan struct{})
+	gated := false
+	lp, err := NewLivePipeline(LiveLink{
+		ID:       "stall",
+		Start:    start,
+		Interval: iv,
+		Window:   1,
+		Buffer:   1,
+		Config:   oneFlowConfig,
+		OnResult: func(tt int, at time.Time, res core.Result, stats agg.StreamStats) error {
+			if !gated {
+				gated = true
+				<-gate
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lp.Stalls() != 0 {
+		t.Fatalf("fresh link stalls = %d", lp.Stalls())
+	}
+	// Each record opens a new interval, sealing the previous one. With
+	// the classify stage parked, at most window+transfer+queue records
+	// can be absorbed; 16 sends must overflow and stall.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p := synthSeries(1, 4, 1).Flows()[0]
+		for i := 0; i < 16; i++ {
+			rec := agg.Record{Prefix: p, Time: start.Add(time.Duration(i) * iv), Bits: 1e4}
+			if err := lp.Send(rec); err != nil {
+				t.Errorf("send %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	// The pipeline is wedged until the gate opens, and 16 records exceed
+	// its total buffering, so a stall MUST register; wait for it, then
+	// release the gate so the sender can finish.
+	waitForStall(t, lp)
+	close(gate)
+	<-done
+	if err := lp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if lp.Stalls() == 0 {
+		t.Fatal("no stalls counted despite a wedged pipeline and 16 sends into a 1-slot queue")
+	}
+}
+
+// waitForStall blocks until the link's stall counter moves (the
+// producer is then provably parked inside a counted blocking send).
+func waitForStall(t *testing.T, lp *LivePipeline) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for lp.Stalls() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for a stall")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLivePipelineSendBatchStalls mirrors the stall contract for the
+// batch path: records are never dropped, the blocking waits are
+// counted.
+func TestLivePipelineSendBatchStalls(t *testing.T) {
+	iv := time.Minute
+	gate := make(chan struct{})
+	gated := false
+	lp, err := NewLivePipeline(LiveLink{
+		ID:       "stall-batch",
+		Start:    start,
+		Interval: iv,
+		Window:   1,
+		Buffer:   1,
+		Config:   oneFlowConfig,
+		OnResult: func(int, time.Time, core.Result, agg.StreamStats) error {
+			if !gated {
+				gated = true
+				<-gate
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]agg.Record, 16)
+	p := synthSeries(1, 4, 1).Flows()[0]
+	for i := range recs {
+		recs[i] = agg.Record{Prefix: p, Time: start.Add(time.Duration(i) * iv), Bits: 1e4}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sent, err := lp.SendBatch(recs)
+		if err != nil || sent != len(recs) {
+			t.Errorf("SendBatch = (%d, %v), want (%d, nil)", sent, err, len(recs))
+		}
+	}()
+	waitForStall(t, lp)
+	close(gate)
+	<-done
+	if err := lp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if lp.Stalls() == 0 {
+		t.Fatal("no stalls counted despite a wedged pipeline")
+	}
+	if got := lp.Stats().Records; got != uint64(len(recs)) {
+		t.Fatalf("accumulator saw %d records, want %d (stalls must not drop)", got, len(recs))
 	}
 }

@@ -90,7 +90,7 @@ func TestFlightRecorderJSONL(t *testing.T) {
 
 func TestLinkMetricsObserveStep(t *testing.T) {
 	r := NewRegistry()
-	m := NewLinkMetrics(r, "a@0", 1, DefaultStageBounds())
+	m := NewLinkMetrics(r, "a@0", DefaultStageBounds())
 	m.ObserveStep(core.StepObservation{
 		StepNanos: 2_000_000, DetectNanos: 1_000_000, ClassifyNanos: 500_000,
 		RawThreshold: 3e6, Elephants: 4, Promoted: 2, Demoted: 1,
@@ -123,7 +123,7 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("Histogram.Observe allocates %v/op", n)
 	}
 	r := NewRegistry()
-	m := NewLinkMetrics(r, "a@0", 1, DefaultStageBounds())
+	m := NewLinkMetrics(r, "a@0", DefaultStageBounds())
 	o := core.StepObservation{StepNanos: 1000, DetectNanos: 400, ClassifyNanos: 300, Promoted: 1}
 	if n := testing.AllocsPerRun(100, func() { m.ObserveStep(o) }); n != 0 {
 		t.Errorf("LinkMetrics.ObserveStep allocates %v/op", n)
@@ -145,7 +145,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 
 func BenchmarkObserveStep(b *testing.B) {
 	r := NewRegistry()
-	m := NewLinkMetrics(r, "a@0", 1, DefaultStageBounds())
+	m := NewLinkMetrics(r, "a@0", DefaultStageBounds())
 	o := core.StepObservation{StepNanos: 150_000, DetectNanos: 90_000, ClassifyNanos: 40_000, Promoted: 1, Demoted: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"strconv"
-
 	"repro/internal/core"
 	"repro/internal/report"
 )
@@ -34,18 +32,11 @@ type LinkMetrics struct {
 	// had to block. Mirrored from the pipeline's counter at scrape time
 	// via Store (backpressure is counted, never dropped).
 	Stalls *Counter
-	// ShardRecords holds one gauge per accumulation shard (labelled
-	// link+shard): in-window records routed to that shard. Refreshed at
-	// scrape time via SetShardRecords.
-	ShardRecords []*Gauge
-	// ShardImbalance is max/mean of the per-shard record counts — 1.0
-	// is a perfectly balanced link, P is everything hashing to one of P
-	// shards. Computed by SetShardRecords.
-	ShardImbalance *Gauge
 	// StageOverlap is the per-interval overlap histogram (seconds): how
 	// long the classify stage ran while the accumulate stage was also
-	// making progress. Zero on an idle or serial link; approaching the
-	// classify-stage latency when the pipeline stages genuinely overlap.
+	// making progress. Zero on an idle link or when the stages ran in
+	// lockstep; approaching the classify-stage latency when they
+	// genuinely overlap.
 	StageOverlap *Histogram
 
 	// last is the most recent observation, kept for same-goroutine
@@ -54,22 +45,11 @@ type LinkMetrics struct {
 }
 
 // NewLinkMetrics registers one link's series (labelled link=link) on r
-// and returns the bundle. shards is the link's accumulation shard count
-// (clamped to ≥1) and sizes the per-shard record gauges. All links
-// share the family declarations and the stage histograms share bounds —
-// exponential boundaries suiting per-interval stage latencies
-// (defaulting via DefaultStageBounds).
-func NewLinkMetrics(r *Registry, link string, shards int, bounds []float64) *LinkMetrics {
+// and returns the bundle. All links share the family declarations and
+// the stage histograms share bounds — exponential boundaries suiting
+// per-interval stage latencies (defaulting via DefaultStageBounds).
+func NewLinkMetrics(r *Registry, link string, bounds []float64) *LinkMetrics {
 	lbl := report.Label{Name: "link", Value: link}
-	if shards < 1 {
-		shards = 1
-	}
-	perShard := make([]*Gauge, shards)
-	for i := range perShard {
-		perShard[i] = r.NewGauge("elephantd_link_shard_records",
-			"In-window records routed to one accumulation shard.",
-			lbl, report.Label{Name: "shard", Value: strconv.Itoa(i)})
-	}
 	return &LinkMetrics{
 		Step: r.NewHistogramSeries("elephantd_step_duration_seconds",
 			"Whole pipeline step wall time per interval.", bounds, lbl),
@@ -87,37 +67,9 @@ func NewLinkMetrics(r *Registry, link string, shards int, bounds []float64) *Lin
 			"Interval watermark lag: newest record export time minus newest sealed interval edge.", lbl),
 		Stalls: r.NewCounter("elephantd_link_stalls_total",
 			"Record sends that found the link queue full and blocked.", lbl),
-		ShardRecords: perShard,
-		ShardImbalance: r.NewGauge("elephantd_link_shard_imbalance",
-			"Max/mean of per-shard in-window record counts (1.0 = balanced).", lbl),
 		StageOverlap: r.NewHistogramSeries("elephantd_stage_overlap_seconds",
 			"Classify-stage wall time overlapped with the accumulate stage, per interval.", bounds, lbl),
 	}
-}
-
-// SetShardRecords refreshes the per-shard record gauges and the derived
-// imbalance gauge from one ShardRecords reading. Extra counts beyond
-// the registered shard gauges are ignored (they cannot occur when the
-// link was registered with its true shard count); missing counts leave
-// the remaining gauges at their last value.
-func (m *LinkMetrics) SetShardRecords(counts []uint64) {
-	var sum uint64
-	var max uint64
-	for i, n := range counts {
-		if i < len(m.ShardRecords) {
-			m.ShardRecords[i].Set(float64(n))
-		}
-		sum += n
-		if n > max {
-			max = n
-		}
-	}
-	if sum == 0 || len(counts) == 0 {
-		m.ShardImbalance.Set(1)
-		return
-	}
-	mean := float64(sum) / float64(len(counts))
-	m.ShardImbalance.Set(float64(max) / mean)
 }
 
 // DefaultStageBounds are the stage-histogram bucket boundaries used by

@@ -127,7 +127,7 @@ d_step_seconds_count{link="a@0"} 3
 func TestRegistryRenderByteStable(t *testing.T) {
 	r := NewRegistry()
 	for _, link := range []string{"b@1", "a@0"} { // registration order, not sorted
-		NewLinkMetrics(r, link, 1, DefaultStageBounds())
+		NewLinkMetrics(r, link, DefaultStageBounds())
 	}
 	render := func() string {
 		var buf bytes.Buffer
@@ -174,12 +174,12 @@ func TestRegistryPanics(t *testing.T) {
 func TestRegistryConcurrentRenderAndRegister(t *testing.T) {
 	const links = 200
 	r := NewRegistry()
-	NewLinkMetrics(r, "seed@0", 1, DefaultStageBounds())
+	NewLinkMetrics(r, "seed@0", DefaultStageBounds())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < links; i++ {
-			NewLinkMetrics(r, fmt.Sprintf("link%d@0", i), 1, DefaultStageBounds())
+			NewLinkMetrics(r, fmt.Sprintf("link%d@0", i), DefaultStageBounds())
 		}
 	}()
 	for registering, i := true, 0; registering; i++ {

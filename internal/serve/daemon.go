@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/agg"
 	"repro/internal/bgp"
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -45,22 +44,6 @@ func DefaultReaders() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > 8 {
 		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// DefaultShards is the per-link accumulation shard heuristic
-// cmd/elephantd defaults to: one shard per core up to 4. A single POP
-// link rarely profits from more than a handful of shards — the merge
-// and classify stages are serial — and the readers and other links
-// want the remaining cores.
-func DefaultShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 4 {
-		n = 4
 	}
 	if n < 1 {
 		n = 1
@@ -100,12 +83,6 @@ type Config struct {
 	// Buffer is the per-link record queue capacity; 0 selects
 	// engine.DefaultLiveBuffer.
 	Buffer int
-	// Shards is the per-link accumulation shard count: how many worker
-	// goroutines split each link's flow columns (emitted snapshots are
-	// bit-identical at any setting). 0 selects 1 (serial); values above
-	// agg.MaxShards are clamped. cmd/elephantd defaults this to
-	// DefaultShards.
-	Shards int
 	// ReadBuffer is the UDP receive-buffer size to request per socket;
 	// 0 selects DefaultReadBuffer. The granted (post-clamp) size is
 	// reported per reader via /links and /metrics.
@@ -206,12 +183,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		cfg.Readers = MaxReaders
 	}
 	cfg.Window = engine.StreamWindow(cfg.Scheme, cfg.Window)
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
-	if cfg.Shards > agg.MaxShards {
-		cfg.Shards = agg.MaxShards
-	}
 	if cfg.History == 0 {
 		cfg.History = DefaultHistory
 	}

@@ -167,20 +167,17 @@ type LinksPage struct {
 	Readers   []ReaderStatus `json:"readers"`
 	Links     []LinkSummary  `json:"links"`
 	// Pipelines carries live-pipeline internals the store summaries
-	// don't know: intra-link shard balance and backpressure stalls.
+	// don't know: backpressure stalls and stage overlap.
 	Pipelines []LinkPipeline `json:"pipelines"`
 }
 
-// LinkPipeline is one link's live-pipeline row in /links: the
-// accumulation shard layout, where the link's in-window records landed,
-// queue-full stall count and the last interval's classify/accumulate
-// stage overlap.
+// LinkPipeline is one link's live-pipeline row in /links: queue-full
+// stall count and the last interval's classify/accumulate stage
+// overlap.
 type LinkPipeline struct {
-	Link              string   `json:"link"`
-	Shards            int      `json:"shards"`
-	ShardRecords      []uint64 `json:"shard_records"`
-	Stalls            uint64   `json:"stalls"`
-	StageOverlapNanos int64    `json:"stage_overlap_nanos"`
+	Link              string `json:"link"`
+	Stalls            uint64 `json:"stalls"`
+	StageOverlapNanos int64  `json:"stage_overlap_nanos"`
 }
 
 func (d *Daemon) handleLinks(w http.ResponseWriter, r *http.Request) {
@@ -189,8 +186,6 @@ func (d *Daemon) handleLinks(w http.ResponseWriter, r *http.Request) {
 	for _, ll := range links {
 		pipes = append(pipes, LinkPipeline{
 			Link:              ll.id,
-			Shards:            ll.lp.Shards(),
-			ShardRecords:      ll.lp.ShardRecords(nil),
 			Stalls:            ll.lp.Stalls(),
 			StageOverlapNanos: int64(ll.lp.LastOverlap()),
 		})

@@ -139,7 +139,7 @@ func (d *Daemon) createLink(key linkKey) (*liveLink, error) {
 	// always this interval's observation. lp is captured before first
 	// use: the worker can only reach OnResult via a record sent after
 	// createLink published the link (channel send orders the assignment).
-	om := obs.NewLinkMetrics(d.reg, id, d.cfg.Shards, obs.DefaultStageBounds())
+	om := obs.NewLinkMetrics(d.reg, id, obs.DefaultStageBounds())
 	fr := obs.NewFlightRecorder(d.cfg.FlightRecorder)
 	factory := d.cfg.Scheme.Factory()
 	var lp *engine.LivePipeline
@@ -150,7 +150,6 @@ func (d *Daemon) createLink(key linkKey) (*liveLink, error) {
 		Interval: d.cfg.Interval,
 		Window:   d.cfg.Window,
 		Buffer:   d.cfg.Buffer,
-		Shards:   d.cfg.Shards,
 		Config: func() (core.Config, error) {
 			cc, err := factory()
 			if err != nil {

@@ -137,13 +137,12 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		})
 
 	// Instrumentation families (stage histograms, churn counters,
-	// threshold/lag gauges, shard balance) render from the registry.
-	// The lag, stall and shard series mirror pipeline-internal state:
-	// refresh each link's from its live pipeline first.
+	// threshold/lag gauges) render from the registry. The lag and stall
+	// series mirror pipeline-internal state: refresh each link's from
+	// its live pipeline first.
 	for _, ll := range *d.links.Load() {
 		ll.om.WatermarkLag.Set(ll.lp.WatermarkLag().Seconds())
 		ll.om.Stalls.Store(ll.lp.Stalls())
-		ll.om.SetShardRecords(ll.lp.ShardRecords(nil))
 	}
 	d.reg.Render(m)
 

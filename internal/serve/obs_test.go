@@ -217,14 +217,12 @@ func TestMetricsObservabilityFamilies(t *testing.T) {
 	}
 }
 
-// TestMetricsShardFamilies runs a sharded daemon and checks the
-// intra-link parallelism surface: /metrics carries the stall counter,
-// one shard-records gauge per shard, the imbalance gauge and the
-// stage-overlap histogram, and /links reports the pipeline row with
-// per-shard record counts summing to the link's in-window records.
-func TestMetricsShardFamilies(t *testing.T) {
-	const shards = 4
-	d := newObsDaemon(t, func(c *Config) { c.Shards = shards })
+// TestMetricsPipelineFamilies checks the live-pipeline surface: /metrics
+// carries the stall counter and the stage-overlap histogram, /links
+// reports one pipeline row per link, and the flight recorder carries
+// the stage-overlap column.
+func TestMetricsPipelineFamilies(t *testing.T) {
+	d := newObsDaemon(t, nil)
 	start := d.cfg.Start
 	var wires [][]byte
 	for i := 0; i < 5; i++ {
@@ -246,14 +244,8 @@ func TestMetricsShardFamilies(t *testing.T) {
 	wants := []string{
 		"# TYPE elephantd_link_stalls_total counter",
 		"elephantd_link_stalls_total{link=\"" + link + "\"} 0",
-		"# TYPE elephantd_link_shard_records gauge",
-		"# TYPE elephantd_link_shard_imbalance gauge",
-		"elephantd_link_shard_imbalance{link=\"" + link + "\"}",
 		"# TYPE elephantd_stage_overlap_seconds histogram",
 		"elephantd_stage_overlap_seconds_count{link=\"" + link + "\"} 5",
-	}
-	for s := 0; s < shards; s++ {
-		wants = append(wants, fmt.Sprintf("elephantd_link_shard_records{link=%q,shard=\"%d\"}", link, s))
 	}
 	for _, want := range wants {
 		if !strings.Contains(metrics, want) {
@@ -261,26 +253,17 @@ func TestMetricsShardFamilies(t *testing.T) {
 		}
 	}
 
-	var lp LinksPage
-	getJSON(t, base+"/links", &lp)
-	if len(lp.Pipelines) != 1 {
-		t.Fatalf("links page has %d pipeline rows, want 1: %+v", len(lp.Pipelines), lp.Pipelines)
+	// The row's JSON is API: exactly these three fields.
+	var page struct {
+		Pipelines []map[string]json.RawMessage `json:"pipelines"`
 	}
-	row := lp.Pipelines[0]
-	if row.Link != link || row.Shards != shards || len(row.ShardRecords) != shards {
-		t.Fatalf("pipeline row = %+v, want link %s with %d shards", row, link, shards)
+	getJSON(t, base+"/links", &page)
+	if len(page.Pipelines) != 1 {
+		t.Fatalf("links page has %d pipeline rows, want 1: %v", len(page.Pipelines), page.Pipelines)
 	}
-	var sum uint64
-	for _, n := range row.ShardRecords {
-		sum += n
-	}
-	// One flow, one record per interval; the newest record is still in
-	// the open window.
-	if sum == 0 {
-		t.Errorf("per-shard records sum to 0, want the in-window records: %+v", row)
-	}
-	if row.Stalls != 0 {
-		t.Errorf("stalls = %d on an unpressured link", row.Stalls)
+	row := page.Pipelines[0]
+	if len(row) != 3 || string(row["link"]) != `"`+link+`"` || string(row["stalls"]) != "0" || row["stage_overlap_nanos"] == nil {
+		t.Errorf("pipeline row = %s, want link %s, 0 stalls on an unpressured link and a stage overlap", row, link)
 	}
 
 	// The flight recorder carries the stage-overlap column (zero or

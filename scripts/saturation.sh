@@ -18,20 +18,13 @@
 # verifies the mechanics (REUSEPORT bind, per-reader counters, no lost
 # accounting) and prints nproc so the numbers can be read in context.
 #
-# After the reader sweep a second phase holds the front-end fixed
-# (-readers 4) and sweeps the per-link accumulation shard count: every
-# sender blasts with -single-link, so all the offered load lands on ONE
-# collector link and the intra-link sharded accumulate + pipelined
-# classify path is the only thing that varies. Delivered/sent per shard
-# count is the intra-link scaling figure.
-#
 # Usage: scripts/saturation.sh [duration] [senders] [readers...]
 #   duration  blast length per run        (default 5s)
 #   senders   parallel nfreplay senders   (default 4)
 #   readers   reader counts to sweep      (default "1 2 4")
 #
 # Environment: ROUTES (default 600), SEED (default 7), FLOWS (default
-# 200), SHARD_COUNTS (default "1 2 4", the second phase's sweep).
+# 200).
 
 set -eu
 
@@ -46,7 +39,6 @@ fi
 ROUTES="${ROUTES:-600}"
 SEED="${SEED:-7}"
 FLOWS="${FLOWS:-200}"
-SHARD_COUNTS="${SHARD_COUNTS:-1 2 4}"
 UDP_PORT="${UDP_PORT:-12055}"
 HTTP_PORT="${HTTP_PORT:-18055}"
 
@@ -114,52 +106,3 @@ echo
 echo "saturation: delivered dgrams/s is the daemon-side ingest rate; on a"
 echo "saturation: multi-core host expect >= 2x at 4 readers vs 1 once the"
 echo "saturation: single reader is the bottleneck (delivered/sent < 1)."
-
-# ---------------------------------------------------------------------
-# Phase 2: intra-link shard sweep. The front-end is held at 4 readers;
-# every sender shares one engine ID (-single-link), so the whole blast
-# funnels into a single link's pipeline and only -shards varies.
-echo
-echo "saturation: intra-link sweep — single link, -readers 4, shards: $SHARD_COUNTS"
-echo
-printf '%-8s %-14s %-14s %-10s %s\n' shards sent_dgrams delivered dgrams/s delivered/sent
-
-BASE_RATE=""
-for P in $SHARD_COUNTS; do
-    "$BIN/elephantd" -gen-routes "$ROUTES" -gen-seed "$SEED" \
-        -readers 4 -shards "$P" -interval 30s \
-        -udp "127.0.0.1:$UDP_PORT" -http "127.0.0.1:$HTTP_PORT" \
-        >"$BIN/elephantd.shards.$P.log" 2>&1 &
-    DAEMON_PID=$!
-
-    i=0
-    until curl -sf "http://127.0.0.1:$HTTP_PORT/healthz" >/dev/null 2>&1; do
-        i=$((i + 1))
-        [ "$i" -gt 50 ] && { echo "daemon did not come up; log:"; cat "$BIN/elephantd.shards.$P.log"; exit 1; }
-        sleep 0.1
-    done
-
-    SENT="$("$BIN/nfreplay" -addr "127.0.0.1:$UDP_PORT" \
-        -routes "$ROUTES" -seed "$SEED" -flows "$FLOWS" \
-        -senders "$SENDERS" -single-link -pace 0 -duration "$DURATION" 2>&1 |
-        sed -n 's/.*sent [0-9]* records in \([0-9]*\) datagrams.*/\1/p')"
-
-    sleep 1
-    DELIVERED="$(health_field datagrams)"
-    kill "$DAEMON_PID" 2>/dev/null && wait "$DAEMON_PID" 2>/dev/null || true
-    DAEMON_PID=""
-
-    SECS="$(echo "$DURATION" | sed 's/s$//')"
-    RATE="$(awk -v d="$DELIVERED" -v s="$SECS" 'BEGIN { printf "%.0f", d / s }')"
-    RATIO="$(awk -v d="$DELIVERED" -v s="$SENT" 'BEGIN { if (s > 0) printf "%.2f", d / s; else print "n/a" }')"
-    [ -z "$BASE_RATE" ] && BASE_RATE="$RATE"
-    SPEEDUP="$(awk -v r="$RATE" -v b="$BASE_RATE" 'BEGIN { if (b > 0) printf "%.2fx", r / b; else print "n/a" }')"
-    printf '%-8s %-14s %-14s %-10s %s (%s vs first row)\n' \
-        "$P" "$SENT" "$DELIVERED" "$RATE" "$RATIO" "$SPEEDUP"
-done
-
-echo
-echo "saturation: the intra-link rows saturate ONE pipeline; on a multi-core"
-echo "saturation: host expect delivered/sent to improve with shards once the"
-echo "saturation: serial accumulate stage is the bottleneck (emitted results"
-echo "saturation: are bit-identical at every shard count)."
