@@ -329,7 +329,24 @@ func (a *StreamAccumulator) ActiveFlows(t int) int {
 // open. Bits reaching back before the closed edge are dropped and
 // counted in Stats.Late/LateBits; everything else lands with arithmetic
 // identical to Series.AddRecord.
-func (a *StreamAccumulator) Add(rec Record) error {
+func (a *StreamAccumulator) Add(rec Record) error { return a.add(&rec) }
+
+// AddBatch is Add over recs in order, without copying a record: it
+// stops at the first error and returns how many records it presented,
+// the failing one included (that record is in Stats like any other; the
+// ones after it were never looked at).
+func (a *StreamAccumulator) AddBatch(recs []Record) (n int, err error) {
+	for i := range recs {
+		if err = a.add(&recs[i]); err != nil {
+			return i + 1, err
+		}
+	}
+	return len(recs), nil
+}
+
+// add is the one body of record accumulation; it reads rec and keeps no
+// reference to it.
+func (a *StreamAccumulator) add(rec *Record) error {
 	a.stats.Records++
 	if !a.began {
 		a.began = true
@@ -497,7 +514,7 @@ func Stream(src RecordSource, acc *StreamAccumulator) error {
 		if err != nil {
 			return err
 		}
-		if err := acc.Add(rec); err != nil {
+		if err := acc.add(&rec); err != nil {
 			return err
 		}
 	}

@@ -39,9 +39,22 @@ func synthRecords(seed int64, intervals, flows int, interval time.Duration) []Re
 	return recs
 }
 
-// collectStream drains recs through an accumulator, returning one owned
-// snapshot copy per emitted interval.
+// collectStream drains recs through an accumulator one Add at a time,
+// returning one owned snapshot copy per emitted interval.
 func collectStream(t *testing.T, cfg StreamConfig, recs []Record) (*StreamAccumulator, []*core.FlowSnapshot) {
+	t.Helper()
+	return collectStreamVia(t, cfg, func(acc *StreamAccumulator) error {
+		for _, rec := range recs {
+			if err := acc.Add(rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// collectStreamVia is collectStream with the feeding left to the caller.
+func collectStreamVia(t *testing.T, cfg StreamConfig, feed func(*StreamAccumulator) error) (*StreamAccumulator, []*core.FlowSnapshot) {
 	t.Helper()
 	acc, err := NewStreamAccumulator(cfg)
 	if err != nil {
@@ -60,10 +73,8 @@ func collectStream(t *testing.T, cfg StreamConfig, recs []Record) (*StreamAccumu
 		got = append(got, own)
 		return nil
 	}
-	for _, rec := range recs {
-		if err := acc.Add(rec); err != nil {
-			t.Fatal(err)
-		}
+	if err := feed(acc); err != nil {
+		t.Fatal(err)
 	}
 	if err := acc.Flush(); err != nil {
 		t.Fatal(err)
@@ -559,6 +570,26 @@ func TestStreamEmitError(t *testing.T) {
 	if err := acc.Add(Record{Prefix: pfxA, Time: start.Add(time.Minute), Bits: 8}); !errors.Is(err, boom) {
 		t.Errorf("Add after forced close = %v, want boom", err)
 	}
+
+	// AddBatch stops where the Add loop would: the record whose close
+	// failed was presented (it is in n and in Stats), the one after it
+	// never was.
+	bacc, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: time.Minute, Window: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bacc.Emit = acc.Emit
+	n, err := bacc.AddBatch([]Record{
+		{Prefix: pfxA, Time: start, Bits: 8},
+		{Prefix: pfxA, Time: start.Add(time.Minute), Bits: 8},
+		{Prefix: pfxA, Time: start.Add(2 * time.Minute), Bits: 8},
+	})
+	if n != 2 || !errors.Is(err, boom) {
+		t.Errorf("AddBatch = (%d, %v), want (2, boom)", n, err)
+	}
+	if bacc.Stats() != acc.Stats() {
+		t.Errorf("AddBatch Stats() = %+v, Add loop %+v", bacc.Stats(), acc.Stats())
+	}
 }
 
 func TestStreamConfigValidation(t *testing.T) {
@@ -799,6 +830,24 @@ func TestStreamClockEdges(t *testing.T) {
 				cfg.Start, origin = time.Time{}, tc.recs[0].Time
 			}
 			acc, got := collectStream(t, cfg, tc.recs)
+			// AddBatch is Add in a loop: the same records in one call leave
+			// the same intervals and the same counters, edge for edge.
+			bacc, bgot := collectStreamVia(t, cfg, func(a *StreamAccumulator) error {
+				n, err := a.AddBatch(tc.recs)
+				if n != len(tc.recs) {
+					t.Errorf("AddBatch presented %d of %d records", n, len(tc.recs))
+				}
+				return err
+			})
+			if bacc.Stats() != acc.Stats() {
+				t.Errorf("AddBatch Stats() = %+v, Add loop %+v", bacc.Stats(), acc.Stats())
+			}
+			if len(bgot) != len(got) {
+				t.Fatalf("AddBatch emitted %d intervals, Add loop %d", len(bgot), len(got))
+			}
+			for g := range got {
+				snapEqual(t, fmt.Sprintf("interval %d, AddBatch vs Add loop", g), bgot[g], got[g])
+			}
 			st := acc.Stats()
 			st.Closed, st.EvictedFlows = 0, 0
 			if st != tc.want {

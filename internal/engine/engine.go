@@ -24,7 +24,10 @@
 // a bounded channel of double-buffered sealed snapshots, so interval
 // t+1 accumulates while interval t classifies. Each stage is one
 // goroutine; the link is the unit of parallelism (ARCHITECTURE.md,
-// "Why one link accumulates on one goroutine").
+// "Why one link accumulates on one goroutine"). Records reach the
+// accumulate stage a datagram at a time and by reference: SendBatch
+// copies a batch into a recycled 32-record slab and queues the slab, so
+// the queue costs one channel operation per datagram, not per record.
 //
 // RunMatrix fans a set of scheme specs over a set of links. Its unit of
 // work is the (link, spec-group) task, not the cell: the engine seals

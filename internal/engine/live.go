@@ -11,11 +11,19 @@ import (
 	"repro/internal/core"
 )
 
-// DefaultLiveBuffer is the default Send queue capacity of a
-// LivePipeline — enough to absorb a burst of decoded NetFlow records
-// (a full v5 datagram is 30) without the producer blocking, small
-// enough that backpressure reaches the producer before memory does.
+// DefaultLiveBuffer is the default record queue capacity of a
+// LivePipeline, in records: 32 batches, each holding one full v5
+// datagram — enough to absorb an exporter's burst without the producer
+// blocking, small enough that backpressure reaches the producer before
+// memory does (80 KiB of batches at most, allocated only as the queue
+// actually backs up).
 const DefaultLiveBuffer = 1024
+
+// liveSlab is how many records one slab — the unit that crosses the
+// producer→accumulate queue — holds: a full v5 datagram (30) rounded up
+// to a power of two, so the daemon's one SendBatch per datagram is one
+// copy and one channel send.
+const liveSlab = 32
 
 // liveTransferBuffers is the number of sealed-snapshot buffers cycling
 // between the accumulate and classify stages. Two is exactly double
@@ -47,7 +55,8 @@ type LiveLink struct {
 	// agg.DefaultStreamWindow). Size it to the source's
 	// out-of-orderness — e.g. a NetFlow active timeout.
 	Window int
-	// Buffer is the Send queue capacity; 0 selects DefaultLiveBuffer.
+	// Buffer is the record queue capacity in records, rounded up to whole
+	// 32-record batches; 0 selects DefaultLiveBuffer.
 	Buffer int
 	// Config returns a fresh pipeline configuration for this link —
 	// the same fresh-instances-per-link determinism contract as every
@@ -60,6 +69,15 @@ type LiveLink struct {
 	// counters as of that close. It runs on the link's classify
 	// goroutine; an error fails the link. Required.
 	OnResult func(t int, at time.Time, res core.Result, stats agg.StreamStats) error
+}
+
+// recordSlab is the unit of work crossing the producer→accumulate
+// boundary: one batch of up to liveSlab records, copied in by SendBatch
+// and read in place by the accumulate stage, which returns the slab to
+// the free list after use.
+type recordSlab struct {
+	n    int
+	recs [liveSlab]agg.Record
 }
 
 // sealedInterval is the unit of work crossing the accumulate→classify
@@ -76,11 +94,11 @@ type sealedInterval struct {
 
 // LivePipeline is a long-lived per-link classification pipeline, run
 // as two stages: an accumulate goroutine owns the StreamAccumulator
-// and consumes records pushed via Send; a classify goroutine owns the
-// core.Pipeline and consumes sealed interval snapshots, firing
-// OnResult per interval. The stages are joined by a bounded channel of
-// double-buffered snapshot copies, so interval t+1 accumulates while
-// interval t classifies.
+// and consumes the record batches SendBatch queues; a classify
+// goroutine owns the core.Pipeline and consumes sealed interval
+// snapshots, firing OnResult per interval. The stages are joined by a
+// bounded channel of double-buffered snapshot copies, so interval t+1
+// accumulates while interval t classifies.
 //
 // The determinism contract survives the overlap: sealed intervals
 // are copied out in seal order and classified strictly in that order
@@ -91,36 +109,49 @@ type sealedInterval struct {
 // sequence — regardless of how many producer goroutines exist
 // upstream of Send.
 //
-// Lifecycle: NewLivePipeline starts both stages; Send pushes records
-// (blocking when the buffer is full — backpressure, not drops, with
-// the stall counted in Stalls); Close flushes the accumulator, drains
-// the classify stage and waits for both to exit. Send and Close must
-// not be called concurrently with each other; after a failure Send
-// returns the link's error and drops the record.
+// Lifecycle: NewLivePipeline starts both stages; SendBatch (and Send,
+// its one-record form) pushes records, blocking when every batch of the
+// queue is in use — backpressure, not drops, with the wait counted in
+// Stalls; Close flushes the accumulator, drains the classify stage and
+// waits for both to exit. Sends may come from several goroutines at
+// once but must not be concurrent with Close; after a failure they
+// return the link's error and drop the records.
 type LivePipeline struct {
 	id string
-	ch chan agg.Record
+
+	// Records cross to the accumulate stage a batch at a time and by
+	// reference: a producer takes a slab from freeSlabs (or allocates one
+	// while the queue is below its capacity), fills it and sends it on ch; the
+	// accumulate stage returns it to freeSlabs on every path — success,
+	// failure, post-failure drain — so a producer waiting for one can
+	// never wedge. Both channels have room for every slab that can exist
+	// (their capacity is the bound), so neither the send on ch nor the
+	// return can block: the one place a producer waits is the receive
+	// from freeSlabs.
+	ch        chan *recordSlab
+	freeSlabs chan *recordSlab
+	slabs     atomic.Int32 // allocated so far, ≤ cap(freeSlabs)
 
 	done      chan struct{} // closed when both stages have exited
 	closeOnce sync.Once
 	closeErr  error
 
-	// failed is the Send hot path's view of err: readers in a sharded
-	// ingest front-end check one atomic load per record instead of
-	// taking mu, so a healthy link's Send never contends on anything
-	// but the channel itself.
+	// failed is the send path's view of err: readers in a sharded ingest
+	// front-end check one atomic load per batch instead of taking mu, so
+	// a healthy link's SendBatch never contends on anything but the two
+	// channels.
 	failed atomic.Bool
 
 	// lag is the accumulator's watermark lag (nanoseconds), published
-	// by the accumulate stage after every accepted record and at every
-	// interval seal, so scrape handlers can read link freshness without
-	// touching stage-owned state.
+	// by the accumulate stage after every batch and at every interval
+	// seal, so scrape handlers can read link freshness without touching
+	// stage-owned state.
 	lag atomic.Int64
 
-	// stalls counts Send/SendBatch calls that found the record queue
-	// full and had to block — the backpressure signal a silent blocking
-	// send used to swallow. One increment per blocking wait, not per
-	// record queued behind it.
+	// stalls counts the times a producer found every batch of the queue
+	// in use and had to block for one — the backpressure signal a silent
+	// blocking send would swallow. One increment per blocking wait, not
+	// per record (or batch) queued behind it.
 	stalls atomic.Uint64
 
 	// emitWait accumulates the time the accumulate stage spent blocked
@@ -182,9 +213,13 @@ func NewLivePipeline(l LiveLink) (*LivePipeline, error) {
 	if buffer <= 0 {
 		buffer = DefaultLiveBuffer
 	}
+	maxSlabs := (buffer + liveSlab - 1) / liveSlab
 	p := &LivePipeline{
-		id:           l.ID,
-		ch:           make(chan agg.Record, buffer),
+		id: l.ID,
+		// Sized to the number of slabs that can exist, so neither
+		// channel's send ever blocks.
+		ch:           make(chan *recordSlab, maxSlabs),
+		freeSlabs:    make(chan *recordSlab, maxSlabs),
 		done:         make(chan struct{}),
 		sealed:       make(chan sealedInterval, liveTransferBuffers),
 		free:         make(chan *core.FlowSnapshot, liveTransferBuffers),
@@ -240,8 +275,11 @@ func (p *LivePipeline) classify(pipe *core.Pipeline, onResult func(int, time.Tim
 		busy := time.Since(busyStart).Nanoseconds()
 		p.free <- m.snap
 		if err != nil {
-			p.classifyFailed.Store(true)
+			// The error is recorded before the accumulate stage is told to
+			// stop, so whoever that stage releases — a producer waiting for
+			// a slab — already reads the link as failed.
 			p.setErr(fmt.Errorf("engine: link %q: %w", p.id, err))
+			p.classifyFailed.Store(true)
 			continue
 		}
 		// Overlap = classify busy time minus however long accumulation
@@ -256,30 +294,34 @@ func (p *LivePipeline) classify(pipe *core.Pipeline, onResult func(int, time.Tim
 	}
 }
 
-// run is the accumulate stage: consume until the channel closes, then
-// flush, then shut the classify stage down. On a mid-stream failure it
-// keeps draining (and dropping) so producers blocked in Send are
-// released rather than wedged forever.
+// run is the accumulate stage: consume batches until the channel
+// closes, then flush, then shut the classify stage down. On a
+// mid-stream failure it keeps draining (and dropping) so producers
+// blocked in SendBatch are released rather than wedged forever.
 func (p *LivePipeline) run() {
-	for rec := range p.ch {
-		err := p.acc.Add(rec)
+	for b := range p.ch {
+		n, err := p.acc.AddBatch(b.recs[:b.n])
 		p.lag.Store(int64(p.acc.WatermarkLag()))
 		if err != nil {
 			if !errors.Is(err, errClassifyFailed) {
 				p.setErr(fmt.Errorf("engine: link %q: %w", p.id, err))
 			}
-			// Drain to unblock producers. Everything still queued —
-			// including records a Send slipped in before observing the
-			// error — is discarded and counted, so the producer can
-			// reconcile its accounting after Close. (The triggering
-			// record itself reached the accumulator and is already in
-			// its Stats.)
-			for range p.ch {
-				p.dropped++
+			// Drain to unblock producers. The rest of this batch and
+			// everything still queued — including batches a SendBatch
+			// slipped in before observing the error — is discarded and
+			// counted, so the producer can reconcile its accounting after
+			// Close. (The triggering record itself reached the accumulator
+			// and is already in its Stats.)
+			p.dropped += uint64(b.n - n)
+			p.freeSlabs <- b
+			for b := range p.ch {
+				p.dropped += uint64(b.n)
+				p.freeSlabs <- b
 			}
 			p.finish()
 			return
 		}
+		p.freeSlabs <- b
 	}
 	if err := p.acc.Flush(); err != nil {
 		if !errors.Is(err, errClassifyFailed) {
@@ -301,7 +343,7 @@ func (p *LivePipeline) finish() {
 // WatermarkLag returns the link's interval watermark lag — how far the
 // newest accepted record's bit-carrying instant has run ahead of the
 // sealed edge (agg.StreamAccumulator.WatermarkLag), as published at the
-// last record or seal. Safe from any goroutine at any time: it is one
+// last batch or seal. Safe from any goroutine at any time: it is one
 // atomic load, so HTTP scrape handlers read it while the worker runs.
 func (p *LivePipeline) WatermarkLag() time.Duration {
 	return time.Duration(p.lag.Load())
@@ -316,9 +358,9 @@ func (p *LivePipeline) LastSealLag() time.Duration {
 	return time.Duration(p.sealLag.Load())
 }
 
-// Stalls returns how many Send/SendBatch calls found the record queue
-// full and had to block for space — the link's backpressure counter.
-// Safe from any goroutine at any time.
+// Stalls returns how many times a Send/SendBatch found every batch of
+// the record queue in use and had to block for a free one — the link's
+// backpressure counter. Safe from any goroutine at any time.
 func (p *LivePipeline) Stalls() uint64 { return p.stalls.Load() }
 
 // LastOverlap returns the classify stage's most recent stage-overlap
@@ -329,45 +371,60 @@ func (p *LivePipeline) LastOverlap() time.Duration {
 	return time.Duration(p.lastOverlap.Load())
 }
 
-// Send pushes one record into the link, blocking when the buffer is
-// full (counting the stall). After the link has failed, Send drops the
-// record and returns the failure. Must not be called after (or
-// concurrently with) Close.
+// Send pushes one record into the link: a one-record SendBatch, with
+// its blocking, failure and concurrency contract.
 func (p *LivePipeline) Send(rec agg.Record) error {
-	if p.failed.Load() {
-		return p.Err()
-	}
-	select {
-	case p.ch <- rec:
-	default:
-		p.stalls.Add(1)
-		p.ch <- rec
-	}
-	return nil
+	_, err := p.SendBatch([]agg.Record{rec})
+	return err
 }
 
-// SendBatch pushes the records of one decoded datagram in order,
-// checking for link failure once per batch instead of once per record.
-// A full queue blocks (backpressure, not drops) and increments the
-// stall counter once per blocking wait, so the daemon can see
-// ingest-side pressure instead of readers silently wedging. It returns
-// how many records were enqueued; on failure the remainder was dropped
-// and err reports why, so the caller can account sent/dropped exactly.
-// Same concurrency contract as Send.
+// SendBatch pushes the records of one decoded datagram in order: one
+// copy into a free batch and one channel send (a longer slice is split
+// into several), checking for link failure once per batch instead of
+// once per record. When every batch of the queue is in use it blocks
+// for the next one the accumulate stage returns (backpressure, not
+// drops) and increments the stall counter once per blocking wait, so
+// the daemon can see ingest-side pressure instead of readers silently
+// wedging. It returns how many records were enqueued; on failure the
+// remainder was dropped and err reports why, so the caller can account
+// sent/dropped exactly. Safe from several goroutines at once (each
+// call's records keep their order); must not be called after, or
+// concurrently with, Close.
 func (p *LivePipeline) SendBatch(recs []agg.Record) (sent int, err error) {
-	if p.failed.Load() {
-		return 0, p.Err()
-	}
-	for _, rec := range recs {
-		select {
-		case p.ch <- rec:
-		default:
-			p.stalls.Add(1)
-			p.ch <- rec
+	for len(recs) > 0 {
+		b := p.takeSlab()
+		// Checked after the wait, not before it: a producer the failure
+		// drain released must report the failure, not feed the drain.
+		if p.failed.Load() {
+			p.freeSlabs <- b
+			return sent, p.Err()
 		}
-		sent++
+		n := copy(b.recs[:], recs)
+		b.n = n
+		p.ch <- b // b now belongs to the accumulate stage
+		sent += n
+		recs = recs[n:]
 	}
 	return sent, nil
+}
+
+// takeSlab returns a slab for the caller to fill: a recycled one if
+// the free list has any, else a new one while the queue is below its
+// capacity — so a link allocates only the slabs its backlog has ever
+// needed — else the next one the accumulate stage returns.
+func (p *LivePipeline) takeSlab() *recordSlab {
+	select {
+	case b := <-p.freeSlabs:
+		return b
+	default:
+	}
+	for n := p.slabs.Load(); int(n) < cap(p.freeSlabs); n = p.slabs.Load() {
+		if p.slabs.CompareAndSwap(n, n+1) {
+			return new(recordSlab)
+		}
+	}
+	p.stalls.Add(1)
+	return <-p.freeSlabs
 }
 
 // Close flushes remaining open intervals, stops both stages and
@@ -412,11 +469,11 @@ func (p *LivePipeline) Stats() agg.StreamStats {
 }
 
 // Dropped returns the number of records that were accepted by Send but
-// discarded before reaching the accumulator when the link failed
-// (everything queued behind the record that triggered the failure), so
-// a producer can reconcile its accounting: Stats().Records + Dropped()
-// equals the records accepted. Zero for a healthy link. Valid only
-// after Close has returned.
+// discarded before reaching the accumulator when the link failed (the
+// rest of the batch holding the record that triggered the failure, and
+// everything queued behind it), so a producer can reconcile its
+// accounting: Stats().Records + Dropped() equals the records accepted.
+// Zero for a healthy link. Valid only after Close has returned.
 func (p *LivePipeline) Dropped() uint64 {
 	select {
 	case <-p.done:

@@ -2,7 +2,10 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"net/netip"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,8 +17,11 @@ import (
 // through a long-lived LivePipeline must produce exactly the results
 // run-to-completion streaming produces from a source yielding the same
 // sequence — the determinism contract extended to the resident-daemon
-// shape. Run with -race: the producer goroutine here crosses the Send
-// boundary the way the daemon's UDP loop does.
+// shape — however the sequence is cut into sends: one record at a time
+// (Send), datagram-sized batches, and every case around the 32-record
+// slab boundary, including batches that split across slabs. Run with
+// -race: the producer goroutine here crosses the send boundary the way
+// the daemon's UDP loop does.
 func TestLivePipelineMatchesRunStreamLink(t *testing.T) {
 	recs := seriesRecords(synthSeries(42, 150, 24))
 
@@ -30,54 +36,174 @@ func TestLivePipelineMatchesRunStreamLink(t *testing.T) {
 		t.Fatal(want.Err)
 	}
 
-	var got []core.Result
-	var lastStats agg.StreamStats
+	for _, batch := range []int{1, 7, 30, 31, 32, 33, 100} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			var got []core.Result
+			var lastStats agg.StreamStats
+			lp, err := NewLivePipeline(LiveLink{
+				ID:       "live",
+				Start:    start,
+				Interval: 5 * time.Minute,
+				Buffer:   8, // one slab, so every send after the first exercises backpressure
+				Config:   schemeConfig,
+				OnResult: func(tt int, at time.Time, res core.Result, stats agg.StreamStats) error {
+					if tt != len(got) {
+						t.Errorf("result for interval %d, want %d (in order, gap-free)", tt, len(got))
+					}
+					if want := start.Add(time.Duration(tt) * 5 * time.Minute); !at.Equal(want) {
+						t.Errorf("interval %d at %v, want %v", tt, at, want)
+					}
+					got = append(got, res)
+					lastStats = stats
+					return nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			errCh := make(chan error, 1)
+			go func() {
+				for i := 0; i < len(recs); i += batch {
+					if batch == 1 {
+						if err := lp.Send(recs[i]); err != nil {
+							errCh <- err
+							return
+						}
+						continue
+					}
+					end := min(i+batch, len(recs))
+					if sent, err := lp.SendBatch(recs[i:end]); err != nil || sent != end-i {
+						errCh <- fmt.Errorf("SendBatch(%d records) = (%d, %v)", end-i, sent, err)
+						return
+					}
+				}
+				errCh <- nil
+			}()
+			if err := <-errCh; err != nil {
+				t.Fatal(err)
+			}
+			if err := lp.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want.Results) {
+				t.Fatalf("live results diverge from run-to-completion streaming: %d vs %d intervals", len(got), len(want.Results))
+			}
+			st := lp.Stats()
+			if st.Records != uint64(len(recs)) || st.Late != 0 || st.FarFuture != 0 {
+				t.Errorf("final stats = %+v, want %d records, no drops", st, len(recs))
+			}
+			if lastStats.Closed != st.Closed {
+				t.Errorf("OnResult stats lag: last close saw %d closed, final %d", lastStats.Closed, st.Closed)
+			}
+		})
+	}
+}
+
+// flowRecorder is a single-feature classifier that also keeps every
+// interval's per-flow bandwidth column, for tests that check what
+// reached the classify stage flow by flow.
+type flowRecorder struct {
+	core.SingleFeatureClassifier
+	intervals []map[netip.Prefix]float64
+}
+
+func (r *flowRecorder) Classify(snap *core.FlowSnapshot, thresholdHat float64) core.Verdict {
+	col := make(map[netip.Prefix]float64, snap.Len())
+	for i := 0; i < snap.Len(); i++ {
+		col[snap.Key(i)] = snap.Bandwidth(i)
+	}
+	r.intervals = append(r.intervals, col)
+	return r.SingleFeatureClassifier.Classify(snap, thresholdHat)
+}
+
+// TestLivePipelineConcurrentProducers is the shared-socket fallback's
+// shape: several readers SendBatch into one link at once. Every record
+// must reach the accumulator exactly once — none lost or doubled in the
+// slab hand-off — so each flow's per-interval bandwidth is exactly the
+// sum of its records. Bits are whole multiples of the interval, which
+// keeps every float sum exact whatever order the producers interleave
+// in; the window spans the run, so no producer running ahead can make
+// another's records late. Run with -race.
+func TestLivePipelineConcurrentProducers(t *testing.T) {
+	const (
+		producers = 4
+		flowsEach = 16
+		intervals = 6
+		perCell   = 5 // records per flow per interval
+		iv        = time.Minute
+	)
+	rec := &flowRecorder{}
 	lp, err := NewLivePipeline(LiveLink{
-		ID:       "live",
+		ID:       "fanout",
 		Start:    start,
-		Interval: 5 * time.Minute,
-		Buffer:   8, // small buffer so Send exercises backpressure
-		Config:   schemeConfig,
-		OnResult: func(tt int, at time.Time, res core.Result, stats agg.StreamStats) error {
-			if tt != len(got) {
-				t.Errorf("result for interval %d, want %d (in order, gap-free)", tt, len(got))
-			}
-			if want := start.Add(time.Duration(tt) * 5 * time.Minute); !at.Equal(want) {
-				t.Errorf("interval %d at %v, want %v", tt, at, want)
-			}
-			got = append(got, res)
-			lastStats = stats
-			return nil
+		Interval: iv,
+		Window:   intervals,
+		Buffer:   64, // two slabs between four producers: they contend for them
+		Config: func() (core.Config, error) {
+			return core.Config{Detector: constDetector{100}, Alpha: 0.5, Classifier: rec, MinFlows: 1}, nil
 		},
+		OnResult: func(int, time.Time, core.Result, agg.StreamStats) error { return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	errCh := make(chan error, 1)
-	go func() {
-		for _, rec := range recs {
-			if err := lp.Send(rec); err != nil {
-				errCh <- err
-				return
+	flow := func(g, f int) netip.Prefix {
+		return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(g), byte(f), 0}), 24)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < producers; g++ {
+		var recs []agg.Record
+		for tt := 0; tt < intervals; tt++ {
+			for k := 0; k < perCell; k++ {
+				for f := 0; f < flowsEach; f++ {
+					recs = append(recs, agg.Record{
+						Prefix: flow(g, f),
+						Time:   start.Add(time.Duration(tt)*iv + time.Duration(k)*time.Second),
+						Bits:   float64(60 * (1 + g + f + k)),
+					})
+				}
 			}
 		}
-		errCh <- nil
-	}()
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A batch size coprime to the slab size, so batches straddle
+			// slabs differently on every producer.
+			for i := 0; i < len(recs); i += 7 {
+				end := min(i+7, len(recs))
+				if sent, err := lp.SendBatch(recs[i:end]); err != nil || sent != end-i {
+					t.Errorf("SendBatch = (%d, %v), want (%d, nil)", sent, err, end-i)
+					return
+				}
+			}
+		}()
 	}
+	wg.Wait()
 	if err := lp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want.Results) {
-		t.Fatalf("live results diverge from run-to-completion streaming: %d vs %d intervals", len(got), len(want.Results))
+	total := producers * flowsEach * intervals * perCell
+	if st := lp.Stats(); st.Records != uint64(total) || st.InWindow != uint64(total) || st.Late != 0 {
+		t.Errorf("final stats = %+v, want %d records all in window", st, total)
 	}
-	st := lp.Stats()
-	if st.Records != uint64(len(recs)) || st.Late != 0 || st.FarFuture != 0 {
-		t.Errorf("final stats = %+v, want %d records, no drops", st, len(recs))
+	if len(rec.intervals) != intervals {
+		t.Fatalf("classified %d intervals, want %d", len(rec.intervals), intervals)
 	}
-	if lastStats.Closed != st.Closed {
-		t.Errorf("OnResult stats lag: last close saw %d closed, final %d", lastStats.Closed, st.Closed)
+	for tt, col := range rec.intervals {
+		if len(col) != producers*flowsEach {
+			t.Errorf("interval %d carries %d flows, want %d", tt, len(col), producers*flowsEach)
+		}
+		for g := 0; g < producers; g++ {
+			for f := 0; f < flowsEach; f++ {
+				want := 0.0
+				for k := 0; k < perCell; k++ {
+					want += float64(1 + g + f + k)
+				}
+				if got := col[flow(g, f)]; got != want {
+					t.Errorf("interval %d flow %v = %v bit/s, want %v", tt, flow(g, f), got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -175,8 +301,8 @@ func TestLivePipelineSendBatch(t *testing.T) {
 }
 
 // TestLivePipelineFailureReleasesProducer: a mid-stream failure must
-// fail the link, release producers blocked in Send, and keep reporting
-// the first error.
+// fail the link, release producers blocked in Send or SendBatch, and
+// keep reporting the first error.
 func TestLivePipelineFailureReleasesProducer(t *testing.T) {
 	boom := errors.New("boom")
 	fired := 0
@@ -224,6 +350,77 @@ func TestLivePipelineFailureReleasesProducer(t *testing.T) {
 	if err := lp.Close(); !errors.Is(err, boom) {
 		t.Errorf("second Close = %v, want boom", err)
 	}
+
+	// A producer parked waiting for a free slab when the link fails must
+	// come back with the link's error too — the accumulate stage returns
+	// every slab on the failure path — and the books must balance with the
+	// failure landing in the middle of a slab: that slab's records up to
+	// and including the one that hit the failure are in Stats, the rest
+	// of it and the slab queued behind it are Dropped.
+	t.Run("blocked on the slab free list", func(t *testing.T) {
+		iv := time.Minute
+		gate := make(chan struct{})
+		lp, err := NewLivePipeline(LiveLink{
+			ID:       "flaky-blocked",
+			Start:    start,
+			Interval: iv,
+			Window:   1,
+			Buffer:   64, // two slabs
+			Config:   oneFlowConfig,
+			OnResult: func(int, time.Time, core.Result, agg.StreamStats) error {
+				<-gate
+				return boom
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One record per interval, eight to a batch. The first batch wedges
+		// the accumulate stage at its fourth record (classify is parked in
+		// OnResult with both transfer buffers out), the second is queued, the
+		// third blocks for a slab.
+		const batch = 8
+		recs := oneFlowRecords(3*batch, iv)
+		type outcome struct {
+			accepted int
+			err      error
+		}
+		res := make(chan outcome, 1)
+		go func() {
+			var o outcome
+			for i := 0; i < len(recs) && o.err == nil; i += batch {
+				var n int
+				n, o.err = lp.SendBatch(recs[i : i+batch])
+				o.accepted += n
+			}
+			res <- o
+		}()
+		waitForStall(t, lp)
+		close(gate) // interval 0's OnResult now fails the link
+		var o outcome
+		select {
+		case o = <-res:
+		case <-time.After(10 * time.Second):
+			t.Fatal("producer blocked on the slab free list was not released by the failure")
+		}
+		if !errors.Is(o.err, boom) {
+			t.Errorf("blocked SendBatch = %v, want boom", o.err)
+		}
+		if o.accepted != 2*batch {
+			t.Errorf("accepted %d records, want the %d of the two batches sent before the stall", o.accepted, 2*batch)
+		}
+		if err := lp.Close(); !errors.Is(err, boom) {
+			t.Fatalf("Close = %v, want boom", err)
+		}
+		// The wedged fourth record completes (its seal was already past the
+		// failure check); one of the next few hits the failed classify stage.
+		if st := lp.Stats(); st.Records < 4 || st.Records >= batch {
+			t.Errorf("accumulator saw %d records, want 4..%d (the failure lands mid-slab)", st.Records, batch-1)
+		}
+		if got := lp.Stats().Records + lp.Dropped(); got != uint64(o.accepted) {
+			t.Errorf("accumulated %d + dropped %d != %d accepted", lp.Stats().Records, lp.Dropped(), o.accepted)
+		}
+	})
 }
 
 func TestLivePipelineValidation(t *testing.T) {
@@ -274,11 +471,22 @@ func oneFlowConfig() (core.Config, error) {
 	}, nil
 }
 
+// oneFlowRecords returns n point records of one flow, one per interval
+// from interval 0: under Window 1 each seals the interval before it.
+func oneFlowRecords(n int, iv time.Duration) []agg.Record {
+	p := synthSeries(1, 4, 1).Flows()[0]
+	recs := make([]agg.Record, n)
+	for i := range recs {
+		recs[i] = agg.Record{Prefix: p, Time: start.Add(time.Duration(i) * iv), Bits: 1e4}
+	}
+	return recs
+}
+
 // TestLivePipelineStalls: a full record queue makes Send block — and
 // the block is counted, surfacing backpressure instead of swallowing
 // it. The classify stage is gated shut so the whole pipeline wedges
 // deterministically: transfer buffers fill, the accumulate stage
-// blocks on the seal handoff, the record queue fills, and further
+// blocks on the seal handoff holding the queue's one slab, and further
 // sends must stall.
 func TestLivePipelineStalls(t *testing.T) {
 	iv := time.Minute
@@ -306,14 +514,13 @@ func TestLivePipelineStalls(t *testing.T) {
 		t.Fatalf("fresh link stalls = %d", lp.Stalls())
 	}
 	// Each record opens a new interval, sealing the previous one. With
-	// the classify stage parked, at most window+transfer+queue records
-	// can be absorbed; 16 sends must overflow and stall.
+	// the classify stage parked, at most window+transfer records can be
+	// absorbed before the accumulate stage parks too, mid-slab; 16 sends
+	// (one slab each) must overflow and stall.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		p := synthSeries(1, 4, 1).Flows()[0]
-		for i := 0; i < 16; i++ {
-			rec := agg.Record{Prefix: p, Time: start.Add(time.Duration(i) * iv), Bits: 1e4}
+		for i, rec := range oneFlowRecords(16, iv) {
 			if err := lp.Send(rec); err != nil {
 				t.Errorf("send %d: %v", i, err)
 				return
@@ -330,7 +537,7 @@ func TestLivePipelineStalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	if lp.Stalls() == 0 {
-		t.Fatal("no stalls counted despite a wedged pipeline and 16 sends into a 1-slot queue")
+		t.Fatal("no stalls counted despite a wedged pipeline and 16 sends into a 1-slab queue")
 	}
 }
 
@@ -349,7 +556,11 @@ func waitForStall(t *testing.T, lp *LivePipeline) {
 
 // TestLivePipelineSendBatchStalls mirrors the stall contract for the
 // batch path: records are never dropped, the blocking waits are
-// counted.
+// counted. The unit of queue space is the slab, so it takes batches —
+// not records — to overflow it: one call carrying all 16 records would
+// fit the first slab and never wait. The same wedge pins the queue's
+// footprint: nothing allocated until the first send, never more than
+// ceil(Buffer/32) slabs however hard the producer pushes.
 func TestLivePipelineSendBatchStalls(t *testing.T) {
 	iv := time.Minute
 	gate := make(chan struct{})
@@ -359,7 +570,7 @@ func TestLivePipelineSendBatchStalls(t *testing.T) {
 		Start:    start,
 		Interval: iv,
 		Window:   1,
-		Buffer:   1,
+		Buffer:   33, // rounds up to two slabs
 		Config:   oneFlowConfig,
 		OnResult: func(int, time.Time, core.Result, agg.StreamStats) error {
 			if !gated {
@@ -372,20 +583,28 @@ func TestLivePipelineSendBatchStalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := make([]agg.Record, 16)
-	p := synthSeries(1, 4, 1).Flows()[0]
-	for i := range recs {
-		recs[i] = agg.Record{Prefix: p, Time: start.Add(time.Duration(i) * iv), Bits: 1e4}
+	if got := lp.slabs.Load(); got != 0 {
+		t.Fatalf("fresh link has allocated %d slabs, want 0", got)
 	}
+	recs := oneFlowRecords(16, iv)
+	// The first batch wedges the accumulate stage at its fourth record
+	// (as in TestLivePipelineStalls), the second waits in the queue, the
+	// third finds both slabs taken.
+	const batch = 4
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		sent, err := lp.SendBatch(recs)
-		if err != nil || sent != len(recs) {
-			t.Errorf("SendBatch = (%d, %v), want (%d, nil)", sent, err, len(recs))
+		for i := 0; i < len(recs); i += batch {
+			sent, err := lp.SendBatch(recs[i : i+batch])
+			if err != nil || sent != batch {
+				t.Errorf("SendBatch = (%d, %v), want (%d, nil)", sent, err, batch)
+			}
 		}
 	}()
 	waitForStall(t, lp)
+	if got := lp.slabs.Load(); got != 2 {
+		t.Errorf("saturated link has allocated %d slabs, want ceil(33/32) = 2", got)
+	}
 	close(gate)
 	<-done
 	if err := lp.Close(); err != nil {
@@ -396,5 +615,44 @@ func TestLivePipelineSendBatchStalls(t *testing.T) {
 	}
 	if got := lp.Stats().Records; got != uint64(len(recs)) {
 		t.Fatalf("accumulator saw %d records, want %d (stalls must not drop)", got, len(recs))
+	}
+	if got := lp.slabs.Load(); got != 2 {
+		t.Errorf("link ended with %d slabs allocated, want 2", got)
+	}
+}
+
+// TestLivePipelineSendBatchAllocs: once the queue's slabs exist, handing
+// a full datagram to a healthy link allocates nothing — the records are
+// copied into a recycled slab, and the accumulate stage returns it.
+func TestLivePipelineSendBatchAllocs(t *testing.T) {
+	lp, err := NewLivePipeline(LiveLink{
+		ID:       "allocs",
+		Start:    start,
+		Interval: time.Minute,
+		Buffer:   32, // one slab: the first send allocates it, every later one reuses it
+		Config:   oneFlowConfig,
+		OnResult: func(int, time.Time, core.Result, agg.StreamStats) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One flow, one interval: the accumulate stage's steady state, which
+	// allocates nothing either (AllocsPerRun counts every goroutine).
+	recs := make([]agg.Record, 30)
+	p := synthSeries(1, 4, 1).Flows()[0]
+	for i := range recs {
+		recs[i] = agg.Record{Prefix: p, Time: start.Add(time.Duration(i) * time.Second), Span: time.Second, Bits: 1e4}
+	}
+	send := func() {
+		if sent, err := lp.SendBatch(recs); err != nil || sent != len(recs) {
+			t.Fatalf("SendBatch = (%d, %v)", sent, err)
+		}
+	}
+	send()
+	if n := testing.AllocsPerRun(200, send); n != 0 {
+		t.Errorf("warm SendBatch allocates %v times per 30-record datagram, want 0", n)
+	}
+	if err := lp.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package netflow
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/agg"
@@ -28,6 +29,7 @@ type CollectorStats struct {
 type Collector struct {
 	table  *bgp.Table
 	series *agg.Series
+	recs   []agg.Record // AttributeDatagram scratch, reused across datagrams
 
 	// Stats counts attribution outcomes.
 	Stats CollectorStats
@@ -41,49 +43,73 @@ func NewCollector(table *bgp.Table, series *agg.Series) *Collector {
 // Series returns the series under construction.
 func (c *Collector) Series() *agg.Series { return c.series }
 
-// AddDatagram attributes every record of the datagram.
+// AddDatagram attributes the datagram's records in one
+// AttributeDatagram pass and apportions each routed one into the series.
 func (c *Collector) AddDatagram(d *Datagram) {
 	c.Stats.Datagrams++
-	for i := range d.Records {
-		c.addRecord(d.Header, d.Records[i])
-	}
-}
-
-func (c *Collector) addRecord(h Header, r Record) {
-	c.Stats.Records++
-	rec, ok := Attribute(c.table, h, r)
-	if !ok {
-		c.Stats.Unrouted++
-		return
-	}
-	if c.series.AddRecord(rec) {
-		c.Stats.Routed++
-	} else {
-		c.Stats.OutOfRange++
+	c.Stats.Records += uint64(len(d.Records))
+	recs, unrouted := AttributeDatagram(c.table, d, c.recs[:0])
+	c.recs = recs
+	c.Stats.Unrouted += uint64(unrouted)
+	for i := range recs {
+		if c.series.AddRecord(recs[i]) {
+			c.Stats.Routed++
+		} else {
+			c.Stats.OutOfRange++
+		}
 	}
 }
 
 // Attribute longest-prefix matches one v5 record and normalises it to
 // the unified agg.Record form (a point record for degenerate spans),
-// reporting false for unrouted destinations. It is the single
-// record→flow attribution step shared by the batch Collector, the
-// streaming RecordSource and the serving daemon's UDP ingest, so every
-// ingest path classifies identical traffic identically.
+// reporting false for unrouted destinations. It is the by-value form of
+// the single record→flow attribution step (attributeInto) that
+// AttributeDatagram runs for the batch Collector, the streaming
+// RecordSource and the serving daemon's UDP ingest, so every ingest
+// path classifies identical traffic identically.
 func Attribute(table *bgp.Table, h Header, r Record) (agg.Record, bool) {
+	var rec agg.Record
+	ok := attributeInto(table, &h, &r, &rec)
+	return rec, ok
+}
+
+// AttributeDatagram attributes every record of d in order, appending
+// the routed ones to dst and counting the rest. Routed records are
+// written in place into dst's spare capacity — a caller that passes the
+// previous call's result re-sliced to [:0] (a reader's per-datagram
+// scratch) allocates nothing once dst has held a full datagram — and an
+// unrouted record takes no slot.
+func AttributeDatagram(table *bgp.Table, d *Datagram, dst []agg.Record) (recs []agg.Record, unrouted int) {
+	n := len(dst)
+	dst = slices.Grow(dst, len(d.Records))[:n+len(d.Records)]
+	for i := range d.Records {
+		if attributeInto(table, &d.Header, &d.Records[i], &dst[n]) {
+			n++
+		} else {
+			unrouted++
+		}
+	}
+	return dst[:n], unrouted
+}
+
+// attributeInto is the one body of record→flow attribution. A routed
+// record overwrites every field of dst — dst is a reused slot, so a
+// field left alone would keep the previous occupant's value — and an
+// unrouted one leaves dst untouched.
+func attributeInto(table *bgp.Table, h *Header, r *Record, dst *agg.Record) bool {
 	prefix, key, ok := table.LookupKey(r.DstAddr)
 	if !ok {
-		return agg.Record{}, false
+		return false
 	}
-	rec := agg.Record{
-		Prefix: prefix,
-		Key:    key,
-		Time:   h.wallTime(r.First),
-		Bits:   float64(r.Octets) * 8,
-	}
+	dst.Prefix = prefix
+	dst.Key = key
+	dst.Time = h.wallTime(r.First)
+	dst.Bits = float64(r.Octets) * 8
 	// First and Last tick on one uptime clock, so the span is their
 	// difference; it needs neither wall time.
+	dst.Span = 0
 	if r.Last > r.First {
-		rec.Span = time.Duration(r.Last-r.First) * time.Millisecond
+		dst.Span = time.Duration(r.Last-r.First) * time.Millisecond
 	}
-	return rec, true
+	return true
 }

@@ -206,7 +206,7 @@ func (h Header) Timestamps(r Record) (first, last time.Time) {
 // booted) on the wall clock. The whole offset goes into time.Unix's
 // nanosecond argument, which normalises any sign and size: one
 // constructor in place of a chain of Time.Add calls on the record path.
-func (h Header) wallTime(uptimeMillis uint32) time.Time {
+func (h *Header) wallTime(uptimeMillis uint32) time.Time {
 	sinceHeader := (int64(uptimeMillis) - int64(h.SysUptime)) * int64(time.Millisecond)
 	return time.Unix(int64(h.UnixSecs), int64(h.UnixNsecs)+sinceHeader)
 }

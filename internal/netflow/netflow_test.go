@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/bgp"
 	"repro/internal/packet"
 )
@@ -271,6 +273,80 @@ func TestAttributeZeroAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { Attribute(table, h, routed); Attribute(table, h, unrouted) }); n != 0 {
 		t.Errorf("Attribute allocates %v times per run, want 0", n)
+	}
+}
+
+// TestAttributeDatagramReuse pins the slot-reuse contract of the
+// per-datagram attribution pass, which writes into whatever dst held
+// before: a datagram alternating span and point records, routed and
+// unrouted, attributed twice into the same dst — the second time over
+// slots the first pass filled in a different order — must equal
+// per-record Attribute field for field (a point record landing on a
+// span record's old slot reads Span 0), give an unrouted record no
+// slot, count the unrouted exactly, and allocate nothing once dst has
+// grown.
+func TestAttributeDatagramReuse(t *testing.T) {
+	table, err := bgp.Generate(bgp.GenConfig{Routes: 2000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := table.Routes()
+	datagram := func(shift int) *Datagram {
+		d := &Datagram{Header: Header{SysUptime: 99000, UnixSecs: uint32(t0.Unix()), UnixNsecs: uint32(shift)}}
+		for i := 0; i < 12; i++ {
+			r := sampleRecord()
+			r.DstAddr = routes[(7*i+shift)%len(routes)].Prefix.Addr()
+			if (i+shift)%3 == 0 {
+				r.DstAddr = netip.MustParseAddr("10.1.2.3") // Generate leaves 10/8 empty
+			}
+			r.Octets = uint32(1000 + i)
+			r.First = uint32(1000 * i)
+			r.Last = r.First // a point record…
+			if i%2 == 0 {
+				r.Last += 500 * uint32(i+1) // …or a span
+			}
+			d.Records = append(d.Records, r)
+		}
+		d.Header.Count = uint16(len(d.Records))
+		return d
+	}
+	// The second datagram shifts which positions are unrouted, and with
+	// them which slot each routed record takes: every slot that held a
+	// span now gets a point and the other way round.
+	dgs := []*Datagram{datagram(0), datagram(1)}
+	var dst []agg.Record
+	for pass, d := range dgs {
+		var want []agg.Record
+		wantUnrouted := 0
+		for _, r := range d.Records {
+			if rec, ok := Attribute(table, d.Header, r); ok {
+				want = append(want, rec)
+			} else {
+				wantUnrouted++
+			}
+		}
+		if wantUnrouted == 0 || wantUnrouted == len(d.Records) {
+			t.Fatalf("pass %d: %d of %d records unrouted; the mix is the point", pass, wantUnrouted, len(d.Records))
+		}
+		var unrouted int
+		dst, unrouted = AttributeDatagram(table, d, dst[:0])
+		if unrouted != wantUnrouted {
+			t.Errorf("pass %d: %d unrouted, want %d", pass, unrouted, wantUnrouted)
+		}
+		if !slices.Equal(dst, want) {
+			t.Errorf("pass %d: AttributeDatagram into a reused dst\n got %+v\nwant %+v", pass, dst, want)
+		}
+	}
+	// Appending keeps what dst already held.
+	both, _ := AttributeDatagram(table, dgs[0], slices.Clone(dst))
+	if !slices.Equal(both[:len(dst)], dst) || len(both) <= len(dst) {
+		t.Errorf("AttributeDatagram onto a non-empty dst kept %d of %d records and added %d", len(dst), len(dst), len(both)-len(dst))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		dst, _ = AttributeDatagram(table, dgs[0], dst[:0])
+		dst, _ = AttributeDatagram(table, dgs[1], dst[:0])
+	}); n != 0 {
+		t.Errorf("AttributeDatagram into a grown dst allocates %v times per run, want 0", n)
 	}
 }
 

@@ -1,9 +1,6 @@
 package netflow
 
 import (
-	"errors"
-	"io"
-
 	"repro/internal/agg"
 	"repro/internal/bgp"
 )
@@ -18,12 +15,13 @@ type RecordSourceStats struct {
 
 // RecordSource adapts a framed NetFlow v5 stream to the unified
 // agg.RecordSource API: datagrams are decoded one at a time, each
-// record longest-prefix matched against the BGP table and yielded as a
-// span record (octets spread over [First, Last] by the consumer's
-// shared apportioning arithmetic). Unrouted records are counted and
-// skipped, exactly as the batch Collector does, so draining a
-// RecordSource into a StreamAccumulator is bit-identical to replaying
-// the same datagrams through a Collector.
+// datagram's records longest-prefix matched against the BGP table in
+// one AttributeDatagram pass and then yielded one per Next as span
+// records (octets spread over [First, Last] by the consumer's shared
+// apportioning arithmetic). Unrouted records are counted and skipped,
+// exactly as the batch Collector does, so draining a RecordSource into
+// a StreamAccumulator is bit-identical to replaying the same datagrams
+// through a Collector.
 //
 // Flow records are exported out of order up to the cache's active
 // timeout: size the accumulator window to cover at least
@@ -32,10 +30,12 @@ type RecordSourceStats struct {
 type RecordSource struct {
 	sr    *StreamReader
 	table *bgp.Table
-	cur   *Datagram
-	next  int // index of the next record in cur
+	recs  []agg.Record // the current datagram's routed records
+	next  int          // index of the next record in recs
 
-	// Stats counts attribution outcomes.
+	// Stats counts attribution outcomes, a datagram at a time: Records,
+	// Routed and Unrouted cover every datagram read so far, including
+	// the one Next is part-way through yielding.
 	Stats RecordSourceStats
 }
 
@@ -47,27 +47,19 @@ func NewRecordSource(sr *StreamReader, table *bgp.Table) *RecordSource {
 // Next returns the next routed flow record. io.EOF marks a clean end of
 // stream.
 func (s *RecordSource) Next() (agg.Record, error) {
-	for {
-		for s.cur != nil && s.next < len(s.cur.Records) {
-			h, r := s.cur.Header, s.cur.Records[s.next]
-			s.next++
-			s.Stats.Records++
-			rec, ok := Attribute(s.table, h, r)
-			if !ok {
-				s.Stats.Unrouted++
-				continue
-			}
-			s.Stats.Routed++
-			return rec, nil
-		}
+	for s.next == len(s.recs) {
 		d, err := s.sr.Next()
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return agg.Record{}, io.EOF
-			}
-			return agg.Record{}, err
+			return agg.Record{}, err // a clean end is StreamReader's bare io.EOF
 		}
+		var unrouted int
+		s.recs, unrouted = AttributeDatagram(s.table, d, s.recs[:0])
+		s.next = 0
 		s.Stats.Datagrams++
-		s.cur, s.next = d, 0
+		s.Stats.Records += uint64(len(d.Records))
+		s.Stats.Routed += uint64(len(s.recs))
+		s.Stats.Unrouted += uint64(unrouted)
 	}
+	s.next++
+	return s.recs[s.next-1], nil
 }

@@ -28,9 +28,11 @@ type LinkMetrics struct {
 	// The pipeline does not know it; the daemon sets it at scrape time
 	// from the live pipeline's accumulator.
 	WatermarkLag *Gauge
-	// Stalls counts record sends that found the link's queue full and
-	// had to block. Mirrored from the pipeline's counter at scrape time
-	// via Store (backpressure is counted, never dropped).
+	// Stalls counts the blocking waits for a free batch: sends that found
+	// every batch of the link's record queue in use. One per wait, however
+	// many records the waiting send carried. Mirrored from the pipeline's
+	// counter at scrape time via Store (backpressure is counted, never
+	// dropped).
 	Stalls *Counter
 	// StageOverlap is the per-interval overlap histogram (seconds): how
 	// long the classify stage ran while the accumulate stage was also
@@ -66,7 +68,7 @@ func NewLinkMetrics(r *Registry, link string, bounds []float64) *LinkMetrics {
 		WatermarkLag: r.NewGauge("elephantd_link_watermark_lag_seconds",
 			"Interval watermark lag: newest record export time minus newest sealed interval edge.", lbl),
 		Stalls: r.NewCounter("elephantd_link_stalls_total",
-			"Record sends that found the link queue full and blocked.", lbl),
+			"Blocking waits for a free batch: sends that found every batch of the link's record queue in use.", lbl),
 		StageOverlap: r.NewHistogramSeries("elephantd_stage_overlap_seconds",
 			"Classify-stage wall time overlapped with the accumulate stage, per interval.", bounds, lbl),
 	}

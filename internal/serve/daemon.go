@@ -80,8 +80,9 @@ type Config struct {
 	// History is the per-link summary ring capacity; 0 selects
 	// DefaultHistory.
 	History int
-	// Buffer is the per-link record queue capacity; 0 selects
-	// engine.DefaultLiveBuffer.
+	// Buffer is the per-link record queue capacity in records, rounded up
+	// to whole 32-record batches (a datagram's records queue as one
+	// batch); 0 selects engine.DefaultLiveBuffer.
 	Buffer int
 	// ReadBuffer is the UDP receive-buffer size to request per socket;
 	// 0 selects DefaultReadBuffer. The granted (post-clamp) size is

@@ -25,8 +25,10 @@
 // decode scratch (netflow.DecodeInto) and attribution batch, and link
 // lookup is one atomic load on a copy-on-write map, so a datagram for
 // an existing link travels read → decode → dispatch without allocating
-// or taking a lock. Each link's pipeline runs on its own worker with a
-// bounded record queue, so ingest and classification of different links
+// or taking a lock. Each link's pipeline runs on its own worker behind a
+// bounded record queue that a datagram's records cross as one batch — one
+// copy and one queue operation per datagram, not per record — so ingest
+// and classification of different links
 // never serialise on each other, and the engine's determinism contract
 // (single consumer, fresh pipeline state per link) holds for however
 // long the daemon lives. Memory per link is the

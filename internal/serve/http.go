@@ -171,9 +171,9 @@ type LinksPage struct {
 	Pipelines []LinkPipeline `json:"pipelines"`
 }
 
-// LinkPipeline is one link's live-pipeline row in /links: queue-full
-// stall count and the last interval's classify/accumulate stage
-// overlap.
+// LinkPipeline is one link's live-pipeline row in /links: how many
+// times a reader had to wait for a free batch of the record queue, and
+// the last interval's classify/accumulate stage overlap.
 type LinkPipeline struct {
 	Link              string `json:"link"`
 	Stalls            uint64 `json:"stalls"`

@@ -198,9 +198,10 @@ func (d *Daemon) createLink(key linkKey) (*liveLink, error) {
 }
 
 // dispatch demultiplexes one decoded datagram: resolve the link
-// (lock-free after first sight), attribute each record against the BGP
+// (lock-free after first sight), attribute its records against the BGP
 // table into the reader's reusable batch, and hand the batch to the
-// link's pipeline. Per-link record order is preserved at any reader
+// link's pipeline — one copy and one queue operation per datagram, not
+// per record. Per-link record order is preserved at any reader
 // count because an exporter's datagrams all arrive on one socket
 // (REUSEPORT hashes the exporter's 4-tuple to a fixed socket) and
 // dispatch runs on that socket's reader.
@@ -219,16 +220,7 @@ func (d *Daemon) dispatch(r *reader, ap netip.AddrPort, dg *netflow.Datagram) {
 			return
 		}
 	}
-	recs := r.recs[:0]
-	unrouted := 0
-	for i := range dg.Records {
-		rec, ok := netflow.Attribute(d.cfg.Table, dg.Header, dg.Records[i])
-		if !ok {
-			unrouted++
-			continue
-		}
-		recs = append(recs, rec)
-	}
+	recs, unrouted := netflow.AttributeDatagram(d.cfg.Table, dg, r.recs[:0])
 	r.recs = recs
 	var routed, dropped int
 	if ll.state.Failed() {

@@ -145,6 +145,84 @@ func TestConcurrentLinkCreation(t *testing.T) {
 	}
 }
 
+// TestFailedLinkReconcilesMidBatch pins the failed-link books now that
+// records queue a batch at a time. One record per interval to a single
+// destination: interval 0 seals with one active flow — below the
+// scheme's MinFlows, with no prior threshold to fall back on — so the
+// first classification fails the link while the accumulate stage is a
+// few records into the first datagram's batch. Dispatch counted every
+// record of every batch it queued as Routed; after the drain,
+// ReclassifyDropped must have moved the unread rest of that batch and
+// everything queued behind it to Dropped, leaving Routed equal to what
+// actually reached the accumulator.
+func TestFailedLinkReconcilesMidBatch(t *testing.T) {
+	table, err := bgp.Generate(bgp.GenConfig{Routes: 200, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2001, time.July, 24, 9, 0, 0, 0, time.UTC)
+	d, err := NewDaemon(Config{
+		UDPAddr:  "127.0.0.1:0",
+		HTTPAddr: "127.0.0.1:0",
+		Table:    table,
+		Scheme:   scheme.MustParse("load"),
+		Interval: time.Minute,
+		Window:   1,
+		Start:    at,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	t.Cleanup(func() {
+		_ = d.Shutdown(ctx) // reports the link failure this test provokes
+		cancel()
+	})
+
+	const datagrams = 3
+	r := newReader(0, nil, 0)
+	ap := netip.MustParseAddrPort("192.0.2.9:2055")
+	dst := table.Routes()[0].Prefix.Addr()
+	for j := 0; j < datagrams; j++ {
+		recs := make([]netflow.Record, netflow.MaxRecordsPerDatagram)
+		for k := range recs {
+			minute := uint32(j*len(recs) + k)
+			recs[k] = netflow.Record{DstAddr: dst, Octets: 1000, First: minute * 60000, Last: minute * 60000}
+		}
+		d.dispatch(r, ap, &netflow.Datagram{
+			Header:  netflow.Header{Count: uint16(len(recs)), UnixSecs: uint32(at.Unix())},
+			Records: recs,
+		})
+	}
+	if err := d.DrainIngest(ctx); err == nil {
+		t.Fatal("DrainIngest reported no error for a link that cannot classify its first interval")
+	}
+
+	sums := d.store.Summaries()
+	if len(sums) != 1 {
+		t.Fatalf("%d links, want 1", len(sums))
+	}
+	sum, in := sums[0], sums[0].Ingest
+	if sum.Error == "" {
+		t.Error("failed link carries no error")
+	}
+	if want := uint64(datagrams * netflow.MaxRecordsPerDatagram); in.Records != want || in.Unrouted != 0 {
+		t.Errorf("ingest saw %d records (%d unrouted), want %d routed ones", in.Records, in.Unrouted, want)
+	}
+	if in.Routed != sum.Stream.Records {
+		t.Errorf("routed %d != %d records the accumulator saw — queued-then-discarded records still counted as routed", in.Routed, sum.Stream.Records)
+	}
+	if in.Routed+in.Dropped != in.Records {
+		t.Errorf("routed %d + dropped %d != records %d", in.Routed, in.Dropped, in.Records)
+	}
+	// Double buffering lets the accumulate stage run at most a few seals
+	// past the failed one.
+	if in.Routed == 0 || in.Routed >= netflow.MaxRecordsPerDatagram {
+		t.Errorf("routed %d, want the failure inside the first %d-record batch", in.Routed, netflow.MaxRecordsPerDatagram)
+	}
+}
+
 // TestDecodeErrorLogRateLimited floods the daemon with malformed
 // datagrams through the real socket: every one must be counted, but the
 // per-datagram log line must be rate-limited to the first occurrence
