@@ -1,9 +1,9 @@
 package repro
 
 // One benchmark per figure panel, quantitative claim and ablation of the
-// paper, as indexed in DESIGN.md §4. Each benchmark regenerates its
-// artifact at a reduced-but-faithful scale per iteration and reports the
-// headline metrics via b.ReportMetric, so
+// paper. Each benchmark regenerates its artifact at a
+// reduced-but-faithful scale per iteration and reports the headline
+// metrics via b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //

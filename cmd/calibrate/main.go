@@ -1,7 +1,7 @@
 // Command calibrate sweeps the synthetic-workload shape parameters and
 // scores each candidate against the paper's headline numbers, printing a
-// ranked table. It is how the repository's default shape was chosen; see
-// DESIGN.md ("Deterministic synthesis") and EXPERIMENTS.md.
+// ranked table. It is how the repository's default shape was chosen;
+// cmd/experiments prints the paper-vs-measured results it feeds.
 //
 // Paper targets (Sections II-III):
 //

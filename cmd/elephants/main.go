@@ -7,17 +7,14 @@
 // ("misragries:k=100"). Run with -scheme help (or any invalid spec) to
 // see the registry listing.
 //
-// Two ingestion modes share the classification stack. The default batch
-// mode prescans the capture to size a full flow×interval matrix, then
-// classifies it on the multi-link engine. -stream classifies in a
-// single pass instead: packets feed a bounded-memory interval
-// accumulator that closes intervals as capture time advances and pushes
-// each one straight into the pipeline — memory is governed by the
-// accumulator window, not by capture length, and the resulting
-// classifications are identical to batch mode on the same capture
-// (interval 0 is anchored at the first frame in both modes; trailing
-// intervals carrying only unrouted traffic appear, empty, in batch
-// output only).
+// The capture is classified in a single pass with bounded memory:
+// packets feed an interval accumulator that closes intervals as capture
+// time advances and pushes each one straight into the pipeline
+// (engine.RunStreaming), so memory is governed by the accumulator
+// window, not by capture length. Classic libpcap and pcapng captures
+// are both read. Interval 0 is anchored at the capture's first frame,
+// routed or not; trailing intervals carrying only unrouted traffic are
+// not reported.
 //
 // The accumulator window follows the scheme: by default it is the
 // scheme's latent-heat window (so ingestion holds exactly as much
@@ -29,8 +26,7 @@
 // Usage:
 //
 //	elephants -pcap trace.pcap -table table.txt [-scheme SPEC]
-//	          [-alpha 0.5] [-interval 5m] [-top 10]
-//	          [-stream] [-stream-window N]
+//	          [-alpha 0.5] [-interval 5m] [-top 10] [-stream-window N]
 package main
 
 import (
@@ -53,42 +49,105 @@ import (
 	"repro/internal/scheme"
 )
 
+// errUsage marks a command-line mistake: main exits 2 on one, as the
+// flag package would, and 1 on a failed run.
+var errUsage = errors.New("usage")
+
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "elephants:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: parse args, classify the capture, print the
+// report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("elephants", flag.ContinueOnError)
 	var (
-		pcapPath   = flag.String("pcap", "", "input pcap path (required)")
-		tablePath  = flag.String("table", "", "input BGP table path (required)")
-		schemeSpec = flag.String("scheme", "load+latent", scheme.FlagUsage())
-		alpha      = flag.Float64("alpha", scheme.DefaultAlpha, "EWMA weight on the previous smoothed threshold")
-		interval   = flag.Duration("interval", 5*time.Minute, "measurement interval")
-		top        = flag.Int("top", 10, "print the top-N elephant flows by volume")
-		stream     = flag.Bool("stream", false, "single-pass streaming mode: bounded memory, no capture prescan")
-		swindow    = flag.Int("stream-window", 0, "streaming mode: open-interval window (memory bound); 0 derives it from the scheme's latent-heat window, floored at agg.DefaultStreamWindow")
+		pcapPath   = fs.String("pcap", "", "input capture path, pcap or pcapng (required)")
+		tablePath  = fs.String("table", "", "input BGP table path (required)")
+		schemeSpec = fs.String("scheme", "load+latent", scheme.FlagUsage())
+		alpha      = fs.Float64("alpha", scheme.DefaultAlpha, "EWMA weight on the previous smoothed threshold")
+		interval   = fs.Duration("interval", 5*time.Minute, "measurement interval")
+		top        = fs.Int("top", 10, "print the top-N elephant flows by volume")
+		swindow    = fs.Int("stream-window", 0, "open-interval window (memory bound); 0 derives it from the scheme's latent-heat window, floored at agg.DefaultStreamWindow")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 	if *pcapPath == "" || *tablePath == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return fmt.Errorf("%w: -pcap and -table are required", errUsage)
 	}
 	// A parse error's text enumerates the registered schemes.
 	sp, err := scheme.ParseValidated(*schemeSpec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "elephants:", err)
-		os.Exit(2)
+		return fmt.Errorf("%w: %w", errUsage, err)
 	}
 	if *swindow < 0 {
-		fmt.Fprintf(os.Stderr, "elephants: -stream-window %d must be >= 0 (0 derives it from the scheme)\n", *swindow)
-		os.Exit(2)
+		return fmt.Errorf("%w: -stream-window %d must be >= 0 (0 derives it from the scheme)", errUsage, *swindow)
 	}
 	sp.Alpha = *alpha
-	if *stream {
-		err = runStream(*pcapPath, *tablePath, sp, *interval, engine.StreamWindow(sp, *swindow), *top)
-	} else {
-		err = runBatch(*pcapPath, *tablePath, sp, *interval, *top)
-	}
+	window := engine.StreamWindow(sp, *swindow)
+
+	table, err := readTable(*tablePath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "elephants:", err)
-		os.Exit(1)
+		return err
 	}
+	pf, err := os.Open(*pcapPath)
+	if err != nil {
+		return err
+	}
+	defer pf.Close()
+	start, err := firstFrame(pf)
+	if err != nil {
+		return err
+	}
+	src, err := agg.NewPacketRecordSource(bufio.NewReaderSize(pf, 1<<20), table)
+	if err != nil {
+		return err
+	}
+	// A single capture is a one-link engine run; feeding several links
+	// (one capture per monitored interface) classifies them concurrently.
+	eng := engine.MultiLinkEngine{}
+	lrs, err := eng.RunStreaming([]engine.StreamLink{{
+		ID: *pcapPath, Source: src, Start: start, Interval: *interval, Window: window, Config: sp.Factory(),
+	}})
+	if err != nil {
+		return err
+	}
+	lr := lrs[0]
+	if lr.Err != nil {
+		return lr.Err
+	}
+	if src.Stats.Routed == 0 {
+		return fmt.Errorf("no routed packets in capture")
+	}
+	fmt.Fprintf(stdout, "capture: %d frames, %d routed, %d unrouted, %d x %v intervals (window %d, %d late records)\n",
+		src.ParserStats().Frames, src.Stats.Routed, src.Stats.Unrouted, lr.Stream.Closed, *interval, window, lr.Stream.Late)
+
+	fmt.Fprintf(stdout, "scheme: %s\n\n", sp.Name())
+	tab := report.NewTable("interval", "start", "active", "elephants", "load Mb/s", "eleph frac", "theta Mb/s")
+	for i, r := range lr.Results {
+		tab.AddRow(i, start.Add(time.Duration(i)**interval).Format("15:04"), r.ActiveFlows, r.ElephantCount(),
+			fmt.Sprintf("%.1f", r.TotalLoad/1e6),
+			fmt.Sprintf("%.3f", r.LoadFraction()),
+			fmt.Sprintf("%.3f", r.Threshold/1e6))
+	}
+	fmt.Fprint(stdout, tab.String())
+	fmt.Fprintf(stdout, "\nmean elephants: %.1f   mean elephant load fraction: %.3f\n",
+		analysis.MeanInt(analysis.CountSeries(lr.Results)), analysis.MeanFloat(analysis.FractionSeries(lr.Results)))
+	if *top > 0 {
+		printTop(stdout, lr.Results, *top)
+	}
+	return nil
 }
 
 func readTable(path string) (*bgp.Table, error) {
@@ -104,165 +163,26 @@ func readTable(path string) (*bgp.Table, error) {
 	return table, nil
 }
 
-func runBatch(pcapPath, tablePath string, sp *scheme.Spec, interval time.Duration, top int) error {
-	table, err := readTable(tablePath)
+// firstFrame returns the capture time of the first frame — routed or
+// not, decodable or not: the anchor of interval 0 — and rewinds f.
+func firstFrame(f *os.File) (time.Time, error) {
+	r, _, err := pcap.OpenReader(f)
 	if err != nil {
-		return err
+		return time.Time{}, err
 	}
-
-	// First pass over the capture header to size the series window.
-	pf, err := os.Open(pcapPath)
-	if err != nil {
-		return err
-	}
-	defer pf.Close()
-	span, start, err := captureSpan(pf)
-	if err != nil {
-		return fmt.Errorf("scanning capture: %w", err)
-	}
-	intervals := int(span/interval) + 1
-
-	if _, err := pf.Seek(0, 0); err != nil {
-		return err
-	}
-	series := agg.NewSeries(start, interval, intervals)
-	frames, stats, err := agg.ReadPcap(bufio.NewReaderSize(pf, 1<<20), table, series)
-	if err != nil {
-		return fmt.Errorf("aggregating capture: %w", err)
-	}
-	fmt.Printf("capture: %d frames, %d routed, %d unrouted, %d flows, %d x %v intervals\n",
-		frames, stats.Routed, stats.Unrouted, series.NumFlows(), intervals, interval)
-
-	// A single capture is a one-link engine run; feeding several links
-	// (one pcap per monitored interface) classifies them concurrently.
-	eng := engine.MultiLinkEngine{}
-	lrs, err := eng.Run([]engine.Link{{ID: pcapPath, Series: series, Config: sp.Factory()}})
-	if err != nil {
-		return err
-	}
-	if lrs[0].Err != nil {
-		return lrs[0].Err
-	}
-	printReport(sp, lrs[0].Results, series.IntervalTime, top)
-	return nil
-}
-
-// runStream classifies the capture in one pass: no prescan, no full
-// matrix — records flow through a windowed accumulator into the
-// pipeline as capture time closes each interval.
-func runStream(pcapPath, tablePath string, sp *scheme.Spec, interval time.Duration, window, top int) error {
-	table, err := readTable(tablePath)
-	if err != nil {
-		return err
-	}
-	pf, err := os.Open(pcapPath)
-	if err != nil {
-		return err
-	}
-	defer pf.Close()
-	src, err := agg.NewPacketRecordSource(bufio.NewReaderSize(pf, 1<<20), table)
-	if err != nil {
-		return err
-	}
-	cfg, err := sp.Config()
-	if err != nil {
-		return err
-	}
-	pipe, err := core.NewPipeline(cfg)
-	if err != nil {
-		return err
-	}
-	// Pull the first routed record before sizing the accumulator: its
-	// interval 0 is anchored at the first frame's timestamp (known once
-	// any frame has been read), matching the batch prescan's anchor even
-	// when the capture opens with unrouted traffic.
-	first, err := src.Next()
+	ci, _, err := r.ReadPacket()
 	if errors.Is(err, io.EOF) {
-		return fmt.Errorf("no routed packets in capture")
+		return time.Time{}, fmt.Errorf("empty capture")
 	}
 	if err != nil {
-		return fmt.Errorf("streaming capture: %w", err)
+		return time.Time{}, err
 	}
-	acc, err := agg.NewStreamAccumulator(agg.StreamConfig{
-		Start:    src.FirstTimestamp(),
-		Interval: interval,
-		Window:   window,
-	})
-	if err != nil {
-		return err
-	}
-	var results []core.Result
-	acc.Emit = func(t int, snap *core.FlowSnapshot) error {
-		res, err := pipe.StepSnapshot(t, snap)
-		if err != nil {
-			return err
-		}
-		results = append(results, res)
-		return nil
-	}
-	if err := acc.Add(first); err != nil {
-		return fmt.Errorf("streaming capture: %w", err)
-	}
-	if err := agg.Stream(src, acc); err != nil {
-		return fmt.Errorf("streaming capture: %w", err)
-	}
-	st := acc.Stats()
-	fmt.Printf("capture: %d frames, %d routed, %d unrouted, %d x %v intervals (streamed, window %d, %d late records)\n",
-		src.ParserStats().Frames, src.Stats.Routed, src.Stats.Unrouted, st.Closed, interval, window, st.Late)
-	printReport(sp, results, acc.IntervalTime, top)
-	return nil
-}
-
-// printReport prints the per-interval table and summary shared by both
-// ingestion modes.
-func printReport(sp *scheme.Spec, results []core.Result, intervalTime func(int) time.Time, top int) {
-	fmt.Printf("scheme: %s\n\n", sp.Name())
-	tab := report.NewTable("interval", "start", "active", "elephants", "load Mb/s", "eleph frac", "theta Mb/s")
-	for i, r := range results {
-		tab.AddRow(i, intervalTime(i).Format("15:04"), r.ActiveFlows, r.ElephantCount(),
-			fmt.Sprintf("%.1f", r.TotalLoad/1e6),
-			fmt.Sprintf("%.3f", r.LoadFraction()),
-			fmt.Sprintf("%.3f", r.Threshold/1e6))
-	}
-	fmt.Print(tab.String())
-
-	counts := analysis.CountSeries(results)
-	fracs := analysis.FractionSeries(results)
-	fmt.Printf("\nmean elephants: %.1f   mean elephant load fraction: %.3f\n",
-		analysis.MeanInt(counts), analysis.MeanFloat(fracs))
-
-	if top > 0 {
-		printTop(results, top)
-	}
-}
-
-// captureSpan reads just the per-packet headers to find the time window.
-func captureSpan(f *os.File) (time.Duration, time.Time, error) {
-	r, err := pcap.NewReader(bufio.NewReaderSize(f, 1<<20))
-	if err != nil {
-		return 0, time.Time{}, err
-	}
-	var first, last time.Time
-	n := 0
-	for {
-		ci, _, err := r.ReadPacket()
-		if err != nil {
-			break
-		}
-		if n == 0 {
-			first = ci.Timestamp
-		}
-		last = ci.Timestamp
-		n++
-	}
-	if n == 0 {
-		return 0, time.Time{}, fmt.Errorf("empty capture")
-	}
-	return last.Sub(first), first, nil
+	_, err = f.Seek(0, io.SeekStart)
+	return ci.Timestamp, err
 }
 
 // printTop lists the flows most often classified as elephants.
-func printTop(results []core.Result, top int) {
+func printTop(w io.Writer, results []core.Result, top int) {
 	counts := make(map[string]int)
 	for _, r := range results {
 		for _, p := range r.Elephants.Flows() {
@@ -286,10 +206,10 @@ func printTop(results []core.Result, top int) {
 	if top > len(rows) {
 		top = len(rows)
 	}
-	fmt.Printf("\ntop %d elephants by intervals in class:\n", top)
+	fmt.Fprintf(w, "\ntop %d elephants by intervals in class:\n", top)
 	tab := report.NewTable("prefix", "intervals as elephant")
 	for _, r := range rows[:top] {
 		tab.AddRow(r.prefix, r.n)
 	}
-	fmt.Print(tab.String())
+	fmt.Fprint(w, tab.String())
 }

@@ -222,13 +222,18 @@ func classify(pcapPath string, table *bgp.Table, sp *scheme.Spec, interval time.
 	if err != nil {
 		return err
 	}
-	lr := engine.RunStreamLink(engine.StreamLink{
+	eng := engine.MultiLinkEngine{}
+	lrs, err := eng.RunStreaming([]engine.StreamLink{{
 		ID:       pcapPath,
 		Source:   src,
 		Interval: interval,
 		Window:   engine.StreamWindow(sp, 0),
 		Config:   sp.Factory(),
-	})
+	}})
+	if err != nil {
+		return err
+	}
+	lr := lrs[0]
 	if lr.Err != nil {
 		return lr.Err
 	}

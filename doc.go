@@ -20,10 +20,10 @@
 // "detector[:k=v,...]+classifier[:k=v,...]" (e.g.
 // "load:beta=0.8+latent:window=12", "aest", "misragries:k=100"). A
 // parsed spec compiles to a fresh-instances core.Config factory, so any
-// registered scheme runs through the engine (including the
-// RunMatrix/RunMatrixStreaming specs×links sweeps), the experiments
-// harnesses and every CLI -scheme flag, with batch/stream equivalence
-// pinned registry-wide by scheme_matrix_test.go.
+// registered scheme runs through the engine (including the RunMatrix
+// specs×links sweeps), the experiments harnesses and every CLI -scheme
+// flag, with batch/stream equivalence pinned registry-wide by
+// scheme_matrix_test.go.
 //
 // Ingestion is streaming-first: every substrate (pcap captures, NetFlow
 // v5 streams, the synthetic generator's incremental mode) is normalised
@@ -80,10 +80,10 @@
 // (internal/agg), evaluation metrics (internal/analysis) and the
 // per-figure reproduction harness (internal/experiments).
 //
-// See README.md for a tour, ARCHITECTURE.md for the layer stack and the
-// snapshot ownership contract, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate every figure and quantitative claim:
+// See ARCHITECTURE.md for the layer stack, the engine's entry points
+// and the snapshot ownership contract; cmd/experiments prints the
+// paper-vs-measured results. The benchmarks in bench_test.go regenerate
+// every figure and quantitative claim:
 //
 //	go test -bench=. -benchmem
 package repro

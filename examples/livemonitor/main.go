@@ -286,7 +286,7 @@ func runLocal() {
 	// pushes each closed interval into the pipeline. Its window is
 	// derived from the scheme (the latent-heat lookback, floored at
 	// agg.DefaultStreamWindow), so ingestion holds no more history than
-	// classification needs — the same rule cmd/elephants -stream uses.
+	// classification needs — the same rule cmd/elephants uses.
 	// Sharing the pipeline's flow table makes emitted snapshots carry
 	// dense flow IDs the classifier indexes directly (omitting it also
 	// works — the pipeline re-interns — but then every flow pays a hash

@@ -84,26 +84,6 @@ func BenchmarkMatrixShared(b *testing.B) {
 	}
 }
 
-// BenchmarkMatrixInline measures RunMatrix with the detector prepass
-// disabled — the A/B partner of BenchmarkMatrixShared isolating what
-// threshold memoization and the prepass buy on the spec-sweep shape.
-func BenchmarkMatrixInline(b *testing.B) {
-	links, specs := benchMatrix()
-	eng := MultiLinkEngine{Workers: 1, InlineDetection: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := eng.RunMatrix(links, specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, lr := range out {
-			if lr.Err != nil {
-				b.Fatal(lr.Err)
-			}
-		}
-	}
-}
-
 // BenchmarkDetectorPrepass measures the prepass phases alone: per-link
 // sorted-column builds plus one θ(t) column per distinct detector
 // config — the work RunMatrix hoists off the sequential classify pass.
@@ -118,25 +98,6 @@ func BenchmarkDetectorPrepass(b *testing.B) {
 		cols := eng.prepassThresholds(links, specs)
 		if cols["link"] == nil {
 			b.Fatal("prepass produced no columns")
-		}
-	}
-}
-
-// BenchmarkMatrixPerCell measures the cell-per-task reference path the
-// shared execution is defined against, on the identical workload.
-func BenchmarkMatrixPerCell(b *testing.B) {
-	links, specs := benchMatrix()
-	eng := MultiLinkEngine{Workers: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := eng.RunMatrixPerCell(links, specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, lr := range out {
-			if lr.Err != nil {
-				b.Fatal(lr.Err)
-			}
 		}
 	}
 }

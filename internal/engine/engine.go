@@ -12,12 +12,17 @@
 // worker count or scheduling; the merged output is ordered
 // deterministically by link ID.
 //
-// The engine has two ingestion modes sharing the pool and the merge
-// contract: Run classifies pre-aggregated batch series, RunStreaming
-// drives each link live from an agg.RecordSource through a
+// Three entry points share the pool, the merge contract and one
+// per-interval step (stepCells): Run classifies pre-aggregated batch
+// series, RunMatrix fans a list of scheme specs over such series, and
+// RunStreaming drives each link from an agg.RecordSource through a
 // bounded-memory StreamAccumulator — memory per link is the
 // accumulator's window, not the trace length, and the classifications
-// are byte-identical to the batch path on the same records.
+// are byte-identical to the batch path on the same records. Two loops
+// feed the step: the series loop walks a sealed series' intervals, and
+// the stream loop is the accumulator's Emit hook. NewLivePipeline is
+// the fourth entry point: the resident, push-fed form of the stream
+// loop.
 //
 // Inside a single link the only concurrency is the stage split: a
 // LivePipeline runs as two stages — accumulate and classify — joined by
@@ -29,15 +34,13 @@
 // copies a batch into a recycled 32-record slab and queues the slab, so
 // the queue costs one channel operation per datagram, not per record.
 //
-// RunMatrix fans a set of scheme specs over a set of links. Its unit of
-// work is the (link, spec-group) task, not the cell: the engine seals
-// every series up front (building the interval-major snapshot index)
-// and emits each interval once per task, fanning the one snapshot — and
-// its cached sorted bandwidth column — into every spec pipeline in the
-// group. When links outnumber workers the whole spec list shares one
-// emission; with fewer links the spec list splits into enough groups to
-// occupy the pool. Output is byte-identical to the cell-per-task
-// reference path, kept as RunMatrixPerCell, including per-cell error
+// RunMatrix's unit of work is the (link, spec-group) task, not the
+// cell: the series loop emits each interval once per task and steps the
+// one snapshot — and its cached sorted bandwidth column — through every
+// spec pipeline in the group. When links outnumber workers the whole
+// spec list shares one emission; with fewer links the spec list splits
+// into enough groups to occupy the pool. Output is byte-identical to
+// Run over the links×specs cross product, including per-cell error
 // isolation.
 package engine
 
@@ -102,6 +105,10 @@ type LinkResult struct {
 	// Err is the first error the link's pipeline hit, nil on success. A
 	// failing link never aborts the other links' runs.
 	Err error
+	// Stream holds the link's accumulator counters as RunStreaming left
+	// them — at end of stream, or at the failure when Err is set. Zero
+	// for batch runs.
+	Stream agg.StreamStats
 }
 
 // MultiLinkEngine classifies a set of links concurrently on a worker
@@ -110,41 +117,20 @@ type MultiLinkEngine struct {
 	// Workers bounds the concurrency; 0 selects GOMAXPROCS. The worker
 	// count never affects results, only wall-clock time.
 	Workers int
-	// InlineDetection disables RunMatrix's detector prepass and
-	// threshold cache, forcing every cell back to per-interval inline
-	// detection. Results are byte-identical either way — the
-	// equivalence suite pins it — so the switch exists only for A/B
-	// benchmarking and as an escape hatch. Run, RunStreaming and the
-	// per-cell/streaming matrix paths always detect inline.
-	InlineDetection bool
 }
 
-// validateIDs rejects empty and duplicate link identifiers.
-func validateIDs(ids []string) error {
-	seen := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		if id == "" {
-			return fmt.Errorf("engine: link with empty ID")
-		}
-		if seen[id] {
-			return fmt.Errorf("engine: duplicate link ID %q", id)
-		}
-		seen[id] = true
+func (e *MultiLinkEngine) workers() int {
+	if e.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	return nil
+	return e.Workers
 }
 
 // runPool fans n jobs over the engine's workers. newWorker runs once
 // per worker goroutine and returns the job body, letting each worker
 // own reusable per-worker state (e.g. a snapshot buffer).
 func (e *MultiLinkEngine) runPool(n int, newWorker func() func(i int)) {
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(e.workers(), n)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -164,24 +150,25 @@ func (e *MultiLinkEngine) runPool(n int, newWorker func() func(i int)) {
 	wg.Wait()
 }
 
-// runMerged is the orchestration shared by both ingestion modes:
-// validate IDs, fan the links over the pool, merge sorted by link ID.
-func (e *MultiLinkEngine) runMerged(n int, id func(int) string, newWorker func() func(int) LinkResult) ([]LinkResult, error) {
-	if n == 0 {
+// runMerged is the orchestration every entry point shares: reject empty
+// and duplicate result IDs, let fan fill the slots on the pool, merge
+// sorted by ID.
+func (e *MultiLinkEngine) runMerged(out []LinkResult, fan func()) ([]LinkResult, error) {
+	if len(out) == 0 {
 		return nil, nil
 	}
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = id(i)
+	seen := make(map[string]bool, len(out))
+	for i := range out {
+		id := out[i].ID
+		if id == "" {
+			return nil, fmt.Errorf("engine: link with empty ID")
+		}
+		if seen[id] {
+			return nil, fmt.Errorf("engine: duplicate link ID %q", id)
+		}
+		seen[id] = true
 	}
-	if err := validateIDs(ids); err != nil {
-		return nil, err
-	}
-	out := make([]LinkResult, n)
-	e.runPool(n, func() func(int) {
-		run := newWorker()
-		return func(i int) { out[i] = run(i) }
-	})
+	fan()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
 }
@@ -191,14 +178,15 @@ func (e *MultiLinkEngine) runMerged(n int, id func(int) string, newWorker func()
 // Run itself only fails on structurally invalid input (duplicate or
 // empty link IDs).
 func (e *MultiLinkEngine) Run(links []Link) ([]LinkResult, error) {
-	return e.runMerged(len(links),
-		func(i int) string { return links[i].ID },
-		func() func(int) LinkResult {
-			// One reusable snapshot per worker: reused across every
-			// interval of every link the worker processes.
-			snap := core.NewFlowSnapshot(0)
-			return func(i int) LinkResult { return runLink(links[i], snap) }
-		})
+	out := make([]LinkResult, len(links))
+	cells := make([]cell, len(links))
+	tasks := make([]seriesTask, len(links))
+	for i, l := range links {
+		out[i].ID = l.ID
+		cells[i] = cell{out: &out[i], config: l.Config}
+		tasks[i] = seriesTask{series: l.Series, cells: cells[i : i+1]}
+	}
+	return e.runMerged(out, func() { e.runSeries(tasks) })
 }
 
 // RunStreaming classifies every stream link live and returns one
@@ -209,105 +197,39 @@ func (e *MultiLinkEngine) Run(links []Link) ([]LinkResult, error) {
 // replaying a batch run's records is byte-identical to Run on the
 // corresponding series.
 func (e *MultiLinkEngine) RunStreaming(links []StreamLink) ([]LinkResult, error) {
-	return e.runMerged(len(links),
-		func(i int) string { return links[i].ID },
-		func() func(int) LinkResult {
-			return func(i int) LinkResult { return RunStreamLink(links[i]) }
+	out := make([]LinkResult, len(links))
+	for i, l := range links {
+		out[i].ID = l.ID
+	}
+	return e.runMerged(out, func() {
+		e.runPool(len(links), func() func(int) {
+			return func(i int) { runStream(links[i], &out[i]) }
 		})
-}
-
-// RunLink classifies a single link sequentially on the calling
-// goroutine — the reference the engine's concurrent output is defined
-// (and tested) against.
-func RunLink(l Link) LinkResult {
-	return runLink(l, core.NewFlowSnapshot(0))
-}
-
-func runLink(l Link, snap *core.FlowSnapshot) LinkResult {
-	lr := LinkResult{ID: l.ID}
-	if l.Series == nil {
-		lr.Err = fmt.Errorf("engine: link %q: nil series", l.ID)
-		return lr
-	}
-	// Seal the series so per-interval emission runs off the
-	// interval-major index; idempotent and safe when several links share
-	// one series.
-	l.Series.Seal()
-	pipe, err := newPipeline(l.ID, l.Config)
-	if err != nil {
-		lr.Err = err
-		return lr
-	}
-	// Intern the link's flows into the pipeline's identity table once;
-	// every interval then emits a dense-ID snapshot without hashing a
-	// single prefix on the classify path.
-	rowIDs := l.Series.InternRows(pipe.Table(), nil)
-	results := make([]core.Result, 0, l.Series.Intervals)
-	for t := 0; t < l.Series.Intervals; t++ {
-		snap = l.Series.SnapshotIDs(t, snap, pipe.Table(), rowIDs)
-		// The index-driven batch loop and the streaming emit hook share
-		// the same pipeline entry point.
-		res, err := pipe.StepSnapshot(t, snap)
-		if err != nil {
-			lr.Err = fmt.Errorf("engine: link %q: %w", l.ID, err)
-			return lr
-		}
-		results = append(results, res)
-	}
-	lr.Results = results
-	return lr
-}
-
-// RunStreamLink classifies a single stream link sequentially on the
-// calling goroutine — the reference RunStreaming's concurrent output is
-// defined (and tested) against.
-func RunStreamLink(l StreamLink) LinkResult {
-	lr := LinkResult{ID: l.ID}
-	if l.Source == nil {
-		lr.Err = fmt.Errorf("engine: link %q: nil record source", l.ID)
-		return lr
-	}
-	pipe, err := newPipeline(l.ID, l.Config)
-	if err != nil {
-		lr.Err = err
-		return lr
-	}
-	acc, err := agg.NewStreamAccumulator(agg.StreamConfig{
-		Start:    l.Start,
-		Interval: l.Interval,
-		Window:   l.Window,
-		// Share the pipeline's flow identity table: emitted snapshots
-		// carry dense IDs, so the classifier never hashes a prefix.
-		Table: pipe.Table(),
 	})
-	if err != nil {
-		lr.Err = fmt.Errorf("engine: link %q: %w", l.ID, err)
-		return lr
-	}
-	acc.Emit = func(t int, snap *core.FlowSnapshot) error {
-		res, err := pipe.StepSnapshot(t, snap)
-		if err != nil {
-			return err
-		}
-		lr.Results = append(lr.Results, res)
-		return nil
-	}
-	if err := agg.Stream(l.Source, acc); err != nil {
-		lr.Results = nil
-		lr.Err = fmt.Errorf("engine: link %q: %w", l.ID, err)
-	}
-	return lr
 }
 
-// newPipeline builds a link's private pipeline from its config factory.
-func newPipeline(id string, factory func() (core.Config, error)) (*core.Pipeline, error) {
-	return newPipelineThresholds(id, factory, nil)
+// cell is one classification in flight: the result slot it fills, the
+// recipe for its pipeline, and the pipeline itself — built by the loop
+// that runs the cell, nil again once the cell has failed, which is how a
+// failed cell stops stepping without disturbing its neighbours.
+type cell struct {
+	out        *LinkResult
+	config     func() (core.Config, error)
+	thresholds core.ThresholdSource // precomputed θ(t) column; nil detects inline
+	pipe       *core.Pipeline
 }
 
-// newPipelineThresholds is newPipeline with an optional precomputed
-// threshold column attached (the matrix prepass); src == nil keeps
-// inline detection.
-func newPipelineThresholds(id string, factory func() (core.Config, error), src core.ThresholdSource) (*core.Pipeline, error) {
+// build constructs the cell's pipeline, reporting whether the cell is
+// live; a construction failure lands in the slot's Err.
+func (c *cell) build() bool {
+	c.pipe, c.out.Err = newPipeline(c.out.ID, c.config, c.thresholds)
+	return c.pipe != nil
+}
+
+// newPipeline builds a link's private pipeline from its config factory,
+// with an optional precomputed threshold column attached (the matrix
+// prepass); src == nil keeps inline detection.
+func newPipeline(id string, factory func() (core.Config, error), src core.ThresholdSource) (*core.Pipeline, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("engine: link %q: nil config factory", id)
 	}
@@ -321,4 +243,119 @@ func newPipelineThresholds(id string, factory func() (core.Config, error), src c
 		return nil, fmt.Errorf("engine: link %q: %w", id, err)
 	}
 	return pipe, nil
+}
+
+// stepCells is the one per-interval step: it pushes interval t's
+// snapshot through every live cell, gap-free and in order, and returns
+// how many cells are still live. One emission serves them all — the
+// cells of a task interned the same rows in the same order, so the ID
+// column holds for each cell's table and only the table stamp changes.
+// A cell that fails records its wrapped error, drops its results and
+// stops stepping; the others carry on.
+func stepCells(cells []cell, t int, snap *core.FlowSnapshot) (live int) {
+	for i := range cells {
+		c := &cells[i]
+		if c.pipe == nil {
+			continue
+		}
+		snap.SetIDTable(c.pipe.Table())
+		res, err := c.pipe.StepSnapshot(t, snap)
+		if err != nil {
+			c.out.Results, c.out.Err = nil, fmt.Errorf("engine: link %q: %w", c.out.ID, err)
+			c.pipe = nil
+			continue
+		}
+		c.out.Results = append(c.out.Results, res)
+		live++
+	}
+	return live
+}
+
+// seriesTask is the series loop's unit of work: one series walked once,
+// each interval emitted once and stepped through every cell of the task
+// — a single cell for Run, a spec group for RunMatrix.
+type seriesTask struct {
+	series *agg.Series
+	cells  []cell
+}
+
+// runSeries fans the tasks over the pool.
+func (e *MultiLinkEngine) runSeries(tasks []seriesTask) {
+	e.runPool(len(tasks), func() func(int) {
+		// Per-worker reusable emission state, shared across every task
+		// the worker processes.
+		snap := core.NewFlowSnapshot(0)
+		var rowIDs []uint32
+		return func(i int) { rowIDs = tasks[i].run(snap, rowIDs) }
+	})
+}
+
+// run is the series loop. Sharing one series between tasks is safe:
+// sealing is idempotent, snapshots are read-only views and StepSnapshot
+// never retains one.
+func (task seriesTask) run(snap *core.FlowSnapshot, rowIDs []uint32) []uint32 {
+	s, cells := task.series, task.cells
+	if s == nil {
+		for i := range cells {
+			cells[i].out.Err = fmt.Errorf("engine: link %q: nil series", cells[i].out.ID)
+		}
+		return rowIDs
+	}
+	// Seal so per-interval emission runs off the interval-major index.
+	s.Seal()
+	live := 0
+	for i := range cells {
+		c := &cells[i]
+		if !c.build() {
+			continue
+		}
+		// Intern the link's flows into the pipeline's identity table once;
+		// every interval then emits a dense-ID snapshot without hashing a
+		// single prefix on the classify path. Each cell's fresh table
+		// yields the identical row→ID column.
+		rowIDs = s.InternRows(c.pipe.Table(), rowIDs)
+		c.out.Results = make([]core.Result, 0, s.Intervals)
+		live++
+	}
+	for t := 0; t < s.Intervals && live > 0; t++ {
+		// Emitted unstamped: stepCells stamps each cell's table.
+		s.SnapshotIDs(t, snap, nil, rowIDs)
+		live = stepCells(cells, t, snap)
+	}
+	return rowIDs
+}
+
+// runStream is the stream loop: the link's records run through a
+// private accumulator whose Emit hook is the per-interval step over the
+// link's one cell.
+func runStream(l StreamLink, out *LinkResult) {
+	if l.Source == nil {
+		out.Err = fmt.Errorf("engine: link %q: nil record source", l.ID)
+		return
+	}
+	cells := []cell{{out: out, config: l.Config}}
+	if !cells[0].build() {
+		return
+	}
+	acc, err := agg.NewStreamAccumulator(agg.StreamConfig{
+		Start:    l.Start,
+		Interval: l.Interval,
+		Window:   l.Window,
+		// Share the pipeline's flow identity table: emitted snapshots
+		// carry dense IDs, so the classifier never hashes a prefix.
+		Table: cells[0].pipe.Table(),
+	})
+	if err != nil {
+		out.Err = fmt.Errorf("engine: link %q: %w", l.ID, err)
+		return
+	}
+	acc.Emit = func(t int, snap *core.FlowSnapshot) error {
+		stepCells(cells, t, snap)
+		return out.Err // a failed cell stops the accumulator
+	}
+	err = agg.Stream(l.Source, acc)
+	out.Stream = acc.Stats()
+	if err != nil && out.Err == nil { // the source failed, not the cell
+		out.Results, out.Err = nil, fmt.Errorf("engine: link %q: %w", l.ID, err)
+	}
 }

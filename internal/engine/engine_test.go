@@ -66,34 +66,41 @@ func testLinks(n int) []Link {
 	return links
 }
 
+// sequential is the oracle the engine's output is defined against: one
+// pipeline built straight on core and stepped over the series' plain
+// snapshots — no flow IDs, no pool, no engine code.
+func sequential(t testing.TB, s *agg.Series, factory func() (core.Config, error)) []core.Result {
+	t.Helper()
+	cfg, err := factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := core.NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap *core.FlowSnapshot
+	results := make([]core.Result, 0, s.Intervals)
+	for tt := 0; tt < s.Intervals; tt++ {
+		snap = s.Snapshot(tt, snap)
+		res, err := pipe.Step(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	return results
+}
+
 // TestEngineMatchesSequential is the determinism contract: an N-link
 // concurrent engine run must produce results identical to N sequential
 // Pipeline runs with the same seeds, for any worker count. Run with
 // -race to also prove the workers share no mutable state.
 func TestEngineMatchesSequential(t *testing.T) {
 	const n = 9
-	// Reference: sequential pipelines, one per link, directly on core.
 	want := make(map[string][]core.Result, n)
 	for _, l := range testLinks(n) {
-		cfg, err := l.Config()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipe, err := core.NewPipeline(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var snap *core.FlowSnapshot
-		results := make([]core.Result, 0, l.Series.Intervals)
-		for tt := 0; tt < l.Series.Intervals; tt++ {
-			snap = l.Series.Snapshot(tt, snap)
-			res, err := pipe.Step(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results = append(results, res)
-		}
-		want[l.ID] = results
+		want[l.ID] = sequential(t, l.Series, l.Config)
 	}
 
 	for _, workers := range []int{1, 2, 4, 16} {
@@ -140,11 +147,7 @@ func TestEngineSharedSeries(t *testing.T) {
 	}
 	want := map[string][]core.Result{}
 	for _, l := range mkLinks() {
-		lr := RunLink(l)
-		if lr.Err != nil {
-			t.Fatal(lr.Err)
-		}
-		want[l.ID] = lr.Results
+		want[l.ID] = sequential(t, l.Series, l.Config)
 	}
 	eng := MultiLinkEngine{Workers: 2}
 	got, err := eng.Run(mkLinks())
@@ -157,26 +160,6 @@ func TestEngineSharedSeries(t *testing.T) {
 		}
 		if !reflect.DeepEqual(lr.Results, want[lr.ID]) {
 			t.Errorf("link %s: shared-series concurrent run differs from sequential", lr.ID)
-		}
-	}
-}
-
-// TestEngineRunLinkAgreesWithRun: the exported sequential entry point is
-// the same computation the pool performs.
-func TestEngineRunLinkAgreesWithRun(t *testing.T) {
-	links := testLinks(3)
-	eng := MultiLinkEngine{Workers: 3}
-	got, err := eng.Run(links)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range links {
-		seq := RunLink(l)
-		if seq.Err != nil {
-			t.Fatal(seq.Err)
-		}
-		if !reflect.DeepEqual(seq.Results, got[i].Results) {
-			t.Errorf("link %s: RunLink differs from engine run", l.ID)
 		}
 	}
 }
@@ -308,15 +291,135 @@ func TestRunStreamingMatchesBatch(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// The exported sequential entry point is the same computation.
-	seq := RunStreamLink(mkStream()[2])
-	if seq.Err != nil {
-		t.Fatal(seq.Err)
+// TestRunStreamingConservation pins LinkResult.Stream: under hostile
+// input every record RunStreaming presented is accounted for exactly
+// once — Records == InWindow + Late + FarFuture — and every closed
+// interval is a result. A failing link reports no results, the wrapped
+// error, and the counters as they stood at the failure.
+func TestRunStreamingConservation(t *testing.T) {
+	const iv, window, intervals = 5 * time.Minute, 2, 10
+	series := synthSeries(11, 40, intervals)
+	base := seriesRecords(series)
+	// Hostile records go in after interval 6's traffic: with a window of
+	// 2 the closed edge then stands at interval 5.
+	cut, upTo2 := 0, 0
+	for i, r := range base {
+		if !r.Time.After(series.IntervalTime(6)) {
+			cut = i + 1
+		}
+		if r.Time.Before(series.IntervalTime(2)) {
+			upTo2 = i + 1
+		}
 	}
-	if !reflect.DeepEqual(seq.Results, want[2].Results) {
-		t.Error("RunStreamLink differs from batch run")
+	flow := base[0].Prefix
+	at := func(d time.Duration) time.Time { return start.Add(d) }
+	var (
+		early   = agg.Record{Prefix: flow, Time: at(-time.Minute), Bits: 1e6}                       // before the origin
+		stale   = agg.Record{Prefix: flow, Time: at(1 * iv), Bits: 1e6}                             // behind the closed edge
+		clipped = agg.Record{Prefix: flow, Time: at(4*iv + iv/2), Span: iv + iv/2, Bits: 3e6}       // half in closed interval 4
+		zero    = agg.Record{Prefix: flow, Time: at(6 * iv)}                                        // no bits
+		far     = agg.Record{Prefix: flow, Time: at((agg.DefaultStreamMaxGap + 100) * iv), Bits: 1} // past MaxGap
+		dup     = base[cut-1]
+	)
+	boom := errors.New("boom")
+	cases := []struct {
+		name      string
+		inject    []agg.Record
+		config    func() (core.Config, error)
+		failAfter int // the source fails after this many records; 0 never
+		late, far uint64
+		lateBits  bool
+		wantErr   string
+		closed    int
+		records   uint64
+	}{
+		{name: "clean"},
+		{name: "before the origin", inject: []agg.Record{early}, late: 1, lateBits: true},
+		{name: "behind the closed edge", inject: []agg.Record{stale}, late: 1, lateBits: true},
+		{name: "partially clipped span", inject: []agg.Record{clipped}, lateBits: true},
+		{name: "zero bits", inject: []agg.Record{zero}},
+		{name: "past MaxGap", inject: []agg.Record{far}, far: 1},
+		{name: "duplicate", inject: []agg.Record{dup}},
+		{name: "all at once", inject: []agg.Record{early, stale, clipped, zero, far, dup}, late: 2, far: 1, lateBits: true},
+		{
+			// MinFlows out of reach: the first interval to close fails, on
+			// the first record of interval 2.
+			name: "failing pipeline",
+			config: func() (core.Config, error) {
+				cfg, err := schemeConfig()
+				cfg.MinFlows = 1 << 20
+				return cfg, err
+			},
+			wantErr: fmt.Sprintf(`engine: link "hostile": core: interval 0: only %d active flows and no prior threshold`, series.ActiveFlows(0)),
+			closed:  1, records: uint64(upTo2) + 1,
+		},
+		{
+			name: "failing source", failAfter: upTo2 + 1,
+			wantErr: `engine: link "hostile": boom`,
+			closed:  1, records: uint64(upTo2) + 1,
+		},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			recs := append(append(append([]agg.Record{}, base[:cut]...), c.inject...), base[cut:]...)
+			var src agg.RecordSource = &sliceSource{recs: recs}
+			if c.failAfter > 0 {
+				src = &failingSource{src: src, after: c.failAfter, err: boom}
+			}
+			if c.config == nil {
+				c.config = schemeConfig
+			}
+			out, err := (&MultiLinkEngine{}).RunStreaming([]StreamLink{{
+				ID: "hostile", Source: src, Start: start, Interval: iv, Window: window, Config: c.config,
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lr, st := out[0], out[0].Stream
+			if c.wantErr != "" {
+				if lr.Err == nil || lr.Err.Error() != c.wantErr {
+					t.Fatalf("err = %v, want %s", lr.Err, c.wantErr)
+				}
+				if lr.Results != nil {
+					t.Errorf("failed link kept %d results", len(lr.Results))
+				}
+				if st.Closed != c.closed || st.Records != c.records {
+					t.Errorf("counters at the failure: %+v, want Closed %d Records %d", st, c.closed, c.records)
+				}
+				return
+			}
+			if lr.Err != nil {
+				t.Fatal(lr.Err)
+			}
+			if st.Records != uint64(len(recs)) || st.Records != st.InWindow+st.Late+st.FarFuture {
+				t.Errorf("conservation broken over %d records: %+v", len(recs), st)
+			}
+			if st.Late != c.late || st.FarFuture != c.far || (st.LateBits > 0) != c.lateBits {
+				t.Errorf("counters %+v, want Late %d FarFuture %d LateBits>0 %v", st, c.late, c.far, c.lateBits)
+			}
+			if st.Closed != len(lr.Results) || st.Closed != intervals {
+				t.Errorf("Closed %d, %d results, want %d", st.Closed, len(lr.Results), intervals)
+			}
+		})
+	}
+}
+
+// failingSource yields src's records until it has handed out after of
+// them, then fails with err.
+type failingSource struct {
+	src   agg.RecordSource
+	after int
+	err   error
+}
+
+func (s *failingSource) Next() (agg.Record, error) {
+	if s.after == 0 {
+		return agg.Record{}, s.err
+	}
+	s.after--
+	return s.src.Next()
 }
 
 // TestRunStreamingValidation mirrors the batch validation contract.

@@ -64,9 +64,10 @@ func churnRecords(seed int64, intervals int, iv time.Duration) []agg.Record {
 // contract end to end: a streaming run whose classifier keeps evicting
 // flows — releasing dense IDs into the shared table's quarantine, with
 // later traffic resurrecting some and recycling others — must stay
-// byte-identical to the batch run over a series collected from the
-// same records (whose pinned table never recycles). Any ID aliased or
-// dropped too early shows up as a diverging elephant set or load.
+// byte-identical to the sequential oracle over a series collected from
+// the same records (which re-interns every interval's prefixes, so no
+// ID outlives the snapshot it came with). Any ID aliased or dropped too
+// early shows up as a diverging elephant set or load.
 func TestStreamEvictionRecyclingMatchesBatch(t *testing.T) {
 	iv := time.Minute
 	const intervals = 64
@@ -78,13 +79,10 @@ func TestStreamEvictionRecyclingMatchesBatch(t *testing.T) {
 		if _, err := agg.Collect(&sliceSource{recs: recs}, s); err != nil {
 			t.Fatal(err)
 		}
-		want := RunLink(Link{ID: "l", Series: s, Config: churnConfig})
-		if want.Err != nil {
-			t.Fatal(want.Err)
-		}
+		want := sequential(t, s, churnConfig)
 
 		for _, window := range []int{1, 3} {
-			// Mirror RunStreamLink's wiring by hand so the shared table
+			// Mirror the stream loop's wiring by hand so the shared table
 			// stays inspectable after the run.
 			cfg, err := churnConfig()
 			if err != nil {
@@ -126,11 +124,11 @@ func TestStreamEvictionRecyclingMatchesBatch(t *testing.T) {
 			if err := agg.Stream(&sliceSource{recs: recs}, acc); err != nil {
 				t.Fatalf("seed %d window %d: %v", seed, window, err)
 			}
-			if len(results) != len(want.Results) {
-				t.Fatalf("seed %d window %d: %d intervals, batch %d", seed, window, len(results), len(want.Results))
+			if len(results) != len(want) {
+				t.Fatalf("seed %d window %d: %d intervals, batch %d", seed, window, len(results), len(want))
 			}
-			for i := range want.Results {
-				g, w := results[i], want.Results[i]
+			for i := range want {
+				g, w := results[i], want[i]
 				if g.RawThreshold != w.RawThreshold || g.Threshold != w.Threshold ||
 					g.ElephantLoad != w.ElephantLoad || g.TotalLoad != w.TotalLoad ||
 					g.ActiveFlows != w.ActiveFlows || !g.Elephants.Equal(w.Elephants) {

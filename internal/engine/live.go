@@ -105,7 +105,7 @@ type sealedInterval struct {
 // by a single consumer, and each stage owns its state exclusively
 // (the accumulator's tables never touch the classifier's), so a
 // LivePipeline fed a record sequence produces exactly the results
-// RunStreamLink would produce from a source yielding the same
+// RunStreaming would produce from a source yielding the same
 // sequence — regardless of how many producer goroutines exist
 // upstream of Send.
 //
@@ -189,7 +189,7 @@ type LivePipeline struct {
 // NewLivePipeline validates the link, builds its private accumulator
 // and pipeline, and starts the accumulate and classify stages.
 func NewLivePipeline(l LiveLink) (*LivePipeline, error) {
-	pipe, err := newPipeline(l.ID, l.Config)
+	pipe, err := newPipeline(l.ID, l.Config, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,26 @@ import (
 	"repro/internal/core"
 )
 
+// streamed is the live path's reference: the same records run to
+// completion through RunStreaming on one worker.
+func streamed(t *testing.T, id string, recs []agg.Record) LinkResult {
+	t.Helper()
+	out, err := (&MultiLinkEngine{Workers: 1}).RunStreaming([]StreamLink{{
+		ID:       id,
+		Source:   &sliceSource{recs: recs},
+		Start:    start,
+		Interval: 5 * time.Minute,
+		Config:   schemeConfig,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].Err != nil {
+		t.Fatal(out[0].Err)
+	}
+	return out[0]
+}
+
 // TestLivePipelineMatchesRunStreamLink: pushing a record sequence
 // through a long-lived LivePipeline must produce exactly the results
 // run-to-completion streaming produces from a source yielding the same
@@ -25,16 +45,7 @@ import (
 func TestLivePipelineMatchesRunStreamLink(t *testing.T) {
 	recs := seriesRecords(synthSeries(42, 150, 24))
 
-	want := RunStreamLink(StreamLink{
-		ID:       "live",
-		Source:   &sliceSource{recs: recs},
-		Start:    start,
-		Interval: 5 * time.Minute,
-		Config:   schemeConfig,
-	})
-	if want.Err != nil {
-		t.Fatal(want.Err)
-	}
+	want := streamed(t, "live", recs)
 
 	for _, batch := range []int{1, 7, 30, 31, 32, 33, 100} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
@@ -214,16 +225,7 @@ func TestLivePipelineConcurrentProducers(t *testing.T) {
 func TestLivePipelineSendBatch(t *testing.T) {
 	recs := seriesRecords(synthSeries(43, 120, 18))
 
-	want := RunStreamLink(StreamLink{
-		ID:       "batchsend",
-		Source:   &sliceSource{recs: recs},
-		Start:    start,
-		Interval: 5 * time.Minute,
-		Config:   schemeConfig,
-	})
-	if want.Err != nil {
-		t.Fatal(want.Err)
-	}
+	want := streamed(t, "batchsend", recs)
 
 	var got []core.Result
 	lp, err := NewLivePipeline(LiveLink{

@@ -2,12 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"time"
 
 	"repro/internal/agg"
-	"repro/internal/core"
 	"repro/internal/scheme"
 )
 
@@ -22,24 +18,6 @@ type MatrixLink struct {
 	// one fully aggregated series across specs is safe: snapshots are
 	// read-only views and every cell gets fresh pipeline state.
 	Series *agg.Series
-}
-
-// MatrixStreamLink is MatrixLink's streaming twin. Open is called once
-// per (link, spec) cell, from the worker goroutine that runs the cell,
-// because a RecordSource is consumed by exactly one run.
-type MatrixStreamLink struct {
-	// ID names the link; see MatrixLink.
-	ID string
-	// Open yields a fresh record source for one cell.
-	Open func() (agg.RecordSource, error)
-	// Start is the left edge of interval 0; the zero value aligns to
-	// the first record.
-	Start time.Time
-	// Interval is the measurement interval Δ. Required.
-	Interval time.Duration
-	// Window is the accumulator's open-interval count; 0 derives it
-	// per spec via StreamWindow.
-	Window int
 }
 
 // MatrixID names one (link, spec) cell of a matrix run:
@@ -58,12 +36,12 @@ func MatrixID(linkID string, sp *scheme.Spec) string {
 	return id
 }
 
-// StreamWindow is the accumulator-window rule shared by the streaming
-// matrix, cmd/elephants -stream and the examples: an explicit window
-// wins; otherwise the window follows the scheme's latent-heat lookback
-// so ingestion holds exactly as much history as classification needs,
-// floored at agg.DefaultStreamWindow so schemes without persistence
-// still tolerate moderately out-of-order sources.
+// StreamWindow is the accumulator-window rule shared by cmd/elephants,
+// cmd/flowstats and the examples: an explicit window wins; otherwise
+// the window follows the scheme's latent-heat lookback so ingestion
+// holds exactly as much history as classification needs, floored at
+// agg.DefaultStreamWindow so schemes without persistence still tolerate
+// moderately out-of-order sources.
 func StreamWindow(sp *scheme.Spec, explicit int) int {
 	if explicit > 0 {
 		return explicit
@@ -77,79 +55,50 @@ func StreamWindow(sp *scheme.Spec, explicit int) int {
 
 // RunMatrix classifies every link under every scheme spec with
 // emit-once execution: the pool's unit of work is the link, not the
-// (link, spec) cell. One worker seals the link's series, walks its
-// intervals once, emits each snapshot once, and fans it into all the
-// group's spec pipelines — turning S full emission passes per link
-// into one. Sharing the snapshot is safe because StepSnapshot never
-// retains it, every cell's fresh identity table interns the link's
-// rows to the same dense-ID column, and the snapshot's table stamp is
-// rewritten per pipeline so ID resolution stays exact. When there are
-// fewer links than workers, the spec list is split into per-worker
-// groups so parallelism is preserved (trading some sharing).
+// (link, spec) cell. One worker walks the link's sealed series once,
+// emits each snapshot once, and steps it through all the group's spec
+// pipelines — turning S full emission passes per link into one. When
+// there are fewer links than workers, the spec list is split into
+// per-worker groups so parallelism is preserved (trading some sharing).
+// Before that, a detector prepass computes each distinct detector
+// config's θ(t) column per link on the pool, so covered cells run no
+// detection at all and specs sharing a detector key consume one
+// computation (see prepass.go).
 //
-// The output is byte-identical to RunMatrixPerCell (and, on replayed
-// sources, to RunMatrixStreaming): same cell IDs, same ordering by
-// cell ID, same per-cell error isolation — a failing cell reports its
-// error without aborting the other cells.
+// The output is byte-identical to Run over the links×specs cross
+// product with IDs MatrixID(link, spec): same ordering by cell ID, same
+// per-cell error isolation — a failing cell reports its error without
+// aborting the other cells.
 func (e *MultiLinkEngine) RunMatrix(links []MatrixLink, specs []*scheme.Spec) ([]LinkResult, error) {
 	if err := validateSpecs(specs); err != nil {
 		return nil, err
 	}
-	if len(links) == 0 {
-		return nil, nil
-	}
-	ids := make([]string, 0, len(links)*len(specs))
+	out := make([]LinkResult, 0, len(links)*len(specs))
 	for _, l := range links {
 		for _, sp := range specs {
-			ids = append(ids, MatrixID(l.ID, sp))
+			out = append(out, LinkResult{ID: MatrixID(l.ID, sp)})
 		}
 	}
-	if err := validateIDs(ids); err != nil {
-		return nil, err
-	}
-	// Seal up front, on one goroutine: the first snapshot after Seal
-	// builds the interval-major index every cell of the link then
-	// shares.
-	for _, l := range links {
-		if l.Series != nil {
-			l.Series.Seal()
+	return e.runMerged(out, func() {
+		cols := e.prepassThresholds(links, specs)
+		groups := splitSpecs(specs, e.specGroups(len(links), len(specs)))
+		cells := make([]cell, len(out))
+		tasks := make([]seriesTask, 0, len(links)*len(groups))
+		k := 0 // out and cells run in the same links×specs order
+		for _, l := range links {
+			for _, g := range groups {
+				tasks = append(tasks, seriesTask{series: l.Series, cells: cells[k : k+len(g)]})
+				for _, sp := range g {
+					cells[k] = cell{out: &out[k], config: sp.Factory()}
+					if col, ok := cols[l.ID][sp.DetectorKey()]; ok {
+						cells[k].thresholds = col
+					}
+					k++
+				}
+			}
 		}
-	}
-	// Detector prepass: precompute each distinct detector config's θ(t)
-	// column per link on the pool, so the classify pass below runs no
-	// detection at all for covered cells and specs sharing a detector
-	// key consume one computation (see prepass.go).
-	var cols map[string]map[string]*thresholdColumn
-	if !e.InlineDetection {
-		cols = e.prepassThresholds(links, specs)
-	}
-	groups := splitSpecs(specs, e.specGroups(len(links), len(specs)))
-	type task struct {
-		link  MatrixLink
-		specs []*scheme.Spec
-		out   []LinkResult // this task's slots in the merged output
-	}
-	out := make([]LinkResult, len(links)*len(specs))
-	tasks := make([]task, 0, len(links)*len(groups))
-	off := 0
-	for _, l := range links {
-		for _, g := range groups {
-			tasks = append(tasks, task{link: l, specs: g, out: out[off : off+len(g)]})
-			off += len(g)
-		}
-	}
-	e.runPool(len(tasks), func() func(int) {
-		// Per-worker reusable emission state, shared across every link
-		// the worker processes.
-		snap := core.NewFlowSnapshot(0)
-		var rowIDs []uint32
-		return func(i int) {
-			t := &tasks[i]
-			rowIDs = runMatrixLink(t.link, t.specs, cols[t.link.ID], snap, rowIDs, t.out)
-		}
+		e.runSeries(tasks)
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
 }
 
 // specGroups decides how many contiguous groups to split the spec list
@@ -158,18 +107,11 @@ func (e *MultiLinkEngine) RunMatrix(links []MatrixLink, specs []*scheme.Spec) ([
 // spec count — with one link and plentiful workers this degenerates to
 // the per-cell fan-out.
 func (e *MultiLinkEngine) specGroups(nlinks, nspecs int) int {
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := e.workers()
 	if nlinks >= workers {
 		return 1
 	}
-	g := (workers + nlinks - 1) / nlinks
-	if g > nspecs {
-		g = nspecs
-	}
-	return g
+	return min((workers+nlinks-1)/nlinks, nspecs)
 }
 
 // splitSpecs cuts specs into groups contiguous, balanced chunks.
@@ -182,136 +124,6 @@ func splitSpecs(specs []*scheme.Spec, groups int) [][]*scheme.Spec {
 		}
 	}
 	return out
-}
-
-// runMatrixLink classifies one link under a group of specs with shared
-// emission: per interval, the snapshot is emitted once — against the
-// first live pipeline's identity table — and re-stamped for each other
-// pipeline, whose own InternRows call produced the identical row→ID
-// column. Per-cell error isolation matches the per-cell path exactly:
-// a cell that fails stops stepping and reports its wrapped error; the
-// surviving cells keep running, and the loop exits early once none
-// remain.
-// cols carries the link's precomputed threshold columns keyed by
-// canonical detector key (nil or missing keys → inline detection).
-func runMatrixLink(l MatrixLink, specs []*scheme.Spec, cols map[string]*thresholdColumn, snap *core.FlowSnapshot, rowIDs []uint32, out []LinkResult) []uint32 {
-	for k, sp := range specs {
-		out[k] = LinkResult{ID: MatrixID(l.ID, sp)}
-	}
-	if l.Series == nil {
-		for k := range out {
-			out[k].Err = fmt.Errorf("engine: link %q: nil series", out[k].ID)
-		}
-		return rowIDs
-	}
-	pipes := make([]*core.Pipeline, len(specs))
-	results := make([][]core.Result, len(specs))
-	live := 0
-	for k, sp := range specs {
-		var src core.ThresholdSource
-		if col, ok := cols[sp.DetectorKey()]; ok {
-			src = col
-		}
-		pipe, err := newPipelineThresholds(out[k].ID, sp.Factory(), src)
-		if err != nil {
-			out[k].Err = err
-			continue
-		}
-		pipes[k] = pipe
-		rowIDs = l.Series.InternRows(pipe.Table(), rowIDs)
-		results[k] = make([]core.Result, 0, l.Series.Intervals)
-		live++
-	}
-	for t := 0; t < l.Series.Intervals && live > 0; t++ {
-		emitted := false
-		for k, pipe := range pipes {
-			if pipe == nil {
-				continue
-			}
-			if !emitted {
-				snap = l.Series.SnapshotIDs(t, snap, pipe.Table(), rowIDs)
-				emitted = true
-			} else {
-				snap.SetIDTable(pipe.Table())
-			}
-			res, err := pipe.StepSnapshot(t, snap)
-			if err != nil {
-				out[k].Err = fmt.Errorf("engine: link %q: %w", out[k].ID, err)
-				results[k] = nil
-				pipes[k] = nil
-				live--
-				continue
-			}
-			results[k] = append(results[k], res)
-		}
-	}
-	for k := range out {
-		if out[k].Err == nil {
-			out[k].Results = results[k]
-		}
-	}
-	return rowIDs
-}
-
-// RunMatrixPerCell is the cell-per-task reference execution RunMatrix's
-// shared-emission output is defined (and tested) against: the
-// len(links)×len(specs) cross-product fans onto the worker pool as
-// independent cells, each emitting its own snapshots.
-func (e *MultiLinkEngine) RunMatrixPerCell(links []MatrixLink, specs []*scheme.Spec) ([]LinkResult, error) {
-	if err := validateSpecs(specs); err != nil {
-		return nil, err
-	}
-	work := make([]Link, 0, len(links)*len(specs))
-	for _, l := range links {
-		for _, sp := range specs {
-			work = append(work, Link{ID: MatrixID(l.ID, sp), Series: l.Series, Config: sp.Factory()})
-		}
-	}
-	return e.Run(work)
-}
-
-// RunMatrixStreaming is RunMatrix's bounded-memory twin: every (link,
-// spec) cell opens its own record source and streams it through a
-// private accumulator sized by the spec's window rule. On sources that
-// replay the same records, the results are byte-identical to RunMatrix
-// on the collected series — the registry-wide equivalence contract.
-func (e *MultiLinkEngine) RunMatrixStreaming(links []MatrixStreamLink, specs []*scheme.Spec) ([]LinkResult, error) {
-	if err := validateSpecs(specs); err != nil {
-		return nil, err
-	}
-	type cell struct {
-		link MatrixStreamLink
-		sp   *scheme.Spec
-	}
-	cells := make([]cell, 0, len(links)*len(specs))
-	for _, l := range links {
-		for _, sp := range specs {
-			cells = append(cells, cell{link: l, sp: sp})
-		}
-	}
-	return e.runMerged(len(cells),
-		func(i int) string { return MatrixID(cells[i].link.ID, cells[i].sp) },
-		func() func(int) LinkResult {
-			return func(i int) LinkResult {
-				c := cells[i]
-				id := MatrixID(c.link.ID, c.sp)
-				if c.link.Open == nil {
-					return LinkResult{ID: id, Err: fmt.Errorf("engine: link %q: nil Open", c.link.ID)}
-				}
-				src, err := c.link.Open()
-				if err != nil {
-					return LinkResult{ID: id, Err: fmt.Errorf("engine: link %q: opening source: %w", c.link.ID, err)}
-				}
-				return RunStreamLink(StreamLink{
-					ID:       id,
-					Source:   src,
-					Start:    c.link.Start,
-					Interval: c.link.Interval,
-					Window:   StreamWindow(c.sp, c.link.Window),
-					Config:   c.sp.Factory(),
-				})
-			}
-		})
 }
 
 // validateSpecs rejects empty and nil spec lists up front so the error

@@ -37,12 +37,7 @@ func TestRunMatrix(t *testing.T) {
 	want := make(map[string][]core.Result)
 	for _, l := range links {
 		for _, sp := range specs {
-			id := MatrixID(l.ID, sp)
-			lr := RunLink(Link{ID: id, Series: l.Series, Config: sp.Factory()})
-			if lr.Err != nil {
-				t.Fatalf("%s: %v", id, lr.Err)
-			}
-			want[id] = lr.Results
+			want[MatrixID(l.ID, sp)] = sequential(t, l.Series, sp.Factory())
 		}
 	}
 
@@ -73,8 +68,25 @@ func TestRunMatrix(t *testing.T) {
 	}
 }
 
+// perCell is RunMatrix's oracle: Run over the links×specs cross product
+// — every cell its own task, emission pass and inline detection.
+func perCell(t testing.TB, workers int, links []MatrixLink, specs []*scheme.Spec) []LinkResult {
+	t.Helper()
+	var work []Link
+	for _, l := range links {
+		for _, sp := range specs {
+			work = append(work, Link{ID: MatrixID(l.ID, sp), Series: l.Series, Config: sp.Factory()})
+		}
+	}
+	out, err := (&MultiLinkEngine{Workers: workers}).Run(work)
+	if err != nil {
+		t.Fatalf("workers=%d per-cell: %v", workers, err)
+	}
+	return out
+}
+
 // TestRunMatrixMatchesPerCell pins the emit-once execution against the
-// cell-per-task reference path, cell for cell: same IDs, same order,
+// cell-per-task oracle, cell for cell: same IDs, same order,
 // byte-identical results, same error text — including a cell that fails
 // mid-run (MinFlows impossibly high → detector error on interval 0)
 // without disturbing its neighbours, and a worker count that forces the
@@ -94,10 +106,7 @@ func TestRunMatrixMatchesPerCell(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		ref, err := (&MultiLinkEngine{Workers: workers}).RunMatrixPerCell(links, specs)
-		if err != nil {
-			t.Fatalf("workers=%d per-cell: %v", workers, err)
-		}
+		ref := perCell(t, workers, links, specs)
 		if len(got) != len(ref) {
 			t.Fatalf("workers=%d: %d cells vs %d per-cell", workers, len(got), len(ref))
 		}
@@ -161,9 +170,10 @@ func TestSpecGroups(t *testing.T) {
 }
 
 // TestRunMatrixStreamingMatchesBatch is the registry equivalence
-// contract at engine level: the streaming matrix over record replays of
-// a series must be byte-identical to the batch matrix over the
-// collected series, per cell.
+// contract at engine level: streaming every (link, spec) cell over a
+// record replay of a series — window by StreamWindow, ID by MatrixID —
+// must be byte-identical to the batch matrix over the collected series,
+// per cell.
 func TestRunMatrixStreamingMatchesBatch(t *testing.T) {
 	const intervals = 24
 	recs := seriesRecords(synthSeries(9, 150, intervals))
@@ -178,12 +188,18 @@ func TestRunMatrixStreamingMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := eng.RunMatrixStreaming([]MatrixStreamLink{{
-		ID:       "live",
-		Open:     func() (agg.RecordSource, error) { return &sliceSource{recs: recs}, nil },
-		Start:    start,
-		Interval: 5 * time.Minute,
-	}}, specs)
+	var cells []StreamLink
+	for _, sp := range specs {
+		cells = append(cells, StreamLink{
+			ID:       MatrixID("live", sp),
+			Source:   &sliceSource{recs: recs},
+			Start:    start,
+			Interval: 5 * time.Minute,
+			Window:   StreamWindow(sp, 0),
+			Config:   sp.Factory(),
+		})
+	}
+	stream, err := eng.RunStreaming(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +283,5 @@ func TestRunMatrixValidation(t *testing.T) {
 	_, err := (&MultiLinkEngine{}).RunMatrix(links, dup)
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate specs: err = %v, want duplicate-ID error", err)
-	}
-	slinks := []MatrixStreamLink{{ID: "l", Start: start, Interval: time.Minute}}
-	got, err := (&MultiLinkEngine{}).RunMatrixStreaming(slinks, []*scheme.Spec{scheme.MustParse("load+single")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Err == nil || !strings.Contains(got[0].Err.Error(), "nil Open") {
-		t.Errorf("nil Open: cell err = %v", got[0].Err)
 	}
 }

@@ -149,6 +149,9 @@ func (e *MultiLinkEngine) prepassThresholds(links []MatrixLink, specs []*scheme.
 			if links[i].Series == nil {
 				return
 			}
+			// The sorted columns read the interval-major index, which
+			// only a sealed series builds.
+			links[i].Series.Seal()
 			sorted[i] = buildSortedColumns(links[i], &scratch)
 		}
 	})

@@ -31,8 +31,8 @@ func registrySpecs(t testing.TB) []*scheme.Spec {
 // TestRunMatrixPrepassEquivalence is the registry-wide cached-vs-inline
 // pin: every detector×classifier spec in the registry runs over
 // randomized multi-link series through both the prepassed RunMatrix and
-// the InlineDetection path, across worker counts, asserting
-// byte-identical Results. Run under -race this also exercises the
+// the perCell oracle (Run always detects inline), across worker counts,
+// asserting byte-identical Results. Run under -race this also exercises the
 // prepass's pool handoffs (sorted columns and threshold columns built
 // on workers, consumed by classify workers).
 func TestRunMatrixPrepassEquivalence(t *testing.T) {
@@ -42,11 +42,7 @@ func TestRunMatrixPrepassEquivalence(t *testing.T) {
 		{ID: "south", Series: synthSeries(5, 60, 30)},
 	}
 	specs := registrySpecs(t)
-	inline := &MultiLinkEngine{Workers: 1, InlineDetection: true}
-	want, err := inline.RunMatrix(links, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := perCell(t, 1, links, specs)
 	for _, workers := range []int{1, 2, 4, 8} {
 		e := &MultiLinkEngine{Workers: workers}
 		got, err := e.RunMatrix(links, specs)
@@ -137,11 +133,7 @@ func TestPrepassCoversDetectionErrors(t *testing.T) {
 		Classifier: scheme.Component{Name: "single"},
 		MinFlows:   -1, // force detection even on empty intervals
 	}}
-	inline := &MultiLinkEngine{Workers: 1, InlineDetection: true}
-	want, err := inline.RunMatrix(links, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := perCell(t, 1, links, specs)
 	cached, err := (&MultiLinkEngine{Workers: 1}).RunMatrix(links, specs)
 	if err != nil {
 		t.Fatal(err)

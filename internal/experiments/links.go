@@ -139,11 +139,15 @@ func PaperSpec() *scheme.Spec { return scheme.MustParse("load+latent") }
 // and returns the per-interval results. Every registered scheme — the
 // paper's and the baselines alike — runs through the same engine path.
 func RunScheme(series *agg.Series, sp *scheme.Spec) ([]core.Result, error) {
-	lr := engine.RunLink(engine.Link{ID: sp.String(), Series: series, Config: sp.Factory()})
-	if lr.Err != nil {
-		return nil, fmt.Errorf("experiments: scheme %s: %w", sp.Name(), lr.Err)
+	eng := engine.MultiLinkEngine{}
+	lrs, err := eng.Run([]engine.Link{{ID: sp.String(), Series: series, Config: sp.Factory()}})
+	if err == nil {
+		err = lrs[0].Err
 	}
-	return lr.Results, nil
+	if err != nil {
+		return nil, fmt.Errorf("experiments: scheme %s: %w", sp.Name(), err)
+	}
+	return lrs[0].Results, nil
 }
 
 // RunSchemes classifies one series under every spec through a single

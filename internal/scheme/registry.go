@@ -13,8 +13,8 @@
 // core.Config factory that builds fresh detector/classifier instances on
 // every call, satisfying the engine's fresh-instances-per-link
 // determinism contract, so any registered scheme runs unmodified through
-// engine.Run, engine.RunStreaming, the experiments harnesses and every
-// CLI that takes a -scheme flag.
+// engine.Run, engine.RunMatrix, engine.RunStreaming, engine.LivePipeline,
+// the experiments harnesses and every CLI that takes a -scheme flag.
 //
 // The registry is the single source of truth for help and error text:
 // List enumerates every component with its parameters, so adding a

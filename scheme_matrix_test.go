@@ -4,8 +4,9 @@ package repro
 // registry can name — the cross-product of all registered detector and
 // classifier examples — must run end to end through both the batch
 // engine path (engine.RunMatrix over a generated series) and the
-// streaming path (engine.RunMatrixStreaming over the synthetic
-// generator's incremental record stream) with byte-identical results.
+// streaming path (engine.RunStreaming, one cell per spec, over the
+// synthetic generator's incremental record stream) with byte-identical
+// results.
 // Adding a scheme via RegisterDetector/RegisterClassifier automatically
 // enrols it here; a scheme that only works in one ingestion mode cannot
 // land. Run with -race: the matrix fans out on the concurrent pool.
@@ -18,6 +19,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/bgp"
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/scheme"
 	"repro/internal/trace"
 )
@@ -99,12 +101,18 @@ func TestRegistryBatchStreamEquivalence(t *testing.T) {
 	// Streaming twin: every (link, spec) cell opens a fresh
 	// identically-seeded incremental generator; the accumulator window
 	// derives from each spec.
-	stream, err := eng.RunMatrixStreaming([]engine.MatrixStreamLink{{
-		ID:       "synth",
-		Open:     mkStream,
-		Start:    eqStart,
-		Interval: interval,
-	}}, specs)
+	cells := make([]engine.StreamLink, len(specs))
+	for i, sp := range specs {
+		src, err := mkStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells[i] = engine.StreamLink{
+			ID: engine.MatrixID("synth", sp), Source: src, Start: eqStart, Interval: interval,
+			Window: engine.StreamWindow(sp, 0), Config: sp.Factory(),
+		}
+	}
+	stream, err := eng.RunStreaming(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +162,13 @@ func TestRegistrySchemesThroughExperiments(t *testing.T) {
 	}
 	series := link.GenerateSeries(eqStart, time.Minute, 12)
 	for _, sp := range registrySpecs(t) {
-		lr := engine.RunLink(engine.Link{ID: sp.String(), Series: series, Config: sp.Factory()})
-		if lr.Err != nil {
-			t.Errorf("scheme %s: %v", sp, lr.Err)
+		results, err := experiments.RunScheme(series, sp)
+		if err != nil {
+			t.Errorf("scheme %s: %v", sp, err)
 			continue
 		}
-		if len(lr.Results) != series.Intervals {
-			t.Errorf("scheme %s: %d results, want %d", sp, len(lr.Results), series.Intervals)
+		if !reflect.DeepEqual(results, sequential(t, series, sp.Factory())) {
+			t.Errorf("scheme %s: RunScheme diverges from the sequential oracle", sp)
 		}
 	}
 }

@@ -3,10 +3,11 @@ package repro
 // The batch-vs-stream equivalence contract, end to end on every ingest
 // substrate: classifications produced by the streaming path
 // (RecordSource -> StreamAccumulator -> Pipeline.StepSnapshot, driven
-// through engine.RunStreamLink) must be byte-identical to the batch
-// path (the same records collected into an agg.Series, classified
-// index-driven through engine.RunLink). Run with -race: the multi-link
-// variants exercise the concurrent pool.
+// through engine.RunStreaming) must be byte-identical to the same
+// records collected into an agg.Series and classified by the sequential
+// oracle (one core pipeline stepped over plain snapshots, no engine
+// code) or by engine.Run. Run with -race: the multi-link variants
+// exercise the concurrent pool.
 
 import (
 	"bytes"
@@ -38,32 +39,58 @@ func eqScheme() (core.Config, error) {
 	return core.Config{Detector: det, Alpha: 0.5, Classifier: lh, MinFlows: 8}, nil
 }
 
+// sequential is the oracle every engine path is compared against: one
+// pipeline built straight on core and stepped over the series' plain
+// snapshots — no flow IDs, no engine code.
+func sequential(t *testing.T, s *agg.Series, factory func() (core.Config, error)) []core.Result {
+	t.Helper()
+	cfg, err := factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := core.NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap *core.FlowSnapshot
+	results := make([]core.Result, 0, s.Intervals)
+	for tt := 0; tt < s.Intervals; tt++ {
+		snap = s.Snapshot(tt, snap)
+		res, err := pipe.Step(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	return results
+}
+
 // runBatchRecords collects a record source into a series and classifies
-// it index-driven — the batch reference.
+// it sequentially — the batch reference.
 func runBatchRecords(t *testing.T, src agg.RecordSource, intervals int, interval time.Duration) []core.Result {
 	t.Helper()
 	s := agg.NewSeries(eqStart, interval, intervals)
 	if _, err := agg.Collect(src, s); err != nil {
 		t.Fatal(err)
 	}
-	lr := engine.RunLink(engine.Link{ID: "batch", Series: s, Config: eqScheme})
-	if lr.Err != nil {
-		t.Fatal(lr.Err)
-	}
-	return lr.Results
+	return sequential(t, s, eqScheme)
 }
 
 // runStreamRecords classifies a record source live through the
 // bounded-memory streaming path.
 func runStreamRecords(t *testing.T, src agg.RecordSource, interval time.Duration, window int) []core.Result {
 	t.Helper()
-	lr := engine.RunStreamLink(engine.StreamLink{
+	eng := engine.MultiLinkEngine{Workers: 1}
+	lrs, err := eng.RunStreaming([]engine.StreamLink{{
 		ID: "stream", Source: src, Start: eqStart, Interval: interval, Window: window, Config: eqScheme,
-	})
-	if lr.Err != nil {
-		t.Fatal(lr.Err)
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return lr.Results
+	if lrs[0].Err != nil {
+		t.Fatal(lrs[0].Err)
+	}
+	return lrs[0].Results
 }
 
 func requireIdentical(t *testing.T, substrate string, batch, stream []core.Result) {
