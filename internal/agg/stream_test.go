@@ -592,6 +592,100 @@ func TestStreamEmitError(t *testing.T) {
 	}
 }
 
+// TestAddBatchRecycleMidSlab: the flow behind a key can change in the
+// middle of one AddBatch call. The slab's second record closes so many
+// intervals that the flow behind key 7 is released, its quarantine
+// expires and its ID is bound to another prefix, after which key 7
+// arrives with a new prefix and with the old one again, twice. Anything
+// AddBatch resolved for the slab ahead of that record — a key's slot, the
+// row it names, an ID — would be stale by then, so snapshots, counters
+// and the table must come out as the Add loop leaves them. Once with the
+// accumulator's own table (it releases the rows) and once with a
+// caller's table whose consumer releases every emitted flow.
+func TestAddBatchRecycleMidSlab(t *testing.T) {
+	const jump = 40 // intervals: past DefaultQuarantine for the shared table
+	later := start.Add(jump * time.Minute)
+	first := Record{Prefix: pfxA, Key: 7, Time: start, Bits: 600}
+	slab := []Record{
+		{Prefix: pfxA, Key: 7, Time: start, Bits: 60},
+		{Prefix: pfxC, Key: 9, Time: later, Bits: 120}, // closes 0…jump-2, takes pfxA's ID
+		{Prefix: pfxB, Key: 7, Time: later, Bits: 180},
+		{Prefix: pfxA, Key: 7, Time: later, Bits: 240},
+		{Prefix: pfxB, Key: 7, Time: later, Bits: 300},
+		{Prefix: pfxA, Key: 7, Time: later, Bits: 360},
+	}
+	for _, shared := range []bool{false, true} {
+		t.Run(fmt.Sprintf("shared=%v", shared), func(t *testing.T) {
+			run := func(batch bool) (*StreamAccumulator, []*core.FlowSnapshot, uint32) {
+				cfg := StreamConfig{Start: start, Interval: time.Minute, Window: 2}
+				if shared {
+					cfg.Table = core.NewFlowTable()
+				}
+				var firstID uint32
+				acc, snaps := collectStreamVia(t, cfg, func(a *StreamAccumulator) error {
+					if shared {
+						// The consumer a shared table expects: it releases the
+						// flows it is shown and ticks the quarantine clock.
+						collect := a.Emit
+						a.Emit = func(g int, snap *core.FlowSnapshot) error {
+							for _, id := range snap.IDs() {
+								a.Table().Release(id)
+							}
+							a.Table().Advance()
+							return collect(g, snap)
+						}
+					}
+					if err := a.Add(first); err != nil {
+						return err
+					}
+					firstID, _ = a.Table().Lookup(pfxA)
+					if batch {
+						n, err := a.AddBatch(slab)
+						if n != len(slab) {
+							t.Errorf("AddBatch presented %d of %d records", n, len(slab))
+						}
+						return err
+					}
+					for _, rec := range slab {
+						if err := a.Add(rec); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				return acc, snaps, firstID
+			}
+			acc, got, firstID := run(false)
+			bacc, bgot, _ := run(true)
+			if id, ok := acc.Table().Lookup(pfxC); !ok || id != firstID {
+				t.Fatalf("pfxC holds ID %d (bound %v); the case needs it to recycle pfxA's first ID %d", id, ok, firstID)
+			}
+			if bacc.Stats() != acc.Stats() {
+				t.Errorf("AddBatch Stats() = %+v, Add loop %+v", bacc.Stats(), acc.Stats())
+			}
+			if len(bgot) != len(got) || len(got) != jump+1 {
+				t.Fatalf("AddBatch emitted %d intervals, Add loop %d, want %d", len(bgot), len(got), jump+1)
+			}
+			for g := range got {
+				snapEqual(t, fmt.Sprintf("interval %d, AddBatch vs Add loop", g), bgot[g], got[g])
+			}
+			if last := got[jump]; last.Len() != 3 || last.Bandwidth(0) != (240+360)/60.0 {
+				t.Errorf("interval %d = %v %v, want pfxA, pfxB, pfxC with pfxA at %v", jump, last.Keys(), last.Bandwidths(), (240+360)/60.0)
+			}
+			for _, p := range []netip.Prefix{pfxA, pfxB, pfxC} {
+				id, ok := acc.Table().Lookup(p)
+				if bid, bok := bacc.Table().Lookup(p); bid != id || bok != ok {
+					t.Errorf("%v: AddBatch leaves ID %d (bound %v), Add loop %d (%v)", p, bid, bok, id, ok)
+				}
+			}
+			if bacc.Table().Len() != acc.Table().Len() || bacc.Table().Cap() != acc.Table().Cap() {
+				t.Errorf("AddBatch leaves a table of %d rows in %d IDs, Add loop %d in %d",
+					bacc.Table().Len(), bacc.Table().Cap(), acc.Table().Len(), acc.Table().Cap())
+			}
+		})
+	}
+}
+
 func TestStreamConfigValidation(t *testing.T) {
 	if _, err := NewStreamAccumulator(StreamConfig{Interval: 0}); err == nil {
 		t.Error("zero interval accepted")

@@ -18,6 +18,13 @@ import "math/bits"
 // into the gaps between longer ones), so a lookup is: root entry, run
 // header, binary search inside one contiguous run.
 //
+// Those are three dependent loads, and on a table larger than the cache
+// the first two usually miss. lookup takes them for one address;
+// lookupEach takes them for a chunk of addresses one level at a time, so
+// the misses of a level are independent loads the core overlaps instead
+// of a chain it waits out address by address. Both end in the same spans
+// and find.
+//
 // Insert keeps the structure exact at every step; nothing is built
 // lazily, so a table that is no longer being written may be read from
 // any number of goroutines.
@@ -79,21 +86,52 @@ func (l *lpm) lookup(addr uint32) uint32 {
 	return run[find(run, uint16(addr))].leaf
 }
 
-// run returns the spans of the run whose header is at off.
-func (l *lpm) run(off uint32) []span {
-	n := l.arena[off].leaf
-	return l.arena[off+1 : off+1+n]
+// lookupChunk is how many addresses lookupEach resolves at once: a full
+// NetFlow v5 datagram (30 records) rounded up to a power of two.
+const lookupChunk = 32
+
+// lookupEach sets leaves[i] to lookup(addrs[i]) for at most lookupChunk
+// addresses, level by level: every address's root entry, then the run
+// header of every bucketed one, then the search inside each run. The
+// first two passes are nothing but the loads, so that a chunk's worth of
+// them fits the core's window and is in flight at once.
+func (l *lpm) lookupEach(addrs, leaves []uint32) {
+	leaves = leaves[:len(addrs)]
+	for i, a := range addrs {
+		leaves[i] = l.root[a>>16]
+	}
+	var counts [lookupChunk]uint32
+	for i, e := range leaves {
+		if e&bucketBit != 0 {
+			counts[i] = l.arena[e&^bucketBit].leaf
+		}
+	}
+	for i, e := range leaves {
+		if e&bucketBit != 0 {
+			run := l.spans(e&^bucketBit, counts[i])
+			leaves[i] = run[find(run, uint16(addrs[i]))].leaf
+		}
+	}
 }
 
+// run returns the spans of the run whose header is at off.
+func (l *lpm) run(off uint32) []span { return l.spans(off, l.arena[off].leaf) }
+
+// spans returns the n spans that follow the run header at off.
+func (l *lpm) spans(off, n uint32) []span { return l.arena[off+1 : off+1+n] }
+
 // find returns the index of the span containing lo: the last one that
-// starts at or before it. run[0] starts at 0, so one always does.
+// starts at or before it. run[0] starts at 0, so one always does. The
+// step is arithmetic, not a branch: which half holds lo is a coin toss
+// the predictor loses, and a lost toss discards the loads already in
+// flight for the addresses that follow in lookupEach.
 func find(run []span, lo uint16) int {
 	i := 0
 	for n := len(run); n > 1; {
 		half := n >> 1
-		if run[i+half].start <= lo {
-			i += half
-		}
+		// below is all ones when run[i+half] starts after lo.
+		below := (int(lo) - int(run[i+half].start)) >> 63
+		i += half &^ below
 		n -= half
 	}
 	return i

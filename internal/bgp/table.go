@@ -164,6 +164,41 @@ func (t *Table) LookupKey(addr netip.Addr) (netip.Prefix, uint32, bool) {
 	return t.routes[i].Prefix, uint32(i + 1), true
 }
 
+// LookupKeys is LookupKey for every address of addrs: prefixes[i] and
+// keys[i] are what LookupKey(addrs[i]) returns, and keys[i] is 0 exactly
+// when it reports no route. prefixes and keys must be at least as long as
+// addrs. It is the form for a caller that holds a datagram's worth of
+// addresses: the IPv4 ones are resolved a chunk at a time, one level of
+// the index across the whole chunk before the next (lpm.lookupEach), so
+// the cache misses of a level overlap; an IPv6 address is answered by
+// LookupKey itself.
+func (t *Table) LookupKeys(addrs []netip.Addr, prefixes []netip.Prefix, keys []uint32) {
+	var bits, leaves [lookupChunk]uint32
+	for len(addrs) > 0 {
+		n := min(len(addrs), lookupChunk)
+		for i, a := range addrs[:n] {
+			bits[i] = 0
+			if a.Is4() || a.Is4In6() {
+				bits[i] = v4bits(a)
+			}
+		}
+		t.v4.lookupEach(bits[:n], leaves[:n])
+		for i, a := range addrs[:n] {
+			switch leaf := leaves[i]; {
+			case !a.Is4() && !a.Is4In6():
+				prefixes[i], keys[i], _ = t.LookupKey(a)
+			case leaf == 0:
+				prefixes[i], keys[i] = netip.Prefix{}, 0
+			default: // as LookupKey: the address masked to the leaf's length
+				plen := leafLen(leaf)
+				masked := bits[i] & (^uint32(0) << (32 - plen))
+				prefixes[i], keys[i] = netip.PrefixFrom(addrFromV4bits(masked), plen), leaf&leafIdxMask
+			}
+		}
+		addrs, prefixes, keys = addrs[n:], prefixes[n:], keys[n:]
+	}
+}
+
 // lookup6 finds the longest IPv6 route covering addr by probing the
 // prefix map at every length from /128 down.
 func (t *Table) lookup6(addr netip.Addr) (int, bool) {

@@ -150,7 +150,9 @@ func TestInsertInvalidPrefix(t *testing.T) {
 
 // TestLookupKey: the key is the index, plus one, of the route Lookup
 // returns — for IPv4, IPv4-mapped and IPv6 probes, for mapped and plain
-// spellings of one route, and still after the route is replaced.
+// spellings of one route, and still after the route is replaced. All of
+// a round's probes, the zero Addr among them, then go through one
+// LookupKeys call, which must repeat LookupKey's answers in order.
 func TestLookupKey(t *testing.T) {
 	tab, err := Generate(GenConfig{Routes: 500, Seed: 16})
 	if err != nil {
@@ -159,8 +161,10 @@ func TestLookupKey(t *testing.T) {
 	mustInsert(t, tab, "2001:db8::/32", 8, Tier1)
 	mustInsert(t, tab, "2001:db8:1::/48", 9, Tier2)
 	mustInsert(t, tab, "::ffff:198.18.0.0/111", 10, Tier3) // stored as 198.18.0.0/15
+	var probed []netip.Addr
 	check := func(addr netip.Addr) {
 		t.Helper()
+		probed = append(probed, addr)
 		r, ok := tab.Lookup(addr)
 		p, key, keyOK := tab.LookupKey(addr)
 		if keyOK != ok {
@@ -189,6 +193,15 @@ func TestLookupKey(t *testing.T) {
 		for _, v6 := range []string{"2001:db8::1", "2001:db8:1::1", "2001:db9::1", "0.0.0.1", "::ffff:0.0.0.1"} {
 			check(netip.MustParseAddr(v6))
 		}
+		check(netip.Addr{})
+		prefixes, keys := make([]netip.Prefix, len(probed)), make([]uint32, len(probed))
+		tab.LookupKeys(probed, prefixes, keys)
+		for i, addr := range probed {
+			if p, key, _ := tab.LookupKey(addr); prefixes[i] != p || keys[i] != key {
+				t.Fatalf("LookupKeys[%d] (%v) = %v key %d, LookupKey = %v key %d", i, addr, prefixes[i], keys[i], p, key)
+			}
+		}
+		probed = probed[:0]
 	}
 	probe()
 	_, before, _ := tab.LookupKey(netip.MustParseAddr("198.18.0.1"))
@@ -588,9 +601,33 @@ func edgeProbes(p netip.Prefix) [4]uint32 {
 	return [4]uint32{first, last, first - 1, last + 1}
 }
 
+// checkBatch resolves addrs with one LookupKeys call and requires every
+// answer to be LookupKey's for that address — which check has just
+// compared with the oracle.
+func (d *lpmDiff) checkBatch(t testing.TB, addrs []netip.Addr) {
+	t.Helper()
+	// Stale answers in the outputs must not survive the call.
+	prefixes := make([]netip.Prefix, len(addrs))
+	keys := make([]uint32, len(addrs))
+	for i := range addrs {
+		prefixes[i], keys[i] = netip.MustParsePrefix("203.0.113.0/24"), 1<<30
+	}
+	d.tab.LookupKeys(addrs, prefixes, keys)
+	for i, a := range addrs {
+		p, key, ok := d.tab.LookupKey(a)
+		if prefixes[i] != p || keys[i] != key || ok != (keys[i] != 0) {
+			t.Fatalf("LookupKeys of %d addresses, [%d] %v = %v key %d, LookupKey says %v key %d ok=%v",
+				len(addrs), i, a, prefixes[i], keys[i], p, key, ok)
+		}
+	}
+}
+
 // diffSequence inserts prefixes in order, checking every edge of every
 // prefix of the sequence — inserted yet or not — after each insert, so
 // Lookup is exercised on every intermediate state of the structure.
+// After each insert the same probes, repeated until they make more than
+// two chunks, are also resolved in single LookupKeys calls of every
+// length around the chunk width.
 func diffSequence(t testing.TB, prefixes []netip.Prefix, extra []uint32) {
 	t.Helper()
 	d := newLPMDiff()
@@ -599,10 +636,19 @@ func diffSequence(t testing.TB, prefixes []netip.Prefix, extra []uint32) {
 		e := edgeProbes(p)
 		probes = append(probes, e[:]...)
 	}
+	var batch []netip.Addr
+	for len(probes) > 0 && len(batch) <= 2*lookupChunk {
+		for _, b := range probes {
+			batch = append(batch, addrFromV4bits(b))
+		}
+	}
 	for i, p := range prefixes {
 		d.insert(t, Route{Prefix: p, OriginAS: uint32(i + 1), Tier: Tier(i % 4)})
 		for _, b := range probes {
 			d.check(t, b)
+		}
+		for _, n := range []int{0, 1, lookupChunk - 1, lookupChunk, lookupChunk + 1, len(batch)} {
+			d.checkBatch(t, batch[:min(n, len(batch))])
 		}
 	}
 }

@@ -13,14 +13,13 @@ import (
 
 var attributeSink agg.Record
 
-// BenchmarkAttributeShuffled is record→flow attribution on the record
-// shape the benchmark harness replays: a 60 000-route table, 8192 flow
-// prefixes with 4 records each to random destinations inside the
-// prefix, shuffled — so consecutive lookups share no cache line of the
-// table, unlike a loop over a handful of warm probes. One op is one pass
-// over all 32 768 records (a -benchtime 1x run still means something);
-// ns/record is the figure to read.
-func BenchmarkAttributeShuffled(b *testing.B) {
+// shuffledRecords is the record shape the benchmark harness replays: a
+// 60 000-route table and 8192 flow prefixes with 4 records each to
+// random destinations inside the prefix, shuffled — so consecutive
+// lookups share no cache line of the table, unlike a loop over a handful
+// of warm probes.
+func shuffledRecords(b *testing.B) (*bgp.Table, Header, []Record) {
+	b.Helper()
 	table, err := bgp.Generate(bgp.GenConfig{Routes: 60000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -36,7 +35,16 @@ func BenchmarkAttributeShuffled(b *testing.B) {
 		}
 	}
 	rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
-	h := Header{SysUptime: 99000, UnixSecs: uint32(t0.Unix())}
+	return table, Header{SysUptime: 99000, UnixSecs: uint32(t0.Unix())}, recs
+}
+
+// BenchmarkAttributeShuffled is per-record attribution — Attribute by
+// value, what a caller without a batch pays — over shuffledRecords. One
+// op is one pass over all 32 768 records (a -benchtime 1x run still
+// means something); ns/record is the figure to read.
+// BenchmarkRecordPathDatagram is its per-datagram twin.
+func BenchmarkAttributeShuffled(b *testing.B) {
+	table, h, recs := shuffledRecords(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -49,6 +57,47 @@ func BenchmarkAttributeShuffled(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+}
+
+// BenchmarkRecordPathDatagram is the daemon's record path after decode,
+// on one goroutine: shuffledRecords cut into 30-record datagrams, each
+// pushed through AttributeDatagram and straight on through
+// StreamAccumulator.AddBatch, so the routing index and the flow table
+// contend for the cache as they do in the daemon. One op is one pass
+// over all 32 768 records, after an untimed pass that binds the flows;
+// ns/record is the figure to read and the path must stay at 0 allocs/op.
+func BenchmarkRecordPathDatagram(b *testing.B) {
+	table, h, recs := shuffledRecords(b)
+	var dgs []*Datagram
+	for len(recs) > 0 {
+		n := min(len(recs), MaxRecordsPerDatagram)
+		dgs = append(dgs, &Datagram{Header: h, Records: recs[:n]})
+		recs = recs[n:]
+	}
+	acc, err := agg.NewStreamAccumulator(agg.StreamConfig{Interval: 5 * time.Minute})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var scratch []agg.Record
+	pass := func() (n int) {
+		for _, d := range dgs {
+			scratch, _ = AttributeDatagram(table, d, scratch[:0])
+			if _, err := acc.AddBatch(scratch); err != nil {
+				b.Fatal(err)
+			}
+			n += len(scratch)
+		}
+		return n
+	}
+	n := pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pass() != n {
+			b.Fatal("a pass attributed a different number of records")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
 }
 
 func BenchmarkEncode30(b *testing.B) {

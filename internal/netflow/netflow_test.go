@@ -276,6 +276,73 @@ func TestAttributeZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestAttributeDatagramMatchesAttribute: the per-datagram pass resolves
+// destinations a chunk at a time, so it is held to per-record Attribute
+// on a datagram DecodeInto never produces but Collector.AddDatagram
+// accepts — 100 records, more than three chunks, mixing routed IPv4,
+// unrouted IPv4, IPv4-mapped IPv6, IPv6 under a route only the prefix
+// map finds, unrouted IPv6 and the zero Addr: the same records in the
+// same order after what dst already held, and the unrouted count exact.
+func TestAttributeDatagramMatchesAttribute(t *testing.T) {
+	table, err := bgp.Generate(bgp.GenConfig{Routes: 2000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := table.Insert(bgp.Route{Prefix: netip.MustParsePrefix("2001:db8::/32"), OriginAS: 8}); err != nil {
+		t.Fatal(err)
+	}
+	routes := table.Routes()
+	rng := rand.New(rand.NewSource(5))
+	d := &Datagram{Header: Header{SysUptime: 99000, UnixSecs: uint32(t0.Unix())}}
+	for i := 0; i < 100; i++ {
+		r := sampleRecord()
+		r.Octets = uint32(1000 + i) // every record distinct, so a swap shows
+		r.First = uint32(100 * i)
+		r.Last = r.First + uint32(i%3)*250
+		v4 := bgp.RandomAddrInPrefix(rng, routes[rng.Intn(2000)].Prefix)
+		switch i % 7 {
+		case 0, 1:
+			r.DstAddr = v4
+		case 2:
+			r.DstAddr = netip.MustParseAddr("10.1.2.3") // Generate leaves 10/8 empty
+		case 3:
+			r.DstAddr = netip.AddrFrom16(v4.As16()) // IPv4-mapped
+		case 4:
+			r.DstAddr = netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 15: byte(i)})
+		case 5:
+			r.DstAddr = netip.MustParseAddr("2001:db9::1") // no IPv6 route covers it
+		case 6:
+			r.DstAddr = netip.Addr{}
+		}
+		d.Records = append(d.Records, r)
+	}
+	held := agg.Record{Prefix: netip.MustParsePrefix("192.0.2.0/24"), Bits: 1}
+	want := []agg.Record{held}
+	wantUnrouted := 0
+	for _, r := range d.Records {
+		if rec, ok := Attribute(table, d.Header, r); ok {
+			want = append(want, rec)
+		} else {
+			wantUnrouted++
+		}
+	}
+	if routed := len(want) - 1; routed != 58 || wantUnrouted != 42 {
+		t.Fatalf("per-record Attribute routes %d and drops %d of the mix, want 58 and 42", routed, wantUnrouted)
+	}
+	got, unrouted := AttributeDatagram(table, d, []agg.Record{held})
+	if unrouted != wantUnrouted {
+		t.Errorf("%d unrouted, per-record Attribute says %d", unrouted, wantUnrouted)
+	}
+	if !slices.Equal(got, want) {
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Fatalf("record %d of %d (want %d):\n got %+v\nwant %+v", i, len(got), len(want), got[i], want[i])
+			}
+		}
+		t.Fatalf("%d records, per-record Attribute gives %d", len(got), len(want))
+	}
+}
+
 // TestAttributeDatagramReuse pins the slot-reuse contract of the
 // per-datagram attribution pass, which writes into whatever dst held
 // before: a datagram alternating span and point records, routed and

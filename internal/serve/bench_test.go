@@ -48,12 +48,15 @@ func benchWire(tb testing.TB, table *bgp.Table, at time.Time) []byte {
 	return wire
 }
 
-// BenchmarkIngestDispatch times the daemon's per-datagram hot path —
+// BenchmarkIngestDispatch runs the daemon's per-datagram path —
 // DecodeInto into the reader's scratch, link lookup on the
-// copy-on-write map, per-record BGP attribution, SendBatch into the
-// link pipeline — excluding only the socket read. The acceptance bar is
-// 0 allocs/op in steady state: the sharded front-end must be able to
-// run at socket speed without GC pressure.
+// copy-on-write map, per-datagram BGP attribution, SendBatch into the
+// link pipeline — excluding only the socket read. It is the allocation
+// pin: 0 allocs/op in steady state, so the sharded front-end can run at
+// socket speed without GC pressure. Its one datagram (600 routes, 30
+// fixed destinations, one interval) stays in the cache, so its time says
+// little about a record's cost on a real table; that figure is
+// netflow's BenchmarkRecordPathDatagram.
 func BenchmarkIngestDispatch(b *testing.B) {
 	table, err := bgp.Generate(bgp.GenConfig{Routes: 600, Seed: 7})
 	if err != nil {

@@ -199,9 +199,10 @@ func (d *Daemon) createLink(key linkKey) (*liveLink, error) {
 
 // dispatch demultiplexes one decoded datagram: resolve the link
 // (lock-free after first sight), attribute its records against the BGP
-// table into the reader's reusable batch, and hand the batch to the
-// link's pipeline — one copy and one queue operation per datagram, not
-// per record. Per-link record order is preserved at any reader
+// table into the reader's reusable batch — the datagram's destinations
+// looked up together, one level of the routing index at a time — and
+// hand the batch to the link's pipeline: one copy and one queue
+// operation per datagram, not per record. Per-link record order is preserved at any reader
 // count because an exporter's datagrams all arrive on one socket
 // (REUSEPORT hashes the exporter's 4-tuple to a fixed socket) and
 // dispatch runs on that socket's reader.
