@@ -84,9 +84,10 @@ func BenchmarkMatrixShared(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectorPrepass measures the prepass phases alone: per-link
-// sorted-column builds plus one θ(t) column per distinct detector
-// config — the work RunMatrix hoists off the sequential classify pass.
+// BenchmarkDetectorPrepass measures the prepass alone: one pass over
+// the link's intervals in chunks, each interval copied, sorted and run
+// through every distinct detector config — the work RunMatrix hoists
+// off the sequential classify pass.
 func BenchmarkDetectorPrepass(b *testing.B) {
 	links, specs := benchMatrix()
 	for _, l := range links {

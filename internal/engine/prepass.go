@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"sync/atomic"
+
 	"repro/internal/core"
 	"repro/internal/scheme"
 	"repro/internal/stats"
@@ -15,16 +17,21 @@ import (
 // latent window collapses N detector runs to 1), and (2) compute those
 // columns across the worker pool before the sequential classify pass,
 // turning the per-link critical path from sum(detect+classify) into
-// max(parallel detect) + sum(classify). Pipelines consume the columns
-// through core.Config.Thresholds; live/stream paths never see them and
-// keep inline detection.
+// max(parallel detect) + sum(classify). The pool's unit is a chunk of
+// consecutive intervals of one link, and a worker finishes an interval —
+// copy, sort, every distinct detector — while its column (≈36 KB at the
+// paper's scale) is in cache, so a one-link sweep occupies the whole pool
+// and no sorted copy of the series is ever materialised. Pipelines
+// consume the columns through core.Config.Thresholds; live/stream paths
+// never see them and keep inline detection.
 
 // thresholdColumn is one (link, detector-key) precomputed θ(t) column —
 // the engine-side implementation of core.ThresholdSource. It covers
 // every interval of its link's series: theta[t] (or errs[t]) is exactly
 // what the pipeline's own detector would have produced on interval t's
-// snapshot, value or error. errs stays nil on links whose every
-// interval detects cleanly.
+// snapshot, value or error. Both slices are allocated with the column:
+// chunks of one link fill disjoint intervals of them concurrently, so
+// nothing in a column may be allocated on first use.
 type thresholdColumn struct {
 	theta []float64
 	errs  []error
@@ -35,24 +42,13 @@ func (c *thresholdColumn) RawThreshold(t int) (float64, bool, error) {
 	if t < 0 || t >= len(c.theta) {
 		return 0, false, nil
 	}
-	var err error
-	if c.errs != nil {
-		err = c.errs[t]
-	}
-	return c.theta[t], true, err
-}
-
-func (c *thresholdColumn) setErr(t int, err error) {
-	if c.errs == nil {
-		c.errs = make([]error, len(c.theta))
-	}
-	c.errs[t] = err
+	return c.theta[t], true, c.errs[t]
 }
 
 // prepassDetector is one distinct detector config drawn from the spec
 // list: the canonical cache key plus the spec that first used it (each
-// prepass job builds its own fresh detector instance from it, because
-// detectors carry per-instance scratch state).
+// prepass worker builds its own instance from it, because detectors
+// carry per-instance scratch state).
 type prepassDetector struct {
 	key string
 	sp  *scheme.Spec
@@ -79,141 +75,127 @@ func uniqueDetectors(specs []*scheme.Spec) []prepassDetector {
 	return dets
 }
 
-// sortedColumns holds one link's per-interval bandwidth segments sorted
-// ascending, flattened: segment t is bw[offsets[t]:offsets[t+1]]. It
-// replicates the snapshot's cached SortedBandwidths column for every
-// interval at once, so sorted-aware detectors in the prepass see the
-// byte-identical view inline detection would have — and the classify
-// pass, with all detectors covered, never sorts at all. One sort per
-// (link, interval) total, exactly as emit-once execution pays today.
-type sortedColumns struct {
-	offsets []int64
-	bw      []float64
-}
+// prepassChunk is how many consecutive intervals of one link make one
+// pool job: few enough that a single link's day of intervals spreads
+// over the pool, enough that the job hand-off is noise beside the sorts
+// and detector runs it buys.
+const prepassChunk = 16
 
-func (s *sortedColumns) segment(t int) []float64 {
-	return s.bw[s.offsets[t]:s.offsets[t+1]]
-}
-
-// sortScratch is a worker-owned ping-pong buffer for the radix sort.
-// CSR bandwidth segments are strictly positive by construction, so
-// stats.SortPositive produces exactly the sequence the snapshot's
-// slices.Sort-backed SortedBandwidths column would.
-type sortScratch struct{ tmp []float64 }
-
-func (s *sortScratch) sort(xs []float64) {
-	if cap(s.tmp) < len(xs) {
-		s.tmp = make([]float64, len(xs))
-	}
-	stats.SortPositive(xs, s.tmp[:len(xs)])
-}
-
-// buildSortedColumns sorts every interval's bandwidth view of one
-// link. Returns nil when the series has no CSR index (the prepass is
-// skipped for the link and its pipelines detect inline).
-func buildSortedColumns(l MatrixLink, scratch *sortScratch) *sortedColumns {
-	n := l.Series.Intervals
-	sc := &sortedColumns{offsets: make([]int64, n+1)}
-	for t := 0; t < n; t++ {
-		seg := l.Series.IntervalBandwidths(t)
-		if seg == nil {
-			return nil
-		}
-		sc.offsets[t+1] = sc.offsets[t] + int64(len(seg))
-	}
-	sc.bw = make([]float64, sc.offsets[n])
-	for t := 0; t < n; t++ {
-		dst := sc.bw[sc.offsets[t]:sc.offsets[t+1]]
-		copy(dst, l.Series.IntervalBandwidths(t))
-		scratch.sort(dst)
-	}
-	return sc
+// prepassLink is one link's share of the prepass: a column per distinct
+// detector, index-aligned with the detector list, and whether a chunk
+// found the series without an interval index.
+type prepassLink struct {
+	cols    []*thresholdColumn // nil for a link without a series
+	noIndex atomic.Bool
 }
 
 // prepassThresholds computes the full (link, detector-key) threshold
-// matrix on the worker pool: phase (a) builds each link's sorted
-// bandwidth columns, phase (b) runs every distinct detector config over
-// every link's intervals. The returned map is read-only afterwards;
-// missing links (no CSR index, nil series) simply fall back to inline
-// detection.
+// matrix on the worker pool. The returned map is read-only afterwards;
+// missing links (no interval index, nil series) simply fall back to
+// inline detection.
 func (e *MultiLinkEngine) prepassThresholds(links []MatrixLink, specs []*scheme.Spec) map[string]map[string]*thresholdColumn {
 	dets := uniqueDetectors(specs)
 	if len(dets) == 0 {
 		return nil
 	}
-	// Phase (a): per-link sorted columns, one pool job per link.
-	sorted := make([]*sortedColumns, len(links))
-	e.runPool(len(links), func() func(int) {
-		var scratch sortScratch
-		return func(i int) {
-			if links[i].Series == nil {
-				return
-			}
-			// The sorted columns read the interval-major index, which
-			// only a sealed series builds.
-			links[i].Series.Seal()
-			sorted[i] = buildSortedColumns(links[i], &scratch)
+	for _, l := range links {
+		if l.Series != nil {
+			// The prepass reads the interval-major index, which only a
+			// sealed series builds.
+			l.Series.Seal()
 		}
-	})
-	// Phase (b): one pool job per (link, detector-key); each job owns a
-	// fresh detector instance and reads the shared sorted segments.
-	type job struct {
-		link int
-		det  prepassDetector
-		col  *thresholdColumn
 	}
-	jobs := make([]job, 0, len(links)*len(dets))
-	for li := range links {
-		if sorted[li] == nil {
+	return e.detectColumns(links, dets)
+}
+
+// detectColumns is the prepass's one pool pass: jobs are (link, chunk of
+// intervals), and for each interval the worker copies the bandwidth
+// column, sorts it and runs every distinct detector on it before moving
+// on. A worker owns one detector instance per config for its whole
+// life, across chunks and links: detection is a pure function of the
+// interval's column and the config (the ThresholdSource contract), an
+// instance's state is scratch storage and counters nobody reads, and the
+// instances are thrown away with the worker — so θ(t) cannot depend on
+// which worker, or in what order, computed it.
+func (e *MultiLinkEngine) detectColumns(links []MatrixLink, dets []prepassDetector) map[string]map[string]*thresholdColumn {
+	type job struct{ link, from int }
+	pls := make([]prepassLink, len(links))
+	longest := 0
+	for li, l := range links {
+		if l.Series == nil {
 			continue
 		}
-		for _, d := range dets {
-			jobs = append(jobs, job{link: li, det: d})
+		n := l.Series.Intervals
+		cols := make([]*thresholdColumn, len(dets))
+		for k := range cols {
+			cols[k] = &thresholdColumn{theta: make([]float64, n), errs: make([]error, n)}
+		}
+		pls[li].cols = cols
+		longest = max(longest, n)
+	}
+	// Chunk-major order: the first jobs the pool picks up belong to
+	// different links, so their interval indexes (built on first use,
+	// under the series' lock) are built in parallel.
+	var jobs []job
+	for from := 0; from < longest; from += prepassChunk {
+		for li, l := range links {
+			if l.Series != nil && from < l.Series.Intervals {
+				jobs = append(jobs, job{link: li, from: from})
+			}
 		}
 	}
-	if len(jobs) == 0 {
-		return nil
-	}
 	e.runPool(len(jobs), func() func(int) {
-		var scratch []float64
+		built := make([]core.Detector, len(dets))
+		sortedDets := make([]core.SortedDetector, len(dets))
+		needSorted := false
+		for k, d := range dets {
+			// uniqueDetectors kept only specs whose detector builds.
+			built[k], _ = d.sp.BuildDetector()
+			if sd, ok := built[k].(core.SortedDetector); ok {
+				sortedDets[k], needSorted = sd, true
+			}
+		}
+		var sorted, tmp, scratch []float64
 		return func(i int) {
-			j := &jobs[i]
-			det, err := j.det.sp.BuildDetector()
-			if err != nil {
-				return // unreachable: uniqueDetectors already built it once
-			}
-			l := links[j.link]
-			sc := sorted[j.link]
-			col := &thresholdColumn{theta: make([]float64, l.Series.Intervals)}
-			sortedDet, _ := det.(core.SortedDetector)
-			for t := 0; t < l.Series.Intervals; t++ {
-				var raw float64
-				var derr error
-				if sortedDet != nil {
-					raw, derr = sortedDet.DetectThresholdSorted(l.Series.IntervalBandwidths(t), sc.segment(t))
-				} else {
-					scratch = append(scratch[:0], l.Series.IntervalBandwidths(t)...)
-					raw, derr = det.DetectThreshold(scratch)
+			pl, s := &pls[jobs[i].link], links[jobs[i].link].Series
+			for t := jobs[i].from; t < min(jobs[i].from+prepassChunk, s.Intervals); t++ {
+				bw := s.IntervalBandwidths(t)
+				if bw == nil {
+					pl.noIndex.Store(true)
+					return
 				}
-				col.theta[t] = raw
-				if derr != nil {
-					col.setErr(t, derr)
+				if needSorted {
+					// CSR bandwidth segments are strictly positive by
+					// construction, so stats.SortPositive produces exactly
+					// the snapshot's SortedBandwidths column.
+					sorted = append(sorted[:0], bw...)
+					if cap(tmp) < len(bw) {
+						tmp = make([]float64, len(bw))
+					}
+					stats.SortPositive(sorted, tmp[:len(bw)])
+				}
+				for k, col := range pl.cols {
+					if sd := sortedDets[k]; sd != nil {
+						col.theta[t], col.errs[t] = sd.DetectThresholdSorted(bw, sorted)
+					} else {
+						scratch = append(scratch[:0], bw...)
+						col.theta[t], col.errs[t] = built[k].DetectThreshold(scratch)
+					}
 				}
 			}
-			jobs[i].col = col
 		}
 	})
 	cols := make(map[string]map[string]*thresholdColumn, len(links))
-	for _, j := range jobs {
-		if j.col == nil {
+	for li := range pls {
+		pl := &pls[li]
+		if pl.cols == nil || pl.noIndex.Load() {
 			continue
 		}
-		m := cols[links[j.link].ID]
-		if m == nil {
-			m = make(map[string]*thresholdColumn, len(dets))
-			cols[links[j.link].ID] = m
+		m := make(map[string]*thresholdColumn, len(dets))
+		for k, d := range dets {
+			m[d.key] = pl.cols[k]
 		}
-		m[j.det.key] = j.col
+		cols[links[li].ID] = m
 	}
 	return cols
 }

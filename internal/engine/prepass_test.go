@@ -2,10 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"net/netip"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/agg"
 	"repro/internal/scheme"
@@ -28,24 +26,37 @@ func registrySpecs(t testing.TB) []*scheme.Spec {
 	return specs
 }
 
-// TestRunMatrixPrepassEquivalence is the registry-wide cached-vs-inline
-// pin: every detector×classifier spec in the registry runs over
-// randomized multi-link series through both the prepassed RunMatrix and
-// the perCell oracle (Run always detects inline), across worker counts,
-// asserting byte-identical Results. Run under -race this also exercises the
-// prepass's pool handoffs (sorted columns and threshold columns built
-// on workers, consumed by classify workers).
-func TestRunMatrixPrepassEquivalence(t *testing.T) {
-	links := []MatrixLink{
-		{ID: "west", Series: synthSeries(3, 400, 30)},
-		{ID: "east", Series: synthSeries(4, 250, 30)},
-		{ID: "south", Series: synthSeries(5, 60, 30)},
+// gappedSeries is synthSeries with the listed intervals left without a
+// single flow.
+func gappedSeries(seed int64, flows, intervals int, empty ...int) *agg.Series {
+	full := synthSeries(seed, flows, intervals)
+	s := agg.NewSeries(start, full.Interval, intervals)
+	for _, p := range full.Flows() {
+		row, _ := full.Row(p)
+	interval:
+		for t, bw := range row {
+			for _, e := range empty {
+				if t == e {
+					continue interval
+				}
+			}
+			if bw > 0 {
+				s.SetBandwidth(p, t, bw)
+			}
+		}
 	}
-	specs := registrySpecs(t)
+	return s
+}
+
+// assertMatrixMatchesPerCell runs links×specs through the prepassed
+// RunMatrix at several worker counts and through the perCell oracle
+// (Run always detects inline), asserting the same cells in the same
+// order with byte-identical Results and the same error text.
+func assertMatrixMatchesPerCell(t *testing.T, links []MatrixLink, specs []*scheme.Spec) {
+	t.Helper()
 	want := perCell(t, 1, links, specs)
-	for _, workers := range []int{1, 2, 4, 8} {
-		e := &MultiLinkEngine{Workers: workers}
-		got, err := e.RunMatrix(links, specs)
+	for _, workers := range []int{1, 2, 8} {
+		got, err := (&MultiLinkEngine{Workers: workers}).RunMatrix(links, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,14 +67,54 @@ func TestRunMatrixPrepassEquivalence(t *testing.T) {
 			if got[i].ID != want[i].ID {
 				t.Fatalf("workers=%d: result %d is %q, want %q", workers, i, got[i].ID, want[i].ID)
 			}
-			if (got[i].Err == nil) != (want[i].Err == nil) {
-				t.Fatalf("workers=%d: cell %q error mismatch: %v vs %v", workers, got[i].ID, got[i].Err, want[i].Err)
+			if ge, we := fmt.Sprint(got[i].Err), fmt.Sprint(want[i].Err); ge != we {
+				t.Fatalf("workers=%d: cell %q: cached error %q != inline error %q", workers, got[i].ID, ge, we)
 			}
 			if !reflect.DeepEqual(got[i].Results, want[i].Results) {
 				t.Fatalf("workers=%d: cell %q results diverged between prepass and inline detection", workers, got[i].ID)
 			}
 		}
 	}
+}
+
+// TestRunMatrixPrepassEquivalence is the registry-wide cached-vs-inline
+// pin: every detector×classifier spec in the registry runs over
+// randomized multi-link series through both the prepassed RunMatrix and
+// the perCell oracle, across worker counts. The links sit on the
+// prepass's seams: interval counts that are not a multiple of the chunk
+// (and one shorter than a chunk), intervals with no flows at a chunk's
+// first, inner and the series' last position, and one series offered as
+// two links. Run under -race this also exercises the prepass's pool
+// handoffs (chunks of one link's columns filled on different workers,
+// consumed by classify workers).
+func TestRunMatrixPrepassEquivalence(t *testing.T) {
+	shared := synthSeries(4, 250, 2*prepassChunk+5)
+	links := []MatrixLink{
+		{ID: "west", Series: gappedSeries(3, 400, 2*prepassChunk+5, 5, prepassChunk, 2*prepassChunk+4)},
+		{ID: "east", Series: shared},
+		{ID: "east-again", Series: shared},
+		{ID: "south", Series: synthSeries(5, 60, prepassChunk-3)},
+	}
+	assertMatrixMatchesPerCell(t, links, registrySpecs(t))
+}
+
+// TestRunMatrixPrepassOneLinkSweep is the experiments package's sweep
+// shape: one link, many specs sharing one detector config. The prepass
+// computes a single column, and its parallelism is the link's chunks.
+func TestRunMatrixPrepassOneLinkSweep(t *testing.T) {
+	links := []MatrixLink{{ID: "link", Series: synthSeries(9, 300, 5*prepassChunk+1)}}
+	var specs []*scheme.Spec
+	for _, alpha := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+		for _, grammar := range []string{"aest+latent", "aest+latent:window=3", "aest+single"} {
+			sp := scheme.MustParse(grammar)
+			sp.Alpha = alpha
+			specs = append(specs, sp)
+		}
+	}
+	if cols := (&MultiLinkEngine{Workers: 8}).prepassThresholds(links, specs); len(cols["link"]) != 1 {
+		t.Fatalf("sweep over one detector config built %d columns, want 1", len(cols["link"]))
+	}
+	assertMatrixMatchesPerCell(t, links, specs)
 }
 
 // TestPrepassThresholdCacheKeys is the cache-key regression test: specs
@@ -112,39 +163,90 @@ func TestPrepassThresholdCacheKeys(t *testing.T) {
 }
 
 // TestPrepassCoversDetectionErrors: a column records per-interval
-// detection errors, and the consuming cell fails with the identical
+// detection errors — from chunks of one link running on different
+// workers at once — and the consuming cell fails with the identical
 // wrapped error text the inline path produces.
 func TestPrepassCoversDetectionErrors(t *testing.T) {
-	// Interval 3 is left empty: constant-load errors on the empty
-	// interval, which only the forced MinFlows below surfaces.
-	s := agg.NewSeries(start, 5*time.Minute, 6)
-	for f := 0; f < 40; f++ {
-		p := netip.MustParsePrefix(fmt.Sprintf("10.9.%d.0/24", f))
-		for t := 0; t < 6; t++ {
-			if t == 3 {
-				continue
-			}
-			s.SetBandwidth(p, t, 1e4*float64(f+1))
-		}
+	// Constant-load errors on an interval without flows, which only the
+	// forced MinFlows below surfaces. "early" has flows in its first
+	// three intervals only, so every chunk of it starts recording errors
+	// the moment it starts; "late" first fails in its third chunk.
+	n := 3*prepassChunk + 2
+	gaps := map[string][]int{"early": nil, "late": {2*prepassChunk + 1}}
+	for t2 := 3; t2 < n; t2++ {
+		gaps["early"] = append(gaps["early"], t2)
 	}
-	links := []MatrixLink{{ID: "link", Series: s}}
-	specs := []*scheme.Spec{{
+	links := []MatrixLink{
+		{ID: "early", Series: gappedSeries(1, 40, n, gaps["early"]...)},
+		{ID: "late", Series: gappedSeries(2, 40, n, gaps["late"]...)},
+	}
+	sp := &scheme.Spec{
 		Detector:   scheme.Component{Name: "load"},
 		Classifier: scheme.Component{Name: "single"},
 		MinFlows:   -1, // force detection even on empty intervals
-	}}
-	want := perCell(t, 1, links, specs)
-	cached, err := (&MultiLinkEngine{Workers: 1}).RunMatrix(links, specs)
+	}
+	specs := []*scheme.Spec{sp}
+	assertMatrixMatchesPerCell(t, links, specs)
+
+	// Every failing interval is in the column, not just the one the
+	// pipeline stops at, with the detector's own error.
+	det, err := sp.BuildDetector()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		we, ge := fmt.Sprint(want[i].Err), fmt.Sprint(cached[i].Err)
-		if we != ge {
-			t.Fatalf("cell %q: cached error %q != inline error %q", want[i].ID, ge, we)
+	_, inline := det.DetectThreshold(nil)
+	if inline == nil {
+		t.Fatal("constant-load accepted an empty interval")
+	}
+	// Repeated, so that under -race chunks of one link do get caught
+	// recording their first errors at the same moment.
+	var cols map[string]map[string]*thresholdColumn
+	for rep := 0; rep < 300; rep++ {
+		cols = (&MultiLinkEngine{Workers: 4}).prepassThresholds(links, specs)
+	}
+	for id, failing := range gaps {
+		col := cols[id][sp.DetectorKey()]
+		if col == nil {
+			t.Fatalf("link %q: no column", id)
 		}
-		if !reflect.DeepEqual(cached[i].Results, want[i].Results) {
-			t.Fatalf("cell %q: results diverged", want[i].ID)
+		failed := 0
+		for t2 := 0; t2 < n; t2++ {
+			if _, ok, err := col.RawThreshold(t2); !ok {
+				t.Fatalf("link %q: interval %d not covered", id, t2)
+			} else if err != nil {
+				failed++
+				if err.Error() != inline.Error() {
+					t.Fatalf("link %q interval %d: column error %q, detector says %q", id, t2, err, inline)
+				}
+			}
 		}
+		if failed != len(failing) {
+			t.Fatalf("link %q: %d failing intervals in the column, want %v", id, failed, failing)
+		}
+		for _, t2 := range failing {
+			if _, _, err := col.RawThreshold(t2); err == nil {
+				t.Fatalf("link %q: interval %d detected cleanly, want an error", id, t2)
+			}
+		}
+	}
+}
+
+// TestPrepassSkipsUnindexedSeries pins the fallback: a series without
+// an interval index (unsealed here; too many flows for int32 row
+// positions is the other way to get one) yields no column — not a
+// partial one — so its cells detect inline, as every cell of the perCell
+// oracle does, while its neighbour is covered as usual. A nil series is
+// skipped the same way.
+func TestPrepassSkipsUnindexedSeries(t *testing.T) {
+	sealed, unsealed := synthSeries(1, 50, 2*prepassChunk+1), synthSeries(2, 50, 2*prepassChunk+1)
+	sealed.Seal()
+	links := []MatrixLink{{ID: "sealed", Series: sealed}, {ID: "unsealed", Series: unsealed}, {ID: "nil"}}
+	specs := []*scheme.Spec{scheme.MustParse("load+single"), scheme.MustParse("aest+single")}
+	cols := (&MultiLinkEngine{Workers: 4}).detectColumns(links, uniqueDetectors(specs))
+	if len(cols) != 1 || len(cols["sealed"]) != 2 {
+		t.Fatalf("columns for %d links (sealed: %d), want the sealed link's 2 only", len(cols), len(cols["sealed"]))
+	}
+	if unsealed.Sealed() {
+		t.Fatal("detectColumns sealed the series; the test no longer reaches the fallback")
 	}
 }

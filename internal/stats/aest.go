@@ -160,8 +160,8 @@ func AggregateInto(dst, xs []float64, m int) []float64 {
 
 // AestScratch owns the estimator's reusable working storage: the
 // positive/sorted sample copies, one flat float64 arena carved per call
-// into aggregate buffers, CCDF support arrays and their precomputed
-// log-log coordinates, and the per-level fit records. A warm scratch
+// into aggregate buffers, CCDF support arrays and their log-log
+// coordinates, and the per-level fit records. A warm scratch
 // makes Aest/AestSorted allocation-free (diagnostics excepted — see
 // AestConfig.WantLevels).
 //
@@ -177,8 +177,10 @@ type AestScratch struct {
 	sorted   []float64 // Aest entry: ascending copy of positive
 	tmp      []float64 // radix-sort ping-pong storage
 	buf      []float64 // flat arena, carved front-to-back per call
-	dists    []aestDist
-	levels   []AestLevel
+	// base is aggregation level 1; dists follow cfg.AggregationLevels.
+	base   aestDist
+	dists  []aestDist
+	levels []AestLevel
 }
 
 // ensureTmp returns the sort scratch buffer sized for n elements.
@@ -190,12 +192,26 @@ func (s *AestScratch) ensureTmp(n int) []float64 {
 }
 
 // aestDist is one aggregation level's empirical CCDF together with its
-// precomputed log10 coordinates: earlier revisions re-derived the
-// log-log view of the (heavily overlapping) tails once per candidate
-// quantile, which dominated the estimator's cost.
+// log10 coordinates, computed once and shared by every candidate onset
+// (their tails overlap heavily). The coordinates are filled from the top
+// of the support downward, only as far as the lowest index a fit has
+// asked for: candidates start at the median by default, so the lower
+// half of every level is never looked at.
 type aestDist struct {
 	c      CCDF
-	lx, lp []float64 // log10 of c.X / c.P, index-aligned
+	lx, lp []float64 // log10 of c.X / c.P, index-aligned; valid from logged up
+	logged int
+}
+
+// logLogFrom returns the log-log coordinates of support points i and
+// up, extending the filled region downward when i lies below it.
+func (d *aestDist) logLogFrom(i int) (lx, lp []float64) {
+	for d.logged > i {
+		d.logged--
+		d.lx[d.logged] = math.Log10(d.c.X[d.logged])
+		d.lp[d.logged] = math.Log10(d.c.P[d.logged])
+	}
+	return d.lx[i:], d.lp[i:]
 }
 
 // ensure sizes the arena for one call; take carves from it. Carved
@@ -220,19 +236,13 @@ func (s *AestScratch) take(n int) []float64 {
 }
 
 // newDist builds the CCDF of an ascending-sorted positive sample into
-// arena storage and precomputes its log-log coordinates. Support values
+// arena storage, with room for its log-log coordinates. Support values
 // are identical to NewCCDF on the same sample.
 func (s *AestScratch) newDist(clean []float64) aestDist {
 	x := s.take(len(clean))[:0]
 	p := s.take(len(clean))[:0]
 	c := ccdfAppendSorted(clean, x, p)
-	lx := s.take(c.Len())
-	lp := s.take(c.Len())
-	for i := range c.X {
-		lx[i] = math.Log10(c.X[i])
-		lp[i] = math.Log10(c.P[i])
-	}
-	return aestDist{c: c, lx: lx, lp: lp}
+	return aestDist{c: c, lx: s.take(c.Len()), lp: s.take(c.Len()), logged: c.Len()}
 }
 
 // Aest runs the scaling estimator on the sample xs. It needs on the
@@ -299,8 +309,8 @@ func (s *AestScratch) AestSorted(xs, sorted []float64, cfg AestConfig) AestResul
 		s.levels = make([]AestLevel, 0, len(cfg.AggregationLevels)+1)
 	}
 
-	base := s.newDist(clean)
-	if base.c.Len() < cfg.MinTailPoints*2 {
+	s.base = s.newDist(clean)
+	if s.base.c.Len() < cfg.MinTailPoints*2 {
 		return res
 	}
 
@@ -323,11 +333,11 @@ func (s *AestScratch) AestSorted(xs, sorted []float64, cfg AestConfig) AestResul
 
 	for _, q := range cfg.CandidateQuantiles {
 		onset := QuantileSorted(sorted, q)
-		levels, ok := s.fitLevels(base, cfg, onset)
+		levels, ok := s.fitLevels(cfg, onset)
 		if !ok {
 			continue
 		}
-		alpha, ok := s.shiftAlpha(base, cfg, onset)
+		alpha, ok := s.shiftAlpha(cfg, onset)
 		if !ok {
 			continue
 		}
@@ -354,19 +364,20 @@ func (s *AestScratch) AestSorted(xs, sorted []float64, cfg AestConfig) AestResul
 // onset and checks straightness and cross-level slope agreement. The
 // returned slice is scratch storage, valid until the next fitLevels
 // call.
-func (s *AestScratch) fitLevels(base aestDist, cfg AestConfig, onset float64) ([]AestLevel, bool) {
-	fit := func(d aestDist, m int, from float64) (AestLevel, bool) {
+func (s *AestScratch) fitLevels(cfg AestConfig, onset float64) ([]AestLevel, bool) {
+	fit := func(d *aestDist, m int, from float64) (AestLevel, bool) {
 		i := sort.SearchFloat64s(d.c.X, from)
 		if d.c.Len()-i < cfg.MinTailPoints {
 			return AestLevel{}, false
 		}
-		f, err := FitLine(d.lx[i:], d.lp[i:])
+		f, err := FitLine(d.logLogFrom(i))
 		if err != nil || f.R2 < cfg.MinR2 || f.Slope >= 0 {
 			return AestLevel{}, false
 		}
 		return AestLevel{M: m, Slope: f.Slope, R2: f.R2, N: d.c.Len() - i}, true
 	}
 
+	base := &s.base
 	levels := s.levels[:0]
 	l0, ok := fit(base, 1, onset)
 	if !ok {
@@ -384,7 +395,8 @@ func (s *AestScratch) fitLevels(base aestDist, cfg AestConfig, onset float64) ([
 	// tails are then parallel lines.
 	pOnset := base.c.At(onset)
 	eligible, passed := 0, 0
-	for i, d := range s.dists {
+	for i := range s.dists {
+		d := &s.dists[i]
 		if d.c.Len() == 0 {
 			continue
 		}
@@ -422,7 +434,8 @@ func (s *AestScratch) fitLevels(base aestDist, cfg AestConfig, onset float64) ([
 // shiftAlpha estimates alpha from horizontal offsets between successive
 // aggregation levels: at equal tail probability p, log-abscissas differ
 // by log(m)/alpha.
-func (s *AestScratch) shiftAlpha(base aestDist, cfg AestConfig, onset float64) (float64, bool) {
+func (s *AestScratch) shiftAlpha(cfg AestConfig, onset float64) (float64, bool) {
+	base := &s.base
 	pStart := base.c.At(onset)
 	if pStart <= 0 {
 		return 0, false

@@ -1,0 +1,202 @@
+package stats
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// eagerDist is the oracle's aggregation level: the whole support in
+// log-log coordinates, computed up front.
+type eagerDist struct {
+	c      CCDF
+	lx, lp []float64
+}
+
+func newEagerDist(sample []float64) eagerDist {
+	c := NewCCDF(sample)
+	lx, lp := c.LogLog()
+	return eagerDist{c: c, lx: lx, lp: lp}
+}
+
+// inverseAtLinear is the front-to-back scan CCDF.InverseAt used to be.
+func inverseAtLinear(c CCDF, p float64) (float64, bool) {
+	for i := range c.X {
+		if c.P[i] <= p {
+			return c.X[i], true
+		}
+	}
+	return 0, false
+}
+
+// eagerAest is the estimator as it stood before its coordinates went
+// lazy: every level's full log-log view computed on construction, the
+// inverse CCDF read by linear scan, fresh storage throughout. It shares
+// no code with AestScratch beyond the package's public primitives
+// (NewCCDF, FitLine, Aggregate, Quantile), so it pins the lazy path's
+// every output bit.
+func eagerAest(xs []float64, cfg AestConfig) AestResult {
+	cfg.defaults()
+	var res AestResult
+	var positive []float64
+	for _, x := range xs {
+		if x > 0 && !math.IsNaN(x) && !math.IsInf(x, 0) {
+			positive = append(positive, x)
+		}
+	}
+	sorted := append([]float64(nil), positive...)
+	sort.Float64s(sorted)
+	base := newEagerDist(positive)
+	if base.c.Len() < cfg.MinTailPoints*2 {
+		return res
+	}
+	dists := make([]eagerDist, len(cfg.AggregationLevels))
+	for i, m := range cfg.AggregationLevels {
+		if m >= 2 {
+			dists[i] = newEagerDist(Aggregate(positive, m))
+		}
+	}
+	fit := func(d eagerDist, m int, from float64) (AestLevel, bool) {
+		i := sort.SearchFloat64s(d.c.X, from)
+		if d.c.Len()-i < cfg.MinTailPoints {
+			return AestLevel{}, false
+		}
+		f, err := FitLine(d.lx[i:], d.lp[i:])
+		if err != nil || f.R2 < cfg.MinR2 || f.Slope >= 0 {
+			return AestLevel{}, false
+		}
+		return AestLevel{M: m, Slope: f.Slope, R2: f.R2, N: d.c.Len() - i}, true
+	}
+	for _, q := range cfg.CandidateQuantiles {
+		onset := QuantileSorted(sorted, q)
+		l0, ok := fit(base, 1, onset)
+		if !ok || -l0.Slope <= cfg.MinSlopeAlpha {
+			continue
+		}
+		levels := []AestLevel{l0}
+		pOnset := base.c.At(onset)
+		eligible, passed := 0, 0
+		for i, d := range dists {
+			if d.c.Len() == 0 {
+				continue
+			}
+			from, ok := inverseAtLinear(d.c, pOnset)
+			if !ok || d.c.TailFrom(from).Len() < cfg.MinTailPoints {
+				continue
+			}
+			eligible++
+			l, ok := fit(d, cfg.AggregationLevels[i], from)
+			if !ok || math.Abs(l.Slope-l0.Slope)/math.Abs(l0.Slope) > cfg.SlopeTolerance {
+				continue
+			}
+			passed++
+			levels = append(levels, l)
+		}
+		if eligible == 0 || passed*2 < eligible+1 || pOnset <= 0 {
+			continue
+		}
+		var estimates []float64
+		for i, d := range dists {
+			if d.c.Len() == 0 {
+				continue
+			}
+			floor := 5.0 / float64(d.c.Len()+1)
+			for k := 0; k <= 4; k++ {
+				p := floor * math.Pow(2, float64(k))
+				if p >= pOnset {
+					break
+				}
+				x1, ok1 := inverseAtLinear(base.c, p)
+				x2, ok2 := inverseAtLinear(d.c, p)
+				if !ok1 || !ok2 || x2 <= x1 || x1 <= 0 {
+					continue
+				}
+				if dx := math.Log10(x2) - math.Log10(x1); dx > 0 {
+					estimates = append(estimates, math.Log10(float64(cfg.AggregationLevels[i]))/dx)
+				}
+			}
+		}
+		if len(estimates) < 3 {
+			continue
+		}
+		sort.Float64s(estimates)
+		res.TailFound = true
+		res.TailOnset = onset
+		res.Alpha = QuantileSorted(estimates, 0.5)
+		res.SlopeAlpha = -l0.Slope
+		if cfg.WantLevels {
+			res.Levels = levels
+		}
+		tail := 0
+		for _, x := range positive {
+			if x > onset {
+				tail++
+			}
+		}
+		res.TailFraction = float64(tail) / float64(len(positive))
+		return res
+	}
+	return res
+}
+
+// TestAestMatchesEagerOracle: the lazy estimator against eagerAest,
+// whole AestResult including the level diagnostics, bit for bit — on
+// the shapes the detector meets (Pareto, lognormal body with a grafted
+// tail), on the ones that end in the fallback (light tail, too few
+// support points), on heavy ties, and under candidate lists that make
+// the lazy coordinates extend downward after they were first filled
+// (descending, and starting below the median).
+func TestAestMatchesEagerOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	heavyTies := make([]float64, 5000)
+	for i := range heavyTies {
+		heavyTies[i] = math.Round(20*math.Pow(rng.Float64(), -1/1.3)) + 1
+	}
+	lightTail := make([]float64, 5000)
+	for i := range lightTail {
+		lightTail[i] = 1 + rng.Float64()
+	}
+	samples := map[string][]float64{
+		"pareto-1.2":    pareto(rng, 6000, 1.2, 1),
+		"pareto-1.9":    pareto(rng, 3000, 1.9, 40),
+		"body+tail":     mixedSample(4500, 5),
+		"body+tail-2":   append(lognormal(rng, 9000, 0, 1), pareto(rng, 1000, 1.4, math.Exp(2.5))...),
+		"light-tail":    lightTail,
+		"heavy-ties":    heavyTies,
+		"few-points":    {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17},
+		"all-equal":     {3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3},
+		"junk-mixed-in": append([]float64{0, -1, math.NaN(), math.Inf(1)}, pareto(rng, 2000, 1.5, 1)...),
+	}
+	descending := make([]float64, len(defaultCandidateQuantiles))
+	for i, q := range defaultCandidateQuantiles {
+		descending[len(descending)-1-i] = q
+	}
+	configs := map[string]AestConfig{
+		"default":      {WantLevels: true},
+		"descending":   {WantLevels: true, CandidateQuantiles: descending},
+		"below-median": {WantLevels: true, CandidateQuantiles: []float64{0.9, 0.6, 0.3, 0.1, 0.02}},
+		"strict-low":   {WantLevels: true, MinR2: 0.999, CandidateQuantiles: []float64{0.7, 0.4, 0.05, 0.95}},
+		"levels-3-5":   {WantLevels: true, AggregationLevels: []int{3, 5, 1, 16}},
+	}
+	var scratch AestScratch // one arena across every call, as a detector holds it
+	found := 0
+	for sname, xs := range samples {
+		for cname, cfg := range configs {
+			want := eagerAest(xs, cfg)
+			if want.TailFound {
+				found++
+			}
+			if got := Aest(xs, cfg); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: Aest diverged from the eager oracle\nwant %+v\ngot  %+v", sname, cname, want, got)
+			}
+			if got := scratch.Aest(xs, cfg); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: warm-scratch Aest diverged from the eager oracle\nwant %+v\ngot  %+v", sname, cname, want, got)
+			}
+		}
+	}
+	if found < 10 {
+		t.Fatalf("only %d of the sample × config grid found a tail — the grid no longer exercises the fit path", found)
+	}
+}

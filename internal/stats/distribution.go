@@ -88,15 +88,15 @@ func (c CCDF) At(v float64) float64 {
 }
 
 // InverseAt returns the smallest support point x with P[X > x] <= p,
-// i.e. the (1-p)-quantile read off the CCDF. ok is false for an empty
-// distribution or when no point is that rare.
+// i.e. the (1-p)-quantile read off the CCDF, by binary search over the
+// strictly decreasing P. ok is false for an empty distribution or when
+// no point is that rare.
 func (c CCDF) InverseAt(p float64) (float64, bool) {
-	for i := range c.X {
-		if c.P[i] <= p {
-			return c.X[i], true
-		}
+	i := sort.Search(len(c.P), func(i int) bool { return c.P[i] <= p })
+	if i == len(c.P) {
+		return 0, false
 	}
-	return 0, false
+	return c.X[i], true
 }
 
 // TailFrom returns the sub-CCDF restricted to support points >= x0.

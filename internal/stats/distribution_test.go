@@ -77,6 +77,35 @@ func TestCCDFInverseAt(t *testing.T) {
 	if _, ok := c.InverseAt(-0.1); ok {
 		t.Error("InverseAt(-0.1) should fail: no support point is that rare")
 	}
+
+	// The binary search against the linear scan it replaced, on random
+	// CCDFs (continuous, and tie-heavy so P steps unevenly), for p at,
+	// just below, just above and midway between every P[i], beyond both
+	// ends, and NaN.
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 40; trial++ {
+		xs := make([]float64, 1+rng.Intn(400))
+		for i := range xs {
+			xs[i] = math.Exp(rng.NormFloat64())
+			if trial%2 == 1 {
+				xs[i] = float64(1 + rng.Intn(12))
+			}
+		}
+		c := NewCCDF(xs)
+		probes := []float64{-1, 0, 1, 2, math.NaN(), math.Inf(1)}
+		for i, p := range c.P {
+			probes = append(probes, p, math.Nextafter(p, 0), math.Nextafter(p, 1))
+			if i > 0 {
+				probes = append(probes, (p+c.P[i-1])/2)
+			}
+		}
+		for _, p := range probes {
+			wantX, wantOK := inverseAtLinear(c, p)
+			if x, ok := c.InverseAt(p); x != wantX || ok != wantOK {
+				t.Fatalf("trial %d: InverseAt(%v) = %v, %v; linear scan says %v, %v", trial, p, x, ok, wantX, wantOK)
+			}
+		}
+	}
 }
 
 func TestCCDFTailFrom(t *testing.T) {

@@ -137,40 +137,6 @@ func TestHillSortedMatchesHill(t *testing.T) {
 	}
 }
 
-// TestSortPositiveMatchesSort pins the radix sort against the stdlib
-// comparison sort across sizes straddling the small-input cutoff,
-// magnitudes spanning many exponent bytes, and heavy duplication.
-func TestSortPositiveMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 2, 100, 127, 128, 129, 1000, 6000} {
-		for trial := 0; trial < 4; trial++ {
-			xs := make([]float64, n)
-			for i := range xs {
-				switch trial {
-				case 0: // same-magnitude lognormal
-					xs[i] = math.Exp(rng.NormFloat64()*1.2) * 1e4
-				case 1: // wide dynamic range
-					xs[i] = math.Pow(10, rng.Float64()*30-15)
-				case 2: // heavy ties
-					xs[i] = float64(rng.Intn(8) + 1)
-				case 3: // subnormals and extremes
-					xs[i] = math.Float64frombits(uint64(rng.Int63()) & 0x7fefffffffffffff)
-					if xs[i] == 0 {
-						xs[i] = 1
-					}
-				}
-			}
-			want := append([]float64(nil), xs...)
-			sort.Float64s(want)
-			tmp := make([]float64, n)
-			SortPositive(xs, tmp)
-			if !reflect.DeepEqual(xs, want) {
-				t.Fatalf("n=%d trial=%d: SortPositive diverged from sort.Float64s", n, trial)
-			}
-		}
-	}
-}
-
 // TestAestScratchSteadyStateAllocs pins the warm arena path: repeated
 // calls on same-shaped input must not allocate (diagnostics off).
 func TestAestScratchSteadyStateAllocs(t *testing.T) {
