@@ -10,10 +10,12 @@ package repro
 // intervals) passes while a genuine per-interval allocation fails.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/scheme"
@@ -157,5 +159,61 @@ func TestAestDetectSteadyStateAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(4*n, func() { step(i); i++ })
 	if avg != 0 {
 		t.Errorf("warm DetectThreshold averages %v allocs/call, want 0", avg)
+	}
+}
+
+// TestRunMatrixSharedWindowAllocs pins sum-once in bytes: latent-heat
+// cells of one RunMatrix group that agree on the window read one ring of
+// per-flow bandwidths, so a further such cell costs its pipeline, table
+// and results but no ring — where a cell that cannot share (evict below
+// the window) brings its own. Measured as the marginal allocation of
+// cells three to six of an alpha sweep, sharing against not sharing.
+func TestRunMatrixSharedWindowAllocs(t *testing.T) {
+	cfg := experiments.SmallConfig()
+	cfg.Intervals = 48
+	cfg.Flows = 1200
+	cfg.Routes = 3000
+	ls, err := experiments.BuildLinks(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := []engine.MatrixLink{{ID: "west", Series: ls.West}}
+	sweep := func(grammar string, n int) []*scheme.Spec {
+		specs := make([]*scheme.Spec, n)
+		for i := range specs {
+			specs[i] = scheme.MustParse(grammar)
+			specs[i].Alpha = 0.1 + 0.1*float64(i)
+		}
+		return specs
+	}
+	eng := engine.MultiLinkEngine{Workers: 1}
+	allocated := func(specs []*scheme.Spec) uint64 {
+		best := ^uint64(0)
+		for rep := 0; rep < 4; rep++ { // the first run also seals and indexes
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			out, err := eng.RunMatrix(links, specs)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, lr := range out {
+				if lr.Err != nil {
+					t.Fatal(lr.Err)
+				}
+			}
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	const window = 12
+	marginal := func(grammar string) uint64 {
+		return (allocated(sweep(grammar, 6)) - allocated(sweep(grammar, 2))) / 4
+	}
+	shared, owning := marginal("load+latent"), marginal("load+latent:evict=11")
+	ring := uint64(window * ls.West.NumFlows() * 8)
+	t.Logf("a further latent cell allocates %d B sharing a window, %d B owning one; a ring is %d B", shared, owning, ring)
+	if shared+ring*9/10 > owning {
+		t.Errorf("a further latent cell allocates %d B sharing a window and %d B owning one: less than the %d B ring apart", shared, owning, ring)
 	}
 }

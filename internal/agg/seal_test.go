@@ -2,8 +2,10 @@ package agg
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,11 +16,13 @@ import (
 // randomSeries builds a series through a random mix of the mutation API:
 // AddBits accumulation, SetBandwidth overwrites, overwrite-to-zero (a
 // flow that was active in an interval and then zeroed must vanish from
-// that interval's snapshot), and rows that stay entirely idle.
+// that interval's snapshot), and rows that stay entirely idle. Rows are
+// created in no prefix order, so sorted emission goes through the row
+// permutation.
 func randomSeries(seed int64, flows, intervals int) *Series {
 	rng := rand.New(rand.NewSource(seed))
 	s := NewSeries(start, time.Minute, intervals)
-	for f := 0; f < flows; f++ {
+	for _, f := range rng.Perm(flows) {
 		p := netip.MustParsePrefix(fmt.Sprintf("10.%d.%d.0/24", f/250, f%250))
 		for t := 0; t < intervals; t++ {
 			switch rng.Intn(5) {
@@ -50,6 +54,14 @@ func snapDiff(a, b *core.FlowSnapshot) string {
 	}
 	if a.HasIDs() != b.HasIDs() {
 		return fmt.Sprintf("HasIDs %v vs %v", a.HasIDs(), b.HasIDs())
+	}
+	// The total is a fold over the column in order: bit equality means
+	// the bulk fill added the same values in the same order.
+	if math.Float64bits(a.TotalLoad()) != math.Float64bits(b.TotalLoad()) {
+		return fmt.Sprintf("total load %v vs %v", a.TotalLoad(), b.TotalLoad())
+	}
+	if a.IsSorted() != b.IsSorted() {
+		return fmt.Sprintf("IsSorted %v vs %v", a.IsSorted(), b.IsSorted())
 	}
 	for i := 0; i < a.Len(); i++ {
 		if a.Key(i) != b.Key(i) {
@@ -114,6 +126,69 @@ func TestSealedSnapshotIDsMatchDense(t *testing.T) {
 		snap = s.SnapshotIDs(ti, snap, tbl, rows)
 		snapEqual(t, fmt.Sprintf("interval %d", ti), snap, dense[ti])
 	}
+}
+
+// TestSealedBulkFillReusesSnapshot: the bulk fill must replace, not
+// extend, whatever the destination held — a longer interval, an ID
+// column, a stamp, a cached sorted column — with or without IDs.
+func TestSealedBulkFillReusesSnapshot(t *testing.T) {
+	s := randomSeries(31, 90, 10)
+	tbl := core.NewFlowTable()
+	rows := s.InternRows(tbl, nil)
+	dense := make([]*core.FlowSnapshot, s.Intervals)
+	denseIDs := make([]*core.FlowSnapshot, s.Intervals)
+	for ti := 0; ti < s.Intervals; ti++ {
+		dense[ti] = s.Snapshot(ti, nil)
+		denseIDs[ti] = s.SnapshotIDs(ti, nil, tbl, rows)
+	}
+	s.Seal()
+	snap := core.NewFlowSnapshot(0)
+	for ti := 0; ti < s.Intervals; ti++ {
+		// Alternate the two emissions through one destination.
+		snap = s.SnapshotIDs(ti, snap, tbl, rows)
+		snapEqual(t, fmt.Sprintf("interval %d with IDs", ti), snap, denseIDs[ti])
+		if snap.IDTable() != tbl {
+			t.Fatalf("interval %d: ID column not stamped with the caller's table", ti)
+		}
+		sorted := slices.Clone(snap.SortedBandwidths())
+		snap = s.Snapshot(s.Intervals-1-ti, snap)
+		snapEqual(t, fmt.Sprintf("interval %d without IDs", s.Intervals-1-ti), snap, dense[s.Intervals-1-ti])
+		if snap.IDTable() != nil {
+			t.Fatalf("interval %d: stale table stamp survived a fill without IDs", ti)
+		}
+		if ti != s.Intervals-1-ti && slices.Equal(snap.SortedBandwidths(), sorted) {
+			t.Fatalf("interval %d: stale sorted column survived the refill", ti)
+		}
+	}
+}
+
+// TestSealedBulkFillOrderCheckedUnderDebugInvariants: the bulk fill
+// asserts the order the index has by construction instead of proving it
+// per flow, so a corrupted index goes unnoticed in production — and is
+// exactly what core.DebugInvariants exists to catch.
+func TestSealedBulkFillOrderCheckedUnderDebugInvariants(t *testing.T) {
+	s := randomSeries(37, 40, 4)
+	s.Seal()
+	ix := s.intervalIdx()
+	ti := 0
+	for ix.offsets[ti+1]-ix.offsets[ti] < 2 {
+		ti++
+	}
+	lo := ix.offsets[ti]
+	ix.rows[lo], ix.rows[lo+1] = ix.rows[lo+1], ix.rows[lo]
+	ix.bw[lo], ix.bw[lo+1] = ix.bw[lo+1], ix.bw[lo]
+
+	if snap := s.Snapshot(ti, nil); !snap.IsSorted() {
+		t.Fatal("the bulk fill re-proved the order; this test no longer reaches the assertion")
+	}
+	core.DebugInvariants = true
+	defer func() { core.DebugInvariants = false }()
+	defer func() {
+		if recover() == nil {
+			t.Error("out-of-order bulk fill did not panic under DebugInvariants")
+		}
+	}()
+	s.Snapshot(ti, nil)
 }
 
 // TestSealMutationUnseals pins the release-mode contract: mutating a

@@ -24,8 +24,10 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -65,8 +67,9 @@ type Series struct {
 	// snapshotting.
 	sealed bool
 	// idx is the lazily built interval-major CSR view of the matrix;
-	// non-nil only while sealed. Guarded by sortedMu.
-	idx *intervalIndex
+	// non-nil only while sealed. Built once under sortedMu and then read
+	// with a plain atomic load: per-interval emission takes no lock.
+	idx atomic.Pointer[intervalIndex]
 }
 
 // intervalIndex is an interval-major CSR index over the nonzero cells
@@ -152,7 +155,7 @@ func (s *Series) mutate() {
 		panic("agg: Series mutated after Seal")
 	}
 	s.sealed = false
-	s.idx = nil
+	s.idx.Store(nil)
 }
 
 // AddBits adds count bits to flow p in interval t, updating the total.
@@ -248,13 +251,16 @@ func (s *Series) sortedRowsLocked() []int {
 // rows in exactly the order the dense scan would emit them —
 // byte-identical snapshots, including float summation order downstream.
 func (s *Series) intervalIdx() *intervalIndex {
+	if ix := s.idx.Load(); ix != nil {
+		return ix
+	}
 	s.sortedMu.Lock()
 	defer s.sortedMu.Unlock()
 	if !s.sealed {
 		return nil
 	}
-	if s.idx != nil {
-		return s.idx
+	if ix := s.idx.Load(); ix != nil {
+		return ix
 	}
 	if len(s.keys) > math.MaxInt32 {
 		return nil
@@ -286,7 +292,7 @@ func (s *Series) intervalIdx() *intervalIndex {
 			}
 		}
 	}
-	s.idx = idx
+	s.idx.Store(idx)
 	return idx
 }
 
@@ -302,13 +308,14 @@ func (s *Series) Snapshot(t int, dst *core.FlowSnapshot) *core.FlowSnapshot {
 	if dst == nil {
 		dst = core.NewFlowSnapshot(len(s.keys))
 	}
-	dst.Reset()
 	if ix := s.intervalIdx(); ix != nil {
-		for k := ix.offsets[t]; k < ix.offsets[t+1]; k++ {
-			dst.Append(s.keys[ix.rows[k]], ix.bw[k])
-		}
+		// The index lists each interval's rows in sorted-prefix order and
+		// holds only positive cells, which is what FillRows asks for.
+		lo, hi := ix.offsets[t], ix.offsets[t+1]
+		dst.FillRows(ix.rows[lo:hi], ix.bw[lo:hi], s.keys, nil)
 		return dst
 	}
+	dst.Reset()
 	for _, i := range s.sortedRows() {
 		if bw := s.rows[i][t]; bw > 0 {
 			dst.Append(s.keys[i], bw)
@@ -346,9 +353,12 @@ func (s *Series) IntervalBandwidths(t int) []float64 {
 // column per pipeline against that pipeline's own table.
 func (s *Series) InternRows(tbl *core.FlowTable, dst []uint32) []uint32 {
 	tbl.Pin()
-	dst = dst[:0]
-	for _, p := range s.keys {
-		dst = append(dst, tbl.Intern(p))
+	dst = slices.Grow(dst[:0], len(s.keys))[:len(s.keys)]
+	// Interned in sorted-prefix order, so that on a fresh table IDs rise
+	// with the snapshot's rows and a consumer's ID-indexed columns are
+	// walked front to back, not at random.
+	for _, i := range s.sortedRows() {
+		dst[i] = tbl.Intern(s.keys[i])
 	}
 	return dst
 }
@@ -364,15 +374,14 @@ func (s *Series) SnapshotIDs(t int, dst *core.FlowSnapshot, tbl *core.FlowTable,
 	if dst == nil {
 		dst = core.NewFlowSnapshot(len(s.keys))
 	}
-	dst.Reset()
-	dst.SetIDTable(tbl)
 	if ix := s.intervalIdx(); ix != nil {
-		for k := ix.offsets[t]; k < ix.offsets[t+1]; k++ {
-			i := ix.rows[k]
-			dst.AppendID(s.keys[i], rowIDs[i], ix.bw[k])
-		}
+		lo, hi := ix.offsets[t], ix.offsets[t+1]
+		dst.FillRows(ix.rows[lo:hi], ix.bw[lo:hi], s.keys, rowIDs)
+		dst.SetIDTable(tbl)
 		return dst
 	}
+	dst.Reset()
+	dst.SetIDTable(tbl)
 	for _, i := range s.sortedRows() {
 		if bw := s.rows[i][t]; bw > 0 {
 			dst.AppendID(s.keys[i], rowIDs[i], bw)

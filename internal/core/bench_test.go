@@ -70,6 +70,35 @@ func BenchmarkLatentHeatClassify6k(b *testing.B) {
 	b.ReportMetric(float64(c.TrackedFlows()), "tracked-flows")
 }
 
+// BenchmarkLatentHeatClassify6kAttached is two classifiers reading one
+// shared window, as two cells of a RunMatrix group do: an op is one
+// Observe and both Classify calls, to set against two ops of the owning
+// benchmark above.
+func BenchmarkLatentHeatClassify6kAttached(b *testing.B) {
+	snap := benchSnapshot(6500, 4)
+	tb := NewFlowTable()
+	tb.Pin()
+	tb.FillIDs(snap)
+	cs := []*LatentHeatClassifier{boundLatent(b, 12, 0, tb), boundLatent(b, 12, 0, tb)}
+	wins := ShareLatentWindows(cs)
+	if len(wins) != 1 {
+		b.Fatalf("%d shared windows, want 1", len(wins))
+	}
+	step := func() {
+		wins[0].Observe(snap)
+		cs[0].Classify(snap, 5e4)
+		cs[1].Classify(snap, 4e4)
+	}
+	for i := 0; i < 14; i++ {
+		step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.ReportMetric(float64(cs[0].TrackedFlows()), "tracked-flows")
+}
+
 func BenchmarkPipelineStep6k(b *testing.B) {
 	snap := benchSnapshot(6500, 5)
 	det, _ := NewConstantLoadDetector(0.8)

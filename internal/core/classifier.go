@@ -57,14 +57,20 @@ type SingleFeatureClassifier struct{}
 func (SingleFeatureClassifier) Name() string { return "single-feature" }
 
 // Classify implements Classifier.
-func (SingleFeatureClassifier) Classify(snap *FlowSnapshot, thresholdHat float64) Verdict {
-	var v Verdict
+func (c SingleFeatureClassifier) Classify(snap *FlowSnapshot, thresholdHat float64) Verdict {
+	return Verdict{Indices: c.appendElephants(nil, snap, thresholdHat)}
+}
+
+// appendElephants appends the verdict's indices to a buffer the caller
+// owns: the classifier stays a stateless value, and a pipeline stepping
+// it lends its own buffer and allocates nothing.
+func (SingleFeatureClassifier) appendElephants(dst []int, snap *FlowSnapshot, thresholdHat float64) []int {
 	for i, bw := range snap.Bandwidths() {
 		if bw > thresholdHat {
-			v.Indices = append(v.Indices, i)
+			dst = append(dst, i)
 		}
 	}
-	return v
+	return dst
 }
 
 // LatentHeatClassifier implements the two-feature scheme. For every flow
@@ -79,23 +85,26 @@ func (SingleFeatureClassifier) Classify(snap *FlowSnapshot, thresholdHat float64
 // deficit before it is promoted — this is what filters one-interval
 // bursts.
 //
-// Per-flow state lives in flat columns indexed by the dense IDs of a
-// FlowTable, not in a prefix-keyed map: the per-interval cost of a flow
-// is a handful of slice loads instead of hash lookups, the window sum
-// is maintained incrementally (subtract the slot falling out of the
-// window, add the new one) instead of re-summed over W slots, and the
-// idle pass sweeps only the flows currently holding state instead of
-// iterating a map. The pipeline binds its table via BindTable; driven
-// standalone, the classifier owns a private table and interns snapshot
-// keys itself.
+// The sum splits into Σ x_j(i), kept per flow by a LatentWindow, and
+// Σ θ̂(i), kept here; the classifier holds the ring of thresholds and
+// makes the two comparisons — over the snapshot's flows, then over the
+// window's idle ones. Who calls the window's Observe: a classifier on
+// its own (Run, RunStreaming, LivePipeline, standalone use) creates its
+// window on the first Classify and observes each snapshot itself; one
+// that ShareLatentWindows attached to a shared window (a RunMatrix
+// group's cells) leaves that to the window's holder and only reads.
+// The pipeline binds its flow table via BindTable; driven standalone,
+// the classifier owns a private table and interns snapshot keys itself.
 //
-// Equivalence note: the incremental window sum associates float
-// additions differently than re-summing the ring each interval, so for
-// generic (non-representable) bandwidths the sum can differ from the
-// historical implementation in the last ulps — the classification
-// DECISION is equivalent unless a flow's latent heat sits within ~1
-// ulp of zero, and the sum is exact whenever bandwidths and thresholds
-// are integer-representable (the dual-implementation test asserts
+// Equivalence note: the window sum is maintained incrementally
+// (winSum += bw − old, old being the value that leaves the slot — and
+// bw − 0 is bw exactly), which associates float additions differently
+// than re-summing the ring each interval, so for generic
+// (non-representable) bandwidths the sum can differ from a re-summing
+// implementation in the last ulps — the classification DECISION is
+// equivalent unless a flow's latent heat sits within ~1 ulp of zero,
+// and the sum is exact whenever bandwidths and thresholds are
+// integer-representable (the dual-implementation test asserts
 // bit-equality there). A per-flow nonzero-slot counter snaps the sum
 // back to exactly 0 when the window fully drains, so no residue can
 // misclassify an idle flow or block its eviction.
@@ -118,26 +127,10 @@ type LatentHeatClassifier struct {
 	table    *FlowTable
 	ownTable bool // created lazily here, so Classify advances it too
 
-	// Flow columns, indexed by table ID. hist is the flattened ring of
-	// per-flow bandwidth windows in slot-major layout: flow id's slot s
-	// lives at hist[s*stride+id], stride being the flow capacity. One
-	// interval reads and writes a single slot plane, so the per-flow
-	// access pattern is a near-sequential walk of contiguous memory in
-	// snapshot ID order rather than a Window-sized stride per flow —
-	// the difference between streaming ~8 bytes and pulling a fresh
-	// cache line per flow per interval. winSum is the incrementally
-	// maintained window bandwidth sum; nzSlots counts the ring's
-	// nonzero slots so winSum snaps back to exactly 0 when a flow's
-	// window fully drains (no float residue can leak into
-	// classification or block eviction).
-	hist     []float64
-	stride   int
-	winSum   []float64
-	nzSlots  []int32
-	idleRuns []int32
-	lastSeen []int32
-	live     []bool
-	liveIDs  []uint32 // iteration order for the idle sweep
+	// win holds the per-flow bandwidth sums; attached marks a shared
+	// window, which its holder observes, not Classify.
+	win      *LatentWindow
+	attached bool
 
 	// scratch buffers reused across Classify calls; the returned
 	// Verdict aliases them.
@@ -167,6 +160,20 @@ func (c *LatentHeatClassifier) BindTable(tb *FlowTable) {
 	c.ownTable = false
 }
 
+// evictAfter resolves EvictAfter's zero default.
+func (c *LatentHeatClassifier) evictAfter() int {
+	if c.EvictAfter == 0 {
+		return 4 * c.Window
+	}
+	return c.EvictAfter
+}
+
+// shareable reports whether ShareLatentWindows may attach the
+// classifier to a shared window; see there for the conditions.
+func (c *LatentHeatClassifier) shareable() bool {
+	return c.win == nil && c.t == 0 && c.table != nil && c.table.pinned && c.evictAfter() >= c.Window
+}
+
 // thresholdSum returns Σ θ̂ over the last min(t, Window) slots including
 // the current one, summed oldest-first.
 func (c *LatentHeatClassifier) thresholdSum() float64 {
@@ -191,68 +198,18 @@ func (c *LatentHeatClassifier) thresholdSum() float64 {
 // LatentHeat returns the current latent heat of flow p, and whether the
 // flow is known. Valid after at least one Classify call.
 func (c *LatentHeatClassifier) LatentHeat(p netip.Prefix) (float64, bool) {
-	if c.table == nil {
+	if c.win == nil { // nothing classified yet
 		return 0, false
 	}
 	id, ok := c.table.Lookup(p)
-	if !ok || int(id) >= len(c.live) || !c.live[id] {
+	if !ok || int(id) >= len(c.win.lastSeen) || c.win.lastSeen[id] == 0 {
 		return 0, false
 	}
-	return c.winSum[id] - c.thresholdSum(), true
-}
-
-// ensureFlow grows the flow columns to cover id. The ring's slot-major
-// planes grow by capacity doubling: each plane of the old stride is
-// copied into its position under the new stride, preserving every
-// flow's window verbatim.
-func (c *LatentHeatClassifier) ensureFlow(id uint32) {
-	if int(id) < len(c.live) {
-		return
-	}
-	n := int(id) + 1
-	if n > c.stride {
-		stride := c.stride * 2
-		if stride < n {
-			stride = n
-		}
-		if stride < 256 {
-			stride = 256
-		}
-		hist := make([]float64, c.Window*stride)
-		for s := 0; s < c.Window; s++ {
-			copy(hist[s*stride:], c.hist[s*c.stride:(s+1)*c.stride])
-		}
-		c.hist, c.stride = hist, stride
-	}
-	c.winSum = append(c.winSum, make([]float64, n-len(c.winSum))...)
-	c.nzSlots = append(c.nzSlots, make([]int32, n-len(c.nzSlots))...)
-	c.idleRuns = append(c.idleRuns, make([]int32, n-len(c.idleRuns))...)
-	c.lastSeen = append(c.lastSeen, make([]int32, n-len(c.lastSeen))...)
-	c.live = append(c.live, make([]bool, n-len(c.live))...)
-}
-
-// evict clears a flow's columns and hands its ID back to the table's
-// quarantine. The zeroed state is what makes ID recycling safe inside
-// the classifier: a future flow admitted under this ID starts from the
-// same all-zero history a brand-new map entry used to get.
-func (c *LatentHeatClassifier) evict(id uint32) {
-	for s := 0; s < c.Window; s++ {
-		c.hist[s*c.stride+int(id)] = 0
-	}
-	c.winSum[id] = 0
-	c.nzSlots[id] = 0
-	c.idleRuns[id] = 0
-	c.lastSeen[id] = 0
-	c.live[id] = false
-	c.table.Release(id)
+	return c.win.winSum[id] - c.thresholdSum(), true
 }
 
 // Classify implements Classifier.
 func (c *LatentHeatClassifier) Classify(snap *FlowSnapshot, thresholdHat float64) Verdict {
-	evictAfter := c.EvictAfter
-	if evictAfter == 0 {
-		evictAfter = 4 * c.Window
-	}
 	if c.table == nil {
 		c.table = NewFlowTable()
 		c.ownTable = true
@@ -263,74 +220,33 @@ func (c *LatentHeatClassifier) Classify(snap *FlowSnapshot, thresholdHat float64
 	if !snap.HasIDs() || snap.IDTable() != c.table {
 		c.table.FillIDs(snap)
 	}
-	slot := c.t % c.Window
-	c.thrHist[slot] = thresholdHat // θ̂(t) enters the window
+	c.thrHist[c.t%c.Window] = thresholdHat // θ̂(t) enters the window
 	c.t++
-
-	// Update or admit the interval's active flows. Snapshot entries are
-	// strictly positive, so lastSeen doubles as the "seen this interval"
-	// marker for the idle pass below.
-	seen := int32(c.t)
-	for i := 0; i < snap.Len(); i++ {
-		id, bw := snap.ID(i), snap.Bandwidth(i)
-		c.ensureFlow(id)
-		if !c.live[id] {
-			c.live[id] = true
-			c.liveIDs = append(c.liveIDs, id)
+	thrSum := c.thresholdSum()
+	if !c.attached {
+		if c.win == nil {
+			c.win = newLatentWindow(c.Window, c.evictAfter(), c.table)
 		}
-		cell := &c.hist[slot*c.stride+int(id)]
-		if old := *cell; old != 0 {
-			c.winSum[id] += bw - old
-		} else {
-			c.nzSlots[id]++
-			c.winSum[id] += bw
-		}
-		*cell = bw
-		c.idleRuns[id] = 0
-		c.lastSeen[id] = seen
+		c.win.observe(snap, thrSum)
+	} else if c.win.t != c.t {
+		panic(fmt.Sprintf("core: latent-heat classifier at interval %d, its shared window at %d (Observe once per interval, before Classify)", c.t, c.win.t))
 	}
 
-	thrSum := c.thresholdSum()
+	// Active flows, in snapshot (hence sorted) order; then the idle
+	// flows still holding state, elephants on accumulated heat.
+	winSum := c.win.winSum
 	c.idx = c.idx[:0]
-	c.offline = c.offline[:0]
-	// Active flows, in snapshot (hence sorted) order.
-	for i := 0; i < snap.Len(); i++ {
-		if c.winSum[snap.ID(i)]-thrSum > 0 {
+	for i, id := range snap.IDs() {
+		if winSum[id]-thrSum > 0 {
 			c.idx = append(c.idx, i)
 		}
 	}
-	// Idle flows: zero this interval's slot, then either keep them as
-	// elephants on accumulated heat or age them toward eviction. The
-	// sweep covers exactly the flows holding state (liveIDs), compacting
-	// out evictions in place.
-	w := 0
-	for _, id := range c.liveIDs {
-		if c.lastSeen[id] == seen {
-			c.liveIDs[w] = id
-			w++
-			continue
-		}
-		cell := &c.hist[slot*c.stride+int(id)]
-		if old := *cell; old != 0 {
-			*cell = 0
-			c.nzSlots[id]--
-			if c.nzSlots[id] == 0 {
-				c.winSum[id] = 0
-			} else {
-				c.winSum[id] -= old
-			}
-		}
-		c.idleRuns[id]++
-		if c.winSum[id]-thrSum > 0 {
+	c.offline = c.offline[:0]
+	for _, id := range c.win.idle {
+		if winSum[id]-thrSum > 0 {
 			c.offline = append(c.offline, c.table.PrefixOf(id))
-		} else if int(c.idleRuns[id]) >= evictAfter {
-			c.evict(id)
-			continue
 		}
-		c.liveIDs[w] = id
-		w++
 	}
-	c.liveIDs = c.liveIDs[:w]
 	slices.SortFunc(c.offline, ComparePrefix)
 	if c.ownTable {
 		c.table.Advance()
@@ -339,4 +255,9 @@ func (c *LatentHeatClassifier) Classify(snap *FlowSnapshot, thresholdHat float64
 }
 
 // TrackedFlows reports how many flows currently hold history state.
-func (c *LatentHeatClassifier) TrackedFlows() int { return len(c.liveIDs) }
+func (c *LatentHeatClassifier) TrackedFlows() int {
+	if c.win == nil {
+		return 0
+	}
+	return len(c.win.liveIDs)
+}

@@ -1,0 +1,205 @@
+package core
+
+import "fmt"
+
+// LatentWindow is the threshold-independent half of latent heat: for
+// every flow it holds the last W bandwidths x_j(i) and their sum
+// S_j(t) = Σ_W x_j(i). The paper's latent heat separates,
+//
+//	LH_j(t) = Σ_W x_j(i) − Σ_W θ̂(i) = S_j(t) − Θ(t),
+//
+// into this per-flow sum that no threshold touches and a per-classifier
+// threshold sum that no flow touches, so every LatentHeatClassifier
+// reading the same snapshots with the same W can read one window: the
+// engine's series loop observes an interval once and the cells of a
+// spec group each make only their own comparisons against it.
+//
+// State lives in flat columns indexed by the dense IDs of a FlowTable.
+// hist is the flattened ring of per-flow windows in slot-major layout:
+// flow id's slot s lives at hist[s*stride+id], so one interval reads
+// and writes a single slot plane. winSum is maintained incrementally —
+// winSum += bw − old, where old is the value leaving the slot: for a
+// slot that held nothing, bw − 0 is bw exactly, so one expression
+// serves the flow that was active W intervals ago and the one that was
+// not. nzSlots counts a flow's nonzero slots so that winSum snaps back
+// to exactly 0 when the window drains: no float residue can reach a
+// classification or block an eviction. lastSeen is the 1-based
+// interval of the flow's latest bandwidth, 0 for a flow holding no
+// state; the length of a flow's idle run is the distance from it.
+type LatentWindow struct {
+	window     int
+	evictAfter int
+	table      *FlowTable
+	t          int // intervals observed
+
+	hist     []float64
+	stride   int
+	winSum   []float64
+	nzSlots  []int32
+	lastSeen []int32
+	liveIDs  []uint32 // flows holding state, in admission order
+	idle     []uint32 // of those, the ones absent from the latest snapshot
+}
+
+func newLatentWindow(window, evictAfter int, table *FlowTable) *LatentWindow {
+	return &LatentWindow{window: window, evictAfter: evictAfter, table: table}
+}
+
+// Observe folds one interval's snapshot into a shared window. Whoever
+// obtained the window from ShareLatentWindows calls it exactly once per
+// interval, before the attached classifiers' Classify calls; the
+// snapshot's ID column must come from a table that numbers flows as
+// the classifiers' tables do.
+func (w *LatentWindow) Observe(snap *FlowSnapshot) {
+	// A shared window only exists where evictAfter >= window: a flow idle
+	// that long has sum exactly 0, which is not above any floor >= 0.
+	w.observe(snap, 0)
+}
+
+// observe is the one ring update and the one eviction rule. Active
+// flows get their bandwidth written into the interval's slot; flows
+// holding state but absent from the snapshot get the slot zeroed, and
+// one idle for evictAfter intervals whose sum is not above floor is
+// evicted. An owning classifier passes its Σθ̂ as floor — the flow's
+// latent heat is not positive — exactly the rule from before the window
+// was split out of the classifier.
+func (w *LatentWindow) observe(snap *FlowSnapshot, floor float64) {
+	if !snap.HasIDs() {
+		panic("core: LatentWindow: snapshot without an ID column")
+	}
+	slot := w.t % w.window
+	w.t++
+	seen := int32(w.t)
+	w.grow(w.table.Cap())
+	n := len(w.winSum)
+	plane := w.hist[slot*w.stride : slot*w.stride+n]
+	winSum, nzSlots, lastSeen := w.winSum, w.nzSlots[:n], w.lastSeen[:n]
+	ids := snap.IDs()
+	bws := snap.Bandwidths()[:len(ids)]
+	if DebugInvariants {
+		for i, id := range ids {
+			if int(id) >= n || w.table.PrefixOf(id) != snap.Key(i) {
+				panic(fmt.Sprintf("core: LatentWindow: snapshot ID %d does not resolve to %v in the window's table", id, snap.Key(i)))
+			}
+		}
+	}
+	for i, id := range ids {
+		bw, old := bws[i], plane[id]
+		plane[id] = bw
+		winSum[id] += bw - old
+		if old == 0 {
+			nzSlots[id]++
+		}
+		if lastSeen[id] == 0 {
+			w.liveIDs = append(w.liveIDs, id)
+		}
+		lastSeen[id] = seen
+	}
+	// Idle flows: zero the interval's slot, then keep or evict. The
+	// sweep covers exactly the flows holding state, compacting out
+	// evictions in place.
+	idle := w.idle[:0]
+	k := 0
+	for _, id := range w.liveIDs {
+		if lastSeen[id] == seen {
+			w.liveIDs[k] = id
+			k++
+			continue
+		}
+		if old := plane[id]; old != 0 {
+			plane[id] = 0
+			nzSlots[id]--
+			if nzSlots[id] == 0 {
+				winSum[id] = 0
+			} else {
+				winSum[id] -= old
+			}
+		}
+		if int(seen-lastSeen[id]) >= w.evictAfter && !(winSum[id]-floor > 0) {
+			w.evict(id)
+			continue
+		}
+		w.liveIDs[k] = id
+		k++
+		idle = append(idle, id)
+	}
+	w.liveIDs = w.liveIDs[:k]
+	w.idle = idle
+}
+
+// grow extends the flow columns to cover n IDs. The ring's slot-major
+// planes grow by capacity doubling: each plane of the old stride is
+// copied into its position under the new stride, preserving every
+// flow's window verbatim.
+func (w *LatentWindow) grow(n int) {
+	if n <= len(w.winSum) {
+		return
+	}
+	if n > w.stride {
+		stride := max(2*w.stride, n, 256)
+		hist := make([]float64, w.window*stride)
+		for s := 0; s < w.window; s++ {
+			copy(hist[s*stride:], w.hist[s*w.stride:(s+1)*w.stride])
+		}
+		w.hist, w.stride = hist, stride
+	}
+	w.winSum = append(w.winSum, make([]float64, n-len(w.winSum))...)
+	w.nzSlots = append(w.nzSlots, make([]int32, n-len(w.nzSlots))...)
+	w.lastSeen = append(w.lastSeen, make([]int32, n-len(w.lastSeen))...)
+}
+
+// evict clears a flow's columns and hands its ID back to the table's
+// quarantine. The zeroed state is what makes ID recycling safe: a
+// future flow admitted under this ID starts from the same all-zero
+// history a brand-new flow gets.
+func (w *LatentWindow) evict(id uint32) {
+	if w.nzSlots[id] != 0 {
+		for s := 0; s < w.window; s++ {
+			w.hist[s*w.stride+int(id)] = 0
+		}
+		w.nzSlots[id] = 0
+		w.winSum[id] = 0
+	}
+	w.lastSeen[id] = 0
+	w.table.Release(id)
+}
+
+// ShareLatentWindows attaches classifiers that would compute the same
+// window sums to one LatentWindow per group and returns the windows;
+// the caller then calls Observe on each window once per interval,
+// before stepping the classifiers, and a classifier that drops out
+// midway does not disturb the others' sums. A group is two or more
+// classifiers with equal Window and resolved EvictAfter, none of which
+// has classified yet, each bound to a pinned table — the caller vouches
+// that those tables number flows identically, as the tables of cells
+// that interned one series' rows in one order do. Everything else keeps
+// owning its window.
+//
+// Only classifiers whose EvictAfter is at least their Window share: by
+// the time such a flow may be evicted its window has drained, so
+// dropping its state changes no sum, whichever classifier's thresholds
+// would have decided it. (A shorter EvictAfter lets a classifier evict
+// a flow that still holds bandwidth because its own latent heat is not
+// positive — a decision another threshold sequence would not make.)
+// The one input on which attached and owning classifiers can differ is
+// a negative Σθ̂, under which an owning classifier keeps drained flows
+// as elephants; thresholds are bandwidths, and no detector yields one.
+func ShareLatentWindows(cls []*LatentHeatClassifier) []*LatentWindow {
+	var wins []*LatentWindow
+	for i, c := range cls {
+		if !c.shareable() {
+			continue
+		}
+		for _, d := range cls[i+1:] {
+			if !d.shareable() || d.Window != c.Window || d.evictAfter() != c.evictAfter() {
+				continue
+			}
+			if c.win == nil {
+				c.win, c.attached = newLatentWindow(c.Window, c.evictAfter(), c.table), true
+				wins = append(wins, c.win)
+			}
+			d.win, d.attached = c.win, true
+		}
+	}
+	return wins
+}

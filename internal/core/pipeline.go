@@ -101,6 +101,12 @@ type Pipeline struct {
 	// copy of the bandwidth column for the detector, which may reorder
 	// its input in place.
 	scratch []float64
+	// single records that the classifier is exactly the stateless
+	// SingleFeatureClassifier value (not a type embedding it), which
+	// writes its verdict into idx, the pipeline's reused index buffer,
+	// instead of growing a fresh slice every interval.
+	single bool
+	idx    []int
 	// arena amortizes the per-interval ElephantSet storage.
 	arena prefixArena
 	// prevElephants is the previous interval's elephant set, retained
@@ -138,6 +144,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if sd, ok := cfg.Detector.(SortedDetector); ok {
 		p.sortedDet = sd
 	}
+	_, p.single = cfg.Classifier.(SingleFeatureClassifier)
 	return p, nil
 }
 
@@ -267,7 +274,13 @@ func (p *Pipeline) Step(snap *FlowSnapshot) (Result, error) {
 	if obs != nil {
 		classifyStart = time.Now()
 	}
-	v := p.cfg.Classifier.Classify(snap, res.Threshold)
+	var v Verdict
+	if p.single {
+		p.idx = SingleFeatureClassifier{}.appendElephants(p.idx[:0], snap, res.Threshold)
+		v.Indices = p.idx
+	} else {
+		v = p.cfg.Classifier.Classify(snap, res.Threshold)
+	}
 	var classifyEnd time.Time
 	if obs != nil {
 		classifyEnd = time.Now()

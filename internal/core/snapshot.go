@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"net/netip"
 	"slices"
 	"sort"
@@ -124,6 +125,47 @@ func (s *FlowSnapshot) AppendID(p netip.Prefix, id uint32, bw float64) {
 	}
 	s.Append(p, bw)
 	s.ids = append(s.ids, id)
+}
+
+// FillRows replaces the snapshot's contents with the flows rows picks
+// out of a producer's row-indexed key column, paired one to one with
+// the bandwidths bw — and, when rowIDs is non-nil, out of its row→ID
+// column too. It is Reset followed by AppendID (or Append) per row for
+// a producer that vouches for what the appends would have checked:
+// every bandwidth is positive and the picked keys are in strictly
+// ascending ComparePrefix order. The columns are copied and gathered in
+// bulk, the total is folded in column order (the appends' fold, bit for
+// bit), the sorted flag is asserted rather than re-proved per flow, and
+// the ID column is left unstamped. A broken vouch is a producer bug:
+// DebugInvariants re-checks both conditions and panics.
+func (s *FlowSnapshot) FillRows(rows []int32, bw []float64, keys []netip.Prefix, rowIDs []uint32) {
+	s.Reset()
+	n := len(rows)
+	bw = bw[:n]
+	s.bw = append(s.bw, bw...)
+	s.keys = slices.Grow(s.keys, n)[:n]
+	for k, r := range rows {
+		s.keys[k] = keys[r]
+	}
+	if rowIDs != nil {
+		s.ids = slices.Grow(s.ids, n)[:n]
+		for k, r := range rows {
+			s.ids[k] = rowIDs[r]
+		}
+	}
+	for _, x := range bw {
+		s.total += x
+	}
+	if DebugInvariants {
+		if !s.verifySorted() {
+			panic("core: FillRows: keys not in strictly ascending ComparePrefix order")
+		}
+		for _, x := range bw {
+			if !(x > 0) {
+				panic(fmt.Sprintf("core: FillRows: non-positive bandwidth %v", x))
+			}
+		}
+	}
 }
 
 // HasIDs reports whether every row carries a dense ID: true when the

@@ -66,21 +66,37 @@ func benchMatrix() ([]MatrixLink, []*scheme.Spec) {
 	return links, specs
 }
 
-// BenchmarkMatrixShared measures the emit-once RunMatrix execution.
+// BenchmarkMatrixShared measures the emit-once RunMatrix execution on
+// one worker: the scheme mix above, and the experiments package's alpha
+// sweep — six load+latent cells differing only in alpha, so one detector
+// column, one emission and one set of latent-heat window sums serve all
+// six, and what remains per cell is its threshold ring and comparisons.
 func BenchmarkMatrixShared(b *testing.B) {
 	links, specs := benchMatrix()
-	eng := MultiLinkEngine{Workers: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := eng.RunMatrix(links, specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, lr := range out {
-			if lr.Err != nil {
-				b.Fatal(lr.Err)
+	var sweep []*scheme.Spec
+	for _, alpha := range []float64{0.1, 0.3, 0.5, 0.7, 0.8, 0.9} {
+		sp := scheme.MustParse("load+latent")
+		sp.Alpha = alpha
+		sweep = append(sweep, sp)
+	}
+	for _, bc := range []struct {
+		name  string
+		specs []*scheme.Spec
+	}{{"schemes", specs}, {"alpha-sweep", sweep}} {
+		b.Run(bc.name, func(b *testing.B) {
+			eng := MultiLinkEngine{Workers: 1}
+			for i := 0; i < b.N; i++ {
+				out, err := eng.RunMatrix(links, bc.specs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, lr := range out {
+					if lr.Err != nil {
+						b.Fatal(lr.Err)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -37,7 +37,9 @@
 // RunMatrix's unit of work is the (link, spec-group) task, not the
 // cell: the series loop emits each interval once per task and steps the
 // one snapshot — and its cached sorted bandwidth column — through every
-// spec pipeline in the group. When links outnumber workers the whole
+// spec pipeline in the group; latent-heat cells of a group that agree
+// on the window also share one set of per-flow window sums, which the
+// loop advances once per interval. When links outnumber workers the whole
 // spec list shares one emission; with fewer links the spec list splits
 // into enough groups to occupy the pool. Output is byte-identical to
 // Run over the links×specs cross product, including per-cell error
@@ -304,6 +306,7 @@ func (task seriesTask) run(snap *core.FlowSnapshot, rowIDs []uint32) []uint32 {
 	// Seal so per-interval emission runs off the interval-major index.
 	s.Seal()
 	live := 0
+	var latent []*core.LatentHeatClassifier
 	for i := range cells {
 		c := &cells[i]
 		if !c.build() {
@@ -316,10 +319,21 @@ func (task seriesTask) run(snap *core.FlowSnapshot, rowIDs []uint32) []uint32 {
 		rowIDs = s.InternRows(c.pipe.Table(), rowIDs)
 		c.out.Results = make([]core.Result, 0, s.Intervals)
 		live++
+		if lh, ok := c.pipe.Config().Classifier.(*core.LatentHeatClassifier); ok {
+			latent = append(latent, lh)
+		}
 	}
+	// Sum once: latent-heat cells that agree on the window read one set
+	// of per-flow window sums, which this loop — not any one cell, so a
+	// cell failing midway changes nothing for the rest — advances with
+	// the interval's snapshot before the cells step it.
+	windows := core.ShareLatentWindows(latent)
 	for t := 0; t < s.Intervals && live > 0; t++ {
 		// Emitted unstamped: stepCells stamps each cell's table.
 		s.SnapshotIDs(t, snap, nil, rowIDs)
+		for _, w := range windows {
+			w.Observe(snap)
+		}
 		live = stepCells(cells, t, snap)
 	}
 	return rowIDs
