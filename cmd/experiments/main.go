@@ -1,8 +1,10 @@
 // Command experiments regenerates every figure and quantitative claim of
 // the paper "A Pragmatic Definition of Elephants in Internet Backbone
 // Traffic" (Papagiannaki et al., IMC 2002) on the synthetic two-link
-// setup. Output is text tables plus ASCII charts; -csvdir additionally
-// dumps each figure's series as CSV for external plotting.
+// setup, section by section from internal/experiments' section table.
+// Stdout is the record — text tables plus ASCII charts, byte-identical
+// from run to run (the two wall-clock lines go to stderr); -csvdir
+// additionally dumps each figure's series as CSV for external plotting.
 //
 // Usage:
 //
@@ -16,22 +18,21 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/report"
 	"repro/internal/scheme"
 )
 
 func main() {
 	var (
 		quick      = flag.Bool("quick", false, "run at reduced scale (fast; shapes only)")
-		only       = flag.String("only", "", "comma-separated subset: fig1a,fig1b,fig1c,single,two,prefix,interval,alpha,window,beta,baseline,concentration,sampling")
+		only       = flag.String("only", "", "comma-separated subset: "+strings.Join(experiments.SectionKeys(), ","))
 		csvdir     = flag.String("csvdir", "", "directory to write per-figure CSV files (created if missing)")
 		seed       = flag.Int64("seed", 1, "random seed for the synthetic workload")
 		charts     = flag.Bool("charts", true, "render ASCII charts")
@@ -47,6 +48,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
+	sections, err := experiments.SelectSections(sp, *only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -58,7 +64,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	runErr := run(*quick, *only, *csvdir, *seed, *charts, sp)
+	runErr := run(os.Stdout, *quick, sections, *csvdir, *seed, *charts)
 	// Flushed before the os.Exit paths below, which skip deferred calls.
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
@@ -82,303 +88,29 @@ func main() {
 	}
 }
 
-func run(quick bool, only, csvdir string, seed int64, charts bool, sp *scheme.Spec) error {
-	want := map[string]bool{}
-	if only != "" {
-		for _, k := range strings.Split(only, ",") {
-			want[strings.TrimSpace(k)] = true
-		}
-	}
-	sel := func(k string) bool { return len(want) == 0 || want[k] }
-
+func run(w io.Writer, quick bool, sections []experiments.Section, csvdir string, seed int64, charts bool) error {
 	cfg := experiments.LinksConfig{Seed: seed}
 	if quick {
 		cfg = experiments.SmallConfig()
 		cfg.Seed = seed
 	}
 	start := time.Now()
-	fmt.Printf("# Building synthetic two-link setup (routes=%d flows=%d intervals=%d seed=%d)\n",
-		orDefault(cfg.Routes, 60000), orDefault(cfg.Flows, 6500), orDefault(cfg.Intervals, 336), seed)
 	ls, err := experiments.BuildLinks(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("# Setup ready in %v: west flows=%d east flows=%d\n\n",
+	// The two wall-clock lines go to stderr: stdout is the record, and
+	// byte-identical from run to run.
+	fmt.Fprintf(w, "# Building synthetic two-link setup (routes=%d flows=%d intervals=%d seed=%d)\n",
+		ls.Cfg.Routes, ls.Cfg.Flows, ls.Cfg.Intervals, ls.Cfg.Seed)
+	fmt.Fprintf(os.Stderr, "# Setup ready in %v: west flows=%d east flows=%d\n",
 		time.Since(start).Round(time.Millisecond), ls.West.NumFlows(), ls.East.NumFlows())
+	fmt.Fprintln(w)
 
-	var runsLH []experiments.FigureRun
-	needRuns := sel("fig1a") || sel("fig1b") || sel("fig1c")
-	if needRuns {
-		runsLH, err = experiments.RunFigure1(ls, true)
-		if err != nil {
-			return err
-		}
-	}
-
-	if sel("fig1a") {
-		series := experiments.Fig1a(runsLH)
-		fmt.Println("== Figure 1(a): number of elephants per interval (latent heat on)")
-		tab := report.NewTable("series", "mean", "min", "max", "spark")
-		for _, s := range series {
-			mn, mx, mean := summarize(s.Values)
-			tab.AddRow(s.Label, fmt.Sprintf("%.0f", mean), fmt.Sprintf("%.0f", mn), fmt.Sprintf("%.0f", mx), report.Sparkline(s.Values))
-		}
-		fmt.Print(tab.String())
-		if charts {
-			_ = report.Chart(os.Stdout, report.ChartConfig{Title: "Fig 1(a) — elephants per interval", XLabel: "interval (5 min slots)"}, series...)
-		}
-		if err := writeCSV(csvdir, "fig1a.csv", "interval", series); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-
-	if sel("fig1b") {
-		series := experiments.Fig1b(runsLH)
-		fmt.Println("== Figure 1(b): fraction of traffic apportioned to elephants")
-		tab := report.NewTable("series", "mean", "min", "max", "spark")
-		for _, s := range series {
-			mn, mx, mean := summarize(s.Values)
-			tab.AddRow(s.Label, fmt.Sprintf("%.3f", mean), fmt.Sprintf("%.3f", mn), fmt.Sprintf("%.3f", mx), report.Sparkline(s.Values))
-		}
-		fmt.Print(tab.String())
-		if charts {
-			_ = report.Chart(os.Stdout, report.ChartConfig{Title: "Fig 1(b) — elephant load fraction", YMin: 0, YMax: 1, XLabel: "interval (5 min slots)"}, series...)
-		}
-		if err := writeCSV(csvdir, "fig1b.csv", "interval", series); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-
-	if sel("fig1c") {
-		results, err := experiments.Fig1c(runsLH, experiments.Fig1cConfig{})
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Figure 1(c): average holding time in the elephant state (busy window)")
-		tab := report.NewTable("series", "flows", "mean holding", "1-interval flows")
-		for _, r := range results {
-			tab.AddRow(r.Run.Label(), r.Stats.Flows,
-				fmt.Sprintf("%.1f slots (%v)", r.Stats.MeanHolding, time.Duration(r.Stats.MeanHolding*float64(ls.Cfg.Interval)).Round(time.Minute)),
-				r.Stats.SingleIntervalFlows)
-		}
-		fmt.Print(tab.String())
-		series := experiments.Fig1cSeries(results)
-		if charts {
-			_ = report.Chart(os.Stdout, report.ChartConfig{Title: "Fig 1(c) — holding-time histogram (log y)", LogY: true, XLabel: "average holding time (intervals)"}, series...)
-		}
-		if err := writeCSV(csvdir, "fig1c.csv", "holding_intervals", series); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-
-	if sel("single") {
-		rows, err := experiments.SingleFeatureVolatility(ls)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Section II: single-feature volatility (paper: 20-40 min holding, >1000 one-interval flows)")
-		printVolatility(rows)
-		fmt.Println()
-	}
-
-	if sel("two") {
-		rows, err := experiments.TwoFeatureStability(ls)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Section III: two-feature stability (paper: ~2 h holding, ~50 one-interval flows, ~600/~500 elephants, ~0.6 load)")
-		printVolatility(rows)
-		fmt.Println()
-	}
-
-	if sel("prefix") {
-		rows, err := experiments.PrefixLength(ls)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Section III: prefix-length characteristics (paper: elephants span /12-/26; ~100 active /8s, ~3 elephant /8s)")
-		tab := report.NewTable("series", "elephant flows", "len range", "active /8", "elephant /8")
-		for _, r := range rows {
-			tab.AddRow(r.Run.Label(), r.Stats.TotalElephantFlows(),
-				fmt.Sprintf("/%d-/%d", r.Stats.MinLen, r.Stats.MaxLen),
-				r.Stats.ActiveSlash8, r.Stats.ElephantSlash8)
-		}
-		fmt.Print(tab.String())
-		fmt.Println()
-	}
-
-	if sel("interval") {
-		rows, err := experiments.IntervalSensitivity(cfg, nil, sp)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Section II: measurement-interval sensitivity (paper: similar results at 1, 5, 10 min)")
-		tab := report.NewTable("interval", "scheme", "mean elephants", "load fraction", "mean holding (min)")
-		for _, r := range rows {
-			tab.AddRow(r.Interval.String(), r.Scheme, fmt.Sprintf("%.0f", r.MeanElephants),
-				fmt.Sprintf("%.3f", r.MeanLoadFraction), fmt.Sprintf("%.0f", r.MeanHoldingMinutes))
-		}
-		fmt.Print(tab.String())
-		fmt.Println()
-	}
-
-	ablation := func(key, title string, f func() ([]experiments.AblationRow, error)) error {
-		if !sel(key) {
-			return nil
-		}
-		rows, err := f()
-		if err != nil {
-			return err
-		}
-		fmt.Println(title)
-		printAblation(rows)
-		fmt.Println()
-		return nil
-	}
-	if err := ablation("alpha", "== Ablation: EWMA weight alpha (paper: 0.5 'sufficiently smooth')",
-		func() ([]experiments.AblationRow, error) { return experiments.AblationAlpha(ls, nil) }); err != nil {
+	rec := experiments.Record{Links: ls, W: w, Charts: charts, CSVDir: csvdir}
+	if err := rec.Write(sections); err != nil {
 		return err
 	}
-	if err := ablation("window", "== Ablation: latent-heat window (paper: 12 slots = 1 h)",
-		func() ([]experiments.AblationRow, error) { return experiments.AblationWindow(ls, nil) }); err != nil {
-		return err
-	}
-	if err := ablation("beta", "== Ablation: constant-load beta (paper: 0.8)",
-		func() ([]experiments.AblationRow, error) { return experiments.AblationBeta(ls, nil) }); err != nil {
-		return err
-	}
-
-	if sel("baseline") {
-		rows, err := experiments.BaselineComparison(ls)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Extension: baseline comparison (what adaptive threshold + latent heat buy)")
-		tab := report.NewTable("strategy", "mean elephants", "count CV", "load fraction", "set jaccard", "mean holding", "1-interval", "reclass")
-		for _, r := range rows {
-			tab.AddRow(r.Strategy,
-				fmt.Sprintf("%.0f", r.MeanElephants),
-				fmt.Sprintf("%.3f", r.CountCV),
-				fmt.Sprintf("%.3f", r.MeanLoadFraction),
-				fmt.Sprintf("%.3f", r.MeanSetJaccard),
-				fmt.Sprintf("%.1f", r.MeanHoldingIntervals),
-				r.SingleIntervalFlows, r.Reclassifications)
-		}
-		fmt.Print(tab.String())
-		fmt.Println()
-	}
-
-	if sel("concentration") {
-		rows, err := experiments.Concentration(ls)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Premise: elephants-and-mice concentration (intro: few flows carry most traffic)")
-		tab := report.NewTable("link", "interval", "flows", "gini", "top-10% share", "top-1% share", "tail index")
-		for _, r := range rows {
-			tail := "-"
-			if r.TailIndex > 0 {
-				tail = fmt.Sprintf("%.2f", r.TailIndex)
-			}
-			tab.AddRow(r.Link, r.Interval, r.Flows,
-				fmt.Sprintf("%.3f", r.Gini),
-				fmt.Sprintf("%.3f", r.Top10Share),
-				fmt.Sprintf("%.3f", r.Top1Share), tail)
-		}
-		fmt.Print(tab.String())
-		fmt.Println()
-	}
-
-	if sel("sampling") {
-		rows, err := experiments.SamplingImpact(ls, nil, sp)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Extension: 1-in-N packet sampling impact (sampled-NetFlow deployment)")
-		tab := report.NewTable("sampling", "mean elephants", "true load fraction", "jaccard vs unsampled", "mean holding")
-		for _, r := range rows {
-			tab.AddRow(fmt.Sprintf("1-in-%d", r.Rate),
-				fmt.Sprintf("%.0f", r.MeanElephants),
-				fmt.Sprintf("%.3f", r.MeanLoadFraction),
-				fmt.Sprintf("%.3f", r.MeanJaccard),
-				fmt.Sprintf("%.1f", r.MeanHoldingIntervals))
-		}
-		fmt.Print(tab.String())
-		fmt.Println()
-	}
-
-	fmt.Printf("# Done in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "# Done in %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-func printVolatility(rows []experiments.VolatilityResult) {
-	tab := report.NewTable("series", "mean elephants", "load fraction", "mean holding", "1-interval flows", "elephant flows")
-	for _, r := range rows {
-		tab.AddRow(r.Run.Label(),
-			fmt.Sprintf("%.0f", r.MeanElephants),
-			fmt.Sprintf("%.3f", r.MeanLoadFraction),
-			fmt.Sprintf("%.1f slots (%v)", r.MeanHoldingIntervals, r.MeanHolding.Round(time.Minute)),
-			r.SingleIntervalFlows, r.ElephantFlows)
-	}
-	fmt.Print(tab.String())
-}
-
-func printAblation(rows []experiments.AblationRow) {
-	tab := report.NewTable("param", "value", "mean elephants", "load fraction", "mean holding", "1-interval", "theta CV", "reclass")
-	for _, r := range rows {
-		tab.AddRow(r.Param, fmt.Sprintf("%g", r.Value),
-			fmt.Sprintf("%.0f", r.MeanElephants),
-			fmt.Sprintf("%.3f", r.MeanLoadFraction),
-			fmt.Sprintf("%.1f", r.MeanHoldingIntervals),
-			r.SingleIntervalFlows,
-			fmt.Sprintf("%.3f", r.ThresholdCV),
-			r.Reclassifications)
-	}
-	fmt.Print(tab.String())
-}
-
-func writeCSV(dir, name, idx string, series []report.Series) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := report.WriteCSVSeries(f, idx, series...); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-func summarize(xs []float64) (mn, mx, mean float64) {
-	if len(xs) == 0 {
-		return 0, 0, 0
-	}
-	mn, mx = xs[0], xs[0]
-	var sum float64
-	for _, x := range xs {
-		if x < mn {
-			mn = x
-		}
-		if x > mx {
-			mx = x
-		}
-		sum += x
-	}
-	return mn, mx, sum / float64(len(xs))
-}
-
-func orDefault(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
 }

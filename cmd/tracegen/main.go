@@ -3,16 +3,14 @@
 // to pick destination prefixes. The resulting pair feeds cmd/elephants,
 // exercising the full capture-to-classification pipeline.
 //
-// A non-empty -scheme additionally classifies the generated series
-// under the given registry spec and prints a one-line summary — a
-// sanity check that the trace actually carries elephants before it is
-// fed to downstream tooling.
+// To check that the trace carries elephants before feeding it onward,
+// run cmd/flowstats -scheme on the pair just written.
 //
 // Usage:
 //
 //	tracegen -out trace.pcap -table table.txt [-profile west|east|flat]
 //	         [-routes N] [-flows N] [-intervals N] [-interval 5m]
-//	         [-load 300e6] [-seed N] [-scheme SPEC]
+//	         [-load 300e6] [-seed N]
 package main
 
 import (
@@ -22,45 +20,32 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/bgp"
 	"repro/internal/experiments"
-	"repro/internal/scheme"
 	"repro/internal/trace"
 )
 
 func main() {
 	var (
-		out        = flag.String("out", "trace.pcap", "output pcap path")
-		tableOut   = flag.String("table", "table.txt", "output BGP table path (text format)")
-		profile    = flag.String("profile", "west", "diurnal profile: west, east or flat")
-		routes     = flag.Int("routes", 20000, "BGP table size")
-		flows      = flag.Int("flows", 5000, "active prefix flows")
-		intervals  = flag.Int("intervals", 48, "number of measurement intervals")
-		interval   = flag.Duration("interval", 5*time.Minute, "measurement interval")
-		load       = flag.Float64("load", 50e6, "mean link load in bit/s")
-		seed       = flag.Int64("seed", 1, "random seed")
-		schemeSpec = flag.String("scheme", "", "also classify the generated series and print a summary;\n"+scheme.FlagUsage())
+		out       = flag.String("out", "trace.pcap", "output pcap path")
+		tableOut  = flag.String("table", "table.txt", "output BGP table path (text format)")
+		profile   = flag.String("profile", "west", "diurnal profile: west, east or flat")
+		routes    = flag.Int("routes", 20000, "BGP table size")
+		flows     = flag.Int("flows", 5000, "active prefix flows")
+		intervals = flag.Int("intervals", 48, "number of measurement intervals")
+		interval  = flag.Duration("interval", 5*time.Minute, "measurement interval")
+		load      = flag.Float64("load", 50e6, "mean link load in bit/s")
+		seed      = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
 
-	var sp *scheme.Spec
-	if *schemeSpec != "" {
-		var err error
-		// A parse error's text enumerates the registered schemes.
-		sp, err = scheme.ParseValidated(*schemeSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(2)
-		}
-	}
-	if err := run(*out, *tableOut, *profile, *routes, *flows, *intervals, *interval, *load, *seed, sp); err != nil {
+	if err := run(*out, *tableOut, *profile, *routes, *flows, *intervals, *interval, *load, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out, tableOut, profile string, routes, flows, intervals int, interval time.Duration, load float64, seed int64, sp *scheme.Spec) error {
+func run(out, tableOut, profile string, routes, flows, intervals int, interval time.Duration, load float64, seed int64) error {
 	var prof trace.DiurnalProfile
 	switch profile {
 	case "west":
@@ -134,16 +119,5 @@ func run(out, tableOut, profile string, routes, flows, intervals int, interval t
 		out, n, float64(fi.Size())/(1<<20), series.NumFlows(), intervals, interval,
 		time.Since(start).Round(time.Millisecond))
 	fmt.Printf("wrote %s: %d routes\n", tableOut, table.Len())
-
-	if sp != nil {
-		res, err := experiments.RunScheme(series, sp)
-		if err != nil {
-			return fmt.Errorf("classifying generated series: %w", err)
-		}
-		fmt.Printf("scheme %s: mean elephants %.1f, mean elephant load fraction %.3f\n",
-			sp.Name(),
-			analysis.MeanInt(analysis.CountSeries(res)),
-			analysis.MeanFloat(analysis.FractionSeries(res)))
-	}
 	return nil
 }

@@ -41,9 +41,8 @@
 // Flow identity is interned: each pipeline owns a core.FlowTable
 // mapping every prefix it classifies to a dense uint32 ID, and the
 // whole interval hot path — accumulator ring slots, the latent-heat
-// classifier's per-flow windows (incrementally summed, O(1) per flow),
-// the elephant-state tracker — runs on flat ID-indexed columns instead
-// of prefix-keyed maps. Snapshots carry the ID column from producer to
+// classifier's per-flow windows (incrementally summed, O(1) per flow)
+// — runs on flat ID-indexed columns instead of prefix-keyed maps. Snapshots carry the ID column from producer to
 // classifier, so steady-state classification performs at most a single
 // hash per record at ingest — none for a NetFlow record, whose
 // longest-prefix-match answer doubles as a verified key into the table
@@ -78,12 +77,17 @@
 // backbone workload generator standing in for the proprietary Sprint
 // OC-12 traces (internal/trace), the per-prefix measurement pipeline
 // (internal/agg), evaluation metrics (internal/analysis) and the
-// per-figure reproduction harness (internal/experiments).
+// reproduction record (internal/experiments).
 //
-// See ARCHITECTURE.md for the layer stack, the engine's entry points
-// and the snapshot ownership contract; cmd/experiments prints the
-// paper-vs-measured results. The benchmarks in bench_test.go regenerate
-// every figure and quantitative claim:
+// The paper's figures and claims are computed in one place:
+// cmd/experiments iterates internal/experiments' section table, which
+// classifies through one run helper and condenses every run with one
+// summary; its stdout is pinned byte for byte at reduced scale by
+// cmd/experiments' golden test, and the claims' directions are asserted
+// by internal/experiments' tests:
 //
-//	go test -bench=. -benchmem
+//	go run ./cmd/experiments [-quick]
+//
+// See ARCHITECTURE.md for the layer stack, the engine's entry points,
+// the snapshot ownership contract and the Reproduction section.
 package repro

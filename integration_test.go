@@ -13,6 +13,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/bgp"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/scheme"
 	"repro/internal/trace"
@@ -59,15 +60,8 @@ func TestFullPipelineFromPackets(t *testing.T) {
 		t.Fatalf("frames=%d/%d stats=%+v", frames, n, stats)
 	}
 
-	classify := func(s *agg.Series) []core.Result {
-		res, err := experiments.RunScheme(s, scheme.MustParse("load+latent:window=4"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	fastRes := classify(fast)
-	wireRes := classify(wire)
+	fastRes := classifySeries(t, fast, "load+latent:window=4")
+	wireRes := classifySeries(t, wire, "load+latent:window=4")
 
 	for i := range fastRes {
 		a, b := fastRes[i].Elephants, wireRes[i].Elephants
@@ -83,6 +77,17 @@ func TestFullPipelineFromPackets(t *testing.T) {
 	}
 }
 
+// classifySeries runs one scheme over one series through the experiments
+// harness's engine call.
+func classifySeries(t *testing.T, s *agg.Series, spec string) []core.Result {
+	t.Helper()
+	runs, err := experiments.Classify([]engine.MatrixLink{{ID: "link", Series: s}}, []*scheme.Spec{scheme.MustParse(spec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runs[0].Results
+}
+
 // TestReproducibilityAcrossRuns: the whole experiment stack is seeded;
 // two complete runs must agree bit for bit.
 func TestReproducibilityAcrossRuns(t *testing.T) {
@@ -91,11 +96,7 @@ func TestReproducibilityAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := experiments.RunScheme(ls.West, scheme.MustParse("aest+latent"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return analysis.CountSeries(res)
+		return analysis.CountSeries(classifySeries(t, ls.West, "aest+latent"))
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -137,10 +138,7 @@ func TestElephantsAreActuallyHeavy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := experiments.RunScheme(ls.West, scheme.MustParse("load+single"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := classifySeries(t, ls.West, "load+single")
 	var snap *core.FlowSnapshot
 	for tt := 24; tt < len(res); tt += 24 {
 		snap = ls.West.Snapshot(tt, snap)

@@ -455,26 +455,3 @@ func (s *Series) Rebin(interval time.Duration) (*Series, int, error) {
 	}
 	return out, s.Intervals % k, nil
 }
-
-// SortedFlows returns flow keys sorted by total transmitted volume,
-// descending; useful for reports.
-func (s *Series) SortedFlows() []netip.Prefix {
-	type kv struct {
-		p   netip.Prefix
-		vol float64
-	}
-	vols := make([]kv, len(s.keys))
-	for i, p := range s.keys {
-		var v float64
-		for _, bw := range s.rows[i] {
-			v += bw
-		}
-		vols[i] = kv{p, v}
-	}
-	sort.Slice(vols, func(i, j int) bool { return vols[i].vol > vols[j].vol })
-	out := make([]netip.Prefix, len(vols))
-	for i, e := range vols {
-		out[i] = e.p
-	}
-	return out
-}

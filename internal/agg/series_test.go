@@ -358,17 +358,6 @@ func TestRebinErrors(t *testing.T) {
 	}
 }
 
-func TestSortedFlows(t *testing.T) {
-	s := NewSeries(start, time.Minute, 2)
-	s.SetBandwidth(pfxA, 0, 10)
-	s.SetBandwidth(pfxB, 0, 100)
-	s.SetBandwidth(pfxC, 1, 50)
-	got := s.SortedFlows()
-	if len(got) != 3 || got[0] != pfxB || got[1] != pfxC || got[2] != pfxA {
-		t.Errorf("SortedFlows = %v", got)
-	}
-}
-
 // TestTotalsMatchRowSums: invariant linking the cached per-interval
 // totals to the row data, under arbitrary Set/Add sequences.
 func TestTotalsMatchRowSums(t *testing.T) {

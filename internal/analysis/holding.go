@@ -8,7 +8,6 @@ package analysis
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 
 	"repro/internal/core"
 )
@@ -220,15 +219,4 @@ func Transitions(results []core.Result, from, to int) TransitionCounts {
 		}
 	}
 	return tc
-}
-
-// SortedHoldingTimes returns the per-flow average holding times sorted
-// ascending, for quantile reporting.
-func (h HoldingStats) SortedHoldingTimes() []float64 {
-	out := make([]float64, 0, len(h.PerFlow))
-	for _, v := range h.PerFlow {
-		out = append(out, v)
-	}
-	sort.Float64s(out)
-	return out
 }

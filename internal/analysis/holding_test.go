@@ -221,16 +221,3 @@ func TestTransitions(t *testing.T) {
 		t.Errorf("SteadyElephant = %d, want 1", tc.SteadyElephant)
 	}
 }
-
-func TestSortedHoldingTimes(t *testing.T) {
-	res := resultsFromPattern(map[int]string{
-		0: "EEEE",
-		1: "E...",
-		2: "EE..",
-	})
-	st := HoldingTimes(res, 0, 4)
-	got := st.SortedHoldingTimes()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 4 {
-		t.Errorf("sorted = %v", got)
-	}
-}

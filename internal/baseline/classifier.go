@@ -34,8 +34,8 @@ const (
 // rather than by prefix: counters live in flat slot arrays and the
 // flow→counter association is an index column reset each interval, so
 // the classify path never hashes or compares a prefix. The verdicts
-// are identical to the exported map-based MisraGries/SpaceSaving
-// sketches fed in snapshot order: every eviction decision depends only
+// are identical to the textbook map-based MisraGries/SpaceSaving
+// sketches (the oracle in sketch_test.go) fed in snapshot order: every eviction decision depends only
 // on counter values with a deterministic tie-break, and because the
 // snapshot is strictly sorted by prefix, the sketches' prefix
 // tie-break order is exactly the snapshot index order.

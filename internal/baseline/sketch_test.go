@@ -8,6 +8,11 @@ import (
 	"repro/internal/core"
 )
 
+// The textbook map-keyed sketches: the oracle SketchClassifier's
+// columnar kernels are tested against (TestSketchClassifierMatchesMapSketches
+// and the guarantee tests in baseline_test.go). Nothing outside the
+// tests uses them.
+
 // MisraGries is the classic deterministic frequent-items summary: with k
 // counters it identifies every flow whose volume exceeds total/(k+1),
 // undercounting each flow by at most total/(k+1). It consumes per-packet

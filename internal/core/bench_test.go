@@ -111,21 +111,3 @@ func BenchmarkPipelineStep6k(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkTrackerObserve(b *testing.B) {
-	// A churning elephant set of ~600 flows out of 6500.
-	rng := rand.New(rand.NewSource(6))
-	sets := make([]ElephantSet, 16)
-	for i := range sets {
-		members := make([]int, 600)
-		for j := range members {
-			members[j] = rng.Intn(6500)
-		}
-		sets[i] = elephantSetOf(members...)
-	}
-	tr := NewTracker()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Observe(sets[i%len(sets)])
-	}
-}

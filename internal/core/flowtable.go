@@ -25,7 +25,7 @@ const (
 // FlowTable interns flow prefixes into dense uint32 IDs — the flow
 // identity layer of the hot path. One table is owned per pipeline (per
 // link): every component that keeps per-flow state across intervals
-// (stream accumulator slots, latent-heat history, tracker runs) indexes
+// (stream accumulator slots, latent-heat history) indexes
 // flat columns by the table's IDs instead of hashing 24-byte
 // netip.Prefix keys per record and per flow per interval.
 //

@@ -127,7 +127,7 @@ func TestEngineMatchesSequential(t *testing.T) {
 }
 
 // TestEngineSharedSeries: two links may wrap the same series under
-// different schemes (exactly what RunFigure1 does); concurrent workers
+// different schemes (exactly what the Figure 1 sections do); concurrent workers
 // must snapshot it race-free and still match sequential runs. Run with
 // -race.
 func TestEngineSharedSeries(t *testing.T) {

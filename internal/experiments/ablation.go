@@ -2,111 +2,26 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strconv"
-	"time"
 
-	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/scheme"
 )
 
-// AblationRow summarises one parameter setting of an ablation sweep.
-type AblationRow struct {
-	// Param names the swept parameter ("alpha", "window", "beta").
+// Sweep is one parameter ablation of the paper's scheme.
+type Sweep struct {
+	// Param names the swept parameter.
 	Param string
-	// Value is the parameter's value for the row.
-	Value float64
-	// MeanElephants is the run-wide average elephant count.
-	MeanElephants float64
-	// MeanLoadFraction is the run-wide average elephant load fraction.
-	MeanLoadFraction float64
-	// MeanHoldingIntervals is the busy-window mean holding time.
-	MeanHoldingIntervals float64
-	// SingleIntervalFlows counts one-interval elephants in the busy
-	// window.
-	SingleIntervalFlows int
-	// ThresholdCV is the coefficient of variation of the smoothed
-	// threshold series — the smoothness the EWMA is meant to provide.
-	ThresholdCV float64
-	// Reclassifications counts promotions+demotions over the run, a
-	// direct churn measure.
-	Reclassifications int
+	// Values are the settings swept.
+	Values []float64
+	// spec builds the paper's scheme with the parameter at v.
+	spec func(v float64) *scheme.Spec
 }
 
-// sweepRows runs every scheme variant of one parameter sweep over the
-// west link in a single emit-once matrix run and summarises each —
-// the per-variant results are byte-identical to sequential RunScheme
-// calls, but the series is emitted (and each interval's bandwidth
-// column sorted) once per interval instead of once per variant.
-func sweepRows(ls *LinkSet, specs []*scheme.Spec, param string, values []float64) ([]AblationRow, error) {
-	all, errs, err := RunSchemes(ls.West, specs)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: ablation %s: %w", param, err)
-	}
-	rows := make([]AblationRow, 0, len(specs))
-	for i := range specs {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("experiments: ablation %s=%v: %w", param, values[i], errs[i])
-		}
-		row, err := summarizeSweep(ls, all[i], param, values[i])
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// summarizeSweep condenses one variant's interval results into a row.
-func summarizeSweep(ls *LinkSet, res []core.Result, param string, value float64) (AblationRow, error) {
-	busy := busySlots(ls.Cfg.Interval)
-	if busy > len(res) {
-		busy = len(res)
-	}
-	from, to, err := analysis.BusyWindow(res, busy)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	st := analysis.HoldingTimes(res, from, to)
-	tc := analysis.Transitions(res, 0, len(res))
-
-	// Coefficient of variation of θ̂(t).
-	var sum, sumsq float64
-	for i := range res {
-		sum += res[i].Threshold
-	}
-	mean := sum / float64(len(res))
-	for i := range res {
-		d := res[i].Threshold - mean
-		sumsq += d * d
-	}
-	cv := 0.0
-	if mean > 0 {
-		cv = math.Sqrt(sumsq/float64(len(res))) / mean
-	}
-
-	return AblationRow{
-		Param:                param,
-		Value:                value,
-		MeanElephants:        analysis.MeanInt(analysis.CountSeries(res)),
-		MeanLoadFraction:     analysis.MeanFloat(analysis.FractionSeries(res)),
-		MeanHoldingIntervals: st.MeanHolding,
-		SingleIntervalFlows:  st.SingleIntervalFlows,
-		ThresholdCV:          cv,
-		Reclassifications:    tc.Promotions + tc.Demotions,
-	}, nil
-}
-
-// AblationAlpha sweeps the EWMA weight α of the threshold update. The
-// paper settles on α = 0.5 as "sufficiently smooth"; the sweep shows the
-// smoothness/adaptivity trade-off that motivates it.
-func AblationAlpha(ls *LinkSet, alphas []float64) ([]AblationRow, error) {
-	if len(alphas) == 0 {
-		alphas = []float64{0, 0.25, 0.5, 0.75, 0.9}
-	}
-	specs := make([]*scheme.Spec, 0, len(alphas))
-	for _, a := range alphas {
+// The three ablations. The paper settles on α = 0.5 as "sufficiently
+// smooth" (the sweep shows the smoothness/adaptivity trade-off), uses a
+// latent-heat window of 12 slots — one hour — and β = 0.8.
+var (
+	AlphaSweep = Sweep{"alpha", []float64{0, 0.25, 0.5, 0.75, 0.9}, func(a float64) *scheme.Spec {
 		sp := PaperSpec()
 		sp.Alpha = a
 		if a == 0 {
@@ -114,49 +29,33 @@ func AblationAlpha(ls *LinkSet, alphas []float64) ([]AblationRow, error) {
 			// tiny epsilon that the pipeline accepts.
 			sp.Alpha = 1e-9
 		}
-		specs = append(specs, sp)
-	}
-	return sweepRows(ls, specs, "alpha", alphas)
-}
+		return sp
+	}}
+	WindowSweep = Sweep{"window", []float64{1, 6, 12, 24}, func(w float64) *scheme.Spec {
+		return PaperSpec().WithClassifierParam("window", strconv.Itoa(int(w)))
+	}}
+	BetaSweep = Sweep{"beta", []float64{0.5, 0.6, 0.7, 0.8, 0.9}, func(b float64) *scheme.Spec {
+		return PaperSpec().WithDetectorParam("beta", strconv.FormatFloat(b, 'f', -1, 64))
+	}}
+)
 
-// AblationWindow sweeps the latent-heat window W. The paper uses 12
-// slots (one hour); the sweep shows how persistence filtering scales
-// with memory length.
-func AblationWindow(ls *LinkSet, windows []int) ([]AblationRow, error) {
-	if len(windows) == 0 {
-		windows = []int{1, 6, 12, 24}
+// Ablation runs the sweep's variants over the west link in one Classify
+// call and summarises each; a row's label is its parameter value.
+func Ablation(ls *LinkSet, sw Sweep) ([]Row, error) {
+	specs := make([]*scheme.Spec, len(sw.Values))
+	for i, v := range sw.Values {
+		specs[i] = sw.spec(v)
 	}
-	specs := make([]*scheme.Spec, 0, len(windows))
-	values := make([]float64, 0, len(windows))
-	for _, w := range windows {
-		specs = append(specs, PaperSpec().WithClassifierParam("window", strconv.Itoa(w)))
-		values = append(values, float64(w))
+	runs, err := Classify(ls.Links()[:1], specs)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: ablation %s: %w", sw.Param, err)
 	}
-	return sweepRows(ls, specs, "window", values)
-}
-
-// AblationBeta sweeps the constant-load target fraction β. The paper
-// uses β = 0.8.
-func AblationBeta(ls *LinkSet, betas []float64) ([]AblationRow, error) {
-	if len(betas) == 0 {
-		betas = []float64{0.5, 0.6, 0.7, 0.8, 0.9}
+	rows, err := summarizeRuns(runs)
+	if err != nil {
+		return nil, err
 	}
-	specs := make([]*scheme.Spec, 0, len(betas))
-	for _, b := range betas {
-		specs = append(specs, PaperSpec().WithDetectorParam("beta", strconv.FormatFloat(b, 'f', -1, 64)))
+	for i, v := range sw.Values {
+		rows[i].Label = strconv.FormatFloat(v, 'g', -1, 64)
 	}
-	return sweepRows(ls, specs, "beta", betas)
-}
-
-// SmallConfig returns a reduced LinksConfig suitable for unit tests and
-// quick benchmark iterations: same structure, two orders of magnitude
-// less work.
-func SmallConfig() LinksConfig {
-	return LinksConfig{
-		Routes:    4000,
-		Flows:     1500,
-		Intervals: 96, // 8 hours of 5-minute slots
-		Interval:  5 * time.Minute,
-		Seed:      7,
-	}
+	return rows, nil
 }

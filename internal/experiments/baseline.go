@@ -2,75 +2,34 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 
-	"repro/internal/analysis"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/scheme"
 )
 
-// BaselineRow compares one classification strategy on the stability
-// metrics the paper cares about. It quantifies what the paper's adaptive
-// threshold and latent-heat persistence buy over the rules operational
-// tooling used: a static absolute threshold and the top-K talkers.
-type BaselineRow struct {
-	// Strategy names the classifier/detector combination.
-	Strategy string
-	// MeanElephants is the run-wide average elephant count.
-	MeanElephants float64
-	// MeanLoadFraction is the run-wide average elephant load share.
-	MeanLoadFraction float64
-	// LoadFractionCV is the coefficient of variation of the load share —
-	// how predictable the elephant-path load is for a TE system.
-	LoadFractionCV float64
-	// CountCV is the coefficient of variation of the per-interval
-	// elephant count. A fixed absolute threshold lets the count swing
-	// with the diurnal load; adaptive detection keeps it stable.
-	CountCV float64
-	// MeanHoldingIntervals is the busy-window mean holding time.
-	MeanHoldingIntervals float64
-	// SingleIntervalFlows counts busy-window one-interval elephants.
-	SingleIntervalFlows int
-	// Reclassifications counts promotions+demotions over the whole run.
-	Reclassifications int
-	// MeanSetJaccard is the average Jaccard similarity of consecutive
-	// elephant sets — membership stability, which a fixed count (top-K)
-	// cannot fake.
-	MeanSetJaccard float64
-}
-
-// BaselineComparison runs the paper's scheme (0.8-constant-load + latent
-// heat) against every baseline the registry offers on the west link:
-// fixed threshold, top-K talkers and the two heavy-hitter sketches. The
-// fixed threshold is set "optimally in hindsight" to the run's mean
-// adaptive threshold; K (and the sketches' counter budget) is set to the
-// paper scheme's mean elephant count, so each baseline gets its best
-// shot. Every strategy is a registry spec running through the same
-// engine path as the paper's scheme.
-func BaselineComparison(ls *LinkSet) ([]BaselineRow, error) {
-	// Reference run: the paper's scheme.
-	ref, err := RunScheme(ls.West, PaperSpec())
+// BaselineComparison sets the paper's scheme — ref, a classified
+// load+latent run — against every baseline the registry offers on the
+// same link: single-feature, fixed threshold, top-K talkers and the two
+// heavy-hitter sketches. It quantifies what the adaptive threshold and
+// latent-heat persistence buy over the rules operational tooling used.
+// The fixed threshold is set "optimally in hindsight" to ref's mean
+// adaptive threshold; K (and the sketches' counter budget) is set to
+// ref's mean elephant count, so each baseline gets its best shot. The
+// five baselines share one Classify call; rows come back paper first.
+func BaselineComparison(ref Run) ([]Row, error) {
+	paper, err := Summarize(ref.Results, ref.Series.Interval)
 	if err != nil {
 		return nil, err
 	}
 	var thetaSum float64
-	for i := range ref {
-		thetaSum += ref[i].Threshold
+	for i := range ref.Results {
+		thetaSum += ref.Results[i].Threshold
 	}
-	meanTheta := thetaSum / float64(len(ref))
-	meanCount := analysis.MeanInt(analysis.CountSeries(ref))
-	k := int(meanCount + 0.5)
-	if k < 1 {
-		k = 1
-	}
+	meanTheta := thetaSum / float64(len(ref.Results))
+	k := max(int(paper.MeanElephants+0.5), 1)
 
-	type strategy struct {
-		name string
-		spec string
-	}
-	strategies := []strategy{
-		{"paper: 0.8-load + latent heat", ""}, // precomputed ref
+	strategies := []struct{ name, spec string }{
 		{"single-feature 0.8-load", "load+single"},
 		{fmt.Sprintf("fixed threshold (%.2g b/s)", meanTheta),
 			"fixed:theta=" + strconv.FormatFloat(meanTheta, 'f', -1, 64) + "+single"},
@@ -78,91 +37,22 @@ func BaselineComparison(ls *LinkSet) ([]BaselineRow, error) {
 		{fmt.Sprintf("misra-gries sketch (k=%d)", k), fmt.Sprintf("load+misragries:k=%d", k)},
 		{fmt.Sprintf("space-saving sketch (k=%d)", k), fmt.Sprintf("load+spacesaving:k=%d", k)},
 	}
-
-	// The five baseline strategies share one emit-once matrix run over
-	// the west link: the series is emitted (and each interval's
-	// bandwidth column sorted) once per interval for all of them, with
-	// results byte-identical to per-strategy RunScheme calls.
-	specs := make([]*scheme.Spec, 0, len(strategies)-1)
-	for _, st := range strategies[1:] {
-		sp, err := scheme.Parse(st.spec)
-		if err != nil {
+	specs := make([]*scheme.Spec, len(strategies))
+	for i, st := range strategies {
+		if specs[i], err = scheme.Parse(st.spec); err != nil {
 			return nil, fmt.Errorf("experiments: baseline %s: %w", st.name, err)
 		}
-		specs = append(specs, sp)
 	}
-	all, errs, err := RunSchemes(ls.West, specs)
+	runs, err := Classify([]engine.MatrixLink{{ID: ref.Link, Series: ref.Series}}, specs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: baseline matrix: %w", err)
 	}
-
-	rows := make([]BaselineRow, 0, len(strategies))
-	for i, st := range strategies {
-		results := ref
-		if i > 0 {
-			if errs[i-1] != nil {
-				return nil, fmt.Errorf("experiments: baseline %s: %w", st.name, errs[i-1])
-			}
-			results = all[i-1]
-		}
-		row, err := summarizeBaseline(st.name, results, ls.Cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-func summarizeBaseline(name string, results []core.Result, cfg LinksConfig) (BaselineRow, error) {
-	busy := busySlots(cfg.Interval)
-	if busy > len(results) {
-		busy = len(results)
-	}
-	from, to, err := analysis.BusyWindow(results, busy)
+	rows, err := summarizeRuns(runs)
 	if err != nil {
-		return BaselineRow{}, err
+		return nil, err
 	}
-	st := analysis.HoldingTimes(results, from, to)
-	tc := analysis.Transitions(results, 0, len(results))
-	fracs := analysis.FractionSeries(results)
-	mean := analysis.MeanFloat(fracs)
-	counts := analysis.CountSeries(results)
-	return BaselineRow{
-		Strategy:             name,
-		MeanElephants:        analysis.MeanInt(counts),
-		MeanLoadFraction:     mean,
-		LoadFractionCV:       cvFloat(fracs, mean),
-		CountCV:              cvInt(counts),
-		MeanHoldingIntervals: st.MeanHolding,
-		SingleIntervalFlows:  st.SingleIntervalFlows,
-		Reclassifications:    tc.Promotions + tc.Demotions,
-		MeanSetJaccard:       analysis.Stability(results).MeanJaccard,
-	}, nil
-}
-
-// cvFloat returns the coefficient of variation of xs given its mean.
-func cvFloat(xs []float64, mean float64) float64 {
-	if mean <= 0 || len(xs) == 0 {
-		return 0
+	for i, st := range strategies {
+		rows[i].Label = st.name
 	}
-	var m2 float64
-	for _, x := range xs {
-		m2 += (x - mean) * (x - mean)
-	}
-	return math.Sqrt(m2/float64(len(xs))) / mean
-}
-
-// cvInt returns the coefficient of variation of an integer series.
-func cvInt(xs []int) float64 {
-	fs := make([]float64, len(xs))
-	var sum float64
-	for i, x := range xs {
-		fs[i] = float64(x)
-		sum += fs[i]
-	}
-	if len(fs) == 0 {
-		return 0
-	}
-	return cvFloat(fs, sum/float64(len(fs)))
+	return append([]Row{{Label: "paper: 0.8-load + latent heat", Summary: paper}}, rows...), nil
 }

@@ -7,174 +7,54 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/analysis"
+	"repro/internal/engine"
 	"repro/internal/scheme"
 )
 
-// VolatilityResult quantifies, for one (scheme, link) run, the
-// persistence of the elephant class: the quantities behind the paper's
-// Section II (single-feature) and Section III (two-feature) claims.
-type VolatilityResult struct {
-	Run FigureRun
-	// MeanHoldingIntervals is the across-flow mean of per-flow average
-	// holding times in the elephant state, in measurement intervals,
-	// over the busy window.
-	MeanHoldingIntervals float64
-	// MeanHolding is the same expressed as a duration.
-	MeanHolding time.Duration
-	// SingleIntervalFlows counts flows that were elephants for exactly
-	// one interval (every visit length one).
-	SingleIntervalFlows int
-	// ElephantFlows is the number of distinct flows that entered the
-	// elephant class in the busy window.
-	ElephantFlows int
-	// MeanElephants is the average per-interval elephant count over the
-	// whole run.
-	MeanElephants float64
-	// MeanLoadFraction is the average fraction of traffic apportioned
-	// to elephants over the whole run.
-	MeanLoadFraction float64
-}
-
-// Volatility computes VolatilityResult for each run over its busiest
-// window of busyIntervals slots (the paper's five-hour busy period is 60
-// five-minute slots).
-func Volatility(runs []FigureRun, interval time.Duration, busyIntervals int) ([]VolatilityResult, error) {
-	out := make([]VolatilityResult, 0, len(runs))
-	for _, r := range runs {
-		window := busyIntervals
-		if window > len(r.Results) {
-			window = len(r.Results)
-		}
-		from, to, err := analysis.BusyWindow(r.Results, window)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: volatility %s: %w", r.Label(), err)
-		}
-		st := analysis.HoldingTimes(r.Results, from, to)
-		out = append(out, VolatilityResult{
-			Run:                  r,
-			MeanHoldingIntervals: st.MeanHolding,
-			MeanHolding:          time.Duration(st.MeanHolding * float64(interval)),
-			SingleIntervalFlows:  st.SingleIntervalFlows,
-			ElephantFlows:        st.Flows,
-			MeanElephants:        analysis.MeanInt(analysis.CountSeries(r.Results)),
-			MeanLoadFraction:     analysis.MeanFloat(analysis.FractionSeries(r.Results)),
-		})
-	}
-	return out, nil
-}
-
-// SingleFeatureVolatility reproduces the Section II claim: with
-// single-feature classification, elephants hold their state for only
-// 20–40 minutes on average and more than 1000 flows per link are
-// elephants for a single interval.
-func SingleFeatureVolatility(ls *LinkSet) ([]VolatilityResult, error) {
-	runs, err := RunFigure1(ls, false)
-	if err != nil {
-		return nil, err
-	}
-	return Volatility(runs, ls.Cfg.Interval, busySlots(ls.Cfg.Interval))
-}
-
-// TwoFeatureStability reproduces the Section III claim: with the latent
-// heat metric the average holding time rises to about two hours and
-// single-interval elephants drop to about 50, with roughly 600 (west) /
-// 500 (east) elephants on average carrying ≈0.6 of the traffic.
-func TwoFeatureStability(ls *LinkSet) ([]VolatilityResult, error) {
-	runs, err := RunFigure1(ls, true)
-	if err != nil {
-		return nil, err
-	}
-	return Volatility(runs, ls.Cfg.Interval, busySlots(ls.Cfg.Interval))
-}
-
-// SchemeStability computes the same stability metrics for one arbitrary
-// scheme spec on both links — the registry-driven generalisation of
-// TwoFeatureStability, so any registered scheme (baseline sketches
-// included) can be scored on the paper's persistence axes.
-func SchemeStability(ls *LinkSet, sp *scheme.Spec) ([]VolatilityResult, error) {
-	runs, err := runMatrix(ls, []*scheme.Spec{sp})
-	if err != nil {
-		return nil, err
-	}
-	return Volatility(runs, ls.Cfg.Interval, busySlots(ls.Cfg.Interval))
-}
-
-// busySlots converts the paper's five-hour busy period to slots.
-func busySlots(interval time.Duration) int {
-	if interval <= 0 {
-		return 60
-	}
-	n := int(5 * time.Hour / interval)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// PrefixLengthResult carries the Section III prefix-length analysis for
+// PrefixLengthRow carries the Section III prefix-length analysis for
 // one run.
-type PrefixLengthResult struct {
-	Run   FigureRun
+type PrefixLengthRow struct {
+	Label string
 	Stats analysis.PrefixLengthStats
 }
 
-// PrefixLength reproduces the Section III prefix-length observation:
+// PrefixLengths reproduces the Section III prefix-length observation:
 // elephants span roughly /12–/26 and almost no /8 networks qualify,
 // showing little correlation between prefix size and elephant status.
-func PrefixLength(ls *LinkSet) ([]PrefixLengthResult, error) {
-	runs, err := RunFigure1(ls, true)
-	if err != nil {
-		return nil, err
+func PrefixLengths(runs []Run) []PrefixLengthRow {
+	out := make([]PrefixLengthRow, len(runs))
+	for i, r := range runs {
+		out[i] = PrefixLengthRow{Label: r.Label(), Stats: analysis.PrefixLengths(r.Results, r.Series)}
 	}
-	out := make([]PrefixLengthResult, 0, len(runs))
-	for _, r := range runs {
-		series := ls.West
-		if r.Link == "east" {
-			series = ls.East
-		}
-		out = append(out, PrefixLengthResult{Run: r, Stats: analysis.PrefixLengths(r.Results, series)})
-	}
-	return out, nil
+	return out
 }
 
-// IntervalSensitivityRow summarises one measurement-interval choice.
-type IntervalSensitivityRow struct {
-	Interval time.Duration
-	Scheme   string
-	// MeanElephants and MeanLoadFraction are run-wide averages.
-	MeanElephants    float64
-	MeanLoadFraction float64
-	// MeanHoldingMinutes is the busy-window mean holding time in
-	// minutes (converted so rows are comparable across intervals).
-	MeanHoldingMinutes float64
+// IntervalRow summarises one measurement-interval choice; the label is
+// the interval.
+type IntervalRow struct {
+	Row
+	// Scheme is the display name of the scheme as run at this interval
+	// (the latent-heat window is re-expressed in its slots).
+	Scheme string
 }
 
 // IntervalSensitivity reproduces the Section II robustness note:
 // "similar results were obtained for Delta = 1 min and Delta = 10 mins".
-// The west link is generated once at a 1-minute base resolution and
-// rebinned to each candidate interval, so every row sees the same
-// underlying traffic.
-func IntervalSensitivity(cfg LinksConfig, intervals []time.Duration, sp *scheme.Spec) ([]IntervalSensitivityRow, error) {
-	if len(intervals) == 0 {
-		intervals = []time.Duration{time.Minute, 5 * time.Minute, 10 * time.Minute}
-	}
-	base := intervals[0]
-	for _, iv := range intervals {
-		if iv < base {
-			base = iv
-		}
-	}
+// The west link is generated once at 1-minute resolution and rebinned to
+// 5 and 10 minutes, so every row sees the same underlying traffic.
+func IntervalSensitivity(cfg LinksConfig, sp *scheme.Spec) ([]IntervalRow, error) {
+	const base = time.Minute
+	intervals := []time.Duration{base, 5 * time.Minute, 10 * time.Minute}
 	cfg.defaults()
 	// Regenerate at base resolution covering the same wall-clock span.
 	span := time.Duration(cfg.Intervals) * cfg.Interval
-	fine := cfg
-	fine.Interval = base
-	fine.Intervals = int(span / base)
-	ls, err := BuildLinks(fine)
+	cfg.Interval = base
+	cfg.Intervals = int(span / base)
+	ls, err := BuildLinks(cfg)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]IntervalSensitivityRow, 0, len(intervals))
+	rows := make([]IntervalRow, 0, len(intervals))
 	for _, iv := range intervals {
 		series, err := rebinTo(ls.West, iv)
 		if err != nil {
@@ -183,32 +63,17 @@ func IntervalSensitivity(cfg LinksConfig, intervals []time.Duration, sp *scheme.
 		// The latent-heat window is one hour of slots at any interval.
 		spAdj := sp
 		if _, latent := sp.LatentWindow(); latent {
-			w := int(time.Hour / iv)
-			if w < 1 {
-				w = 1
-			}
-			spAdj = sp.WithClassifierParam("window", strconv.Itoa(w))
+			spAdj = sp.WithClassifierParam("window", strconv.Itoa(max(int(time.Hour/iv), 1)))
 		}
-		res, err := RunScheme(series, spAdj)
+		runs, err := Classify([]engine.MatrixLink{{ID: "west", Series: series}}, []*scheme.Spec{spAdj})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: interval sensitivity at %v: %w", iv, err)
 		}
-		busy := busySlots(iv)
-		if busy > len(res) {
-			busy = len(res)
-		}
-		from, to, err := analysis.BusyWindow(res, busy)
+		s, err := Summarize(runs[0].Results, iv)
 		if err != nil {
 			return nil, err
 		}
-		st := analysis.HoldingTimes(res, from, to)
-		rows = append(rows, IntervalSensitivityRow{
-			Interval:           iv,
-			Scheme:             spAdj.Name(),
-			MeanElephants:      analysis.MeanInt(analysis.CountSeries(res)),
-			MeanLoadFraction:   analysis.MeanFloat(analysis.FractionSeries(res)),
-			MeanHoldingMinutes: st.MeanHolding * iv.Minutes(),
-		})
+		rows = append(rows, IntervalRow{Row: Row{Label: iv.String(), Summary: s}, Scheme: spAdj.Name()})
 	}
 	return rows, nil
 }

@@ -27,22 +27,20 @@ type ConcentrationRow struct {
 // busy, an average and a quiet interval.
 func Concentration(ls *LinkSet) ([]ConcentrationRow, error) {
 	var rows []ConcentrationRow
-	for _, link := range []struct {
-		name   string
-		series *agg.Series
-	}{{"west", ls.West}, {"east", ls.East}} {
+	for _, link := range ls.Links() {
 		// Pick the busiest, the median-load and the quietest interval.
+		s := link.Series
 		busiest, quietest := 0, 0
-		for t := 1; t < link.series.Intervals; t++ {
-			if link.series.TotalBandwidth(t) > link.series.TotalBandwidth(busiest) {
+		for t := 1; t < s.Intervals; t++ {
+			if s.TotalBandwidth(t) > s.TotalBandwidth(busiest) {
 				busiest = t
 			}
-			if link.series.TotalBandwidth(t) < link.series.TotalBandwidth(quietest) {
+			if s.TotalBandwidth(t) < s.TotalBandwidth(quietest) {
 				quietest = t
 			}
 		}
-		for _, t := range []int{busiest, link.series.Intervals / 2, quietest} {
-			row, err := concentrationAt(link.name, link.series, t)
+		for _, t := range []int{busiest, s.Intervals / 2, quietest} {
+			row, err := concentrationAt(link.ID, s, t)
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/scheme"
@@ -59,12 +59,23 @@ func TestPaperSpec(t *testing.T) {
 	}
 }
 
-func TestRunSchemeProducesOneResultPerInterval(t *testing.T) {
-	ls := smallLinks(t)
-	res, err := RunScheme(ls.West, scheme.MustParse("load+single"))
+// classify runs the specs (in spec grammar) over both evaluation links.
+func classify(t *testing.T, ls *LinkSet, specs ...string) []Run {
+	t.Helper()
+	parsed := make([]*scheme.Spec, len(specs))
+	for i, sp := range specs {
+		parsed[i] = scheme.MustParse(sp)
+	}
+	runs, err := Classify(ls.Links(), parsed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return runs
+}
+
+func TestRunSchemeProducesOneResultPerInterval(t *testing.T) {
+	ls := smallLinks(t)
+	res := classify(t, ls, "load+single")[0].Results
 	if len(res) != ls.West.Intervals {
 		t.Fatalf("results = %d, want %d", len(res), ls.West.Intervals)
 	}
@@ -82,11 +93,7 @@ func TestRunSchemeProducesOneResultPerInterval(t *testing.T) {
 // scheme must apportion ≈80% of traffic to elephants by construction.
 func TestConstantLoadHitsTarget(t *testing.T) {
 	ls := smallLinks(t)
-	res, err := RunScheme(ls.West, scheme.MustParse("load+single"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr := analysis.MeanFloat(analysis.FractionSeries(res))
+	fr := analysis.MeanFloat(analysis.FractionSeries(classify(t, ls, "load+single")[0].Results))
 	if fr < 0.70 || fr > 0.90 {
 		t.Errorf("single-feature 0.8-load fraction = %.3f, want ≈ 0.8", fr)
 	}
@@ -101,77 +108,44 @@ func TestConstantLoadHitsTarget(t *testing.T) {
 //	value.
 func TestLatentHeatReducesChurn(t *testing.T) {
 	ls := smallLinks(t)
-	for _, useAest := range []bool{false, true} {
-		det := "load"
-		if useAest {
-			det = "aest"
-		}
-		single, err := RunScheme(ls.West, scheme.MustParse(det+"+single"))
+	for _, det := range []string{"load", "aest"} {
+		rows, err := summarizeRuns(classify(t, ls, det+"+single", det+"+latent")[:2])
 		if err != nil {
 			t.Fatal(err)
 		}
-		two, err := RunScheme(ls.West, scheme.MustParse(det+"+latent"))
-		if err != nil {
-			t.Fatal(err)
+		single, two := rows[0], rows[1] // the west link's cells
+		if two.Holding.MeanHolding < 2*single.Holding.MeanHolding {
+			t.Errorf("%s: holding %0.1f -> %0.1f, want >= 2x", det, single.Holding.MeanHolding, two.Holding.MeanHolding)
 		}
-		busy := 60
-		f1, t1, err := analysis.BusyWindow(single, busy)
-		if err != nil {
-			t.Fatal(err)
+		if single.Holding.SingleIntervalFlows < 5*two.Holding.SingleIntervalFlows {
+			t.Errorf("%s: 1-slot flows %d -> %d, want >= 5x drop", det, single.Holding.SingleIntervalFlows, two.Holding.SingleIntervalFlows)
 		}
-		f2, t2, err := analysis.BusyWindow(two, busy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h1 := analysis.HoldingTimes(single, f1, t1)
-		h2 := analysis.HoldingTimes(two, f2, t2)
-
-		if h2.MeanHolding < 2*h1.MeanHolding {
-			t.Errorf("aest=%v: holding %0.1f -> %0.1f, want >= 2x", useAest, h1.MeanHolding, h2.MeanHolding)
-		}
-		if h1.SingleIntervalFlows < 5*h2.SingleIntervalFlows {
-			t.Errorf("aest=%v: 1-slot flows %d -> %d, want >= 5x drop", useAest, h1.SingleIntervalFlows, h2.SingleIntervalFlows)
-		}
-		fr1 := analysis.MeanFloat(analysis.FractionSeries(single))
-		fr2 := analysis.MeanFloat(analysis.FractionSeries(two))
-		if fr2 < fr1*0.75 || fr2 > fr1*1.25 {
-			t.Errorf("aest=%v: fraction %0.3f -> %0.3f drifted more than 25%%", useAest, fr1, fr2)
+		if fr1, fr2 := single.MeanLoadFraction, two.MeanLoadFraction; fr2 < fr1*0.75 || fr2 > fr1*1.25 {
+			t.Errorf("%s: fraction %0.3f -> %0.3f drifted more than 25%%", det, fr1, fr2)
 		}
 	}
 }
 
 func TestRunFigure1Labels(t *testing.T) {
-	ls := smallLinks(t)
-	runs, err := RunFigure1(ls, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 4 {
-		t.Fatalf("runs = %d, want 4", len(runs))
-	}
-	want := map[string]bool{
-		"constant load (west coast)": true,
-		"aest (west coast)":          true,
-		"constant load (east coast)": true,
-		"aest (east coast)":          true,
-	}
+	runs := classify(t, smallLinks(t), "load+latent", "aest+latent")
+	var got []string
 	for _, r := range runs {
-		if !want[r.Label()] {
-			t.Errorf("unexpected label %q", r.Label())
-		}
-		delete(want, r.Label())
+		got = append(got, r.Label())
 	}
-	if len(want) != 0 {
-		t.Errorf("missing labels: %v", want)
+	want := []string{ // link-major, spec-minor
+		"constant load (west coast)",
+		"aest (west coast)",
+		"constant load (east coast)",
+		"aest (east coast)",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("labels = %q, want %q", got, want)
 	}
 }
 
 func TestFig1Extractors(t *testing.T) {
 	ls := smallLinks(t)
-	runs, err := RunFigure1(ls, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := classify(t, ls, "load+latent", "aest+latent")
 	counts := Fig1a(runs)
 	fracs := Fig1b(runs)
 	if len(counts) != 4 || len(fracs) != 4 {
@@ -181,44 +155,49 @@ func TestFig1Extractors(t *testing.T) {
 		if len(counts[i].Values) != ls.Cfg.Intervals {
 			t.Errorf("series %d: %d values", i, len(counts[i].Values))
 		}
+		if slices.Min(counts[i].Values) <= 0 {
+			t.Errorf("%s: an interval without elephants", counts[i].Label)
+		}
 		for _, v := range fracs[i].Values {
 			if v < 0 || v > 1 {
 				t.Errorf("fraction %v out of [0,1]", v)
 			}
 		}
 	}
-	cres, err := Fig1c(runs, Fig1cConfig{BusyIntervals: 48, MaxBins: 30})
+	rows, err := summarizeRuns(runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range cres {
-		if len(r.Histogram) != 30 {
-			t.Errorf("histogram bins = %d", len(r.Histogram))
+	for i, series := range Fig1c(rows) {
+		r := rows[i]
+		if len(series.Values) != fig1cBins {
+			t.Errorf("histogram bins = %d", len(series.Values))
 		}
-		if r.BusyTo-r.BusyFrom != 48 {
+		if r.BusyTo-r.BusyFrom != 60 { // five hours of 5-minute slots
 			t.Errorf("busy window = [%d,%d)", r.BusyFrom, r.BusyTo)
 		}
-		sum := 0
-		for _, c := range r.Histogram {
+		var sum float64
+		for _, c := range series.Values {
 			sum += c
 		}
-		if sum != r.Stats.Flows {
-			t.Errorf("histogram mass %d != flows %d", sum, r.Stats.Flows)
+		if int(sum) != r.Holding.Flows {
+			t.Errorf("histogram mass %v != flows %d", sum, r.Holding.Flows)
 		}
-	}
-	series := Fig1cSeries(cres)
-	if len(series) != 4 {
-		t.Errorf("Fig1cSeries = %d", len(series))
+		// Figure 1(b)'s remark: the elephants' share of the traffic
+		// fluctuates less than their number.
+		if r.LoadFractionCV >= r.CountCV {
+			t.Errorf("%s: load fraction CV %v not below count CV %v", r.Label, r.LoadFractionCV, r.CountCV)
+		}
 	}
 }
 
 func TestVolatilityClaims(t *testing.T) {
 	ls := smallLinks(t)
-	single, err := SingleFeatureVolatility(ls)
+	single, err := summarizeRuns(classify(t, ls, "load+single", "aest+single"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := TwoFeatureStability(ls)
+	two, err := summarizeRuns(classify(t, ls, "load+latent", "aest+latent"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,29 +210,31 @@ func TestVolatilityClaims(t *testing.T) {
 		}
 		if two[i].MeanHolding < single[i].MeanHolding {
 			t.Errorf("%s: latent heat shortened holding (%v -> %v)",
-				single[i].Run.Label(), single[i].MeanHolding, two[i].MeanHolding)
+				single[i].Label, single[i].MeanHolding, two[i].MeanHolding)
+		}
+		if two[i].Holding.SingleIntervalFlows >= single[i].Holding.SingleIntervalFlows {
+			t.Errorf("%s: latent heat did not cut one-interval elephants (%d -> %d)",
+				single[i].Label, single[i].Holding.SingleIntervalFlows, two[i].Holding.SingleIntervalFlows)
+		}
+		if two[i].MeanElephants <= 0 {
+			t.Errorf("%s: no elephants with latent heat", two[i].Label)
 		}
 	}
 }
 
 func TestPrefixLengthClaim(t *testing.T) {
-	ls := smallLinks(t)
-	rows, err := PrefixLength(ls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
+	for _, r := range PrefixLengths(classify(t, smallLinks(t), "load+latent", "aest+latent")) {
 		if r.Stats.TotalElephantFlows() == 0 {
-			t.Fatalf("%s: no elephants", r.Run.Label())
+			t.Fatalf("%s: no elephants", r.Label)
 		}
 		// The paper's claim: elephant prefix lengths span a wide range,
 		// i.e. prefix size does not determine elephant status.
 		if r.Stats.MaxLen-r.Stats.MinLen < 8 {
-			t.Errorf("%s: elephant lengths span only /%d-/%d", r.Run.Label(), r.Stats.MinLen, r.Stats.MaxLen)
+			t.Errorf("%s: elephant lengths span only /%d-/%d", r.Label, r.Stats.MinLen, r.Stats.MaxLen)
 		}
 		// /8s must not dominate the elephant set.
 		if r.Stats.ElephantSlash8 > r.Stats.TotalElephantFlows()/10 {
-			t.Errorf("%s: %d of %d elephants are /8s", r.Run.Label(), r.Stats.ElephantSlash8, r.Stats.TotalElephantFlows())
+			t.Errorf("%s: %d of %d elephants are /8s", r.Label, r.Stats.ElephantSlash8, r.Stats.TotalElephantFlows())
 		}
 	}
 }
@@ -261,9 +242,7 @@ func TestPrefixLengthClaim(t *testing.T) {
 func TestIntervalSensitivityRows(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.Intervals = 48 // keep the 1-minute regeneration affordable
-	rows, err := IntervalSensitivity(cfg,
-		[]time.Duration{time.Minute, 5 * time.Minute, 10 * time.Minute},
-		PaperSpec())
+	rows, err := IntervalSensitivity(cfg, PaperSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,10 +251,10 @@ func TestIntervalSensitivityRows(t *testing.T) {
 	}
 	for _, r := range rows {
 		if r.MeanElephants <= 0 {
-			t.Errorf("%v: no elephants", r.Interval)
+			t.Errorf("%s: no elephants", r.Label)
 		}
 		if r.MeanLoadFraction <= 0 || r.MeanLoadFraction > 1 {
-			t.Errorf("%v: fraction %v", r.Interval, r.MeanLoadFraction)
+			t.Errorf("%s: fraction %v", r.Label, r.MeanLoadFraction)
 		}
 	}
 	// The 5- and 10-minute rows see literally rebinned versions of the
@@ -287,39 +266,43 @@ func TestIntervalSensitivityRows(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	ls := smallLinks(t)
-	alpha, err := AblationAlpha(ls, []float64{0.25, 0.5, 0.9})
+	alpha, err := Ablation(ls, AlphaSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(alpha) != 3 {
+	if len(alpha) != len(AlphaSweep.Values) {
 		t.Fatal("alpha rows")
 	}
 	// Threshold smoothness (CV) must decrease with alpha.
-	if !(alpha[2].ThresholdCV < alpha[0].ThresholdCV) {
-		t.Errorf("alpha 0.9 CV %v not below alpha 0.25 CV %v", alpha[2].ThresholdCV, alpha[0].ThresholdCV)
+	if lo, hi := alpha[1], alpha[len(alpha)-1]; !(hi.ThresholdCV < lo.ThresholdCV) {
+		t.Errorf("alpha %s CV %v not below alpha %s CV %v", hi.Label, hi.ThresholdCV, lo.Label, lo.ThresholdCV)
 	}
 
-	window, err := AblationWindow(ls, []int{1, 12, 24})
+	window, err := Ablation(ls, WindowSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Longer windows mean longer holding and fewer reclassifications.
-	if !(window[2].MeanHoldingIntervals > window[0].MeanHoldingIntervals) {
-		t.Errorf("W=24 holding %v not above W=1 %v", window[2].MeanHoldingIntervals, window[0].MeanHoldingIntervals)
-	}
-	if !(window[2].Reclassifications < window[0].Reclassifications) {
-		t.Errorf("W=24 reclass %d not below W=1 %d", window[2].Reclassifications, window[0].Reclassifications)
+	for i, w := range window[1:] {
+		if !(w.Holding.MeanHolding > window[i].Holding.MeanHolding) {
+			t.Errorf("W=%s holding %v not above W=%s %v", w.Label, w.Holding.MeanHolding, window[i].Label, window[i].Holding.MeanHolding)
+		}
+		if !(w.Reclassifications < window[i].Reclassifications) {
+			t.Errorf("W=%s reclass %d not below W=%s %d", w.Label, w.Reclassifications, window[i].Label, window[i].Reclassifications)
+		}
 	}
 
-	beta, err := AblationBeta(ls, []float64{0.5, 0.8})
+	beta, err := Ablation(ls, BetaSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Higher beta -> lower threshold -> more elephants, more load.
-	if !(beta[1].MeanElephants > beta[0].MeanElephants) {
-		t.Errorf("beta 0.8 elephants %v not above beta 0.5 %v", beta[1].MeanElephants, beta[0].MeanElephants)
-	}
-	if !(beta[1].MeanLoadFraction > beta[0].MeanLoadFraction) {
-		t.Errorf("beta 0.8 fraction %v not above beta 0.5 %v", beta[1].MeanLoadFraction, beta[0].MeanLoadFraction)
+	for i, b := range beta[1:] {
+		if !(b.MeanElephants > beta[i].MeanElephants) {
+			t.Errorf("beta %s elephants %v not above beta %s %v", b.Label, b.MeanElephants, beta[i].Label, beta[i].MeanElephants)
+		}
+		if !(b.MeanLoadFraction > beta[i].MeanLoadFraction) {
+			t.Errorf("beta %s fraction %v not above beta %s %v", b.Label, b.MeanLoadFraction, beta[i].Label, beta[i].MeanLoadFraction)
+		}
 	}
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/scheme"
 )
 
 func TestBaselineComparison(t *testing.T) {
@@ -16,7 +14,7 @@ func TestBaselineComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := BaselineComparison(ls)
+	rows, err := BaselineComparison(classify(t, ls, "load+latent")[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,19 +22,19 @@ func TestBaselineComparison(t *testing.T) {
 		t.Fatalf("rows = %d, want 6", len(rows))
 	}
 	paper := rows[0]
-	var single, fixed, topk, mg, ss *BaselineRow
+	var single, fixed, topk, mg, ss *Row
 	for i := range rows[1:] {
 		r := &rows[i+1]
 		switch {
-		case r.Strategy == "single-feature 0.8-load":
+		case r.Label == "single-feature 0.8-load":
 			single = r
-		case strings.HasPrefix(r.Strategy, "fixed"):
+		case strings.HasPrefix(r.Label, "fixed"):
 			fixed = r
-		case strings.HasPrefix(r.Strategy, "top-"):
+		case strings.HasPrefix(r.Label, "top-"):
 			topk = r
-		case strings.HasPrefix(r.Strategy, "misra-gries"):
+		case strings.HasPrefix(r.Label, "misra-gries"):
 			mg = r
-		case strings.HasPrefix(r.Strategy, "space-saving"):
+		case strings.HasPrefix(r.Label, "space-saving"):
 			ss = r
 		}
 	}
@@ -44,20 +42,20 @@ func TestBaselineComparison(t *testing.T) {
 		t.Fatalf("strategies missing: %+v", rows)
 	}
 	// The sketch baselines must actually classify something.
-	for _, b := range []*BaselineRow{mg, ss} {
+	for _, b := range []*Row{mg, ss} {
 		if b.MeanElephants <= 0 {
-			t.Errorf("%s: no elephants", b.Strategy)
+			t.Errorf("%s: no elephants", b.Label)
 		}
 	}
 	// The paper's scheme must beat every baseline on churn.
-	for _, b := range []*BaselineRow{single, fixed, topk, mg, ss} {
+	for _, b := range []*Row{single, fixed, topk, mg, ss} {
 		if paper.Reclassifications >= b.Reclassifications {
 			t.Errorf("paper scheme reclass %d not below %s's %d",
-				paper.Reclassifications, b.Strategy, b.Reclassifications)
+				paper.Reclassifications, b.Label, b.Reclassifications)
 		}
-		if paper.MeanHoldingIntervals <= b.MeanHoldingIntervals {
+		if paper.Holding.MeanHolding <= b.Holding.MeanHolding {
 			t.Errorf("paper scheme holding %v not above %s's %v",
-				paper.MeanHoldingIntervals, b.Strategy, b.MeanHoldingIntervals)
+				paper.Holding.MeanHolding, b.Label, b.Holding.MeanHolding)
 		}
 	}
 	// The fixed threshold is tuned in hindsight, so its mean load can
@@ -97,55 +95,60 @@ func TestConcentration(t *testing.T) {
 
 func TestSamplingImpact(t *testing.T) {
 	ls := smallLinks(t)
-	rows, err := SamplingImpact(ls, []int{1, 100}, PaperSpec())
+	rows, err := SamplingImpact(classify(t, ls, "load+latent")[0], []int{1, 100, 1000}, ls.Cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
+	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	unsampled, sampled := rows[0], rows[1]
-	if unsampled.MeanJaccard < 0.999 {
-		t.Errorf("rate-1 run must match the reference: jaccard %v", unsampled.MeanJaccard)
+	unsampled, sampled, sparse := rows[0], rows[1], rows[2]
+	if unsampled.JaccardVsUnsampled < 0.999 {
+		t.Errorf("rate-1 run must match the reference: jaccard %v", unsampled.JaccardVsUnsampled)
 	}
 	// 1-in-100 sampling must still identify essentially the same
 	// elephants: they are heavy, so their packet counts survive
 	// thinning. This is the robustness property that made sampled
 	// NetFlow usable for heavy-hitter work.
-	if sampled.MeanJaccard < 0.75 {
-		t.Errorf("1-in-100 jaccard %v, want > 0.75", sampled.MeanJaccard)
+	if sampled.JaccardVsUnsampled < 0.75 {
+		t.Errorf("1-in-100 jaccard %v, want > 0.75", sampled.JaccardVsUnsampled)
 	}
-	if sampled.MeanLoadFraction < unsampled.MeanLoadFraction*0.85 {
+	if sampled.TrueLoadFraction < unsampled.TrueLoadFraction*0.85 {
 		t.Errorf("sampled run lost load coverage: %v vs %v",
-			sampled.MeanLoadFraction, unsampled.MeanLoadFraction)
+			sampled.TrueLoadFraction, unsampled.TrueLoadFraction)
 	}
-	if sampled.MeanElephants <= 0 || sampled.MeanHoldingIntervals <= 0 {
+	if sampled.MeanElephants <= 0 || sampled.Holding.MeanHolding <= 0 {
 		t.Errorf("degenerate sampled row: %+v", sampled)
+	}
+	// Even 1-in-1000 keeps most of the set: agreement degrades with the
+	// rate, gracefully.
+	if j := sparse.JaccardVsUnsampled; j < 0.6 || j > sampled.JaccardVsUnsampled {
+		t.Errorf("1-in-1000 jaccard %v, want in [0.6, %v]", j, sampled.JaccardVsUnsampled)
 	}
 }
 
 func TestSamplingImpactRejectsBadRate(t *testing.T) {
 	ls := smallLinks(t)
-	if _, err := SamplingImpact(ls, []int{0}, scheme.MustParse("load+single")); err == nil {
+	if _, err := SamplingImpact(classify(t, ls, "load+single")[0], []int{0}, ls.Cfg.Seed); err == nil {
 		t.Error("rate 0 accepted")
 	}
 }
 
 func TestBaselineSetJaccard(t *testing.T) {
 	ls := smallLinks(t)
-	rows, err := BaselineComparison(ls)
+	rows, err := BaselineComparison(classify(t, ls, "load+latent")[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	paper := rows[0]
-	if paper.MeanSetJaccard <= 0 || paper.MeanSetJaccard > 1 {
-		t.Fatalf("paper jaccard = %v", paper.MeanSetJaccard)
+	if paper.SetJaccard <= 0 || paper.SetJaccard > 1 {
+		t.Fatalf("paper jaccard = %v", paper.SetJaccard)
 	}
 	// The paper's scheme must keep membership more stable than every
 	// baseline.
 	for _, r := range rows[1:] {
-		if r.MeanSetJaccard >= paper.MeanSetJaccard {
-			t.Errorf("%s jaccard %v >= paper %v", r.Strategy, r.MeanSetJaccard, paper.MeanSetJaccard)
+		if r.SetJaccard >= paper.SetJaccard {
+			t.Errorf("%s jaccard %v >= paper %v", r.Label, r.SetJaccard, paper.SetJaccard)
 		}
 	}
 }

@@ -1,89 +1,13 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/analysis"
-	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/report"
-	"repro/internal/scheme"
 )
-
-// FigureRun is one (scheme, link) combination with its per-interval
-// classification results.
-type FigureRun struct {
-	// Scheme is the spec that produced the run.
-	Scheme *scheme.Spec
-	// Link is "west" or "east".
-	Link string
-	// Results holds one entry per measurement interval.
-	Results []core.Result
-}
-
-// Label returns the legend label used in the figures, matching the
-// paper's for its two detectors — "constant load (west coast)",
-// "aest (east coast)" — and falling back to the scheme's display name
-// for any other registry spec routed through the figure harnesses.
-func (r FigureRun) Label() string {
-	var base string
-	switch r.Scheme.Detector.Name {
-	case "aest":
-		base = "aest"
-	case "load":
-		base = "constant load"
-	default:
-		base = r.Scheme.Name()
-	}
-	return fmt.Sprintf("%s (%s coast)", base, r.Link)
-}
-
-// runMatrix fans the given specs over both evaluation links on the
-// multi-link engine and reassembles the results link-major, spec-minor
-// — the historical figure ordering. Results are identical to
-// sequential execution.
-func runMatrix(ls *LinkSet, specs []*scheme.Spec) ([]FigureRun, error) {
-	links := ls.matrixLinks()
-	eng := engine.MultiLinkEngine{}
-	lrs, err := eng.RunMatrix(links, specs)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: scheme matrix: %w", err)
-	}
-	done := make(map[string][]core.Result, len(lrs))
-	for _, lr := range lrs {
-		if lr.Err != nil {
-			return nil, fmt.Errorf("experiments: scheme matrix run %s: %w", lr.ID, lr.Err)
-		}
-		done[lr.ID] = lr.Results
-	}
-	runs := make([]FigureRun, 0, len(links)*len(specs))
-	for _, l := range links {
-		for _, sp := range specs {
-			runs = append(runs, FigureRun{Scheme: sp, Link: l.ID, Results: done[engine.MatrixID(l.ID, sp)]})
-		}
-	}
-	return runs, nil
-}
-
-// RunFigure1 executes the four runs of Figure 1 — {0.8-constant-load,
-// aest} × {west, east} — with the latent-heat metric switched as
-// requested (the paper's Figure 1 has it on). The four runs are
-// independent (scheme, link) cells of a registry matrix, executing
-// concurrently on the multi-link engine.
-func RunFigure1(ls *LinkSet, latentHeat bool) ([]FigureRun, error) {
-	cls := "single"
-	if latentHeat {
-		cls = "latent"
-	}
-	return runMatrix(ls, []*scheme.Spec{
-		scheme.MustParse("load+" + cls),
-		scheme.MustParse("aest+" + cls),
-	})
-}
 
 // Fig1a extracts the per-interval elephant-count series of Figure 1(a),
 // one per run.
-func Fig1a(runs []FigureRun) []report.Series {
+func Fig1a(runs []Run) []report.Series {
 	out := make([]report.Series, len(runs))
 	for i, r := range runs {
 		out[i] = report.Series{
@@ -96,7 +20,7 @@ func Fig1a(runs []FigureRun) []report.Series {
 
 // Fig1b extracts the per-interval elephant traffic-fraction series of
 // Figure 1(b), one per run.
-func Fig1b(runs []FigureRun) []report.Series {
+func Fig1b(runs []Run) []report.Series {
 	out := make([]report.Series, len(runs))
 	for i, r := range runs {
 		out[i] = report.Series{
@@ -107,73 +31,18 @@ func Fig1b(runs []FigureRun) []report.Series {
 	return out
 }
 
-// Fig1cConfig parameterises the holding-time histogram of Figure 1(c).
-type Fig1cConfig struct {
-	// BusyIntervals is the busy-period length over which holding times
-	// are computed. The paper uses five hours; default is 5h of slots at
-	// the run's interval, i.e. 60 for 5-minute slots.
-	BusyIntervals int
-	// MaxBins is the histogram upper edge in intervals. The paper's
-	// x-axis runs to 60. Default 60.
-	MaxBins int
-}
+// fig1cBins is the upper edge, in intervals, of Figure 1(c)'s x-axis.
+const fig1cBins = 60
 
-func (c *Fig1cConfig) defaults() {
-	if c.BusyIntervals == 0 {
-		c.BusyIntervals = 60
-	}
-	if c.MaxBins == 0 {
-		c.MaxBins = 60
-	}
-}
-
-// Fig1cResult is one run's holding-time histogram plus the summary
-// statistics quoted in the text.
-type Fig1cResult struct {
-	Run FigureRun
-	// Histogram counts flows per unit holding-time bin (intervals).
-	Histogram []int
-	// Stats summarises the busy-window holding times.
-	Stats analysis.HoldingStats
-	// BusyFrom and BusyTo delimit the busy window used, in interval
-	// indices.
-	BusyFrom, BusyTo int
-}
-
-// Fig1c computes the holding-time histograms of Figure 1(c) over each
-// run's busiest window.
-func Fig1c(runs []FigureRun, cfg Fig1cConfig) ([]Fig1cResult, error) {
-	cfg.defaults()
-	out := make([]Fig1cResult, 0, len(runs))
-	for _, r := range runs {
-		window := cfg.BusyIntervals
-		if window > len(r.Results) {
-			window = len(r.Results)
-		}
-		from, to, err := analysis.BusyWindow(r.Results, window)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: figure 1(c) %s: %w", r.Label(), err)
-		}
-		st := analysis.HoldingTimes(r.Results, from, to)
-		out = append(out, Fig1cResult{
-			Run:       r,
-			Histogram: st.HoldingHistogram(cfg.MaxBins),
-			Stats:     st,
-			BusyFrom:  from,
-			BusyTo:    to,
-		})
-	}
-	return out, nil
-}
-
-// Fig1cSeries converts Fig1c results into chartable series (log-count
-// histograms, as in the paper).
-func Fig1cSeries(results []Fig1cResult) []report.Series {
-	out := make([]report.Series, len(results))
-	for i, r := range results {
+// Fig1c bins each row's busy-window holding times into the chartable
+// histogram of Figure 1(c): flows per one-interval bin of average
+// holding time (the paper plots the counts on a log axis).
+func Fig1c(rows []Row) []report.Series {
+	out := make([]report.Series, len(rows))
+	for i, r := range rows {
 		out[i] = report.Series{
-			Label:  r.Run.Label(),
-			Values: report.IntsToFloats(r.Histogram),
+			Label:  r.Label,
+			Values: report.IntsToFloats(r.Holding.HoldingHistogram(fig1cBins)),
 		}
 	}
 	return out

@@ -1,8 +1,13 @@
-// Package experiments contains the reproduction harness: one entry point
-// per figure panel and per quantitative claim of the paper, shared by the
-// cmd/experiments binary and the repository's benchmarks. Each harness
-// builds the synthetic west/east links, runs the requested classification
-// schemes, and returns the series/rows the paper reports.
+// Package experiments is the reproduction record: the one place the
+// paper's figures and quantitative claims are computed. It has four
+// parts. BuildLinks synthesises the two evaluation links. Classify is
+// the only engine call — links × scheme specs through one RunMatrix.
+// Summarize is the only summariser — one Summary of a classified run
+// (counts, load share, busy-window holding times, churn) that every
+// table row is a label on. Sections is the table of the blocks
+// cmd/experiments prints, each with its title, the paper's claim, the
+// specs it reads and its renderer; Record.Write classifies the union of
+// the selected sections' specs once and renders them in order.
 package experiments
 
 import (
@@ -11,7 +16,6 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/bgp"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/scheme"
 	"repro/internal/trace"
@@ -37,19 +41,6 @@ type LinksConfig struct {
 	// MeanLoadBps is the daily-average link load. Default 300 Mbit/s
 	// (an OC-12 at ~50% utilisation).
 	MeanLoadBps float64
-	// Shape overrides the synthetic flow-population shape; zero fields
-	// keep the trace package defaults.
-	Shape ShapeConfig
-}
-
-// ShapeConfig carries the optional flow-population shape overrides of
-// LinksConfig; see trace.LinkConfig for the semantics of each field.
-type ShapeConfig struct {
-	TailIndex  float64
-	TailShare  float64
-	BodySigma  float64
-	BurstSigma float64
-	BurstRho   float64
 }
 
 func (c *LinksConfig) defaults() {
@@ -99,11 +90,6 @@ func BuildLinks(cfg LinksConfig) (*LinkSet, error) {
 		Flows:       cfg.Flows,
 		Table:       table,
 		Seed:        cfg.Seed + 100,
-		TailIndex:   cfg.Shape.TailIndex,
-		TailShare:   cfg.Shape.TailShare,
-		BodySigma:   cfg.Shape.BodySigma,
-		BurstSigma:  cfg.Shape.BurstSigma,
-		BurstRho:    cfg.Shape.BurstRho,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building west link: %w", err)
@@ -115,11 +101,6 @@ func BuildLinks(cfg LinksConfig) (*LinkSet, error) {
 		Flows:       cfg.Flows * 5 / 6,     // paper: ~500 vs ~600 elephants
 		Table:       table,
 		Seed:        cfg.Seed + 200,
-		TailIndex:   cfg.Shape.TailIndex,
-		TailShare:   cfg.Shape.TailShare,
-		BodySigma:   cfg.Shape.BodySigma,
-		BurstSigma:  cfg.Shape.BurstSigma,
-		BurstRho:    cfg.Shape.BurstRho,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building east link: %w", err)
@@ -135,52 +116,24 @@ func BuildLinks(cfg LinksConfig) (*LinkSet, error) {
 // mutable spec.
 func PaperSpec() *scheme.Spec { return scheme.MustParse("load+latent") }
 
-// RunScheme classifies every interval of series under the scheme spec
-// and returns the per-interval results. Every registered scheme — the
-// paper's and the baselines alike — runs through the same engine path.
-func RunScheme(series *agg.Series, sp *scheme.Spec) ([]core.Result, error) {
-	eng := engine.MultiLinkEngine{}
-	lrs, err := eng.Run([]engine.Link{{ID: sp.String(), Series: series, Config: sp.Factory()}})
-	if err == nil {
-		err = lrs[0].Err
-	}
-	if err != nil {
-		return nil, fmt.Errorf("experiments: scheme %s: %w", sp.Name(), err)
-	}
-	return lrs[0].Results, nil
-}
-
-// RunSchemes classifies one series under every spec through a single
-// emit-once matrix run: each interval's snapshot is emitted once and
-// fanned into all spec pipelines, so an S-spec sweep pays one emission
-// and one bandwidth sort per interval instead of S. Results come back
-// in spec order, with a parallel per-spec error slice so sweeps can
-// attribute failures; the outer error is structural (bad spec list,
-// duplicate cell IDs). Per-spec results are byte-identical to
-// RunScheme on the same series.
-func RunSchemes(series *agg.Series, specs []*scheme.Spec) ([][]core.Result, []error, error) {
-	eng := engine.MultiLinkEngine{}
-	lrs, err := eng.RunMatrix([]engine.MatrixLink{{ID: "link", Series: series}}, specs)
-	if err != nil {
-		return nil, nil, err
-	}
-	byID := make(map[string]engine.LinkResult, len(lrs))
-	for _, lr := range lrs {
-		byID[lr.ID] = lr
-	}
-	results := make([][]core.Result, len(specs))
-	errs := make([]error, len(specs))
-	for i, sp := range specs {
-		lr := byID[engine.MatrixID("link", sp)]
-		results[i], errs[i] = lr.Results, lr.Err
-	}
-	return results, errs, nil
-}
-
-// matrixLinks exposes the two evaluation links as engine matrix work.
-func (ls *LinkSet) matrixLinks() []engine.MatrixLink {
+// Links exposes the two evaluation links as engine matrix work, west
+// first.
+func (ls *LinkSet) Links() []engine.MatrixLink {
 	return []engine.MatrixLink{
 		{ID: "west", Series: ls.West},
 		{ID: "east", Series: ls.East},
+	}
+}
+
+// SmallConfig returns a reduced LinksConfig suitable for unit tests and
+// cmd/experiments -quick: same structure, two orders of magnitude less
+// work.
+func SmallConfig() LinksConfig {
+	return LinksConfig{
+		Routes:    4000,
+		Flows:     1500,
+		Intervals: 96, // 8 hours of 5-minute slots
+		Interval:  5 * time.Minute,
+		Seed:      7,
 	}
 }

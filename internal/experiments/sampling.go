@@ -6,66 +6,75 @@ import (
 	"math/rand"
 
 	"repro/internal/agg"
-	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/scheme"
 )
 
 // SamplingRow reports how classification degrades when bandwidths are
 // estimated from 1-in-N packet sampling — the measurement mode (sampled
 // NetFlow) backbone routers actually ran, and the natural deployment
-// question for the paper's scheme.
+// question for the paper's scheme. The label is the rate, "1-in-N".
 type SamplingRow struct {
-	// Rate is N in 1-in-N sampling (1 = unsampled ground truth).
-	Rate int
-	// MeanElephants is the run-wide average elephant count.
-	MeanElephants float64
-	// MeanLoadFraction is the run-wide average elephant load share,
+	Row
+	// TrueLoadFraction is the run-wide average elephant load share
 	// measured against the *true* bandwidths.
-	MeanLoadFraction float64
-	// MeanJaccard is the average per-interval Jaccard similarity of the
-	// sampled elephant set to the unsampled one.
-	MeanJaccard float64
-	// MeanHoldingIntervals is the busy-window mean holding time.
-	MeanHoldingIntervals float64
+	TrueLoadFraction float64
+	// JaccardVsUnsampled is the average per-interval Jaccard similarity
+	// of the sampled elephant set to the unsampled one.
+	JaccardVsUnsampled float64
 }
 
-// SamplingImpact classifies the west link from bandwidth estimates
-// reconstructed under 1-in-N packet sampling, for each rate, and
-// compares against the unsampled run. Sampling is simulated per
-// (flow, interval): the packet count implied by the flow's true
+// SamplingImpact classifies ref's link under ref's scheme from
+// bandwidth estimates reconstructed under 1-in-N packet sampling, for
+// each rate (nil: 1, 10, 100, 1000), and compares against ref itself —
+// the unsampled run, which is also the rate-1 row. Sampling is simulated
+// per (flow, interval): the packet count implied by the flow's true
 // bandwidth is thinned binomially, then scaled back up by N — exactly
-// the estimator sampled NetFlow used.
-func SamplingImpact(ls *LinkSet, rates []int, sp *scheme.Spec) ([]SamplingRow, error) {
+// the estimator sampled NetFlow used. The sampled series share one
+// Classify call.
+func SamplingImpact(ref Run, rates []int, seed int64) ([]SamplingRow, error) {
 	if len(rates) == 0 {
 		rates = []int{1, 10, 100, 1000}
 	}
 	const meanPacketBytes = 550 // backbone mean packet size of the era
-	truth := ls.West
+	truth := ref.Series
 
-	ref, err := RunScheme(truth, sp)
-	if err != nil {
-		return nil, err
-	}
-
-	rows := make([]SamplingRow, 0, len(rates))
+	var sampled []engine.MatrixLink
 	for _, n := range rates {
 		if n < 1 {
 			return nil, fmt.Errorf("experiments: sampling rate %d < 1", n)
 		}
-		series := truth
 		if n > 1 {
-			series = sampleSeries(truth, n, meanPacketBytes, ls.Cfg.Seed+int64(n))
+			sampled = append(sampled, engine.MatrixLink{
+				ID:     fmt.Sprintf("1-in-%d", n),
+				Series: sampleSeries(truth, n, meanPacketBytes, seed+int64(n)),
+			})
 		}
-		res, err := RunScheme(series, sp)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: sampling 1-in-%d: %w", n, err)
+	}
+	var runs []Run
+	if len(sampled) > 0 {
+		var err error
+		if runs, err = Classify(sampled, []*scheme.Spec{ref.Scheme}); err != nil {
+			return nil, fmt.Errorf("experiments: sampling: %w", err)
 		}
+	}
 
-		var jacc, frac float64
+	rows := make([]SamplingRow, 0, len(rates))
+	for _, n := range rates {
+		run := ref
+		if n > 1 {
+			run, runs = runs[0], runs[1:]
+		}
+		res := run.Results
+		s, err := Summarize(res, truth.Interval)
+		if err != nil {
+			return nil, err
+		}
+		row := SamplingRow{Row: Row{Label: fmt.Sprintf("1-in-%d", n), Summary: s}}
 		var snap *core.FlowSnapshot
 		for i := range res {
-			jacc += res[i].Elephants.Jaccard(ref[i].Elephants) / float64(len(res))
+			row.JaccardVsUnsampled += res[i].Elephants.Jaccard(ref.Results[i].Elephants) / float64(len(res))
 			// Load fraction against true bandwidths.
 			var eleph float64
 			snap = truth.Snapshot(i, snap)
@@ -75,25 +84,10 @@ func SamplingImpact(ls *LinkSet, rates []int, sp *scheme.Spec) ([]SamplingRow, e
 				}
 			}
 			if total := snap.TotalLoad(); total > 0 {
-				frac += eleph / total / float64(len(res))
+				row.TrueLoadFraction += eleph / total / float64(len(res))
 			}
 		}
-		busy := busySlots(ls.Cfg.Interval)
-		if busy > len(res) {
-			busy = len(res)
-		}
-		from, to, err := analysis.BusyWindow(res, busy)
-		if err != nil {
-			return nil, err
-		}
-		st := analysis.HoldingTimes(res, from, to)
-		rows = append(rows, SamplingRow{
-			Rate:                 n,
-			MeanElephants:        analysis.MeanInt(analysis.CountSeries(res)),
-			MeanLoadFraction:     frac,
-			MeanJaccard:          jacc,
-			MeanHoldingIntervals: st.MeanHolding,
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

@@ -149,7 +149,7 @@ func TestRegistryBatchStreamEquivalence(t *testing.T) {
 
 // TestRegistrySchemesThroughExperiments pins that every registered
 // scheme also runs through the experiments harness entry point
-// (RunScheme), which is what the CLIs and figures build on.
+// (Classify), which is what the figures build on.
 func TestRegistrySchemesThroughExperiments(t *testing.T) {
 	table, err := bgp.Generate(bgp.GenConfig{Routes: 1200, Seed: 61})
 	if err != nil {
@@ -162,13 +162,13 @@ func TestRegistrySchemesThroughExperiments(t *testing.T) {
 	}
 	series := link.GenerateSeries(eqStart, time.Minute, 12)
 	for _, sp := range registrySpecs(t) {
-		results, err := experiments.RunScheme(series, sp)
+		runs, err := experiments.Classify([]engine.MatrixLink{{ID: "link", Series: series}}, []*scheme.Spec{sp})
 		if err != nil {
 			t.Errorf("scheme %s: %v", sp, err)
 			continue
 		}
-		if !reflect.DeepEqual(results, sequential(t, series, sp.Factory())) {
-			t.Errorf("scheme %s: RunScheme diverges from the sequential oracle", sp)
+		if !reflect.DeepEqual(runs[0].Results, sequential(t, series, sp.Factory())) {
+			t.Errorf("scheme %s: Classify diverges from the sequential oracle", sp)
 		}
 	}
 }
