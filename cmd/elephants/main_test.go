@@ -168,7 +168,11 @@ func batchRows(t *testing.T, capture, table string, keep int) (string, []core.Re
 		t.Fatal(err)
 	}
 	series := agg.NewSeries(first, interval, int(last.Sub(first)/interval)+1)
-	if _, _, err := agg.ReadPcap(bytes.NewReader(data), tbl, series); err != nil {
+	src, err := agg.NewPacketRecordSource(bytes.NewReader(data), tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agg.Collect(src, series); err != nil {
 		t.Fatal(err)
 	}
 	lrs, err := (&engine.MultiLinkEngine{}).Run([]engine.Link{{

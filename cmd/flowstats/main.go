@@ -81,7 +81,7 @@ func run(pcapPath, tablePath string, top int, chart bool, sp *scheme.Spec, inter
 		return err
 	}
 	defer pf.Close()
-	src, err := agg.NewPcapPacketSource(bufio.NewReaderSize(pf, 1<<20))
+	src, err := agg.NewPacketRecordSource(bufio.NewReaderSize(pf, 1<<20), table)
 	if err != nil {
 		return err
 	}
@@ -89,26 +89,21 @@ func run(pcapPath, tablePath string, top int, chart bool, sp *scheme.Spec, inter
 	// Whole-capture per-prefix volumes (bytes).
 	volumes := make(map[netip.Prefix]float64)
 	var totalBytes float64
-	var unrouted uint64
 	for {
-		_, sum, err := src.Next()
+		rec, err := src.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		prefix, ok := table.LookupPrefix(sum.DstIP)
-		if !ok {
-			unrouted++
-			continue
-		}
-		volumes[prefix] += float64(sum.WireLength)
-		totalBytes += float64(sum.WireLength)
+		// A packet record's bits are its wire length × 8, so this is exact.
+		volumes[rec.Prefix] += rec.Bits / 8
+		totalBytes += rec.Bits / 8
 	}
 	ps := src.ParserStats()
 	fmt.Printf("capture: %d frames (%d non-IP, %d errors), %d routed flows, %d unrouted packets, %.1f MiB attributed\n\n",
-		ps.Frames, ps.NonIP, ps.Errors, len(volumes), unrouted, totalBytes/(1<<20))
+		ps.Frames, ps.NonIP, ps.Errors, len(volumes), src.Stats.Unrouted, totalBytes/(1<<20))
 	if len(volumes) == 0 {
 		return fmt.Errorf("no attributable traffic")
 	}

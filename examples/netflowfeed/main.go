@@ -4,8 +4,8 @@
 // every link — they had NetFlow. This example runs the full flow-export
 // path: packets from a synthetic link go through a router-style flow
 // cache (active/inactive timeouts), are exported as NetFlow v5
-// datagrams, decoded by a collector that spreads each record's bytes
-// over the intervals it covers, and the resulting bandwidth series is
+// datagrams, read back as flow records whose bytes are spread over the
+// intervals they cover, and the resulting bandwidth series is
 // classified with the paper's scheme. The elephant sets are then
 // compared against direct packet aggregation of the same traffic.
 //
@@ -59,31 +59,21 @@ func main() {
 
 	// Path A: direct packet aggregation (what cmd/elephants does).
 	direct := agg.NewSeries(start, time.Minute, intervals)
-	if _, _, err := agg.ReadPcap(bytes.NewReader(raw), table, direct); err != nil {
+	packets, err := agg.NewPacketRecordSource(bytes.NewReader(raw), table)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := agg.Collect(packets, direct); err != nil {
 		log.Fatal(err)
 	}
 
-	// Path B: router flow cache -> NetFlow v5 datagrams -> collector.
-	viaFlow := agg.NewSeries(start, time.Minute, intervals)
-	collector := netflow.NewCollector(table, viaFlow)
-	var datagrams, bytesOnWire int
+	// Path B: router flow cache -> NetFlow v5 datagrams, framed the way
+	// exports are logged to disk -> record source.
+	var framed bytes.Buffer
 	exporter := netflow.NewExporter(netflow.ExporterConfig{
 		ActiveTimeout:   30 * time.Second,
 		InactiveTimeout: 10 * time.Second,
-	}, func(d *netflow.Datagram) error {
-		wire, err := d.Encode(nil) // the UDP payload a router would send
-		if err != nil {
-			return err
-		}
-		datagrams++
-		bytesOnWire += len(wire)
-		decoded, err := netflow.Decode(wire)
-		if err != nil {
-			return err
-		}
-		collector.AddDatagram(decoded)
-		return nil
-	})
+	}, netflow.NewStreamWriter(&framed).Write)
 	src, err := agg.NewPcapPacketSource(bytes.NewReader(raw))
 	if err != nil {
 		log.Fatal(err)
@@ -103,8 +93,17 @@ func main() {
 	if err := exporter.Flush(); err != nil {
 		log.Fatal(err)
 	}
+	framedBytes := framed.Len()
+	flows := netflow.NewRecordSource(netflow.NewStreamReader(&framed), table)
+	viaFlow := agg.NewSeries(start, time.Minute, intervals)
+	if _, err := agg.Collect(flows, viaFlow); err != nil {
+		log.Fatal(err)
+	}
+	// A frame is the UDP payload a router would send behind a 4-byte
+	// length that never travels on the wire.
+	bytesOnWire := framedBytes - 4*int(flows.Stats.Datagrams)
 	fmt.Printf("netflow: %d records in %d datagrams (%.1f KiB — %.2f%% of the capture)\n\n",
-		collector.Stats.Records, datagrams, float64(bytesOnWire)/1024,
+		flows.Stats.Records, flows.Stats.Datagrams, float64(bytesOnWire)/1024,
 		100*float64(bytesOnWire)/float64(len(raw)))
 
 	// Classify both series and compare; the scheme is a registry spec,

@@ -4,8 +4,9 @@
 // The other examples use the fast path (trace.Link writes bandwidths
 // straight into an agg.Series). This one exercises the full wire-format
 // path instead: frames are constructed with packet.Builder, written with
-// pcap.Writer, re-read with agg.ReadPcap (decode + longest-prefix match
-// + interval aggregation) and finally classified. It demonstrates that
+// pcap.Writer, re-read through agg.PacketRecordSource and agg.Collect
+// (decode + longest-prefix match + interval aggregation) and finally
+// classified. It demonstrates that
 // the classification layer is agnostic to how the bandwidth series was
 // obtained — exactly the property a drop-in deployment needs.
 //
@@ -89,12 +90,16 @@ func main() {
 
 	// Read it back through the measurement pipeline.
 	series := agg.NewSeries(start, 5*time.Minute, 6)
-	frames, stats, err := agg.ReadPcap(&buf, table, series)
+	src, err := agg.NewPacketRecordSource(&buf, table)
+	if err != nil {
+		log.Fatal(err)
+	}
+	stats, err := agg.Collect(src, series)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("read back: %d frames, %d routed, %d unrouted, %d flows\n\n",
-		frames, stats.Routed, stats.Unrouted, series.NumFlows())
+		src.ParserStats().Frames, stats.Routed, src.Stats.Unrouted, series.NumFlows())
 
 	// Classify. With so few flows the aest estimator has nothing to chew
 	// on, so the spec names the constant-load detector; MinFlows is a

@@ -52,12 +52,16 @@ func TestFullPipelineFromPackets(t *testing.T) {
 	t.Logf("capture: %d packets, %.1f MiB", n, float64(buf.Len())/(1<<20))
 
 	wire := agg.NewSeries(start, time.Minute, intervals)
-	frames, stats, err := agg.ReadPcap(&buf, table, wire)
+	src, err := agg.NewPacketRecordSource(&buf, table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frames != n || stats.Unrouted != 0 || stats.OutOfRange != 0 {
-		t.Fatalf("frames=%d/%d stats=%+v", frames, n, stats)
+	stats, err := agg.Collect(src, wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames := src.ParserStats().Frames; frames != uint64(n) || src.Stats.Unrouted != 0 || stats.OutOfRange != 0 {
+		t.Fatalf("frames=%d/%d stats=%+v, %+v", frames, n, src.Stats, stats)
 	}
 
 	fastRes := classifySeries(t, fast, "load+latent:window=4")

@@ -68,8 +68,7 @@ type RecordSource interface {
 //   - a span record is spread uniformly: each covered interval gets
 //     bits × (overlap / span), with the fraction's denominator the
 //     *full* span, so portions clipped off by the window are dropped
-//     rather than renormalised (matching the NetFlow collector's
-//     historical behaviour).
+//     rather than renormalised.
 //
 // off and span are the record's extent and interval is Δ, all in
 // nanoseconds on the clock whose zero is the left edge of interval 0;

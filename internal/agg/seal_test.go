@@ -45,6 +45,28 @@ func randomSeries(seed int64, flows, intervals int) *Series {
 	return s
 }
 
+// denseSnapshot is the oracle every read of a Series is held to:
+// interval t by a scan over every row, in an order sorted here, with
+// one checked append per positive cell. It touches neither the sorted
+// row cache nor the interval index. rowIDs nil leaves the ID column out.
+func denseSnapshot(s *Series, t int, tbl *core.FlowTable, rowIDs []uint32) *core.FlowSnapshot {
+	order := make([]int, len(s.keys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return core.ComparePrefix(s.keys[a], s.keys[b]) })
+	dst := core.NewFlowSnapshot(0)
+	dst.SetIDTable(tbl)
+	for _, i := range order {
+		if rowIDs != nil {
+			dst.AppendID(s.keys[i], rowIDs[i], s.rows[i][t])
+		} else {
+			dst.Append(s.keys[i], s.rows[i][t])
+		}
+	}
+	return dst
+}
+
 // snapDiff compares two snapshots column-for-column, bitwise, returning
 // a description of the first difference ("" when identical). It stays
 // goroutine-safe so concurrent tests can report via t.Errorf.
@@ -86,24 +108,26 @@ func snapEqual(t *testing.T, ctx string, a, b *core.FlowSnapshot) {
 
 // TestSealedSnapshotsMatchDense is the CSR/dense equivalence property:
 // for randomized series (accumulates, overwrites, zeroed cells, idle
-// rows), every interval's snapshot from the sealed interval-major index
-// must be bitwise identical — same flow order, same float values — to
-// the dense row-scan emission of the unsealed series.
+// rows), every interval's snapshot from the interval-major index must
+// be bitwise identical — same flow order, same float values — to the
+// dense row scan.
 func TestSealedSnapshotsMatchDense(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		s := randomSeries(seed, 120, 16)
-		dense := make([]*core.FlowSnapshot, s.Intervals)
-		for ti := 0; ti < s.Intervals; ti++ {
-			dense[ti] = s.Snapshot(ti, nil)
-		}
 		s.Seal()
-		if !s.Sealed() {
+		if !s.sealed {
 			t.Fatal("Seal did not mark the series sealed")
 		}
 		var snap *core.FlowSnapshot
 		for ti := 0; ti < s.Intervals; ti++ {
 			snap = s.Snapshot(ti, snap)
-			snapEqual(t, fmt.Sprintf("seed %d interval %d", seed, ti), snap, dense[ti])
+			snapEqual(t, fmt.Sprintf("seed %d interval %d", seed, ti), snap, denseSnapshot(s, ti, nil, nil))
+			if bw := s.IntervalBandwidths(ti); !slices.Equal(bw, snap.Bandwidths()) {
+				t.Fatalf("seed %d interval %d: IntervalBandwidths is not the snapshot's column", seed, ti)
+			}
+			if got := s.ActiveFlows(ti); got != snap.Len() {
+				t.Fatalf("seed %d interval %d: ActiveFlows %d, snapshot holds %d", seed, ti, got, snap.Len())
+			}
 		}
 	}
 }
@@ -112,19 +136,16 @@ func TestSealedSnapshotsMatchDense(t *testing.T) {
 // ID-stamped emission path the matrix engine uses.
 func TestSealedSnapshotIDsMatchDense(t *testing.T) {
 	s := randomSeries(11, 100, 12)
-	tblDense := core.NewFlowTable()
-	rowsDense := s.InternRows(tblDense, nil)
-	dense := make([]*core.FlowSnapshot, s.Intervals)
-	for ti := 0; ti < s.Intervals; ti++ {
-		dense[ti] = s.SnapshotIDs(ti, nil, tblDense, rowsDense)
-	}
 	s.Seal()
 	tbl := core.NewFlowTable()
 	rows := s.InternRows(tbl, nil)
 	var snap *core.FlowSnapshot
 	for ti := 0; ti < s.Intervals; ti++ {
 		snap = s.SnapshotIDs(ti, snap, tbl, rows)
-		snapEqual(t, fmt.Sprintf("interval %d", ti), snap, dense[ti])
+		snapEqual(t, fmt.Sprintf("interval %d", ti), snap, denseSnapshot(s, ti, tbl, rows))
+		if snap.IDTable() != tbl {
+			t.Fatalf("interval %d: ID column not stamped with the caller's table", ti)
+		}
 	}
 }
 
@@ -138,8 +159,8 @@ func TestSealedBulkFillReusesSnapshot(t *testing.T) {
 	dense := make([]*core.FlowSnapshot, s.Intervals)
 	denseIDs := make([]*core.FlowSnapshot, s.Intervals)
 	for ti := 0; ti < s.Intervals; ti++ {
-		dense[ti] = s.Snapshot(ti, nil)
-		denseIDs[ti] = s.SnapshotIDs(ti, nil, tbl, rows)
+		dense[ti] = denseSnapshot(s, ti, nil, nil)
+		denseIDs[ti] = denseSnapshot(s, ti, tbl, rows)
 	}
 	s.Seal()
 	snap := core.NewFlowSnapshot(0)
@@ -194,8 +215,8 @@ func TestSealedBulkFillOrderCheckedUnderDebugInvariants(t *testing.T) {
 // TestSealMutationUnseals pins the release-mode contract: mutating a
 // sealed series (including the zero→nonzero transition that changes an
 // interval's flow membership) silently unseals it, drops the index, and
-// subsequent snapshots — dense again, or CSR after a re-Seal — reflect
-// the new values.
+// subsequent snapshots — before a re-Seal or after — reflect the new
+// values.
 func TestSealMutationUnseals(t *testing.T) {
 	s := NewSeries(start, time.Minute, 3)
 	s.SetBandwidth(pfxA, 0, 100)
@@ -204,8 +225,8 @@ func TestSealMutationUnseals(t *testing.T) {
 	_ = s.Snapshot(0, nil) // force the index to build
 
 	s.SetBandwidth(pfxC, 0, 300) // zero→nonzero on a sealed series
-	if s.Sealed() {
-		t.Fatal("series still sealed after mutation")
+	if s.sealed || s.idx.Load() != nil {
+		t.Fatal("series still sealed, or still indexed, after mutation")
 	}
 	want := map[netip.Prefix]float64{pfxA: 100, pfxC: 300}
 	check := func(ctx string) {
@@ -245,12 +266,13 @@ func TestSealMutationPanicsUnderDebugInvariants(t *testing.T) {
 // TestSealedSnapshotConcurrentReaders proves the lazy index build is
 // safe under concurrent snapshotting of a freshly sealed series (the
 // matrix engine's access pattern: many workers, first touch builds).
-// Run with -race.
+// The references come from the oracle, so no read has built the index
+// when the readers start. Run with -race.
 func TestSealedSnapshotConcurrentReaders(t *testing.T) {
 	s := randomSeries(23, 150, 8)
 	refs := make([]*core.FlowSnapshot, s.Intervals)
 	for ti := 0; ti < s.Intervals; ti++ {
-		refs[ti] = s.Snapshot(ti, nil)
+		refs[ti] = denseSnapshot(s, ti, nil, nil)
 	}
 	s.Seal()
 	var wg sync.WaitGroup
@@ -269,4 +291,54 @@ func TestSealedSnapshotConcurrentReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSeriesReadAfterWriteRebuildsIndex: reads need no Seal. A read
+// after a write sees the write — the write dropped the index and the
+// read rebuilt it — at every interval, through every read, whether the
+// write added to a cell, zeroed one or brought a new flow; and a write
+// after Seal still panics under DebugInvariants.
+func TestSeriesReadAfterWriteRebuildsIndex(t *testing.T) {
+	s := randomSeries(41, 80, 9)
+	tbl := core.NewFlowTable()
+	check := func(ctx string) {
+		t.Helper()
+		rows := s.InternRows(tbl, nil)
+		for ti := 0; ti < s.Intervals; ti++ {
+			dense := denseSnapshot(s, ti, nil, nil)
+			snapEqual(t, fmt.Sprintf("%s: interval %d", ctx, ti), s.Snapshot(ti, nil), dense)
+			snapEqual(t, fmt.Sprintf("%s: interval %d with IDs", ctx, ti), s.SnapshotIDs(ti, nil, tbl, rows), denseSnapshot(s, ti, tbl, rows))
+			if !slices.Equal(s.IntervalBandwidths(ti), dense.Bandwidths()) {
+				t.Fatalf("%s: interval %d: IntervalBandwidths diverges from the dense column", ctx, ti)
+			}
+			if got := s.ActiveFlows(ti); got != dense.Len() {
+				t.Fatalf("%s: interval %d: ActiveFlows %d, dense scan finds %d", ctx, ti, got, dense.Len())
+			}
+		}
+	}
+	check("first read")
+	if s.sealed {
+		t.Fatal("a read sealed the series")
+	}
+	first := s.Flows()[0]
+	s.AddBits(first, 3, 5e8)
+	if s.idx.Load() != nil {
+		t.Fatal("a write left the index in place")
+	}
+	check("after AddBits")
+	s.SetBandwidth(first, 3, 0)
+	check("after an overwrite to zero")
+	s.AddRecord(Record{Prefix: netip.MustParsePrefix("172.16.0.0/12"), Time: start.Add(30 * time.Second), Span: 4 * time.Minute, Bits: 1e9})
+	check("after a span record for a new flow")
+
+	s.Seal()
+	check("sealed")
+	core.DebugInvariants = true
+	defer func() { core.DebugInvariants = false }()
+	defer func() {
+		if recover() == nil {
+			t.Error("SetBandwidth on a sealed series did not panic under DebugInvariants")
+		}
+	}()
+	s.SetBandwidth(first, 0, 1)
 }

@@ -4,14 +4,17 @@
 // default is 5 minutes) and produces per-flow average-bandwidth series —
 // the x_j(t) values every classification scheme consumes.
 //
-// A Series has two phases. During aggregation it is a mutable row-major
-// flow×interval matrix (AddBits, SetBandwidth). Seal ends that phase:
-// the first post-seal emission lazily builds an interval-major sparse
-// index so that each per-interval Snapshot walks exactly that
-// interval's non-zero cells instead of scanning every row, with output
-// bitwise identical to the unsealed path. Mutating a sealed series
-// unseals it and drops the index (and panics under
-// core.DebugInvariants, where it is treated as a programmer error).
+// A Series is filled one way and read one way. Every ingest substrate
+// reaches it as a RecordSource drained by Collect (AddRecord, the
+// apportioning arithmetic the stream accumulator shares); the synthetic
+// generator sets cells directly (SetBandwidth). Storage is a row-major
+// flow×interval matrix. Every per-interval read — Snapshot,
+// SnapshotIDs, IntervalBandwidths, ActiveFlows — goes through an
+// interval-major sparse index, built by the first read and dropped by
+// the next write, so that an interval's emission walks exactly that
+// interval's non-zero cells instead of scanning every row. Seal asserts
+// that writing is over: a write to a sealed series panics under
+// core.DebugInvariants, where it is treated as a programmer error.
 //
 // The streaming accumulator folds one link's records on one goroutine;
 // links are the unit of parallelism, one accumulator each. Handing a
@@ -44,31 +47,27 @@ type Series struct {
 	// Intervals is the number of time slots.
 	Intervals int
 
-	flows  map[netip.Prefix]int // prefix -> row index
-	keys   []netip.Prefix       // row index -> prefix
-	rows   [][]float64          // bandwidth in bit/s, len = Intervals
-	total  []float64            // per-interval total bandwidth in bit/s
-	active []int                // per-interval count of rows with bw > 0
-	// sortedIdx caches row indices in core.ComparePrefix order so
-	// Snapshot can emit sorted columns without a per-interval sort; it
-	// is rebuilt lazily — under sortedMu, because a fully aggregated
-	// series may be snapshotted by several engine workers at once
-	// (e.g. one link classified under two schemes) — when flows were
-	// added since the last build.
+	flows map[netip.Prefix]int // prefix -> row index
+	keys  []netip.Prefix       // row index -> prefix
+	rows  [][]float64          // bandwidth in bit/s, len = Intervals
+	total []float64            // per-interval total bandwidth in bit/s
+	// sortedIdx caches row indices in core.ComparePrefix order, the
+	// order every emission is in; it is rebuilt lazily — under sortedMu,
+	// because a fully aggregated series may be read by several engine
+	// workers at once (e.g. one link classified under two schemes) —
+	// when flows were added since the last build.
 	sortedMu  sync.Mutex
 	sortedIdx []int
 
-	// sealed marks the series immutable. Sealing is what authorizes the
-	// interval-major index below: a sealed series may be snapshotted
-	// concurrently, and any later AddBits/SetBandwidth unseals (dropping
-	// the index) — or panics under core.DebugInvariants — instead of
-	// serving stale views. sealed is written by Seal (under sortedMu)
-	// and by mutators, which by contract never run concurrently with
-	// snapshotting.
+	// sealed marks the series immutable: a later AddBits/SetBandwidth
+	// panics under core.DebugInvariants and otherwise clears the flag.
+	// It is written by Seal (under sortedMu) and by writers, which by
+	// contract never run concurrently with reads.
 	sealed bool
-	// idx is the lazily built interval-major CSR view of the matrix;
-	// non-nil only while sealed. Built once under sortedMu and then read
-	// with a plain atomic load: per-interval emission takes no lock.
+	// idx is the interval-major CSR view of the matrix every
+	// per-interval read goes through; nil until the first read after a
+	// write. Built once under sortedMu and then read with a plain atomic
+	// load: per-interval emission takes no lock.
 	idx atomic.Pointer[intervalIndex]
 }
 
@@ -98,7 +97,6 @@ func NewSeries(start time.Time, interval time.Duration, intervals int) *Series {
 		Intervals: intervals,
 		flows:     make(map[netip.Prefix]int),
 		total:     make([]float64, intervals),
-		active:    make([]int, intervals),
 	}
 }
 
@@ -121,41 +119,35 @@ func (s *Series) row(p netip.Prefix) []float64 {
 	return r
 }
 
-// Seal marks the series immutable and enables the interval-major
-// snapshot index: the first Snapshot/SnapshotIDs after Seal builds a
-// CSR view of the nonzero cells and every subsequent emission walks
-// only that interval's active flows. Sealing is idempotent. A later
-// AddBits/SetBandwidth unseals the series and drops the index (the
-// dense scan keeps working), or panics under core.DebugInvariants —
-// post-seal mutation is a programming error the invariant build turns
-// into a crash rather than a stale view.
+// Seal asserts that the series is complete. No read depends on it —
+// the interval index is built by whichever read comes first — but a
+// driver that hands one series to several readers seals it so that a
+// stray AddBits/SetBandwidth afterwards panics under
+// core.DebugInvariants instead of racing them; without the invariant
+// build such a write clears the flag and drops the index like any
+// other. Sealing is idempotent.
 func (s *Series) Seal() {
 	s.sortedMu.Lock()
 	s.sealed = true
 	s.sortedMu.Unlock()
 }
 
-// Sealed reports whether the series is currently sealed.
-func (s *Series) Sealed() bool {
-	s.sortedMu.Lock()
-	defer s.sortedMu.Unlock()
-	return s.sealed
-}
-
-// mutate gates every write: mutating a sealed series panics under
-// core.DebugInvariants and otherwise unseals, invalidating the
-// interval index so no stale view can be served. Mutators never run
-// concurrently with snapshotting (the Snapshot contract), so the flag
-// write needs no lock here.
+// mutate gates every write: it drops the interval index, so the next
+// read rebuilds it and no stale view can be served, and it is where a
+// write to a sealed series is caught. Writers never run concurrently
+// with reads (the Snapshot contract), so neither check needs the lock;
+// the index is loaded before it is cleared because a run of writes —
+// every fill is one — then pays a plain load each, not an atomic store.
 func (s *Series) mutate() {
-	if !s.sealed {
-		return
+	if s.sealed {
+		if core.DebugInvariants {
+			panic("agg: Series mutated after Seal")
+		}
+		s.sealed = false
 	}
-	if core.DebugInvariants {
-		panic("agg: Series mutated after Seal")
+	if s.idx.Load() != nil {
+		s.idx.Store(nil)
 	}
-	s.sealed = false
-	s.idx.Store(nil)
 }
 
 // AddBits adds count bits to flow p in interval t, updating the total.
@@ -166,22 +158,8 @@ func (s *Series) AddBits(p netip.Prefix, t int, bits float64) {
 	}
 	s.mutate()
 	bw := bits / s.Interval.Seconds()
-	r := s.row(p)
-	before := r[t]
-	r[t] += bw
+	s.row(p)[t] += bw
 	s.total[t] += bw
-	s.noteTransition(t, before, r[t])
-}
-
-// noteTransition maintains the per-interval active-flow counters across
-// a cell update, so ActiveFlows is O(1) instead of an O(flows) scan.
-func (s *Series) noteTransition(t int, before, after float64) {
-	switch {
-	case before <= 0 && after > 0:
-		s.active[t]++
-	case before > 0 && after <= 0:
-		s.active[t]--
-	}
 }
 
 // SetBandwidth sets flow p's bandwidth in interval t directly (bit/s),
@@ -192,10 +170,8 @@ func (s *Series) SetBandwidth(p netip.Prefix, t int, bw float64) {
 	}
 	s.mutate()
 	r := s.row(p)
-	before := r[t]
-	s.total[t] += bw - before
+	s.total[t] += bw - r[t]
 	r[t] = bw
-	s.noteTransition(t, before, bw)
 }
 
 // Bandwidth returns x_p(t) in bit/s; zero for unknown flows.
@@ -220,9 +196,9 @@ func (s *Series) TotalBandwidth(t int) float64 { return s.total[t] }
 
 // sortedRows returns row indices in core.ComparePrefix order. Flows are
 // only ever added, so a length mismatch is the exact staleness signal;
-// the sort cost is amortized across all intervals classified between
-// flow arrivals. The rebuild is mutex-guarded so concurrent Snapshot
-// calls on a no-longer-mutated series are safe.
+// the sort cost is amortized across every read between flow arrivals.
+// The rebuild is mutex-guarded so concurrent readers of a
+// no-longer-mutated series are safe.
 func (s *Series) sortedRows() []int {
 	s.sortedMu.Lock()
 	defer s.sortedMu.Unlock()
@@ -243,27 +219,23 @@ func (s *Series) sortedRowsLocked() []int {
 	return s.sortedIdx
 }
 
-// intervalIdx returns the CSR interval index, building it on first use
-// after Seal. It returns nil when the series is unsealed (callers fall
-// back to the dense row scan) or too large to index with int32 row
-// positions. The build is a two-pass count/fill: the fill iterates rows
-// in sorted-prefix order, so each interval's slice lists its active
-// rows in exactly the order the dense scan would emit them —
-// byte-identical snapshots, including float summation order downstream.
+// intervalIdx returns the CSR interval index, building it when no read
+// has since the last write. The build is a two-pass count/fill: the
+// fill iterates rows in sorted-prefix order, so each interval's slice
+// lists its active rows in ascending core.ComparePrefix order — the
+// order a per-interval scan of the sorted rows would meet them in,
+// which fixes the float summation order of everything downstream.
 func (s *Series) intervalIdx() *intervalIndex {
 	if ix := s.idx.Load(); ix != nil {
 		return ix
 	}
 	s.sortedMu.Lock()
 	defer s.sortedMu.Unlock()
-	if !s.sealed {
-		return nil
-	}
 	if ix := s.idx.Load(); ix != nil {
 		return ix
 	}
 	if len(s.keys) > math.MaxInt32 {
-		return nil
+		panic(fmt.Sprintf("agg: %d flows overflow the interval index's int32 row positions", len(s.keys)))
 	}
 	idx := &intervalIndex{offsets: make([]int64, s.Intervals+1)}
 	counts := idx.offsets[1:] // counts[t] accumulates nnz(t), then prefix-sums in place
@@ -305,39 +277,32 @@ func (s *Series) intervalIdx() *intervalIndex {
 // multiple goroutines with distinct dst snapshots — the engine relies
 // on this when one link's series is classified under several schemes.
 func (s *Series) Snapshot(t int, dst *core.FlowSnapshot) *core.FlowSnapshot {
+	return s.emit(t, dst, nil)
+}
+
+// emit is the one emission: interval t's segment of the index, which
+// lists the interval's rows in sorted-prefix order and holds only
+// positive cells — what FillRows asks its producer to vouch for —
+// gathered into dst with the rows' IDs when rowIDs is non-nil.
+func (s *Series) emit(t int, dst *core.FlowSnapshot, rowIDs []uint32) *core.FlowSnapshot {
 	if dst == nil {
 		dst = core.NewFlowSnapshot(len(s.keys))
 	}
-	if ix := s.intervalIdx(); ix != nil {
-		// The index lists each interval's rows in sorted-prefix order and
-		// holds only positive cells, which is what FillRows asks for.
-		lo, hi := ix.offsets[t], ix.offsets[t+1]
-		dst.FillRows(ix.rows[lo:hi], ix.bw[lo:hi], s.keys, nil)
-		return dst
-	}
-	dst.Reset()
-	for _, i := range s.sortedRows() {
-		if bw := s.rows[i][t]; bw > 0 {
-			dst.Append(s.keys[i], bw)
-		}
-	}
+	ix := s.intervalIdx()
+	lo, hi := ix.offsets[t], ix.offsets[t+1]
+	dst.FillRows(ix.rows[lo:hi], ix.bw[lo:hi], s.keys, rowIDs)
 	return dst
 }
 
 // IntervalBandwidths returns interval t's non-zero bandwidth column as
 // a zero-copy view into the CSR index — the same values, in the same
 // sorted-prefix order, that Snapshot(t) would append, without emitting
-// keys. It returns nil when the series is unsealed or unindexable
-// (callers fall back to snapshot emission). The view is read-only and
-// capacity-capped; it stays valid for the life of the series. This is
-// the batch detector prepass's input: threshold detection consumes only
-// the bandwidth column, so the engine can precompute θ(t) columns
-// without paying for full snapshots.
+// keys. The view is read-only and capacity-capped; it stays valid until
+// the next write to the series. This is the batch detector prepass's
+// input: threshold detection consumes only the bandwidth column, so the
+// engine can precompute θ(t) columns without paying for full snapshots.
 func (s *Series) IntervalBandwidths(t int) []float64 {
 	ix := s.intervalIdx()
-	if ix == nil {
-		return nil
-	}
 	lo, hi := ix.offsets[t], ix.offsets[t+1]
 	return ix.bw[lo:hi:hi]
 }
@@ -371,22 +336,8 @@ func (s *Series) SnapshotIDs(t int, dst *core.FlowSnapshot, tbl *core.FlowTable,
 	if len(rowIDs) != len(s.keys) {
 		panic(fmt.Sprintf("agg: SnapshotIDs: %d row IDs for %d flows (stale InternRows?)", len(rowIDs), len(s.keys)))
 	}
-	if dst == nil {
-		dst = core.NewFlowSnapshot(len(s.keys))
-	}
-	if ix := s.intervalIdx(); ix != nil {
-		lo, hi := ix.offsets[t], ix.offsets[t+1]
-		dst.FillRows(ix.rows[lo:hi], ix.bw[lo:hi], s.keys, rowIDs)
-		dst.SetIDTable(tbl)
-		return dst
-	}
-	dst.Reset()
+	dst = s.emit(t, dst, rowIDs)
 	dst.SetIDTable(tbl)
-	for _, i := range s.sortedRows() {
-		if bw := s.rows[i][t]; bw > 0 {
-			dst.AppendID(s.keys[i], rowIDs[i], bw)
-		}
-	}
 	return dst
 }
 
@@ -410,14 +361,13 @@ func (s *Series) IntervalOf(ts time.Time) int {
 }
 
 // ActiveFlows reports the number of flows with positive bandwidth in
-// interval t. It is O(1): the counters are maintained incrementally by
-// AddBits/SetBandwidth (including overwrite-to-zero transitions), not
-// by scanning every flow row.
+// interval t: the length of the interval's segment of the index.
 func (s *Series) ActiveFlows(t int) int {
 	if t < 0 || t >= s.Intervals {
 		panic(fmt.Sprintf("agg: ActiveFlows: interval %d out of [0,%d)", t, s.Intervals))
 	}
-	return s.active[t]
+	ix := s.intervalIdx()
+	return int(ix.offsets[t+1] - ix.offsets[t])
 }
 
 // Rebin aggregates the series to a coarser interval that must be an

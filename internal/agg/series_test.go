@@ -122,19 +122,19 @@ func TestSnapshotSkipsZeros(t *testing.T) {
 // TestSnapshotConcurrentReaders: once aggregation is done, many
 // goroutines may snapshot the same finished series at once with
 // distinct dst buffers — the contract engine workers rely on when one
-// link's series is classified under several schemes. The lazy sorted
-// index must build race-free AND every concurrent reader must see
-// exactly the columns a sequential reader sees. Run with -race.
+// link's series is classified under several schemes. The sorted row
+// cache and the interval index, which no read has built when the readers
+// start, must build race-free AND every concurrent reader must see
+// exactly the columns the dense oracle finds. Run with -race.
 func TestSnapshotConcurrentReaders(t *testing.T) {
 	s := NewSeries(start, time.Minute, 4)
 	for i := 0; i < 300; i++ {
 		p := netip.MustParsePrefix(fmt.Sprintf("10.%d.%d.0/24", i/256, i%256))
 		s.SetBandwidth(p, i%4, float64(1+i))
 	}
-	// Sequential reference, taken before any concurrent access.
 	want := make([]*core.FlowSnapshot, 4)
 	for t0 := 0; t0 < 4; t0++ {
-		want[t0] = s.Snapshot(t0, nil)
+		want[t0] = denseSnapshot(s, t0, nil, nil)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -227,10 +227,10 @@ func TestActiveFlows(t *testing.T) {
 	}
 }
 
-// TestActiveFlowsOverwriteToZero: the incremental counters must track
-// zero↔positive transitions, in particular SetBandwidth overwriting a
-// positive cell back to zero — the edge an append-only counter would
-// miss.
+// TestActiveFlowsOverwriteToZero: the count must track zero↔positive
+// transitions between reads, in particular SetBandwidth overwriting a
+// positive cell back to zero — the edge a count that outlived the write
+// would miss.
 func TestActiveFlowsOverwriteToZero(t *testing.T) {
 	s := NewSeries(start, time.Minute, 1)
 	s.SetBandwidth(pfxA, 0, 10)
@@ -398,8 +398,8 @@ func TestTotalsMatchRowSums(t *testing.T) {
 			if !floatEq2(sum, s.TotalBandwidth(tt), 1e-6) {
 				return false
 			}
-			// The incremental active counter must match a row scan
-			// under arbitrary Set/Add sequences.
+			// The active count must match a row scan under arbitrary
+			// Set/Add sequences.
 			if s.ActiveFlows(tt) != active {
 				return false
 			}

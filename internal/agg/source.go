@@ -13,9 +13,9 @@ import (
 
 // PcapPacketSource streams decoded packet summaries from an Ethernet
 // capture — classic libpcap or pcapng, auto-detected — skipping frames
-// that fail to decode (counted in Parser stats). It factors the
-// capture-to-summary step out of ReadPcap so other consumers — the
-// NetFlow exporter, ad-hoc analysis tools — can share it.
+// that fail to decode (counted in Parser stats). It is the
+// capture-to-summary step by itself, for consumers that want packets
+// rather than prefix records — the NetFlow exporter's flow cache.
 type PcapPacketSource struct {
 	r      pcap.PacketReader
 	parser *packet.Parser

@@ -2,6 +2,7 @@ package agg
 
 import (
 	"bytes"
+	"io"
 	"net/netip"
 	"testing"
 	"time"
@@ -22,22 +23,43 @@ func testTable(t *testing.T) *bgp.Table {
 	return tab
 }
 
+// collectCapture is the batch ingest of a capture, the way every caller
+// spells it: a PacketRecordSource drained into the series by Collect. It
+// returns the source for its frame and attribution counters.
+func collectCapture(r io.Reader, tab *bgp.Table, s *Series) (*PacketRecordSource, CollectStats, error) {
+	src, err := NewPacketRecordSource(r, tab)
+	if err != nil {
+		return nil, CollectStats{}, err
+	}
+	st, err := Collect(src, s)
+	return src, st, err
+}
+
 func TestAddPacketAttribution(t *testing.T) {
-	tab := testTable(t)
-	s := NewSeries(start, time.Minute, 2)
-	a := NewAggregator(tab, s)
-
+	var buf bytes.Buffer
+	w := pcap.NewWriter(&buf, pcap.Header{})
 	// 10.1.x.y -> the /16 (longest match), 1000 wire bytes = 8000 bits.
-	a.AddPacket(start, packet.Summary{DstIP: netip.MustParseAddr("10.1.2.3"), WireLength: 1000})
+	writeTestFrame(t, w, "10.1.2.3", 1000, 0)
 	// 10.2.x.y -> the /8.
-	a.AddPacket(start.Add(61*time.Second), packet.Summary{DstIP: netip.MustParseAddr("10.2.0.1"), WireLength: 600})
+	writeTestFrame(t, w, "10.2.0.1", 600, 61*time.Second)
 	// Unrouted.
-	a.AddPacket(start, packet.Summary{DstIP: netip.MustParseAddr("203.0.113.1"), WireLength: 100})
+	writeTestFrame(t, w, "203.0.113.1", 100, 0)
 	// Out of window.
-	a.AddPacket(start.Add(time.Hour), packet.Summary{DstIP: netip.MustParseAddr("10.1.2.3"), WireLength: 100})
+	writeTestFrame(t, w, "10.1.2.3", 100, time.Hour)
+	// Unrouted and out of window: the lookup runs first, so the source
+	// counts it and Collect never sees it.
+	writeTestFrame(t, w, "203.0.113.1", 100, time.Hour)
 
-	if a.Stats.Packets != 4 || a.Stats.Routed != 2 || a.Stats.Unrouted != 1 || a.Stats.OutOfRange != 1 {
-		t.Fatalf("stats = %+v", a.Stats)
+	s := NewSeries(start, time.Minute, 2)
+	src, st, err := collectCapture(&buf, testTable(t), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.Stats != (PacketRecordSourceStats{Packets: 5, Routed: 3, Unrouted: 2}) {
+		t.Fatalf("source stats = %+v", src.Stats)
+	}
+	if st != (CollectStats{Records: 3, Routed: 2, OutOfRange: 1}) {
+		t.Fatalf("collect stats = %+v", st)
 	}
 	p16 := netip.MustParsePrefix("10.1.0.0/16")
 	p8 := netip.MustParsePrefix("10.0.0.0/8")
@@ -53,30 +75,33 @@ func TestAddPacketAttribution(t *testing.T) {
 	}
 }
 
+// writeTestFrame writes one UDP frame of the given wire length to w,
+// destined to dst and captured at start+at.
+func writeTestFrame(t *testing.T, w *pcap.Writer, dst string, wire int, at time.Duration) {
+	t.Helper()
+	frame, err := packet.NewBuilder().Build(packet.FrameSpec{
+		SrcIP:      netip.MustParseAddr("203.0.113.5"),
+		DstIP:      netip.MustParseAddr(dst),
+		Protocol:   packet.IPProtocolUDP,
+		PayloadLen: wire - 42, // 14 + 20 + 8 headers
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci := pcap.CaptureInfo{Timestamp: start.Add(at), CaptureLength: len(frame), Length: len(frame)}
+	if err := w.WritePacket(ci, frame); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func buildTestCapture(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := pcap.NewWriter(&buf, pcap.Header{})
-	b := packet.NewBuilder()
-	write := func(dst string, wire int, at time.Duration) {
-		frame, err := b.Build(packet.FrameSpec{
-			SrcIP:      netip.MustParseAddr("203.0.113.5"),
-			DstIP:      netip.MustParseAddr(dst),
-			Protocol:   packet.IPProtocolUDP,
-			PayloadLen: wire - 42, // 14 + 20 + 8 headers
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ci := pcap.CaptureInfo{Timestamp: start.Add(at), CaptureLength: len(frame), Length: len(frame)}
-		if err := w.WritePacket(ci, frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("10.1.2.3", 500, 10*time.Second)
-	write("10.9.9.9", 300, 20*time.Second)
-	write("192.0.2.200", 1500, 70*time.Second)
-	write("8.8.8.8", 100, 30*time.Second) // unrouted
+	writeTestFrame(t, w, "10.1.2.3", 500, 10*time.Second)
+	writeTestFrame(t, w, "10.9.9.9", 300, 20*time.Second)
+	writeTestFrame(t, w, "192.0.2.200", 1500, 70*time.Second)
+	writeTestFrame(t, w, "8.8.8.8", 100, 30*time.Second) // unrouted
 	return buf.Bytes()
 }
 
@@ -84,15 +109,15 @@ func TestReadPcap(t *testing.T) {
 	raw := buildTestCapture(t)
 	tab := testTable(t)
 	s := NewSeries(start, time.Minute, 2)
-	n, stats, err := ReadPcap(bytes.NewReader(raw), tab, s)
+	src, st, err := collectCapture(bytes.NewReader(raw), tab, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 {
+	if n := src.ParserStats().Frames; n != 4 {
 		t.Errorf("frames = %d, want 4", n)
 	}
-	if stats.Routed != 3 || stats.Unrouted != 1 {
-		t.Errorf("stats = %+v", stats)
+	if st.Routed != 3 || src.Stats.Unrouted != 1 {
+		t.Errorf("stats = %+v, %+v", src.Stats, st)
 	}
 	if got := s.Bandwidth(netip.MustParsePrefix("10.1.0.0/16"), 0); !floatEq(got, 500*8.0/60) {
 		t.Errorf("/16 = %v", got)
@@ -108,14 +133,14 @@ func TestReadPcapRejectsNonEthernet(t *testing.T) {
 	if err := w.WriteHeader(); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := ReadPcap(&buf, testTable(t), NewSeries(start, time.Minute, 1))
+	_, _, err := collectCapture(&buf, testTable(t), NewSeries(start, time.Minute, 1))
 	if err == nil {
 		t.Error("raw link type accepted")
 	}
 }
 
 func TestReadPcapGarbageHeader(t *testing.T) {
-	_, _, err := ReadPcap(bytes.NewReader([]byte{1, 2, 3, 4}), testTable(t), NewSeries(start, time.Minute, 1))
+	_, _, err := collectCapture(bytes.NewReader([]byte{1, 2, 3, 4}), testTable(t), NewSeries(start, time.Minute, 1))
 	if err == nil {
 		t.Error("garbage file accepted")
 	}
@@ -142,18 +167,18 @@ func TestReadPcapToleratesUndecodableFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSeries(start, time.Minute, 1)
-	n, stats, err := ReadPcap(&buf, testTable(t), s)
+	src, st, err := collectCapture(&buf, testTable(t), s)
 	if err != nil {
 		t.Fatalf("frame-level junk must not abort the capture: %v", err)
 	}
-	if n != 2 || stats.Routed != 1 {
-		t.Errorf("n=%d stats=%+v", n, stats)
+	if n := src.ParserStats().Frames; n != 2 || st.Routed != 1 {
+		t.Errorf("n=%d stats=%+v", n, st)
 	}
 }
 
 func TestReadPcapTruncatedFileReportsError(t *testing.T) {
 	raw := buildTestCapture(t)
-	_, _, err := ReadPcap(bytes.NewReader(raw[:len(raw)-5]), testTable(t), NewSeries(start, time.Minute, 2))
+	_, _, err := collectCapture(bytes.NewReader(raw[:len(raw)-5]), testTable(t), NewSeries(start, time.Minute, 2))
 	if err == nil {
 		t.Error("truncated capture accepted")
 	}
@@ -179,7 +204,7 @@ func TestReadPcapUsesWireLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSeries(start, time.Minute, 1)
-	if _, _, err := ReadPcap(&buf, testTable(t), s); err != nil {
+	if _, _, err := collectCapture(&buf, testTable(t), s); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Bandwidth(netip.MustParsePrefix("10.1.0.0/16"), 0); !floatEq(got, 1500*8.0/60) {
@@ -206,11 +231,11 @@ func TestReadPcapAutoDetectsPcapng(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSeries(start, time.Minute, 1)
-	n, stats, err := ReadPcap(&buf, testTable(t), s)
+	src, st, err := collectCapture(&buf, testTable(t), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || stats.Routed != 1 {
-		t.Errorf("n=%d stats=%+v", n, stats)
+	if n := src.ParserStats().Frames; n != 1 || st.Routed != 1 {
+		t.Errorf("n=%d stats=%+v", n, st)
 	}
 }

@@ -104,7 +104,7 @@ type streamSlot struct {
 
 // touch accumulates bandwidth into one cell, first claiming it for the
 // current generation, and keeps the slot's active-flow counter exact
-// across sign transitions (mirroring Series.noteTransition).
+// across sign transitions.
 func (sl *streamSlot) touch(id uint32, bw float64) {
 	var before float64
 	if sl.seen[id] == sl.gen {

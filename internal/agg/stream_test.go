@@ -703,7 +703,7 @@ func TestStreamConfigValidation(t *testing.T) {
 }
 
 // TestCollectMatchesAggregatorArithmetic: Series.AddRecord's point path
-// is the exact AddBits arithmetic the packet Aggregator uses.
+// is exactly AddBits on the interval the record falls in.
 func TestCollectMatchesAggregatorArithmetic(t *testing.T) {
 	iv := 5 * time.Minute
 	a := NewSeries(start, iv, 2)

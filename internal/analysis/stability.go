@@ -1,11 +1,6 @@
 package analysis
 
-import (
-	"net/netip"
-	"slices"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // SetStability quantifies how much the elephant *membership* changes
 // between consecutive intervals — the quantity a traffic-engineering
@@ -67,40 +62,4 @@ func Stability(results []core.Result) SetStability {
 	st.MeanJaccard /= float64(n)
 	st.MeanTurnover /= float64(n)
 	return st
-}
-
-// RankCorrelation computes Kendall's tau-a between two bandwidth
-// snapshots over the flows present in both, measuring whether the heavy
-// flows keep their relative order across intervals. Returns tau in
-// [-1, 1] and the number of common flows; fewer than two common flows
-// yield (0, n).
-func RankCorrelation(a, b map[netip.Prefix]float64) (float64, int) {
-	common := make([]netip.Prefix, 0, len(a))
-	for p := range a {
-		if _, ok := b[p]; ok {
-			common = append(common, p)
-		}
-	}
-	n := len(common)
-	if n < 2 {
-		return 0, n
-	}
-	// Deterministic order for reproducibility — the system-wide flow
-	// order, not a local re-implementation of it.
-	slices.SortFunc(common, core.ComparePrefix)
-	var concordant, discordant int
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			da := a[common[i]] - a[common[j]]
-			db := b[common[i]] - b[common[j]]
-			switch {
-			case da*db > 0:
-				concordant++
-			case da*db < 0:
-				discordant++
-			}
-		}
-	}
-	pairs := n * (n - 1) / 2
-	return float64(concordant-discordant) / float64(pairs), n
 }

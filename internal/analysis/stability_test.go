@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"math"
-	"net/netip"
 	"testing"
 
 	"repro/internal/core"
@@ -54,60 +53,5 @@ func TestStabilityEmptySets(t *testing.T) {
 	st := Stability(res)
 	if st.MeanJaccard != 1 {
 		t.Errorf("two empty sets are identical: %+v", st)
-	}
-}
-
-func snapOf(vals ...float64) map[netip.Prefix]float64 {
-	m := make(map[netip.Prefix]float64)
-	for i, v := range vals {
-		m[pfx(i)] = v
-	}
-	return m
-}
-
-func TestRankCorrelationPerfect(t *testing.T) {
-	a := snapOf(10, 20, 30, 40)
-	b := snapOf(1, 2, 3, 4) // same order, different scale
-	tau, n := RankCorrelation(a, b)
-	if n != 4 || tau != 1 {
-		t.Errorf("tau = %v, n = %d", tau, n)
-	}
-}
-
-func TestRankCorrelationReversed(t *testing.T) {
-	a := snapOf(10, 20, 30)
-	b := snapOf(30, 20, 10)
-	tau, _ := RankCorrelation(a, b)
-	if tau != -1 {
-		t.Errorf("tau = %v, want -1", tau)
-	}
-}
-
-func TestRankCorrelationCommonOnly(t *testing.T) {
-	a := map[netip.Prefix]float64{pfx(0): 1, pfx(1): 2, pfx(9): 5}
-	b := map[netip.Prefix]float64{pfx(0): 10, pfx(1): 20, pfx(8): 7}
-	tau, n := RankCorrelation(a, b)
-	if n != 2 || tau != 1 {
-		t.Errorf("tau = %v over n = %d common flows", tau, n)
-	}
-}
-
-func TestRankCorrelationDegenerate(t *testing.T) {
-	if tau, n := RankCorrelation(snapOf(1), snapOf(2)); tau != 0 || n != 1 {
-		t.Errorf("single common flow: %v, %d", tau, n)
-	}
-	if tau, n := RankCorrelation(nil, nil); tau != 0 || n != 0 {
-		t.Errorf("empty: %v, %d", tau, n)
-	}
-}
-
-func TestRankCorrelationTies(t *testing.T) {
-	// Ties count as neither concordant nor discordant (tau-a).
-	a := snapOf(1, 1, 2)
-	b := snapOf(5, 6, 7)
-	tau, _ := RankCorrelation(a, b)
-	// Pairs: (0,1) tied in a; (0,2) and (1,2) concordant -> 2/3.
-	if math.Abs(tau-2.0/3) > 1e-12 {
-		t.Errorf("tau = %v, want 2/3", tau)
 	}
 }

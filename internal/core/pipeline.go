@@ -29,13 +29,12 @@ type Config struct {
 	// to 16.
 	MinFlows int
 	// Thresholds optionally supplies precomputed raw thresholds θ(t)
-	// (the engine's batch prepass). For intervals the source covers,
-	// the pipeline consumes its value — or error — instead of running
-	// the Detector; uncovered intervals fall back to inline detection,
-	// so live/stream pipelines simply leave this nil. The source must
-	// honour the ThresholdSource purity contract; everything stateful
-	// (EWMA smoothing, MinFlows reuse, classification) stays in the
-	// pipeline.
+	// (the engine's batch prepass). A pipeline that has a source
+	// consumes its value — or error — on every interval it would have
+	// run the Detector on, and never runs the Detector; live/stream
+	// pipelines leave this nil and detect inline. The source must honour
+	// the ThresholdSource purity contract; everything stateful (EWMA
+	// smoothing, MinFlows reuse, classification) stays in the pipeline.
 	Thresholds ThresholdSource
 	// Observer optionally receives one StepObservation per interval —
 	// per-stage wall times, thresholds and elephant churn. Nil (the
@@ -210,24 +209,20 @@ func (p *Pipeline) Step(snap *FlowSnapshot) (Result, error) {
 	if res.ActiveFlows >= p.cfg.MinFlows {
 		var raw float64
 		var err error
-		var covered bool
-		if p.cfg.Thresholds != nil {
+		switch {
+		case p.cfg.Thresholds != nil:
 			// A precomputed threshold column (the engine's batch
-			// prepass) replaces inline detection for covered intervals —
-			// value or error, exactly as the detector would have
-			// produced them.
-			raw, covered, err = p.cfg.Thresholds.RawThreshold(p.t)
-		}
-		if !covered {
-			if p.sortedDet != nil {
-				// Sorted-aware detectors read the snapshot's cached sorted
-				// column — one sort per emitted interval, shared by every
-				// pipeline stepping it — and must not modify either view.
-				raw, err = p.sortedDet.DetectThresholdSorted(snap.Bandwidths(), snap.SortedBandwidths())
-			} else {
-				p.scratch = append(p.scratch[:0], snap.Bandwidths()...)
-				raw, err = p.cfg.Detector.DetectThreshold(p.scratch)
-			}
+			// prepass) replaces inline detection — value or error,
+			// exactly as the detector would have produced them.
+			raw, err = p.cfg.Thresholds.RawThreshold(p.t)
+		case p.sortedDet != nil:
+			// Sorted-aware detectors read the snapshot's cached sorted
+			// column — one sort per emitted interval, shared by every
+			// pipeline stepping it — and must not modify either view.
+			raw, err = p.sortedDet.DetectThresholdSorted(snap.Bandwidths(), snap.SortedBandwidths())
+		default:
+			p.scratch = append(p.scratch[:0], snap.Bandwidths()...)
+			raw, err = p.cfg.Detector.DetectThreshold(p.scratch)
 		}
 		if err != nil {
 			return res, fmt.Errorf("core: interval %d: %w", p.t, err)

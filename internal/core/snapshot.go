@@ -183,13 +183,6 @@ func (s *FlowSnapshot) SetIDTable(tb *FlowTable) { s.idTable = tb }
 // producer did not stamp one).
 func (s *FlowSnapshot) IDTable() *FlowTable { return s.idTable }
 
-// ClearIDs drops the ID column (keeping keys and bandwidths), so a
-// consumer holding a different table can re-intern via FillIDs.
-func (s *FlowSnapshot) ClearIDs() {
-	s.ids = s.ids[:0]
-	s.idTable = nil
-}
-
 // ID returns the i-th flow's dense ID; meaningful only when HasIDs.
 func (s *FlowSnapshot) ID(i int) uint32 { return s.ids[i] }
 

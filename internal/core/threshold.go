@@ -33,21 +33,19 @@ type Detector interface {
 }
 
 // ThresholdSource supplies precomputed raw thresholds θ(t) to a
-// Pipeline, replacing inline detection for the intervals it covers.
-// Detection — unlike classification — is a pure function of one
-// interval's bandwidth column, so a batch driver that holds the whole
-// series (engine.RunMatrix) can precompute each detector's θ(t) column
-// in parallel and share it across every spec using that detector
-// config. Sources must honour the purity contract: for a covered
-// interval t they return exactly what the pipeline's own detector would
-// have produced on that interval's snapshot — value or error.
+// Pipeline, replacing inline detection. Detection — unlike
+// classification — is a pure function of one interval's bandwidth
+// column, so a batch driver that holds the whole series
+// (engine.RunMatrix) can precompute each detector's θ(t) column in
+// parallel and share it across every spec using that detector config.
+// Sources must honour the purity contract: for every interval t the
+// pipeline steps they return exactly what its own detector would have
+// produced on that interval's snapshot — value or error.
 type ThresholdSource interface {
-	// RawThreshold returns θ(t) for interval t. ok reports whether the
-	// source covers t at all; when ok is false the pipeline falls back
-	// to inline detection. When ok is true, err (if non-nil) is the
+	// RawThreshold returns θ(t) for interval t. A non-nil err is the
 	// detection error the inline path would have hit, and the pipeline
 	// fails the interval identically.
-	RawThreshold(t int) (theta float64, ok bool, err error)
+	RawThreshold(t int) (theta float64, err error)
 }
 
 // SortedDetector is implemented by detectors that can compute theta(t)

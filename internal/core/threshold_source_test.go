@@ -9,18 +9,22 @@ import (
 )
 
 // columnSource is a test ThresholdSource backed by explicit per-interval
-// entries.
+// entries. An interval with neither entry is one the pipeline must not
+// ask about, and asking is reported.
 type columnSource struct {
 	theta map[int]float64
 	errs  map[int]error
 }
 
-func (s *columnSource) RawThreshold(t int) (float64, bool, error) {
+func (s *columnSource) RawThreshold(t int) (float64, error) {
 	if err, ok := s.errs[t]; ok {
-		return 0, true, err
+		return 0, err
 	}
 	th, ok := s.theta[t]
-	return th, ok, nil
+	if !ok {
+		return 0, fmt.Errorf("columnSource: interval %d asked for but not loaded", t)
+	}
+	return th, nil
 }
 
 // randomSnaps builds a deterministic sequence of snapshots with varying
@@ -45,8 +49,8 @@ func randomSnaps(seed int64, n int) []*FlowSnapshot {
 // TestPipelineThresholdSourceEquivalence pins the tentpole contract: a
 // pipeline consuming a ThresholdSource loaded with the inline path's
 // raw thresholds produces byte-identical Results, including intervals
-// below MinFlows (which the source does not cover) and EWMA state
-// threading across both kinds.
+// below MinFlows (which it must not ask the source about) and EWMA
+// state threading across both kinds.
 func TestPipelineThresholdSourceEquivalence(t *testing.T) {
 	cfg := func() Config {
 		return Config{Detector: NewAestDetector(), Alpha: 0.5, Classifier: SingleFeatureClassifier{}, MinFlows: 16}

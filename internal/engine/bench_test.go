@@ -106,9 +106,6 @@ func BenchmarkMatrixShared(b *testing.B) {
 // off the sequential classify pass.
 func BenchmarkDetectorPrepass(b *testing.B) {
 	links, specs := benchMatrix()
-	for _, l := range links {
-		l.Series.Seal()
-	}
 	eng := MultiLinkEngine{Workers: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

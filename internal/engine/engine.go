@@ -19,7 +19,7 @@
 // bounded-memory StreamAccumulator — memory per link is the
 // accumulator's window, not the trace length, and the classifications
 // are byte-identical to the batch path on the same records. Two loops
-// feed the step: the series loop walks a sealed series' intervals, and
+// feed the step: the series loop walks a series' intervals, and
 // the stream loop is the accumulator's Emit hook. NewLivePipeline is
 // the fourth entry point: the resident, push-fed form of the stream
 // loop.
@@ -230,7 +230,7 @@ func (c *cell) build() bool {
 
 // newPipeline builds a link's private pipeline from its config factory,
 // with an optional precomputed threshold column attached (the matrix
-// prepass); src == nil keeps inline detection.
+// prepass); with src nil the pipeline detects inline.
 func newPipeline(id string, factory func() (core.Config, error), src core.ThresholdSource) (*core.Pipeline, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("engine: link %q: nil config factory", id)
@@ -303,7 +303,8 @@ func (task seriesTask) run(snap *core.FlowSnapshot, rowIDs []uint32) []uint32 {
 		}
 		return rowIDs
 	}
-	// Seal so per-interval emission runs off the interval-major index.
+	// The series is read from here on, perhaps by several tasks at once:
+	// a write to it now is a bug the invariant build turns into a panic.
 	s.Seal()
 	live := 0
 	var latent []*core.LatentHeatClassifier

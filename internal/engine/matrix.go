@@ -55,13 +55,13 @@ func StreamWindow(sp *scheme.Spec, explicit int) int {
 
 // RunMatrix classifies every link under every scheme spec with
 // emit-once execution: the pool's unit of work is the link, not the
-// (link, spec) cell. One worker walks the link's sealed series once,
+// (link, spec) cell. One worker walks the link's series once,
 // emits each snapshot once, and steps it through all the group's spec
 // pipelines — turning S full emission passes per link into one. When
 // there are fewer links than workers, the spec list is split into
 // per-worker groups so parallelism is preserved (trading some sharing).
 // Before that, a detector prepass computes each distinct detector
-// config's θ(t) column per link on the pool, so covered cells run no
+// config's θ(t) column per link on the pool, so the cells run no
 // detection at all and specs sharing a detector key consume one
 // computation (see prepass.go).
 //

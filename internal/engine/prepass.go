@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sync/atomic"
-
 	"repro/internal/core"
 	"repro/internal/scheme"
 	"repro/internal/stats"
@@ -11,7 +9,7 @@ import (
 // This file implements RunMatrix's detector prepass and threshold
 // cache. Threshold detection — unlike classification — is a pure
 // function of one interval's bandwidth column and the detector's
-// config, so for sealed batch series the engine can (1) compute each
+// config, so for batch series the engine can (1) compute each
 // distinct detector config's θ(t) column exactly once per link, no
 // matter how many specs share it (an ablation sweep over alpha or the
 // latent window collapses N detector runs to 1), and (2) compute those
@@ -38,11 +36,8 @@ type thresholdColumn struct {
 }
 
 // RawThreshold implements core.ThresholdSource.
-func (c *thresholdColumn) RawThreshold(t int) (float64, bool, error) {
-	if t < 0 || t >= len(c.theta) {
-		return 0, false, nil
-	}
-	return c.theta[t], true, c.errs[t]
+func (c *thresholdColumn) RawThreshold(t int) (float64, error) {
+	return c.theta[t], c.errs[t]
 }
 
 // prepassDetector is one distinct detector config drawn from the spec
@@ -81,56 +76,41 @@ func uniqueDetectors(specs []*scheme.Spec) []prepassDetector {
 // and detector runs it buys.
 const prepassChunk = 16
 
-// prepassLink is one link's share of the prepass: a column per distinct
-// detector, index-aligned with the detector list, and whether a chunk
-// found the series without an interval index.
-type prepassLink struct {
-	cols    []*thresholdColumn // nil for a link without a series
-	noIndex atomic.Bool
-}
-
 // prepassThresholds computes the full (link, detector-key) threshold
-// matrix on the worker pool. The returned map is read-only afterwards;
-// missing links (no interval index, nil series) simply fall back to
-// inline detection.
+// matrix on the worker pool: every link with a series gets a column per
+// distinct detector, and the returned map is read-only afterwards. It is
+// one pool pass: jobs are (link, chunk of intervals), and for each
+// interval the worker copies the bandwidth column, sorts it and runs
+// every distinct detector on it before moving on. A worker owns one
+// detector instance per config for its whole life, across chunks and
+// links: detection is a pure function of the interval's column and the
+// config (the ThresholdSource contract), an instance's state is scratch
+// storage and counters nobody reads, and the instances are thrown away
+// with the worker — so θ(t) cannot depend on which worker, or in what
+// order, computed it.
 func (e *MultiLinkEngine) prepassThresholds(links []MatrixLink, specs []*scheme.Spec) map[string]map[string]*thresholdColumn {
 	dets := uniqueDetectors(specs)
 	if len(dets) == 0 {
 		return nil
 	}
-	for _, l := range links {
-		if l.Series != nil {
-			// The prepass reads the interval-major index, which only a
-			// sealed series builds.
-			l.Series.Seal()
-		}
-	}
-	return e.detectColumns(links, dets)
-}
-
-// detectColumns is the prepass's one pool pass: jobs are (link, chunk of
-// intervals), and for each interval the worker copies the bandwidth
-// column, sorts it and runs every distinct detector on it before moving
-// on. A worker owns one detector instance per config for its whole
-// life, across chunks and links: detection is a pure function of the
-// interval's column and the config (the ThresholdSource contract), an
-// instance's state is scratch storage and counters nobody reads, and the
-// instances are thrown away with the worker — so θ(t) cannot depend on
-// which worker, or in what order, computed it.
-func (e *MultiLinkEngine) detectColumns(links []MatrixLink, dets []prepassDetector) map[string]map[string]*thresholdColumn {
 	type job struct{ link, from int }
-	pls := make([]prepassLink, len(links))
+	// linkCols[li][k] is link li's column for detector k, as the workers
+	// address it; byKey holds the same columns as the cells look them up.
+	// A link without a series has neither.
+	linkCols := make([][]*thresholdColumn, len(links))
+	byKey := make(map[string]map[string]*thresholdColumn, len(links))
 	longest := 0
 	for li, l := range links {
 		if l.Series == nil {
 			continue
 		}
 		n := l.Series.Intervals
-		cols := make([]*thresholdColumn, len(dets))
-		for k := range cols {
-			cols[k] = &thresholdColumn{theta: make([]float64, n), errs: make([]error, n)}
+		linkCols[li] = make([]*thresholdColumn, len(dets))
+		byKey[l.ID] = make(map[string]*thresholdColumn, len(dets))
+		for k, d := range dets {
+			col := &thresholdColumn{theta: make([]float64, n), errs: make([]error, n)}
+			linkCols[li][k], byKey[l.ID][d.key] = col, col
 		}
-		pls[li].cols = cols
 		longest = max(longest, n)
 	}
 	// Chunk-major order: the first jobs the pool picks up belong to
@@ -157,13 +137,9 @@ func (e *MultiLinkEngine) detectColumns(links []MatrixLink, dets []prepassDetect
 		}
 		var sorted, tmp, scratch []float64
 		return func(i int) {
-			pl, s := &pls[jobs[i].link], links[jobs[i].link].Series
+			cols, s := linkCols[jobs[i].link], links[jobs[i].link].Series
 			for t := jobs[i].from; t < min(jobs[i].from+prepassChunk, s.Intervals); t++ {
 				bw := s.IntervalBandwidths(t)
-				if bw == nil {
-					pl.noIndex.Store(true)
-					return
-				}
 				if needSorted {
 					// CSR bandwidth segments are strictly positive by
 					// construction, so stats.SortPositive produces exactly
@@ -174,7 +150,7 @@ func (e *MultiLinkEngine) detectColumns(links []MatrixLink, dets []prepassDetect
 					}
 					stats.SortPositive(sorted, tmp[:len(bw)])
 				}
-				for k, col := range pl.cols {
+				for k, col := range cols {
 					if sd := sortedDets[k]; sd != nil {
 						col.theta[t], col.errs[t] = sd.DetectThresholdSorted(bw, sorted)
 					} else {
@@ -185,17 +161,5 @@ func (e *MultiLinkEngine) detectColumns(links []MatrixLink, dets []prepassDetect
 			}
 		}
 	})
-	cols := make(map[string]map[string]*thresholdColumn, len(links))
-	for li := range pls {
-		pl := &pls[li]
-		if pl.cols == nil || pl.noIndex.Load() {
-			continue
-		}
-		m := make(map[string]*thresholdColumn, len(dets))
-		for k, d := range dets {
-			m[d.key] = pl.cols[k]
-		}
-		cols[links[li].ID] = m
-	}
-	return cols
+	return byKey
 }

@@ -211,9 +211,7 @@ func TestPrepassCoversDetectionErrors(t *testing.T) {
 		}
 		failed := 0
 		for t2 := 0; t2 < n; t2++ {
-			if _, ok, err := col.RawThreshold(t2); !ok {
-				t.Fatalf("link %q: interval %d not covered", id, t2)
-			} else if err != nil {
+			if _, err := col.RawThreshold(t2); err != nil {
 				failed++
 				if err.Error() != inline.Error() {
 					t.Fatalf("link %q interval %d: column error %q, detector says %q", id, t2, err, inline)
@@ -224,29 +222,9 @@ func TestPrepassCoversDetectionErrors(t *testing.T) {
 			t.Fatalf("link %q: %d failing intervals in the column, want %v", id, failed, failing)
 		}
 		for _, t2 := range failing {
-			if _, _, err := col.RawThreshold(t2); err == nil {
+			if _, err := col.RawThreshold(t2); err == nil {
 				t.Fatalf("link %q: interval %d detected cleanly, want an error", id, t2)
 			}
 		}
-	}
-}
-
-// TestPrepassSkipsUnindexedSeries pins the fallback: a series without
-// an interval index (unsealed here; too many flows for int32 row
-// positions is the other way to get one) yields no column — not a
-// partial one — so its cells detect inline, as every cell of the perCell
-// oracle does, while its neighbour is covered as usual. A nil series is
-// skipped the same way.
-func TestPrepassSkipsUnindexedSeries(t *testing.T) {
-	sealed, unsealed := synthSeries(1, 50, 2*prepassChunk+1), synthSeries(2, 50, 2*prepassChunk+1)
-	sealed.Seal()
-	links := []MatrixLink{{ID: "sealed", Series: sealed}, {ID: "unsealed", Series: unsealed}, {ID: "nil"}}
-	specs := []*scheme.Spec{scheme.MustParse("load+single"), scheme.MustParse("aest+single")}
-	cols := (&MultiLinkEngine{Workers: 4}).detectColumns(links, uniqueDetectors(specs))
-	if len(cols) != 1 || len(cols["sealed"]) != 2 {
-		t.Fatalf("columns for %d links (sealed: %d), want the sealed link's 2 only", len(cols), len(cols["sealed"]))
-	}
-	if unsealed.Sealed() {
-		t.Fatal("detectColumns sealed the series; the test no longer reaches the fallback")
 	}
 }

@@ -9,58 +9,6 @@ import (
 	"repro/internal/bgp"
 )
 
-// CollectorStats counts record attribution outcomes.
-type CollectorStats struct {
-	Datagrams  uint64
-	Records    uint64
-	Routed     uint64
-	Unrouted   uint64
-	OutOfRange uint64
-}
-
-// Collector aggregates NetFlow records into a per-prefix bandwidth
-// series — the flow-record twin of agg.Aggregator. A record's octets are
-// spread uniformly over its [First, Last] span, clipped to the series
-// window, so long flows crossing interval boundaries are apportioned
-// correctly (assigning all bytes to one interval would let the active
-// timeout alias the diurnal signal). The spreading arithmetic lives in
-// agg (Series.AddRecord), shared with the streaming accumulator, so
-// batch collection and streaming ingestion of the same records produce
-// bit-identical series.
-type Collector struct {
-	table  *bgp.Table
-	series *agg.Series
-	recs   []agg.Record // AttributeDatagram scratch, reused across datagrams
-
-	// Stats counts attribution outcomes.
-	Stats CollectorStats
-}
-
-// NewCollector creates a collector writing into series.
-func NewCollector(table *bgp.Table, series *agg.Series) *Collector {
-	return &Collector{table: table, series: series}
-}
-
-// Series returns the series under construction.
-func (c *Collector) Series() *agg.Series { return c.series }
-
-// AddDatagram attributes the datagram's records in one
-// AttributeDatagram pass and apportions each routed one into the series.
-func (c *Collector) AddDatagram(d *Datagram) {
-	c.Stats.Datagrams++
-	c.Stats.Records += uint64(len(d.Records))
-	recs, unrouted := AttributeDatagram(c.table, d, c.recs[:0])
-	c.recs = recs
-	c.Stats.Unrouted += uint64(unrouted)
-	for i := range recs {
-		if c.series.AddRecord(recs[i]) {
-			c.Stats.Routed++
-		} else {
-			c.Stats.OutOfRange++
-		}
-	}
-}
-
 // Attribute longest-prefix matches one v5 record and normalises it to
 // the unified agg.Record form (a point record for degenerate spans),
 // reporting false for unrouted destinations. It is the form for a caller

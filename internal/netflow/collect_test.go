@@ -32,16 +32,35 @@ func anchoredHeader(count uint16) Header {
 	}
 }
 
+// collectDatagrams is the batch NetFlow ingest the way every caller
+// spells it: the datagrams framed as a router would ship them to disk,
+// read back through a RecordSource and drained into s by agg.Collect.
+func collectDatagrams(t *testing.T, table *bgp.Table, s *agg.Series, ds ...*Datagram) (RecordSourceStats, agg.CollectStats) {
+	t.Helper()
+	var framed bytes.Buffer
+	sw := NewStreamWriter(&framed)
+	for _, d := range ds {
+		if err := sw.Write(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := NewRecordSource(NewStreamReader(&framed), table)
+	st, err := agg.Collect(src, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src.Stats, st
+}
+
 func TestCollectorPointFlow(t *testing.T) {
 	s := agg.NewSeries(t0, time.Minute, 3)
-	c := NewCollector(collectTable(t), s)
 	r := Record{
 		SrcAddr: aIP, DstAddr: netip.MustParseAddr("10.5.5.5"),
 		Octets: 750, First: 70000, Last: 70000, // 70 s in => interval 1
 	}
-	c.AddDatagram(&Datagram{Header: anchoredHeader(1), Records: []Record{r}})
-	if c.Stats.Routed != 1 {
-		t.Fatalf("stats = %+v", c.Stats)
+	_, st := collectDatagrams(t, collectTable(t), s, &Datagram{Header: anchoredHeader(1), Records: []Record{r}})
+	if st.Routed != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 	got := s.Bandwidth(netip.MustParsePrefix("10.0.0.0/8"), 1)
 	want := 750 * 8.0 / 60
@@ -54,14 +73,13 @@ func TestCollectorPointFlow(t *testing.T) {
 // its octets apportioned by time overlap, not dumped into one interval.
 func TestCollectorSpreadsLongFlow(t *testing.T) {
 	s := agg.NewSeries(t0, time.Minute, 4)
-	c := NewCollector(collectTable(t), s)
 	// Flow from 00:30 to 02:30 (in minutes:seconds from t0): spans
 	// interval 0 (30 s), 1 (60 s), 2 (30 s). 1200 octets over 120 s.
 	r := Record{
 		SrcAddr: aIP, DstAddr: netip.MustParseAddr("10.1.1.1"),
 		Octets: 1200, First: 30000, Last: 150000,
 	}
-	c.AddDatagram(&Datagram{Header: anchoredHeader(1), Records: []Record{r}})
+	collectDatagrams(t, collectTable(t), s, &Datagram{Header: anchoredHeader(1), Records: []Record{r}})
 	p := netip.MustParsePrefix("10.0.0.0/8")
 	totalBits := 1200 * 8.0
 	wants := []float64{
@@ -79,14 +97,13 @@ func TestCollectorSpreadsLongFlow(t *testing.T) {
 
 func TestCollectorUnroutedAndOutOfRange(t *testing.T) {
 	s := agg.NewSeries(t0, time.Minute, 1)
-	c := NewCollector(collectTable(t), s)
 	recs := []Record{
 		{SrcAddr: aIP, DstAddr: netip.MustParseAddr("8.8.8.8"), Octets: 1, First: 0, Last: 0},
 		{SrcAddr: aIP, DstAddr: netip.MustParseAddr("10.0.0.1"), Octets: 1, First: 600000, Last: 600000},
 	}
-	c.AddDatagram(&Datagram{Header: anchoredHeader(2), Records: recs})
-	if c.Stats.Unrouted != 1 || c.Stats.OutOfRange != 1 || c.Stats.Routed != 0 {
-		t.Errorf("stats = %+v", c.Stats)
+	src, st := collectDatagrams(t, collectTable(t), s, &Datagram{Header: anchoredHeader(2), Records: recs})
+	if src.Unrouted != 1 || st.OutOfRange != 1 || st.Routed != 0 {
+		t.Errorf("stats = %+v, %+v", src, st)
 	}
 }
 
@@ -116,26 +133,18 @@ func TestNetflowPathMatchesPcapPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := agg.NewSeries(t0, time.Minute, intervals)
-	if _, _, err := agg.ReadPcap(bytes.NewReader(buf.Bytes()), table, direct); err != nil {
+	pkts, err := agg.NewPacketRecordSource(bytes.NewReader(buf.Bytes()), table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agg.Collect(pkts, direct); err != nil {
 		t.Fatal(err)
 	}
 
-	viaFlow := agg.NewSeries(t0, time.Minute, intervals)
-	coll := NewCollector(table, viaFlow)
+	// The framed stream puts the wire format in the loop.
+	var framed bytes.Buffer
 	exp := NewExporter(ExporterConfig{ActiveTimeout: 30 * time.Second, InactiveTimeout: 10 * time.Second},
-		func(d *Datagram) error {
-			// Exercise the wire format in the loop.
-			raw, err := d.Encode(nil)
-			if err != nil {
-				return err
-			}
-			back, err := Decode(raw)
-			if err != nil {
-				return err
-			}
-			coll.AddDatagram(back)
-			return nil
-		})
+		NewStreamWriter(&framed).Write)
 	r, err := agg.NewPcapPacketSource(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +159,10 @@ func TestNetflowPathMatchesPcapPath(t *testing.T) {
 		}
 	}
 	if err := exp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	viaFlow := agg.NewSeries(t0, time.Minute, intervals)
+	if _, err := agg.Collect(NewRecordSource(NewStreamReader(&framed), table), viaFlow); err != nil {
 		t.Fatal(err)
 	}
 

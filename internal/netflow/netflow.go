@@ -6,8 +6,10 @@
 //
 // The package provides the v5 wire format (datagram encoder/decoder), a
 // flow-cache Exporter that turns a packet stream into records with
-// active/inactive timeout semantics, and an aggregation bridge into
-// agg.Series.
+// active/inactive timeout semantics, and the bridge to the unified
+// record stream: Attribute and AttributeDatagram turn v5 records into
+// agg.Records, and RecordSource yields a framed export as an
+// agg.RecordSource for agg.Collect or agg.Stream to drain.
 package netflow
 
 import (

@@ -278,8 +278,8 @@ func TestAttributeZeroAllocs(t *testing.T) {
 
 // TestAttributeDatagramMatchesAttribute: the per-datagram pass resolves
 // destinations a chunk at a time, so it is held to per-record Attribute
-// on a datagram DecodeInto never produces but Collector.AddDatagram
-// accepts — 100 records, more than three chunks, mixing routed IPv4,
+// on a datagram DecodeInto never produces but a caller can build —
+// 100 records, more than three chunks, mixing routed IPv4,
 // unrouted IPv4, IPv4-mapped IPv6, IPv6 under a route only the prefix
 // map finds, unrouted IPv6 and the zero Addr: the same records in the
 // same order after what dst already held, and the unrouted count exact.

@@ -17,11 +17,13 @@ type RecordSourceStats struct {
 // agg.RecordSource API: datagrams are decoded one at a time, each
 // datagram's records longest-prefix matched against the BGP table in
 // one AttributeDatagram pass and then yielded one per Next as span
-// records (octets spread over [First, Last] by the consumer's shared
-// apportioning arithmetic). Unrouted records are counted and skipped,
-// exactly as the batch Collector does, so draining a RecordSource into
-// a StreamAccumulator is bit-identical to replaying the same datagrams
-// through a Collector.
+// records: the consumer spreads a record's octets uniformly over
+// [First, Last], so a long flow crossing interval boundaries is
+// apportioned by overlap (all its bytes in one interval would let the
+// exporter's active timeout alias the diurnal signal). Unrouted records
+// are counted and skipped. Both consumers — agg.Collect into a Series,
+// agg.Stream into a StreamAccumulator — run the same apportioning
+// arithmetic, so the two are bit-identical on one stream.
 //
 // Flow records are exported out of order up to the cache's active
 // timeout: size the accumulator window to cover at least

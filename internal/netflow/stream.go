@@ -10,7 +10,8 @@ import (
 // Stream framing: NetFlow travels over UDP, which preserves datagram
 // boundaries; a file does not. StreamWriter/StreamReader store a
 // sequence of v5 datagrams with a 4-byte big-endian length prefix each,
-// so exports can be captured to disk and replayed into a Collector.
+// so exports can be captured to disk and replayed through a
+// RecordSource.
 
 // maxStreamDatagram bounds a framed datagram to the v5 maximum.
 const maxStreamDatagram = HeaderLen + MaxRecordsPerDatagram*RecordLen

@@ -62,9 +62,9 @@ type Config struct {
 	// Scheme is the classification scheme every link runs. Required.
 	Scheme *scheme.Spec
 	// Readers is the number of ingest reader goroutines; 0 selects 1.
-	// When the platform supports SO_REUSEPORT each reader owns its own
-	// socket (kernel-hashed exporter sharding); otherwise all readers
-	// share one socket.
+	// Each reader owns its own SO_REUSEPORT socket (kernel-hashed
+	// exporter sharding); a platform without the option runs one reader
+	// whatever this says.
 	Readers int
 	// Interval is the measurement interval Δ; 0 selects
 	// DefaultInterval.
@@ -130,10 +130,9 @@ type Daemon struct {
 	// a quiet daemon's scrapes stay byte-identical.
 	reg *obs.Registry
 
-	conns     []*net.UDPConn // ingest sockets; len 1 in fan-out mode
-	reuseport bool           // true when each reader owns a REUSEPORT socket
-	readers   []*reader
-	readerWG  sync.WaitGroup
+	conns    []*net.UDPConn // ingest sockets
+	readers  []*reader      // one per socket
+	readerWG sync.WaitGroup
 
 	httpLn  net.Listener
 	httpSrv *http.Server
@@ -203,7 +202,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 
-	conns, reuseport, err := listenUDP(cfg.UDPAddr, cfg.Readers, cfg.ReadBuffer)
+	conns, err := listenUDP(cfg.UDPAddr, cfg.Readers, cfg.ReadBuffer, cfg.Logf)
 	if err != nil {
 		return nil, err
 	}
@@ -217,24 +216,19 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 
 	d := &Daemon{
-		cfg:       cfg,
-		store:     NewStore(),
-		reg:       obs.NewRegistry(),
-		conns:     conns,
-		reuseport: reuseport,
-		httpLn:    ln,
-		loopDone:  make(chan struct{}),
-		httpDone:  make(chan struct{}),
+		cfg:      cfg,
+		store:    NewStore(),
+		reg:      obs.NewRegistry(),
+		conns:    conns,
+		httpLn:   ln,
+		loopDone: make(chan struct{}),
+		httpDone: make(chan struct{}),
 	}
 	empty := make(linkMap)
 	d.links.Store(&empty)
-	rcvbufs := make([]int, len(conns))
+	d.readers = make([]*reader, len(conns))
 	for i, c := range conns {
-		rcvbufs[i] = effectiveReadBuffer(c)
-	}
-	d.readers = make([]*reader, cfg.Readers)
-	for i := range d.readers {
-		d.readers[i] = newReader(i, conns[i%len(conns)], rcvbufs[i%len(conns)])
+		d.readers[i] = newReader(i, c, effectiveReadBuffer(c))
 	}
 	d.httpSrv = &http.Server{
 		Handler:           d.handler(),
@@ -257,9 +251,9 @@ func (d *Daemon) HTTPAddr() net.Addr { return d.httpLn.Addr() }
 // Readers reports the ingest reader count.
 func (d *Daemon) Readers() int { return len(d.readers) }
 
-// ReusePort reports whether each reader owns a SO_REUSEPORT socket
-// (false means the single-socket fan-out fallback).
-func (d *Daemon) ReusePort() bool { return d.reuseport }
+// ReusePort reports whether ingest runs on more than one socket, each a
+// SO_REUSEPORT socket with its own reader.
+func (d *Daemon) ReusePort() bool { return len(d.conns) > 1 }
 
 // Start launches the ingest readers and the HTTP server.
 func (d *Daemon) Start() {
@@ -280,8 +274,8 @@ func (d *Daemon) Start() {
 		}
 	}()
 	mode := "reuseport"
-	if !d.reuseport {
-		mode = "shared-socket"
+	if !d.ReusePort() {
+		mode = "one socket"
 	}
 	d.cfg.Logf("serve: listening — NetFlow v5 on %v (%d readers, %s), API on %v, scheme %s, interval %v, window %d",
 		d.UDPAddr(), len(d.readers), mode, d.HTTPAddr(), d.cfg.Scheme, d.cfg.Interval, d.cfg.Window)

@@ -15,14 +15,13 @@
 //	  → HTTP API (/links, /links/{id}/elephants, /links/{id}/history,
 //	    /links/{id}/debug/intervals, /healthz, /readyz, /metrics)
 //
-// Ingest is sharded across Config.Readers goroutines. Where the
-// platform supports SO_REUSEPORT each reader owns its own socket bound
-// to the same address, and the kernel hashes every exporter's 4-tuple
-// to a fixed socket — so exactly one reader ever sees a given link's
-// datagrams and per-link record order is preserved without any
-// cross-reader coordination; elsewhere the readers share one socket
-// (scaling decode, not socket drain). Each reader reuses a private
-// decode scratch (netflow.DecodeInto) and attribution batch, and link
+// Ingest is sharded across Config.Readers goroutines. Each reader owns
+// its own SO_REUSEPORT socket bound to the same address, and the kernel
+// hashes every exporter's 4-tuple to a fixed socket — so exactly one
+// reader ever sees a given link's datagrams and per-link record order
+// is preserved without any cross-reader coordination; a platform
+// without the option runs one reader on one socket. Each reader reuses
+// a private decode scratch (netflow.DecodeInto) and attribution batch, and link
 // lookup is one atomic load on a copy-on-write map, so a datagram for
 // an existing link travels read → decode → dispatch without allocating
 // or taking a lock. Each link's pipeline runs on its own worker behind a

@@ -124,7 +124,7 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		IntervalSecs:      d.cfg.Interval.Seconds(),
 		Links:             d.store.Len(),
 		Readers:           len(d.readers),
-		ReusePort:         d.reuseport,
+		ReusePort:         d.ReusePort(),
 		Datagrams:         datagrams,
 		Records:           records,
 		DecodeErrors:      decodeErrors,
@@ -192,7 +192,7 @@ func (d *Daemon) handleLinks(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Slice(pipes, func(i, j int) bool { return pipes[i].Link < pipes[j].Link })
 	d.writeJSON(w, http.StatusOK, LinksPage{
-		ReusePort: d.reuseport,
+		ReusePort: d.ReusePort(),
 		Readers:   d.readerStatus(),
 		Links:     d.store.Summaries(),
 		Pipelines: pipes,

@@ -23,7 +23,7 @@ import (
 // the link-map pointer and the per-link state they demultiplex into.
 type reader struct {
 	index int
-	conn  *net.UDPConn // owned socket (REUSEPORT) or the shared fallback socket
+	conn  *net.UDPConn // the reader's own socket
 
 	buf  []byte           // datagram receive buffer (max UDP payload)
 	dg   netflow.Datagram // decode scratch; Records reused across datagrams
@@ -35,8 +35,7 @@ type reader struct {
 	decodeErrors atomic.Uint64
 
 	// rcvbuf is conn's effective kernel receive buffer (post-clamp
-	// SO_RCVBUF readback); fan-out readers sharing a socket report the
-	// same value.
+	// SO_RCVBUF readback).
 	rcvbuf int
 }
 
@@ -50,34 +49,39 @@ func newReader(index int, conn *net.UDPConn, rcvbuf int) *reader {
 	}
 }
 
-// listenUDP binds the ingest sockets: n SO_REUSEPORT sockets sharing
-// addr when the platform has the option — each reader then owns one
-// socket, with its own kernel buffer, and the kernel hashes each
-// exporter's 4-tuple to a fixed socket — else one plain socket that all
-// n readers share (N-way fan-out: less parallel under load, same
-// interface). Each socket's receive buffer is requested at rcvbuf; the
-// caller reads back what was granted per conn.
-func listenUDP(addr string, n, rcvbuf int) (conns []*net.UDPConn, reuseport bool, err error) {
-	single := func() ([]*net.UDPConn, bool, error) {
+// reusePortControl is the net.ListenConfig.Control hook that lets
+// several sockets bind one address. A variable so that a test can stand
+// in for a platform without SO_REUSEPORT.
+var reusePortControl = controlReusePort
+
+// listenUDP binds the ingest sockets, one per reader: n SO_REUSEPORT
+// sockets sharing addr — each with its own kernel buffer, the kernel
+// hashing each exporter's 4-tuple to a fixed socket — or, for n = 1 and
+// where the platform lacks the option (logged), one plain socket. Readers
+// never share a socket: two of them could decode consecutive datagrams
+// of one exporter and hand them to its link out of order. Each socket's
+// receive buffer is requested at rcvbuf; the caller reads back what was
+// granted per conn.
+func listenUDP(addr string, n, rcvbuf int, logf func(string, ...any)) (conns []*net.UDPConn, err error) {
+	single := func() ([]*net.UDPConn, error) {
 		uaddr, err := net.ResolveUDPAddr("udp", addr)
 		if err != nil {
-			return nil, false, fmt.Errorf("serve: resolving UDP address: %w", err)
+			return nil, fmt.Errorf("serve: resolving UDP address: %w", err)
 		}
 		c, err := net.ListenUDP("udp", uaddr)
 		if err != nil {
-			return nil, false, fmt.Errorf("serve: listening on UDP: %w", err)
+			return nil, fmt.Errorf("serve: listening on UDP: %w", err)
 		}
 		_ = c.SetReadBuffer(rcvbuf)
-		return []*net.UDPConn{c}, false, nil
+		return []*net.UDPConn{c}, nil
 	}
 	if n <= 1 {
 		return single()
 	}
-	lc := net.ListenConfig{Control: controlReusePort}
+	lc := net.ListenConfig{Control: reusePortControl}
 	first, err := lc.ListenPacket(context.Background(), "udp", addr)
 	if err != nil {
-		// No SO_REUSEPORT on this platform (or the kernel refused it):
-		// fall back to a single shared socket.
+		logf("serve: no SO_REUSEPORT socket (%v): one reader on one socket instead of %d", err, n)
 		return single()
 	}
 	conns = []*net.UDPConn{first.(*net.UDPConn)}
@@ -90,14 +94,14 @@ func listenUDP(addr string, n, rcvbuf int) (conns []*net.UDPConn, reuseport bool
 			for _, c := range conns {
 				c.Close()
 			}
-			return nil, false, fmt.Errorf("serve: listening on UDP (reuseport socket %d): %w", len(conns), err)
+			return nil, fmt.Errorf("serve: listening on UDP (reuseport socket %d): %w", len(conns), err)
 		}
 		conns = append(conns, pc.(*net.UDPConn))
 	}
 	for _, c := range conns {
 		_ = c.SetReadBuffer(rcvbuf)
 	}
-	return conns, true, nil
+	return conns, nil
 }
 
 // linkKey identifies a link on the dispatch fast path without building
@@ -202,10 +206,10 @@ func (d *Daemon) createLink(key linkKey) (*liveLink, error) {
 // table into the reader's reusable batch — the datagram's destinations
 // looked up together, one level of the routing index at a time — and
 // hand the batch to the link's pipeline: one copy and one queue
-// operation per datagram, not per record. Per-link record order is preserved at any reader
-// count because an exporter's datagrams all arrive on one socket
-// (REUSEPORT hashes the exporter's 4-tuple to a fixed socket) and
-// dispatch runs on that socket's reader.
+// operation per datagram, not per record. Per-link record order is
+// preserved at any reader count because an exporter's datagrams all
+// arrive on one socket (REUSEPORT hashes the exporter's 4-tuple to a
+// fixed socket) and dispatch runs on that socket's one reader.
 func (d *Daemon) dispatch(r *reader, ap netip.AddrPort, dg *netflow.Datagram) {
 	key := linkKey{addr: ap.Addr().Unmap(), engine: dg.Header.EngineID}
 	ll := d.findLink(key)
@@ -237,8 +241,7 @@ func (d *Daemon) dispatch(r *reader, ap netip.AddrPort, dg *netflow.Datagram) {
 }
 
 // readLoop is one reader's loop: read, decode into the private scratch,
-// dispatch. N of these run concurrently, one per REUSEPORT socket (or
-// all sharing the fallback socket).
+// dispatch. N of these run concurrently, one per socket.
 func (d *Daemon) readLoop(r *reader) {
 	defer d.readerWG.Done()
 	for {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -28,9 +30,13 @@ import (
 // reports per interval must equal what the batch pipeline computes from
 // the very same datagrams — at every ingest reader count, pinning that
 // the sharded REUSEPORT front-end preserves per-link record order (one
-// exporter socket hashes to one reader). Alongside, /metrics must
-// report zero decode errors and zero late drops for the run. Run with
-// -race: the test exercises the full ingest/store/HTTP concurrency.
+// exporter socket hashes to one reader), and once more with the
+// SO_REUSEPORT hook refusing, where four readers asked for must come
+// down to one reader on one socket (readers sharing a socket could hand
+// one exporter's datagrams to its link out of order). Alongside,
+// /metrics must report zero decode errors and zero late drops for the
+// run. Run with -race: the test exercises the full ingest/store/HTTP
+// concurrency.
 func TestLoopbackEquivalence(t *testing.T) {
 	const (
 		intervals = 5
@@ -61,9 +67,10 @@ func TestLoopbackEquivalence(t *testing.T) {
 
 	// Router model: flow cache → datagrams. Each emitted datagram is
 	// kept as its wire bytes (what travels over UDP) and simultaneously
-	// fed to the batch reference collector.
+	// attributed into the batch reference series.
 	refSeries := agg.NewSeries(start, interval, intervals+2)
-	collector := netflow.NewCollector(table, refSeries)
+	var refRecords, refUnrouted uint64
+	var recs []agg.Record
 	var wires [][]byte
 	exporter := netflow.NewExporter(netflow.ExporterConfig{
 		ActiveTimeout:   30 * time.Second,
@@ -74,7 +81,13 @@ func TestLoopbackEquivalence(t *testing.T) {
 			return err
 		}
 		wires = append(wires, append([]byte(nil), wire...))
-		collector.AddDatagram(dg)
+		var unrouted int
+		recs, unrouted = netflow.AttributeDatagram(table, dg, recs[:0])
+		refRecords += uint64(len(dg.Records))
+		refUnrouted += uint64(unrouted)
+		for _, rec := range recs {
+			refSeries.AddRecord(rec)
+		}
 		return nil
 	})
 	src, err := agg.NewPcapPacketSource(bytes.NewReader(capture.Bytes()))
@@ -113,18 +126,37 @@ func TestLoopbackEquivalence(t *testing.T) {
 	}
 	ref := batch[0].Results
 
+	// A platform without SO_REUSEPORT runs one reader at every count.
+	probe, err := listenUDP("127.0.0.1:0", 2, 0, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reusePort := len(probe) == 2
+	for _, c := range probe {
+		c.Close()
+	}
 	for _, readers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("readers=%d", readers), func(t *testing.T) {
-			loopbackRun(t, table, sp, wires, ref, collector, start, interval, intervals, readers)
+			want := readers
+			if !reusePort {
+				want = 1
+			}
+			loopbackRun(t, table, sp, wires, ref, refRecords, refUnrouted, start, interval, intervals, readers, want)
 		})
 	}
+	t.Run("readers=4 without SO_REUSEPORT", func(t *testing.T) {
+		reusePortControl = func(string, string, syscall.RawConn) error { return errors.ErrUnsupported }
+		defer func() { reusePortControl = controlReusePort }()
+		loopbackRun(t, table, sp, wires, ref, refRecords, refUnrouted, start, interval, intervals, 4, 1)
+	})
 }
 
-// loopbackRun drives one daemon instance (at the given reader count)
-// with the pre-captured wire datagrams and asserts API ≡ batch.
+// loopbackRun drives one daemon instance (asked for readers readers,
+// expected to run wantReaders) with the pre-captured wire datagrams and
+// asserts API ≡ batch.
 func loopbackRun(t *testing.T, table *bgp.Table, sp *scheme.Spec, wires [][]byte,
-	ref []core.Result, collector *netflow.Collector,
-	start time.Time, interval time.Duration, intervals, readers int) {
+	ref []core.Result, refRecords, refUnrouted uint64,
+	start time.Time, interval time.Duration, intervals, readers, wantReaders int) {
 	// The daemon under test, anchored at the same interval origin.
 	d, err := NewDaemon(Config{
 		UDPAddr:  "127.0.0.1:0",
@@ -140,8 +172,11 @@ func loopbackRun(t *testing.T, table *bgp.Table, sp *scheme.Spec, wires [][]byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Readers(); got != readers {
-		t.Fatalf("Readers() = %d, want %d", got, readers)
+	if got := d.Readers(); got != wantReaders {
+		t.Fatalf("Readers() = %d, want %d", got, wantReaders)
+	}
+	if got := d.ReusePort(); got != (wantReaders > 1) {
+		t.Fatalf("ReusePort() = %v with %d readers", got, wantReaders)
 	}
 	d.Start()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -191,8 +226,8 @@ func loopbackRun(t *testing.T, table *bgp.Table, sp *scheme.Spec, wires [][]byte
 	if len(page.Links) != 1 {
 		t.Fatalf("links = %+v, want exactly one", page.Links)
 	}
-	if len(page.Readers) != readers {
-		t.Fatalf("reader rows = %d, want %d", len(page.Readers), readers)
+	if len(page.Readers) != wantReaders {
+		t.Fatalf("reader rows = %d, want %d", len(page.Readers), wantReaders)
 	}
 	var readerDatagrams uint64
 	for _, rs := range page.Readers {
@@ -217,11 +252,11 @@ func loopbackRun(t *testing.T, table *bgp.Table, sp *scheme.Spec, wires [][]byte
 	if ls.Ingest.Datagrams != uint64(len(wires)) {
 		t.Errorf("link datagrams = %d, want %d", ls.Ingest.Datagrams, len(wires))
 	}
-	if ls.Ingest.Records != collector.Stats.Records {
-		t.Errorf("link records = %d, collector saw %d", ls.Ingest.Records, collector.Stats.Records)
+	if ls.Ingest.Records != refRecords {
+		t.Errorf("link records = %d, the reference saw %d", ls.Ingest.Records, refRecords)
 	}
-	if ls.Ingest.Unrouted != collector.Stats.Unrouted {
-		t.Errorf("unrouted = %d, collector saw %d", ls.Ingest.Unrouted, collector.Stats.Unrouted)
+	if ls.Ingest.Unrouted != refUnrouted {
+		t.Errorf("unrouted = %d, the reference saw %d", ls.Ingest.Unrouted, refUnrouted)
 	}
 
 	// Per-interval equivalence through the API: every closed interval's

@@ -34,8 +34,8 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Sample("elephantd_links", nil, float64(d.store.Len()))
 	m.Family("elephantd_readers", "Ingest reader goroutines.", "gauge")
 	m.Sample("elephantd_readers", nil, float64(len(d.readers)))
-	m.Family("elephantd_reuseport", "1 when each reader owns a SO_REUSEPORT socket, 0 in single-socket fan-out mode.", "gauge")
-	m.Sample("elephantd_reuseport", nil, b2f(d.reuseport))
+	m.Family("elephantd_reuseport", "1 when each reader owns a SO_REUSEPORT socket, 0 with one reader on one socket.", "gauge")
+	m.Sample("elephantd_reuseport", nil, b2f(d.ReusePort()))
 
 	// Per-reader ingest counters: where the front-end's load lands.
 	readerRows := d.readerStatus()

@@ -1,4 +1,4 @@
-//go:build !unix
+//go:build !(linux || darwin || dragonfly || freebsd || netbsd || openbsd)
 
 package serve
 
@@ -8,9 +8,9 @@ import (
 	"syscall"
 )
 
-// Non-unix platforms: no SO_REUSEPORT, no SO_RCVBUF readback. The
-// daemon runs with one socket, N-way reader fan-out, and an unknown (0)
-// effective receive buffer.
+// Platforms without a known SO_REUSEPORT value (aix, solaris, windows,
+// …): no SO_REUSEPORT, no SO_RCVBUF readback. The daemon runs one reader
+// on one socket and reports an unknown (0) effective receive buffer.
 func controlReusePort(network, address string, c syscall.RawConn) error {
 	return errors.ErrUnsupported
 }

@@ -1,9 +1,8 @@
-//go:build unix
+//go:build linux || darwin || dragonfly || freebsd || netbsd || openbsd
 
 package serve
 
 import (
-	"errors"
 	"net"
 	"syscall"
 )
@@ -11,11 +10,10 @@ import (
 // controlReusePort is the net.ListenConfig.Control hook that marks a
 // socket SO_REUSEPORT before bind, letting N sockets share one UDP
 // address with the kernel hashing each exporter's flow to a fixed
-// socket.
+// socket. This file builds where the dependency-free module knows the
+// option's value (sockopt_linux.go, sockopt_bsd.go); every other
+// platform builds sockopt_stub.go.
 func controlReusePort(network, address string, c syscall.RawConn) error {
-	if !reusePortSupported {
-		return errors.ErrUnsupported
-	}
 	var serr error
 	if err := c.Control(func(fd uintptr) {
 		serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soReusePort, 1)

@@ -32,15 +32,18 @@ func TestEmitRealizesSeries(t *testing.T) {
 
 	// Decode everything back and rebuild the byte matrix.
 	back := agg.NewSeries(traceStart, time.Minute, 5)
-	frames, stats, err := agg.ReadPcap(&buf, tab, back)
+	src, err := agg.NewPacketRecordSource(&buf, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frames != n {
+	if _, err := agg.Collect(src, back); err != nil {
+		t.Fatal(err)
+	}
+	if frames := src.ParserStats().Frames; frames != uint64(n) {
 		t.Errorf("read %d frames, wrote %d", frames, n)
 	}
-	if stats.Unrouted != 0 {
-		t.Errorf("%d packets failed longest-prefix match", stats.Unrouted)
+	if src.Stats.Unrouted != 0 {
+		t.Errorf("%d packets failed longest-prefix match", src.Stats.Unrouted)
 	}
 
 	// Per-flow, per-interval bandwidth must match within packet
