@@ -37,7 +37,14 @@ func buildLinks(b *testing.B) *experiments.LinkSet {
 }
 
 // BenchmarkWorkloadSynthesis measures the synthetic generator itself:
-// per-interval cost of evolving the two-link flow population.
+// one experiments.BuildLinks — table, two populations, two series
+// generated side by side — at 8 000 routes × 3 000 flows × 168 intervals.
+// bench/ reports the same call at paper scale as batch_matrix's setup_s,
+// but as a median of seven builds with no allocation figures and, the
+// benchmark being frozen for a PR that claims on it, at that one size;
+// this is the one to run with -benchmem, -cpuprofile or -cpu 1,2 (what
+// the second goroutine buys) while changing the generator or the
+// Series write body.
 func BenchmarkWorkloadSynthesis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.BuildLinks(benchConfig()); err != nil {

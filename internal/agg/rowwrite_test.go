@@ -1,0 +1,229 @@
+package agg
+
+import (
+	"net/netip"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+)
+
+// cellOracle is what FuzzSeriesRowWrites holds a Series to: a cell map
+// per prefix, the order prefixes first got a row in, and the totals
+// under the same two update rules (set: total += new − old; add: total
+// += bw). It knows nothing of row indices, the sorted cache or the
+// interval index.
+type cellOracle struct {
+	cells map[netip.Prefix]map[int]float64
+	order []netip.Prefix
+	total []float64
+}
+
+func (o *cellOracle) row(p netip.Prefix) map[int]float64 {
+	r, ok := o.cells[p]
+	if !ok {
+		r = make(map[int]float64)
+		o.cells[p] = r
+		o.order = append(o.order, p)
+	}
+	return r
+}
+
+func (o *cellOracle) set(p netip.Prefix, t int, bw float64) {
+	r := o.row(p)
+	o.total[t] += bw - r[t]
+	r[t] = bw
+}
+
+func (o *cellOracle) add(p netip.Prefix, t int, bw float64) {
+	o.row(p)[t] += bw
+	o.total[t] += bw
+}
+
+// snapshot is interval t as the oracle sees it: positive cells in
+// core.ComparePrefix order.
+func (o *cellOracle) snapshot(t int) *core.FlowSnapshot {
+	keys := slices.Clone(o.order)
+	slices.SortFunc(keys, core.ComparePrefix)
+	dst := core.NewFlowSnapshot(0)
+	for _, p := range keys {
+		dst.Append(p, o.cells[p][t])
+	}
+	return dst
+}
+
+// panics reports whether f panicked.
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
+// FuzzSeriesRowWrites interleaves the row-indexed writes (RowIndex,
+// SetRowBandwidth, AddRowBits) with the prefix-keyed ones they are the
+// body of, over eight prefixes and six intervals: overwrites, zero and
+// negative values, intervals outside the window (a panic; the prefix
+// forms leave no row behind), a row created mid-run with no cell, a
+// write after a read (the index is dropped and the next read rebuilds
+// it) and a write after Seal — which unseals, or, when the first byte
+// turns core.DebugInvariants on, panics and changes nothing. Row
+// indices are resolved once per prefix and reused for the rest of the
+// run. After every op the row order, the sealed flag and the totals
+// must equal the oracle's; reads compare snapshots and every cell.
+//
+// Two bytes an op: kind in a's top three bits, prefix in its low three;
+// interval (−1..6) in b's bits 4–6, value in its low four.
+func FuzzSeriesRowWrites(f *testing.F) {
+	// Row writes, an overwrite, a zero and a negative; read; write again.
+	f.Add([]byte{0, 0x40, 0x13, 0x41, 0x23, 0x40, 0x10, 0x60, 0x22, 0x01, 0x21, 0xa0, 0x10, 0x42, 0x34, 0xe0, 0})
+	// A prefix-keyed fill, a bare new row between two row writes, reads.
+	f.Add([]byte{0, 0x05, 0x15, 0x25, 0x26, 0x45, 0x17, 0x83, 0, 0x65, 0x18, 0xa0, 0x20, 0x03, 0x29, 0xe0, 0})
+	// Seal then write, invariants off (unseals) and on (panics).
+	f.Add([]byte{0, 0x41, 0x13, 0xc0, 0, 0x41, 0x24, 0x02, 0x15, 0xe0, 0})
+	f.Add([]byte{1, 0x41, 0x13, 0xa0, 0x10, 0xc0, 0, 0x41, 0x24, 0x02, 0x15, 0x86, 0, 0x61, 0x11, 0xe0, 0})
+	// Intervals outside the window, keyed (no row) and by row (row stays).
+	f.Add([]byte{0, 0x02, 0x03, 0x22, 0x73, 0x43, 0x04, 0x64, 0x75, 0xe0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		debug := ops[0]&1 != 0
+		core.DebugInvariants = debug
+		defer func() { core.DebugInvariants = false }()
+
+		const intervals = 6
+		// Not in prefix order, so the sorted emission goes through the
+		// row permutation.
+		pool := []netip.Prefix{
+			netip.MustParsePrefix("172.16.0.0/12"), pfxC, pfxA, netip.MustParsePrefix("10.1.0.0/16"),
+			pfxB, netip.MustParsePrefix("10.0.0.0/9"), netip.MustParsePrefix("203.0.113.0/24"), netip.MustParsePrefix("1.0.0.0/8"),
+		}
+		values := [16]float64{0, 1, -3, 2.5, 1e6, 7e8, 0.125, 60, -0.5, 3e9, 1e-3, 42, 0, 5e5, -1e6, 9}
+
+		s := NewSeries(start, time.Minute, intervals)
+		o := &cellOracle{cells: make(map[netip.Prefix]map[int]float64), total: make([]float64, intervals)}
+		rowOf := make(map[netip.Prefix]int) // resolved once, reused
+		sealed := false
+
+		compareAll := func(ctx string) {
+			t.Helper()
+			for ti := 0; ti < intervals; ti++ {
+				snapEqual(t, ctx, s.Snapshot(ti, nil), o.snapshot(ti))
+			}
+			if s.idx.Load() == nil {
+				t.Fatalf("%s: a read left no index", ctx)
+			}
+			for p, cells := range o.cells {
+				row, ok := s.Row(p)
+				if !ok {
+					t.Fatalf("%s: %v has no row", ctx, p)
+				}
+				for ti, got := range row {
+					if got != cells[ti] {
+						t.Fatalf("%s: %v interval %d = %v, oracle %v", ctx, p, ti, got, cells[ti])
+					}
+				}
+			}
+		}
+
+		for i := 1; i+1 < len(ops); i += 2 {
+			a, b := ops[i], ops[i+1]
+			kind, p := a>>5, pool[a&7]
+			ti, v := int(b>>4&7)-1, values[b&15]
+			badT := ti < 0 || ti >= intervals
+			_, known := o.cells[p]
+			wrote := false
+			switch kind {
+			case 0, 1: // prefix-keyed
+				got := panics(func() {
+					if kind == 0 {
+						s.SetBandwidth(p, ti, v)
+					} else {
+						s.AddBits(p, ti, v)
+					}
+				})
+				if want := badT || (sealed && debug); got != want {
+					t.Fatalf("op %d: keyed write (t=%d, sealed %v, invariants %v) panicked %v", i, ti, sealed, debug, got)
+				}
+				if !got {
+					wrote = true
+					if kind == 0 {
+						o.set(p, ti, v)
+					} else {
+						o.add(p, ti, v/time.Minute.Seconds())
+					}
+				}
+			case 2, 3, 4: // row-indexed; 4 resolves the row and writes nothing
+				row, resolved := rowOf[p]
+				if !resolved {
+					got := panics(func() { row = s.RowIndex(p) })
+					if want := !known && sealed && debug; got != want {
+						t.Fatalf("op %d: RowIndex(%v) (known %v, sealed %v, invariants %v) panicked %v", i, p, known, sealed, debug, got)
+					}
+					if got {
+						break
+					}
+					rowOf[p] = row
+					if !known {
+						wrote = true
+						o.row(p)
+					}
+				}
+				if s.Flows()[row] != p {
+					t.Fatalf("op %d: row %d is %v, resolved for %v", i, row, s.Flows()[row], p)
+				}
+				if kind == 4 {
+					break
+				}
+				// A row created just above has already unsealed the series.
+				blocked := sealed && debug
+				got := panics(func() {
+					if kind == 2 {
+						s.SetRowBandwidth(row, ti, v)
+					} else {
+						s.AddRowBits(row, ti, v)
+					}
+				})
+				if want := badT || blocked; got != want {
+					t.Fatalf("op %d: row write (t=%d, sealed %v, invariants %v) panicked %v", i, ti, sealed, debug, got)
+				}
+				if !got {
+					wrote = true
+					if kind == 2 {
+						o.set(p, ti, v)
+					} else {
+						o.add(p, ti, v/time.Minute.Seconds())
+					}
+				}
+			case 5:
+				if !badT {
+					snapEqual(t, "read", s.Snapshot(ti, nil), o.snapshot(ti))
+				}
+			case 6:
+				s.Seal()
+				sealed = true
+			case 7:
+				compareAll("full read")
+			}
+			if wrote {
+				sealed = false
+				if s.idx.Load() != nil {
+					t.Fatalf("op %d: a write left the index in place", i)
+				}
+			}
+			if s.sealed != sealed {
+				t.Fatalf("op %d: sealed = %v, want %v", i, s.sealed, sealed)
+			}
+			if !slices.Equal(s.Flows(), o.order) {
+				t.Fatalf("op %d: row order %v, oracle %v", i, s.Flows(), o.order)
+			}
+			for ti := range o.total {
+				if got := s.TotalBandwidth(ti); got != o.total[ti] {
+					t.Fatalf("op %d: total[%d] = %v, oracle %v", i, ti, got, o.total[ti])
+				}
+			}
+		}
+		compareAll("end of run")
+	})
+}

@@ -7,14 +7,21 @@
 // A Series is filled one way and read one way. Every ingest substrate
 // reaches it as a RecordSource drained by Collect (AddRecord, the
 // apportioning arithmetic the stream accumulator shares); the synthetic
-// generator sets cells directly (SetBandwidth). Storage is a row-major
-// flow×interval matrix. Every per-interval read — Snapshot,
-// SnapshotIDs, IntervalBandwidths, ActiveFlows — goes through an
-// interval-major sparse index, built by the first read and dropped by
-// the next write, so that an interval's emission walks exactly that
-// interval's non-zero cells instead of scanning every row. Seal asserts
-// that writing is over: a write to a sealed series panics under
-// core.DebugInvariants, where it is treated as a programmer error.
+// generator sets cells directly. Storage is a row-major flow×interval
+// matrix, and the one write body is row-indexed: RowIndex resolves (or
+// creates) a flow's row — the only prefix hash a write needs — and
+// SetRowBandwidth / AddRowBits write a cell of it. A writer whose cells
+// come in runs of one flow (the generator, Rebin, the sampling
+// experiment) resolves the row once per flow; SetBandwidth and AddBits
+// are the same body for a single cell named by prefix. Rows are in
+// first-write order, which is the order Flows reports. Every
+// per-interval read — Snapshot, SnapshotIDs, IntervalBandwidths,
+// ActiveFlows — goes through an interval-major sparse index, built by
+// the first read and dropped by the next write, so that an interval's
+// emission walks exactly that interval's non-zero cells instead of
+// scanning every row. Seal asserts that writing is over: a write to a
+// sealed series panics under core.DebugInvariants, where it is treated
+// as a programmer error.
 //
 // The streaming accumulator folds one link's records on one goroutine;
 // links are the unit of parallelism, one accumulator each. Handing a
@@ -107,16 +114,21 @@ func (s *Series) NumFlows() int { return len(s.keys) }
 // modify.
 func (s *Series) Flows() []netip.Prefix { return s.keys }
 
-// row returns (creating if needed) the row for prefix p.
-func (s *Series) row(p netip.Prefix) []float64 {
+// RowIndex returns the index of flow p's row — its position in Flows()
+// — creating the row when p is new, which is a write like any other
+// (mutate). It is the one prefix hash a flow costs a writer: a fill
+// whose cells come in runs of one flow resolves the row once and then
+// writes by index (SetRowBandwidth, AddRowBits).
+func (s *Series) RowIndex(p netip.Prefix) int {
 	if i, ok := s.flows[p]; ok {
-		return s.rows[i]
+		return i
 	}
-	r := make([]float64, s.Intervals)
-	s.flows[p] = len(s.rows)
+	s.mutate()
+	i := len(s.rows)
+	s.flows[p] = i
 	s.keys = append(s.keys, p)
-	s.rows = append(s.rows, r)
-	return r
+	s.rows = append(s.rows, make([]float64, s.Intervals))
+	return i
 }
 
 // Seal asserts that the series is complete. No read depends on it —
@@ -150,28 +162,46 @@ func (s *Series) mutate() {
 	}
 }
 
-// AddBits adds count bits to flow p in interval t, updating the total.
-// Out-of-range intervals panic: the caller owns interval bounds.
-func (s *Series) AddBits(p netip.Prefix, t int, bits float64) {
+// checkInterval refuses a write outside the series window: the caller
+// owns interval bounds.
+func (s *Series) checkInterval(t int) {
 	if t < 0 || t >= s.Intervals {
-		panic(fmt.Sprintf("agg: AddBits: interval %d out of [0,%d)", t, s.Intervals))
+		panic(fmt.Sprintf("agg: write to interval %d out of [0,%d)", t, s.Intervals))
 	}
+}
+
+// AddRowBits adds bits to interval t of the flow whose row index is row
+// (from RowIndex), updating the total. Out-of-range intervals panic.
+func (s *Series) AddRowBits(row, t int, bits float64) {
+	s.checkInterval(t)
 	s.mutate()
 	bw := bits / s.Interval.Seconds()
-	s.row(p)[t] += bw
+	s.rows[row][t] += bw
 	s.total[t] += bw
 }
 
-// SetBandwidth sets flow p's bandwidth in interval t directly (bit/s),
-// used by the synthetic generator's fast path.
-func (s *Series) SetBandwidth(p netip.Prefix, t int, bw float64) {
-	if t < 0 || t >= s.Intervals {
-		panic(fmt.Sprintf("agg: SetBandwidth: interval %d out of [0,%d)", t, s.Intervals))
-	}
+// SetRowBandwidth sets interval t of the flow whose row index is row
+// (from RowIndex) to bw bit/s, updating the total. Out-of-range
+// intervals panic.
+func (s *Series) SetRowBandwidth(row, t int, bw float64) {
+	s.checkInterval(t)
 	s.mutate()
-	r := s.row(p)
+	r := s.rows[row]
 	s.total[t] += bw - r[t]
 	r[t] = bw
+}
+
+// AddBits is AddRowBits for one cell of flow p. The interval is checked
+// first, so a refused write leaves no row behind.
+func (s *Series) AddBits(p netip.Prefix, t int, bits float64) {
+	s.checkInterval(t)
+	s.AddRowBits(s.RowIndex(p), t, bits)
+}
+
+// SetBandwidth is SetRowBandwidth for one cell of flow p.
+func (s *Series) SetBandwidth(p netip.Prefix, t int, bw float64) {
+	s.checkInterval(t)
+	s.SetRowBandwidth(s.RowIndex(p), t, bw)
 }
 
 // Bandwidth returns x_p(t) in bit/s; zero for unknown flows.
@@ -393,13 +423,17 @@ func (s *Series) Rebin(interval time.Duration) (*Series, int, error) {
 	out := NewSeries(s.Start, interval, s.Intervals/k)
 	for i, p := range s.keys {
 		row := s.rows[i]
+		dst := -1 // p's row in out, created by its first positive cell
 		for t := 0; t < out.Intervals; t++ {
 			var sum float64
 			for j := 0; j < k; j++ {
 				sum += row[t*k+j]
 			}
 			if sum > 0 {
-				out.SetBandwidth(p, t, sum/float64(k))
+				if dst < 0 {
+					dst = out.RowIndex(p)
+				}
+				out.SetRowBandwidth(dst, t, sum/float64(k))
 			}
 		}
 	}

@@ -106,8 +106,7 @@ func Generate(cfg GenConfig) (*Table, error) {
 		return lengths[len(lengths)-1]
 	}
 
-	t := NewTable()
-	seen := make(map[netip.Prefix]bool, cfg.Routes)
+	t := &Table{routes: make([]Route, 0, cfg.Routes), byPfx: make(map[netip.Prefix]int, cfg.Routes)}
 	tierTotal := tw[0] + tw[1] + tw[2]
 	for t.Len() < cfg.Routes {
 		plen := sampleLen()
@@ -130,10 +129,11 @@ func Generate(cfg GenConfig) (*Table, error) {
 		if err != nil {
 			continue
 		}
-		if seen[p] {
+		// p is masked IPv4 — the form the table stores — so the table's
+		// own index answers the duplicate test and add needs no second probe.
+		if _, dup := t.byPfx[p]; dup {
 			continue
 		}
-		seen[p] = true
 
 		x := rng.Float64() * tierTotal
 		var tier Tier
@@ -149,7 +149,7 @@ func Generate(cfg GenConfig) (*Table, error) {
 			tier = Tier3
 			as = 10000 + uint32(rng.Intn(50000)) // AS 10000+: tier-3
 		}
-		if err := t.Insert(Route{Prefix: p, OriginAS: as, Tier: tier}); err != nil {
+		if err := t.add(Route{Prefix: p, OriginAS: as, Tier: tier}); err != nil {
 			return nil, err
 		}
 	}

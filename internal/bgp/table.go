@@ -103,6 +103,12 @@ func (t *Table) Insert(r Route) error {
 		t.routes[i] = r // same index, so the LPM leaf already names it
 		return nil
 	}
+	return t.add(r)
+}
+
+// add appends a route whose prefix is in stored form (masked, unmapped)
+// and not yet in the table.
+func (t *Table) add(r Route) error {
 	idx := len(t.routes)
 	if idx >= maxRoutes {
 		return fmt.Errorf("bgp: table is full (%d routes)", maxRoutes)

@@ -50,13 +50,17 @@ func IntervalSensitivity(cfg LinksConfig, sp *scheme.Spec) ([]IntervalRow, error
 	span := time.Duration(cfg.Intervals) * cfg.Interval
 	cfg.Interval = base
 	cfg.Intervals = int(span / base)
-	ls, err := BuildLinks(cfg)
+	table, err := buildTable(cfg)
+	if err != nil {
+		return nil, err
+	}
+	west, err := generate(westLink(cfg, table), cfg)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]IntervalRow, 0, len(intervals))
 	for _, iv := range intervals {
-		series, err := rebinTo(ls.West, iv)
+		series, err := rebinTo(west, iv)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: interval sensitivity at %v: %w", iv, err)
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -40,6 +41,16 @@ func TestBuildLinksDefaultsAndDeterminism(t *testing.T) {
 	}
 	if a.East.NumFlows() >= a.West.NumFlows() {
 		t.Errorf("east flows %d >= west flows %d", a.East.NumFlows(), a.West.NumFlows())
+	}
+}
+
+// TestBuildLinksReportsLinkError: a population the table cannot supply
+// fails the build with the link named, after both generators are done —
+// here west alone fails (60 flows of 50 routes; east asks for 50).
+func TestBuildLinksReportsLinkError(t *testing.T) {
+	ls, err := BuildLinks(LinksConfig{Routes: 50, Flows: 60, Intervals: 4})
+	if err == nil || !strings.Contains(err.Error(), "west link") || ls != nil {
+		t.Fatalf("BuildLinks = %v, %v; want the west link's error", ls, err)
 	}
 }
 

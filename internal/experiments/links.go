@@ -12,6 +12,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/agg"
@@ -75,39 +76,76 @@ type LinkSet struct {
 	Cfg   LinksConfig
 }
 
-// BuildLinks synthesizes the two-link evaluation setup deterministically
-// from cfg.Seed.
-func BuildLinks(cfg LinksConfig) (*LinkSet, error) {
-	cfg.defaults()
+// buildTable generates the BGP table both links draw their prefixes
+// from.
+func buildTable(cfg LinksConfig) (*bgp.Table, error) {
 	table, err := bgp.Generate(bgp.GenConfig{Routes: cfg.Routes, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generating BGP table: %w", err)
 	}
-	west, err := trace.NewLink(trace.LinkConfig{
+	return table, nil
+}
+
+// westLink and eastLink are the two evaluation links' generator
+// configurations over table: independent populations and RNG streams
+// (cfg.Seed+100, cfg.Seed+200).
+func westLink(cfg LinksConfig, table *bgp.Table) trace.LinkConfig {
+	return trace.LinkConfig{
 		Name:        "west",
 		Profile:     trace.WestCoastProfile(),
 		MeanLoadBps: cfg.MeanLoadBps,
 		Flows:       cfg.Flows,
 		Table:       table,
 		Seed:        cfg.Seed + 100,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: building west link: %w", err)
 	}
-	east, err := trace.NewLink(trace.LinkConfig{
+}
+
+func eastLink(cfg LinksConfig, table *bgp.Table) trace.LinkConfig {
+	return trace.LinkConfig{
 		Name:        "east",
 		Profile:     trace.EastCoastProfile(),
 		MeanLoadBps: cfg.MeanLoadBps * 0.9, // the east link runs a bit lighter
 		Flows:       cfg.Flows * 5 / 6,     // paper: ~500 vs ~600 elephants
 		Table:       table,
 		Seed:        cfg.Seed + 200,
-	})
+	}
+}
+
+// generate samples lc's flow population and simulates it over cfg's
+// window.
+func generate(lc trace.LinkConfig, cfg LinksConfig) (*agg.Series, error) {
+	link, err := trace.NewLink(lc)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: building east link: %w", err)
+		return nil, fmt.Errorf("experiments: building %s link: %w", lc.Name, err)
+	}
+	return link.GenerateSeries(TraceStart, cfg.Interval, cfg.Intervals), nil
+}
+
+// BuildLinks synthesizes the two-link evaluation setup deterministically
+// from cfg.Seed. The links share the (read-only) table and nothing
+// else, so they are generated side by side.
+func BuildLinks(cfg LinksConfig) (*LinkSet, error) {
+	cfg.defaults()
+	table, err := buildTable(cfg)
+	if err != nil {
+		return nil, err
 	}
 	ls := &LinkSet{Table: table, Cfg: cfg}
-	ls.West = west.GenerateSeries(TraceStart, cfg.Interval, cfg.Intervals)
-	ls.East = east.GenerateSeries(TraceStart, cfg.Interval, cfg.Intervals)
+	var wg sync.WaitGroup
+	var eastErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ls.East, eastErr = generate(eastLink(cfg, table), cfg)
+	}()
+	ls.West, err = generate(westLink(cfg, table), cfg)
+	wg.Wait()
+	if err == nil {
+		err = eastErr
+	}
+	if err != nil {
+		return nil, err
+	}
 	return ls, nil
 }
 

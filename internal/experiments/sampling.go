@@ -99,6 +99,7 @@ func sampleSeries(s *agg.Series, n int, meanPacketBytes float64, seed int64) *ag
 	secs := s.Interval.Seconds()
 	for _, p := range s.Flows() {
 		row, _ := s.Row(p)
+		dst := -1 // p's row in out, created by its first sampled cell
 		for t, bw := range row {
 			if bw <= 0 {
 				continue
@@ -109,7 +110,10 @@ func sampleSeries(s *agg.Series, n int, meanPacketBytes float64, seed int64) *ag
 				continue
 			}
 			estBits := float64(sampled) * float64(n) * meanPacketBytes * 8
-			out.AddBits(p, t, estBits)
+			if dst < 0 {
+				dst = out.RowIndex(p)
+			}
+			out.AddRowBits(dst, t, estBits)
 		}
 	}
 	return out

@@ -6,6 +6,8 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -109,6 +111,80 @@ func TestStoreShardsAndConcurrency(t *testing.T) {
 	}
 	if s.Get("nope") != nil {
 		t.Error("unknown link returned state")
+	}
+}
+
+// TestStoreSortedViewUnderCreation pins the cached link order: while
+// writers create links, every Summaries read is in sort.Strings order
+// and never loses a link an earlier read held; a link whose GetOrCreate
+// returned before a read began is in that read; and once the writers
+// are done IDs is exactly the sorted set. Run with -race.
+func TestStoreSortedViewUnderCreation(t *testing.T) {
+	s := NewStore()
+	const writers, perWriter = 4, 150
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				// Interleaved, not ascending: new links land mid-order.
+				id := fmt.Sprintf("link-%03d@%d", (i*37)%perWriter, w)
+				s.GetOrCreate(id, 1).ObserveDatagram(1, 1, 0, 0)
+				if got := s.IDs(); !slices.Contains(got, id) {
+					t.Errorf("link %s missing from IDs() right after its GetOrCreate returned", id)
+					return
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	readers := make(chan struct{})
+	go func() {
+		defer close(readers)
+		prev := 0
+		for {
+			rows := s.Summaries()
+			ids := make([]string, len(rows))
+			for i, r := range rows {
+				ids[i] = r.ID
+			}
+			if !sort.StringsAreSorted(ids) {
+				t.Errorf("Summaries out of order: %v", ids)
+				return
+			}
+			if len(ids) < prev {
+				t.Errorf("Summaries shrank: %d links after %d", len(ids), prev)
+				return
+			}
+			prev = len(ids)
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-readers
+
+	want := make([]string, 0, writers*perWriter)
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			want = append(want, fmt.Sprintf("link-%03d@%d", i, w))
+		}
+	}
+	sort.Strings(want)
+	if got := s.IDs(); !slices.Equal(got, want) {
+		t.Fatalf("IDs() = %d links, want the %d created in sort.Strings order", len(got), len(want))
+	}
+	// A link created between two reads appears in the second, in place.
+	before := s.IDs()
+	s.GetOrCreate("link-000@0a", 1)
+	after := s.IDs()
+	if i, found := slices.BinarySearch(after, "link-000@0a"); !found || len(after) != len(before)+1 || !sort.StringsAreSorted(after) {
+		t.Fatalf("new link at %d (found %v) of %d IDs, %d before", i, found, len(after), len(before))
 	}
 }
 

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/agg"
@@ -17,7 +19,7 @@ const DefaultHistory = 288
 // numShards spreads links over independently locked shards so HTTP
 // readers scanning one link never contend with the ingest path writing
 // another. 16 shards is far past the contention point for a POP's worth
-// of links while keeping the IDs() scan cheap.
+// of links while keeping the scan that rebuilds the sorted view cheap.
 const numShards = 16
 
 // Store is the daemon's sharded in-memory state: one LinkState per
@@ -26,6 +28,21 @@ const numShards = 16
 // while HTTP handlers read.
 type Store struct {
 	shards [numShards]storeShard
+
+	// created counts the links GetOrCreate has made, each counted after
+	// it is in its shard. sorted is the link list in ID order as of the
+	// count it carries; a read whose count still matches walks it
+	// without touching a shard, the first read after a creation rebuilds
+	// it. Links are never removed, so a view is stale only by omission.
+	created atomic.Uint64
+	sorted  atomic.Pointer[sortedLinks]
+}
+
+// sortedLinks is every link created up to count at (possibly a few
+// created since), sorted by ID.
+type sortedLinks struct {
+	at    uint64
+	links []*LinkState
 }
 
 type storeShard struct {
@@ -71,49 +88,57 @@ func (s *Store) GetOrCreate(id string, history int) *LinkState {
 	if ls = sh.links[id]; ls == nil {
 		ls = newLinkState(id, history)
 		sh.links[id] = ls
+		s.created.Add(1)
 	}
 	return ls
 }
 
-// IDs returns every known link ID, sorted.
-func (s *Store) IDs() []string {
-	var ids []string
+// links returns every known link in ID order. The count is loaded
+// before the shards are walked and each link is counted after it is
+// stored, so a view stamped n holds at least the first n links: a link
+// whose GetOrCreate has returned is in every later read.
+func (s *Store) links() []*LinkState {
+	n := s.created.Load()
+	if v := s.sorted.Load(); v != nil && v.at == n {
+		return v.links
+	}
+	links := make([]*LinkState, 0, n)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for id := range sh.links {
-			ids = append(ids, id)
+		for _, ls := range sh.links {
+			links = append(links, ls)
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Strings(ids)
+	slices.SortFunc(links, func(a, b *LinkState) int { return strings.Compare(a.id, b.id) })
+	s.sorted.Store(&sortedLinks{at: n, links: links})
+	return links
+}
+
+// IDs returns every known link ID, sorted.
+func (s *Store) IDs() []string {
+	links := s.links()
+	ids := make([]string, len(links))
+	for i, ls := range links {
+		ids[i] = ls.id
+	}
 	return ids
 }
 
 // Summaries returns every link's summary row, sorted by ID — the
 // collection both /links and /metrics render.
 func (s *Store) Summaries() []LinkSummary {
-	ids := s.IDs()
-	out := make([]LinkSummary, 0, len(ids))
-	for _, id := range ids {
-		if ls := s.Get(id); ls != nil {
-			out = append(out, ls.Summary())
-		}
+	links := s.links()
+	out := make([]LinkSummary, len(links))
+	for i, ls := range links {
+		out[i] = ls.Summary()
 	}
 	return out
 }
 
 // Len reports the number of known links.
-func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.links)
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (s *Store) Len() int { return int(s.created.Load()) }
 
 // IngestCounters counts a link's datagram/record attribution outcomes
 // in the UDP ingest path (decode errors happen before a link is known

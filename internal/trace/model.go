@@ -216,19 +216,51 @@ func (l *Link) step(f *flowState, diurnal float64) float64 {
 	return f.baseRate * diurnal * mult
 }
 
+// seriesBlock is how many intervals GenerateSeries steps before it
+// stores them: the population evolves interval by interval, the matrix
+// is row-major, so storing each cell as it is drawn touches a different
+// cache line per flow. A block of 8 is one 64-byte line of a row.
+const seriesBlock = 8
+
 // GenerateSeries simulates the link for the given window and returns the
 // per-flow bandwidth matrix. start fixes the diurnal phase: the profile
 // is evaluated at start+t*interval's offset from local midnight.
+//
+// The series is what a SetBandwidth per positive cell, interval by
+// interval in flow order, would build: a flow's row is created by its
+// first positive cell, and within an interval the cells — hence the
+// terms of its total — are stored in flow order.
 func (l *Link) GenerateSeries(start time.Time, interval time.Duration, intervals int) *agg.Series {
 	s := agg.NewSeries(start, interval, intervals)
 	midnight := time.Date(start.Year(), start.Month(), start.Day(), 0, 0, 0, 0, start.Location())
-	for t := 0; t < intervals; t++ {
-		at := start.Add(time.Duration(t) * interval)
-		diurnal := l.cfg.Profile.At(at.Sub(midnight))
-		for i := range l.flows {
-			bw := l.step(&l.flows[i], diurnal)
-			if bw > 0 {
-				s.SetBandwidth(l.flows[i].prefix, t, bw)
+	n := len(l.flows)
+	rows := make([]int, n) // flow -> row index in s, -1 until its first positive cell
+	for i := range rows {
+		rows[i] = -1
+	}
+	block := make([]float64, seriesBlock*n) // interval-major: block[j*n+i] is flow i at t0+j
+	for t0 := 0; t0 < intervals; t0 += seriesBlock {
+		width := min(seriesBlock, intervals-t0)
+		for j := 0; j < width; j++ {
+			at := start.Add(time.Duration(t0+j) * interval)
+			diurnal := l.cfg.Profile.At(at.Sub(midnight))
+			col := block[j*n : (j+1)*n]
+			for i := range l.flows {
+				bw := l.step(&l.flows[i], diurnal)
+				col[i] = bw
+				if bw > 0 && rows[i] < 0 {
+					rows[i] = s.RowIndex(l.flows[i].prefix)
+				}
+			}
+		}
+		for i, row := range rows {
+			if row < 0 {
+				continue
+			}
+			for j := 0; j < width; j++ {
+				if bw := block[j*n+i]; bw > 0 {
+					s.SetRowBandwidth(row, t0+j, bw)
+				}
 			}
 		}
 	}
