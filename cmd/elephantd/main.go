@@ -54,7 +54,9 @@
 //	-history N      per-link interval-summary ring (default 288 —
 //	                a day of five-minute slots)
 //	-buffer N       per-link record queue capacity in records, rounded
-//	                up to whole 32-record batches
+//	                up to whole 32-record batches (default 4096: 128
+//	                batches, at worst 321 KiB a link, allocated only
+//	                as a link's backlog grows)
 //	-stale-after D  link staleness threshold for /readyz (default 3×Δ)
 //	-flight N       per-link flight-recorder capacity (default 256)
 //	-pprof          serve net/http/pprof under /debug/pprof/ (off by
@@ -98,7 +100,7 @@ func main() {
 		interval   = flag.Duration("interval", serve.DefaultInterval, "measurement interval")
 		window     = flag.Int("window", 0, "open-interval window (memory bound); 0 derives it from the scheme")
 		history    = flag.Int("history", serve.DefaultHistory, "per-link interval-summary ring capacity")
-		buffer     = flag.Int("buffer", 0, "per-link record queue capacity in records, rounded up to whole 32-record batches; 0 selects the engine default")
+		buffer     = flag.Int("buffer", 0, "per-link record queue capacity in records, rounded up to whole 32-record batches; 0 selects the engine default, 4096 records (128 batches, at worst 321 KiB a link, allocated only as a link's backlog grows)")
 		staleAfter = flag.Duration("stale-after", 0, "per-link staleness threshold for /readyz; 0 selects 3x the interval")
 		flight     = flag.Int("flight", 0, "per-link flight-recorder capacity (sealed-interval traces retained for /links/{id}/debug/intervals and SIGUSR1 dumps); 0 selects 256")
 		pprofFlag  = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/ on the API listener (off by default)")

@@ -289,8 +289,8 @@ func runLocal() {
 	// classification needs — the same rule cmd/elephants uses.
 	// Sharing the pipeline's flow table makes emitted snapshots carry
 	// dense flow IDs the classifier indexes directly (omitting it also
-	// works — the pipeline re-interns — but then every flow pays a hash
-	// per interval).
+	// works — the pipeline translates the IDs of the accumulator's
+	// private table into its own — but then the link keeps two tables).
 	acc, err := agg.NewStreamAccumulator(agg.StreamConfig{
 		Start:    start,
 		Interval: 5 * time.Minute,

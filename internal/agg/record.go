@@ -113,11 +113,17 @@ func spreadRecord(off, span int64, bits float64, interval int64, lo, hi int, add
 // series window). It reports whether any bits landed. This is the
 // batch-side twin of StreamAccumulator.Add: both run spreadRecord, so a
 // series filled by AddRecord and a stream fed the same records carry
-// bit-identical interval values.
+// bit-identical interval values. The flow's row is resolved once, by
+// the first cell spreadRecord finds inside the window, so a record
+// wholly outside it still leaves no row behind.
 func (s *Series) AddRecord(rec Record) bool {
 	off, span := rec.extent(s.Start)
+	row := -1
 	return spreadRecord(off, span, rec.Bits, int64(s.Interval), 0, s.Intervals, func(t int, bits float64) {
-		s.AddBits(rec.Prefix, t, bits)
+		if row < 0 {
+			row = s.RowIndex(rec.Prefix)
+		}
+		s.AddRowBits(row, t, bits)
 	})
 }
 

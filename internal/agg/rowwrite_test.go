@@ -71,9 +71,16 @@ func panics(f func()) (panicked bool) {
 // indices are resolved once per prefix and reused for the rest of the
 // run. After every op the row order, the sealed flag and the totals
 // must equal the oracle's; reads compare snapshots and every cell.
+// AddRecord rides along as the writer that resolves a row for several
+// cells at once: a record starting mid-interval and running for a
+// number of half-intervals, so it straddles either window edge, covers
+// the whole window, or misses it — and then must leave no row — and
+// must report whether anything landed.
 //
 // Two bytes an op: kind in a's top three bits, prefix in its low three;
-// interval (−1..6) in b's bits 4–6, value in its low four.
+// interval (−1..6) in b's bits 4–6, value in its low four. Kind 7 with
+// b = 0 is the full read; otherwise b's low four bits are also the
+// record's span in half-intervals (0: a point record).
 func FuzzSeriesRowWrites(f *testing.F) {
 	// Row writes, an overwrite, a zero and a negative; read; write again.
 	f.Add([]byte{0, 0x40, 0x13, 0x41, 0x23, 0x40, 0x10, 0x60, 0x22, 0x01, 0x21, 0xa0, 0x10, 0x42, 0x34, 0xe0, 0})
@@ -84,6 +91,13 @@ func FuzzSeriesRowWrites(f *testing.F) {
 	f.Add([]byte{1, 0x41, 0x13, 0xa0, 0x10, 0xc0, 0, 0x41, 0x24, 0x02, 0x15, 0x86, 0, 0x61, 0x11, 0xe0, 0})
 	// Intervals outside the window, keyed (no row) and by row (row stays).
 	f.Add([]byte{0, 0x02, 0x03, 0x22, 0x73, 0x43, 0x04, 0x64, 0x75, 0xe0, 0})
+	// Span records: across the left edge, across the right edge, over the
+	// whole window; one wholly after and one wholly before it, on new
+	// prefixes, then a keyed write whose row must be the next one.
+	f.Add([]byte{0, 0xe1, 0x03, 0xe2, 0x63, 0xe1, 0x0f, 0xe3, 0x72, 0xe4, 0x01, 0x05, 0x15, 0xe0, 0})
+	// Sealed, invariants on: a record that lands panics (new row or old),
+	// one that misses the window does not; a point record after a read.
+	f.Add([]byte{1, 0x41, 0x13, 0xc0, 0, 0xe1, 0x22, 0xe5, 0x22, 0xe5, 0x72, 0xa0, 0x10, 0x01, 0x14, 0xe1, 0x30, 0xe0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
@@ -204,7 +218,44 @@ func FuzzSeriesRowWrites(f *testing.F) {
 				s.Seal()
 				sealed = true
 			case 7:
-				compareAll("full read")
+				if b == 0 {
+					compareAll("full read")
+					break
+				}
+				// The record runs from the middle of interval ti for b&15
+				// half-intervals; the oracle adds each interval's share of it.
+				const half = int64(time.Minute / 2)
+				from, span := int64(2*ti+1)*half, int64(b&15)*half
+				type cell struct {
+					t    int
+					bits float64
+				}
+				var cells []cell
+				for w := 0; w < intervals; w++ {
+					lo, hi := max(from, int64(2*w)*half), min(from+span, int64(2*w+2)*half)
+					switch {
+					case span == 0 && w == ti, hi > lo && hi-lo == span:
+						cells = append(cells, cell{w, v}) // the whole record
+					case hi > lo:
+						cells = append(cells, cell{w, v * (float64(hi-lo) / float64(span))})
+					}
+				}
+				var landed bool
+				got := panics(func() {
+					landed = s.AddRecord(Record{Prefix: p, Time: start.Add(time.Duration(from)), Span: time.Duration(span), Bits: v})
+				})
+				if want := len(cells) > 0 && sealed && debug; got != want {
+					t.Fatalf("op %d: AddRecord (%d cells in the window, sealed %v, invariants %v) panicked %v", i, len(cells), sealed, debug, got)
+				}
+				if !got {
+					if landed != (len(cells) > 0) {
+						t.Fatalf("op %d: AddRecord reported landed = %v with %d cells in the window", i, landed, len(cells))
+					}
+					for _, c := range cells {
+						wrote = true
+						o.add(p, c.t, c.bits/time.Minute.Seconds())
+					}
+				}
 			}
 			if wrote {
 				sealed = false

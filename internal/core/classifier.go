@@ -215,8 +215,8 @@ func (c *LatentHeatClassifier) Classify(snap *FlowSnapshot, thresholdHat float64
 		c.ownTable = true
 	}
 	// Standalone use: intern the snapshot's keys against the private
-	// table (FillIDs also re-interns columns stamped by a foreign
-	// table). Pipeline-driven snapshots already carry this table's IDs.
+	// table (FillIDs also rewrites columns stamped by a foreign table).
+	// Pipeline-driven snapshots already carry this table's IDs.
 	if !snap.HasIDs() || snap.IDTable() != c.table {
 		c.table.FillIDs(snap)
 	}

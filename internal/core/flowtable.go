@@ -78,6 +78,18 @@ type FlowTable struct {
 	// through the map. len is 0 or a power of two.
 	keyTab   []uint64
 	keyCount int
+
+	// foreignIDs is FillIDs' shortcut for ID columns stamped by another
+	// table: foreignIDs[foreign ID] is this table's ID + 1 for the prefix
+	// that foreign ID last arrived with, 0 for one not seen. A hint like
+	// keyTab — a hit counts once prefixes[id] matches the row's key — so
+	// neither table's releases and recycling invalidate anything; it is
+	// as long as the highest foreign ID seen (the producer's Cap). foreign
+	// is the table the entries were learnt from, held only to be compared
+	// with the next column's stamp: its owner may be running on another
+	// goroutine, so it is never dereferenced.
+	foreign    *FlowTable
+	foreignIDs []uint32
 }
 
 type pendingRelease struct {
@@ -336,19 +348,57 @@ func (tb *FlowTable) Advance() {
 	}
 }
 
-// FillIDs interns every key of a snapshot and attaches the ID column —
-// the bridge for producers that assemble snapshots without a table
-// (batch Series emission, tests). A column already stamped as coming
-// from this table is left untouched; a foreign or unstamped column is
-// dropped and re-interned, so consumers can never index another
-// table's IDs into their flow state.
+// FillIDs attaches the snapshot's ID column against this table, every
+// ids[i] equal to Intern(keys[i]) — the bridge for producers that
+// assemble snapshots without this table. A column already stamped as
+// coming from this table is left untouched, so consumers can never
+// index another table's IDs into their flow state. An unstamped
+// snapshot (batch Series emission, tests) is interned key by key. A
+// column stamped by another table — a pipelined producer's private
+// one, carried across the stage boundary by CopyFrom — is translated:
+// each foreign ID indexes the foreignIDs column, and the entry counts
+// only under InternKeyed's rule, so the prefix is hashed just on a
+// flow's first sight and after either side recycled its ID. Keys are
+// visited in snapshot order and a hit returns what Intern would, so
+// the column and the table end up exactly as if every key had been
+// interned.
 func (tb *FlowTable) FillIDs(s *FlowSnapshot) {
-	if s.HasIDs() && s.idTable == tb {
+	switch {
+	case !s.HasIDs() || s.idTable == nil:
+		s.ids = s.ids[:0]
+		for _, p := range s.keys {
+			s.ids = append(s.ids, tb.Intern(p))
+		}
+	case s.idTable == tb:
 		return
-	}
-	s.ids = s.ids[:0]
-	for _, p := range s.keys {
-		s.ids = append(s.ids, tb.Intern(p))
+	default:
+		tb.translateIDs(s)
 	}
 	s.idTable = tb
+}
+
+// translateIDs rewrites a complete ID column stamped by another table
+// into this table's IDs, in place.
+func (tb *FlowTable) translateIDs(s *FlowSnapshot) {
+	if tb.foreign != s.idTable {
+		// Another table's IDs mean other prefixes: nothing carries over.
+		tb.foreign = s.idTable
+		clear(tb.foreignIDs)
+	}
+	for i, fid := range s.ids {
+		if int(fid) >= len(tb.foreignIDs) {
+			tb.foreignIDs = append(tb.foreignIDs, make([]uint32, int(fid)+1-len(tb.foreignIDs))...)
+		}
+		p := s.keys[i]
+		if e := tb.foreignIDs[fid]; e != 0 {
+			if id := e - 1; tb.prefixes[id] == p && tb.state[id] != flowFree {
+				tb.state[id] = flowLive // as Intern: a quarantined flow is resurrected
+				s.ids[i] = id
+				continue
+			}
+		}
+		id := tb.Intern(p)
+		tb.foreignIDs[fid] = id + 1
+		s.ids[i] = id
+	}
 }

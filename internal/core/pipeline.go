@@ -252,11 +252,13 @@ func (p *Pipeline) Step(snap *FlowSnapshot) (Result, error) {
 	// here (one table hit per active flow — the only hash on the whole
 	// classify path). Stream producers sharing p.table emit IDs already;
 	// a column stamped by a different table (a producer wired to its own
-	// private table) is re-interned rather than trusted.
+	// private table, such as the accumulate stage of a LivePipeline) is
+	// translated by FillIDs rather than trusted.
 	if p.needIDs {
 		if !snap.HasIDs() || snap.IDTable() != p.table {
 			p.table.FillIDs(snap)
-		} else if DebugInvariants {
+		}
+		if DebugInvariants {
 			for i := 0; i < snap.Len(); i++ {
 				if p.table.PrefixOf(snap.ID(i)) != snap.Key(i) {
 					return res, fmt.Errorf("core: interval %d: snapshot ID %d does not resolve to %v in the pipeline's table", p.t, snap.ID(i), snap.Key(i))

@@ -79,20 +79,22 @@ func (s *FlowSnapshot) Reset() {
 }
 
 // CopyFrom replaces the snapshot's contents with a copy of src's
-// prefix and bandwidth columns, reusing the backing arrays. It is the
-// stage-boundary handoff of a pipelined consumer: the producer's
+// prefix, bandwidth and ID columns, reusing the backing arrays. It is
+// the stage-boundary handoff of a pipelined consumer: the producer's
 // snapshot (owned and about to be reused for the next interval) is
-// copied into a transfer buffer the consumer owns. The ID column is
-// deliberately dropped — IDs are only meaningful against the
-// producer's table, which the consumer must not share once the stages
-// run concurrently — so consumers re-intern via FlowTable.FillIDs.
-// The running total is copied bit-for-bit, not recomputed, preserving
-// the producer's exact fold.
+// copied into a transfer buffer the consumer owns. The ID column
+// crosses with the producer's table stamp: the IDs still mean nothing
+// against any other table, and the producer's table is still the
+// producer's alone once the stages run concurrently — the consumer may
+// compare the stamp, never dereference it — but FlowTable.FillIDs can
+// translate a foreign-stamped column index by index instead of hashing
+// every prefix again. The running total is copied bit-for-bit, not
+// recomputed, preserving the producer's exact fold.
 func (s *FlowSnapshot) CopyFrom(src *FlowSnapshot) {
 	s.keys = append(s.keys[:0], src.keys...)
 	s.bw = append(s.bw[:0], src.bw...)
-	s.ids = s.ids[:0]
-	s.idTable = nil
+	s.ids = append(s.ids[:0], src.ids...)
+	s.idTable = src.idTable
 	s.total = src.total
 	s.sorted = src.sorted
 	s.sortedBWOK = false
@@ -175,8 +177,9 @@ func (s *FlowSnapshot) HasIDs() bool { return len(s.ids) == len(s.keys) }
 
 // SetIDTable stamps the table the ID column was interned against.
 // Producers filling via AppendID set it (FillIDs does it itself);
-// consumers use IDTable to reject — and re-intern — columns that came
-// from a different pipeline's table instead of indexing foreign IDs.
+// consumers use IDTable to reject columns that came from a different
+// pipeline's table — FillIDs rewrites them — instead of indexing
+// foreign IDs.
 func (s *FlowSnapshot) SetIDTable(tb *FlowTable) { s.idTable = tb }
 
 // IDTable returns the table the ID column belongs to (nil when the

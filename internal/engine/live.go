@@ -12,12 +12,27 @@ import (
 )
 
 // DefaultLiveBuffer is the default record queue capacity of a
-// LivePipeline, in records: 32 batches, each holding one full v5
-// datagram — enough to absorb an exporter's burst without the producer
-// blocking, small enough that backpressure reaches the producer before
-// memory does (80 KiB of batches at most, allocated only as the queue
-// actually backs up).
-const DefaultLiveBuffer = 1024
+// LivePipeline, in records: 128 batches, each holding one full v5
+// datagram. At worst that is 321 KiB a link (128 slabs of 2 568 bytes;
+// 336 KiB as the allocator rounds them), and only a link that has backed
+// up that far pays it, from then on: slabs are allocated as the backlog
+// first needs them and kept, so a link whose worker keeps up holds one
+// or two (TestLivePipelineQueueIsLazy).
+//
+// The depth is measured (ARCHITECTURE.md, Live hand-off budget), and
+// what it buys is the reader not parking: a reader serves every exporter
+// hashed to its socket, and while it waits for one link's free slab it
+// drains the socket for none of them. On a host with fewer idle cores
+// than hot goroutines the worker a send has just readied waits in the
+// reader's own run queue until the reader blocks, so the two alternate
+// on one core a queue-length at a time, and a queue shorter than the
+// burst the reader finds waiting in its socket — bounded by the granted
+// SO_RCVBUF or by the senders' windows — stalls it inside every burst:
+// ≈700 stalls per million records at 1024, ≈270 at 2048, ≈100 here,
+// ≈45 at 8192, where throughput was no longer resolvably higher and a
+// result was older when published. Backpressure still reaches the
+// producer before memory does.
+const DefaultLiveBuffer = 4096
 
 // liveSlab is how many records one slab — the unit that crosses the
 // producer→accumulate queue — holds: a full v5 datagram (30) rounded up
@@ -196,8 +211,10 @@ func NewLivePipeline(l LiveLink) (*LivePipeline, error) {
 	// No Table: the accumulator's flow identities are private to the
 	// accumulate stage, which also releases their rows as flows go quiet.
 	// The classify stage runs concurrently and owns the core pipeline's
-	// table, so sharing one table across the stage boundary would race;
-	// the classify path re-interns each sealed column via FillIDs.
+	// table, so sharing one table across the stage boundary would race.
+	// A sealed column crosses with the private table's IDs and its stamp
+	// (CopyFrom), and the classify path translates them into its own
+	// table's (FillIDs): it compares the stamp, it never reads the table.
 	acc, err := agg.NewStreamAccumulator(agg.StreamConfig{
 		Start:    l.Start,
 		Interval: l.Interval,

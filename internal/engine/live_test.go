@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -473,6 +475,17 @@ func oneFlowConfig() (core.Config, error) {
 	}, nil
 }
 
+// oneFlowDatagram returns a full v5 datagram's worth of records — 30
+// one-second spans of one flow, all inside interval 0.
+func oneFlowDatagram() []agg.Record {
+	p := synthSeries(1, 4, 1).Flows()[0]
+	recs := make([]agg.Record, 30)
+	for i := range recs {
+		recs[i] = agg.Record{Prefix: p, Time: start.Add(time.Duration(i) * time.Second), Span: time.Second, Bits: 1e4}
+	}
+	return recs
+}
+
 // oneFlowRecords returns n point records of one flow, one per interval
 // from interval 0: under Window 1 each seals the interval before it.
 func oneFlowRecords(n int, iv time.Duration) []agg.Record {
@@ -559,67 +572,79 @@ func waitForStall(t *testing.T, lp *LivePipeline) {
 // TestLivePipelineSendBatchStalls mirrors the stall contract for the
 // batch path: records are never dropped, the blocking waits are
 // counted. The unit of queue space is the slab, so it takes batches —
-// not records — to overflow it: one call carrying all 16 records would
-// fit the first slab and never wait. The same wedge pins the queue's
+// not records — to overflow it: one call carrying every record would
+// fit the first slabs and never wait. The same wedge pins the queue's
 // footprint: nothing allocated until the first send, never more than
-// ceil(Buffer/32) slabs however hard the producer pushes.
+// ceil(Buffer/32) slabs however hard the producer pushes — at a small
+// Buffer and at the default, where only a link backed up this far may
+// hold DefaultLiveBuffer/32 of them.
 func TestLivePipelineSendBatchStalls(t *testing.T) {
-	iv := time.Minute
-	gate := make(chan struct{})
-	gated := false
-	lp, err := NewLivePipeline(LiveLink{
-		ID:       "stall-batch",
-		Start:    start,
-		Interval: iv,
-		Window:   1,
-		Buffer:   33, // rounds up to two slabs
-		Config:   oneFlowConfig,
-		OnResult: func(int, time.Time, core.Result, agg.StreamStats) error {
-			if !gated {
-				gated = true
-				<-gate
+	for _, tc := range []struct {
+		buffer int
+		slabs  int32
+	}{
+		{33, 2}, // rounds up to two slabs
+		{0, DefaultLiveBuffer / liveSlab},
+	} {
+		t.Run(fmt.Sprintf("buffer=%d", tc.buffer), func(t *testing.T) {
+			iv := time.Minute
+			gate := make(chan struct{})
+			gated := false
+			lp, err := NewLivePipeline(LiveLink{
+				ID:       "stall-batch",
+				Start:    start,
+				Interval: iv,
+				Window:   1,
+				Buffer:   tc.buffer,
+				Config:   oneFlowConfig,
+				OnResult: func(int, time.Time, core.Result, agg.StreamStats) error {
+					if !gated {
+						gated = true
+						<-gate
+					}
+					return nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := lp.slabs.Load(); got != 0 {
-		t.Fatalf("fresh link has allocated %d slabs, want 0", got)
-	}
-	recs := oneFlowRecords(16, iv)
-	// The first batch wedges the accumulate stage at its fourth record
-	// (as in TestLivePipelineStalls), the second waits in the queue, the
-	// third finds both slabs taken.
-	const batch = 4
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < len(recs); i += batch {
-			sent, err := lp.SendBatch(recs[i : i+batch])
-			if err != nil || sent != batch {
-				t.Errorf("SendBatch = (%d, %v), want (%d, nil)", sent, err, batch)
+			if got := lp.slabs.Load(); got != 0 {
+				t.Fatalf("fresh link has allocated %d slabs, want 0", got)
 			}
-		}
-	}()
-	waitForStall(t, lp)
-	if got := lp.slabs.Load(); got != 2 {
-		t.Errorf("saturated link has allocated %d slabs, want ceil(33/32) = 2", got)
-	}
-	close(gate)
-	<-done
-	if err := lp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if lp.Stalls() == 0 {
-		t.Fatal("no stalls counted despite a wedged pipeline")
-	}
-	if got := lp.Stats().Records; got != uint64(len(recs)) {
-		t.Fatalf("accumulator saw %d records, want %d (stalls must not drop)", got, len(recs))
-	}
-	if got := lp.slabs.Load(); got != 2 {
-		t.Errorf("link ended with %d slabs allocated, want 2", got)
+			// The first batch wedges the accumulate stage at its fourth record
+			// (as in TestLivePipelineStalls), the next slabs-1 wait in the
+			// queue, the one after finds every slab taken.
+			const batch = 4
+			recs := oneFlowRecords(batch*(int(tc.slabs)+2), iv)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < len(recs); i += batch {
+					sent, err := lp.SendBatch(recs[i : i+batch])
+					if err != nil || sent != batch {
+						t.Errorf("SendBatch = (%d, %v), want (%d, nil)", sent, err, batch)
+					}
+				}
+			}()
+			waitForStall(t, lp)
+			if got := lp.slabs.Load(); got != tc.slabs {
+				t.Errorf("saturated link has allocated %d slabs, want ceil(Buffer/32) = %d", got, tc.slabs)
+			}
+			close(gate)
+			<-done
+			if err := lp.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if lp.Stalls() == 0 {
+				t.Fatal("no stalls counted despite a wedged pipeline")
+			}
+			if got := lp.Stats().Records; got != uint64(len(recs)) {
+				t.Fatalf("accumulator saw %d records, want %d (stalls must not drop)", got, len(recs))
+			}
+			if got := lp.slabs.Load(); got != tc.slabs {
+				t.Errorf("link ended with %d slabs allocated, want %d", got, tc.slabs)
+			}
+		})
 	}
 }
 
@@ -640,11 +665,7 @@ func TestLivePipelineSendBatchAllocs(t *testing.T) {
 	}
 	// One flow, one interval: the accumulate stage's steady state, which
 	// allocates nothing either (AllocsPerRun counts every goroutine).
-	recs := make([]agg.Record, 30)
-	p := synthSeries(1, 4, 1).Flows()[0]
-	for i := range recs {
-		recs[i] = agg.Record{Prefix: p, Time: start.Add(time.Duration(i) * time.Second), Span: time.Second, Bits: 1e4}
-	}
+	recs := oneFlowDatagram()
 	send := func() {
 		if sent, err := lp.SendBatch(recs); err != nil || sent != len(recs) {
 			t.Fatalf("SendBatch = (%d, %v)", sent, err)
@@ -656,5 +677,100 @@ func TestLivePipelineSendBatchAllocs(t *testing.T) {
 	}
 	if err := lp.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLivePipelineQueueIsLazy: at the default depth a link whose worker
+// keeps up cycles one or two slabs however long it runs, so raising
+// DefaultLiveBuffer cannot raise an idle link's memory unnoticed (the
+// link that does back up is TestLivePipelineSendBatchStalls' second
+// case).
+func TestLivePipelineQueueIsLazy(t *testing.T) {
+	lp, err := NewLivePipeline(LiveLink{
+		ID:       "lazy",
+		Start:    start,
+		Interval: time.Minute,
+		Config:   oneFlowConfig,
+		OnResult: func(int, time.Time, core.Result, agg.StreamStats) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	datagram := oneFlowDatagram()
+	deadline := time.Now().Add(30 * time.Second)
+	for i := 0; i < 1000; i++ {
+		if sent, err := lp.SendBatch(datagram); err != nil || sent != len(datagram) {
+			t.Fatalf("SendBatch = (%d, %v)", sent, err)
+		}
+		// Every slab that exists is back on the free list: the worker has
+		// caught up.
+		for len(lp.freeSlabs) != int(lp.slabs.Load()) {
+			if time.Now().After(deadline) {
+				t.Fatal("timed out waiting for the worker to return the slab")
+			}
+			runtime.Gosched()
+		}
+	}
+	if got := lp.slabs.Load(); got > 2 {
+		t.Errorf("a link that never backed up has allocated %d slabs, want at most 2", got)
+	}
+	if err := lp.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLivePipelineConservationAtDefaultBuffer: the conservation law at
+// the default queue depth, with the classify stage failing while
+// producers are mid-burst and the queue holds whatever it holds: every
+// record SendBatch accepted is in the accumulator's Stats or counted
+// Dropped. Run with -race -count=10 — how the accepted records split
+// between the two is timing, their sum is not.
+func TestLivePipelineConservationAtDefaultBuffer(t *testing.T) {
+	boom := errors.New("boom")
+	lp, err := NewLivePipeline(LiveLink{
+		ID:       "burst",
+		Start:    start,
+		Interval: 5 * time.Minute,
+		Config:   schemeConfig,
+		OnResult: func(tt int, _ time.Time, _ core.Result, _ agg.StreamStats) error {
+			if tt == 2 {
+				return boom
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two producers, each bursting the whole trace in datagram-sized
+	// batches as fast as it can; a duplicate record is just more bits.
+	recs := seriesRecords(synthSeries(11, 200, 24))
+	var accepted atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < len(recs); i += 30 {
+				n, err := lp.SendBatch(recs[i:min(i+30, len(recs))])
+				accepted.Add(uint64(n))
+				if err != nil {
+					if !errors.Is(err, boom) {
+						t.Errorf("SendBatch = %v, want boom", err)
+					}
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := lp.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close = %v, want boom", err)
+	}
+	if got := lp.Stats().Records + lp.Dropped(); got != accepted.Load() {
+		t.Errorf("accumulated %d + dropped %d != %d accepted", lp.Stats().Records, lp.Dropped(), accepted.Load())
+	}
+	if lp.Dropped() == 0 && accepted.Load() == 2*uint64(len(recs)) {
+		t.Error("the failure dropped nothing and refused nothing: it did not land mid-burst")
 	}
 }

@@ -89,7 +89,7 @@ func BenchmarkIngestDispatch(b *testing.B) {
 
 	// Warm up: create the link, grow the decode scratch and the
 	// accumulator's flow columns to steady state. Few enough iterations
-	// that the link queue (default 1024 records) still has room, so a
+	// that the link queue (default 4096 records) still has room, so a
 	// single-shot run (-benchtime 1x) times the unblocked dispatch path
 	// rather than waiting for the link worker to drain the warmup.
 	for i := 0; i < 8; i++ {

@@ -96,20 +96,16 @@ type LinkHealth struct {
 // exist it stays ready while at least one still seals intervals within
 // StaleAfter.
 func (d *Daemon) readiness(now time.Time) (ready bool, rows []LinkHealth) {
-	ids := d.store.IDs()
-	ready = len(ids) == 0
-	rows = make([]LinkHealth, 0, len(ids))
-	for _, id := range ids {
-		ls := d.store.Get(id)
-		if ls == nil {
-			continue
-		}
+	links := d.store.links()
+	ready = len(links) == 0
+	rows = make([]LinkHealth, 0, len(links))
+	for _, ls := range links {
 		st := ls.Staleness(now)
 		stale := st > d.cfg.StaleAfter
 		if !stale {
 			ready = true
 		}
-		rows = append(rows, LinkHealth{ID: id, StalenessSeconds: st.Seconds(), Stale: stale})
+		rows = append(rows, LinkHealth{ID: ls.id, StalenessSeconds: st.Seconds(), Stale: stale})
 	}
 	return ready, rows
 }

@@ -21,6 +21,18 @@ import (
 
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
+// IDs is the store's sorted view (links, which /links, /metrics and the
+// readiness probes walk) as a list of IDs, for the tests that pin its
+// order and completeness.
+func (s *Store) IDs() []string {
+	links := s.links()
+	ids := make([]string, len(links))
+	for i, ls := range links {
+		ids[i] = ls.id
+	}
+	return ids
+}
+
 func resultWith(elephants ...netip.Prefix) core.Result {
 	return core.Result{
 		Elephants:   core.NewElephantSet(elephants...),

@@ -116,16 +116,6 @@ func (s *Store) links() []*LinkState {
 	return links
 }
 
-// IDs returns every known link ID, sorted.
-func (s *Store) IDs() []string {
-	links := s.links()
-	ids := make([]string, len(links))
-	for i, ls := range links {
-		ids[i] = ls.id
-	}
-	return ids
-}
-
 // Summaries returns every link's summary row, sorted by ID — the
 // collection both /links and /metrics render.
 func (s *Store) Summaries() []LinkSummary {
