@@ -12,12 +12,10 @@ package repro
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/scheme"
 )
 
@@ -58,69 +56,6 @@ func TestPipelineStepSteadyStateAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(3*n, func() { step(i); i++ })
 	if avg != 0 {
 		t.Errorf("warm Snapshot+Step averages %v allocs/interval, want 0", avg)
-	}
-}
-
-// TestInstrumentedStepSteadyStateAllocs pins the fully instrumented
-// step — the resident daemon's per-interval hot path: obs.LinkMetrics
-// attached as the pipeline's StageObserver (stage histograms, churn
-// counters, gauges) plus one flight-recorder trace per interval — at
-// zero amortized allocations, same protocol as the bare pin above.
-// Observability must ride along for free: every metric update is
-// atomic and the recorder copies into a pre-allocated ring.
-func TestInstrumentedStepSteadyStateAllocs(t *testing.T) {
-	cfg := experiments.SmallConfig()
-	cfg.Intervals = 48
-	cfg.Flows = 1200
-	cfg.Routes = 3000
-	ls, err := experiments.BuildLinks(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc, err := scheme.MustParse("load+latent").Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	om := obs.NewLinkMetrics(obs.NewRegistry(), "pin@0", obs.DefaultStageBounds())
-	cc.Observer = om
-	pipe, err := core.NewPipeline(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr := obs.NewFlightRecorder(obs.DefaultFlightRecorder)
-	snap := core.NewFlowSnapshot(0)
-	n := ls.West.Intervals
-	step := func(i int) {
-		snap = ls.West.Snapshot(i%n, snap)
-		res, err := pipe.Step(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := om.Last()
-		fr.Record(obs.IntervalTrace{
-			Interval:        res.Interval,
-			SealedUnixNanos: time.Now().UnixNano(),
-			DetectNanos:     o.DetectNanos,
-			ClassifyNanos:   o.ClassifyNanos,
-			FinalizeNanos:   o.FinalizeNanos,
-			StepNanos:       o.StepNanos,
-			RawThreshold:    o.RawThreshold,
-			Threshold:       o.Threshold,
-			TotalLoad:       o.TotalLoad,
-			ElephantLoad:    o.ElephantLoad,
-			ActiveFlows:     o.ActiveFlows,
-			Elephants:       o.Elephants,
-			Promoted:        o.Promoted,
-			Demoted:         o.Demoted,
-		})
-	}
-	for i := 0; i < 2*n; i++ {
-		step(i)
-	}
-	i := 2 * n
-	avg := testing.AllocsPerRun(3*n, func() { step(i); i++ })
-	if avg != 0 {
-		t.Errorf("instrumented Snapshot+Step averages %v allocs/interval, want 0", avg)
 	}
 }
 

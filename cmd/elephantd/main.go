@@ -17,30 +17,27 @@
 //	GET /links/{id}/history     recent interval summaries
 //	                            (?n=COUNT limits, ?flows=1 adds sets)
 //	GET /links/{id}/debug/intervals
-//	                            the link's flight recorder: the last
-//	                            -flight sealed intervals' stage timings,
-//	                            thresholds, churn and watermark lag, as
-//	                            JSONL
+//	                            the same -history retained intervals as
+//	                            JSONL trace lines: stage timings, raw and
+//	                            smoothed thresholds, churn, seal-time
+//	                            watermark lag and stage overlap
 //	GET /metrics                Prometheus text exposition, including
 //	                            per-link stage-latency histograms, churn
 //	                            counters and the watermark-lag gauge
 //	GET /debug/pprof/...        runtime profiles (only with -pprof)
 //
-// On SIGUSR1 (Unix only) the daemon dumps every link's flight recorder
-// to the log writer — post-hoc interval traces without touching the
-// HTTP API.
-//
 // Flags:
 //
 //	-udp addr       NetFlow v5 listen address (default ":2055")
 //	-readers N      UDP ingest reader goroutines (default min(GOMAXPROCS, 8));
-//	                each reader owns a SO_REUSEPORT socket where the
-//	                platform supports it (the kernel then hashes each
-//	                exporter to a fixed reader, preserving per-link
-//	                record order), otherwise all readers share one socket
+//	                each reader owns a SO_REUSEPORT socket (the kernel
+//	                hashes each exporter to a fixed reader, preserving
+//	                per-link record order); a platform without the
+//	                option runs one reader on one socket
 //	-http addr      HTTP API listen address (default ":8055")
-//	-table path     BGP table file attributing records to prefixes;
-//	                mutually exclusive with -gen-routes
+//	-table path     BGP table file attributing records to prefixes — the
+//	                deployment's own routes; mutually exclusive with
+//	                -gen-routes
 //	-gen-routes N   synthesize an N-route table instead of -table
 //	                (demo/smoke mode; pair with cmd/nfreplay -routes N
 //	                -seed S so both sides share the table)
@@ -50,15 +47,18 @@
 //	-alpha A        EWMA weight on the previous smoothed threshold
 //	-interval D     measurement interval Δ (default 5m)
 //	-window N       open-interval window override; 0 derives it from
-//	                the scheme's latent-heat lookback
-//	-history N      per-link interval-summary ring (default 288 —
-//	                a day of five-minute slots)
+//	                the scheme's latent-heat lookback (a deployment
+//	                sets it to its exporters' active timeout in
+//	                intervals: records older than the window are late)
+//	-history N      closed intervals retained per link, for /history
+//	                and /debug/intervals alike (default 288 — a day of
+//	                five-minute slots, 208 bytes each)
 //	-buffer N       per-link record queue capacity in records, rounded
 //	                up to whole 32-record batches (default 4096: 128
 //	                batches, at worst 321 KiB a link, allocated only
-//	                as a link's backlog grows)
+//	                as a link's backlog grows; sized to the burst a
+//	                reader finds in its socket, so host-dependent)
 //	-stale-after D  link staleness threshold for /readyz (default 3×Δ)
-//	-flight N       per-link flight-recorder capacity (default 256)
 //	-pprof          serve net/http/pprof under /debug/pprof/ (off by
 //	                default: the profiling surface is a debugging aid,
 //	                not part of the query API)
@@ -92,17 +92,16 @@ func main() {
 		udpAddr    = flag.String("udp", ":2055", "NetFlow v5 listen address")
 		readers    = flag.Int("readers", serve.DefaultReaders(), "UDP ingest reader goroutines (SO_REUSEPORT sharded where supported)")
 		httpAddr   = flag.String("http", ":8055", "HTTP API listen address")
-		tablePath  = flag.String("table", "", "BGP table path (or use -gen-routes)")
+		tablePath  = flag.String("table", "", "BGP table path — the deployment's own routes, which decide what a flow is (or use -gen-routes)")
 		genRoutes  = flag.Int("gen-routes", 0, "synthesize a BGP table with this many routes instead of -table")
 		genSeed    = flag.Int64("gen-seed", 1, "seed for -gen-routes")
-		schemeSpec = flag.String("scheme", "load+latent", scheme.FlagUsage())
+		schemeSpec = flag.String("scheme", "load+latent", "which detector and classifier define an elephant is the deployment's decision, one for every link; "+scheme.FlagUsage())
 		alpha      = flag.Float64("alpha", scheme.DefaultAlpha, "EWMA weight on the previous smoothed threshold")
 		interval   = flag.Duration("interval", serve.DefaultInterval, "measurement interval")
-		window     = flag.Int("window", 0, "open-interval window (memory bound); 0 derives it from the scheme")
-		history    = flag.Int("history", serve.DefaultHistory, "per-link interval-summary ring capacity")
-		buffer     = flag.Int("buffer", 0, "per-link record queue capacity in records, rounded up to whole 32-record batches; 0 selects the engine default, 4096 records (128 batches, at worst 321 KiB a link, allocated only as a link's backlog grows)")
+		window     = flag.Int("window", 0, "open-interval window (memory bound); 0 derives it from the scheme — set it to the exporters' active timeout in intervals, since records older than the window are dropped as late")
+		history    = flag.Int("history", serve.DefaultHistory, "closed intervals retained per link, served by /links/{id}/history and /links/{id}/debug/intervals")
+		buffer     = flag.Int("buffer", 0, "per-link record queue capacity in records, rounded up to whole 32-record batches; 0 selects the engine default, 4096 records (128 batches, at worst 321 KiB a link, allocated only as a link's backlog grows) — sized to the burst a reader finds waiting in its socket, which depends on the host")
 		staleAfter = flag.Duration("stale-after", 0, "per-link staleness threshold for /readyz; 0 selects 3x the interval")
-		flight     = flag.Int("flight", 0, "per-link flight-recorder capacity (sealed-interval traces retained for /links/{id}/debug/intervals and SIGUSR1 dumps); 0 selects 256")
 		pprofFlag  = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/ on the API listener (off by default)")
 		grace      = flag.Duration("grace", 10*time.Second, "graceful shutdown window on SIGINT/SIGTERM")
 	)
@@ -125,19 +124,18 @@ func main() {
 	}
 
 	d, err := serve.NewDaemon(serve.Config{
-		UDPAddr:        *udpAddr,
-		HTTPAddr:       *httpAddr,
-		Table:          table,
-		Scheme:         sp,
-		Readers:        *readers,
-		Interval:       *interval,
-		Window:         *window,
-		History:        *history,
-		Buffer:         *buffer,
-		StaleAfter:     *staleAfter,
-		FlightRecorder: *flight,
-		Pprof:          *pprofFlag,
-		Logf:           log.Printf,
+		UDPAddr:    *udpAddr,
+		HTTPAddr:   *httpAddr,
+		Table:      table,
+		Scheme:     sp,
+		Readers:    *readers,
+		Interval:   *interval,
+		Window:     *window,
+		History:    *history,
+		Buffer:     *buffer,
+		StaleAfter: *staleAfter,
+		Pprof:      *pprofFlag,
+		Logf:       log.Printf,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "elephantd:", err)
@@ -146,7 +144,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	notifyFlightDump(ctx, d)
 	if err := d.Run(ctx, *grace); err != nil {
 		fmt.Fprintln(os.Stderr, "elephantd:", err)
 		os.Exit(1)

@@ -19,7 +19,6 @@ import (
 type PcapPacketSource struct {
 	r      pcap.PacketReader
 	parser *packet.Parser
-	first  time.Time // timestamp of the first frame read, decodable or not
 }
 
 // NewPcapPacketSource opens a capture for streaming, sniffing the
@@ -38,12 +37,6 @@ func NewPcapPacketSource(r io.Reader) (*PcapPacketSource, error) {
 // ParserStats exposes decode counters.
 func (s *PcapPacketSource) ParserStats() packet.ParserStats { return s.parser.Stats }
 
-// FirstTimestamp returns the capture time of the first frame read —
-// decodable or not — or the zero time before any frame. It lets a
-// streaming consumer anchor interval 0 at the true capture start, the
-// same instant the batch path's prescan finds.
-func (s *PcapPacketSource) FirstTimestamp() time.Time { return s.first }
-
 // Next returns the next decodable packet's capture time and summary.
 // The summary's WireLength is the original on-the-wire length even for
 // snapped captures. io.EOF marks a clean end of file.
@@ -55,9 +48,6 @@ func (s *PcapPacketSource) Next() (time.Time, packet.Summary, error) {
 		}
 		if err != nil {
 			return time.Time{}, packet.Summary{}, fmt.Errorf("agg: reading capture: %w", err)
-		}
-		if s.first.IsZero() {
-			s.first = ci.Timestamp
 		}
 		sum, err := s.parser.Parse(data)
 		if err != nil {
@@ -101,11 +91,6 @@ func NewPacketRecordSource(r io.Reader, table *bgp.Table) (*PacketRecordSource, 
 
 // ParserStats exposes the underlying decode counters.
 func (s *PacketRecordSource) ParserStats() packet.ParserStats { return s.src.ParserStats() }
-
-// FirstTimestamp returns the capture time of the first frame read,
-// routed or not (zero before any frame) — the anchor a streaming run
-// uses to match the batch path's interval boundaries exactly.
-func (s *PacketRecordSource) FirstTimestamp() time.Time { return s.src.FirstTimestamp() }
 
 // Next returns the next routed packet as a point record. io.EOF marks a
 // clean end of file.

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
 	"strings"
 )
 
@@ -220,18 +219,6 @@ func (t *Table) lookup6(addr netip.Addr) (int, bool) {
 	return 0, false
 }
 
-// PrefixLengthHistogram returns a 33-element histogram of IPv4 prefix
-// lengths (index = prefix bits).
-func (t *Table) PrefixLengthHistogram() [33]int {
-	var h [33]int
-	for _, r := range t.routes {
-		if r.Prefix.Addr().Is4() {
-			h[r.Prefix.Bits()]++
-		}
-	}
-	return h
-}
-
 func v4bits(a netip.Addr) uint32 {
 	b := a.As4()
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
@@ -297,20 +284,4 @@ func ReadText(r io.Reader) (*Table, error) {
 		return nil, fmt.Errorf("bgp: reading table: %w", err)
 	}
 	return t, nil
-}
-
-// SortedPrefixes returns the table's prefixes sorted by address then
-// length; useful for deterministic iteration in tests and reports.
-func (t *Table) SortedPrefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(t.routes))
-	for _, r := range t.routes {
-		out = append(out, r.Prefix)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Addr().Compare(out[j].Addr()); c != 0 {
-			return c < 0
-		}
-		return out[i].Bits() < out[j].Bits()
-	})
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -779,4 +780,32 @@ func TestLPMFootprint(t *testing.T) {
 	}
 	t.Logf("LPM index: %d KiB (root %d KiB, arena %d of %d spans)",
 		size>>10, unsafe.Sizeof(l.root)>>10, len(l.arena), cap(l.arena))
+}
+
+// PrefixLengthHistogram returns a 33-element histogram of IPv4 prefix
+// lengths (index = prefix bits).
+func (t *Table) PrefixLengthHistogram() [33]int {
+	var h [33]int
+	for _, r := range t.routes {
+		if r.Prefix.Addr().Is4() {
+			h[r.Prefix.Bits()]++
+		}
+	}
+	return h
+}
+
+// SortedPrefixes returns the table's prefixes sorted by address then
+// length; useful for deterministic iteration in tests and reports.
+func (t *Table) SortedPrefixes() []netip.Prefix {
+	out := make([]netip.Prefix, 0, len(t.routes))
+	for _, r := range t.routes {
+		out = append(out, r.Prefix)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if c := out[i].Addr().Compare(out[j].Addr()); c != 0 {
+			return c < 0
+		}
+		return out[i].Bits() < out[j].Bits()
+	})
+	return out
 }

@@ -7,9 +7,9 @@ package core
 // pinned byte-identical and alloc-free) stay uninstrumented, while the
 // resident daemon attaches an observer per link. The observer is called
 // on the goroutine driving Step, after the interval's result is
-// complete and before Step returns; implementations must not retain
-// references into the snapshot (the Result-ownership rule applies: the
-// observation carries only scalars).
+// complete and before Step returns — so whoever receives that Result
+// next (a live link's result hook) can pair the two: the observation
+// says where the time went, the Result says everything else.
 //
 // Observing must be cheap and allocation-free: the observer runs inside
 // the per-interval hot path, and the repository pins the instrumented
@@ -18,9 +18,10 @@ type StageObserver interface {
 	ObserveStep(StepObservation)
 }
 
-// StepObservation is one interval's instrumentation digest: where the
-// step spent its time, what the detector produced, and how the elephant
-// set moved. All fields are scalars — safe to retain, hash or ship.
+// StepObservation is where one interval's step spent its time — the one
+// thing the interval's Result does not say. Thresholds, loads, counts
+// and the elephant set are the Result's; churn against the previous
+// interval belongs to whoever keeps the previous set (Churn).
 type StepObservation struct {
 	// Interval is the 0-based interval index, matching Result.Interval.
 	Interval int
@@ -31,26 +32,12 @@ type StepObservation struct {
 	// ClassifyNanos is wall time spent in the classifier's Classify.
 	ClassifyNanos int64
 	// FinalizeNanos is wall time spent after classification: summing
-	// elephant load, materialising the elephant set, churn against the
-	// previous interval, and folding θ(t) into the EWMA.
+	// elephant load, materialising the elephant set and folding θ(t)
+	// into the EWMA.
 	FinalizeNanos int64
 	// StepNanos is the whole step's wall time (≥ the sum of the stages;
 	// the remainder is snapshot validation and ID filling).
 	StepNanos int64
-	// RawThreshold and Threshold are θ(t) and θ̂(t) — Result's values.
-	RawThreshold float64
-	Threshold    float64
-	// TotalLoad and ElephantLoad mirror Result (bit/s).
-	TotalLoad    float64
-	ElephantLoad float64
-	// ActiveFlows and Elephants are the interval's flow and elephant
-	// counts.
-	ActiveFlows int
-	Elephants   int
-	// Promoted and Demoted count elephant-set membership churn against
-	// the previous observed interval (both zero on the first).
-	Promoted int
-	Demoted  int
 }
 
 // Churn counts elephant-set membership changes between consecutive

@@ -37,9 +37,9 @@ type Config struct {
 	// smoothing, MinFlows reuse, classification) stays in the pipeline.
 	Thresholds ThresholdSource
 	// Observer optionally receives one StepObservation per interval —
-	// per-stage wall times, thresholds and elephant churn. Nil (the
-	// default, and the engine's batch configuration) keeps the step
-	// completely uninstrumented: no clock reads, no churn bookkeeping.
+	// the per-stage wall times. Nil (the default, and the engine's batch
+	// configuration) keeps the step completely uninstrumented: no clock
+	// reads.
 	Observer StageObserver
 }
 
@@ -108,10 +108,6 @@ type Pipeline struct {
 	idx    []int
 	// arena amortizes the per-interval ElephantSet storage.
 	arena prefixArena
-	// prevElephants is the previous interval's elephant set, retained
-	// only when an Observer is attached (churn is observed against it);
-	// ElephantSet storage is immutable, so holding it is safe.
-	prevElephants ElephantSet
 }
 
 // TableBinder is implemented by classifiers that keep per-flow state in
@@ -181,7 +177,7 @@ func (p *Pipeline) Step(snap *FlowSnapshot) (Result, error) {
 		return res, fmt.Errorf("core: interval %d: nil snapshot", p.t)
 	}
 	// Instrumentation is pay-for-use: with no observer the step performs
-	// no clock reads and no churn bookkeeping at all.
+	// no clock reads at all.
 	obs := p.cfg.Observer
 	var stepStart time.Time
 	if obs != nil {
@@ -302,8 +298,6 @@ func (p *Pipeline) Step(snap *FlowSnapshot) (Result, error) {
 	}
 	p.t++
 	if obs != nil {
-		promoted, demoted := Churn(p.prevElephants, res.Elephants)
-		p.prevElephants = res.Elephants
 		now := time.Now()
 		obs.ObserveStep(StepObservation{
 			Interval:      res.Interval,
@@ -311,14 +305,6 @@ func (p *Pipeline) Step(snap *FlowSnapshot) (Result, error) {
 			ClassifyNanos: classifyEnd.Sub(classifyStart).Nanoseconds(),
 			FinalizeNanos: now.Sub(classifyEnd).Nanoseconds(),
 			StepNanos:     now.Sub(stepStart).Nanoseconds(),
-			RawThreshold:  res.RawThreshold,
-			Threshold:     res.Threshold,
-			TotalLoad:     res.TotalLoad,
-			ElephantLoad:  res.ElephantLoad,
-			ActiveFlows:   res.ActiveFlows,
-			Elephants:     res.Elephants.Len(),
-			Promoted:      promoted,
-			Demoted:       demoted,
 		})
 	}
 	return res, nil

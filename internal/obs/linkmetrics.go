@@ -8,20 +8,21 @@ import (
 // LinkMetrics is one link's per-interval instrumentation: stage-latency
 // histograms, churn counters and threshold/lag gauges, all registered
 // under link-labelled series of shared families. It implements
-// core.StageObserver; ObserveStep is atomic-only and allocation-free,
-// so it is safe to attach on the live per-interval hot path.
+// core.StageObserver — ObserveStep folds the stage timings in, atomic-only
+// and allocation-free, so it is safe to attach on the live per-interval
+// hot path; the series a step's timings do not feed are written by
+// whoever owns the link, as noted on each.
 type LinkMetrics struct {
 	// Step, Detect and Classify are the stage-latency histograms
 	// (seconds): the whole Step call, threshold detection, and the
 	// classifier call respectively.
 	Step, Detect, Classify *Histogram
 	// Promoted and Demoted count elephant-set membership churn across
-	// all observed intervals.
+	// all recorded intervals. The pipeline keeps no previous set; the
+	// daemon adds the churn it computes where it records the interval.
 	Promoted, Demoted *Counter
-	// RawThreshold is the last interval's detected θ(t) in bit/s.
-	// (The elephant-set size itself is already exposed by the daemon's
-	// store-backed elephantd_link_elephants family; the observation still
-	// carries it for flight-recorder traces.)
+	// RawThreshold is the last interval's detected θ(t) in bit/s, set by
+	// the daemon from the interval's core.Result.
 	RawThreshold *Gauge
 	// WatermarkLag is the link's interval watermark lag in seconds —
 	// newest record export time minus the newest sealed interval edge.
@@ -78,22 +79,19 @@ func NewLinkMetrics(r *Registry, link string, bounds []float64) *LinkMetrics {
 // the daemon: 1 µs up to ~4 s, exponential with factor 4.
 func DefaultStageBounds() []float64 { return ExpBuckets(1e-6, 4, 12) }
 
-// ObserveStep implements core.StageObserver: fold one interval's digest
-// into the histograms, counters and gauges. Atomic-only; no allocation.
+// ObserveStep implements core.StageObserver: fold one interval's stage
+// timings into the histograms. Atomic-only; no allocation.
 func (m *LinkMetrics) ObserveStep(o core.StepObservation) {
 	m.last = o
 	m.Step.Observe(float64(o.StepNanos) / 1e9)
 	m.Detect.Observe(float64(o.DetectNanos) / 1e9)
 	m.Classify.Observe(float64(o.ClassifyNanos) / 1e9)
-	m.Promoted.Add(uint64(o.Promoted))
-	m.Demoted.Add(uint64(o.Demoted))
-	m.RawThreshold.Set(o.RawThreshold)
 }
 
 // Last returns the most recent observation. Unlike the atomic-backed
 // metrics it is NOT synchronized: call it only from the goroutine that
 // drives the pipeline (a result hook runs there, right after the
-// observer — the daemon builds flight-recorder traces from it).
+// observer — the daemon records each interval's timings from it).
 func (m *LinkMetrics) Last() core.StepObservation { return m.last }
 
 var _ core.StageObserver = (*LinkMetrics)(nil)

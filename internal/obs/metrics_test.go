@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/report"
+	"repro/internal/report/reporttest"
 )
 
 func TestCounterAndGauge(t *testing.T) {
@@ -119,7 +120,7 @@ d_step_seconds_count{link="a@0"} 3
 	if got := buf.String(); got != want {
 		t.Errorf("rendered:\n%s\nwant:\n%s", got, want)
 	}
-	if err := report.LintExposition(&buf); err != nil {
+	if err := reporttest.LintExposition(&buf); err != nil {
 		t.Errorf("rendered page failed lint: %v", err)
 	}
 }
@@ -142,7 +143,7 @@ func TestRegistryRenderByteStable(t *testing.T) {
 	if a != b {
 		t.Error("two quiet renders differ")
 	}
-	if err := report.LintExposition(strings.NewReader(a)); err != nil {
+	if err := reporttest.LintExposition(strings.NewReader(a)); err != nil {
 		t.Errorf("page failed lint: %v", err)
 	}
 }
@@ -194,7 +195,7 @@ func TestRegistryConcurrentRenderAndRegister(t *testing.T) {
 		if err := m.Err(); err != nil {
 			t.Errorf("render %d: %v", i, err)
 		}
-		if err := report.LintExposition(&buf); err != nil {
+		if err := reporttest.LintExposition(&buf); err != nil {
 			t.Errorf("render %d failed lint: %v", i, err)
 		}
 	}

@@ -123,16 +123,3 @@ func (ip *IPv4) AppendTo(b []byte, payloadLen int) []byte {
 	binary.BigEndian.PutUint16(b[start+10:start+12], cs)
 	return b
 }
-
-// ValidChecksum reports whether the decoded header checksum is correct.
-// It must be called with the original header bytes still alive.
-func ValidIPv4Checksum(header []byte) bool {
-	if len(header) < IPv4HeaderLen {
-		return false
-	}
-	hlen := int(header[0]&0x0F) * 4
-	if hlen < IPv4HeaderLen || hlen > len(header) {
-		return false
-	}
-	return ipChecksum(header[:hlen]) == 0
-}

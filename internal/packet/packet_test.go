@@ -427,3 +427,19 @@ func TestParserZeroAlloc(t *testing.T) {
 		t.Errorf("Parse allocates %v times per call, want 0", allocs)
 	}
 }
+
+// ValidIPv4Checksum reports whether the decoded header checksum is correct.
+// It must be called with the original header bytes still alive.
+func ValidIPv4Checksum(header []byte) bool {
+	if len(header) < IPv4HeaderLen {
+		return false
+	}
+	hlen := int(header[0]&0x0F) * 4
+	if hlen < IPv4HeaderLen || hlen > len(header) {
+		return false
+	}
+	return ipChecksum(header[:hlen]) == 0
+}
+
+// TCPLayer exposes the last-decoded TCP header.
+func (p *Parser) TCPLayer() *TCP { return &p.tcp }

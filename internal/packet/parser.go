@@ -113,17 +113,3 @@ func (p *Parser) Parse(frame []byte) (Summary, error) {
 	}
 	return s, nil
 }
-
-// IPv4Layer exposes the last-decoded IPv4 header. Valid only immediately
-// after a Parse call that decoded IPv4.
-func (p *Parser) IPv4Layer() *IPv4 { return &p.ip4 }
-
-// IPv6Layer exposes the last-decoded IPv6 header. Valid only immediately
-// after a Parse call that decoded IPv6.
-func (p *Parser) IPv6Layer() *IPv6 { return &p.ip6 }
-
-// TCPLayer exposes the last-decoded TCP header.
-func (p *Parser) TCPLayer() *TCP { return &p.tcp }
-
-// UDPLayer exposes the last-decoded UDP header.
-func (p *Parser) UDPLayer() *UDP { return &p.udp }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/report/reporttest"
 )
 
 // lintErr runs LintExposition over a page and returns the error.
 func lintErr(t *testing.T, page string) error {
 	t.Helper()
-	return LintExposition(strings.NewReader(page))
+	return reporttest.LintExposition(strings.NewReader(page))
 }
 
 func TestLintAcceptsWriterOutput(t *testing.T) {
@@ -29,7 +31,7 @@ func TestLintAcceptsWriterOutput(t *testing.T) {
 	if err := m.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if err := LintExposition(&buf); err != nil {
+	if err := reporttest.LintExposition(&buf); err != nil {
 		t.Errorf("writer output failed lint: %v", err)
 	}
 }

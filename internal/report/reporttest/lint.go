@@ -1,4 +1,8 @@
-package report
+// Package reporttest holds what only tests need of the report layer:
+// the exposition-format lint the obs, serve and report tests run over
+// every metrics page they render or scrape. It imports nothing of the
+// program, so a test inside package report can use it too.
+package reporttest
 
 import (
 	"bufio"
@@ -9,8 +13,7 @@ import (
 )
 
 // LintExposition validates a Prometheus text exposition page against
-// the subset of the format the daemon emits — the unit-testable half of
-// the CI scrape check. It enforces what a scraper relies on and what
+// the subset of the format the daemon emits. It enforces what a scraper relies on and what
 // hand-rolled renderers most easily get wrong:
 //
 //   - every sample belongs to the family most recently declared by a

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/netip"
@@ -24,9 +23,10 @@ import (
 // DefaultInterval is the paper's measurement interval Δ.
 const DefaultInterval = 5 * time.Minute
 
-// DefaultReadBuffer is the UDP socket receive-buffer request: large
-// enough to ride out an exporter's burst while a pipeline worker is
-// closing an interval.
+// DefaultReadBuffer is the UDP receive buffer requested for every ingest
+// socket: large enough to ride out an exporter's burst while a pipeline
+// worker is closing an interval. What the kernel grants (post-clamp) is
+// read back and reported per reader via /links and /metrics.
 const DefaultReadBuffer = 1 << 22
 
 // MaxReaders caps the ingest shard count: past one socket per core the
@@ -77,25 +77,18 @@ type Config struct {
 	// deployment; a fixed Start makes intervals comparable across links
 	// (and reproducible in tests).
 	Start time.Time
-	// History is the per-link summary ring capacity; 0 selects
-	// DefaultHistory.
+	// History is the per-link history ring capacity — the closed
+	// intervals /links/{id}/history and /links/{id}/debug/intervals can
+	// still show; 0 selects DefaultHistory.
 	History int
 	// Buffer is the per-link record queue capacity in records, rounded up
 	// to whole 32-record batches (a datagram's records queue as one
 	// batch); 0 selects engine.DefaultLiveBuffer.
 	Buffer int
-	// ReadBuffer is the UDP receive-buffer size to request per socket;
-	// 0 selects DefaultReadBuffer. The granted (post-clamp) size is
-	// reported per reader via /links and /metrics.
-	ReadBuffer int
 	// StaleAfter is how long a link may go without sealing an interval
 	// before /readyz counts it stale; 0 selects 3×Interval (a link that
 	// missed two consecutive seals plus slack is in trouble).
 	StaleAfter time.Duration
-	// FlightRecorder is the per-link flight-recorder ring capacity
-	// (interval traces retained for /links/{id}/debug/intervals and the
-	// signal dump); 0 selects obs.DefaultFlightRecorder.
-	FlightRecorder int
 	// Pprof enables the net/http/pprof handlers under /debug/pprof/ on
 	// the API listener. Off by default: the profiling surface is a
 	// debugging aid, not part of the query API.
@@ -104,22 +97,20 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// liveLink pairs a link's pipeline with its store entry and its
-// instrumentation: the obs.LinkMetrics attached as the pipeline's stage
-// observer and the flight recorder its result hook journals into. The
-// link map holding these is copy-on-write (see linkMap in ingest.go);
-// the state inside is concurrency-safe.
+// liveLink pairs a link's pipeline with its store entry and the
+// obs.LinkMetrics attached as the pipeline's stage observer. The link
+// map holding these is copy-on-write (see linkMap in ingest.go); the
+// state inside is concurrency-safe.
 type liveLink struct {
 	id    string
 	state *LinkState
 	lp    *engine.LivePipeline
 	om    *obs.LinkMetrics
-	fr    *obs.FlightRecorder
 }
 
 // Daemon is the live monitoring process: a sharded UDP NetFlow v5
 // collector demultiplexing datagrams into per-link classification
-// pipelines, a sharded state store, and an HTTP query/metrics API. See
+// pipelines, a state store, and an HTTP query/metrics API. See
 // the package documentation for the lifecycle.
 type Daemon struct {
 	cfg   Config
@@ -186,23 +177,17 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if cfg.History == 0 {
 		cfg.History = DefaultHistory
 	}
-	if cfg.ReadBuffer == 0 {
-		cfg.ReadBuffer = DefaultReadBuffer
-	}
 	if cfg.StaleAfter == 0 {
 		cfg.StaleAfter = 3 * cfg.Interval
 	}
 	if cfg.StaleAfter < 0 {
 		return nil, fmt.Errorf("serve: NewDaemon: negative stale-after %v", cfg.StaleAfter)
 	}
-	if cfg.FlightRecorder <= 0 {
-		cfg.FlightRecorder = obs.DefaultFlightRecorder
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 
-	conns, err := listenUDP(cfg.UDPAddr, cfg.Readers, cfg.ReadBuffer, cfg.Logf)
+	conns, err := listenUDP(cfg.UDPAddr, cfg.Readers, cfg.Logf)
 	if err != nil {
 		return nil, err
 	}
@@ -352,29 +337,6 @@ func (d *Daemon) DrainIngest(ctx context.Context) error {
 			datagrams, records, decodeErrors, d.store.Len(), len(d.readers))
 	})
 	return d.drainErr
-}
-
-// DumpFlightRecorders writes every link's retained interval traces to
-// w, links in ID order, each preceded by a "# link <id> …" header line
-// and serialized as JSONL (the same shape /links/{id}/debug/intervals
-// serves). cmd/elephantd wires it to SIGUSR1 for post-hoc incident
-// inspection without the HTTP API.
-func (d *Daemon) DumpFlightRecorders(w io.Writer) error {
-	m := *d.links.Load()
-	lls := make([]*liveLink, 0, len(m))
-	for _, ll := range m {
-		lls = append(lls, ll)
-	}
-	sort.Slice(lls, func(i, j int) bool { return lls[i].id < lls[j].id })
-	for _, ll := range lls {
-		if _, err := fmt.Fprintf(w, "# link %s (%d of %d traces)\n", ll.id, ll.fr.Len(), ll.fr.Cap()); err != nil {
-			return err
-		}
-		if err := ll.fr.WriteJSONL(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Shutdown gracefully stops the daemon: DrainIngest (drain the sockets,

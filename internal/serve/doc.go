@@ -10,8 +10,8 @@
 //	UDP sockets → decode → demux by exporter (source IP @ engine ID)
 //	  → attribute records against the BGP table
 //	  → per-link engine.LivePipeline (StreamAccumulator → core.Pipeline)
-//	  → sharded Store (current ElephantSet, interval-summary ring,
-//	    ingest counters)
+//	  → Store (per link: current ElephantSet, history ring, ingest
+//	    counters)
 //	  → HTTP API (/links, /links/{id}/elephants, /links/{id}/history,
 //	    /links/{id}/debug/intervals, /healthz, /readyz, /metrics)
 //
@@ -31,29 +31,40 @@
 // never serialise on each other, and the engine's determinism contract
 // (single consumer, fresh pipeline state per link) holds for however
 // long the daemon lives. Memory per link is the
-// accumulator window plus the fixed-capacity history ring, independent
-// of uptime: each link's pipeline owns a core.FlowTable interning its
+// accumulator window plus the fixed-capacity history ring (208 bytes an
+// interval), independent of uptime: each link's pipeline owns a core.FlowTable interning its
 // prefixes into dense IDs, the whole per-interval path runs on
 // ID-indexed columns (one hash per decoded record, none per flow per
 // interval), and classifier eviction recycles the IDs of long-idle
 // flows, bounding the identity table by the live flow set.
 //
+// A sealed interval is recorded once. The link's result hook makes one
+// call (LinkState.record) under the link's one lock: it computes the
+// interval's churn against the previous elephant set — the only place
+// churn is computed — and writes one entry into the history ring,
+// holding the summary, the owning elephant set and the numbers only the
+// pipeline knows (stage timings from the step's observation, raw θ(t),
+// seal-time watermark lag, stage overlap). /links/{id}/history and
+// /links/{id}/debug/intervals (JSONL of IntervalTrace) are two
+// renderings of that ring, so Config.History bounds both and they
+// cannot disagree about an interval; the same churn feeds the link's
+// promote/demote counters.
+//
 // The daemon is itself observed. Each link carries an obs.LinkMetrics
 // registered as its pipeline's core.StageObserver — stage-latency
-// histograms (detect/classify/step), promote/demote churn counters,
-// raw-threshold and watermark-lag gauges, all labelled by link — and an
-// obs.FlightRecorder, a fixed ring of per-interval traces journalled as
-// intervals seal. /metrics renders the store-backed families plus the
-// obs registry (byte-stable between scrapes on a quiet daemon, linted
-// by report.LintExposition / cmd/explint); /links/{id}/debug/intervals
-// serves the flight ring as JSONL, and cmd/elephantd also dumps every
-// ring to stderr on SIGUSR1. /healthz is pure liveness (always 200,
+// histograms (detect/classify/step) fed by the observer, promote/demote
+// churn counters and the raw-threshold gauge fed by the result hook,
+// the watermark-lag gauge refreshed at scrape time, all labelled by
+// link. /metrics renders the store-backed families plus the obs
+// registry (byte-stable between scrapes on a quiet daemon; the tests
+// lint every page they scrape with reporttest.LintExposition).
+// /healthz is pure liveness (always 200,
 // with per-link staleness detail); /readyz is readiness — 503 once
 // links exist and every one has gone longer than Config.StaleAfter
 // (default 3× the interval) without sealing. Config.Pprof optionally
 // mounts net/http/pprof under /debug/pprof/ on the same mux. All
 // instrumentation on the per-interval path is allocation-free (atomics
-// and pre-allocated rings); rendering happens on scrape goroutines.
+// and the pre-allocated ring); rendering happens on scrape goroutines.
 //
 // Shutdown is graceful and two-phase: DrainIngest consumes what the
 // kernel has buffered on every socket, closes every link's open

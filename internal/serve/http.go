@@ -16,7 +16,7 @@ import (
 //	GET /links                    all known links, summarised, sorted
 //	GET /links/{id}/elephants     the current elephant set
 //	GET /links/{id}/history       recent interval summaries (?n=, ?flows=1)
-//	GET /links/{id}/debug/intervals  flight-recorder ring as JSONL
+//	GET /links/{id}/debug/intervals  the history ring as JSONL trace lines
 //	GET /metrics                  Prometheus text exposition
 //	GET /debug/pprof/...          runtime profiles (only with Config.Pprof)
 func (d *Daemon) handler() http.Handler {
@@ -246,34 +246,25 @@ type HistoryPage struct {
 	Entries  []IntervalSummary `json:"entries"`
 }
 
-// handleDebugIntervals serves the link's flight-recorder ring as JSONL,
-// oldest interval first: one trace per sealed interval with the stage
-// timings, threshold, churn and watermark lag the daemon journaled at
-// seal time. The recorder lives on the live link (not the store), so
-// only links that have seen traffic this run have one.
+// handleDebugIntervals serves the link's history ring as JSONL, oldest
+// interval first: one IntervalTrace per retained interval — the entries
+// /history summarises, with the stage timings, raw threshold, seal-time
+// watermark lag and stage overlap recorded beside them. The lines are
+// copied out under the link's lock and encoded outside it, so a slow
+// reader never stalls the link's next seal.
 func (d *Daemon) handleDebugIntervals(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	ll := d.findLinkByID(id)
-	if ll == nil {
-		d.writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown link " + strconv.Quote(id)})
+	ls := d.linkState(w, r)
+	if ls == nil {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if err := ll.fr.WriteJSONL(w); err != nil {
-		d.cfg.Logf("serve: writing debug intervals: %v", err)
-	}
-}
-
-// findLinkByID resolves a live link by its string ID — the cold-path
-// complement of the keyed findLink: a linear scan over the link map,
-// fine at debug-endpoint rates.
-func (d *Daemon) findLinkByID(id string) *liveLink {
-	for _, ll := range *d.links.Load() {
-		if ll.id == id {
-			return ll
+	enc := json.NewEncoder(w)
+	for _, tr := range ls.traces() {
+		if err := enc.Encode(tr); err != nil {
+			d.cfg.Logf("serve: writing debug intervals: %v", err)
+			return
 		}
 	}
-	return nil
 }
 
 func (d *Daemon) handleHistory(w http.ResponseWriter, r *http.Request) {

@@ -60,9 +60,9 @@ var reusePortControl = controlReusePort
 // where the platform lacks the option (logged), one plain socket. Readers
 // never share a socket: two of them could decode consecutive datagrams
 // of one exporter and hand them to its link out of order. Each socket's
-// receive buffer is requested at rcvbuf; the caller reads back what was
-// granted per conn.
-func listenUDP(addr string, n, rcvbuf int, logf func(string, ...any)) (conns []*net.UDPConn, err error) {
+// receive buffer is requested at DefaultReadBuffer; the caller reads back
+// what was granted per conn.
+func listenUDP(addr string, n int, logf func(string, ...any)) (conns []*net.UDPConn, err error) {
 	single := func() ([]*net.UDPConn, error) {
 		uaddr, err := net.ResolveUDPAddr("udp", addr)
 		if err != nil {
@@ -72,7 +72,7 @@ func listenUDP(addr string, n, rcvbuf int, logf func(string, ...any)) (conns []*
 		if err != nil {
 			return nil, fmt.Errorf("serve: listening on UDP: %w", err)
 		}
-		_ = c.SetReadBuffer(rcvbuf)
+		_ = c.SetReadBuffer(DefaultReadBuffer)
 		return []*net.UDPConn{c}, nil
 	}
 	if n <= 1 {
@@ -99,7 +99,7 @@ func listenUDP(addr string, n, rcvbuf int, logf func(string, ...any)) (conns []*
 		conns = append(conns, pc.(*net.UDPConn))
 	}
 	for _, c := range conns {
-		_ = c.SetReadBuffer(rcvbuf)
+		_ = c.SetReadBuffer(DefaultReadBuffer)
 	}
 	return conns, nil
 }
@@ -136,19 +136,17 @@ func (d *Daemon) createLink(key linkKey) (*liveLink, error) {
 	}
 	id := linkID(key.addr, key.engine)
 	state := d.store.GetOrCreate(id, d.cfg.History)
-	// Per-link instrumentation: the metrics bundle rides the pipeline as
-	// its stage observer; the result hook journals each sealed interval
-	// into the flight recorder. Both the observer and the hook run on the
-	// pipeline's worker goroutine, inside the same seal, so om.Last() is
-	// always this interval's observation. lp is captured before first
-	// use: the worker can only reach OnResult via a record sent after
-	// createLink published the link (channel send orders the assignment).
-	om := obs.NewLinkMetrics(d.reg, id, obs.DefaultStageBounds())
-	fr := obs.NewFlightRecorder(d.cfg.FlightRecorder)
+	// The metrics bundle rides the pipeline as its stage observer, and
+	// the result hook (onResult) reads the step's timings back from it:
+	// both run on the pipeline's classify goroutine inside the same seal,
+	// so om.Last() there is always this interval's observation. ll.lp is
+	// assigned before first use: the worker can only reach the hook via
+	// a record sent after createLink published the link (the channel
+	// send orders the assignment).
+	ll := &liveLink{id: id, state: state, om: obs.NewLinkMetrics(d.reg, id, obs.DefaultStageBounds())}
 	factory := d.cfg.Scheme.Factory()
-	var lp *engine.LivePipeline
 	var err error
-	lp, err = engine.NewLivePipeline(engine.LiveLink{
+	ll.lp, err = engine.NewLivePipeline(engine.LiveLink{
 		ID:       id,
 		Start:    d.cfg.Start,
 		Interval: d.cfg.Interval,
@@ -159,38 +157,14 @@ func (d *Daemon) createLink(key linkKey) (*liveLink, error) {
 			if err != nil {
 				return cc, err
 			}
-			cc.Observer = om
+			cc.Observer = ll.om
 			return cc, nil
 		},
-		OnResult: func(t int, at time.Time, res core.Result, stats agg.StreamStats) error {
-			state.RecordResult(t, at, res, stats)
-			o := om.Last()
-			fr.Record(obs.IntervalTrace{
-				Interval:          t,
-				SealedUnixNanos:   time.Now().UnixNano(),
-				DetectNanos:       o.DetectNanos,
-				ClassifyNanos:     o.ClassifyNanos,
-				FinalizeNanos:     o.FinalizeNanos,
-				StepNanos:         o.StepNanos,
-				RawThreshold:      o.RawThreshold,
-				Threshold:         o.Threshold,
-				TotalLoad:         o.TotalLoad,
-				ElephantLoad:      o.ElephantLoad,
-				ActiveFlows:       o.ActiveFlows,
-				Elephants:         o.Elephants,
-				Promoted:          o.Promoted,
-				Demoted:           o.Demoted,
-				WatermarkLagNanos: int64(lp.LastSealLag()),
-				StageOverlapNanos: int64(lp.LastOverlap()),
-			})
-			om.StageOverlap.Observe(lp.LastOverlap().Seconds())
-			return nil
-		},
+		OnResult: ll.onResult,
 	})
 	if err != nil {
 		return nil, err
 	}
-	ll := &liveLink{id: id, state: state, lp: lp, om: om, fr: fr}
 	next := make(linkMap, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -199,6 +173,24 @@ func (d *Daemon) createLink(key linkKey) (*liveLink, error) {
 	d.links.Store(&next)
 	d.cfg.Logf("serve: new link %s", id)
 	return ll, nil
+}
+
+// onResult is the link's result hook — everything the daemon does with
+// a sealed interval. One call records it (LinkState.record: one lock,
+// one ring entry, the interval's one churn computation), and the churn
+// it returns and the Result's raw threshold go to the link's series, so
+// /history, /debug/intervals and /metrics are readings of one record.
+// LastSealLag is the lag this interval sealed under; LastOverlap is the
+// overlap of the interval classified before it (the stage publishes an
+// interval's overlap after its hook returns).
+func (ll *liveLink) onResult(t int, at time.Time, res core.Result, stats agg.StreamStats) error {
+	overlap := ll.lp.LastOverlap()
+	promoted, demoted := ll.state.record(t, at, res, stats, ll.om.Last(), ll.lp.LastSealLag(), overlap)
+	ll.om.Promoted.Add(uint64(promoted))
+	ll.om.Demoted.Add(uint64(demoted))
+	ll.om.RawThreshold.Set(res.RawThreshold)
+	ll.om.StageOverlap.Observe(overlap.Seconds())
+	return nil
 }
 
 // dispatch demultiplexes one decoded datagram: resolve the link

@@ -127,7 +127,7 @@ func TestLoopbackEquivalence(t *testing.T) {
 	ref := batch[0].Results
 
 	// A platform without SO_REUSEPORT runs one reader at every count.
-	probe, err := listenUDP("127.0.0.1:0", 2, 0, t.Logf)
+	probe, err := listenUDP("127.0.0.1:0", 2, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,13 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/netip"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -17,8 +16,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/bgp"
 	"repro/internal/netflow"
-	"repro/internal/obs"
-	"repro/internal/report"
+	"repro/internal/report/reporttest"
 	"repro/internal/scheme"
 )
 
@@ -93,6 +91,20 @@ func newObsDaemon(t *testing.T, mutate func(*Config)) *Daemon {
 	return d
 }
 
+// decodeTraces parses a /debug/intervals body, one IntervalTrace a line.
+func decodeTraces(t *testing.T, body string) []IntervalTrace {
+	t.Helper()
+	var traces []IntervalTrace
+	for dec := json.NewDecoder(strings.NewReader(body)); dec.More(); {
+		var tr IntervalTrace
+		if err := dec.Decode(&tr); err != nil {
+			t.Fatalf("debug intervals line %d: %v", len(traces), err)
+		}
+		traces = append(traces, tr)
+	}
+	return traces
+}
+
 // sendWires writes each datagram to the daemon's UDP socket and waits
 // until the ingest counters account for all of them.
 func sendWires(t *testing.T, d *Daemon, wires [][]byte) {
@@ -128,9 +140,8 @@ func sendWires(t *testing.T, d *Daemon, wires [][]byte) {
 // daemon, drains it, and checks the whole observability surface in one
 // pass: /metrics carries the registry families (stage histograms,
 // churn counters, threshold and watermark-lag gauges) and passes the
-// exposition lint; /links/{id}/debug/intervals serves the flight
-// recorder as parsable JSONL; DumpFlightRecorders writes the same ring
-// with per-link headers.
+// exposition lint; /links/{id}/debug/intervals serves the history ring
+// as parsable JSONL trace lines.
 func TestMetricsObservabilityFamilies(t *testing.T) {
 	d := newObsDaemon(t, nil)
 	start := d.cfg.Start
@@ -148,7 +159,7 @@ func TestMetricsObservabilityFamilies(t *testing.T) {
 	base := "http://" + d.HTTPAddr().String()
 	const link = "127.0.0.1@0"
 	metrics := getBody(t, base+"/metrics")
-	if err := report.LintExposition(strings.NewReader(metrics)); err != nil {
+	if err := reporttest.LintExposition(strings.NewReader(metrics)); err != nil {
 		t.Errorf("metrics page fails exposition lint: %v\n%s", err, metrics)
 	}
 	for _, want := range []string{
@@ -167,19 +178,11 @@ func TestMetricsObservabilityFamilies(t *testing.T) {
 		}
 	}
 
-	// The flight recorder journaled every sealed interval, oldest first.
+	// Every sealed interval has its trace line, oldest first.
 	body := getBody(t, base+"/links/"+link+"/debug/intervals")
-	var traces []obs.IntervalTrace
-	sc := bufio.NewScanner(strings.NewReader(body))
-	for sc.Scan() {
-		var tr obs.IntervalTrace
-		if err := json.Unmarshal(sc.Bytes(), &tr); err != nil {
-			t.Fatalf("debug intervals line %d: %v", len(traces), err)
-		}
-		traces = append(traces, tr)
-	}
+	traces := decodeTraces(t, body)
 	if len(traces) != 5 {
-		t.Fatalf("flight recorder has %d traces, want 5:\n%s", len(traces), body)
+		t.Fatalf("debug intervals has %d traces, want 5:\n%s", len(traces), body)
 	}
 	for i, tr := range traces {
 		if tr.Interval != i {
@@ -204,23 +207,106 @@ func TestMetricsObservabilityFamilies(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("debug intervals for unknown link = %s, want 404", resp.Status)
 	}
+}
 
-	var dump bytes.Buffer
-	if err := d.DumpFlightRecorders(&dump); err != nil {
+// TestDebugIntervalsAgreeWithHistory: a closed interval is recorded once,
+// so its three readings cannot differ. Eight flows whose two heavy
+// members rotate every interval go over loopback into a daemon; then,
+// interval by interval, the /debug/intervals line and the /history
+// entry carry the same interval, thresholds, loads, counts and churn,
+// and the churn counters on /metrics are the history's column sums.
+func TestDebugIntervalsAgreeWithHistory(t *testing.T) {
+	const intervals, flows = 12, 8
+	d := newObsDaemon(t, func(c *Config) {
+		table := bgp.NewTable()
+		for k := 0; k < flows; k++ {
+			if err := table.Insert(bgp.Route{Prefix: pfx(fmt.Sprintf("10.0.%d.0/24", k)), OriginAS: 65000}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Table = table
+	})
+	var wires [][]byte
+	for i := 0; i < intervals; i++ {
+		at := d.cfg.Start.Add(time.Duration(i)*time.Minute + 30*time.Second)
+		dg := netflow.Datagram{Header: netflow.Header{Count: flows, UnixSecs: uint32(at.Unix())}}
+		for k := 0; k < flows; k++ {
+			octets := uint32(1000 + 10*k)
+			if k == i%flows || k == (i+3)%flows {
+				octets = 60000
+			}
+			dg.Records = append(dg.Records, netflow.Record{
+				SrcAddr: netip.MustParseAddr("10.9.9.9"),
+				DstAddr: netip.AddrFrom4([4]byte{10, 0, byte(k), 5}),
+				Packets: 1,
+				Octets:  octets,
+			})
+		}
+		wire, err := dg.Encode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wires = append(wires, wire)
+	}
+	sendWires(t, d, wires)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := d.DrainIngest(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(dump.String(), "# link "+link+" (5 of ") {
-		t.Errorf("dump header = %q", strings.SplitN(dump.String(), "\n", 2)[0])
+
+	base := "http://" + d.HTTPAddr().String()
+	const link = "127.0.0.1@0"
+	var hist HistoryPage
+	getJSON(t, base+"/links/"+link+"/history", &hist)
+	body := getBody(t, base+"/links/"+link+"/debug/intervals")
+	traces := decodeTraces(t, body)
+	// The line's keys and their order are the endpoint's contract.
+	first, _, _ := strings.Cut(body, "\n")
+	var keys []string
+	for _, m := range regexp.MustCompile(`"([a-z_]+)":`).FindAllStringSubmatch(first, -1) {
+		keys = append(keys, m[1])
 	}
-	if got := strings.Count(dump.String(), "\n"); got != 6 { // header + 5 traces
-		t.Errorf("dump has %d lines, want 6:\n%s", got, dump.String())
+	if want := "interval sealed_unix_nanos detect_nanos classify_nanos finalize_nanos step_nanos raw_threshold_bps threshold_bps " +
+		"total_load_bps elephant_load_bps active_flows elephants promoted demoted watermark_lag_nanos stage_overlap_nanos"; strings.Join(keys, " ") != want {
+		t.Errorf("trace line keys = %v, want %s", keys, want)
+	}
+	if len(hist.Entries) != intervals || len(traces) != intervals {
+		t.Fatalf("%d history entries and %d trace lines, want %d of each", len(hist.Entries), len(traces), intervals)
+	}
+	var promoted, demoted int
+	for i, e := range hist.Entries {
+		tr := traces[i]
+		if tr.Interval != e.Interval || tr.Threshold != e.ThresholdBps ||
+			tr.TotalLoad != e.TotalLoadBps || tr.ElephantLoad != e.ElephantLoadBps ||
+			tr.ActiveFlows != e.ActiveFlows || tr.Elephants != e.Elephants ||
+			tr.Promoted != e.Promoted || tr.Demoted != e.Demoted {
+			t.Errorf("interval %d: trace line %+v disagrees with history entry %+v", i, tr, e)
+		}
+		if tr.RawThreshold <= 0 || tr.StepNanos <= 0 {
+			t.Errorf("interval %d: trace line lacks its own columns: %+v", i, tr)
+		}
+		promoted += e.Promoted
+		demoted += e.Demoted
+	}
+	if promoted < intervals/2 || demoted < intervals/2 {
+		t.Fatalf("history sums to churn +%d/-%d over %d intervals: the feed was meant to rotate the set", promoted, demoted, intervals)
+	}
+	metrics := getBody(t, base+"/metrics")
+	for _, want := range []string{
+		fmt.Sprintf("elephantd_link_promoted_total{link=%q} %d\n", link, promoted),
+		fmt.Sprintf("elephantd_link_demoted_total{link=%q} %d\n", link, demoted),
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q, the sum over /history", want)
+		}
 	}
 }
 
 // TestMetricsPipelineFamilies checks the live-pipeline surface: /metrics
 // carries the stall counter and the stage-overlap histogram, /links
-// reports one pipeline row per link, and the flight recorder carries
-// the stage-overlap column.
+// reports one pipeline row per link, and the trace lines carry the
+// stage-overlap column.
 func TestMetricsPipelineFamilies(t *testing.T) {
 	d := newObsDaemon(t, nil)
 	start := d.cfg.Start
@@ -238,7 +324,7 @@ func TestMetricsPipelineFamilies(t *testing.T) {
 	base := "http://" + d.HTTPAddr().String()
 	const link = "127.0.0.1@0"
 	metrics := getBody(t, base+"/metrics")
-	if err := report.LintExposition(strings.NewReader(metrics)); err != nil {
+	if err := reporttest.LintExposition(strings.NewReader(metrics)); err != nil {
 		t.Errorf("metrics page fails exposition lint: %v\n%s", err, metrics)
 	}
 	wants := []string{
@@ -266,23 +352,16 @@ func TestMetricsPipelineFamilies(t *testing.T) {
 		t.Errorf("pipeline row = %s, want link %s, 0 stalls on an unpressured link and a stage overlap", row, link)
 	}
 
-	// The flight recorder carries the stage-overlap column (zero or
-	// positive; never negative by the clamp).
-	body := getBody(t, base+"/links/"+link+"/debug/intervals")
-	sc := bufio.NewScanner(strings.NewReader(body))
-	n := 0
-	for sc.Scan() {
-		var tr obs.IntervalTrace
-		if err := json.Unmarshal(sc.Bytes(), &tr); err != nil {
-			t.Fatalf("debug intervals line %d: %v", n, err)
-		}
+	// The trace lines carry the stage-overlap column (zero or positive;
+	// never negative by the clamp).
+	traces := decodeTraces(t, getBody(t, base+"/links/"+link+"/debug/intervals"))
+	for i, tr := range traces {
 		if tr.StageOverlapNanos < 0 {
-			t.Errorf("trace %d: negative stage overlap %d", n, tr.StageOverlapNanos)
+			t.Errorf("trace %d: negative stage overlap %d", i, tr.StageOverlapNanos)
 		}
-		n++
 	}
-	if n != 5 {
-		t.Fatalf("flight recorder has %d traces, want 5", n)
+	if len(traces) != 5 {
+		t.Fatalf("debug intervals has %d traces, want 5", len(traces))
 	}
 }
 
@@ -332,7 +411,7 @@ func TestMetricsScrapesRaceIngest(t *testing.T) {
 			defer scrapers.Done()
 			for i := 0; i < 25; i++ {
 				page := getBody(t, base+"/metrics")
-				if err := report.LintExposition(strings.NewReader(page)); err != nil {
+				if err := reporttest.LintExposition(strings.NewReader(page)); err != nil {
 					t.Errorf("scrape %d fails lint: %v", i, err)
 					return
 				}
@@ -375,7 +454,7 @@ func TestMetricsByteStableQuietDaemon(t *testing.T) {
 	}
 	base := "http://" + d.HTTPAddr().String()
 	first := getBody(t, base+"/metrics")
-	if err := report.LintExposition(strings.NewReader(first)); err != nil {
+	if err := reporttest.LintExposition(strings.NewReader(first)); err != nil {
 		t.Fatalf("lint: %v", err)
 	}
 	for i := 0; i < 3; i++ {

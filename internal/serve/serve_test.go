@@ -45,13 +45,26 @@ func resultWith(elephants ...netip.Prefix) core.Result {
 func TestLinkStateHistoryRing(t *testing.T) {
 	ls := newLinkState("l", 4)
 	t0 := time.Date(2001, time.July, 24, 9, 0, 0, 0, time.UTC)
+	// Each interval is recorded with timings only it has: the step's four
+	// stage times, the seal-time lag and the overlap are all functions of i.
+	timings := func(i int) (core.StepObservation, time.Duration, time.Duration) {
+		n := int64(i + 1)
+		return core.StepObservation{Interval: i, DetectNanos: 10 * n, ClassifyNanos: 20 * n, FinalizeNanos: 30 * n, StepNanos: 100 * n},
+			time.Duration(1000 * n), time.Duration(7 * n)
+	}
 	for i := 0; i < 10; i++ {
-		ls.RecordResult(i, t0.Add(time.Duration(i)*time.Minute),
-			resultWith(pfx(fmt.Sprintf("10.0.%d.0/24", i))), agg.StreamStats{Closed: i + 1})
+		res := resultWith(pfx(fmt.Sprintf("10.0.%d.0/24", i)))
+		res.RawThreshold = 4e5 + float64(i)
+		o, lag, overlap := timings(i)
+		promoted, demoted := ls.record(i, t0.Add(time.Duration(i)*time.Minute), res, agg.StreamStats{Closed: i + 1}, o, lag, overlap)
+		if wantDemoted := min(i, 1); promoted != 1 || demoted != wantDemoted {
+			t.Errorf("interval %d: record returned churn +%d/-%d, want +1/-%d", i, promoted, demoted, wantDemoted)
+		}
 	}
 	hist := ls.History(0, true)
-	if len(hist) != 4 {
-		t.Fatalf("history length = %d, want ring capacity 4", len(hist))
+	traces := ls.traces()
+	if len(hist) != 4 || len(traces) != 4 {
+		t.Fatalf("%d history entries and %d trace lines, want ring capacity 4 of each", len(hist), len(traces))
 	}
 	for i, e := range hist {
 		wantT := 6 + i // oldest retained is interval 6
@@ -60,6 +73,25 @@ func TestLinkStateHistoryRing(t *testing.T) {
 		}
 		if want := fmt.Sprintf("[10.0.%d.0/24]", wantT); fmt.Sprint(e.Flows) != want {
 			t.Errorf("entry %d: flows %v, want %v", i, e.Flows, want)
+		}
+		// The trace line beside it: the summary's numbers, the timings
+		// the interval was recorded with, and a seal time.
+		o, lag, overlap := timings(wantT)
+		tr := traces[i]
+		if tr.SealedUnixNanos <= 0 {
+			t.Errorf("trace %d: no seal time", i)
+		}
+		tr.SealedUnixNanos = 0
+		want := IntervalTrace{
+			Interval: wantT, DetectNanos: o.DetectNanos, ClassifyNanos: o.ClassifyNanos,
+			FinalizeNanos: o.FinalizeNanos, StepNanos: o.StepNanos,
+			RawThreshold: 4e5 + float64(wantT), Threshold: e.ThresholdBps,
+			TotalLoad: e.TotalLoadBps, ElephantLoad: e.ElephantLoadBps,
+			ActiveFlows: e.ActiveFlows, Elephants: e.Elephants, Promoted: e.Promoted, Demoted: e.Demoted,
+			WatermarkLagNanos: int64(lag), StageOverlapNanos: int64(overlap),
+		}
+		if tr != want {
+			t.Errorf("trace %d = %+v, want %+v", i, tr, want)
 		}
 	}
 	// n narrows to the most recent entries; flows omitted when not asked.
@@ -78,11 +110,27 @@ func TestLinkStateHistoryRing(t *testing.T) {
 	if !ok || sum.Interval != 9 || !set.Contains(pfx("10.0.9.0/24")) {
 		t.Errorf("Current() = %+v, %v, %v", sum, set, ok)
 	}
+
+	// RecordResult is record with nothing to report but the interval: the
+	// line keeps the summary's numbers and a seal time, every timing zero.
+	ls.RecordResult(10, t0.Add(10*time.Minute), resultWith(pfx("10.0.10.0/24")), agg.StreamStats{Closed: 11})
+	traces = ls.traces()
+	tr := traces[len(traces)-1]
+	if tr.Interval != 10 || tr.Elephants != 1 || tr.Promoted != 1 || tr.Demoted != 1 || tr.Threshold != 5e5 || tr.SealedUnixNanos <= 0 {
+		t.Errorf("RecordResult's trace line = %+v", tr)
+	}
+	if tr.DetectNanos|tr.ClassifyNanos|tr.FinalizeNanos|tr.StepNanos|tr.WatermarkLagNanos|tr.StageOverlapNanos != 0 {
+		t.Errorf("RecordResult's trace line carries timings: %+v", tr)
+	}
+	if traces[0].Interval != 7 {
+		t.Errorf("oldest trace after an eleventh interval = %d, want 7", traces[0].Interval)
+	}
 }
 
-// TestChurnCounts pins the store's churn source: RecordResult counts
-// membership churn via core.Churn, the same merge pass the pipeline's
-// stage observer uses, so /metrics and the history ring always agree.
+// TestChurnCounts pins the store's churn source: an interval's churn is
+// core.Churn of the link's previous set and the new one, computed once
+// where the interval is recorded; TestDebugIntervalsAgreeWithHistory
+// checks that /history, /debug/intervals and /metrics all carry it.
 func TestChurnCounts(t *testing.T) {
 	a := core.NewElephantSet(pfx("10.0.0.0/24"), pfx("10.0.1.0/24"), pfx("10.0.2.0/24"))
 	b := core.NewElephantSet(pfx("10.0.1.0/24"), pfx("10.0.3.0/24"))
@@ -95,7 +143,7 @@ func TestChurnCounts(t *testing.T) {
 	}
 }
 
-func TestStoreShardsAndConcurrency(t *testing.T) {
+func TestStoreConcurrency(t *testing.T) {
 	s := NewStore()
 	const links = 64
 	var wg sync.WaitGroup

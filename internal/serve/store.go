@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"hash/fnv"
 	"slices"
 	"strings"
 	"sync"
@@ -16,103 +15,68 @@ import (
 // of five-minute intervals.
 const DefaultHistory = 288
 
-// numShards spreads links over independently locked shards so HTTP
-// readers scanning one link never contend with the ingest path writing
-// another. 16 shards is far past the contention point for a POP's worth
-// of links while keeping the scan that rebuilds the sorted view cheap.
-const numShards = 16
-
-// Store is the daemon's sharded in-memory state: one LinkState per
-// monitored link, keyed by link ID. All methods are safe for concurrent
-// use — the UDP ingest loop and the per-link pipeline workers write
-// while HTTP handlers read.
+// Store is the daemon's in-memory state: one LinkState per monitored
+// link, keyed by link ID, behind one lock. The lock guards the map and
+// nothing else — the ingest path resolves a link's state once, when the
+// link is created, and every counter and ring lives behind the
+// LinkState's own lock — so its only traffic is HTTP handlers looking a
+// link up or walking them all, and the rare creation. All methods are
+// safe for concurrent use.
 type Store struct {
-	shards [numShards]storeShard
-
-	// created counts the links GetOrCreate has made, each counted after
-	// it is in its shard. sorted is the link list in ID order as of the
-	// count it carries; a read whose count still matches walks it
-	// without touching a shard, the first read after a creation rebuilds
-	// it. Links are never removed, so a view is stale only by omission.
-	created atomic.Uint64
-	sorted  atomic.Pointer[sortedLinks]
-}
-
-// sortedLinks is every link created up to count at (possibly a few
-// created since), sorted by ID.
-type sortedLinks struct {
-	at    uint64
-	links []*LinkState
-}
-
-type storeShard struct {
-	mu    sync.RWMutex
-	links map[string]*LinkState
+	mu   sync.RWMutex
+	byID map[string]*LinkState
+	// sorted is every link in ID order, nil when a creation has dropped
+	// it. A reader that finds it nil builds and stores it while still
+	// holding the read lock, and a creation clears it before releasing
+	// the write lock: no view can be stored that lacks a link created
+	// before it. Links are never removed.
+	sorted atomic.Pointer[[]*LinkState]
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	s := &Store{}
-	for i := range s.shards {
-		s.shards[i].links = make(map[string]*LinkState)
-	}
-	return s
-}
-
-func (s *Store) shardFor(id string) *storeShard {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return &s.shards[h.Sum32()%numShards]
+	return &Store{byID: make(map[string]*LinkState)}
 }
 
 // Get returns the link's state, or nil when the link is unknown.
 func (s *Store) Get(id string) *LinkState {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.links[id]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.byID[id]
 }
 
 // GetOrCreate returns the link's state, creating it (with the given
 // history capacity) on first sight.
 func (s *Store) GetOrCreate(id string, history int) *LinkState {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	ls := sh.links[id]
-	sh.mu.RUnlock()
-	if ls != nil {
+	if ls := s.Get(id); ls != nil {
 		return ls
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if ls = sh.links[id]; ls == nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ls := s.byID[id]
+	if ls == nil {
 		ls = newLinkState(id, history)
-		sh.links[id] = ls
-		s.created.Add(1)
+		s.byID[id] = ls
+		s.sorted.Store(nil)
 	}
 	return ls
 }
 
-// links returns every known link in ID order. The count is loaded
-// before the shards are walked and each link is counted after it is
-// stored, so a view stamped n holds at least the first n links: a link
-// whose GetOrCreate has returned is in every later read.
+// links returns every known link in ID order: a link whose GetOrCreate
+// has returned is in every later read. The slice is shared; callers
+// only read it.
 func (s *Store) links() []*LinkState {
-	n := s.created.Load()
-	if v := s.sorted.Load(); v != nil && v.at == n {
-		return v.links
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if v := s.sorted.Load(); v != nil {
+		return *v
 	}
-	links := make([]*LinkState, 0, n)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, ls := range sh.links {
-			links = append(links, ls)
-		}
-		sh.mu.RUnlock()
+	links := make([]*LinkState, 0, len(s.byID))
+	for _, ls := range s.byID {
+		links = append(links, ls)
 	}
 	slices.SortFunc(links, func(a, b *LinkState) int { return strings.Compare(a.id, b.id) })
-	s.sorted.Store(&sortedLinks{at: n, links: links})
+	s.sorted.Store(&links)
 	return links
 }
 
@@ -128,7 +92,11 @@ func (s *Store) Summaries() []LinkSummary {
 }
 
 // Len reports the number of known links.
-func (s *Store) Len() int { return int(s.created.Load()) }
+func (s *Store) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.byID)
+}
 
 // IngestCounters counts a link's datagram/record attribution outcomes
 // in the UDP ingest path (decode errors happen before a link is known
@@ -172,6 +140,31 @@ type IntervalSummary struct {
 	Flows []string `json:"flows,omitempty"`
 }
 
+// IntervalTrace is one line of /links/{id}/debug/intervals: the same
+// closed interval as its IntervalSummary, seen from the pipeline — what
+// the step cost stage by stage, the raw θ(t) behind the smoothed one,
+// and how far behind and how overlapped the link was running when it
+// sealed. Field names and their order are stable: the endpoint serves
+// them as JSONL.
+type IntervalTrace struct {
+	Interval          int     `json:"interval"`
+	SealedUnixNanos   int64   `json:"sealed_unix_nanos"`
+	DetectNanos       int64   `json:"detect_nanos"`
+	ClassifyNanos     int64   `json:"classify_nanos"`
+	FinalizeNanos     int64   `json:"finalize_nanos"`
+	StepNanos         int64   `json:"step_nanos"`
+	RawThreshold      float64 `json:"raw_threshold_bps"`
+	Threshold         float64 `json:"threshold_bps"`
+	TotalLoad         float64 `json:"total_load_bps"`
+	ElephantLoad      float64 `json:"elephant_load_bps"`
+	ActiveFlows       int     `json:"active_flows"`
+	Elephants         int     `json:"elephants"`
+	Promoted          int     `json:"promoted"`
+	Demoted           int     `json:"demoted"`
+	WatermarkLagNanos int64   `json:"watermark_lag_nanos"`
+	StageOverlapNanos int64   `json:"stage_overlap_nanos"`
+}
+
 // LinkSummary is one link's row in the /links listing.
 type LinkSummary struct {
 	ID     string         `json:"id"`
@@ -188,27 +181,57 @@ type LinkSummary struct {
 	Error string `json:"error,omitempty"`
 }
 
-// historyEntry pairs a summary with the interval's owning elephant set
-// (core.ElephantSet storage is immutable, so retaining it is safe).
+// historyEntry is the one record of a closed interval: its summary, the
+// owning elephant set (core.ElephantSet storage is immutable, so
+// retaining it is safe) and the eight numbers only a trace line carries.
+// /history and /debug/intervals are two renderings of it.
 type historyEntry struct {
 	summary IntervalSummary
 	set     core.ElephantSet
+
+	sealedUnixNanos int64
+	detectNanos     int64
+	classifyNanos   int64
+	finalizeNanos   int64
+	stepNanos       int64
+	rawThreshold    float64
+	lagNanos        int64
+	overlapNanos    int64
 }
 
-// LinkState is one link's live state: ingest counters, the current
-// elephant set, and a fixed-capacity ring of recent interval summaries.
+func (e *historyEntry) trace() IntervalTrace {
+	return IntervalTrace{
+		Interval:          e.summary.Interval,
+		SealedUnixNanos:   e.sealedUnixNanos,
+		DetectNanos:       e.detectNanos,
+		ClassifyNanos:     e.classifyNanos,
+		FinalizeNanos:     e.finalizeNanos,
+		StepNanos:         e.stepNanos,
+		RawThreshold:      e.rawThreshold,
+		Threshold:         e.summary.ThresholdBps,
+		TotalLoad:         e.summary.TotalLoadBps,
+		ElephantLoad:      e.summary.ElephantLoadBps,
+		ActiveFlows:       e.summary.ActiveFlows,
+		Elephants:         e.summary.Elephants,
+		Promoted:          e.summary.Promoted,
+		Demoted:           e.summary.Demoted,
+		WatermarkLagNanos: e.lagNanos,
+		StageOverlapNanos: e.overlapNanos,
+	}
+}
+
+// LinkState is one link's live state: ingest counters and a
+// fixed-capacity ring of recent closed intervals, the newest of which is
+// the link's current elephant set.
 // Writers are the UDP ingest loop (counters) and the link's pipeline
 // worker (results); readers are the HTTP handlers.
 type LinkState struct {
 	id string
 
-	mu      sync.RWMutex
-	ingest  IngestCounters
-	stream  agg.StreamStats
-	current core.ElephantSet
-	last    IntervalSummary
-	hasLast bool
-	failed  string
+	mu     sync.RWMutex
+	ingest IngestCounters
+	stream agg.StreamStats
+	failed string
 
 	// created and lastSeal are wall-clock instants — when the state was
 	// built and when the most recent interval sealed — backing the
@@ -244,13 +267,26 @@ func (ls *LinkState) ObserveDatagram(records, routed, unrouted, dropped int) {
 	ls.mu.Unlock()
 }
 
-// RecordResult folds one closed interval into the state: churn against
-// the previous set, the new current set, the history ring, and the
-// accumulator counters as of the close.
+// RecordResult folds one closed interval into the state with no stage
+// timings, seal lag or overlap to report — record for a caller that
+// drives its own pipeline and keeps no observer.
 func (ls *LinkState) RecordResult(t int, at time.Time, res core.Result, stats agg.StreamStats) {
+	ls.record(t, at, res, stats, core.StepObservation{}, 0, 0)
+}
+
+// record folds one closed interval into the state, once, under one
+// lock: churn against the previous interval's set — the interval's only
+// churn computation, returned so the caller's counters carry the same
+// numbers — the accumulator counters as of the close, and the
+// interval's entry in the ring. o is the pipeline's observation of
+// the step that produced res; lag and overlap are the live pipeline's
+// seal-time watermark lag and stage overlap.
+func (ls *LinkState) record(t int, at time.Time, res core.Result, stats agg.StreamStats, o core.StepObservation, lag, overlap time.Duration) (promoted, demoted int) {
+	now := time.Now()
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	promoted, demoted := core.Churn(ls.current, res.Elephants)
+	_, prev, _ := ls.newest()
+	promoted, demoted = core.Churn(prev, res.Elephants)
 	sum := IntervalSummary{
 		Interval:        t,
 		Start:           at,
@@ -263,16 +299,25 @@ func (ls *LinkState) RecordResult(t int, at time.Time, res core.Result, stats ag
 		Promoted:        promoted,
 		Demoted:         demoted,
 	}
-	ls.current = res.Elephants
-	ls.last = sum
-	ls.hasLast = true
 	ls.stream = stats
-	ls.ring[ls.next] = historyEntry{summary: sum, set: res.Elephants}
+	ls.lastSeal = now
+	ls.ring[ls.next] = historyEntry{
+		summary:         sum,
+		set:             res.Elephants,
+		sealedUnixNanos: now.UnixNano(),
+		detectNanos:     o.DetectNanos,
+		classifyNanos:   o.ClassifyNanos,
+		finalizeNanos:   o.FinalizeNanos,
+		stepNanos:       o.StepNanos,
+		rawThreshold:    res.RawThreshold,
+		lagNanos:        int64(lag),
+		overlapNanos:    int64(overlap),
+	}
 	ls.next = (ls.next + 1) % len(ls.ring)
 	if ls.count < len(ls.ring) {
 		ls.count++
 	}
-	ls.lastSeal = time.Now()
+	return promoted, demoted
 }
 
 // Staleness reports how long the link has gone without sealing an
@@ -339,8 +384,7 @@ func (ls *LinkState) Summary() LinkSummary {
 	ls.mu.RLock()
 	defer ls.mu.RUnlock()
 	out := LinkSummary{ID: ls.id, Ingest: ls.ingest, Stream: ls.stream, Error: ls.failed}
-	if ls.hasLast {
-		last := ls.last
+	if last, _, ok := ls.newest(); ok {
 		out.Last = &last
 	}
 	return out
@@ -351,7 +395,23 @@ func (ls *LinkState) Summary() LinkSummary {
 func (ls *LinkState) Current() (IntervalSummary, core.ElephantSet, bool) {
 	ls.mu.RLock()
 	defer ls.mu.RUnlock()
-	return ls.last, ls.current, ls.hasLast
+	return ls.newest()
+}
+
+// newest is Current with the lock held by the caller: the ring's newest
+// entry is the link's current state, kept nowhere else.
+func (ls *LinkState) newest() (IntervalSummary, core.ElephantSet, bool) {
+	if ls.count == 0 {
+		return IntervalSummary{}, core.ElephantSet{}, false
+	}
+	e := ls.retained(ls.count - 1)
+	return e.summary, e.set, true
+}
+
+// retained returns the i-th oldest entry the ring holds, 0 <= i <
+// ls.count. The caller holds the lock.
+func (ls *LinkState) retained(i int) *historyEntry {
+	return &ls.ring[(ls.next-ls.count+i+len(ls.ring))%len(ls.ring)]
 }
 
 // History returns up to n most recent interval summaries, oldest
@@ -365,8 +425,7 @@ func (ls *LinkState) History(n int, includeFlows bool) []IntervalSummary {
 	}
 	out := make([]IntervalSummary, 0, n)
 	for i := ls.count - n; i < ls.count; i++ {
-		// Oldest retained entry sits at next-count (mod capacity).
-		e := &ls.ring[(ls.next-ls.count+i+2*len(ls.ring))%len(ls.ring)]
+		e := ls.retained(i)
 		sum := e.summary
 		if includeFlows {
 			flows := e.set.Flows()
@@ -376,6 +435,17 @@ func (ls *LinkState) History(n int, includeFlows bool) []IntervalSummary {
 			}
 		}
 		out = append(out, sum)
+	}
+	return out
+}
+
+// traces returns every retained interval as a trace line, oldest first.
+func (ls *LinkState) traces() []IntervalTrace {
+	ls.mu.RLock()
+	defer ls.mu.RUnlock()
+	out := make([]IntervalTrace, ls.count)
+	for i := range out {
+		out[i] = ls.retained(i).trace()
 	}
 	return out
 }

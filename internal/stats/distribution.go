@@ -28,19 +28,6 @@ func NewCCDF(xs []float64) CCDF {
 	return ccdfFromSorted(clean)
 }
 
-// NewCCDFSorted builds the empirical CCDF of a sample already sorted
-// ascending and free of NaN/±Inf (non-positive values may only appear
-// as a leading run, which is skipped) — the zero-copy twin of NewCCDF
-// for callers that hold a sorted view, with identical output. The
-// input is not modified.
-func NewCCDFSorted(sorted []float64) CCDF {
-	lo := 0
-	for lo < len(sorted) && sorted[lo] <= 0 {
-		lo++
-	}
-	return ccdfFromSorted(sorted[lo:])
-}
-
 // ccdfFromSorted collapses an ascending-sorted positive sample into
 // CCDF support points.
 func ccdfFromSorted(clean []float64) CCDF {
