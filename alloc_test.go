@@ -62,9 +62,9 @@ func TestPipelineStepSteadyStateAllocs(t *testing.T) {
 // TestAestDetectSteadyStateAllocs pins the aest detector's warm-path
 // allocation rate at zero: after the first call sizes the detector's
 // scratch arena, repeated DetectThreshold calls on interval-sized
-// bandwidth columns must run entirely on reused storage. This is the
-// alloc half of the BenchmarkAestDetect6k win (207 allocs/op down to a
-// handful cold, zero warm).
+// columns — each interval's bandwidths with the snapshot's sorted view,
+// exactly what Pipeline.Step passes — must run entirely on reused
+// storage.
 func TestAestDetectSteadyStateAllocs(t *testing.T) {
 	cfg := experiments.SmallConfig()
 	cfg.Intervals = 8
@@ -76,12 +76,14 @@ func TestAestDetectSteadyStateAllocs(t *testing.T) {
 	}
 	det := core.NewAestDetector()
 	n := ls.West.Intervals
-	columns := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		columns[i] = ls.West.Snapshot(i, nil).Bandwidths()
+	snaps := make([]*core.FlowSnapshot, n)
+	for i := range snaps {
+		snaps[i] = ls.West.Snapshot(i, nil)
+		snaps[i].SortedBandwidths() // the snapshot's sort, outside the pin
 	}
 	step := func(i int) {
-		if _, err := det.DetectThreshold(columns[i%n]); err != nil {
+		s := snaps[i%n]
+		if _, err := det.DetectThreshold(s.Bandwidths(), s.SortedBandwidths()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -37,8 +37,8 @@ func (d *FixedThresholdDetector) Name() string {
 	return fmt.Sprintf("fixed-%.3g", d.Theta)
 }
 
-// DetectThreshold implements core.Detector.
-func (d *FixedThresholdDetector) DetectThreshold([]float64) (float64, error) {
+// DetectThreshold implements core.Detector; it reads neither view.
+func (d *FixedThresholdDetector) DetectThreshold(_, _ []float64) (float64, error) {
 	return d.Theta, nil
 }
 

@@ -22,7 +22,7 @@ func TestFixedThresholdDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.DetectThreshold([]float64{1, 2, 3})
+	got, err := d.DetectThreshold([]float64{3, 1, 2}, []float64{1, 2, 3})
 	if err != nil || got != 1e6 {
 		t.Errorf("DetectThreshold = %v, %v", got, err)
 	}

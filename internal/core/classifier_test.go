@@ -23,7 +23,7 @@ func snap(pairs ...float64) *FlowSnapshot {
 // classifySet runs one Classify call and resolves the verdict into a
 // concrete membership set.
 func classifySet(c Classifier, s *FlowSnapshot, theta float64) ElephantSet {
-	return mergeElephants(s, c.Classify(s, theta))
+	return mergeElephantsArena(s, c.Classify(s, theta), nil)
 }
 
 func TestClassString(t *testing.T) {
@@ -139,7 +139,7 @@ func TestLatentHeatOfflineElephant(t *testing.T) {
 	if len(v.Offline) != 1 || v.Offline[0] != pfx(0) {
 		t.Fatalf("offline = %v, want [%v]", v.Offline, pfx(0))
 	}
-	if out := mergeElephants(s, v); !out.Contains(pfx(0)) {
+	if out := mergeElephantsArena(s, v, nil); !out.Contains(pfx(0)) {
 		t.Error("offline elephant lost in merge")
 	}
 }

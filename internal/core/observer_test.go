@@ -128,7 +128,7 @@ func TestChurn(t *testing.T) {
 		for _, i := range idx {
 			s.Append(pfx(i), 1)
 		}
-		return mergeElephants(s, Verdict{Indices: seqIndices(len(idx))})
+		return mergeElephantsArena(s, Verdict{Indices: seqIndices(len(idx))}, nil)
 	}
 	cases := []struct {
 		name              string

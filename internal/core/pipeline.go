@@ -92,14 +92,6 @@ type Pipeline struct {
 	// needIDs records whether the classifier consumes the ID column;
 	// snapshots arriving without one are filled from the table.
 	needIDs bool
-	// sortedDet is non-nil when the detector accepts the snapshot's
-	// cached pre-sorted bandwidth view, skipping the per-step copy and
-	// the detector's internal sort.
-	sortedDet SortedDetector
-	// scratch reuses its backing array across intervals: it carries a
-	// copy of the bandwidth column for the detector, which may reorder
-	// its input in place.
-	scratch []float64
 	// single records that the classifier is exactly the stateless
 	// SingleFeatureClassifier value (not a type embedding it), which
 	// writes its verdict into idx, the pipeline's reused index buffer,
@@ -135,9 +127,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if tb, ok := cfg.Classifier.(TableBinder); ok {
 		tb.BindTable(p.table)
 		p.needIDs = true
-	}
-	if sd, ok := cfg.Detector.(SortedDetector); ok {
-		p.sortedDet = sd
 	}
 	_, p.single = cfg.Classifier.(SingleFeatureClassifier)
 	return p, nil
@@ -205,20 +194,15 @@ func (p *Pipeline) Step(snap *FlowSnapshot) (Result, error) {
 	if res.ActiveFlows >= p.cfg.MinFlows {
 		var raw float64
 		var err error
-		switch {
-		case p.cfg.Thresholds != nil:
+		if p.cfg.Thresholds != nil {
 			// A precomputed threshold column (the engine's batch
 			// prepass) replaces inline detection — value or error,
 			// exactly as the detector would have produced them.
 			raw, err = p.cfg.Thresholds.RawThreshold(p.t)
-		case p.sortedDet != nil:
-			// Sorted-aware detectors read the snapshot's cached sorted
-			// column — one sort per emitted interval, shared by every
-			// pipeline stepping it — and must not modify either view.
-			raw, err = p.sortedDet.DetectThresholdSorted(snap.Bandwidths(), snap.SortedBandwidths())
-		default:
-			p.scratch = append(p.scratch[:0], snap.Bandwidths()...)
-			raw, err = p.cfg.Detector.DetectThreshold(p.scratch)
+		} else {
+			// The snapshot's cached sorted column is one sort per emitted
+			// interval, shared by every pipeline stepping it.
+			raw, err = p.cfg.Detector.DetectThreshold(snap.Bandwidths(), snap.SortedBandwidths())
 		}
 		if err != nil {
 			return res, fmt.Errorf("core: interval %d: %w", p.t, err)

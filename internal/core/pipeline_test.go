@@ -11,8 +11,8 @@ import (
 // mechanics from detection.
 type fixedDetector struct{ theta float64 }
 
-func (d fixedDetector) DetectThreshold([]float64) (float64, error) { return d.theta, nil }
-func (d fixedDetector) Name() string                               { return "fixed" }
+func (d fixedDetector) DetectThreshold(_, _ []float64) (float64, error) { return d.theta, nil }
+func (d fixedDetector) Name() string                                    { return "fixed" }
 
 func TestNewPipelineValidation(t *testing.T) {
 	det := fixedDetector{10}
@@ -89,7 +89,7 @@ func TestStepSnapshotOrderEnforced(t *testing.T) {
 func TestPipelinePhaseOrdering(t *testing.T) {
 	seq := []float64{100, 200, 400}
 	i := 0
-	det := detectorFunc(func([]float64) (float64, error) {
+	det := detectorFunc(func(_, _ []float64) (float64, error) {
 		v := seq[i]
 		i++
 		return v, nil
@@ -118,14 +118,14 @@ func TestPipelinePhaseOrdering(t *testing.T) {
 	}
 }
 
-type detectorFunc func([]float64) (float64, error)
+type detectorFunc func(bw, sorted []float64) (float64, error)
 
-func (f detectorFunc) DetectThreshold(b []float64) (float64, error) { return f(b) }
-func (f detectorFunc) Name() string                                 { return "func" }
+func (f detectorFunc) DetectThreshold(bw, sorted []float64) (float64, error) { return f(bw, sorted) }
+func (f detectorFunc) Name() string                                          { return "func" }
 
 func TestPipelineMinFlowsReusesThreshold(t *testing.T) {
 	calls := 0
-	det := detectorFunc(func([]float64) (float64, error) {
+	det := detectorFunc(func(_, _ []float64) (float64, error) {
 		calls++
 		return 100, nil
 	})
@@ -251,7 +251,7 @@ func TestLoadFractionIdleLink(t *testing.T) {
 func TestPipelineAlphaZeroTracksRaw(t *testing.T) {
 	seq := []float64{100, 300, 700}
 	i := 0
-	det := detectorFunc(func([]float64) (float64, error) { v := seq[i]; i++; return v, nil })
+	det := detectorFunc(func(_, _ []float64) (float64, error) { v := seq[i]; i++; return v, nil })
 	p, _ := NewPipeline(Config{Detector: det, Alpha: 0, Classifier: SingleFeatureClassifier{}, MinFlows: 1})
 	p.Step(snap(1))
 	r1, _ := p.Step(snap(1))
@@ -267,7 +267,7 @@ func TestPipelineAlphaZeroTracksRaw(t *testing.T) {
 func TestPipelineSmoothness(t *testing.T) {
 	variance := func(alpha float64) float64 {
 		rng := rand.New(rand.NewSource(50))
-		det := detectorFunc(func([]float64) (float64, error) {
+		det := detectorFunc(func(_, _ []float64) (float64, error) {
 			return 100 * math.Exp(rng.NormFloat64()), nil
 		})
 		p, _ := NewPipeline(Config{Detector: det, Alpha: alpha, Classifier: SingleFeatureClassifier{}, MinFlows: 1})
@@ -300,7 +300,7 @@ func TestPipelineSmoothness(t *testing.T) {
 }
 
 func TestPipelineDetectorErrorPropagates(t *testing.T) {
-	det := detectorFunc(func([]float64) (float64, error) {
+	det := detectorFunc(func(_, _ []float64) (float64, error) {
 		return 0, errTest
 	})
 	p, _ := NewPipeline(Config{Detector: det, Alpha: 0.5, Classifier: SingleFeatureClassifier{}, MinFlows: 1})

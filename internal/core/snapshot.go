@@ -100,12 +100,13 @@ func (s *FlowSnapshot) CopyFrom(src *FlowSnapshot) {
 	s.sortedBWOK = false
 }
 
-// Append adds one flow. Non-positive bandwidths are dropped (an idle
-// flow is simply absent from the interval). Appending in ComparePrefix
-// order keeps the snapshot sorted for free; out-of-order appends are
-// tolerated but require a Sort call before the snapshot is classified.
+// Append adds one flow. Bandwidths that are not positive, NaN among
+// them, are dropped (an idle flow is simply absent from the interval).
+// Appending in ComparePrefix order keeps the snapshot sorted for free;
+// out-of-order appends are tolerated but require a Sort call before the
+// snapshot is classified.
 func (s *FlowSnapshot) Append(p netip.Prefix, bw float64) {
-	if bw <= 0 {
+	if !(bw > 0) {
 		return
 	}
 	if n := len(s.keys); n > 0 && ComparePrefix(s.keys[n-1], p) >= 0 {
@@ -122,7 +123,7 @@ func (s *FlowSnapshot) Append(p netip.Prefix, bw float64) {
 // classifier can index its per-flow columns without a single hash
 // lookup. The same bandwidth and ordering rules as Append apply.
 func (s *FlowSnapshot) AppendID(p netip.Prefix, id uint32, bw float64) {
-	if bw <= 0 {
+	if !(bw > 0) {
 		return
 	}
 	s.Append(p, bw)
@@ -206,8 +207,7 @@ func (s *FlowSnapshot) Bandwidth(i int) float64 { return s.bw[i] }
 func (s *FlowSnapshot) Keys() []netip.Prefix { return s.keys }
 
 // Bandwidths exposes the bandwidth column. Shared storage; do not
-// modify. (Pipeline.Step copies it before handing it to a Detector,
-// which is allowed to reorder its input.)
+// modify.
 func (s *FlowSnapshot) Bandwidths() []float64 { return s.bw }
 
 // SortedBandwidths returns the bandwidth column sorted ascending. The
@@ -218,26 +218,14 @@ func (s *FlowSnapshot) Bandwidths() []float64 { return s.bw }
 // storage; do not modify.
 func (s *FlowSnapshot) SortedBandwidths() []float64 {
 	if !s.sortedBWOK {
+		// Every way into a snapshot keeps its bandwidths positive, where
+		// the bit-pattern radix sort produces the comparison sort's
+		// ascending order several times faster.
 		s.sortedBW = append(s.sortedBW[:0], s.bw...)
-		// Aggregated snapshots hold strictly positive bandwidths, where
-		// the bit-pattern radix sort produces the identical ascending
-		// order several times faster than the comparison sort; manual
-		// fills may contain zeros, negatives or NaNs, which fall back.
-		positive := true
-		for _, x := range s.sortedBW {
-			if !(x > 0) {
-				positive = false
-				break
-			}
+		if cap(s.sortTmp) < len(s.sortedBW) {
+			s.sortTmp = make([]float64, len(s.sortedBW))
 		}
-		if positive {
-			if cap(s.sortTmp) < len(s.sortedBW) {
-				s.sortTmp = make([]float64, len(s.sortedBW))
-			}
-			stats.SortPositive(s.sortedBW, s.sortTmp[:len(s.sortedBW)])
-		} else {
-			slices.Sort(s.sortedBW)
-		}
+		stats.SortPositive(s.sortedBW, s.sortTmp[:len(s.sortedBW)])
 		s.sortedBWOK = true
 	}
 	return s.sortedBW
@@ -454,14 +442,10 @@ func (a *prefixArena) grab(n int) []netip.Prefix {
 	return a.buf[lo : lo : lo+n]
 }
 
-// mergeElephants combines a verdict's snapshot indices (ascending) and
-// off-snapshot flows (sorted) into an owning ElephantSet.
-func mergeElephants(snap *FlowSnapshot, v Verdict) ElephantSet {
-	return mergeElephantsArena(snap, v, nil)
-}
-
-// mergeElephantsArena is mergeElephants drawing the set's storage from
-// an arena when one is supplied (the pipeline's steady-state path).
+// mergeElephantsArena combines a verdict's snapshot indices (ascending)
+// and off-snapshot flows (sorted) into an owning ElephantSet, drawing its
+// storage from an arena when one is supplied (the pipeline's
+// steady-state path) and allocating it otherwise.
 func mergeElephantsArena(snap *FlowSnapshot, v Verdict, a *prefixArena) ElephantSet {
 	n := len(v.Indices) + len(v.Offline)
 	if n == 0 {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"net/netip"
+	"sort"
 	"testing"
 )
 
@@ -28,6 +30,38 @@ func TestSnapshotDropsNonPositive(t *testing.T) {
 	s.Append(pfx(2), 7)
 	if s.Len() != 1 || s.TotalLoad() != 7 {
 		t.Errorf("non-positive bandwidths must be dropped: len=%d total=%v", s.Len(), s.TotalLoad())
+	}
+}
+
+// TestSnapshotDropsNaN: a NaN bandwidth is not positive, so it is
+// dropped like zero — by Append and AppendID — and never reaches the
+// total or the columns.
+func TestSnapshotDropsNaN(t *testing.T) {
+	s := NewFlowSnapshot(0)
+	s.Append(pfx(0), math.NaN())
+	s.AppendID(pfx(1), 1, math.NaN())
+	if s.Len() != 0 || s.TotalLoad() != 0 {
+		t.Errorf("NaN bandwidths must be dropped: len=%d total=%v", s.Len(), s.TotalLoad())
+	}
+}
+
+// TestSnapshotSortedBandwidthsInf: +Inf is positive and stays; the
+// sorted view is ascending with it last, on both sides of the radix
+// sort's size cut-over.
+func TestSnapshotSortedBandwidthsInf(t *testing.T) {
+	for _, n := range []int{5, 300} {
+		s := NewFlowSnapshot(n)
+		for i := 0; i < n; i++ {
+			bw := float64((i*7919)%n + 1)
+			if i == n/2 {
+				bw = math.Inf(1)
+			}
+			s.Append(pfx(i), bw)
+		}
+		sorted := s.SortedBandwidths()
+		if len(sorted) != n || !sort.Float64sAreSorted(sorted) || !math.IsInf(sorted[n-1], 1) {
+			t.Errorf("n=%d: sorted view %v..., want ascending with +Inf last", n, sorted[max(0, n-3):])
+		}
 	}
 }
 
@@ -160,10 +194,10 @@ func TestElephantSetEqualAndJaccard(t *testing.T) {
 
 func TestMergeElephants(t *testing.T) {
 	s := snap(10, 20, 30) // pfx(0..2)
-	out := mergeElephants(s, Verdict{
+	out := mergeElephantsArena(s, Verdict{
 		Indices: []int{0, 2},
 		Offline: []netip.Prefix{pfx(1), pfx(7)},
-	})
+	}, nil)
 	want := NewElephantSet(pfx(0), pfx(1), pfx(2), pfx(7))
 	if !out.Equal(want) {
 		t.Errorf("merge = %v, want %v", out.Flows(), want.Flows())

@@ -16,7 +16,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/stats"
 )
@@ -24,9 +23,14 @@ import (
 // Detector computes the separation threshold theta(t) from one
 // measurement interval's flow bandwidths (phase 1 of the methodology).
 type Detector interface {
-	// DetectThreshold returns theta(t) for the given positive flow
-	// bandwidths (bit/s). The slice may be reordered in place.
-	DetectThreshold(bandwidths []float64) (float64, error)
+	// DetectThreshold returns theta(t) for one interval, given both views
+	// of its bandwidth column (bit/s): bandwidths in observation order
+	// and sorted, the same values ascending. Both hold the same number of
+	// positive values, and both are read-only: a detector must not modify
+	// either. Callers build the sorted view once per interval (the
+	// snapshot's cached SortedBandwidths, the prepass's per-chunk sort)
+	// and hand it to every detector.
+	DetectThreshold(bandwidths, sorted []float64) (float64, error)
 	// Name identifies the scheme in reports ("aest",
 	// "0.80-constant-load").
 	Name() string
@@ -46,22 +50,6 @@ type ThresholdSource interface {
 	// detection error the inline path would have hit, and the pipeline
 	// fails the interval identically.
 	RawThreshold(t int) (theta float64, err error)
-}
-
-// SortedDetector is implemented by detectors that can compute theta(t)
-// from a pre-sorted view of the interval, skipping their internal
-// sort. Pipeline.Step prefers this path: the snapshot's cached
-// SortedBandwidths column is computed once per interval and shared by
-// every pipeline classifying the same emitted snapshot, so an S-scheme
-// matrix run pays for one sort instead of S.
-type SortedDetector interface {
-	Detector
-	// DetectThresholdSorted returns exactly what
-	// DetectThreshold(bandwidths) would, given both the bandwidth
-	// column in its original observation order and the same values
-	// sorted ascending. Both slices must hold positive, finite values
-	// and neither may be modified.
-	DetectThresholdSorted(bandwidths, sorted []float64) (float64, error)
 }
 
 // ConstantLoadDetector implements the "β-constant load" technique: the
@@ -86,61 +74,41 @@ func (d *ConstantLoadDetector) Name() string {
 	return fmt.Sprintf("%.2f-constant-load", d.Beta)
 }
 
-// DetectThreshold implements Detector. Flows are sorted by bandwidth,
-// descending, and accumulated until they carry the target fraction of
-// total traffic; the threshold is the bandwidth of the first *excluded*
-// flow, so that exactly the flows strictly exceeding theta account for
-// (at least) the target load — the paper's phrasing "all the flows
-// exceeding it account for the chosen fraction of total traffic". When
-// every flow is needed, the threshold drops below the smallest flow.
-func (d *ConstantLoadDetector) DetectThreshold(bandwidths []float64) (float64, error) {
-	if len(bandwidths) == 0 {
-		return 0, fmt.Errorf("core: constant-load: empty interval")
-	}
-	// The specialised ascending sort, scanned from the top, is ~2x the
-	// interface-based descending sort this hot path used to pay; ties
-	// may land in a different order, but equal values contribute equal
-	// partial sums, so the detected threshold is unchanged.
-	slices.Sort(bandwidths)
-	return d.detectSorted(bandwidths)
-}
-
-// DetectThresholdSorted implements SortedDetector: the technique only
-// ever consumes the sorted view, so the pre-sorted column replaces the
-// copy-and-sort wholesale.
-func (d *ConstantLoadDetector) DetectThresholdSorted(_, sorted []float64) (float64, error) {
+// DetectThreshold implements Detector. It reads only the sorted view:
+// flows are accumulated largest first until they carry the target
+// fraction of total traffic, and the threshold is the bandwidth of the
+// first *excluded* flow, so that exactly the flows strictly exceeding
+// theta account for (at least) the target load — the paper's phrasing
+// "all the flows exceeding it account for the chosen fraction of total
+// traffic". When every flow is needed, the threshold drops below the
+// smallest flow.
+func (d *ConstantLoadDetector) DetectThreshold(_, sorted []float64) (float64, error) {
 	if len(sorted) == 0 {
 		return 0, fmt.Errorf("core: constant-load: empty interval")
 	}
-	return d.detectSorted(sorted)
-}
-
-// detectSorted scans an ascending-sorted bandwidth column without
-// modifying it.
-func (d *ConstantLoadDetector) detectSorted(bandwidths []float64) (float64, error) {
 	// Total and cumulative sums run largest-first, the exact float
 	// summation order of the historical descending-sort implementation.
 	var total float64
-	for i := len(bandwidths) - 1; i >= 0; i-- {
-		total += bandwidths[i]
+	for i := len(sorted) - 1; i >= 0; i-- {
+		total += sorted[i]
 	}
 	if total <= 0 {
 		return 0, fmt.Errorf("core: constant-load: zero total traffic")
 	}
 	target := d.Beta * total
 	var cum float64
-	for i := len(bandwidths) - 1; i >= 0; i-- {
-		cum += bandwidths[i]
+	for i := len(sorted) - 1; i >= 0; i-- {
+		cum += sorted[i]
 		if cum >= target {
 			if i > 0 {
-				return bandwidths[i-1], nil
+				return sorted[i-1], nil
 			}
 			break
 		}
 	}
 	// All flows are in the elephant class: any positive value below the
 	// minimum keeps them all strictly above the threshold.
-	return bandwidths[0] * 0.999, nil
+	return sorted[0] * 0.999, nil
 }
 
 // AestDetector implements the "aest" technique: the threshold is the
@@ -153,13 +121,8 @@ type AestDetector struct {
 	Config stats.AestConfig
 	// FallbackQuantile is the bandwidth quantile used as the threshold
 	// when no tail is detectable in an interval (small samples, light
-	// tails). Defaults to 0.95.
+	// tails). Zero means 0.95.
 	FallbackQuantile float64
-
-	// Fallbacks counts intervals where the estimator found no tail.
-	Fallbacks int
-	// Detections counts intervals with a detected tail.
-	Detections int
 
 	// scratch is the estimator's reusable working arena; it makes
 	// steady-state detection allocation-free and ties the detector to a
@@ -169,48 +132,25 @@ type AestDetector struct {
 }
 
 // NewAestDetector returns a detector with default estimator settings.
-func NewAestDetector() *AestDetector {
-	return &AestDetector{FallbackQuantile: 0.95}
-}
+func NewAestDetector() *AestDetector { return &AestDetector{} }
 
 // Name implements Detector.
 func (d *AestDetector) Name() string { return "aest" }
 
-// DetectThreshold implements Detector.
-func (d *AestDetector) DetectThreshold(bandwidths []float64) (float64, error) {
-	if len(bandwidths) == 0 {
+// DetectThreshold implements Detector. The estimator's block
+// aggregation is order-sensitive, so the observation-order column feeds
+// it; the sorted view supplies the base CCDF, every candidate quantile
+// and the fallback quantile.
+func (d *AestDetector) DetectThreshold(bandwidths, sorted []float64) (float64, error) {
+	if len(sorted) == 0 {
 		return 0, fmt.Errorf("core: aest: empty interval")
+	}
+	if res := d.scratch.AestSorted(bandwidths, sorted, d.Config); res.TailFound {
+		return res.TailOnset, nil
 	}
 	fq := d.FallbackQuantile
 	if fq == 0 {
 		fq = 0.95
 	}
-	res := d.scratch.Aest(bandwidths, d.Config)
-	if res.TailFound {
-		d.Detections++
-		return res.TailOnset, nil
-	}
-	d.Fallbacks++
-	return stats.Quantile(bandwidths, fq), nil
-}
-
-// DetectThresholdSorted implements SortedDetector. The estimator's
-// block aggregation is order-sensitive, so the original-order column
-// still feeds it; the sorted view supplies the base CCDF and every
-// candidate quantile, which previously each re-sorted the sample.
-func (d *AestDetector) DetectThresholdSorted(bandwidths, sorted []float64) (float64, error) {
-	if len(bandwidths) == 0 {
-		return 0, fmt.Errorf("core: aest: empty interval")
-	}
-	fq := d.FallbackQuantile
-	if fq == 0 {
-		fq = 0.95
-	}
-	res := d.scratch.AestSorted(bandwidths, sorted, d.Config)
-	if res.TailFound {
-		d.Detections++
-		return res.TailOnset, nil
-	}
-	d.Fallbacks++
 	return stats.QuantileSorted(sorted, fq), nil
 }

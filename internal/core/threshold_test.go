@@ -1,12 +1,24 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stats"
 )
+
+// detect runs d on bws as Pipeline.Step does: the column beside its
+// sorted view.
+func detect(d Detector, bws []float64) (float64, error) {
+	sorted := append([]float64(nil), bws...)
+	sort.Float64s(sorted)
+	return d.DetectThreshold(bws, sorted)
+}
 
 func TestConstantLoadValidation(t *testing.T) {
 	for _, beta := range []float64{0, 1, -0.5, 1.5} {
@@ -25,10 +37,10 @@ func TestConstantLoadValidation(t *testing.T) {
 
 func TestConstantLoadEmptyAndZero(t *testing.T) {
 	d, _ := NewConstantLoadDetector(0.8)
-	if _, err := d.DetectThreshold(nil); err == nil {
+	if _, err := detect(d, nil); err == nil {
 		t.Error("empty interval accepted")
 	}
-	if _, err := d.DetectThreshold([]float64{0, 0}); err == nil {
+	if _, err := detect(d, []float64{0, 0}); err == nil {
 		t.Error("zero traffic accepted")
 	}
 }
@@ -39,7 +51,7 @@ func TestConstantLoadEmptyAndZero(t *testing.T) {
 func TestConstantLoadSemantics(t *testing.T) {
 	d, _ := NewConstantLoadDetector(0.8)
 	bws := []float64{100, 50, 30, 10, 5, 3, 1, 1}
-	theta, err := d.DetectThreshold(append([]float64(nil), bws...))
+	theta, err := detect(d, bws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +76,7 @@ func TestConstantLoadSemantics(t *testing.T) {
 
 func TestConstantLoadSingleFlow(t *testing.T) {
 	d, _ := NewConstantLoadDetector(0.8)
-	theta, err := d.DetectThreshold([]float64{42})
+	theta, err := detect(d, []float64{42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +88,7 @@ func TestConstantLoadSingleFlow(t *testing.T) {
 func TestConstantLoadAllEqual(t *testing.T) {
 	d, _ := NewConstantLoadDetector(0.5)
 	bws := []float64{10, 10, 10, 10}
-	theta, err := d.DetectThreshold(bws)
+	theta, err := detect(d, bws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +114,7 @@ func TestConstantLoadProperty(t *testing.T) {
 			bws[i] = math.Exp(rng.NormFloat64() * 2)
 			total += bws[i]
 		}
-		theta, err := d.DetectThreshold(append([]float64(nil), bws...))
+		theta, err := detect(d, bws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,18 +138,6 @@ func TestConstantLoadProperty(t *testing.T) {
 	}
 }
 
-func TestConstantLoadSortsDescending(t *testing.T) {
-	// The detector documents that it may reorder its input.
-	d, _ := NewConstantLoadDetector(0.8)
-	bws := []float64{1, 100, 50}
-	if _, err := d.DetectThreshold(bws); err != nil {
-		t.Fatal(err)
-	}
-	if !sort.IsSorted(sort.Reverse(sort.Float64Slice(bws))) {
-		t.Log("input reordering is allowed; this documents the behaviour")
-	}
-}
-
 func TestAestDetectorName(t *testing.T) {
 	if NewAestDetector().Name() != "aest" {
 		t.Error("wrong name")
@@ -145,25 +145,25 @@ func TestAestDetectorName(t *testing.T) {
 }
 
 func TestAestDetectorEmpty(t *testing.T) {
-	if _, err := NewAestDetector().DetectThreshold(nil); err == nil {
+	if _, err := detect(NewAestDetector(), nil); err == nil {
 		t.Error("empty interval accepted")
 	}
 }
 
 // TestAestDetectorHeavyTail: on a clear body+tail mixture, the detector
-// must place the threshold above the body median.
+// must place the threshold at the detected tail onset, above the body
+// median — not at the fallback quantile.
 func TestAestDetectorHeavyTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	bws := make([]float64, 0, 8000)
-	for i := 0; i < 7600; i++ {
+	for i := 0; i < 7200; i++ {
 		bws = append(bws, math.Exp(rng.NormFloat64()))
 	}
-	for i := 0; i < 400; i++ {
+	for i := 0; i < 800; i++ {
 		u := rng.Float64()
 		bws = append(bws, math.Exp(2.5)*math.Pow(u, -1/1.4))
 	}
-	d := NewAestDetector()
-	theta, err := d.DetectThreshold(bws)
+	theta, err := detect(NewAestDetector(), bws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +173,11 @@ func TestAestDetectorHeavyTail(t *testing.T) {
 	if theta <= median {
 		t.Errorf("theta = %v at or below the median %v", theta, median)
 	}
-	if d.Detections+d.Fallbacks != 1 {
-		t.Errorf("counters: det=%d fb=%d", d.Detections, d.Fallbacks)
+	if res := stats.Aest(bws, stats.AestConfig{}); !res.TailFound || theta != res.TailOnset {
+		t.Errorf("theta = %v, want the tail onset of %+v", theta, res)
+	}
+	if fb := stats.QuantileSorted(sorted, 0.95); theta == fb {
+		t.Errorf("theta = %v is the 0.95 fallback quantile", theta)
 	}
 }
 
@@ -186,17 +189,14 @@ func TestAestDetectorFallback(t *testing.T) {
 	for i := range bws {
 		bws[i] = 1 + rng.Float64()
 	}
-	d := NewAestDetector()
-	theta, err := d.DetectThreshold(bws)
+	theta, err := detect(NewAestDetector(), bws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Fallbacks != 1 || d.Detections != 0 {
-		t.Errorf("counters: det=%d fb=%d, want fallback", d.Detections, d.Fallbacks)
-	}
-	// The 0.95 quantile of a sample in (1,2) lies in (1,2).
-	if theta < 1 || theta > 2 {
-		t.Errorf("fallback theta = %v outside sample range", theta)
+	sorted := append([]float64(nil), bws...)
+	sort.Float64s(sorted)
+	if want := stats.QuantileSorted(sorted, 0.95); theta != want {
+		t.Errorf("theta = %v, want the 0.95 fallback quantile %v", theta, want)
 	}
 }
 
@@ -204,7 +204,7 @@ func TestAestDetectorCustomFallbackQuantile(t *testing.T) {
 	d := NewAestDetector()
 	d.FallbackQuantile = 0.5
 	bws := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	theta, err := d.DetectThreshold(bws)
+	theta, err := detect(d, bws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestDetectorsQuickInvariants(t *testing.T) {
 			return true
 		}
 		for _, det := range []Detector{load, aest} {
-			theta, err := det.DetectThreshold(append([]float64(nil), bws...))
+			theta, err := detect(det, bws)
 			if err != nil {
 				return false
 			}
@@ -244,59 +244,155 @@ func TestDetectorsQuickInvariants(t *testing.T) {
 	}
 }
 
-// TestSortedDetectorEquivalence is the fast-path equivalence property:
-// for both detectors, DetectThresholdSorted fed the snapshot's
-// (original, sorted) view pair must return bitwise the same threshold
-// as DetectThreshold on the original column, across heavy-tailed and
-// light-tailed random samples of varied size. The sorted path is what
-// every pipeline runs in production; the unsorted path is the spec.
-func TestSortedDetectorEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 40; trial++ {
-		n := 20 + rng.Intn(800)
-		bws := make([]float64, n)
-		heavy := trial%2 == 0
-		for i := range bws {
-			bws[i] = math.Exp(rng.NormFloat64())
-			if heavy && rng.Intn(10) == 0 {
-				bws[i] *= 1e4
+// refConstantLoad is the constant-load technique as it stood before
+// detectors took the sorted view: a descending copy accumulated from the
+// largest flow until it carries the target fraction of total traffic.
+func refConstantLoad(beta float64, bws []float64) (float64, error) {
+	if len(bws) == 0 {
+		return 0, fmt.Errorf("empty interval")
+	}
+	desc := append([]float64(nil), bws...)
+	sort.Sort(sort.Reverse(sort.Float64Slice(desc)))
+	var total float64
+	for _, x := range desc {
+		total += x
+	}
+	if total <= 0 {
+		return 0, fmt.Errorf("zero total traffic")
+	}
+	target := beta * total
+	var cum float64
+	for i, x := range desc {
+		cum += x
+		if cum >= target {
+			if i+1 < len(desc) {
+				return desc[i+1], nil
 			}
-		}
-		sorted := append([]float64(nil), bws...)
-		sort.Float64s(sorted)
-
-		load, err := NewConstantLoadDetector(0.8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Separate instances per path: the aest detector counts its
-		// detections and fallbacks.
-		for name, mk := range map[string]func() interface {
-			Detector
-			SortedDetector
-		}{
-			"constant-load": func() interface {
-				Detector
-				SortedDetector
-			} {
-				return load
-			},
-			"aest": func() interface {
-				Detector
-				SortedDetector
-			} {
-				return NewAestDetector()
-			},
-		} {
-			det := mk()
-			want, err1 := det.DetectThreshold(append([]float64(nil), bws...))
-			got, err2 := mk().DetectThresholdSorted(bws, sorted)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("trial %d %s: err %v vs sorted err %v", trial, name, err1, err2)
-			}
-			if got != want {
-				t.Fatalf("trial %d %s: sorted path %v, unsorted %v", trial, name, got, want)
-			}
+			break
 		}
 	}
+	return desc[len(desc)-1] * 0.999, nil
+}
+
+// refAest is the aest technique on the raw column: the package-level
+// estimator, which filters and sorts for itself, and the fallback
+// quantile of a sorted copy when it finds no tail.
+func refAest(fallback float64, bws []float64) (float64, error) {
+	if len(bws) == 0 {
+		return 0, fmt.Errorf("empty interval")
+	}
+	if res := stats.Aest(bws, stats.AestConfig{}); res.TailFound {
+		return res.TailOnset, nil
+	}
+	sorted := append([]float64(nil), bws...)
+	sort.Float64s(sorted)
+	return stats.QuantileSorted(sorted, fallback), nil
+}
+
+// fuzzColumn decodes a bandwidth column: each big-endian uint16 u is the
+// flow 1e3·2^(u/4096) bit/s, so the column spans sixteen octaves at a
+// resolution fine enough for smooth shapes and coarse enough that ties
+// are easy to reach. A trailing odd byte is ignored, and so is anything
+// past fuzzMaxFlows flows: aest finds tails well below it, and a bounded
+// column keeps each execution cheap enough for a short fuzzing run.
+func fuzzColumn(b []byte) []float64 {
+	bws := make([]float64, min(len(b)/2, fuzzMaxFlows))
+	for i := range bws {
+		bws[i] = 1e3 * math.Exp2(float64(binary.BigEndian.Uint16(b[2*i:]))/4096)
+	}
+	return bws
+}
+
+const fuzzMaxFlows = 1024
+
+// fuzzBytes encodes a column fuzzColumn decodes to (values rounded to
+// its grid and clamped into its range).
+func fuzzBytes(bws []float64) []byte {
+	b := make([]byte, 2*len(bws))
+	for i, x := range bws {
+		u := math.Round(4096 * math.Log2(x/1e3))
+		binary.BigEndian.PutUint16(b[2*i:], uint16(min(max(u, 0), math.MaxUint16)))
+	}
+	return b
+}
+
+// FuzzDetectThreshold pins both techniques against their references:
+// for every column, DetectThreshold(bw, sort(bw)) returns bitwise the
+// reference's threshold, with the same error-ness, and leaves both views
+// as it found them.
+func FuzzDetectThreshold(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	heavy := make([]float64, 600)
+	for i := range heavy {
+		heavy[i] = 1e4 * math.Exp(rng.NormFloat64())
+		if rng.Intn(4) == 0 {
+			heavy[i] = 2e4 * math.Pow(rng.Float64(), -1/1.4)
+		}
+	}
+	light := make([]float64, 600)
+	for i := range light {
+		light[i] = 1e4 * (1 + rng.Float64())
+	}
+	ties := make([]float64, 400)
+	for i := range ties {
+		ties[i] = 1e4 * float64(1+i%3)
+	}
+	f.Add([]byte{})
+	f.Add(fuzzBytes([]float64{42e3}))
+	f.Add(fuzzBytes(heavy))
+	f.Add(fuzzBytes(light))
+	f.Add(fuzzBytes(ties))
+	f.Add(append(fuzzBytes(heavy[:300]), 0xff))
+
+	type detector struct {
+		name string
+		det  Detector
+		ref  func([]float64) (float64, error)
+	}
+	var dets []detector
+	for _, beta := range []float64{0.5, 0.8, 0.95} {
+		d, err := NewConstantLoadDetector(beta)
+		if err != nil {
+			f.Fatal(err)
+		}
+		dets = append(dets, detector{d.Name(), d, func(bw []float64) (float64, error) { return refConstantLoad(beta, bw) }})
+	}
+	for _, fq := range []float64{0.5, 0.95} {
+		d := NewAestDetector()
+		d.FallbackQuantile = fq
+		dets = append(dets, detector{fmt.Sprintf("aest/fallback=%v", fq), d, func(bw []float64) (float64, error) { return refAest(fq, bw) }})
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		bws := fuzzColumn(b)
+		sorted := append([]float64(nil), bws...)
+		sort.Float64s(sorted)
+		bwsWas := append([]float64(nil), bws...)
+		sortedWas := append([]float64(nil), sorted...)
+		for _, d := range dets {
+			got, err := d.det.DetectThreshold(bws, sorted)
+			want, wantErr := d.ref(bws)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%s on %d flows: err %v, reference err %v", d.name, len(bws), err, wantErr)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s on %d flows: theta %v, reference %v", d.name, len(bws), got, want)
+			}
+			if !bitsEqual(bws, bwsWas) || !bitsEqual(sorted, sortedWas) {
+				t.Fatalf("%s on %d flows modified its input", d.name, len(bws))
+			}
+		}
+	})
+}
+
+// bitsEqual reports whether a and b hold the same float64 bit patterns.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

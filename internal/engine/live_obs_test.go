@@ -11,8 +11,8 @@ import (
 
 type constDetector struct{ theta float64 }
 
-func (d constDetector) DetectThreshold([]float64) (float64, error) { return d.theta, nil }
-func (d constDetector) Name() string                               { return "const" }
+func (d constDetector) DetectThreshold(_, _ []float64) (float64, error) { return d.theta, nil }
+func (d constDetector) Name() string                                    { return "const" }
 
 // TestLivePipelineWatermarkLag: the accumulate stage publishes the
 // watermark lag at every seal, readable from any goroutine; a result

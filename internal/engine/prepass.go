@@ -85,9 +85,8 @@ const prepassChunk = 16
 // detector instance per config for its whole life, across chunks and
 // links: detection is a pure function of the interval's column and the
 // config (the ThresholdSource contract), an instance's state is scratch
-// storage and counters nobody reads, and the instances are thrown away
-// with the worker — so θ(t) cannot depend on which worker, or in what
-// order, computed it.
+// storage only, and the instances are thrown away with the worker — so
+// θ(t) cannot depend on which worker, or in what order, computed it.
 func (e *MultiLinkEngine) prepassThresholds(links []MatrixLink, specs []*scheme.Spec) map[string]map[string]*thresholdColumn {
 	dets := uniqueDetectors(specs)
 	if len(dets) == 0 {
@@ -126,37 +125,25 @@ func (e *MultiLinkEngine) prepassThresholds(links []MatrixLink, specs []*scheme.
 	}
 	e.runPool(len(jobs), func() func(int) {
 		built := make([]core.Detector, len(dets))
-		sortedDets := make([]core.SortedDetector, len(dets))
-		needSorted := false
 		for k, d := range dets {
 			// uniqueDetectors kept only specs whose detector builds.
 			built[k], _ = d.sp.BuildDetector()
-			if sd, ok := built[k].(core.SortedDetector); ok {
-				sortedDets[k], needSorted = sd, true
-			}
 		}
-		var sorted, tmp, scratch []float64
+		var sorted, tmp []float64
 		return func(i int) {
 			cols, s := linkCols[jobs[i].link], links[jobs[i].link].Series
 			for t := jobs[i].from; t < min(jobs[i].from+prepassChunk, s.Intervals); t++ {
+				// CSR bandwidth segments are strictly positive by
+				// construction, so stats.SortPositive produces exactly the
+				// snapshot's SortedBandwidths column.
 				bw := s.IntervalBandwidths(t)
-				if needSorted {
-					// CSR bandwidth segments are strictly positive by
-					// construction, so stats.SortPositive produces exactly
-					// the snapshot's SortedBandwidths column.
-					sorted = append(sorted[:0], bw...)
-					if cap(tmp) < len(bw) {
-						tmp = make([]float64, len(bw))
-					}
-					stats.SortPositive(sorted, tmp[:len(bw)])
+				sorted = append(sorted[:0], bw...)
+				if cap(tmp) < len(bw) {
+					tmp = make([]float64, len(bw))
 				}
+				stats.SortPositive(sorted, tmp[:len(bw)])
 				for k, col := range cols {
-					if sd := sortedDets[k]; sd != nil {
-						col.theta[t], col.errs[t] = sd.DetectThresholdSorted(bw, sorted)
-					} else {
-						scratch = append(scratch[:0], bw...)
-						col.theta[t], col.errs[t] = built[k].DetectThreshold(scratch)
-					}
+					col.theta[t], col.errs[t] = built[k].DetectThreshold(bw, sorted)
 				}
 			}
 		}

@@ -194,7 +194,7 @@ func TestPrepassCoversDetectionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, inline := det.DetectThreshold(nil)
+	_, inline := det.DetectThreshold(nil, nil)
 	if inline == nil {
 		t.Fatal("constant-load accepted an empty interval")
 	}

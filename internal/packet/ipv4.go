@@ -90,9 +90,6 @@ func (ip *IPv4) NextLayerType() LayerType {
 // LayerPayload implements Layer.
 func (ip *IPv4) LayerPayload() []byte { return ip.payload }
 
-// HeaderLength returns the decoded header length in bytes.
-func (ip *IPv4) HeaderLength() int { return int(ip.IHL) * 4 }
-
 // AppendTo serializes the header (recomputing IHL, Length if zero, and
 // Checksum) and appends it to b. payloadLen is the number of payload bytes
 // that will follow; it is used to fill the Length field when ip.Length is

@@ -1,6 +1,10 @@
 package scheme
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -129,6 +133,44 @@ func TestValidateValues(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("Validate(%q) = %v, want substring %q", c.in, err, c.wantSub)
+		}
+	}
+}
+
+// TestDetectorsDoNotModifyInputs: every registered detector reads both
+// views of an interval read-only — the contract that lets one sorted
+// column serve every pipeline stepping the snapshot — on a heavy-tailed
+// column (aest detects a tail) and a light one (aest falls back).
+func TestDetectorsDoNotModifyInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	heavy := make([]float64, 4000)
+	light := make([]float64, 400)
+	for i := range heavy {
+		heavy[i] = 1e4 * math.Pow(rng.Float64(), -1/1.4)
+	}
+	for i := range light {
+		light[i] = 1e4 * (1 + rng.Float64())
+	}
+	for _, ex := range DetectorExamples() {
+		sp, err := Parse(ex)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", ex, err)
+		}
+		det, err := sp.BuildDetector()
+		if err != nil {
+			t.Fatalf("%s: %v", ex, err)
+		}
+		for _, bw := range [][]float64{heavy, light} {
+			sorted := append([]float64(nil), bw...)
+			sort.Float64s(sorted)
+			bwWas := append([]float64(nil), bw...)
+			sortedWas := append([]float64(nil), sorted...)
+			if _, err := det.DetectThreshold(bw, sorted); err != nil {
+				t.Fatalf("%s: %v", ex, err)
+			}
+			if !reflect.DeepEqual(bw, bwWas) || !reflect.DeepEqual(sorted, sortedWas) {
+				t.Errorf("%s modified its input on %d flows", ex, len(bw))
+			}
 		}
 	}
 }

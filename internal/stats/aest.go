@@ -124,25 +124,14 @@ type AestLevel struct {
 	N     int // tail points used in the fit
 }
 
-// Aggregate returns the m-aggregated series: sums over consecutive
-// non-overlapping blocks of size m. The trailing partial block is
-// dropped. Aggregate panics on m < 1, a programmer error.
-func Aggregate(xs []float64, m int) []float64 {
-	n := len(xs)
-	if m > 1 {
-		n = len(xs) / m
-	}
-	return AggregateInto(make([]float64, 0, n), xs, m)
-}
-
-// AggregateInto is Aggregate appending into dst's storage instead of
-// allocating — the variant the aest scratch arena uses. It returns the
-// extended slice (the block sums appended after dst's existing
-// elements) with identical values and float summation order to
-// Aggregate. It panics on m < 1, a programmer error.
+// AggregateInto appends the m-aggregated series of xs to dst and
+// returns the extended slice: sums over consecutive non-overlapping
+// blocks of size m, the trailing partial block dropped. With a nil dst
+// it allocates a fresh series; the aest scratch arena passes its own
+// storage. It panics on m < 1, a programmer error.
 func AggregateInto(dst, xs []float64, m int) []float64 {
 	if m < 1 {
-		panic(fmt.Sprintf("stats: Aggregate: block size %d < 1", m))
+		panic(fmt.Sprintf("stats: AggregateInto: block size %d < 1", m))
 	}
 	if m == 1 {
 		return append(dst, xs...)
@@ -158,25 +147,22 @@ func AggregateInto(dst, xs []float64, m int) []float64 {
 	return dst
 }
 
-// AestScratch owns the estimator's reusable working storage: the
-// positive/sorted sample copies, one flat float64 arena carved per call
-// into aggregate buffers, CCDF support arrays and their log-log
-// coordinates, and the per-level fit records. A warm scratch
-// makes Aest/AestSorted allocation-free (diagnostics excepted — see
-// AestConfig.WantLevels).
+// AestScratch owns the estimator's reusable working storage: one flat
+// float64 arena carved per call into aggregate buffers, CCDF support
+// arrays and their log-log coordinates, and the per-level fit records. A
+// warm scratch makes AestSorted allocation-free (diagnostics excepted —
+// see AestConfig.WantLevels).
 //
 // Ownership rules: a scratch belongs to one goroutine at a time and
-// every buffer it hands out is invalidated by the next Aest/AestSorted
-// call on the same scratch — nothing reachable from an AestResult
+// every buffer it hands out is invalidated by the next AestSorted call
+// on the same scratch — nothing reachable from an AestResult
 // aliases the scratch (Levels, when requested, is a fresh copy), so
 // results outlive the scratch freely. The zero value is ready to use;
 // detectors embed one per instance and the engine's prepass workers own
 // one each.
 type AestScratch struct {
-	positive []float64 // Aest entry: filtered observation-order copy
-	sorted   []float64 // Aest entry: ascending copy of positive
-	tmp      []float64 // radix-sort ping-pong storage
-	buf      []float64 // flat arena, carved front-to-back per call
+	tmp []float64 // radix-sort ping-pong storage
+	buf []float64 // flat arena, carved front-to-back per call
 	// base is aggregation level 1; dists follow cfg.AggregationLevels.
 	base   aestDist
 	dists  []aestDist
@@ -245,48 +231,33 @@ func (s *AestScratch) newDist(clean []float64) aestDist {
 	return aestDist{c: c, lx: s.take(c.Len()), lp: s.take(c.Len()), logged: c.Len()}
 }
 
-// Aest runs the scaling estimator on the sample xs. It needs on the
+// Aest runs the scaling estimator on the sample xs. Non-positive, NaN
+// and infinite values are dropped; xs is not modified. It needs on the
 // order of a few hundred positive observations; smaller samples return
 // TailFound == false rather than an error, because "no detectable tail"
 // is an expected outcome the classifier must handle (it falls back to a
-// quantile threshold).
+// quantile threshold). Aest allocates its working storage per call;
+// AestSorted is the form for callers that already hold the sorted view.
 func Aest(xs []float64, cfg AestConfig) AestResult {
-	var s AestScratch
-	return s.Aest(xs, cfg)
-}
-
-// Aest is the package-level Aest running on the scratch's reusable
-// storage: identical output, no steady-state allocations once warm.
-func (s *AestScratch) Aest(xs []float64, cfg AestConfig) AestResult {
-	if cap(s.positive) < len(xs) {
-		s.positive = make([]float64, 0, len(xs))
-	}
-	s.positive = s.positive[:0]
+	positive := make([]float64, 0, len(xs))
 	for _, x := range xs {
-		if x > 0 && !math.IsNaN(x) && !math.IsInf(x, 0) {
-			s.positive = append(s.positive, x)
+		if x > 0 && !math.IsInf(x, 0) {
+			positive = append(positive, x)
 		}
 	}
-	s.sorted = append(s.sorted[:0], s.positive...)
-	SortPositive(s.sorted, s.ensureTmp(len(s.sorted)))
-	return s.AestSorted(s.positive, s.sorted, cfg)
+	sorted := append([]float64(nil), positive...)
+	var s AestScratch
+	SortPositive(sorted, s.ensureTmp(len(sorted)))
+	return s.AestSorted(positive, sorted, cfg)
 }
 
 // AestSorted is Aest for callers that already hold both views of the
 // sample: xs in its original observation order (block aggregation is
-// order-sensitive, so this must be the as-measured sequence) and
-// sorted, the same values in ascending order. It skips the estimator's
-// internal sorts — one per candidate quantile in earlier revisions —
-// and produces output identical to Aest. Both slices must contain only
-// positive, finite values (the snapshot-bandwidth invariant) and are
+// order-sensitive, so this must be the as-measured sequence) and sorted,
+// the same values in ascending order. It runs on the scratch's reusable
+// storage, so a warm scratch allocates nothing. Both slices must contain
+// only positive, finite values (the snapshot-bandwidth invariant) and are
 // not modified.
-func AestSorted(xs, sorted []float64, cfg AestConfig) AestResult {
-	var s AestScratch
-	return s.AestSorted(xs, sorted, cfg)
-}
-
-// AestSorted is the package-level AestSorted on the scratch's reusable
-// storage: identical output, no steady-state allocations once warm.
 func (s *AestScratch) AestSorted(xs, sorted []float64, cfg AestConfig) AestResult {
 	cfg.defaults()
 	var res AestResult
@@ -482,25 +453,14 @@ func (s *AestScratch) shiftAlpha(cfg AestConfig, onset float64) (float64, bool) 
 // Hill computes the Hill estimator of the tail index using the k largest
 // order statistics. It is the classical cross-check for aest; k is
 // typically 5–15% of the sample. It returns an error for k out of range
-// or non-positive order statistics.
+// or non-positive order statistics. xs is not modified.
 func Hill(xs []float64, k int) (float64, error) {
-	if k < 2 || k >= len(xs) {
-		return 0, fmt.Errorf("stats: Hill: k=%d out of range for n=%d", k, len(xs))
+	n := len(xs)
+	if k < 2 || k >= n {
+		return 0, fmt.Errorf("stats: Hill: k=%d out of range for n=%d", k, n)
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
+	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return HillSorted(sorted, k)
-}
-
-// HillSorted is Hill for callers that already hold the sample sorted
-// ascending, skipping the copy and sort; output is identical to Hill.
-// The input is not modified.
-func HillSorted(sorted []float64, k int) (float64, error) {
-	if k < 2 || k >= len(sorted) {
-		return 0, fmt.Errorf("stats: Hill: k=%d out of range for n=%d", k, len(sorted))
-	}
-	n := len(sorted)
 	xk := sorted[n-1-k] // the (k+1)-th largest order statistic
 	if xk <= 0 {
 		return 0, fmt.Errorf("stats: Hill: order statistic x_(k)=%v is not positive", xk)

@@ -35,7 +35,7 @@ func inverseAtLinear(c CCDF, p float64) (float64, bool) {
 // lazy: every level's full log-log view computed on construction, the
 // inverse CCDF read by linear scan, fresh storage throughout. It shares
 // no code with AestScratch beyond the package's public primitives
-// (NewCCDF, FitLine, Aggregate, Quantile), so it pins the lazy path's
+// (NewCCDF, FitLine, AggregateInto, QuantileSorted), so it pins the lazy path's
 // every output bit.
 func eagerAest(xs []float64, cfg AestConfig) AestResult {
 	cfg.defaults()
@@ -55,7 +55,7 @@ func eagerAest(xs []float64, cfg AestConfig) AestResult {
 	dists := make([]eagerDist, len(cfg.AggregationLevels))
 	for i, m := range cfg.AggregationLevels {
 		if m >= 2 {
-			dists[i] = newEagerDist(Aggregate(positive, m))
+			dists[i] = newEagerDist(AggregateInto(nil, positive, m))
 		}
 	}
 	fit := func(d eagerDist, m int, from float64) (AestLevel, bool) {
@@ -183,6 +183,16 @@ func TestAestMatchesEagerOracle(t *testing.T) {
 	var scratch AestScratch // one arena across every call, as a detector holds it
 	found := 0
 	for sname, xs := range samples {
+		// The warm-scratch path takes the views a detector holds: the
+		// positive values in observation order and the same sorted.
+		var positive []float64
+		for _, x := range xs {
+			if x > 0 && !math.IsInf(x, 0) {
+				positive = append(positive, x)
+			}
+		}
+		sorted := append([]float64(nil), positive...)
+		sort.Float64s(sorted)
 		for cname, cfg := range configs {
 			want := eagerAest(xs, cfg)
 			if want.TailFound {
@@ -191,8 +201,8 @@ func TestAestMatchesEagerOracle(t *testing.T) {
 			if got := Aest(xs, cfg); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s/%s: Aest diverged from the eager oracle\nwant %+v\ngot  %+v", sname, cname, want, got)
 			}
-			if got := scratch.Aest(xs, cfg); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: warm-scratch Aest diverged from the eager oracle\nwant %+v\ngot  %+v", sname, cname, want, got)
+			if got := scratch.AestSorted(positive, sorted, cfg); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: warm-scratch AestSorted diverged from the eager oracle\nwant %+v\ngot  %+v", sname, cname, want, got)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -30,7 +31,7 @@ func lognormal(rng *rand.Rand, n int, mu, sigma float64) []float64 {
 
 func TestAggregate(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7}
-	got := Aggregate(xs, 2)
+	got := AggregateInto(nil, xs, 2)
 	want := []float64{3, 7, 11} // trailing 7 dropped
 	if len(got) != len(want) {
 		t.Fatalf("len = %d, want %d", len(got), len(want))
@@ -44,9 +45,9 @@ func TestAggregate(t *testing.T) {
 
 func TestAggregateIdentity(t *testing.T) {
 	xs := []float64{1, 2, 3}
-	got := Aggregate(xs, 1)
+	got := AggregateInto(nil, xs, 1)
 	if &got[0] == &xs[0] {
-		t.Error("Aggregate(m=1) must copy, not alias")
+		t.Error("AggregateInto(nil, m=1) must copy, not alias")
 	}
 	for i := range xs {
 		if got[i] != xs[i] {
@@ -61,7 +62,7 @@ func TestAggregatePanicsOnBadM(t *testing.T) {
 			t.Error("expected panic for m=0")
 		}
 	}()
-	Aggregate([]float64{1}, 0)
+	AggregateInto(nil, []float64{1}, 0)
 }
 
 func TestAggregateMassConservation(t *testing.T) {
@@ -71,7 +72,7 @@ func TestAggregateMassConservation(t *testing.T) {
 		xs[i] = rng.Float64()
 	}
 	for _, m := range []int{2, 4, 8, 10} {
-		agg := Aggregate(xs, m)
+		agg := AggregateInto(nil, xs, m)
 		var sumAgg, sumXs float64
 		for _, v := range agg {
 			sumAgg += v
@@ -118,7 +119,9 @@ func TestAestBodyPlusTail(t *testing.T) {
 	if !res.TailFound {
 		t.Fatal("no tail found on body+tail mixture")
 	}
-	if res.TailOnset <= Quantile(xs, 0.25) {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	if res.TailOnset <= QuantileSorted(sorted, 0.25) {
 		t.Errorf("onset %v is inside the body bulk", res.TailOnset)
 	}
 	if res.TailOnset > tailStart*10 {

@@ -32,14 +32,6 @@ func BenchmarkNewCCDF10k(b *testing.B) {
 	}
 }
 
-func BenchmarkQuantile10k(b *testing.B) {
-	xs := benchSample(10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Quantile(xs, 0.95)
-	}
-}
-
 func BenchmarkHill10k(b *testing.B) {
 	xs := benchSample(10000)
 	b.ResetTimer()

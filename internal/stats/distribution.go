@@ -25,18 +25,12 @@ func NewCCDF(xs []float64) CCDF {
 		}
 	}
 	sort.Float64s(clean)
-	return ccdfFromSorted(clean)
-}
-
-// ccdfFromSorted collapses an ascending-sorted positive sample into
-// CCDF support points.
-func ccdfFromSorted(clean []float64) CCDF {
 	return ccdfAppendSorted(clean, nil, nil)
 }
 
-// ccdfAppendSorted is ccdfFromSorted appending support points into the
-// caller's x/p storage (the aest scratch arena) instead of growing
-// fresh slices; output values are identical.
+// ccdfAppendSorted collapses an ascending-sorted positive sample into
+// CCDF support points, appended to x and p (nil for fresh storage; the
+// aest scratch arena passes its own).
 func ccdfAppendSorted(clean, x, p []float64) CCDF {
 	n := len(clean)
 	for i := 0; i < n; {

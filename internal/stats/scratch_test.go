@@ -24,7 +24,7 @@ func mixedSample(n int, seed int64) []float64 {
 }
 
 // TestAestScratchMatchesPackage pins the arena path against the
-// package-level entry points: identical AestResults on every seed, and
+// package-level entry point: identical AestResults on every seed, and
 // a single scratch reused across calls must not perturb later results.
 func TestAestScratchMatchesPackage(t *testing.T) {
 	var scratch AestScratch
@@ -32,13 +32,9 @@ func TestAestScratchMatchesPackage(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		xs := mixedSample(2000+int(seed)*500, seed)
 		want := Aest(xs, cfg)
-		got := scratch.Aest(xs, cfg)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("seed %d: scratch Aest diverged\nwant %+v\ngot  %+v", seed, want, got)
-		}
 		sorted := append([]float64(nil), xs...)
 		sort.Float64s(sorted)
-		got = scratch.AestSorted(xs, sorted, cfg)
+		got := scratch.AestSorted(xs, sorted, cfg)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("seed %d: scratch AestSorted diverged\nwant %+v\ngot  %+v", seed, want, got)
 		}
@@ -71,12 +67,17 @@ func TestAestWantLevels(t *testing.T) {
 	}
 
 	var scratch AestScratch
-	first := scratch.Aest(xs, AestConfig{WantLevels: true})
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	first := scratch.AestSorted(xs, sorted, AestConfig{WantLevels: true})
 	if !first.TailFound {
 		t.Fatal("scratch path lost the tail the package path found")
 	}
 	firstLevels := append([]AestLevel(nil), first.Levels...)
-	scratch.Aest(mixedSample(4000, 4), AestConfig{WantLevels: true}) // reuse arena
+	ys := mixedSample(4000, 4)
+	ysSorted := append([]float64(nil), ys...)
+	sort.Float64s(ysSorted)
+	scratch.AestSorted(ys, ysSorted, AestConfig{WantLevels: true}) // reuse arena
 	if !reflect.DeepEqual(first.Levels, firstLevels) {
 		t.Fatal("Levels aliases scratch storage: mutated by a later call")
 	}
@@ -84,11 +85,12 @@ func TestAestWantLevels(t *testing.T) {
 
 func TestAggregateInto(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7}
+	wants := map[int][]float64{1: xs, 2: {3, 7, 11}, 3: {6, 15}, 4: {10}}
 	for m := 1; m <= 4; m++ {
-		want := Aggregate(xs, m)
+		want := wants[m]
 		got := AggregateInto(nil, xs, m)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("m=%d: AggregateInto %v != Aggregate %v", m, got, want)
+			t.Fatalf("m=%d: AggregateInto = %v, want %v", m, got, want)
 		}
 		// Appends after existing elements, reusing capacity.
 		dst := make([]float64, 1, 16)
@@ -110,31 +112,6 @@ func TestAggregateIntoPanicsOnBadM(t *testing.T) {
 		}
 	}()
 	AggregateInto(nil, []float64{1}, 0)
-}
-
-func TestHillSortedMatchesHill(t *testing.T) {
-	xs := mixedSample(3000, 7)
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	for _, k := range []int{2, 10, 150, 450, len(xs) - 1} {
-		want, wantErr := Hill(xs, k)
-		got, gotErr := HillSorted(sorted, k)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("k=%d: error mismatch: Hill %v, HillSorted %v", k, wantErr, gotErr)
-		}
-		if want != got {
-			t.Fatalf("k=%d: HillSorted %v != Hill %v", k, got, want)
-		}
-	}
-	if _, err := HillSorted(sorted, 1); err == nil {
-		t.Fatal("HillSorted(k=1) did not error")
-	}
-	if _, err := HillSorted(sorted, len(sorted)); err == nil {
-		t.Fatal("HillSorted(k=n) did not error")
-	}
-	if _, err := HillSorted([]float64{-2, -1, 0, 1, 2, 3}, 4); err == nil {
-		t.Fatal("HillSorted with non-positive order statistic did not error")
-	}
 }
 
 // TestAestScratchSteadyStateAllocs pins the warm arena path: repeated

@@ -20,7 +20,7 @@ const (
 )
 
 // SortPositive sorts xs ascending in place. xs must hold strictly
-// positive, finite float64s; tmp is ping-pong storage with len(tmp) >=
+// positive float64s (+Inf, the largest pattern, sorts last); tmp is ping-pong storage with len(tmp) >=
 // len(xs). For positive IEEE-754 doubles the unsigned bit-pattern order
 // equals numeric order, so sorting by bit pattern yields exactly the
 // sequence a comparison sort would (duplicates have identical bit

@@ -4,16 +4,21 @@
 // a Hill estimator used as a cross-check, EWMA smoothing, histograms and
 // quantiles. Everything is deterministic and stdlib-only.
 //
-// Hot-path estimator calls run on an AestScratch, a caller-owned arena
-// of reusable buffers; see its doc for the ownership rules (one
-// goroutine per scratch, buffers invalidated by the next call, results
-// never alias the arena).
+// Each estimator has one form: QuantileSorted reads a sorted sample,
+// AggregateInto appends block sums (a nil dst allocates), Hill and
+// NewCCDF copy and sort their input, and SortPositive is the radix sort
+// every sorted view on the hot path comes from. aest alone has two:
+// Aest filters, sorts and runs on fresh storage, for one-off callers,
+// and (*AestScratch).AestSorted takes both views of an already-sorted
+// sample on a caller-owned arena of reusable buffers, for the detector;
+// see AestScratch for the ownership rules (one goroutine per scratch,
+// buffers invalidated by the next call, results never alias the
+// arena).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary holds moment statistics of a sample.
@@ -56,25 +61,14 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. xs need not be sorted; a sorted
-// copy is made. It panics on an empty sample or out-of-range q, which are
-// programmer errors.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty sample")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: Quantile fraction %v out of [0,1]", q))
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return QuantileSorted(sorted, q)
-}
-
-// QuantileSorted is Quantile for already-sorted input, avoiding the copy.
+// QuantileSorted returns the q-quantile (0 <= q <= 1) of an
+// ascending-sorted sample using linear interpolation between order
+// statistics. The input is not modified. It panics on an empty sample or
+// out-of-range q, which are programmer errors.
 func QuantileSorted(sorted []float64, q float64) float64 {
+	if q < 0 || q > 1 {
+		panic(fmt.Sprintf("stats: QuantileSorted fraction %v out of [0,1]", q))
+	}
 	n := len(sorted)
 	if n == 0 {
 		panic("stats: QuantileSorted of empty sample")
