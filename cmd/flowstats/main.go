@@ -22,6 +22,7 @@ import (
 	"io"
 	"net/netip"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -59,13 +60,14 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if err := run(*pcapPath, *tablePath, *top, *chart, sp, *interval); err != nil {
+	if err := run(os.Stdout, *pcapPath, *tablePath, *top, *chart, sp, *interval); err != nil {
 		fmt.Fprintln(os.Stderr, "flowstats:", err)
 		os.Exit(1)
 	}
 }
 
-func run(pcapPath, tablePath string, top int, chart bool, sp *scheme.Spec, interval time.Duration) error {
+// run prints the analysis of one capture to w.
+func run(w io.Writer, pcapPath, tablePath string, top int, chart bool, sp *scheme.Spec, interval time.Duration) error {
 	tf, err := os.Open(tablePath)
 	if err != nil {
 		return err
@@ -102,16 +104,13 @@ func run(pcapPath, tablePath string, top int, chart bool, sp *scheme.Spec, inter
 		totalBytes += rec.Bits / 8
 	}
 	ps := src.ParserStats()
-	fmt.Printf("capture: %d frames (%d non-IP, %d errors), %d routed flows, %d unrouted packets, %.1f MiB attributed\n\n",
+	fmt.Fprintf(w, "capture: %d frames (%d non-IP, %d errors), %d routed flows, %d unrouted packets, %.1f MiB attributed\n\n",
 		ps.Frames, ps.NonIP, ps.Errors, len(volumes), src.Stats.Unrouted, totalBytes/(1<<20))
 	if len(volumes) == 0 {
 		return fmt.Errorf("no attributable traffic")
 	}
 
-	vols := make([]float64, 0, len(volumes))
-	for _, v := range volumes {
-		vols = append(vols, v)
-	}
+	prefixes, vols := byPrefix(volumes)
 
 	// Concentration.
 	sum := stats.Summarize(vols)
@@ -128,13 +127,13 @@ func run(pcapPath, tablePath string, top int, chart bool, sp *scheme.Spec, inter
 	tab.AddRow("gini coefficient", fmt.Sprintf("%.3f", gini))
 	tab.AddRow("top 10% flows carry", fmt.Sprintf("%.1f%%", top10*100))
 	tab.AddRow("top 1% flows carry", fmt.Sprintf("%.1f%%", top1*100))
-	fmt.Print(tab.String())
+	fmt.Fprint(w, tab.String())
 
 	// Heavy-tail analysis.
 	res := stats.Aest(vols, stats.AestConfig{})
-	fmt.Println()
+	fmt.Fprintln(w)
 	if res.TailFound {
-		fmt.Printf("aest: power-law tail detected from %.1f KiB (%.1f%% of flows), alpha = %.2f (slope cross-check %.2f)\n",
+		fmt.Fprintf(w, "aest: power-law tail detected from %.1f KiB (%.1f%% of flows), alpha = %.2f (slope cross-check %.2f)\n",
 			res.TailOnset/1024, res.TailFraction*100, res.Alpha, res.SlopeAlpha)
 		tailFlows := 0
 		for _, v := range vols {
@@ -144,11 +143,11 @@ func run(pcapPath, tablePath string, top int, chart bool, sp *scheme.Spec, inter
 		}
 		if k := tailFlows - 1; k >= 2 {
 			if h, err := stats.Hill(vols, k); err == nil {
-				fmt.Printf("hill(k=%d): alpha = %.2f\n", k, h)
+				fmt.Fprintf(w, "hill(k=%d): alpha = %.2f\n", k, h)
 			}
 		}
 	} else {
-		fmt.Println("aest: no power-law tail detected")
+		fmt.Fprintln(w, "aest: no power-law tail detected")
 	}
 
 	// Top talkers.
@@ -157,9 +156,9 @@ func run(pcapPath, tablePath string, top int, chart bool, sp *scheme.Spec, inter
 			p netip.Prefix
 			v float64
 		}
-		rows := make([]kv, 0, len(volumes))
-		for p, v := range volumes {
-			rows = append(rows, kv{p, v})
+		rows := make([]kv, len(prefixes))
+		for i, p := range prefixes {
+			rows[i] = kv{p, vols[i]}
 		}
 		sort.Slice(rows, func(i, j int) bool {
 			if rows[i].v != rows[j].v {
@@ -170,22 +169,22 @@ func run(pcapPath, tablePath string, top int, chart bool, sp *scheme.Spec, inter
 		if top > len(rows) {
 			top = len(rows)
 		}
-		fmt.Printf("\ntop %d flows by volume:\n", top)
+		fmt.Fprintf(w, "\ntop %d flows by volume:\n", top)
 		tt := report.NewTable("prefix", "volume", "share")
 		for _, r := range rows[:top] {
 			tt.AddRow(r.p.String(),
 				fmt.Sprintf("%.1f KiB", r.v/1024),
 				fmt.Sprintf("%.2f%%", 100*r.v/totalBytes))
 		}
-		fmt.Print(tt.String())
+		fmt.Fprint(w, tt.String())
 	}
 
 	// CCDF chart.
 	if chart {
 		c := stats.NewCCDF(vols)
 		lx, lp := c.LogLog()
-		fmt.Println()
-		if err := report.Chart(os.Stdout, report.ChartConfig{
+		fmt.Fprintln(w)
+		if err := report.Chart(w, report.ChartConfig{
 			Title:  "flow volume CCDF (log10 bytes vs log10 P[X>x])",
 			Height: 12, XLabel: "log10 volume ->",
 		}, report.Series{Label: "log10 P[X>x]", Values: lp}); err != nil {
@@ -197,7 +196,7 @@ func run(pcapPath, tablePath string, top int, chart bool, sp *scheme.Spec, inter
 	// Optional classification pass: stream the capture again through
 	// the scheme's pipeline with bounded memory.
 	if sp != nil {
-		if err := classify(pcapPath, table, sp, interval); err != nil {
+		if err := classify(w, pcapPath, table, sp, interval); err != nil {
 			return fmt.Errorf("classifying capture: %w", err)
 		}
 	}
@@ -207,7 +206,7 @@ func run(pcapPath, tablePath string, top int, chart bool, sp *scheme.Spec, inter
 // classify reopens the capture and classifies it per interval under the
 // spec via the streaming engine path; the accumulator window follows
 // the scheme's latent-heat lookback (engine.StreamWindow).
-func classify(pcapPath string, table *bgp.Table, sp *scheme.Spec, interval time.Duration) error {
+func classify(w io.Writer, pcapPath string, table *bgp.Table, sp *scheme.Spec, interval time.Duration) error {
 	pf, err := os.Open(pcapPath)
 	if err != nil {
 		return err
@@ -232,14 +231,31 @@ func classify(pcapPath string, table *bgp.Table, sp *scheme.Spec, interval time.
 	if lr.Err != nil {
 		return lr.Err
 	}
-	fmt.Printf("\nclassification under %s (%v intervals):\n", sp.Name(), interval)
+	fmt.Fprintf(w, "\nclassification under %s (%v intervals):\n", sp.Name(), interval)
 	tab := report.NewTable("metric", "value")
 	tab.AddRow("intervals", len(lr.Results))
 	tab.AddRow("mean active flows", fmt.Sprintf("%.1f", meanActive(lr.Results)))
 	tab.AddRow("mean elephants", fmt.Sprintf("%.1f", analysis.MeanInt(analysis.CountSeries(lr.Results))))
 	tab.AddRow("mean elephant load fraction", fmt.Sprintf("%.3f", analysis.MeanFloat(analysis.FractionSeries(lr.Results))))
-	fmt.Print(tab.String())
+	fmt.Fprint(w, tab.String())
 	return nil
+}
+
+// byPrefix lays the per-prefix volumes out as the analysed sample, in
+// core.ComparePrefix order: aest aggregates the sample in blocks, so its
+// estimate depends on the order, and map order would change the tail
+// lines from run to run.
+func byPrefix(volumes map[netip.Prefix]float64) ([]netip.Prefix, []float64) {
+	prefixes := make([]netip.Prefix, 0, len(volumes))
+	for p := range volumes {
+		prefixes = append(prefixes, p)
+	}
+	slices.SortFunc(prefixes, core.ComparePrefix)
+	vols := make([]float64, len(prefixes))
+	for i, p := range prefixes {
+		vols[i] = volumes[p]
+	}
+	return prefixes, vols
 }
 
 func meanActive(results []core.Result) float64 {

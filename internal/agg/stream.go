@@ -1,9 +1,7 @@
 package agg
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -46,6 +44,10 @@ type StreamConfig struct {
 	// Table is the flow identity table prefixes are interned against —
 	// pass the consuming pipeline's table (core.Pipeline.Table) so
 	// emitted snapshots carry IDs the classifier can index directly.
+	// That needs the pipeline stepped on the accumulator's goroutine, which
+	// no production path does any more (engine.LivePipeline, under both
+	// RunStreaming and the daemon, classifies on a stage of its own and
+	// leaves Table nil); the benchmark harness's staged record path does.
 	// The accumulator raises a caller's table's quarantine to at least
 	// Window, so an ID released downstream can never be re-bound while an
 	// open slot still references it, and otherwise leaves the table's
@@ -501,21 +503,4 @@ func (a *StreamAccumulator) closeOldest() error {
 // positioned to keep going if more (later) records arrive.
 func (a *StreamAccumulator) Flush() error {
 	return a.advanceTo(a.maxTouched + 1)
-}
-
-// Stream drains src through acc and flushes — the push-style driver
-// connecting any RecordSource to a per-interval consumer via acc.Emit.
-func Stream(src RecordSource, acc *StreamAccumulator) error {
-	for {
-		rec, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			return acc.Flush()
-		}
-		if err != nil {
-			return err
-		}
-		if err := acc.add(&rec); err != nil {
-			return err
-		}
-	}
 }

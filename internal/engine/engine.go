@@ -12,24 +12,26 @@
 // worker count or scheduling; the merged output is ordered
 // deterministically by link ID.
 //
-// Three entry points share the pool, the merge contract and one
-// per-interval step (stepCells): Run classifies pre-aggregated batch
-// series, RunMatrix fans a list of scheme specs over such series, and
-// RunStreaming drives each link from an agg.RecordSource through a
-// bounded-memory StreamAccumulator — memory per link is the
+// Three entry points share the pool and the merge contract: Run
+// classifies pre-aggregated batch series and RunMatrix fans a list of
+// scheme specs over such series, both through the series loop and its
+// per-interval step (stepCells); RunStreaming drives each link from an
+// agg.RecordSource through a LivePipeline — memory per link is the
 // accumulator's window, not the trace length, and the classifications
-// are byte-identical to the batch path on the same records. Two loops
-// feed the step: the series loop walks a series' intervals, and
-// the stream loop is the accumulator's Emit hook. NewLivePipeline is
-// the fourth entry point: the resident, push-fed form of the stream
-// loop.
+// are byte-identical to the batch path on the same records.
+// NewLivePipeline is the fourth entry point and the one stream loop:
+// the daemon pushes records into it, RunStreaming's worker feeds it
+// from a source.
 //
-// Inside a single link the only concurrency is the stage split: a
-// LivePipeline runs as two stages — accumulate and classify — joined by
-// a bounded channel of double-buffered sealed snapshots, so interval
-// t+1 accumulates while interval t classifies. Each stage is one
-// goroutine; the link is the unit of parallelism (ARCHITECTURE.md,
-// "Why one link accumulates on one goroutine"). Records reach the
+// Inside a single link the only concurrency is the producer in front of
+// it and the stage split: a LivePipeline runs as two stages —
+// accumulate and classify — joined by a bounded channel of
+// double-buffered sealed snapshots, so interval t+1 accumulates while
+// interval t classifies, and records decode and attribute on the
+// producer (the daemon's reader, RunStreaming's worker) while earlier
+// ones accumulate. Each stage is one goroutine; the link is the unit of
+// parallelism (ARCHITECTURE.md, "Why one link accumulates on one
+// goroutine"). Records reach the
 // accumulate stage a datagram at a time and by reference: SendBatch
 // copies a batch into a recycled 32-record slab and queues the slab, so
 // the queue costs one channel operation per datagram, not per record.
@@ -47,7 +49,9 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -73,16 +77,18 @@ type Link struct {
 	Config func() (core.Config, error)
 }
 
-// StreamLink is one monitored link fed live: records from Source are
-// windowed into intervals by a private StreamAccumulator and classified
-// as each interval closes. The per-link memory bound is the window, not
-// the trace length.
+// StreamLink is one monitored link fed from a finite source: the worker
+// draws records from Source and sends them into a private LivePipeline,
+// whose accumulate stage windows them into intervals and whose classify
+// stage classifies each interval as it closes. The per-link memory
+// bound is the window, not the trace length.
 type StreamLink struct {
 	// ID names the link in the merged output. Must be unique and
 	// non-empty within one RunStreaming.
 	ID string
 	// Source yields the link's records. Consumed exactly once, from the
-	// worker goroutine that processes the link.
+	// worker goroutine that processes the link; the link's pipeline
+	// stages never call it.
 	Source agg.RecordSource
 	// Start is the left edge of interval 0; the zero value aligns to
 	// the first record.
@@ -108,16 +114,18 @@ type LinkResult struct {
 	// failing link never aborts the other links' runs.
 	Err error
 	// Stream holds the link's accumulator counters as RunStreaming left
-	// them — at end of stream, or at the failure when Err is set. Zero
-	// for batch runs.
+	// them: at end of stream, or when the link stopped after a failure
+	// (see RunStreaming). Zero for batch runs.
 	Stream agg.StreamStats
 }
 
 // MultiLinkEngine classifies a set of links concurrently on a worker
 // pool.
 type MultiLinkEngine struct {
-	// Workers bounds the concurrency; 0 selects GOMAXPROCS. The worker
-	// count never affects results, only wall-clock time.
+	// Workers bounds the concurrency — for RunStreaming, the links in
+	// flight, each link's two pipeline stages running beside its worker;
+	// 0 selects GOMAXPROCS. The worker count never affects results, only
+	// wall-clock time.
 	Workers int
 }
 
@@ -191,13 +199,27 @@ func (e *MultiLinkEngine) Run(links []Link) ([]LinkResult, error) {
 	return e.runMerged(out, func() { e.runSeries(tasks) })
 }
 
-// RunStreaming classifies every stream link live and returns one
-// LinkResult per link, sorted by link ID — the streaming twin of Run.
-// Each worker drives its link's records through a private accumulator
-// into a private pipeline, so per-link memory stays bounded by the
-// window while the merge stays deterministic: RunStreaming on sources
-// replaying a batch run's records is byte-identical to Run on the
-// corresponding series.
+// RunStreaming classifies every stream link and returns one LinkResult
+// per link, sorted by link ID — the streaming twin of Run. Each link runs
+// as a LivePipeline (Start, Interval, Window and Config from the
+// StreamLink, the default buffer): the worker draws the link's records
+// from its source in 32-record batches and sends each into the pipeline,
+// whose accumulate and classify stages run beside it; an OnResult hook
+// collects the results. Per-link memory stays bounded by the window and
+// the merge stays deterministic: RunStreaming on sources replaying a
+// batch run's records is byte-identical to Run on the corresponding
+// series, and to a LivePipeline fed the same records.
+//
+// On failure a link reports nil Results and Err, and Stream holds the
+// counters as they stood when the link stopped:
+//
+//   - A source error gives Err "engine: link %q: <err>". The partial
+//     last batch is sent before the pipeline closes, so Stream.Records
+//     is exactly the number of records drawn.
+//   - A pipeline error (which wins over a source error) gives the
+//     wrapped pipeline error. The stages overlap and the worker stops
+//     drawing only once a send sees the failure, so Stream may count
+//     records and closed intervals past the failing interval.
 func (e *MultiLinkEngine) RunStreaming(links []StreamLink) ([]LinkResult, error) {
 	out := make([]LinkResult, len(links))
 	for i, l := range links {
@@ -340,37 +362,63 @@ func (task seriesTask) run(snap *core.FlowSnapshot, rowIDs []uint32) []uint32 {
 	return rowIDs
 }
 
-// runStream is the stream loop: the link's records run through a
-// private accumulator whose Emit hook is the per-interval step over the
-// link's one cell.
+// runStream drives one stream link: this worker draws the link's records
+// from its source — decode and attribution run here — and sends them into
+// the link's LivePipeline, whose accumulate and classify stages run
+// beside the worker.
 func runStream(l StreamLink, out *LinkResult) {
 	if l.Source == nil {
 		out.Err = fmt.Errorf("engine: link %q: nil record source", l.ID)
 		return
 	}
-	cells := []cell{{out: out, config: l.Config}}
-	if !cells[0].build() {
-		return
-	}
-	acc, err := agg.NewStreamAccumulator(agg.StreamConfig{
+	lp, err := NewLivePipeline(LiveLink{
+		ID:       l.ID,
 		Start:    l.Start,
 		Interval: l.Interval,
 		Window:   l.Window,
-		// Share the pipeline's flow identity table: emitted snapshots
-		// carry dense IDs, so the classifier never hashes a prefix.
-		Table: cells[0].pipe.Table(),
+		Config:   l.Config,
+		// Runs on the classify stage; the worker reads out only after Close.
+		OnResult: func(_ int, _ time.Time, res core.Result, _ agg.StreamStats) error {
+			out.Results = append(out.Results, res)
+			return nil
+		},
 	})
 	if err != nil {
-		out.Err = fmt.Errorf("engine: link %q: %w", l.ID, err)
+		out.Err = err
 		return
 	}
-	acc.Emit = func(t int, snap *core.FlowSnapshot) error {
-		stepCells(cells, t, snap)
-		return out.Err // a failed cell stops the accumulator
+	srcErr := feed(l.Source, lp)
+	err = lp.Close()
+	out.Stream = lp.Stats()
+	if err == nil && srcErr != nil { // the source failed, not the pipeline
+		err = fmt.Errorf("engine: link %q: %w", l.ID, srcErr)
 	}
-	err = agg.Stream(l.Source, acc)
-	out.Stream = acc.Stats()
-	if err != nil && out.Err == nil { // the source failed, not the cell
-		out.Results, out.Err = nil, fmt.Errorf("engine: link %q: %w", l.ID, err)
+	if err != nil {
+		out.Results, out.Err = nil, err
+	}
+}
+
+// feed draws src into slab-sized batches and sends each to lp, the last
+// partial one included, so every record drawn reaches the pipeline. It
+// returns the source's error (nil at io.EOF); when the pipeline fails it
+// stops drawing and returns nil, leaving Close to report the failure.
+func feed(src agg.RecordSource, lp *LivePipeline) error {
+	var batch [liveSlab]agg.Record
+	n := 0
+	for {
+		var err error
+		if batch[n], err = src.Next(); err != nil {
+			_, _ = lp.SendBatch(batch[:n]) // a pipeline failure is Close's to report
+			if errors.Is(err, io.EOF) {
+				return nil
+			}
+			return err
+		}
+		if n++; n == liveSlab {
+			if _, err := lp.SendBatch(batch[:]); err != nil {
+				return nil
+			}
+			n = 0
+		}
 	}
 }

@@ -82,8 +82,8 @@ func TestStreamEvictionRecyclingMatchesBatch(t *testing.T) {
 		want := sequential(t, s, churnConfig)
 
 		for _, window := range []int{1, 3} {
-			// Mirror the stream loop's wiring by hand so the shared table
-			// stays inspectable after the run.
+			// The shared-table wiring (StreamConfig.Table), by hand, so the
+			// table stays inspectable after the run.
 			cfg, err := churnConfig()
 			if err != nil {
 				t.Fatal(err)
@@ -121,8 +121,11 @@ func TestStreamEvictionRecyclingMatchesBatch(t *testing.T) {
 				results = append(results, res)
 				return nil
 			}
-			if err := agg.Stream(&sliceSource{recs: recs}, acc); err != nil {
+			if _, err := acc.AddBatch(recs); err != nil {
 				t.Fatalf("seed %d window %d: %v", seed, window, err)
+			}
+			if err := acc.Flush(); err != nil {
+				t.Fatalf("seed %d window %d: flush: %v", seed, window, err)
 			}
 			if len(results) != len(want) {
 				t.Fatalf("seed %d window %d: %d intervals, batch %d", seed, window, len(results), len(want))
