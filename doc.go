@@ -70,7 +70,7 @@
 // computes from the same datagrams.
 //
 // Everything the methodology needs to run is implemented here as
-// well: a layered packet decoder/serializer (internal/packet), a pcap
+// well: a frame decoder and builder (internal/packet), a pcap
 // file reader/writer (internal/pcap), a BGP table with longest-prefix
 // match (internal/bgp), the statistical machinery including the
 // Crovella–Taqqu scaling estimator (internal/stats), a synthetic

@@ -96,34 +96,21 @@ type StreamStats struct {
 // only the dirty IDs instead of re-sorting every key of a map, and
 // steady-state accumulation does not allocate.
 type streamSlot struct {
-	col    []float64 // id -> accumulated bandwidth, valid iff seen[id] == gen
-	seen   []uint32  // id -> generation that last touched the cell
-	dirty  []uint32  // IDs touched in the current interval
-	gen    uint32    // current generation, starts at 1
-	total  float64
-	active int // flows with positive bandwidth, maintained incrementally
+	col   []float64 // id -> accumulated bandwidth, valid iff seen[id] == gen
+	seen  []uint32  // id -> generation that last touched the cell
+	dirty []uint32  // IDs touched in the current interval
+	gen   uint32    // current generation, starts at 1
 }
 
 // touch accumulates bandwidth into one cell, first claiming it for the
-// current generation, and keeps the slot's active-flow counter exact
-// across sign transitions.
+// current generation.
 func (sl *streamSlot) touch(id uint32, bw float64) {
-	var before float64
 	if sl.seen[id] == sl.gen {
-		before = sl.col[id]
-		sl.col[id] = before + bw
+		sl.col[id] += bw
 	} else {
 		sl.seen[id] = sl.gen
 		sl.dirty = append(sl.dirty, id)
 		sl.col[id] = bw
-	}
-	sl.total += bw
-	after := before + bw
-	switch {
-	case before <= 0 && after > 0:
-		sl.active++
-	case before > 0 && after <= 0:
-		sl.active--
 	}
 }
 
@@ -163,7 +150,7 @@ type StreamAccumulator struct {
 	// Time is converted once (Record.extent) and every gate, clip and
 	// apportioning below is integer arithmetic on the same durations the
 	// time.Time form would produce. time.Time is rebuilt only at the API
-	// edge (Newest, IntervalTime).
+	// edge (IntervalTime).
 	interval int64   // Δ in nanoseconds
 	secs     float64 // Δ in seconds, the bits→bandwidth divisor
 
@@ -253,20 +240,12 @@ func (a *StreamAccumulator) Window() int { return a.cfg.Window }
 // Stats returns the attribution counters so far.
 func (a *StreamAccumulator) Stats() StreamStats { return a.stats }
 
-// Newest returns the stream watermark: the newest bit-carrying instant
-// of any record accepted past the far-future gate (zero before the
-// first such record). Behind-the-window records still advance it —
-// their timestamps are genuine — but records before the stream origin
-// and records dropped as corrupt do not.
-func (a *StreamAccumulator) Newest() time.Time {
-	if a.newest < 0 {
-		return time.Time{}
-	}
-	return a.start.Add(time.Duration(a.newest))
-}
-
 // WatermarkLag returns how far the stream watermark has run ahead of
-// the sealed edge: Newest minus the left edge of the oldest open
+// the sealed edge. The watermark is the newest bit-carrying instant of
+// any record accepted past the far-future gate: behind-the-window
+// records still advance it — their timestamps are genuine — but records
+// before the stream origin and records dropped as corrupt do not. The
+// lag is the watermark minus the left edge of the oldest open
 // interval (= the right edge of the newest sealed interval). It is the
 // freshness measure a resident daemon exports per link — a link whose
 // records keep arriving but whose lag keeps growing is wedged behind a
@@ -280,10 +259,6 @@ func (a *StreamAccumulator) WatermarkLag() time.Duration {
 // sealedEdge is the left edge of the oldest open interval on the
 // interior clock: the instant before which bits are late.
 func (a *StreamAccumulator) sealedEdge() int64 { return int64(a.base) * a.interval }
-
-// ClosedThrough returns the number of intervals closed so far (closed
-// intervals are exactly [0, ClosedThrough)).
-func (a *StreamAccumulator) ClosedThrough() int { return a.base }
 
 // IntervalTime returns the left edge of interval t (meaningful once
 // Start is resolved).
@@ -302,28 +277,6 @@ func (a *StreamAccumulator) addBits(id uint32, g int, bits float64) {
 	sl := a.slot(g)
 	sl.grow(a.table.Cap())
 	sl.touch(id, bits/a.secs)
-}
-
-// TotalBandwidth returns the aggregate load accumulated so far in open
-// interval t (bit/s) — the streaming counterpart of
-// Series.TotalBandwidth, defined only while t is open.
-func (a *StreamAccumulator) TotalBandwidth(t int) float64 {
-	if t < a.base || t >= a.base+a.cfg.Window {
-		panic(fmt.Sprintf("agg: TotalBandwidth: interval %d outside open window [%d,%d)", t, a.base, a.base+a.cfg.Window))
-	}
-	return a.slot(t).total
-}
-
-// ActiveFlows returns the number of flows with positive bandwidth
-// accumulated so far in open interval t — the streaming counterpart of
-// Series.ActiveFlows, defined only while t is open. It is O(1): the
-// per-slot counter is maintained incrementally across cell updates,
-// like batch Series does, not by scanning the flow column.
-func (a *StreamAccumulator) ActiveFlows(t int) int {
-	if t < a.base || t >= a.base+a.cfg.Window {
-		panic(fmt.Sprintf("agg: ActiveFlows: interval %d outside open window [%d,%d)", t, a.base, a.base+a.cfg.Window))
-	}
-	return a.slot(t).active
 }
 
 // Add accumulates one record, first closing intervals as far as the
@@ -489,8 +442,6 @@ func (a *StreamAccumulator) closeOldest() error {
 		clear(sl.seen)
 		sl.gen = 1
 	}
-	sl.total = 0
-	sl.active = 0
 	a.base++
 	if a.Emit != nil {
 		return a.Emit(g, a.snap)

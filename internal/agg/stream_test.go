@@ -132,14 +132,21 @@ func TestStreamLateRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	closed := 0
-	acc.Emit = func(tt int, snap *core.FlowSnapshot) error { closed++; return nil }
+	var load4 float64
+	acc.Emit = func(tt int, snap *core.FlowSnapshot) error {
+		closed++
+		if tt == 4 {
+			load4 = snap.TotalLoad()
+		}
+		return nil
+	}
 
 	// Interval 5 opens [4,5]; intervals 0..3 close.
 	if err := acc.Add(Record{Prefix: pfxA, Time: start.Add(5 * iv), Bits: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if acc.ClosedThrough() != 4 || closed != 4 {
-		t.Fatalf("closed through %d (%d emits), want 4", acc.ClosedThrough(), closed)
+	if acc.Stats().Closed != 4 || closed != 4 {
+		t.Fatalf("closed %d (%d emits), want 4", acc.Stats().Closed, closed)
 	}
 	// A point record for interval 0 is now entirely late.
 	if err := acc.Add(Record{Prefix: pfxB, Time: start, Bits: 16}); err != nil {
@@ -161,8 +168,11 @@ func TestStreamLateRecords(t *testing.T) {
 	if want := 16 + 50.0; st.LateBits != want {
 		t.Errorf("LateBits = %v, want %v", st.LateBits, want)
 	}
-	if got := acc.TotalBandwidth(4); !floatEq(got, 50.0/iv.Seconds()) {
-		t.Errorf("open-interval bandwidth = %v, want the surviving half", got)
+	if err := acc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !floatEq(load4, 50.0/iv.Seconds()) {
+		t.Errorf("interval 4 load = %v, want the surviving half", load4)
 	}
 }
 
@@ -178,7 +188,8 @@ func TestStreamBoundaryAlignedSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	closed := 0
-	acc.Emit = func(tt int, snap *core.FlowSnapshot) error { closed++; return nil }
+	var load0 float64
+	acc.Emit = func(tt int, snap *core.FlowSnapshot) error { closed++; load0 = snap.TotalLoad(); return nil }
 	// Exactly covers interval 0: [start, start+1m).
 	if err := acc.Add(Record{Prefix: pfxA, Time: start, Span: iv, Bits: 600}); err != nil {
 		t.Fatal(err)
@@ -189,14 +200,14 @@ func TestStreamBoundaryAlignedSpan(t *testing.T) {
 	if st := acc.Stats(); st.Late != 0 || st.LateBits != 0 {
 		t.Fatalf("aligned span dropped as late: %+v", st)
 	}
-	if got := acc.TotalBandwidth(0); !floatEq(got, 600/iv.Seconds()) {
-		t.Errorf("interval 0 bandwidth = %v, want %v", got, 600/iv.Seconds())
-	}
 	if err := acc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if closed != 1 {
 		t.Errorf("flushed %d intervals, want 1", closed)
+	}
+	if !floatEq(load0, 600/iv.Seconds()) {
+		t.Errorf("interval 0 load = %v, want %v", load0, 600/iv.Seconds())
 	}
 }
 
@@ -305,46 +316,6 @@ func TestStreamEmptyIntervals(t *testing.T) {
 	}
 	if got[0].Len() != 1 || got[6].Len() != 1 {
 		t.Error("edge intervals lost their flow")
-	}
-}
-
-// TestStreamOpenStats: the open-interval accessors mirror Series stats
-// for the same records.
-func TestStreamOpenStats(t *testing.T) {
-	iv := time.Minute
-	acc, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := NewSeries(start, iv, 4)
-	recs := []Record{
-		{Prefix: pfxA, Time: start, Bits: 600},
-		{Prefix: pfxB, Time: start, Bits: 1200},
-		{Prefix: pfxA, Time: start.Add(iv), Bits: 60},
-	}
-	for _, rec := range recs {
-		if err := acc.Add(rec); err != nil {
-			t.Fatal(err)
-		}
-		series.AddRecord(rec)
-	}
-	for tt := 0; tt < 2; tt++ {
-		if got, want := acc.ActiveFlows(tt), series.ActiveFlows(tt); got != want {
-			t.Errorf("ActiveFlows(%d) = %d, want %d", tt, got, want)
-		}
-		if got, want := acc.TotalBandwidth(tt), series.TotalBandwidth(tt); got != want {
-			t.Errorf("TotalBandwidth(%d) = %v, want %v", tt, got, want)
-		}
-	}
-	for _, tt := range []int{-1, 4} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("ActiveFlows(%d): expected panic outside open window", tt)
-				}
-			}()
-			acc.ActiveFlows(tt)
-		}()
 	}
 }
 
@@ -717,49 +688,6 @@ func TestCollectMatchesAggregatorArithmetic(t *testing.T) {
 	}
 	if b.AddRecord(Record{Prefix: pfxA, Time: start.Add(2 * iv), Bits: 1}) {
 		t.Error("out-of-window record accepted")
-	}
-}
-
-// TestStreamActiveFlowsIncremental is the regression pin for the O(1)
-// ActiveFlows counter: accumulating more bits into an existing flow
-// must not double-count it, zero-bit records must not count at all, and
-// span records must count once per touched interval — across interval
-// closes recycling the slot.
-func TestStreamActiveFlowsIncremental(t *testing.T) {
-	iv := time.Minute
-	acc, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := acc.ActiveFlows(0); got != 0 {
-		t.Fatalf("empty interval ActiveFlows = %d", got)
-	}
-	acc.Add(Record{Prefix: pfxA, Time: start, Bits: 100})
-	acc.Add(Record{Prefix: pfxA, Time: start.Add(time.Second), Bits: 100}) // same flow again
-	if got := acc.ActiveFlows(0); got != 1 {
-		t.Fatalf("re-accumulated flow counted %d times", got)
-	}
-	acc.Add(Record{Prefix: pfxB, Time: start, Bits: 0}) // zero bits: touched, not active
-	if got := acc.ActiveFlows(0); got != 1 {
-		t.Fatalf("zero-bit flow counted: ActiveFlows = %d", got)
-	}
-	acc.Add(Record{Prefix: pfxB, Time: start, Bits: 50})
-	if got := acc.ActiveFlows(0); got != 2 {
-		t.Fatalf("second flow not counted: ActiveFlows = %d", got)
-	}
-	// A span over intervals 1 and 2 counts once in each.
-	acc.Add(Record{Prefix: pfxA, Time: start.Add(iv + 30*time.Second), Span: iv, Bits: 600})
-	if a1, a2 := acc.ActiveFlows(1), acc.ActiveFlows(2); a1 != 1 || a2 != 1 {
-		t.Fatalf("span record ActiveFlows = %d,%d, want 1,1", a1, a2)
-	}
-	// Closing interval 0 recycles its slot as interval 3: the counter
-	// must restart from zero.
-	acc.Add(Record{Prefix: pfxB, Time: start.Add(3 * iv), Bits: 8})
-	if got := acc.ActiveFlows(3); got != 1 {
-		t.Fatalf("recycled slot ActiveFlows = %d, want 1", got)
-	}
-	if got := acc.ActiveFlows(1); got != 1 {
-		t.Fatalf("older open interval disturbed: ActiveFlows = %d", got)
 	}
 }
 

@@ -65,7 +65,7 @@ func BenchmarkChecksumValidate(b *testing.B) {
 		SrcIP: netip.MustParseAddr("192.0.2.1"), DstIP: netip.MustParseAddr("198.51.100.1"),
 		Protocol: IPProtocolTCP,
 	})
-	hdr := frame[EthernetHeaderLen : EthernetHeaderLen+IPv4HeaderLen]
+	hdr := frame[ethernetLen : ethernetLen+ipv4Len]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !ValidIPv4Checksum(hdr) {

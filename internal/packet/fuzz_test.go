@@ -39,8 +39,11 @@ func FuzzParse(f *testing.F) {
 		if !sum.SrcIP.IsValid() || !sum.DstIP.IsValid() {
 			t.Fatalf("successful parse with invalid addresses: %+v", sum)
 		}
-		if sum.IsIPv6 != sum.DstIP.Is6() {
-			t.Fatalf("IsIPv6 flag inconsistent: %+v", sum)
+		if sum.SrcIP.Is6() != sum.DstIP.Is6() {
+			t.Fatalf("mixed address families: %+v", sum)
+		}
+		if sum.Protocol != IPProtocolTCP && sum.Protocol != IPProtocolUDP && sum.SrcPort|sum.DstPort != 0 {
+			t.Fatalf("ports without a TCP or UDP header: %+v", sum)
 		}
 	})
 }

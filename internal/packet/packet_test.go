@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"net/netip"
 	"strings"
@@ -47,18 +48,11 @@ func TestRoundtripIPv4TCP(t *testing.T) {
 	if sum.Protocol != IPProtocolTCP || sum.SrcPort != 12345 || sum.DstPort != 80 {
 		t.Errorf("transport = proto %d %d->%d", sum.Protocol, sum.SrcPort, sum.DstPort)
 	}
-	if !sum.TransportOK || sum.IsIPv6 || sum.VLAN != 0 {
-		t.Errorf("flags: %+v", sum)
+	if want := ethernetLen + ipv4Len + tcpLen + 100; sum.WireLength != len(frame) || len(frame) != want {
+		t.Errorf("WireLength = %d, frame %d bytes, want %d", sum.WireLength, len(frame), want)
 	}
-	if sum.WireLength != len(frame) {
-		t.Errorf("WireLength = %d, want %d", sum.WireLength, len(frame))
-	}
-	wantIP := IPv4HeaderLen + TCPHeaderLen + 100
-	if sum.IPLength != wantIP {
-		t.Errorf("IPLength = %d, want %d", sum.IPLength, wantIP)
-	}
-	if p.TCPLayer().Seq != 777 {
-		t.Errorf("TCP seq = %d, want 777", p.TCPLayer().Seq)
+	if seq := binary.BigEndian.Uint32(frame[ethernetLen+ipv4Len+4:]); seq != 777 {
+		t.Errorf("TCP seq = %d, want 777", seq)
 	}
 }
 
@@ -72,11 +66,11 @@ func TestRoundtripIPv4UDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Protocol != IPProtocolUDP || sum.SrcPort != 53 || sum.DstPort != 5353 || !sum.TransportOK {
+	if sum.Protocol != IPProtocolUDP || sum.SrcPort != 53 || sum.DstPort != 5353 {
 		t.Errorf("summary = %+v", sum)
 	}
-	if sum.IPLength != IPv4HeaderLen+UDPHeaderLen+32 {
-		t.Errorf("IPLength = %d", sum.IPLength)
+	if sum.WireLength != ethernetLen+ipv4Len+udpLen+32 {
+		t.Errorf("WireLength = %d", sum.WireLength)
 	}
 }
 
@@ -90,11 +84,11 @@ func TestRoundtripIPv6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sum.IsIPv6 || sum.SrcIP != srcV6 || sum.DstIP != dstV6 {
+	if sum.SrcIP != srcV6 || sum.DstIP != dstV6 || sum.SrcPort != 443 || sum.DstPort != 50000 {
 		t.Errorf("summary = %+v", sum)
 	}
-	if sum.IPLength != IPv6HeaderLen+TCPHeaderLen+64 {
-		t.Errorf("IPLength = %d", sum.IPLength)
+	if sum.WireLength != ethernetLen+ipv6Len+tcpLen+64 {
+		t.Errorf("WireLength = %d", sum.WireLength)
 	}
 }
 
@@ -107,11 +101,11 @@ func TestRoundtripVLAN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.VLAN != 42 {
-		t.Errorf("VLAN = %d, want 42", sum.VLAN)
+	if tpid, tci := binary.BigEndian.Uint16(frame[12:]), binary.BigEndian.Uint16(frame[14:]); tpid != etherTypeDot1Q || tci != 42 {
+		t.Errorf("tag = %#04x %d, want %#04x 42", tpid, tci, etherTypeDot1Q)
 	}
-	if sum.SrcIP != srcV4 || sum.DstIP != dstV4 {
-		t.Errorf("IPs through VLAN tag: %v -> %v", sum.SrcIP, sum.DstIP)
+	if sum.SrcIP != srcV4 || sum.DstIP != dstV4 || sum.SrcPort != 1 || sum.DstPort != 2 {
+		t.Errorf("through VLAN tag: %+v", sum)
 	}
 }
 
@@ -120,7 +114,7 @@ func TestIPv4ChecksumValid(t *testing.T) {
 		SrcIP: srcV4, DstIP: dstV4, Protocol: IPProtocolTCP,
 	})
 	// The IPv4 header starts after the 14-byte Ethernet header.
-	hdr := frame[EthernetHeaderLen : EthernetHeaderLen+IPv4HeaderLen]
+	hdr := frame[ethernetLen : ethernetLen+ipv4Len]
 	if !ValidIPv4Checksum(hdr) {
 		t.Error("built IPv4 header fails its own checksum")
 	}
@@ -159,42 +153,29 @@ func TestParseTruncatedFrames(t *testing.T) {
 		}
 		// Successful parse of a truncated frame is acceptable only once
 		// the full IP header is present.
-		if n < EthernetHeaderLen+IPv4HeaderLen {
+		if n < ethernetLen+ipv4Len {
 			t.Errorf("truncated frame of %d bytes parsed: %+v", n, sum)
 		}
 	}
 }
 
+// TestParseTruncationErrorsAreDecodeErrors: a decode error names the layer
+// it failed in and, for a truncation, the bytes present and needed.
 func TestParseTruncationErrorsAreDecodeErrors(t *testing.T) {
-	p := NewParser()
-	_, err := p.Parse([]byte{1, 2, 3})
-	var de *DecodeError
-	if !errorsAs(err, &de) {
-		t.Fatalf("error type = %T (%v), want *DecodeError", err, err)
-	}
-	if de.Layer != LayerTypeEthernet || de.Want != EthernetHeaderLen {
-		t.Errorf("DecodeError = %+v", de)
-	}
-	if !strings.Contains(de.Error(), "Ethernet") {
-		t.Errorf("message %q lacks layer name", de.Error())
-	}
-}
-
-// errorsAs is a tiny local wrapper to avoid importing errors twice.
-func errorsAs(err error, target **DecodeError) bool {
-	for err != nil {
-		if de, ok := err.(*DecodeError); ok {
-			*target = de
-			return true
+	full := buildFrame(t, FrameSpec{SrcIP: srcV6, DstIP: dstV6, VLAN: 3, Protocol: IPProtocolUDP})
+	for _, c := range []struct {
+		frame []byte
+		want  string
+	}{
+		{[]byte{1, 2, 3}, "packet: Ethernet: truncated header (have 3 bytes, want 14)"},
+		{full[:ethernetLen+2], "packet: Dot1Q: truncated header (have 2 bytes, want 4)"},
+		{full[:ethernetLen+dot1QLen+39], "packet: IPv6: truncated header (have 39 bytes, want 40)"},
+	} {
+		_, err := NewParser().Parse(c.frame)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%d-byte frame: error %v, want %q", len(c.frame), err, c.want)
 		}
-		type unwrapper interface{ Unwrap() error }
-		u, ok := err.(unwrapper)
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
 	}
-	return false
 }
 
 func TestParseNonIPFrame(t *testing.T) {
@@ -224,8 +205,11 @@ func TestParserStats(t *testing.T) {
 	if _, err := p.Parse([]byte{0}); err == nil {
 		t.Fatal("expected error")
 	}
-	if p.Stats.Frames != 3 || p.Stats.IPv4Packets != 1 || p.Stats.IPv6Packets != 1 || p.Stats.Errors != 1 {
-		t.Errorf("stats = %+v", p.Stats)
+	if _, err := p.Parse(make([]byte, ethernetLen)); err != ErrNoIPLayer {
+		t.Fatalf("err = %v, want ErrNoIPLayer", err)
+	}
+	if want := (ParserStats{Frames: 4, NonIP: 1, Errors: 1}); p.Stats != want {
+		t.Errorf("stats = %+v, want %+v", p.Stats, want)
 	}
 }
 
@@ -258,99 +242,117 @@ func TestParseDoesNotPanicOnCorruptedRealFrames(t *testing.T) {
 	}
 }
 
-func TestMACAddrString(t *testing.T) {
-	m := MACAddr{0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x01}
-	if got := m.String(); got != "de:ad:be:ef:00:01" {
-		t.Errorf("String = %q", got)
-	}
-}
-
-func TestLayerTypeString(t *testing.T) {
-	cases := map[LayerType]string{
-		LayerTypeZero:     "None",
-		LayerTypeEthernet: "Ethernet",
-		LayerTypeDot1Q:    "Dot1Q",
-		LayerTypeIPv4:     "IPv4",
-		LayerTypeIPv6:     "IPv6",
-		LayerTypeTCP:      "TCP",
-		LayerTypeUDP:      "UDP",
-		LayerTypePayload:  "Payload",
-		LayerType(200):    "LayerType(200)",
-	}
-	for lt, want := range cases {
-		if got := lt.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", lt, got, want)
-		}
-	}
-}
-
+// TestEthernetDecodeFields: the builder lays out destination MAC, source
+// MAC and EtherType, and the decoder follows the EtherType, so rewriting it
+// turns the same frame into a non-IP one.
 func TestEthernetDecodeFields(t *testing.T) {
 	frame := buildFrame(t, FrameSpec{
 		SrcMAC: srcMAC, DstMAC: dstMAC,
 		SrcIP: srcV4, DstIP: dstV4, Protocol: IPProtocolUDP,
 	})
-	var eth Ethernet
-	if err := eth.DecodeFromBytes(frame); err != nil {
+	if MACAddr(frame[0:6]) != dstMAC || MACAddr(frame[6:12]) != srcMAC {
+		t.Errorf("MACs = %x -> %x", frame[6:12], frame[0:6])
+	}
+	if et := binary.BigEndian.Uint16(frame[12:]); et != etherTypeIPv4 {
+		t.Errorf("EtherType = %#x", et)
+	}
+	if _, err := NewParser().Parse(frame); err != nil {
 		t.Fatal(err)
 	}
-	if eth.SrcMAC != srcMAC || eth.DstMAC != dstMAC {
-		t.Errorf("MACs = %v -> %v", eth.SrcMAC, eth.DstMAC)
-	}
-	if eth.EtherType != EtherTypeIPv4 {
-		t.Errorf("EtherType = %#x", eth.EtherType)
-	}
-	if eth.NextLayerType() != LayerTypeIPv4 {
-		t.Errorf("NextLayerType = %v", eth.NextLayerType())
+	binary.BigEndian.PutUint16(frame[12:], 0x0806) // ARP
+	if _, err := NewParser().Parse(frame); err != ErrNoIPLayer {
+		t.Errorf("ARP EtherType: err = %v, want ErrNoIPLayer", err)
 	}
 }
 
+// ethernetFrame prepends an untagged Ethernet header to an IP datagram.
+func ethernetFrame(etherType uint16, ip []byte) []byte {
+	frame := binary.BigEndian.AppendUint16(make([]byte, 12), etherType)
+	return append(frame, ip...)
+}
+
 func TestIPv4DecodeRejectsGarbage(t *testing.T) {
-	var ip IPv4
-	// Version nibble != 4.
-	bad := make([]byte, IPv4HeaderLen)
-	bad[0] = 0x60 | 5
-	if err := ip.DecodeFromBytes(bad); err == nil {
-		t.Error("version 6 accepted by IPv4 decoder")
+	p := NewParser()
+	bad := make([]byte, ipv4Len)
+	bad[3] = ipv4Len // total length
+	for _, c := range []struct {
+		verIHL, length byte
+		n              int
+		want           string
+	}{
+		{0x60 | 5, ipv4Len, ipv4Len, "version field is not 4"},
+		{0x40 | 4, ipv4Len, ipv4Len, "IHL below minimum"},
+		{0x40 | 6, ipv4Len, ipv4Len, "(have 20 bytes, want 24)"},
+		{0x40 | 5, ipv4Len - 1, ipv4Len, "total length below header length"},
+		{0x40 | 5, ipv4Len, 10, "(have 10 bytes, want 20)"},
+	} {
+		bad[0], bad[3] = c.verIHL, c.length
+		_, err := p.Parse(ethernetFrame(etherTypeIPv4, bad[:c.n]))
+		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "IPv4") {
+			t.Errorf("header %#x, length %d, %d bytes: err = %v, want %q", c.verIHL, c.length, c.n, err, c.want)
+		}
 	}
-	// IHL < 5.
-	bad[0] = 0x40 | 4
-	if err := ip.DecodeFromBytes(bad); err == nil {
-		t.Error("IHL 4 accepted")
-	}
-	// Truncated.
-	if err := ip.DecodeFromBytes(bad[:10]); err == nil {
-		t.Error("10-byte header accepted")
+	if p.Stats != (ParserStats{Frames: 5, Errors: 5}) {
+		t.Errorf("stats = %+v, want 5 errors", p.Stats)
 	}
 }
 
 func TestIPv6DecodeRejectsGarbage(t *testing.T) {
-	var ip IPv6
-	bad := make([]byte, IPv6HeaderLen)
+	p := NewParser()
+	bad := make([]byte, ipv6Len)
 	bad[0] = 0x40 // version 4
-	if err := ip.DecodeFromBytes(bad); err == nil {
-		t.Error("version 4 accepted by IPv6 decoder")
+	if _, err := p.Parse(ethernetFrame(etherTypeIPv6, bad)); err == nil || !strings.Contains(err.Error(), "IPv6: version") {
+		t.Errorf("version 4 in an IPv6 frame: err = %v", err)
 	}
-	if err := ip.DecodeFromBytes(bad[:20]); err == nil {
-		t.Error("truncated IPv6 header accepted")
+	if _, err := p.Parse(ethernetFrame(etherTypeIPv6, bad[:20])); err == nil || !strings.Contains(err.Error(), "(have 20 bytes, want 40)") {
+		t.Errorf("truncated IPv6 header: err = %v", err)
+	}
+	if p.Stats != (ParserStats{Frames: 2, Errors: 2}) {
+		t.Errorf("stats = %+v, want 2 errors", p.Stats)
 	}
 }
 
-func TestTCPFlagsRoundtrip(t *testing.T) {
-	frame := buildFrame(t, FrameSpec{
-		SrcIP: srcV4, DstIP: dstV4,
-		Protocol: IPProtocolTCP, SrcPort: 9, DstPort: 10,
-		TCPFlagsSYN: true, TCPFlagsACK: true,
-	})
-	p := NewParser()
-	if _, err := p.Parse(frame); err != nil {
-		t.Fatal(err)
-	}
-	tcp := p.TCPLayer()
-	if !tcp.SYN || !tcp.ACK {
-		t.Errorf("flags: SYN=%v ACK=%v, want both true", tcp.SYN, tcp.ACK)
-	}
-	if tcp.FIN || tcp.RST || tcp.PSH || tcp.URG {
-		t.Errorf("unexpected flags set: %+v", tcp)
+// TestParseTransportEdges: a transport header the decoder cannot read
+// leaves the ports zero but the frame decoded, and the ports are read
+// only from what the IP header declares as its payload.
+func TestParseTransportEdges(t *testing.T) {
+	be := binary.BigEndian
+	tcp := buildFrame(t, FrameSpec{SrcIP: srcV4, DstIP: dstV4, Protocol: IPProtocolTCP, SrcPort: 7, DstPort: 8, PayloadLen: 4})
+	udp := buildFrame(t, FrameSpec{SrcIP: srcV6, DstIP: dstV6, Protocol: IPProtocolUDP, SrcPort: 7, DstPort: 8})
+	const ip, tcpOff, udpOff = ethernetLen, ethernetLen + ipv4Len, ethernetLen + ipv6Len
+	for _, c := range []struct {
+		name  string
+		base  []byte
+		edit  func(f []byte) []byte
+		ports bool
+	}{
+		{"whole TCP", tcp, func(f []byte) []byte { return f }, true},
+		{"TCP data offset 4", tcp, func(f []byte) []byte { f[tcpOff+12] = 4 << 4; return f }, false},
+		{"TCP data offset past the segment", tcp, func(f []byte) []byte { f[tcpOff+12] = 15 << 4; return f }, false},
+		{"IPv4 total length cuts TCP", tcp, func(f []byte) []byte { be.PutUint16(f[ip+2:], ipv4Len+tcpLen-1); return f }, false},
+		{"IPv4 later fragment", tcp, func(f []byte) []byte { be.PutUint16(f[ip+6:], 1); return f }, false},
+		{"IPv4 first fragment", tcp, func(f []byte) []byte { be.PutUint16(f[ip+6:], 1<<13); return f }, true},
+		{"whole UDP", udp, func(f []byte) []byte { return f }, true},
+		{"UDP length 7", udp, func(f []byte) []byte { be.PutUint16(f[udpOff+4:], 7); return f }, false},
+		{"IPv6 payload length cuts UDP", udp, func(f []byte) []byte { be.PutUint16(f[ip+4:], udpLen-1); return f }, false},
+		{"UDP cut by the capture", udp, func(f []byte) []byte { return f[:len(f)-1] }, false},
+	} {
+		p := NewParser()
+		sum, err := p.Parse(c.edit(append([]byte(nil), c.base...)))
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		want := [2]uint16{}
+		if c.ports {
+			want = [2]uint16{7, 8}
+		}
+		if got := [2]uint16{sum.SrcPort, sum.DstPort}; got != want {
+			t.Errorf("%s: ports %v, want %v", c.name, got, want)
+		}
+		if p.Stats != (ParserStats{Frames: 1}) {
+			t.Errorf("%s: stats = %+v", c.name, p.Stats)
+		}
 	}
 }
 
@@ -401,11 +403,8 @@ func TestBuilderFrameRoundtripProperty(t *testing.T) {
 		if sum.SrcPort != spec.SrcPort || sum.DstPort != spec.DstPort {
 			t.Fatalf("case %d: ports %d->%d, want %d->%d", i, sum.SrcPort, sum.DstPort, spec.SrcPort, spec.DstPort)
 		}
-		if sum.VLAN != spec.VLAN {
-			t.Fatalf("case %d: VLAN %d, want %d", i, sum.VLAN, spec.VLAN)
-		}
-		if sum.IsIPv6 != isV6 {
-			t.Fatalf("case %d: IsIPv6 = %v", i, sum.IsIPv6)
+		if sum.Protocol != proto || sum.WireLength != len(frame) {
+			t.Fatalf("case %d: protocol %d, wire length %d of %d", i, sum.Protocol, sum.WireLength, len(frame))
 		}
 	}
 }
@@ -431,15 +430,12 @@ func TestParserZeroAlloc(t *testing.T) {
 // ValidIPv4Checksum reports whether the decoded header checksum is correct.
 // It must be called with the original header bytes still alive.
 func ValidIPv4Checksum(header []byte) bool {
-	if len(header) < IPv4HeaderLen {
+	if len(header) < ipv4Len {
 		return false
 	}
 	hlen := int(header[0]&0x0F) * 4
-	if hlen < IPv4HeaderLen || hlen > len(header) {
+	if hlen < ipv4Len || hlen > len(header) {
 		return false
 	}
-	return ipChecksum(header[:hlen]) == 0
+	return foldChecksum(addChecksum(0, header[:hlen])) == 0
 }
-
-// TCPLayer exposes the last-decoded TCP header.
-func (p *Parser) TCPLayer() *TCP { return &p.tcp }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -161,14 +162,21 @@ func (r *NgReader) addInterface(body []byte) error {
 			break
 		}
 		if code == optTsResol && olen >= 1 {
+			// 2^-n or 10^-n seconds; refuse a tick rate a uint64 cannot hold.
 			v := opts[0]
-			if v&0x80 != 0 {
-				iface.ticksPerSecond = 1 << (v & 0x7F)
+			if exp := v & 0x7F; v&0x80 != 0 {
+				if exp > 63 {
+					return fmt.Errorf("%w: timestamp resolution 2^-%d", ErrCorrupt, exp)
+				}
+				iface.ticksPerSecond = 1 << exp
 			} else {
-				iface.ticksPerSecond = uint64(math.Pow10(int(v)))
-			}
-			if iface.ticksPerSecond == 0 {
-				return fmt.Errorf("%w: zero timestamp resolution", ErrCorrupt)
+				if exp > 19 {
+					return fmt.Errorf("%w: timestamp resolution 10^-%d", ErrCorrupt, exp)
+				}
+				iface.ticksPerSecond = 1
+				for range exp {
+					iface.ticksPerSecond *= 10
+				}
 			}
 		}
 		// Advance past the value plus padding to 4 bytes.
@@ -205,7 +213,9 @@ func (r *NgReader) decodeEPB(body []byte) (CaptureInfo, []byte, error) {
 	ticks := uint64(tsHigh)<<32 | uint64(tsLow)
 	secs := ticks / iface.ticksPerSecond
 	frac := ticks % iface.ticksPerSecond
-	nanos := frac * uint64(time.Second) / iface.ticksPerSecond
+	// frac < ticksPerSecond, so the 128-bit quotient fits in 64 bits.
+	hi, lo := bits.Mul64(frac, uint64(time.Second))
+	nanos, _ := bits.Div64(hi, lo, iface.ticksPerSecond)
 	ci.Timestamp = time.Unix(int64(secs), int64(nanos)).UTC()
 	ci.CaptureLength = int(capLen)
 	ci.Length = int(wireLen)

@@ -125,8 +125,9 @@ func TestNgPacketBeforeInterfaceRejected(t *testing.T) {
 	}
 }
 
-func TestNgNanosecondResolutionOption(t *testing.T) {
-	// Hand-build a capture whose IDB carries if_tsresol = 9 (ns).
+// ngCaptureWithResolution hand-builds a capture whose IDB carries the
+// if_tsresol byte tsresol and whose one packet is stamped ticks.
+func ngCaptureWithResolution(tsresol byte, ticks uint64) []byte {
 	var buf bytes.Buffer
 	shb := make([]byte, 28)
 	binary.LittleEndian.PutUint32(shb[0:4], blockTypeSectionHeader)
@@ -143,34 +144,73 @@ func TestNgNanosecondResolutionOption(t *testing.T) {
 	binary.LittleEndian.PutUint32(idb[12:16], 65535)
 	binary.LittleEndian.PutUint16(idb[16:18], optTsResol)
 	binary.LittleEndian.PutUint16(idb[18:20], 1)
-	idb[20] = 9 // 10^-9: nanoseconds
+	idb[20] = tsresol
 	binary.LittleEndian.PutUint32(idb[24:28], 28)
 	buf.Write(idb)
 
-	ts := time.Date(2001, time.July, 24, 9, 0, 0, 123456789, time.UTC)
-	nanos := uint64(ts.UnixNano())
 	epb := make([]byte, 36)
 	binary.LittleEndian.PutUint32(epb[0:4], blockTypeEnhancedPacket)
 	binary.LittleEndian.PutUint32(epb[4:8], 36)
 	binary.LittleEndian.PutUint32(epb[8:12], 0)
-	binary.LittleEndian.PutUint32(epb[12:16], uint32(nanos>>32))
-	binary.LittleEndian.PutUint32(epb[16:20], uint32(nanos))
+	binary.LittleEndian.PutUint32(epb[12:16], uint32(ticks>>32))
+	binary.LittleEndian.PutUint32(epb[16:20], uint32(ticks))
 	binary.LittleEndian.PutUint32(epb[20:24], 4)
 	binary.LittleEndian.PutUint32(epb[24:28], 4)
 	copy(epb[28:32], []byte{1, 2, 3, 4})
 	binary.LittleEndian.PutUint32(epb[32:36], 36)
 	buf.Write(epb)
+	return buf.Bytes()
+}
 
-	r, err := NewNgReader(&buf)
+func readNgTimestamp(raw []byte) (time.Time, error) {
+	r, err := NewNgReader(bytes.NewReader(raw))
 	if err != nil {
-		t.Fatal(err)
+		return time.Time{}, err
 	}
 	ci, _, err := r.ReadPacket()
+	return ci.Timestamp, err
+}
+
+// TestNgNanosecondResolutionOption: if_tsresol sets the tick rate, decimal
+// (10^-n s) or binary (2^-n s, top bit set), and a timestamp converts to
+// wall time exactly at every rate a uint64 holds — including rates whose
+// fraction times 10^9 overflows 64 bits. A finer rate is refused.
+func TestNgNanosecondResolutionOption(t *testing.T) {
+	ts := time.Date(2001, time.July, 24, 9, 0, 0, 123456789, time.UTC)
+	got, err := readNgTimestamp(ngCaptureWithResolution(9, uint64(ts.UnixNano())))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ci.Timestamp.Equal(ts) {
-		t.Errorf("ns timestamp = %v, want %v", ci.Timestamp, ts)
+	if !got.Equal(ts) {
+		t.Errorf("ns timestamp = %v, want %v", got, ts)
+	}
+
+	want := time.Unix(1, 5e8).UTC()
+	for _, c := range []struct {
+		tsresol byte
+		ticks   uint64 // 1.5 s
+	}{
+		{6, 1_500_000},
+		{9, 1_500_000_000},
+		{12, 1_500_000_000_000},
+		{19, 15_000_000_000_000_000_000},
+		{0x80 | 10, 3 << 9},
+		{0x80 | 40, 3 << 39},
+		{0x80 | 63, 3 << 62},
+	} {
+		got, err := readNgTimestamp(ngCaptureWithResolution(c.tsresol, c.ticks))
+		if err != nil {
+			t.Errorf("if_tsresol %#x: %v", c.tsresol, err)
+			continue
+		}
+		if !got.Equal(want) {
+			t.Errorf("if_tsresol %#x: timestamp %v, want %v", c.tsresol, got, want)
+		}
+	}
+	for _, tsresol := range []byte{20, 0x80 | 64} {
+		if _, err := readNgTimestamp(ngCaptureWithResolution(tsresol, 0)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("if_tsresol %#x: err = %v, want ErrCorrupt", tsresol, err)
+		}
 	}
 }
 

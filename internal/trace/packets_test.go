@@ -218,7 +218,7 @@ func TestEmitFramesDecodable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("undecodable frame: %v", err)
 		}
-		if sum.Protocol != packet.IPProtocolTCP || !sum.TransportOK {
+		if sum.Protocol != packet.IPProtocolTCP || sum.DstPort != 80 {
 			t.Fatalf("unexpected summary: %+v", sum)
 		}
 	}
