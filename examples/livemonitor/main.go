@@ -8,9 +8,9 @@
 // Memory is bounded by the accumulator's window (the latent-heat
 // lookback, 12 five-minute slots) however long the link is monitored.
 // The hook prints a status line per interval, flagging promotions and
-// demotions (the reroute events a TE controller would act on); the
-// closing digest is read from the obs.LinkMetrics series the daemon
-// exports on /metrics.
+// demotions (the reroute events a TE controller would act on) and
+// counts them; a stage observer sums each step's timings, and the
+// closing digest reports both.
 //
 //	go run ./examples/livemonitor
 //
@@ -40,7 +40,6 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/scheme"
 	"repro/internal/serve"
@@ -188,9 +187,10 @@ func runLocal() error {
 	// Any other registered spec ("aest+latent", "spacesaving:k=100", ...)
 	// changes nothing below.
 	sp := scheme.MustParse("load+latent")
-	// The instrumentation the daemon attaches per link: every step's
-	// stage timings, allocation-free.
-	om := obs.NewLinkMetrics(obs.NewRegistry(), "live@0", obs.DefaultStageBounds())
+	// Every step's stage timings, summed by the observer, and the churn
+	// the hook counts.
+	var times stageTimes
+	var promotedN, demotedN int
 
 	// The window is derived from the scheme, so ingestion holds no more
 	// history than classification needs. The hook runs on the pipeline's
@@ -203,7 +203,7 @@ func runLocal() error {
 		Window:   engine.StreamWindow(sp, 0),
 		Config: func() (core.Config, error) {
 			cc, err := sp.Config()
-			cc.Observer = om
+			cc.Observer = &times
 			return cc, err
 		},
 		OnResult: func(t int, at time.Time, res core.Result, _ agg.StreamStats) error {
@@ -218,8 +218,8 @@ func runLocal() error {
 				fmt.Printf("  -%d demoted (e.g. %s)", len(demoted), demoted[0])
 			}
 			fmt.Println()
-			om.Promoted.Add(uint64(len(promoted)))
-			om.Demoted.Add(uint64(len(demoted)))
+			promotedN += len(promoted)
+			demotedN += len(demoted)
 			prev = res.Elephants
 			return nil
 		},
@@ -241,11 +241,22 @@ func runLocal() error {
 		return err
 	}
 
-	// The digest: the histograms the observer filled, the counters the hook did.
-	n := float64(om.Step.Count())
+	// The digest: the sums the observer kept, the counts the hook did.
+	n := float64(times.steps)
 	fmt.Printf("\nstage timings over %.0f intervals: step mean %.0f µs (detect %.0f, classify %.0f); churn +%d/-%d\n",
-		n, om.Step.Sum()/n*1e6, om.Detect.Sum()/n*1e6, om.Classify.Sum()/n*1e6, om.Promoted.Value(), om.Demoted.Value())
+		n, float64(times.step)/n/1e3, float64(times.detect)/n/1e3, float64(times.classify)/n/1e3, promotedN, demotedN)
 	return nil
+}
+
+// stageTimes is a core.StageObserver summing the stage timings of every
+// step it observes, in nanoseconds.
+type stageTimes struct{ steps, step, detect, classify int64 }
+
+func (s *stageTimes) ObserveStep(o core.StepObservation) {
+	s.steps++
+	s.step += o.StepNanos
+	s.detect += o.DetectNanos
+	s.classify += o.ClassifyNanos
 }
 
 // missing lists the flows of a that b lacks, in string order.

@@ -8,15 +8,16 @@ import (
 	"net/http"
 	"net/netip"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/bgp"
+	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/scheme"
 )
 
@@ -97,15 +98,16 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// liveLink pairs a link's pipeline with its store entry and the
-// obs.LinkMetrics attached as the pipeline's stage observer. The link
-// map holding these is copy-on-write (see linkMap in ingest.go); the
-// state inside is concurrency-safe.
+// liveLink pairs a link's pipeline with its store entry. It is the
+// pipeline's stage observer: last is the step's observation, which the
+// result hook reads on the same goroutine. The link map holding these is
+// copy-on-write (see linkMap in ingest.go); the state inside is
+// concurrency-safe.
 type liveLink struct {
 	id    string
 	state *LinkState
 	lp    *engine.LivePipeline
-	om    *obs.LinkMetrics
+	last  core.StepObservation
 }
 
 // Daemon is the live monitoring process: a sharded UDP NetFlow v5
@@ -115,11 +117,6 @@ type liveLink struct {
 type Daemon struct {
 	cfg   Config
 	store *Store
-	// reg holds the per-link instrumentation families (stage histograms,
-	// churn counters, threshold/lag gauges); /metrics renders it after
-	// the store-backed families. Links register in first-sight order, so
-	// a quiet daemon's scrapes stay byte-identical.
-	reg *obs.Registry
 
 	conns    []*net.UDPConn // ingest sockets
 	readers  []*reader      // one per socket
@@ -161,13 +158,21 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if err := cfg.Scheme.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: NewDaemon: %w", err)
 	}
+	for _, n := range []struct {
+		name string
+		v    int
+	}{{"readers", cfg.Readers}, {"window", cfg.Window}, {"history", cfg.History}, {"buffer", cfg.Buffer}} {
+		if n.v < 0 {
+			return nil, fmt.Errorf("serve: NewDaemon: negative %s %d", n.name, n.v)
+		}
+	}
 	if cfg.Interval == 0 {
 		cfg.Interval = DefaultInterval
 	}
 	if cfg.Interval <= 0 {
 		return nil, fmt.Errorf("serve: NewDaemon: non-positive interval %v", cfg.Interval)
 	}
-	if cfg.Readers <= 0 {
+	if cfg.Readers == 0 {
 		cfg.Readers = 1
 	}
 	if cfg.Readers > MaxReaders {
@@ -203,7 +208,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:      cfg,
 		store:    NewStore(),
-		reg:      obs.NewRegistry(),
 		conns:    conns,
 		httpLn:   ln,
 		loopDone: make(chan struct{}),
@@ -284,6 +288,17 @@ func linkID(addr netip.Addr, engineID uint8) string {
 	return addr.Unmap().String() + "@" + strconv.Itoa(int(engineID))
 }
 
+// pipelines returns the links that have a pipeline, in ID order.
+func (d *Daemon) pipelines() []*liveLink {
+	m := *d.links.Load()
+	lls := make([]*liveLink, 0, len(m))
+	for _, ll := range m {
+		lls = append(lls, ll)
+	}
+	slices.SortFunc(lls, func(a, b *liveLink) int { return strings.Compare(a.id, b.id) })
+	return lls
+}
+
 // DrainIngest performs the ingest half of a graceful shutdown: stop
 // accepting new datagrams once every socket's kernel buffer is empty,
 // close every link's remaining open intervals (final flush through each
@@ -313,13 +328,7 @@ func (d *Daemon) DrainIngest(ctx context.Context) error {
 
 		// The readers have exited; the link map is quiescent. Close
 		// pipelines in ID order for deterministic logs.
-		m := *d.links.Load()
-		lls := make([]*liveLink, 0, len(m))
-		for _, ll := range m {
-			lls = append(lls, ll)
-		}
-		sort.Slice(lls, func(i, j int) bool { return lls[i].id < lls[j].id })
-		for _, ll := range lls {
+		for _, ll := range d.pipelines() {
 			if err := ll.lp.Close(); err != nil {
 				ll.state.Fail(err)
 				if d.drainErr == nil {

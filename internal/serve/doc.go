@@ -47,24 +47,25 @@
 // seal-time watermark lag, stage overlap). /links/{id}/history and
 // /links/{id}/debug/intervals (JSONL of IntervalTrace) are two
 // renderings of that ring, so Config.History bounds both and they
-// cannot disagree about an interval; the same churn feeds the link's
-// promote/demote counters.
+// cannot disagree about an interval. The same call folds the step's
+// stage timings and the stage overlap into the link's histograms and
+// the churn into its promote/demote totals.
 //
-// The daemon is itself observed. Each link carries an obs.LinkMetrics
-// registered as its pipeline's core.StageObserver — stage-latency
-// histograms (detect/classify/step) fed by the observer, promote/demote
-// churn counters and the raw-threshold gauge fed by the result hook,
-// the watermark-lag gauge refreshed at scrape time, all labelled by
-// link. /metrics renders the store-backed families plus the obs
-// registry (byte-stable between scrapes on a quiet daemon; the tests
-// lint every page they scrape with reporttest.LintExposition).
+// The daemon is itself observed, and /metrics keeps nothing of its own.
+// Every per-link family is read at scrape time from the link's
+// LinkState (ingest and stream counters, the newest ring entry, the
+// stage histograms and churn totals) or its pipeline (watermark lag,
+// queue stalls), each family listing its links in ID order — so a quiet
+// daemon's scrapes are byte-identical; the tests lint every page they
+// scrape with reporttest.LintExposition.
 // /healthz is pure liveness (always 200,
 // with per-link staleness detail); /readyz is readiness — 503 once
 // links exist and every one has gone longer than Config.StaleAfter
 // (default 3× the interval) without sealing. Config.Pprof optionally
 // mounts net/http/pprof under /debug/pprof/ on the same mux. All
-// instrumentation on the per-interval path is allocation-free (atomics
-// and the pre-allocated ring); rendering happens on scrape goroutines.
+// instrumentation on the per-interval path is allocation-free (fields
+// of the LinkState and the pre-allocated ring, under the one lock a seal
+// already takes); rendering happens on scrape goroutines.
 //
 // Shutdown is graceful and two-phase: DrainIngest consumes what the
 // kernel has buffered on every socket, closes every link's open

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"time"
 )
@@ -177,16 +176,15 @@ type LinkPipeline struct {
 }
 
 func (d *Daemon) handleLinks(w http.ResponseWriter, r *http.Request) {
-	links := *d.links.Load()
-	pipes := make([]LinkPipeline, 0, len(links))
-	for _, ll := range links {
-		pipes = append(pipes, LinkPipeline{
+	lls := d.pipelines()
+	pipes := make([]LinkPipeline, len(lls))
+	for i, ll := range lls {
+		pipes[i] = LinkPipeline{
 			Link:              ll.id,
 			Stalls:            ll.lp.Stalls(),
 			StageOverlapNanos: int64(ll.lp.LastOverlap()),
-		})
+		}
 	}
-	sort.Slice(pipes, func(i, j int) bool { return pipes[i].Link < pipes[j].Link })
 	d.writeJSON(w, http.StatusOK, LinksPage{
 		ReusePort: d.ReusePort(),
 		Readers:   d.readerStatus(),

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/netflow"
-	"repro/internal/obs"
 )
 
 // reader is one ingest goroutine's private state: its socket, a receive
@@ -136,14 +135,14 @@ func (d *Daemon) createLink(key linkKey) (*liveLink, error) {
 	}
 	id := linkID(key.addr, key.engine)
 	state := d.store.GetOrCreate(id, d.cfg.History)
-	// The metrics bundle rides the pipeline as its stage observer, and
-	// the result hook (onResult) reads the step's timings back from it:
-	// both run on the pipeline's classify goroutine inside the same seal,
-	// so om.Last() there is always this interval's observation. ll.lp is
-	// assigned before first use: the worker can only reach the hook via
-	// a record sent after createLink published the link (the channel
-	// send orders the assignment).
-	ll := &liveLink{id: id, state: state, om: obs.NewLinkMetrics(d.reg, id, obs.DefaultStageBounds())}
+	// The link rides the pipeline as its stage observer, and the result
+	// hook (onResult) reads the step's timings back from it: both run on
+	// the pipeline's classify goroutine inside the same seal, so ll.last
+	// there is always this interval's observation. ll.lp is assigned
+	// before first use: the worker can only reach the hook via a record
+	// sent after createLink published the link (the channel send orders
+	// the assignment).
+	ll := &liveLink{id: id, state: state}
 	factory := d.cfg.Scheme.Factory()
 	var err error
 	ll.lp, err = engine.NewLivePipeline(engine.LiveLink{
@@ -157,7 +156,7 @@ func (d *Daemon) createLink(key linkKey) (*liveLink, error) {
 			if err != nil {
 				return cc, err
 			}
-			cc.Observer = ll.om
+			cc.Observer = ll
 			return cc, nil
 		},
 		OnResult: ll.onResult,
@@ -175,21 +174,20 @@ func (d *Daemon) createLink(key linkKey) (*liveLink, error) {
 	return ll, nil
 }
 
+// ObserveStep implements core.StageObserver: keep the step's
+// observation for the result hook that follows it.
+func (ll *liveLink) ObserveStep(o core.StepObservation) { ll.last = o }
+
 // onResult is the link's result hook — everything the daemon does with
 // a sealed interval. One call records it (LinkState.record: one lock,
-// one ring entry, the interval's one churn computation), and the churn
-// it returns and the Result's raw threshold go to the link's series, so
-// /history, /debug/intervals and /metrics are readings of one record.
-// LastSealLag is the lag this interval sealed under; LastOverlap is the
-// overlap of the interval classified before it (the stage publishes an
-// interval's overlap after its hook returns).
+// one ring entry, the interval's one churn computation, the stage
+// histograms and churn totals), so /history, /debug/intervals and
+// /metrics are readings of one record. LastSealLag is the lag this
+// interval sealed under; LastOverlap is the overlap of the interval
+// classified before it (the stage publishes an interval's overlap after
+// its hook returns).
 func (ll *liveLink) onResult(t int, at time.Time, res core.Result, stats agg.StreamStats) error {
-	overlap := ll.lp.LastOverlap()
-	promoted, demoted := ll.state.record(t, at, res, stats, ll.om.Last(), ll.lp.LastSealLag(), overlap)
-	ll.om.Promoted.Add(uint64(promoted))
-	ll.om.Demoted.Add(uint64(demoted))
-	ll.om.RawThreshold.Set(res.RawThreshold)
-	ll.om.StageOverlap.Observe(overlap.Seconds())
+	ll.state.record(t, at, res, stats, ll.last, ll.lp.LastSealLag(), ll.lp.LastOverlap())
 	return nil
 }
 

@@ -16,9 +16,9 @@ func b2f(v bool) float64 {
 }
 
 // handleMetrics renders the daemon's counters in the Prometheus text
-// exposition format via report.MetricsWriter. Links are emitted in
-// sorted ID order, so consecutive scrapes of a quiet daemon are
-// byte-identical.
+// exposition format via report.MetricsWriter. Every per-link family
+// lists its links in ID order, so consecutive scrapes of a quiet daemon
+// are byte-identical.
 func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
@@ -136,15 +136,56 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			return s.Last.ThresholdBps
 		})
 
-	// Instrumentation families (stage histograms, churn counters,
-	// threshold/lag gauges) render from the registry. The lag and stall
-	// series mirror pipeline-internal state: refresh each link's from
-	// its live pipeline first.
-	for _, ll := range *d.links.Load() {
-		ll.om.WatermarkLag.Set(ll.lp.WatermarkLag().Seconds())
-		ll.om.Stalls.Store(ll.lp.Stalls())
+	// Per-pipeline families: what LinkState.record folded, the newest
+	// ring entry's raw threshold, and the pipeline's own lag and stall
+	// readings — read here, stored nowhere else.
+	type pipelineRow struct {
+		labels []report.Label
+		m      linkMetrics
+		raw    float64
+		lag    float64
+		stalls uint64
 	}
-	d.reg.Render(m)
+	lls := d.pipelines()
+	prows := make([]pipelineRow, len(lls))
+	for i, ll := range lls {
+		p := &prows[i]
+		p.labels = []report.Label{{Name: "link", Value: ll.id}}
+		p.m, p.raw = ll.state.metricsSnapshot()
+		p.lag = ll.lp.WatermarkLag().Seconds()
+		p.stalls = ll.lp.Stalls()
+	}
+	pipeline := func(name, help, typ string, v func(*pipelineRow) float64) {
+		m.Family(name, help, typ)
+		for i := range prows {
+			m.Sample(name, prows[i].labels, v(&prows[i]))
+		}
+	}
+	stage := func(name, help string, h func(*pipelineRow) *histogram) {
+		m.Family(name, help, "histogram")
+		for i := range prows {
+			hi := h(&prows[i])
+			m.Histogram(name, prows[i].labels, stageBounds[:], hi.counts[:], hi.sum)
+		}
+	}
+	stage("elephantd_step_duration_seconds", "Whole pipeline step wall time per interval.",
+		func(p *pipelineRow) *histogram { return &p.m.step })
+	stage("elephantd_detect_duration_seconds", "Threshold-detection stage wall time per interval.",
+		func(p *pipelineRow) *histogram { return &p.m.detect })
+	stage("elephantd_classify_duration_seconds", "Classification stage wall time per interval.",
+		func(p *pipelineRow) *histogram { return &p.m.classify })
+	pipeline("elephantd_link_promoted_total", "Flows promoted into the elephant set.", "counter",
+		func(p *pipelineRow) float64 { return float64(p.m.promoted) })
+	pipeline("elephantd_link_demoted_total", "Flows demoted out of the elephant set.", "counter",
+		func(p *pipelineRow) float64 { return float64(p.m.demoted) })
+	pipeline("elephantd_link_raw_threshold_bps", "Last interval's detected raw threshold theta(t) (bit/s).", "gauge",
+		func(p *pipelineRow) float64 { return p.raw })
+	pipeline("elephantd_link_watermark_lag_seconds", "Interval watermark lag: newest record export time minus newest sealed interval edge.", "gauge",
+		func(p *pipelineRow) float64 { return p.lag })
+	pipeline("elephantd_link_stalls_total", "Blocking waits for a free batch: sends that found every batch of the link's record queue in use.", "counter",
+		func(p *pipelineRow) float64 { return float64(p.stalls) })
+	stage("elephantd_stage_overlap_seconds", "Classify-stage wall time overlapped with the accumulate stage, per interval.",
+		func(p *pipelineRow) *histogram { return &p.m.overlap })
 
 	if err := m.Err(); err != nil {
 		d.cfg.Logf("serve: rendering metrics: %v", err)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/netip"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -433,10 +434,8 @@ func TestMetricsScrapesRaceIngest(t *testing.T) {
 }
 
 // TestMetricsByteStableQuietDaemon: once ingest is drained, consecutive
-// /metrics scrapes must be byte-identical — every family renders in a
-// deterministic order (store families in sorted link order, registry
-// families in registration order) and no sample moves on a quiet
-// daemon.
+// /metrics scrapes must be byte-identical — every family renders its
+// series in link-ID order and no sample moves on a quiet daemon.
 func TestMetricsByteStableQuietDaemon(t *testing.T) {
 	d := newObsDaemon(t, nil)
 	start := d.cfg.Start
@@ -460,6 +459,60 @@ func TestMetricsByteStableQuietDaemon(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if again := getBody(t, base+"/metrics"); again != first {
 			t.Fatalf("scrape %d differs from the first:\n--- first\n%s\n--- again\n%s", i+2, first, again)
+		}
+	}
+}
+
+// TestMetricsSeriesInLinkOrder: every family with a link label lists
+// its series in ascending link ID, whatever order the links were created
+// in. The links here are created as engine ID 2, then 0, then 1 — one
+// socket, one reader, so datagrams are dispatched in the order sent.
+func TestMetricsSeriesInLinkOrder(t *testing.T) {
+	d := newObsDaemon(t, nil)
+	start := d.cfg.Start
+	var wires [][]byte
+	for _, e := range []uint8{2, 0, 1} {
+		for i := 0; i < 3; i++ {
+			wires = append(wires, v5wire(t, e, start.Add(time.Duration(i)*time.Minute+15*time.Second), 800))
+		}
+	}
+	sendWires(t, d, wires)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := d.DrainIngest(ctx); err != nil {
+		t.Fatal(err)
+	}
+	page := getBody(t, "http://"+d.HTTPAddr().String()+"/metrics")
+	if err := reporttest.LintExposition(strings.NewReader(page)); err != nil {
+		t.Fatalf("lint: %v", err)
+	}
+
+	// The links each family lists, in order, one entry per run of
+	// samples of the same link (a histogram series is many lines).
+	linkLabel := regexp.MustCompile(`[{,]link="([^"]*)"`)
+	var families []string
+	listed := map[string][]string{}
+	for _, line := range strings.Split(page, "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, strings.Fields(name)[0])
+			continue
+		}
+		m := linkLabel.FindStringSubmatch(line)
+		if m == nil || len(families) == 0 {
+			continue
+		}
+		fam := families[len(families)-1]
+		if l := listed[fam]; len(l) == 0 || l[len(l)-1] != m[1] {
+			listed[fam] = append(l, m[1])
+		}
+	}
+	want := []string{"127.0.0.1@0", "127.0.0.1@1", "127.0.0.1@2"}
+	if len(listed) == 0 {
+		t.Fatalf("no family carries a link label:\n%s", page)
+	}
+	for _, fam := range families {
+		if got, ok := listed[fam]; ok && !slices.Equal(got, want) {
+			t.Errorf("%s lists its series as %v, want %v", fam, got, want)
 		}
 	}
 }

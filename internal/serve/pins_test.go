@@ -44,8 +44,8 @@ func newPinDaemon(t *testing.T) *Daemon {
 
 // TestInstrumentedStepSteadyStateAllocs pins the resident daemon's
 // per-interval hot path at zero amortized allocations: a step observed
-// by the link's obs.LinkMetrics, then the link's own result hook — the
-// one record call and the series it feeds. The link is built by
+// by the link, then the link's own result hook — the one record call,
+// which also folds the stage histograms. The link is built by
 // createLink and stays idle; a pipeline configured as createLink
 // configures the link's (the scheme's factory, the link's observer) is
 // stepped on this goroutine and each Result handed to ll.onResult, so
@@ -71,7 +71,7 @@ func TestInstrumentedStepSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc.Observer = ll.om
+	cc.Observer = ll
 	pipe, err := core.NewPipeline(cc)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestInstrumentedStepSteadyStateAllocs(t *testing.T) {
 	if last := traces[len(traces)-1]; len(traces) != min(i, d.cfg.History) || last.Interval != i-1 || last.StepNanos <= 0 {
 		t.Errorf("ring holds %d traces ending %+v after %d intervals", len(traces), last, i)
 	}
-	if got := ll.om.Step.Count(); got != uint64(i) {
+	if got := ll.state.metrics.step.count(); got != uint64(i) {
 		t.Errorf("step histogram counted %d intervals, want %d", got, i)
 	}
 }
@@ -113,15 +113,16 @@ func TestInstrumentedStepSteadyStateAllocs(t *testing.T) {
 // heap bytes and heap objects per link, over 512 links made by
 // createLink at the default Config (History 288, the default queue,
 // elephantd's default scheme). The figure repeats to within a few dozen
-// bytes, so the bounds sit just above it: 76 243 B (76 315 B under -race)
-// and 93 mallocs a link on 2 vCPU, go1.24, once the stream accumulator's
-// slots stopped carrying per-interval load and active-flow counters
-// (76 498–76 509 B and 93 before), plus 1 % and one malloc.
+// bytes, so the bounds sit just above it: 73 979–73 990 B (73 987 B
+// under -race) and 47 mallocs a link on 2 vCPU, go1.24, once a link's
+// stage histograms and churn totals became fields of its LinkState
+// instead of registry series (76 242–76 253 B and 93 before), plus 1 %
+// and one malloc.
 func TestIdleLinkFootprint(t *testing.T) {
 	const (
 		links     = 512
-		maxBytes  = 76_243 * 101 / 100
-		maxAllocs = 93 + 1
+		maxBytes  = 73_990 * 101 / 100
+		maxAllocs = 47 + 1
 	)
 	d := newPinDaemon(t)
 	var before, after runtime.MemStats

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/netip"
@@ -16,6 +18,8 @@ import (
 	"repro/internal/agg"
 	"repro/internal/bgp"
 	"repro/internal/core"
+	"repro/internal/report"
+	"repro/internal/report/reporttest"
 	"repro/internal/scheme"
 )
 
@@ -56,9 +60,9 @@ func TestLinkStateHistoryRing(t *testing.T) {
 		res := resultWith(pfx(fmt.Sprintf("10.0.%d.0/24", i)))
 		res.RawThreshold = 4e5 + float64(i)
 		o, lag, overlap := timings(i)
-		promoted, demoted := ls.record(i, t0.Add(time.Duration(i)*time.Minute), res, agg.StreamStats{Closed: i + 1}, o, lag, overlap)
-		if wantDemoted := min(i, 1); promoted != 1 || demoted != wantDemoted {
-			t.Errorf("interval %d: record returned churn +%d/-%d, want +1/-%d", i, promoted, demoted, wantDemoted)
+		ls.record(i, t0.Add(time.Duration(i)*time.Minute), res, agg.StreamStats{Closed: i + 1}, o, lag, overlap)
+		if m := ls.metrics; m.promoted != uint64(i+1) || m.demoted != uint64(i) {
+			t.Errorf("interval %d: churn totals +%d/-%d, want +%d/-%d", i, m.promoted, m.demoted, i+1, i)
 		}
 	}
 	hist := ls.History(0, true)
@@ -124,6 +128,112 @@ func TestLinkStateHistoryRing(t *testing.T) {
 	}
 	if traces[0].Interval != 7 {
 		t.Errorf("oldest trace after an eleventh interval = %d, want 7", traces[0].Interval)
+	}
+}
+
+// count is the histogram's number of observations.
+func (h *histogram) count() uint64 {
+	var n uint64
+	for _, c := range h.counts {
+		n += c
+	}
+	return n
+}
+
+// TestStageHistogramBuckets: the bounds run from 1 µs ×4 apart; a value
+// equal to a bound lands in that bound's bucket, one just above it in
+// the next, and one past the last bound in +Inf.
+func TestStageHistogramBuckets(t *testing.T) {
+	for i, b := range stageBounds {
+		if want := math.Ldexp(1e-6, 2*i); b != want {
+			t.Errorf("bound %d = %v, want %v", i, b, want)
+		}
+	}
+	var h histogram
+	values := []float64{0, stageBounds[0], math.Nextafter(stageBounds[0], 1), stageBounds[5], stageBounds[11], 2 * stageBounds[11], 1e9}
+	var sum float64
+	for _, v := range values {
+		h.observe(v)
+		sum += v
+	}
+	if want := [...]uint64{2, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 2}; h.counts != want {
+		t.Errorf("buckets = %v, want %v", h.counts, want)
+	}
+	if h.sum != sum {
+		t.Errorf("sum = %v, want %v", h.sum, sum)
+	}
+}
+
+// TestStageHistogramRender pins one histogram series as /metrics renders
+// it: every bound's cumulative bucket, +Inf equal to _count, and _sum.
+func TestStageHistogramRender(t *testing.T) {
+	var h histogram
+	for _, v := range []float64{0, 0.25, 2, 8} {
+		h.observe(v)
+	}
+	var buf bytes.Buffer
+	m := report.NewMetricsWriter(&buf)
+	m.Family("d_step_seconds", "Step.", "histogram")
+	m.Histogram("d_step_seconds", []report.Label{{Name: "link", Value: "a@0"}}, stageBounds[:], h.counts[:], h.sum)
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP d_step_seconds Step.
+# TYPE d_step_seconds histogram
+d_step_seconds_bucket{link="a@0",le="1e-06"} 1
+d_step_seconds_bucket{link="a@0",le="4e-06"} 1
+d_step_seconds_bucket{link="a@0",le="1.6e-05"} 1
+d_step_seconds_bucket{link="a@0",le="6.4e-05"} 1
+d_step_seconds_bucket{link="a@0",le="0.000256"} 1
+d_step_seconds_bucket{link="a@0",le="0.001024"} 1
+d_step_seconds_bucket{link="a@0",le="0.004096"} 1
+d_step_seconds_bucket{link="a@0",le="0.016384"} 1
+d_step_seconds_bucket{link="a@0",le="0.065536"} 1
+d_step_seconds_bucket{link="a@0",le="0.262144"} 2
+d_step_seconds_bucket{link="a@0",le="1.048576"} 2
+d_step_seconds_bucket{link="a@0",le="4.194304"} 3
+d_step_seconds_bucket{link="a@0",le="+Inf"} 4
+d_step_seconds_sum{link="a@0"} 10.25
+d_step_seconds_count{link="a@0"} 4
+`
+	if got := buf.String(); got != want {
+		t.Errorf("rendered:\n%s\nwant:\n%s", got, want)
+	}
+	if err := reporttest.LintExposition(&buf); err != nil {
+		t.Errorf("rendered series fails lint: %v", err)
+	}
+}
+
+// TestRecordFoldsStageMetrics: record folds the step's stage timings and
+// the stage overlap, in seconds, into the link's histograms and the
+// churn into its totals; the raw threshold /metrics shows is the newest
+// interval's, 0 before the first.
+func TestRecordFoldsStageMetrics(t *testing.T) {
+	ls := newLinkState("a@0", 4)
+	if _, raw := ls.metricsSnapshot(); raw != 0 {
+		t.Errorf("raw threshold before the first seal = %v, want 0", raw)
+	}
+	t0 := time.Date(2001, time.July, 24, 9, 0, 0, 0, time.UTC)
+	first := resultWith(pfx("10.0.0.0/24"))
+	first.RawThreshold = 4e5
+	ls.record(0, t0, first, agg.StreamStats{Closed: 1},
+		core.StepObservation{StepNanos: 2_000_000, DetectNanos: 1_000_000, ClassifyNanos: 500_000}, time.Second, 3*time.Millisecond)
+	second := resultWith(pfx("10.0.1.0/24"))
+	second.RawThreshold = 6e5
+	ls.record(1, t0.Add(time.Minute), second, agg.StreamStats{Closed: 2}, core.StepObservation{Interval: 1, StepNanos: 3_000_000}, 0, 0)
+
+	m, raw := ls.metricsSnapshot()
+	for _, c := range []struct {
+		name string
+		h    histogram
+		sum  float64
+	}{{"step", m.step, 0.005}, {"detect", m.detect, 0.001}, {"classify", m.classify, 0.0005}, {"overlap", m.overlap, 0.003}} {
+		if c.h.count() != 2 || c.h.sum != c.sum {
+			t.Errorf("%s histogram: %d observations summing to %v, want 2 summing to %v", c.name, c.h.count(), c.h.sum, c.sum)
+		}
+	}
+	if m.promoted != 2 || m.demoted != 1 || raw != 6e5 {
+		t.Errorf("churn +%d/-%d, raw threshold %v; want +2/-1 and 6e5", m.promoted, m.demoted, raw)
 	}
 }
 
@@ -291,6 +401,42 @@ func newTestDaemon(t *testing.T) *Daemon {
 		d.Shutdown(ctx)
 	})
 	return d
+}
+
+// TestNewDaemonRejectsNegativeConfig: a negative count is refused, not
+// replaced by the default it would otherwise fall back to (a negative
+// History used to be reported as the ring's capacity while the ring held
+// DefaultHistory entries).
+func TestNewDaemonRejectsNegativeConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"history", func(c *Config) { c.History = -1 }},
+		{"window", func(c *Config) { c.Window = -1 }},
+		{"buffer", func(c *Config) { c.Buffer = -1 }},
+		{"readers", func(c *Config) { c.Readers = -1 }},
+	} {
+		cfg := Config{
+			UDPAddr:  "127.0.0.1:0",
+			HTTPAddr: "127.0.0.1:0",
+			Table:    bgp.NewTable(),
+			Scheme:   scheme.MustParse("load"),
+		}
+		tc.mutate(&cfg)
+		d, err := NewDaemon(cfg)
+		if err == nil {
+			for _, c := range d.conns {
+				c.Close()
+			}
+			d.httpLn.Close()
+			t.Errorf("NewDaemon accepted a negative %s", tc.name)
+			continue
+		}
+		if want := "serve: NewDaemon: negative " + tc.name + " -1"; err.Error() != want {
+			t.Errorf("negative %s: error %q, want %q", tc.name, err, want)
+		}
+	}
 }
 
 func TestHTTPEndpointsEmptyDaemon(t *testing.T) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -220,9 +221,42 @@ func (e *historyEntry) trace() IntervalTrace {
 	}
 }
 
-// LinkState is one link's live state: ingest counters and a
-// fixed-capacity ring of recent closed intervals, the newest of which is
-// the link's current elephant set.
+// stageBounds are the stage histograms' bucket bounds in seconds: 1 µs
+// up to ≈4 s, ×4 apart.
+var stageBounds = func() (b [12]float64) {
+	v := 1e-6
+	for i := range b {
+		b[i] = v
+		v *= 4
+	}
+	return b
+}()
+
+// histogram is one link's series of a stage histogram: raw per-bucket
+// counts over stageBounds (the last bucket is +Inf) and the sum of the
+// observed values. The link's mutex guards it.
+type histogram struct {
+	counts [len(stageBounds) + 1]uint64
+	sum    float64
+}
+
+// observe folds v into the bucket of the first bound v does not exceed.
+func (h *histogram) observe(v float64) {
+	h.counts[sort.SearchFloat64s(stageBounds[:], v)]++
+	h.sum += v
+}
+
+// linkMetrics is what /metrics reads of a link besides its ring, folded
+// in by record: the stage histograms (seconds) and the churn totals.
+type linkMetrics struct {
+	step, detect, classify, overlap histogram
+	promoted, demoted               uint64
+}
+
+// LinkState is one link's live state: ingest counters, the running
+// metrics of its sealed intervals and a fixed-capacity ring of recent
+// closed intervals, the newest of which is the link's current elephant
+// set.
 // Writers are the UDP ingest loop (counters) and the link's pipeline
 // worker (results); readers are the HTTP handlers.
 type LinkState struct {
@@ -238,6 +272,8 @@ type LinkState struct {
 	// readiness staleness check (Staleness).
 	created  time.Time
 	lastSeal time.Time
+
+	metrics linkMetrics
 
 	// ring is the history: capacity fixed at creation, oldest entries
 	// overwritten in place.
@@ -276,17 +312,17 @@ func (ls *LinkState) RecordResult(t int, at time.Time, res core.Result, stats ag
 
 // record folds one closed interval into the state, once, under one
 // lock: churn against the previous interval's set — the interval's only
-// churn computation, returned so the caller's counters carry the same
-// numbers — the accumulator counters as of the close, and the
-// interval's entry in the ring. o is the pipeline's observation of
-// the step that produced res; lag and overlap are the live pipeline's
-// seal-time watermark lag and stage overlap.
-func (ls *LinkState) record(t int, at time.Time, res core.Result, stats agg.StreamStats, o core.StepObservation, lag, overlap time.Duration) (promoted, demoted int) {
+// churn computation, added to the churn totals — the accumulator
+// counters as of the close, the stage histograms and the interval's
+// entry in the ring. o is the pipeline's observation of the step that
+// produced res; lag and overlap are the live pipeline's seal-time
+// watermark lag and stage overlap.
+func (ls *LinkState) record(t int, at time.Time, res core.Result, stats agg.StreamStats, o core.StepObservation, lag, overlap time.Duration) {
 	now := time.Now()
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	_, prev, _ := ls.newest()
-	promoted, demoted = core.Churn(prev, res.Elephants)
+	promoted, demoted := core.Churn(prev, res.Elephants)
 	sum := IntervalSummary{
 		Interval:        t,
 		Start:           at,
@@ -301,6 +337,13 @@ func (ls *LinkState) record(t int, at time.Time, res core.Result, stats agg.Stre
 	}
 	ls.stream = stats
 	ls.lastSeal = now
+	m := &ls.metrics
+	m.step.observe(float64(o.StepNanos) / 1e9)
+	m.detect.observe(float64(o.DetectNanos) / 1e9)
+	m.classify.observe(float64(o.ClassifyNanos) / 1e9)
+	m.overlap.observe(overlap.Seconds())
+	m.promoted += uint64(promoted)
+	m.demoted += uint64(demoted)
 	ls.ring[ls.next] = historyEntry{
 		summary:         sum,
 		set:             res.Elephants,
@@ -317,7 +360,6 @@ func (ls *LinkState) record(t int, at time.Time, res core.Result, stats agg.Stre
 	if ls.count < len(ls.ring) {
 		ls.count++
 	}
-	return promoted, demoted
 }
 
 // Staleness reports how long the link has gone without sealing an
@@ -388,6 +430,17 @@ func (ls *LinkState) Summary() LinkSummary {
 		out.Last = &last
 	}
 	return out
+}
+
+// metricsSnapshot returns a copy of the link's running metrics and the
+// raw threshold of its newest interval, 0 before the first seal.
+func (ls *LinkState) metricsSnapshot() (linkMetrics, float64) {
+	ls.mu.RLock()
+	defer ls.mu.RUnlock()
+	if ls.count == 0 {
+		return ls.metrics, 0
+	}
+	return ls.metrics, ls.retained(ls.count - 1).rawThreshold
 }
 
 // Current returns the most recent closed interval's summary and its
