@@ -31,9 +31,10 @@
 //	-udp addr       NetFlow v5 listen address (default ":2055")
 //	-readers N      UDP ingest reader goroutines (default min(GOMAXPROCS, 8));
 //	                each reader owns a SO_REUSEPORT socket (the kernel
-//	                hashes each exporter to a fixed reader, preserving
-//	                per-link record order); a platform without the
-//	                option runs one reader on one socket
+//	                hashes each sending socket to a fixed reader, so a
+//	                link exported from one source port keeps its record
+//	                order); a platform without the option runs one
+//	                reader on one socket
 //	-http addr      HTTP API listen address (default ":8055")
 //	-table path     BGP table file attributing records to prefixes — the
 //	                deployment's own routes; mutually exclusive with

@@ -2,17 +2,11 @@
 // capture the way Section I of the paper characterises backbone traffic:
 // per-prefix volumes, concentration (Gini, top-share), heavy-tail
 // analysis (aest + Hill), and a log-log CCDF rendered as an ASCII chart.
-//
-// A non-empty -scheme additionally streams the capture through the
-// classification pipeline under the given registry spec (bounded
-// memory, window derived from the scheme's latent-heat lookback) and
-// prints a per-interval elephant summary next to the whole-capture
-// distribution stats.
+// Classifying a capture per interval is cmd/elephants' job.
 //
 // Usage:
 //
 //	flowstats -pcap trace.pcap -table table.txt [-top 10] [-chart]
-//	          [-scheme SPEC] [-interval 5m]
 package main
 
 import (
@@ -20,54 +14,39 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"os"
 	"slices"
 	"sort"
-	"time"
 
 	"repro/internal/agg"
-	"repro/internal/analysis"
 	"repro/internal/bgp"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/report"
-	"repro/internal/scheme"
 	"repro/internal/stats"
 )
 
 func main() {
 	var (
-		pcapPath   = flag.String("pcap", "", "input pcap path (required)")
-		tablePath  = flag.String("table", "", "input BGP table path (required)")
-		top        = flag.Int("top", 10, "list the top-N flows by volume")
-		chart      = flag.Bool("chart", true, "render the log-log CCDF chart")
-		schemeSpec = flag.String("scheme", "", "also classify the capture per interval;\n"+scheme.FlagUsage())
-		interval   = flag.Duration("interval", 5*time.Minute, "measurement interval for -scheme classification")
+		pcapPath  = flag.String("pcap", "", "input pcap path (required)")
+		tablePath = flag.String("table", "", "input BGP table path (required)")
+		top       = flag.Int("top", 10, "list the top-N flows by volume")
+		chart     = flag.Bool("chart", true, "render the log-log CCDF chart")
 	)
 	flag.Parse()
 	if *pcapPath == "" || *tablePath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var sp *scheme.Spec
-	if *schemeSpec != "" {
-		var err error
-		// A parse error's text enumerates the registered schemes.
-		sp, err = scheme.ParseValidated(*schemeSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flowstats:", err)
-			os.Exit(2)
-		}
-	}
-	if err := run(os.Stdout, *pcapPath, *tablePath, *top, *chart, sp, *interval); err != nil {
+	if err := run(os.Stdout, *pcapPath, *tablePath, *top, *chart); err != nil {
 		fmt.Fprintln(os.Stderr, "flowstats:", err)
 		os.Exit(1)
 	}
 }
 
 // run prints the analysis of one capture to w.
-func run(w io.Writer, pcapPath, tablePath string, top int, chart bool, sp *scheme.Spec, interval time.Duration) error {
+func run(w io.Writer, pcapPath, tablePath string, top int, chart bool) error {
 	tf, err := os.Open(tablePath)
 	if err != nil {
 		return err
@@ -130,7 +109,7 @@ func run(w io.Writer, pcapPath, tablePath string, top int, chart bool, sp *schem
 	fmt.Fprint(w, tab.String())
 
 	// Heavy-tail analysis.
-	res := stats.Aest(vols, stats.AestConfig{})
+	res := stats.Aest(vols)
 	fmt.Fprintln(w)
 	if res.TailFound {
 		fmt.Fprintf(w, "aest: power-law tail detected from %.1f KiB (%.1f%% of flows), alpha = %.2f (slope cross-check %.2f)\n",
@@ -181,64 +160,39 @@ func run(w io.Writer, pcapPath, tablePath string, top int, chart bool, sp *schem
 
 	// CCDF chart.
 	if chart {
-		c := stats.NewCCDF(vols)
-		lx, lp := c.LogLog()
+		lo, hi, lp := logCCDF(stats.NewCCDF(vols))
 		fmt.Fprintln(w)
 		if err := report.Chart(w, report.ChartConfig{
-			Title:  "flow volume CCDF (log10 bytes vs log10 P[X>x])",
-			Height: 12, XLabel: "log10 volume ->",
+			Title: "flow volume CCDF (log10 bytes vs log10 P[X>x])",
+			Width: chartWidth, Height: 12,
+			XLabel: fmt.Sprintf("log10 volume %.2f -> %.2f", lo, hi),
 		}, report.Series{Label: "log10 P[X>x]", Values: lp}); err != nil {
 			return err
-		}
-		_ = lx
-	}
-
-	// Optional classification pass: stream the capture again through
-	// the scheme's pipeline with bounded memory.
-	if sp != nil {
-		if err := classify(w, pcapPath, table, sp, interval); err != nil {
-			return fmt.Errorf("classifying capture: %w", err)
 		}
 	}
 	return nil
 }
 
-// classify reopens the capture and classifies it per interval under the
-// spec via the streaming engine path; the accumulator window follows
-// the scheme's latent-heat lookback (engine.StreamWindow).
-func classify(w io.Writer, pcapPath string, table *bgp.Table, sp *scheme.Spec, interval time.Duration) error {
-	pf, err := os.Open(pcapPath)
-	if err != nil {
-		return err
+// chartWidth is the CCDF chart's width in columns, one sample point each.
+const chartWidth = 72
+
+// logCCDF samples log10 P[X > 10^x] at chartWidth points x spaced evenly
+// between lo and hi, the log10 of c's smallest and largest support
+// points, so each chart column covers an equal span of log volume.
+// Sampling the support by rank instead would spread the dense small
+// volumes across the width and squeeze the tail into the last columns.
+// An empty c yields no points.
+func logCCDF(c stats.CCDF) (lo, hi float64, lp []float64) {
+	if c.Len() == 0 {
+		return 0, 0, nil
 	}
-	defer pf.Close()
-	src, err := agg.NewPacketRecordSource(bufio.NewReaderSize(pf, 1<<20), table)
-	if err != nil {
-		return err
+	lo, hi = math.Log10(c.X[0]), math.Log10(c.X[c.Len()-1])
+	lp = make([]float64, chartWidth)
+	for k := range lp {
+		x := lo + (hi-lo)*float64(k)/float64(chartWidth-1)
+		lp[k] = math.Log10(c.At(math.Pow(10, x)))
 	}
-	eng := engine.MultiLinkEngine{}
-	lrs, err := eng.RunStreaming([]engine.StreamLink{{
-		ID:       pcapPath,
-		Source:   src,
-		Interval: interval,
-		Window:   engine.StreamWindow(sp, 0),
-		Config:   sp.Factory(),
-	}})
-	if err != nil {
-		return err
-	}
-	lr := lrs[0]
-	if lr.Err != nil {
-		return lr.Err
-	}
-	fmt.Fprintf(w, "\nclassification under %s (%v intervals):\n", sp.Name(), interval)
-	tab := report.NewTable("metric", "value")
-	tab.AddRow("intervals", len(lr.Results))
-	tab.AddRow("mean active flows", fmt.Sprintf("%.1f", meanActive(lr.Results)))
-	tab.AddRow("mean elephants", fmt.Sprintf("%.1f", analysis.MeanInt(analysis.CountSeries(lr.Results))))
-	tab.AddRow("mean elephant load fraction", fmt.Sprintf("%.3f", analysis.MeanFloat(analysis.FractionSeries(lr.Results))))
-	fmt.Fprint(w, tab.String())
-	return nil
+	return lo, hi, lp
 }
 
 // byPrefix lays the per-prefix volumes out as the analysed sample, in
@@ -256,15 +210,4 @@ func byPrefix(volumes map[netip.Prefix]float64) ([]netip.Prefix, []float64) {
 		vols[i] = volumes[p]
 	}
 	return prefixes, vols
-}
-
-func meanActive(results []core.Result) float64 {
-	if len(results) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range results {
-		sum += float64(results[i].ActiveFlows)
-	}
-	return sum / float64(len(results))
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -63,13 +65,13 @@ func tailCapture(t *testing.T) (capture, table string) {
 func TestAnalysisIsDeterministic(t *testing.T) {
 	capture, table := tailCapture(t)
 	var first, second bytes.Buffer
-	if err := run(&first, capture, table, 10, true, nil, 5*time.Minute); err != nil {
+	if err := run(&first, capture, table, 10, true); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(first.String(), "aest: power-law tail detected") {
 		t.Fatalf("the capture has no tail, so the order-sensitive lines are not printed:\n%s", first.String())
 	}
-	if err := run(&second, capture, table, 10, true, nil, 5*time.Minute); err != nil {
+	if err := run(&second, capture, table, 10, true); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -95,5 +97,38 @@ func TestSampleInPrefixOrder(t *testing.T) {
 		if vols[i] != volumes[p] {
 			t.Errorf("volume %d is %v, want %s's %v", i, vols[i], p, volumes[p])
 		}
+	}
+}
+
+// TestCCDFChartHasLogVolumeAxis: the chart's columns are evenly spaced
+// in log10 volume, not in support rank. The sample's support is dense
+// just above 10^3 and sparse up to 10^6, so the middle of the width is
+// log volume 4.5 — deep in the sparse tail — while the middle support
+// rank lies in the dense body.
+func TestCCDFChartHasLogVolumeAxis(t *testing.T) {
+	var vols []float64
+	for i := 0; i < 1000; i++ {
+		vols = append(vols, 1000+float64(i)/10) // dense: [1000, 1100)
+	}
+	for _, e := range []float64{3.5, 4, 5, 5.5, 6} {
+		vols = append(vols, math.Pow(10, e)) // sparse tail up to 10^6
+	}
+	vols = append(vols, 2e6) // the maximum, which has no CCDF point
+	c := stats.NewCCDF(vols)
+	lo, hi, lp := logCCDF(c)
+	if lo != 3 || hi != 6 {
+		t.Fatalf("log volume range [%v, %v], want [3, 6]", lo, hi)
+	}
+	if len(lp) != chartWidth {
+		t.Fatalf("%d chart points, want one per column (%d)", len(lp), chartWidth)
+	}
+	want := math.Log10(c.At(math.Pow(10, 4.5)))
+	for _, col := range []int{chartWidth/2 - 1, chartWidth / 2} {
+		if lp[col] != want {
+			t.Errorf("middle column %d plots %v, want log10 P[X > 10^4.5] = %v", col, lp[col], want)
+		}
+	}
+	if last := lp[chartWidth-1]; last != math.Log10(c.P[c.Len()-1]) {
+		t.Errorf("last column plots %v, want log10 P[X > 10^6] = %v", last, math.Log10(c.P[c.Len()-1]))
 	}
 }

@@ -4,7 +4,7 @@
 // exercising the full capture-to-classification pipeline.
 //
 // To check that the trace carries elephants before feeding it onward,
-// run cmd/flowstats -scheme on the pair just written.
+// run cmd/elephants on the pair just written.
 //
 // Usage:
 //

@@ -376,20 +376,6 @@ func (s *Series) IntervalTime(t int) time.Time {
 	return s.Start.Add(time.Duration(t) * s.Interval)
 }
 
-// IntervalOf maps a timestamp to its interval index, or -1 when out of
-// range.
-func (s *Series) IntervalOf(ts time.Time) int {
-	d := ts.Sub(s.Start)
-	if d < 0 {
-		return -1
-	}
-	t := int(d / s.Interval)
-	if t >= s.Intervals {
-		return -1
-	}
-	return t
-}
-
 // ActiveFlows reports the number of flows with positive bandwidth in
 // interval t: the length of the interval's segment of the index.
 func (s *Series) ActiveFlows(t int) int {

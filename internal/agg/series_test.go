@@ -196,22 +196,6 @@ func TestIntervalTimeAndOf(t *testing.T) {
 	if got := s.IntervalTime(3); !got.Equal(start.Add(15 * time.Minute)) {
 		t.Errorf("IntervalTime(3) = %v", got)
 	}
-	cases := []struct {
-		ts   time.Time
-		want int
-	}{
-		{start, 0},
-		{start.Add(4*time.Minute + 59*time.Second), 0},
-		{start.Add(5 * time.Minute), 1},
-		{start.Add(59*time.Minute + 59*time.Second), 11},
-		{start.Add(time.Hour), -1},
-		{start.Add(-time.Second), -1},
-	}
-	for _, tc := range cases {
-		if got := s.IntervalOf(tc.ts); got != tc.want {
-			t.Errorf("IntervalOf(%v) = %d, want %d", tc.ts, got, tc.want)
-		}
-	}
 }
 
 func TestActiveFlows(t *testing.T) {

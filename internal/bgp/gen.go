@@ -12,98 +12,71 @@ type GenConfig struct {
 	Routes int
 	// Seed feeds the deterministic generator.
 	Seed int64
-	// LengthWeights maps prefix length (8..32) to relative weight.
-	// Nil selects Default2001LengthWeights.
-	LengthWeights map[int]float64
-	// TierWeights gives the relative share of Tier1/Tier2/Tier3 origins.
-	// Zero selects the defaults {0.15, 0.35, 0.50}.
-	TierWeights [3]float64
 }
 
-// Default2001LengthWeights approximates the IPv4 prefix-length mix of a
-// Tier-1 BGP table circa 2001: a strong mode at /24, substantial mass at
-// /16 and /19–/23, a thin population of short prefixes including /8s, and
-// a small tail of longer-than-/24 more-specifics.
-func Default2001LengthWeights() map[int]float64 {
-	return map[int]float64{
-		8:  0.002, // ~the "100 /8 networks" of the paper
-		9:  0.001,
-		10: 0.002,
-		11: 0.003,
-		12: 0.005,
-		13: 0.008,
-		14: 0.015,
-		15: 0.018,
-		16: 0.090,
-		17: 0.025,
-		18: 0.040,
-		19: 0.065,
-		20: 0.055,
-		21: 0.050,
-		22: 0.055,
-		23: 0.060,
-		24: 0.440,
-		25: 0.015,
-		26: 0.020,
-		27: 0.010,
-		28: 0.008,
-		29: 0.006,
-		30: 0.005,
-		31: 0.001,
-		32: 0.001,
-	}
+// lengthMix2001 approximates the IPv4 prefix-length mix of a Tier-1 BGP
+// table circa 2001: a strong mode at /24, substantial mass at /16 and
+// /19–/23, a thin population of short prefixes including /8s, and a
+// small tail of longer-than-/24 more-specifics. Entries are in ascending
+// length order, the order Generate's sampler accumulates them in.
+var lengthMix2001 = [...]struct {
+	bits   int
+	weight float64
+}{
+	{8, 0.002}, // ~the "100 /8 networks" of the paper
+	{9, 0.001},
+	{10, 0.002},
+	{11, 0.003},
+	{12, 0.005},
+	{13, 0.008},
+	{14, 0.015},
+	{15, 0.018},
+	{16, 0.090},
+	{17, 0.025},
+	{18, 0.040},
+	{19, 0.065},
+	{20, 0.055},
+	{21, 0.050},
+	{22, 0.055},
+	{23, 0.060},
+	{24, 0.440},
+	{25, 0.015},
+	{26, 0.020},
+	{27, 0.010},
+	{28, 0.008},
+	{29, 0.006},
+	{30, 0.005},
+	{31, 0.001},
+	{32, 0.001},
 }
 
-// Generate builds a deterministic synthetic table. Prefixes are drawn
-// without collision (a longer duplicate is re-drawn), origin ASes are
-// assigned per-tier from disjoint ranges so tests can recover the tier
-// from the AS number.
+// Generate builds a deterministic synthetic table. Prefix lengths follow
+// lengthMix2001; prefixes are drawn without collision (a longer
+// duplicate is re-drawn); origin ASes are assigned per-tier from
+// disjoint ranges so tests can recover the tier from the AS number.
 func Generate(cfg GenConfig) (*Table, error) {
 	if cfg.Routes <= 0 {
 		return nil, fmt.Errorf("bgp: Generate: Routes must be positive, got %d", cfg.Routes)
 	}
-	weights := cfg.LengthWeights
-	if weights == nil {
-		weights = Default2001LengthWeights()
-	}
-	tw := cfg.TierWeights
-	if tw == [3]float64{} {
-		tw = [3]float64{0.15, 0.35, 0.50}
-	}
+	// Relative shares of Tier1/Tier2/Tier3 origins.
+	tw := [3]float64{0.15, 0.35, 0.50}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Build a cumulative sampler over lengths.
-	lengths := make([]int, 0, len(weights))
-	for l := range weights {
-		if l < 1 || l > 32 {
-			return nil, fmt.Errorf("bgp: Generate: invalid prefix length %d in weights", l)
-		}
-		lengths = append(lengths, l)
-	}
-	// Deterministic order for the sampler regardless of map iteration.
-	for i := 1; i < len(lengths); i++ {
-		for j := i; j > 0 && lengths[j] < lengths[j-1]; j-- {
-			lengths[j], lengths[j-1] = lengths[j-1], lengths[j]
-		}
-	}
-	cum := make([]float64, len(lengths))
+	cum := make([]float64, len(lengthMix2001))
 	total := 0.0
-	for i, l := range lengths {
-		total += weights[l]
+	for i, l := range lengthMix2001 {
+		total += l.weight
 		cum[i] = total
 	}
-	if total <= 0 {
-		return nil, fmt.Errorf("bgp: Generate: weights sum to zero")
-	}
-
 	sampleLen := func() int {
 		x := rng.Float64() * total
 		for i, c := range cum {
 			if x <= c {
-				return lengths[i]
+				return lengthMix2001[i].bits
 			}
 		}
-		return lengths[len(lengths)-1]
+		return lengthMix2001[len(lengthMix2001)-1].bits
 	}
 
 	t := &Table{routes: make([]Route, 0, cfg.Routes), byPfx: make(map[netip.Prefix]int, cfg.Routes)}

@@ -9,25 +9,21 @@ import (
 
 // generateSeen is Generate as it was before it answered the duplicate
 // test from the table's own index: a private seen map beside byPfx, an
-// unsized table, every route through Insert. Default weights only. It
-// is the oracle for the RNG draw order — a draw moved across the
-// duplicate test would change every later route — and reports how many
-// duplicates it re-drew, so the test knows the branch was taken.
+// unsized table, every route through Insert. It is the oracle for the
+// RNG draw order — a draw moved across the duplicate test would change
+// every later route — and reports how many duplicates it re-drew, so
+// the test knows the branch was taken.
 func generateSeen(routes int, seed int64) (t *Table, redrawn int, err error) {
-	weights := Default2001LengthWeights()
 	tw := [3]float64{0.15, 0.35, 0.50}
 	rng := rand.New(rand.NewSource(seed))
 
-	lengths := make([]int, 0, len(weights))
-	for l := range weights {
-		lengths = append(lengths, l)
-	}
-	slices.Sort(lengths)
-	cum := make([]float64, len(lengths))
+	var lengths []int
+	var cum []float64
 	total := 0.0
-	for i, l := range lengths {
-		total += weights[l]
-		cum[i] = total
+	for _, l := range lengthMix2001 {
+		lengths = append(lengths, l.bits)
+		total += l.weight
+		cum = append(cum, total)
 	}
 	sampleLen := func() int {
 		x := rng.Float64() * total

@@ -116,9 +116,6 @@ func (d *ConstantLoadDetector) DetectThreshold(_, sorted []float64) (float64, er
 // (heavy-tail) behaviour is witnessed, found with the Crovella–Taqqu
 // scaling estimator.
 type AestDetector struct {
-	// Config tunes the underlying estimator; the zero value uses the
-	// estimator defaults.
-	Config stats.AestConfig
 	// FallbackQuantile is the bandwidth quantile used as the threshold
 	// when no tail is detectable in an interval (small samples, light
 	// tails). Zero means 0.95.
@@ -131,7 +128,7 @@ type AestDetector struct {
 	scratch stats.AestScratch
 }
 
-// NewAestDetector returns a detector with default estimator settings.
+// NewAestDetector returns a detector with the default fallback quantile.
 func NewAestDetector() *AestDetector { return &AestDetector{} }
 
 // Name implements Detector.
@@ -145,7 +142,7 @@ func (d *AestDetector) DetectThreshold(bandwidths, sorted []float64) (float64, e
 	if len(sorted) == 0 {
 		return 0, fmt.Errorf("core: aest: empty interval")
 	}
-	if res := d.scratch.AestSorted(bandwidths, sorted, d.Config); res.TailFound {
+	if res := d.scratch.AestSorted(bandwidths, sorted); res.TailFound {
 		return res.TailOnset, nil
 	}
 	fq := d.FallbackQuantile

@@ -173,7 +173,7 @@ func TestAestDetectorHeavyTail(t *testing.T) {
 	if theta <= median {
 		t.Errorf("theta = %v at or below the median %v", theta, median)
 	}
-	if res := stats.Aest(bws, stats.AestConfig{}); !res.TailFound || theta != res.TailOnset {
+	if res := stats.Aest(bws); !res.TailFound || theta != res.TailOnset {
 		t.Errorf("theta = %v, want the tail onset of %+v", theta, res)
 	}
 	if fb := stats.QuantileSorted(sorted, 0.95); theta == fb {
@@ -281,7 +281,7 @@ func refAest(fallback float64, bws []float64) (float64, error) {
 	if len(bws) == 0 {
 		return 0, fmt.Errorf("empty interval")
 	}
-	if res := stats.Aest(bws, stats.AestConfig{}); res.TailFound {
+	if res := stats.Aest(bws); res.TailFound {
 		return res.TailOnset, nil
 	}
 	sorted := append([]float64(nil), bws...)

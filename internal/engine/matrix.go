@@ -37,7 +37,7 @@ func MatrixID(linkID string, sp *scheme.Spec) string {
 }
 
 // StreamWindow is the accumulator-window rule shared by cmd/elephants,
-// cmd/flowstats and the examples: an explicit window wins; otherwise
+// serve and the examples: an explicit window wins; otherwise
 // the window follows the scheme's latent-heat lookback so ingestion
 // holds exactly as much history as classification needs, floored at
 // agg.DefaultStreamWindow so schemes without persistence still tolerate

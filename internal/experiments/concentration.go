@@ -69,7 +69,7 @@ func concentrationAt(name string, s *agg.Series, t int) (ConcentrationRow, error
 	if err != nil {
 		return ConcentrationRow{}, err
 	}
-	res := stats.Aest(bws, stats.AestConfig{})
+	res := stats.Aest(bws)
 	tailIdx := 0.0
 	if res.TailFound {
 		tailIdx = res.Alpha

@@ -32,8 +32,6 @@ type ExporterConfig struct {
 	ActiveTimeout time.Duration
 	// InactiveTimeout expires idle flows. Default 15 s.
 	InactiveTimeout time.Duration
-	// BootTime anchors SysUptime; defaults to the first packet's time.
-	BootTime time.Time
 	// EngineID labels the exporter in datagram headers.
 	EngineID uint8
 }
@@ -59,6 +57,8 @@ type Exporter struct {
 	// deterministic (map iteration is not).
 	order []flowKey
 
+	// boot anchors SysUptime: the first packet's time.
+	boot     time.Time
 	now      time.Time
 	pending  []Record
 	sequence uint32
@@ -82,8 +82,8 @@ func (e *Exporter) AddPacket(ts time.Time, sum packet.Summary) error {
 	if !sum.DstIP.Is4() || !sum.SrcIP.Is4() {
 		return nil // v5 is IPv4-only; silently skip, as routers did
 	}
-	if e.cfg.BootTime.IsZero() {
-		e.cfg.BootTime = ts
+	if e.boot.IsZero() {
+		e.boot = ts
 	}
 	e.now = ts
 	if err := e.expire(); err != nil {
@@ -141,7 +141,7 @@ func (e *Exporter) flushEntry(k flowKey, ent *cacheEntry) {
 }
 
 func (e *Exporter) uptime(ts time.Time) uint32 {
-	d := ts.Sub(e.cfg.BootTime)
+	d := ts.Sub(e.boot)
 	if d < 0 {
 		return 0
 	}

@@ -40,9 +40,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows reports the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // widths computes the rendered width of each column.
 func (t *Table) widths() []int {
 	n := len(t.header)

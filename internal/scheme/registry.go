@@ -18,8 +18,8 @@
 //
 // The registry is the single source of truth for help and error text:
 // List enumerates every component with its parameters, so adding a
-// scheme (RegisterDetector / RegisterClassifier) automatically surfaces
-// it in each CLI's usage string and in parse errors.
+// scheme (one entry in the components table) automatically surfaces it
+// in each CLI's usage string and in parse errors.
 package scheme
 
 import (
@@ -97,49 +97,26 @@ type componentDef struct {
 	// example is a runnable spec fragment with any required parameters
 	// filled in; the registry-driven end-to-end tests enumerate it.
 	example string
-	// build is buildDetector or buildClassifier depending on the
-	// registry the def lives in.
+	// Exactly one of the two builders is set: it gives the component's
+	// role.
 	buildDetector   func(Params) (core.Detector, error)
 	buildClassifier func(Params) (core.Classifier, error)
 }
 
-var (
-	detectors   = map[string]*componentDef{}
-	classifiers = map[string]*componentDef{}
-)
+// detectors and classifiers index components by name, one map per
+// role.
+var detectors, classifiers = byRole()
 
-// checkName enforces globally unique component names so a
-// single-component spec resolves unambiguously.
-func checkName(name string) {
-	if name == "" {
-		panic("scheme: register: empty component name")
+func byRole() (det, cls map[string]*componentDef) {
+	det, cls = map[string]*componentDef{}, map[string]*componentDef{}
+	for i := range components {
+		if d := &components[i]; d.buildDetector != nil {
+			det[d.name] = d
+		} else {
+			cls[d.name] = d
+		}
 	}
-	if strings.ContainsAny(name, "+:,= \t") {
-		panic(fmt.Sprintf("scheme: register: name %q contains grammar characters", name))
-	}
-	if _, ok := detectors[name]; ok {
-		panic(fmt.Sprintf("scheme: component %q already registered as a detector", name))
-	}
-	if _, ok := classifiers[name]; ok {
-		panic(fmt.Sprintf("scheme: component %q already registered as a classifier", name))
-	}
-}
-
-// RegisterDetector adds a named detector factory to the registry.
-// example must be a runnable spec fragment (name, plus any required
-// parameters); it is exercised by the registry-driven equivalence
-// tests. Panics on duplicate or malformed names — registration is an
-// init-time programming contract, not an input.
-func RegisterDetector(name, doc, example string, params []ParamDef, build func(Params) (core.Detector, error)) {
-	checkName(name)
-	detectors[name] = &componentDef{name: name, doc: doc, example: example, params: params, buildDetector: build}
-}
-
-// RegisterClassifier adds a named classifier factory to the registry;
-// see RegisterDetector for the contract.
-func RegisterClassifier(name, doc, example string, params []ParamDef, build func(Params) (core.Classifier, error)) {
-	checkName(name)
-	classifiers[name] = &componentDef{name: name, doc: doc, example: example, params: params, buildClassifier: build}
+	return det, cls
 }
 
 // knownKeys validates that every explicitly-set parameter is declared by
@@ -259,23 +236,29 @@ func FlagUsage() string {
 		"a single component selects the paper default for the other side\n" + List()
 }
 
-func init() {
-	RegisterDetector("load",
-		"β-constant-load threshold: flows above it carry fraction beta of traffic",
-		"load",
-		[]ParamDef{{Key: "beta", Default: "0.8", Doc: "target elephant load fraction in (0,1)"}},
-		func(p Params) (core.Detector, error) {
+// components is the registry: every detector (buildDetector set) and
+// classifier (buildClassifier set) the repository implements. Names are
+// unique across both roles, so a single-component spec resolves
+// unambiguously, and contain none of the spec grammar's characters;
+// TestComponentNames holds the table to both.
+var components = []componentDef{
+	{
+		name: "load", example: "load",
+		doc:    "β-constant-load threshold: flows above it carry fraction beta of traffic",
+		params: []ParamDef{{Key: "beta", Default: "0.8", Doc: "target elephant load fraction in (0,1)"}},
+		buildDetector: func(p Params) (core.Detector, error) {
 			beta, err := p.Float("beta", 0.8)
 			if err != nil {
 				return nil, err
 			}
 			return core.NewConstantLoadDetector(beta)
-		})
-	RegisterDetector("aest",
-		"aest heavy-tail onset threshold (Crovella–Taqqu scaling estimator)",
-		"aest",
-		[]ParamDef{{Key: "fallback", Default: "0.95", Doc: "bandwidth quantile used when no tail is detected, in (0,1)"}},
-		func(p Params) (core.Detector, error) {
+		},
+	},
+	{
+		name: "aest", example: "aest",
+		doc:    "aest heavy-tail onset threshold (Crovella–Taqqu scaling estimator)",
+		params: []ParamDef{{Key: "fallback", Default: "0.95", Doc: "bandwidth quantile used when no tail is detected, in (0,1)"}},
+		buildDetector: func(p Params) (core.Detector, error) {
 			fq, err := p.Float("fallback", 0.95)
 			if err != nil {
 				return nil, err
@@ -286,12 +269,13 @@ func init() {
 			d := core.NewAestDetector()
 			d.FallbackQuantile = fq
 			return d, nil
-		})
-	RegisterDetector("fixed",
-		"fixed operator-configured threshold — the static baseline",
-		"fixed:theta=150000",
-		[]ParamDef{{Key: "theta", Default: "", Doc: "threshold in bit/s"}},
-		func(p Params) (core.Detector, error) {
+		},
+	},
+	{
+		name: "fixed", example: "fixed:theta=150000",
+		doc:    "fixed operator-configured threshold — the static baseline",
+		params: []ParamDef{{Key: "theta", Default: "", Doc: "threshold in bit/s"}},
+		buildDetector: func(p Params) (core.Detector, error) {
 			if !p.Has("theta") {
 				return nil, fmt.Errorf("required parameter theta (bit/s) missing")
 			}
@@ -300,23 +284,23 @@ func init() {
 				return nil, err
 			}
 			return baseline.NewFixedThresholdDetector(theta)
-		})
-
-	RegisterClassifier("single",
-		"single-feature: flow j is an elephant iff x_j(t) > θ̂(t)",
-		"single",
-		nil,
-		func(Params) (core.Classifier, error) {
+		},
+	},
+	{
+		name: "single", example: "single",
+		doc: "single-feature: flow j is an elephant iff x_j(t) > θ̂(t)",
+		buildClassifier: func(Params) (core.Classifier, error) {
 			return core.SingleFeatureClassifier{}, nil
-		})
-	RegisterClassifier("latent",
-		"two-feature latent heat: elephant iff Σ over window of (x_j − θ̂) > 0",
-		"latent",
-		[]ParamDef{
+		},
+	},
+	{
+		name: "latent", example: "latent",
+		doc: "two-feature latent heat: elephant iff Σ over window of (x_j − θ̂) > 0",
+		params: []ParamDef{
 			{Key: "window", Default: "12", Doc: "lookback W in intervals"},
 			{Key: "evict", Default: "0", Doc: "idle intervals before flow state is dropped (0 = 4*window)"},
 		},
-		func(p Params) (core.Classifier, error) {
+		buildClassifier: func(p Params) (core.Classifier, error) {
 			w, err := p.Int("window", DefaultLatentWindow)
 			if err != nil {
 				return nil, err
@@ -334,38 +318,42 @@ func init() {
 			}
 			lh.EvictAfter = evict
 			return lh, nil
-		})
-	RegisterClassifier("topk",
-		"top-K talkers per interval, threshold ignored — the monitoring-console baseline",
-		"topk",
-		[]ParamDef{{Key: "k", Default: "50", Doc: "flows classified per interval"}},
-		func(p Params) (core.Classifier, error) {
+		},
+	},
+	{
+		name: "topk", example: "topk",
+		doc:    "top-K talkers per interval, threshold ignored — the monitoring-console baseline",
+		params: []ParamDef{{Key: "k", Default: "50", Doc: "flows classified per interval"}},
+		buildClassifier: func(p Params) (core.Classifier, error) {
 			k, err := p.Int("k", 50)
 			if err != nil {
 				return nil, err
 			}
 			return baseline.NewTopKClassifier(k)
-		})
-	RegisterClassifier("misragries",
-		"per-interval Misra–Gries heavy hitters (k counters, underestimates)",
-		"misragries",
-		[]ParamDef{
+		},
+	},
+	{
+		name: "misragries", example: "misragries",
+		doc: "per-interval Misra–Gries heavy hitters (k counters, underestimates)",
+		params: []ParamDef{
 			{Key: "k", Default: "50", Doc: "sketch counters"},
 			{Key: "frac", Default: "1/(k+1)", Doc: "heavy-hitter cut as a share of interval traffic"},
 		},
-		func(p Params) (core.Classifier, error) {
+		buildClassifier: func(p Params) (core.Classifier, error) {
 			return sketchClassifier(p, baseline.NewMisraGriesClassifier)
-		})
-	RegisterClassifier("spacesaving",
-		"per-interval Space-Saving heavy hitters (k counters, overestimates)",
-		"spacesaving",
-		[]ParamDef{
+		},
+	},
+	{
+		name: "spacesaving", example: "spacesaving",
+		doc: "per-interval Space-Saving heavy hitters (k counters, overestimates)",
+		params: []ParamDef{
 			{Key: "k", Default: "50", Doc: "sketch counters"},
 			{Key: "frac", Default: "1/(k+1)", Doc: "heavy-hitter cut as a share of interval traffic"},
 		},
-		func(p Params) (core.Classifier, error) {
+		buildClassifier: func(p Params) (core.Classifier, error) {
 			return sketchClassifier(p, baseline.NewSpaceSavingClassifier)
-		})
+		},
+	},
 }
 
 // sketchClassifier builds either sketch baseline from the shared k/frac

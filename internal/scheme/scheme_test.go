@@ -322,3 +322,26 @@ func TestExamplesValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestComponentNames holds the registry table to the invariants a spec
+// relies on: every name is non-empty, free of the grammar's characters
+// and unique across both roles, and every component has exactly one
+// role.
+func TestComponentNames(t *testing.T) {
+	seen := map[string]bool{}
+	for _, d := range components {
+		if d.name == "" || strings.ContainsAny(d.name, "+:,= \t") {
+			t.Errorf("component name %q is empty or contains grammar characters", d.name)
+		}
+		if seen[d.name] {
+			t.Errorf("component name %q appears twice", d.name)
+		}
+		seen[d.name] = true
+		if (d.buildDetector == nil) == (d.buildClassifier == nil) {
+			t.Errorf("component %q must be exactly one of detector and classifier", d.name)
+		}
+	}
+	if len(detectors)+len(classifiers) != len(components) {
+		t.Errorf("role maps hold %d+%d components, table has %d", len(detectors), len(classifiers), len(components))
+	}
+}

@@ -17,10 +17,14 @@
 //
 // Ingest is sharded across Config.Readers goroutines. Each reader owns
 // its own SO_REUSEPORT socket bound to the same address, and the kernel
-// hashes every exporter's 4-tuple to a fixed socket — so exactly one
-// reader ever sees a given link's datagrams and per-link record order
-// is preserved without any cross-reader coordination; a platform
-// without the option runs one reader on one socket. Each reader reuses
+// hashes every sender's 4-tuple to a fixed socket. A link is keyed by
+// source address and engine ID, not source port, so one reader sees all
+// of a link's datagrams, in arrival order, only when the exporter sends
+// from one source port. An exporter that spreads one engine ID over
+// several sockets (nfreplay -single-link) is fed by several readers at
+// once: the link's pipeline accepts that (SendBatch is safe from several
+// goroutines), but its datagrams can reach it out of arrival order. A
+// platform without the option runs one reader on one socket. Each reader reuses
 // a private decode scratch (netflow.DecodeInto) and attribution batch, and link
 // lookup is one atomic load on a copy-on-write map, so a datagram for
 // an existing link travels read → decode → dispatch without allocating

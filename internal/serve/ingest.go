@@ -196,10 +196,12 @@ func (ll *liveLink) onResult(t int, at time.Time, res core.Result, stats agg.Str
 // table into the reader's reusable batch — the datagram's destinations
 // looked up together, one level of the routing index at a time — and
 // hand the batch to the link's pipeline: one copy and one queue
-// operation per datagram, not per record. Per-link record order is
-// preserved at any reader count because an exporter's datagrams all
-// arrive on one socket (REUSEPORT hashes the exporter's 4-tuple to a
-// fixed socket) and dispatch runs on that socket's one reader.
+// operation per datagram, not per record. REUSEPORT hashes a sender's
+// 4-tuple to a fixed socket, so a link exported from one source port is
+// dispatched by one reader and keeps its arrival order at any reader
+// count. A link whose engine ID arrives from several source ports is
+// dispatched by several readers at once; SendBatch is safe under that,
+// but the link's datagrams can then reach it out of arrival order.
 func (d *Daemon) dispatch(r *reader, ap netip.AddrPort, dg *netflow.Datagram) {
 	key := linkKey{addr: ap.Addr().Unmap(), engine: dg.Header.EngineID}
 	ll := d.findLink(key)

@@ -22,49 +22,39 @@ import (
 // The paper uses the tail onset directly as the elephant separation
 // threshold theta(t).
 
-// AestConfig tunes the estimator. The zero value selects defaults
-// matching the published tool's behaviour on datasets of 10^3–10^5
-// points.
-type AestConfig struct {
-	// AggregationLevels lists block sizes m for the aggregates; the
-	// base level 1 is implicit. Defaults to {2, 4, 8}.
-	AggregationLevels []int
-	// MinTailPoints is the minimum number of distinct CCDF support
-	// points the detected tail must span. Defaults to 10.
-	MinTailPoints int
-	// SlopeTolerance bounds the allowed relative disagreement between
+// The estimator runs at the published tool's settings for datasets of
+// 10^3–10^5 points.
+const (
+	// aestMinTailPoints is the minimum number of distinct CCDF support
+	// points the detected tail must span.
+	aestMinTailPoints = 10
+	// aestSlopeTolerance bounds the allowed relative disagreement between
 	// tail slopes across aggregation levels. Aggregates of samples with
 	// tail index approaching 2 bend towards Gaussian behaviour at
 	// moderate probabilities, steepening their near-onset slope, so the
-	// tolerance is generous. Defaults to 0.45.
-	SlopeTolerance float64
-	// MinR2 is the minimum goodness of the log-log linear fit in the
-	// tail at every level. Defaults to 0.97.
-	MinR2 float64
-	// CandidateQuantiles are the sample quantiles used as candidate
-	// tail-onset abscissas, scanned in order. Defaults to the 25 values
-	// 0.50, 0.52, ..., 0.98.
-	CandidateQuantiles []float64
-	// MinSlopeAlpha rejects candidates whose base-level log-log slope
+	// tolerance is generous.
+	aestSlopeTolerance = 0.45
+	// aestMinR2 is the minimum goodness of the log-log linear fit in the
+	// tail at every level.
+	aestMinR2 = 0.97
+	// aestMinSlopeAlpha rejects candidates whose base-level log-log slope
 	// implies a tail index at or below this value. A detected "tail"
 	// with index <= 1 would have infinite mean — impossible for
 	// quantities bounded by a finite link capacity — and in practice
 	// marks the deceptively straight upper body of a lognormal.
-	// Defaults to 1.0.
-	MinSlopeAlpha float64
-	// WantLevels requests the per-aggregation-level fit diagnostics in
-	// AestResult.Levels. Off by default: the diagnostics slice is the
-	// one estimator output that must escape to the heap per call, and
-	// the classification pipeline only ever consumes TailOnset.
-	WantLevels bool
-}
+	aestMinSlopeAlpha = 1.0
+)
 
-// Shared immutable defaults: defaults() hands these slices out by
-// reference instead of rebuilding them per call, so a zero AestConfig
-// costs no allocations. They must never be mutated.
+// Shared immutable settings, handed out by reference so a call costs no
+// allocations. They must never be mutated.
 var (
-	defaultAggregationLevels  = []int{2, 4, 8}
-	defaultCandidateQuantiles = func() []float64 {
+	// aggregationLevels lists block sizes m for the aggregates; the base
+	// level 1 is implicit.
+	aggregationLevels = []int{2, 4, 8}
+	// candidateQuantiles are the sample quantiles used as candidate
+	// tail-onset abscissas, scanned in order: the 25 values 0.50, 0.52,
+	// ..., 0.98.
+	candidateQuantiles = func() []float64 {
 		qs := make([]float64, 0, 25)
 		for q := 0.50; q <= 0.981; q += 0.02 {
 			qs = append(qs, q)
@@ -72,27 +62,6 @@ var (
 		return qs
 	}()
 )
-
-func (c *AestConfig) defaults() {
-	if len(c.AggregationLevels) == 0 {
-		c.AggregationLevels = defaultAggregationLevels
-	}
-	if c.MinTailPoints == 0 {
-		c.MinTailPoints = 10
-	}
-	if c.SlopeTolerance == 0 {
-		c.SlopeTolerance = 0.45
-	}
-	if c.MinR2 == 0 {
-		c.MinR2 = 0.97
-	}
-	if len(c.CandidateQuantiles) == 0 {
-		c.CandidateQuantiles = defaultCandidateQuantiles
-	}
-	if c.MinSlopeAlpha == 0 {
-		c.MinSlopeAlpha = 1.0
-	}
-}
 
 // AestResult reports the estimator's findings.
 type AestResult struct {
@@ -110,14 +79,10 @@ type AestResult struct {
 	SlopeAlpha float64
 	// TailFraction is the fraction of the sample beyond the onset.
 	TailFraction float64
-	// Levels records the per-aggregation-level tail slopes actually
-	// fitted. Populated only when AestConfig.WantLevels is set; nil
-	// otherwise, so the steady-state detection path allocates nothing.
-	Levels []AestLevel
 }
 
-// AestLevel is a per-aggregation-level diagnostic.
-type AestLevel struct {
+// aestLevel is one aggregation level's tail fit.
+type aestLevel struct {
 	M     int     // aggregation block size
 	Slope float64 // fitted log-log tail slope
 	R2    float64
@@ -150,23 +115,21 @@ func AggregateInto(dst, xs []float64, m int) []float64 {
 // AestScratch owns the estimator's reusable working storage: one flat
 // float64 arena carved per call into aggregate buffers, CCDF support
 // arrays and their log-log coordinates, and the per-level fit records. A
-// warm scratch makes AestSorted allocation-free (diagnostics excepted —
-// see AestConfig.WantLevels).
+// warm scratch makes AestSorted allocation-free.
 //
 // Ownership rules: a scratch belongs to one goroutine at a time and
 // every buffer it hands out is invalidated by the next AestSorted call
-// on the same scratch — nothing reachable from an AestResult
-// aliases the scratch (Levels, when requested, is a fresh copy), so
-// results outlive the scratch freely. The zero value is ready to use;
-// detectors embed one per instance and the engine's prepass workers own
-// one each.
+// on the same scratch — nothing reachable from an AestResult aliases
+// the scratch, so results outlive the scratch freely. The zero value is
+// ready to use; detectors embed one per instance and the engine's
+// prepass workers own one each.
 type AestScratch struct {
 	tmp []float64 // radix-sort ping-pong storage
 	buf []float64 // flat arena, carved front-to-back per call
-	// base is aggregation level 1; dists follow cfg.AggregationLevels.
+	// base is aggregation level 1; dists follow aggregationLevels.
 	base   aestDist
 	dists  []aestDist
-	levels []AestLevel
+	levels []aestLevel
 }
 
 // ensureTmp returns the sort scratch buffer sized for n elements.
@@ -181,8 +144,8 @@ func (s *AestScratch) ensureTmp(n int) []float64 {
 // log10 coordinates, computed once and shared by every candidate onset
 // (their tails overlap heavily). The coordinates are filled from the top
 // of the support downward, only as far as the lowest index a fit has
-// asked for: candidates start at the median by default, so the lower
-// half of every level is never looked at.
+// asked for: candidates start at the median, so the lower half of every
+// level is never looked at.
 type aestDist struct {
 	c      CCDF
 	lx, lp []float64 // log10 of c.X / c.P, index-aligned; valid from logged up
@@ -212,8 +175,8 @@ func (s *AestScratch) ensure(n int) {
 
 func (s *AestScratch) take(n int) []float64 {
 	if len(s.buf)+n > cap(s.buf) {
-		// ensure() undershot (non-default config shapes); start a fresh
-		// chunk — regions already carved keep the old array alive.
+		// ensure() undershot; start a fresh chunk — regions already
+		// carved keep the old array alive.
 		s.buf = make([]float64, 0, n+4096)
 	}
 	out := s.buf[len(s.buf) : len(s.buf)+n : len(s.buf)+n]
@@ -238,7 +201,7 @@ func (s *AestScratch) newDist(clean []float64) aestDist {
 // is an expected outcome the classifier must handle (it falls back to a
 // quantile threshold). Aest allocates its working storage per call;
 // AestSorted is the form for callers that already hold the sorted view.
-func Aest(xs []float64, cfg AestConfig) AestResult {
+func Aest(xs []float64) AestResult {
 	positive := make([]float64, 0, len(xs))
 	for _, x := range xs {
 		if x > 0 && !math.IsInf(x, 0) {
@@ -248,7 +211,7 @@ func Aest(xs []float64, cfg AestConfig) AestResult {
 	sorted := append([]float64(nil), positive...)
 	var s AestScratch
 	SortPositive(sorted, s.ensureTmp(len(sorted)))
-	return s.AestSorted(positive, sorted, cfg)
+	return s.AestSorted(positive, sorted)
 }
 
 // AestSorted is Aest for callers that already hold both views of the
@@ -258,8 +221,7 @@ func Aest(xs []float64, cfg AestConfig) AestResult {
 // storage, so a warm scratch allocates nothing. Both slices must contain
 // only positive, finite values (the snapshot-bandwidth invariant) and are
 // not modified.
-func (s *AestScratch) AestSorted(xs, sorted []float64, cfg AestConfig) AestResult {
-	cfg.defaults()
+func (s *AestScratch) AestSorted(xs, sorted []float64) AestResult {
 	var res AestResult
 
 	positive := xs
@@ -269,46 +231,40 @@ func (s *AestScratch) AestSorted(xs, sorted []float64, cfg AestConfig) AestResul
 	}
 	clean := sorted[lo:]
 
-	need := 4*len(clean) + 5*len(cfg.AggregationLevels) + 16
-	for _, m := range cfg.AggregationLevels {
-		if m >= 2 {
-			need += 5*(len(positive)/m) + 8
-		}
+	need := 4*len(clean) + 5*len(aggregationLevels) + 16
+	for _, m := range aggregationLevels {
+		need += 5*(len(positive)/m) + 8
 	}
 	s.ensure(need)
-	if cap(s.levels) < len(cfg.AggregationLevels)+1 {
-		s.levels = make([]AestLevel, 0, len(cfg.AggregationLevels)+1)
+	if cap(s.levels) < len(aggregationLevels)+1 {
+		s.levels = make([]aestLevel, 0, len(aggregationLevels)+1)
 	}
 
 	s.base = s.newDist(clean)
-	if s.base.c.Len() < cfg.MinTailPoints*2 {
+	if s.base.c.Len() < aestMinTailPoints*2 {
 		return res
 	}
 
 	// Aggregated CCDFs, computed once. The aggregate buffer is sorted in
 	// place — it exists only to feed the CCDF, whose support is what
 	// NewCCDF of the unsorted aggregate would produce.
-	if cap(s.dists) < len(cfg.AggregationLevels) {
-		s.dists = make([]aestDist, 0, len(cfg.AggregationLevels))
+	if cap(s.dists) < len(aggregationLevels) {
+		s.dists = make([]aestDist, 0, len(aggregationLevels))
 	}
 	s.dists = s.dists[:0]
-	for _, m := range cfg.AggregationLevels {
-		var d aestDist
-		if m >= 2 {
-			agg := AggregateInto(s.take(len(positive) / m)[:0], positive, m)
-			SortPositive(agg, s.ensureTmp(len(agg)))
-			d = s.newDist(agg)
-		}
-		s.dists = append(s.dists, d)
+	for _, m := range aggregationLevels {
+		agg := AggregateInto(s.take(len(positive) / m)[:0], positive, m)
+		SortPositive(agg, s.ensureTmp(len(agg)))
+		s.dists = append(s.dists, s.newDist(agg))
 	}
 
-	for _, q := range cfg.CandidateQuantiles {
+	for _, q := range candidateQuantiles {
 		onset := QuantileSorted(sorted, q)
-		levels, ok := s.fitLevels(cfg, onset)
+		levels, ok := s.fitLevels(onset)
 		if !ok {
 			continue
 		}
-		alpha, ok := s.shiftAlpha(cfg, onset)
+		alpha, ok := s.shiftAlpha(onset)
 		if !ok {
 			continue
 		}
@@ -316,9 +272,6 @@ func (s *AestScratch) AestSorted(xs, sorted []float64, cfg AestConfig) AestResul
 		res.TailOnset = onset
 		res.Alpha = alpha
 		res.SlopeAlpha = -levels[0].Slope
-		if cfg.WantLevels {
-			res.Levels = append([]AestLevel(nil), levels...)
-		}
 		tail := 0
 		for _, x := range positive {
 			if x > onset {
@@ -333,19 +286,19 @@ func (s *AestScratch) AestSorted(xs, sorted []float64, cfg AestConfig) AestResul
 
 // fitLevels fits log-log tail lines at every aggregation level beyond
 // onset and checks straightness and cross-level slope agreement. The
-// returned slice is scratch storage, valid until the next fitLevels
-// call.
-func (s *AestScratch) fitLevels(cfg AestConfig, onset float64) ([]AestLevel, bool) {
-	fit := func(d *aestDist, m int, from float64) (AestLevel, bool) {
+// returned slice is the scratch's levels, valid until the next
+// fitLevels call.
+func (s *AestScratch) fitLevels(onset float64) ([]aestLevel, bool) {
+	fit := func(d *aestDist, m int, from float64) (aestLevel, bool) {
 		i := sort.SearchFloat64s(d.c.X, from)
-		if d.c.Len()-i < cfg.MinTailPoints {
-			return AestLevel{}, false
+		if d.c.Len()-i < aestMinTailPoints {
+			return aestLevel{}, false
 		}
 		f, err := FitLine(d.logLogFrom(i))
-		if err != nil || f.R2 < cfg.MinR2 || f.Slope >= 0 {
-			return AestLevel{}, false
+		if err != nil || f.R2 < aestMinR2 || f.Slope >= 0 {
+			return aestLevel{}, false
 		}
-		return AestLevel{M: m, Slope: f.Slope, R2: f.R2, N: d.c.Len() - i}, true
+		return aestLevel{M: m, Slope: f.Slope, R2: f.R2, N: d.c.Len() - i}, true
 	}
 
 	base := &s.base
@@ -354,7 +307,7 @@ func (s *AestScratch) fitLevels(cfg AestConfig, onset float64) ([]AestLevel, boo
 	if !ok {
 		return nil, false
 	}
-	if -l0.Slope <= cfg.MinSlopeAlpha {
+	if -l0.Slope <= aestMinSlopeAlpha {
 		return nil, false
 	}
 	levels = append(levels, l0)
@@ -368,23 +321,19 @@ func (s *AestScratch) fitLevels(cfg AestConfig, onset float64) ([]AestLevel, boo
 	eligible, passed := 0, 0
 	for i := range s.dists {
 		d := &s.dists[i]
-		if d.c.Len() == 0 {
-			continue
-		}
-		m := cfg.AggregationLevels[i]
 		from, ok := d.c.InverseAt(pOnset)
 		if !ok {
 			continue
 		}
-		if d.c.TailFrom(from).Len() < cfg.MinTailPoints {
+		if d.c.TailFrom(from).Len() < aestMinTailPoints {
 			continue // too few points to confirm or deny at this level
 		}
 		eligible++
-		l, ok := fit(d, m, from)
+		l, ok := fit(d, aggregationLevels[i], from)
 		if !ok {
 			continue
 		}
-		if rel := math.Abs(l.Slope-l0.Slope) / math.Abs(l0.Slope); rel > cfg.SlopeTolerance {
+		if rel := math.Abs(l.Slope-l0.Slope) / math.Abs(l0.Slope); rel > aestSlopeTolerance {
 			continue
 		}
 		passed++
@@ -405,7 +354,7 @@ func (s *AestScratch) fitLevels(cfg AestConfig, onset float64) ([]AestLevel, boo
 // shiftAlpha estimates alpha from horizontal offsets between successive
 // aggregation levels: at equal tail probability p, log-abscissas differ
 // by log(m)/alpha.
-func (s *AestScratch) shiftAlpha(cfg AestConfig, onset float64) (float64, bool) {
+func (s *AestScratch) shiftAlpha(onset float64) (float64, bool) {
 	base := &s.base
 	pStart := base.c.At(onset)
 	if pStart <= 0 {
@@ -419,10 +368,7 @@ func (s *AestScratch) shiftAlpha(cfg AestConfig, onset float64) (float64, bool) 
 	// below the onset probability.
 	estimates := s.take(5 * len(s.dists))[:0]
 	for i, d := range s.dists {
-		if d.c.Len() == 0 {
-			continue
-		}
-		m := float64(cfg.AggregationLevels[i])
+		m := float64(aggregationLevels[i])
 		floor := 5.0 / float64(d.c.Len()+1) // stay above the last few points
 		for k := 0; k <= 4; k++ {
 			p := floor * math.Pow(2, float64(k))

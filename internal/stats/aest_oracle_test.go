@@ -36,9 +36,9 @@ func inverseAtLinear(c CCDF, p float64) (float64, bool) {
 // inverse CCDF read by linear scan, fresh storage throughout. It shares
 // no code with AestScratch beyond the package's public primitives
 // (NewCCDF, FitLine, AggregateInto, QuantileSorted), so it pins the lazy path's
-// every output bit.
-func eagerAest(xs []float64, cfg AestConfig) AestResult {
-	cfg.defaults()
+// every output bit. Alongside the result it returns the per-level fits
+// of the candidate that found the tail.
+func eagerAest(xs []float64) (AestResult, []aestLevel) {
 	var res AestResult
 	var positive []float64
 	for _, x := range xs {
@@ -49,46 +49,41 @@ func eagerAest(xs []float64, cfg AestConfig) AestResult {
 	sorted := append([]float64(nil), positive...)
 	sort.Float64s(sorted)
 	base := newEagerDist(positive)
-	if base.c.Len() < cfg.MinTailPoints*2 {
-		return res
+	if base.c.Len() < aestMinTailPoints*2 {
+		return res, nil
 	}
-	dists := make([]eagerDist, len(cfg.AggregationLevels))
-	for i, m := range cfg.AggregationLevels {
-		if m >= 2 {
-			dists[i] = newEagerDist(AggregateInto(nil, positive, m))
-		}
+	dists := make([]eagerDist, len(aggregationLevels))
+	for i, m := range aggregationLevels {
+		dists[i] = newEagerDist(AggregateInto(nil, positive, m))
 	}
-	fit := func(d eagerDist, m int, from float64) (AestLevel, bool) {
+	fit := func(d eagerDist, m int, from float64) (aestLevel, bool) {
 		i := sort.SearchFloat64s(d.c.X, from)
-		if d.c.Len()-i < cfg.MinTailPoints {
-			return AestLevel{}, false
+		if d.c.Len()-i < aestMinTailPoints {
+			return aestLevel{}, false
 		}
 		f, err := FitLine(d.lx[i:], d.lp[i:])
-		if err != nil || f.R2 < cfg.MinR2 || f.Slope >= 0 {
-			return AestLevel{}, false
+		if err != nil || f.R2 < aestMinR2 || f.Slope >= 0 {
+			return aestLevel{}, false
 		}
-		return AestLevel{M: m, Slope: f.Slope, R2: f.R2, N: d.c.Len() - i}, true
+		return aestLevel{M: m, Slope: f.Slope, R2: f.R2, N: d.c.Len() - i}, true
 	}
-	for _, q := range cfg.CandidateQuantiles {
+	for _, q := range candidateQuantiles {
 		onset := QuantileSorted(sorted, q)
 		l0, ok := fit(base, 1, onset)
-		if !ok || -l0.Slope <= cfg.MinSlopeAlpha {
+		if !ok || -l0.Slope <= aestMinSlopeAlpha {
 			continue
 		}
-		levels := []AestLevel{l0}
+		levels := []aestLevel{l0}
 		pOnset := base.c.At(onset)
 		eligible, passed := 0, 0
 		for i, d := range dists {
-			if d.c.Len() == 0 {
-				continue
-			}
 			from, ok := inverseAtLinear(d.c, pOnset)
-			if !ok || d.c.TailFrom(from).Len() < cfg.MinTailPoints {
+			if !ok || d.c.TailFrom(from).Len() < aestMinTailPoints {
 				continue
 			}
 			eligible++
-			l, ok := fit(d, cfg.AggregationLevels[i], from)
-			if !ok || math.Abs(l.Slope-l0.Slope)/math.Abs(l0.Slope) > cfg.SlopeTolerance {
+			l, ok := fit(d, aggregationLevels[i], from)
+			if !ok || math.Abs(l.Slope-l0.Slope)/math.Abs(l0.Slope) > aestSlopeTolerance {
 				continue
 			}
 			passed++
@@ -99,9 +94,6 @@ func eagerAest(xs []float64, cfg AestConfig) AestResult {
 		}
 		var estimates []float64
 		for i, d := range dists {
-			if d.c.Len() == 0 {
-				continue
-			}
 			floor := 5.0 / float64(d.c.Len()+1)
 			for k := 0; k <= 4; k++ {
 				p := floor * math.Pow(2, float64(k))
@@ -114,7 +106,7 @@ func eagerAest(xs []float64, cfg AestConfig) AestResult {
 					continue
 				}
 				if dx := math.Log10(x2) - math.Log10(x1); dx > 0 {
-					estimates = append(estimates, math.Log10(float64(cfg.AggregationLevels[i]))/dx)
+					estimates = append(estimates, math.Log10(float64(aggregationLevels[i]))/dx)
 				}
 			}
 		}
@@ -126,9 +118,6 @@ func eagerAest(xs []float64, cfg AestConfig) AestResult {
 		res.TailOnset = onset
 		res.Alpha = QuantileSorted(estimates, 0.5)
 		res.SlopeAlpha = -l0.Slope
-		if cfg.WantLevels {
-			res.Levels = levels
-		}
 		tail := 0
 		for _, x := range positive {
 			if x > onset {
@@ -136,18 +125,16 @@ func eagerAest(xs []float64, cfg AestConfig) AestResult {
 			}
 		}
 		res.TailFraction = float64(tail) / float64(len(positive))
-		return res
+		return res, levels
 	}
-	return res
+	return res, nil
 }
 
 // TestAestMatchesEagerOracle: the lazy estimator against eagerAest,
-// whole AestResult including the level diagnostics, bit for bit — on
-// the shapes the detector meets (Pareto, lognormal body with a grafted
-// tail), on the ones that end in the fallback (light tail, too few
-// support points), on heavy ties, and under candidate lists that make
-// the lazy coordinates extend downward after they were first filled
-// (descending, and starting below the median).
+// whole AestResult and, on a warm scratch, the per-level fits, bit for
+// bit — on the shapes the detector meets (Pareto across tail indices,
+// lognormal bodies with a grafted tail), on the ones that end in the
+// fallback (light tail, too few support points), and on heavy ties.
 func TestAestMatchesEagerOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	heavyTies := make([]float64, 5000)
@@ -168,21 +155,24 @@ func TestAestMatchesEagerOracle(t *testing.T) {
 		"few-points":    {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17},
 		"all-equal":     {3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3},
 		"junk-mixed-in": append([]float64{0, -1, math.NaN(), math.Inf(1)}, pareto(rng, 2000, 1.5, 1)...),
-	}
-	descending := make([]float64, len(defaultCandidateQuantiles))
-	for i, q := range defaultCandidateQuantiles {
-		descending[len(descending)-1-i] = q
-	}
-	configs := map[string]AestConfig{
-		"default":      {WantLevels: true},
-		"descending":   {WantLevels: true, CandidateQuantiles: descending},
-		"below-median": {WantLevels: true, CandidateQuantiles: []float64{0.9, 0.6, 0.3, 0.1, 0.02}},
-		"strict-low":   {WantLevels: true, MinR2: 0.999, CandidateQuantiles: []float64{0.7, 0.4, 0.05, 0.95}},
-		"levels-3-5":   {WantLevels: true, AggregationLevels: []int{3, 5, 1, 16}},
+		"pareto-1.1":    pareto(rng, 4000, 1.1, 1),
+		"pareto-1.3":    pareto(rng, 5000, 1.3, 10),
+		"pareto-1.6":    pareto(rng, 4000, 1.6, 1),
+		"pareto-1.75":   pareto(rng, 8000, 1.75, 5),
+		"body+tail-3":   mixedSample(6000, 11),
+		"body+tail-4":   mixedSample(3000, 23),
+		"body+tail-5":   append(lognormal(rng, 4000, 1, 0.8), pareto(rng, 600, 1.6, math.Exp(3))...),
 	}
 	var scratch AestScratch // one arena across every call, as a detector holds it
 	found := 0
 	for sname, xs := range samples {
+		want, wantLevels := eagerAest(xs)
+		if want.TailFound {
+			found++
+		}
+		if got := Aest(xs); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Aest diverged from the eager oracle\nwant %+v\ngot  %+v", sname, want, got)
+		}
 		// The warm-scratch path takes the views a detector holds: the
 		// positive values in observation order and the same sorted.
 		var positive []float64
@@ -193,20 +183,15 @@ func TestAestMatchesEagerOracle(t *testing.T) {
 		}
 		sorted := append([]float64(nil), positive...)
 		sort.Float64s(sorted)
-		for cname, cfg := range configs {
-			want := eagerAest(xs, cfg)
-			if want.TailFound {
-				found++
-			}
-			if got := Aest(xs, cfg); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: Aest diverged from the eager oracle\nwant %+v\ngot  %+v", sname, cname, want, got)
-			}
-			if got := scratch.AestSorted(positive, sorted, cfg); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: warm-scratch AestSorted diverged from the eager oracle\nwant %+v\ngot  %+v", sname, cname, want, got)
-			}
+		got := scratch.AestSorted(positive, sorted)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: warm-scratch AestSorted diverged from the eager oracle\nwant %+v\ngot  %+v", sname, want, got)
+		}
+		if got.TailFound && !reflect.DeepEqual(scratch.levels, wantLevels) {
+			t.Errorf("%s: warm-scratch level fits diverged from the eager oracle\nwant %+v\ngot  %+v", sname, wantLevels, scratch.levels)
 		}
 	}
 	if found < 10 {
-		t.Fatalf("only %d of the sample × config grid found a tail — the grid no longer exercises the fit path", found)
+		t.Fatalf("only %d of the samples found a tail — they no longer exercise the fit path", found)
 	}
 }

@@ -93,7 +93,7 @@ func TestAestPurePareto(t *testing.T) {
 	for _, alpha := range []float64{1.2, 1.5, 1.9} {
 		rng := rand.New(rand.NewSource(6))
 		xs := pareto(rng, 20000, alpha, 1)
-		res := Aest(xs, AestConfig{})
+		res := Aest(xs)
 		if !res.TailFound {
 			t.Fatalf("alpha=%v: no tail found on pure Pareto", alpha)
 		}
@@ -115,7 +115,7 @@ func TestAestBodyPlusTail(t *testing.T) {
 	tailStart := math.Exp(2.5) // ≈ 12.18, well above the body median 1
 	tail := pareto(rng, 1000, 1.4, tailStart)
 	xs := append(body, tail...)
-	res := Aest(xs, AestConfig{})
+	res := Aest(xs)
 	if !res.TailFound {
 		t.Fatal("no tail found on body+tail mixture")
 	}
@@ -142,7 +142,7 @@ func TestAestLightTailMostlyRejected(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.ExpFloat64() + 0.01
 		}
-		if res := Aest(xs, AestConfig{}); !res.TailFound {
+		if res := Aest(xs); !res.TailFound {
 			rejected++
 		}
 	}
@@ -152,7 +152,7 @@ func TestAestLightTailMostlyRejected(t *testing.T) {
 }
 
 func TestAestTinySample(t *testing.T) {
-	res := Aest([]float64{1, 2, 3}, AestConfig{})
+	res := Aest([]float64{1, 2, 3})
 	if res.TailFound {
 		t.Error("3-point sample cannot support a tail claim")
 	}
@@ -163,7 +163,7 @@ func TestAestAllEqual(t *testing.T) {
 	for i := range xs {
 		xs[i] = 5
 	}
-	if res := Aest(xs, AestConfig{}); res.TailFound {
+	if res := Aest(xs); res.TailFound {
 		t.Error("constant sample has no tail")
 	}
 }
@@ -172,7 +172,7 @@ func TestAestIgnoresJunkValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	xs := pareto(rng, 10000, 1.5, 1)
 	xs = append(xs, math.NaN(), math.Inf(1), -5, 0)
-	res := Aest(xs, AestConfig{})
+	res := Aest(xs)
 	if !res.TailFound {
 		t.Error("junk values broke tail detection")
 	}
@@ -183,7 +183,7 @@ func TestAestDoesNotMutateVisibly(t *testing.T) {
 	xs := pareto(rng, 5000, 1.5, 1)
 	cp := make([]float64, len(xs))
 	copy(cp, xs)
-	Aest(xs, AestConfig{})
+	Aest(xs)
 	for i := range xs {
 		if xs[i] != cp[i] {
 			t.Fatal("Aest mutated its input")
@@ -194,8 +194,8 @@ func TestAestDoesNotMutateVisibly(t *testing.T) {
 func TestAestDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	xs := pareto(rng, 8000, 1.3, 1)
-	a := Aest(xs, AestConfig{})
-	b := Aest(xs, AestConfig{})
+	a := Aest(xs)
+	b := Aest(xs)
 	if a.TailFound != b.TailFound || a.TailOnset != b.TailOnset || a.Alpha != b.Alpha {
 		t.Errorf("Aest not deterministic: %+v vs %+v", a, b)
 	}
@@ -212,8 +212,8 @@ func TestAestScaleInvariance(t *testing.T) {
 	for i := range xs {
 		scaled[i] = xs[i] * k
 	}
-	a := Aest(xs, AestConfig{})
-	b := Aest(scaled, AestConfig{})
+	a := Aest(xs)
+	b := Aest(scaled)
 	if !a.TailFound || !b.TailFound {
 		t.Fatalf("tails: %v, %v", a.TailFound, b.TailFound)
 	}
@@ -261,7 +261,7 @@ func TestHillErrors(t *testing.T) {
 func TestHillAgreesWithAest(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	xs := pareto(rng, 20000, 1.4, 1)
-	res := Aest(xs, AestConfig{})
+	res := Aest(xs)
 	if !res.TailFound {
 		t.Fatal("no tail")
 	}

@@ -14,7 +14,7 @@ func BenchmarkAest10k(b *testing.B) {
 	xs := benchSample(10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := Aest(xs, AestConfig{})
+		res := Aest(xs)
 		if !res.TailFound {
 			b.Fatal("no tail on pure Pareto")
 		}

@@ -140,51 +140,3 @@ func FitLine(x, y []float64) (LinearFit, error) {
 	}
 	return f, nil
 }
-
-// Histogram is a fixed-width-bin histogram over [Min, Max).
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	// Underflow and Overflow count out-of-range observations.
-	Underflow, Overflow int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins.
-func NewHistogram(min, max float64, bins int) *Histogram {
-	if bins <= 0 || !(max > min) {
-		panic(fmt.Sprintf("stats: NewHistogram: invalid range [%v,%v) with %d bins", min, max, bins))
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Min:
-		h.Underflow++
-	case x >= h.Max:
-		h.Overflow++
-	default:
-		width := (h.Max - h.Min) / float64(len(h.Counts))
-		i := int((x - h.Min) / width)
-		if i >= len(h.Counts) { // guard float edge at Max
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the in-range observation count.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + (float64(i)+0.5)*width
-}

@@ -235,70 +235,3 @@ func TestFitLineConstantY(t *testing.T) {
 		t.Errorf("constant y: fit = %+v, want slope 0 R2 1", f)
 	}
 }
-
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram(0, 10, 5) // bins [0,2) [2,4) [4,6) [6,8) [8,10)
-	for _, x := range []float64{0, 1.99, 2, 5, 9.999} {
-		h.Add(x)
-	}
-	h.Add(-0.1) // underflow
-	h.Add(10)   // overflow (half-open upper edge)
-	want := []int{2, 1, 1, 0, 1}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Errorf("bin %d = %d, want %d", i, h.Counts[i], w)
-		}
-	}
-	if h.Underflow != 1 || h.Overflow != 1 {
-		t.Errorf("under=%d over=%d, want 1, 1", h.Underflow, h.Overflow)
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %d, want 5", h.Total())
-	}
-}
-
-func TestHistogramBinCenter(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %v, want 1", got)
-	}
-	if got := h.BinCenter(4); got != 9 {
-		t.Errorf("BinCenter(4) = %v, want 9", got)
-	}
-}
-
-func TestHistogramInvalidPanics(t *testing.T) {
-	for _, tc := range []struct {
-		min, max float64
-		bins     int
-	}{{0, 10, 0}, {0, 10, -1}, {5, 5, 3}, {6, 5, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHistogram(%v,%v,%d): expected panic", tc.min, tc.max, tc.bins)
-				}
-			}()
-			NewHistogram(tc.min, tc.max, tc.bins)
-		}()
-	}
-}
-
-// TestHistogramConservation: every added in-range value lands in exactly
-// one bin.
-func TestHistogramConservation(t *testing.T) {
-	prop := func(raw []float64) bool {
-		h := NewHistogram(-100, 100, 17)
-		added := 0
-		for _, x := range raw {
-			if math.IsNaN(x) {
-				continue
-			}
-			h.Add(x)
-			added++
-		}
-		return h.Total()+h.Underflow+h.Overflow == added
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}

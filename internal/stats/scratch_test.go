@@ -28,58 +28,15 @@ func mixedSample(n int, seed int64) []float64 {
 // a single scratch reused across calls must not perturb later results.
 func TestAestScratchMatchesPackage(t *testing.T) {
 	var scratch AestScratch
-	cfg := AestConfig{WantLevels: true}
 	for seed := int64(0); seed < 12; seed++ {
 		xs := mixedSample(2000+int(seed)*500, seed)
-		want := Aest(xs, cfg)
+		want := Aest(xs)
 		sorted := append([]float64(nil), xs...)
 		sort.Float64s(sorted)
-		got := scratch.AestSorted(xs, sorted, cfg)
+		got := scratch.AestSorted(xs, sorted)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("seed %d: scratch AestSorted diverged\nwant %+v\ngot  %+v", seed, want, got)
 		}
-	}
-}
-
-// TestAestWantLevels verifies diagnostics are opt-in: default-off
-// returns nil Levels with every other field unchanged, and the
-// opted-in slice does not alias scratch storage.
-func TestAestWantLevels(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 4000)
-	for i := range xs {
-		xs[i] = math.Pow(rng.Float64(), -1/1.4) // pure Pareto, alpha 1.4
-	}
-	withL := Aest(xs, AestConfig{WantLevels: true})
-	if !withL.TailFound {
-		t.Fatal("expected a detected tail on the Pareto sample")
-	}
-	if len(withL.Levels) == 0 {
-		t.Fatal("WantLevels: true returned no level diagnostics")
-	}
-	noL := Aest(xs, AestConfig{})
-	if noL.Levels != nil {
-		t.Fatalf("default config returned Levels %v, want nil", noL.Levels)
-	}
-	noL.Levels = withL.Levels
-	if !reflect.DeepEqual(withL, noL) {
-		t.Fatalf("WantLevels changed non-diagnostic fields:\nwith %+v\nwithout %+v", withL, noL)
-	}
-
-	var scratch AestScratch
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	first := scratch.AestSorted(xs, sorted, AestConfig{WantLevels: true})
-	if !first.TailFound {
-		t.Fatal("scratch path lost the tail the package path found")
-	}
-	firstLevels := append([]AestLevel(nil), first.Levels...)
-	ys := mixedSample(4000, 4)
-	ysSorted := append([]float64(nil), ys...)
-	sort.Float64s(ysSorted)
-	scratch.AestSorted(ys, ysSorted, AestConfig{WantLevels: true}) // reuse arena
-	if !reflect.DeepEqual(first.Levels, firstLevels) {
-		t.Fatal("Levels aliases scratch storage: mutated by a later call")
 	}
 }
 
@@ -115,15 +72,15 @@ func TestAggregateIntoPanicsOnBadM(t *testing.T) {
 }
 
 // TestAestScratchSteadyStateAllocs pins the warm arena path: repeated
-// calls on same-shaped input must not allocate (diagnostics off).
+// calls on same-shaped input must not allocate.
 func TestAestScratchSteadyStateAllocs(t *testing.T) {
 	xs := mixedSample(6000, 9)
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
 	var scratch AestScratch
-	scratch.AestSorted(xs, sorted, AestConfig{})
+	scratch.AestSorted(xs, sorted)
 	allocs := testing.AllocsPerRun(5, func() {
-		scratch.AestSorted(xs, sorted, AestConfig{})
+		scratch.AestSorted(xs, sorted)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm scratch AestSorted allocates %v per run, want 0", allocs)

@@ -1,8 +1,9 @@
 // Package stats provides the statistical machinery of the reproduction:
 // empirical distributions (CDF/CCDF), log-log least squares, the
 // Crovella–Taqqu "aest" scaling estimator for heavy-tail onset and index,
-// a Hill estimator used as a cross-check, EWMA smoothing, histograms and
-// quantiles. Everything is deterministic and stdlib-only.
+// run at the published tool's one configuration, a Hill estimator used as
+// a cross-check, EWMA smoothing and quantiles. Everything is
+// deterministic and stdlib-only.
 //
 // Each estimator has one form: QuantileSorted reads a sorted sample,
 // AggregateInto appends block sums (a nil dst allocates), Hill and

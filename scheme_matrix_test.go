@@ -7,7 +7,7 @@ package repro
 // streaming path (engine.RunStreaming, one cell per spec, over the
 // synthetic generator's incremental record stream) with byte-identical
 // results.
-// Adding a scheme via RegisterDetector/RegisterClassifier automatically
+// Adding a scheme to the registry's components table automatically
 // enrols it here; a scheme that only works in one ingestion mode cannot
 // land. Run with -race: the matrix fans out on the concurrent pool.
 
