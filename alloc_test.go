@@ -10,6 +10,7 @@ package repro
 // intervals) passes while a genuine per-interval allocation fails.
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -21,7 +22,8 @@ import (
 
 // TestPipelineStepSteadyStateAllocs pins the batch Snapshot+Step loop —
 // the inner loop of every figure harness — at zero amortized
-// allocations per interval once the pipeline and snapshot are warm.
+// allocations per interval once the pipeline and snapshot are warm, for
+// both of the paper's classifiers.
 func TestPipelineStepSteadyStateAllocs(t *testing.T) {
 	cfg := experiments.SmallConfig()
 	cfg.Intervals = 48
@@ -31,31 +33,33 @@ func TestPipelineStepSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := scheme.MustParse("load+latent").Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, err := core.NewPipeline(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := core.NewFlowSnapshot(0)
-	n := ls.West.Intervals
-	step := func(i int) {
-		snap = ls.West.Snapshot(i%n, snap)
-		if _, err := pipe.Step(snap); err != nil {
+	for _, spec := range []string{"load+latent", "load+single"} {
+		cc, err := scheme.MustParse(spec).Config()
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Warm: two full passes grow the flow table, the classifier columns,
-	// the sorted-column buffer and the first arena chunks to capacity.
-	for i := 0; i < 2*n; i++ {
-		step(i)
-	}
-	i := 2 * n
-	avg := testing.AllocsPerRun(3*n, func() { step(i); i++ })
-	if avg != 0 {
-		t.Errorf("warm Snapshot+Step averages %v allocs/interval, want 0", avg)
+		pipe, err := core.NewPipeline(cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := core.NewFlowSnapshot(0)
+		n := ls.West.Intervals
+		step := func(i int) {
+			snap = ls.West.Snapshot(i%n, snap)
+			if _, err := pipe.Step(snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Warm: two full passes grow the flow table, the classifier
+		// columns, the sorted-column buffer and the first arena chunks to
+		// capacity.
+		for i := 0; i < 2*n; i++ {
+			step(i)
+		}
+		i := 2 * n
+		if avg := testing.AllocsPerRun(3*n, func() { step(i); i++ }); avg != 0 {
+			t.Errorf("%s: warm Snapshot+Step averages %v allocs/interval, want 0", spec, avg)
+		}
 	}
 }
 
@@ -102,9 +106,10 @@ func TestAestDetectSteadyStateAllocs(t *testing.T) {
 // TestRunMatrixSharedWindowAllocs pins sum-once in bytes: latent-heat
 // cells of one RunMatrix group that agree on the window read one ring of
 // per-flow bandwidths, so a further such cell costs its pipeline, table
-// and results but no ring — where a cell that cannot share (evict below
-// the window) brings its own. Measured as the marginal allocation of
-// cells three to six of an alpha sweep, sharing against not sharing.
+// and results but no ring — where a cell that cannot share (its window
+// differs from every other cell's) brings its own. Measured as the
+// marginal allocation of cells three to six of an alpha sweep, sharing
+// against not sharing.
 func TestRunMatrixSharedWindowAllocs(t *testing.T) {
 	cfg := experiments.SmallConfig()
 	cfg.Intervals = 48
@@ -115,10 +120,11 @@ func TestRunMatrixSharedWindowAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	links := []engine.MatrixLink{{ID: "west", Series: ls.West}}
-	sweep := func(grammar string, n int) []*scheme.Spec {
+	// A sweep's cell i runs latent heat over window w(i).
+	sweep := func(w func(i int) int, n int) []*scheme.Spec {
 		specs := make([]*scheme.Spec, n)
 		for i := range specs {
-			specs[i] = scheme.MustParse(grammar)
+			specs[i] = scheme.MustParse(fmt.Sprintf("load+latent:window=%d", w(i)))
 			specs[i].Alpha = 0.1 + 0.1*float64(i)
 		}
 		return specs
@@ -144,10 +150,11 @@ func TestRunMatrixSharedWindowAllocs(t *testing.T) {
 		return best
 	}
 	const window = 12
-	marginal := func(grammar string) uint64 {
-		return (allocated(sweep(grammar, 6)) - allocated(sweep(grammar, 2))) / 4
+	marginal := func(w func(i int) int) uint64 {
+		return (allocated(sweep(w, 6)) - allocated(sweep(w, 2))) / 4
 	}
-	shared, owning := marginal("load+latent"), marginal("load+latent:evict=11")
+	shared := marginal(func(int) int { return window })
+	owning := marginal(func(i int) int { return window + i }) // no two alike
 	ring := uint64(window * ls.West.NumFlows() * 8)
 	t.Logf("a further latent cell allocates %d B sharing a window, %d B owning one; a ring is %d B", shared, owning, ring)
 	if shared+ring*9/10 > owning {

@@ -111,12 +111,15 @@ func main() {
 	log.SetPrefix("elephantd: ")
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 
-	sp, err := scheme.ParseValidated(*schemeSpec)
+	sp, err := scheme.Parse(*schemeSpec)
+	if err == nil {
+		sp.Alpha = *alpha
+		err = sp.Validate()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "elephantd:", err)
 		os.Exit(2)
 	}
-	sp.Alpha = *alpha
 
 	table, err := loadTable(*tablePath, *genRoutes, *genSeed)
 	if err != nil {

@@ -87,14 +87,17 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("%w: -pcap and -table are required", errUsage)
 	}
 	// A parse error's text enumerates the registered schemes.
-	sp, err := scheme.ParseValidated(*schemeSpec)
+	sp, err := scheme.Parse(*schemeSpec)
 	if err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	sp.Alpha = *alpha
+	if err := sp.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
 	if *swindow < 0 {
 		return fmt.Errorf("%w: -stream-window %d must be >= 0 (0 derives it from the scheme)", errUsage, *swindow)
 	}
-	sp.Alpha = *alpha
 	window := engine.StreamWindow(sp, *swindow)
 
 	table, err := readTable(*tablePath)

@@ -274,8 +274,11 @@ func TestRejectedInputs(t *testing.T) {
 		routes  bool
 		extra   []string
 		wantErr string
+		usage   bool // refused before any input is read
 	}{
-		{name: "removed -stream flag", frames: frames, routes: true, extra: []string{"-stream"}, wantErr: "flag provided but not defined: -stream"},
+		{name: "removed -stream flag", frames: frames, routes: true, extra: []string{"-stream"}, wantErr: "flag provided but not defined: -stream", usage: true},
+		{name: "alpha outside [0,1)", frames: frames, routes: true, extra: []string{"-alpha", "1.5"}, wantErr: "alpha 1.5 outside [0,1)", usage: true},
+		{name: "removed evict parameter", frames: frames, routes: true, extra: []string{"-scheme", "load+latent:evict=4"}, wantErr: `no parameter "evict"`, usage: true},
 		{name: "empty pcap", routes: true, wantErr: "empty capture"},
 		{name: "empty pcapng", ng: true, routes: true, wantErr: "empty capture"},
 		{name: "table routing nothing", frames: frames, wantErr: "no routed packets in capture"},
@@ -285,6 +288,9 @@ func TestRejectedInputs(t *testing.T) {
 			out, err := elephants(t, writeCapture(t, c.frames, c.ng), writeTable(t, c.routes), c.extra...)
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Fatalf("err = %v, want %q", err, c.wantErr)
+			}
+			if c.usage != errors.Is(err, errUsage) {
+				t.Errorf("err = %v: usage error %v, want %v", err, !c.usage, c.usage)
 			}
 			if out != "" {
 				t.Errorf("a rejected run printed a report:\n%s", out)

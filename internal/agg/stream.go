@@ -14,11 +14,13 @@ import (
 // classifier's.
 const DefaultStreamWindow = 12
 
-// DefaultStreamMaxGap is the default bound on how far one record may
-// advance the window past the newest interval carrying bits: generous
-// enough for a link idle for days (4096 five-minute slots ≈ two
-// weeks), small enough that a corrupted far-future timestamp cannot
+// DefaultStreamMaxGap bounds how many intervals beyond the newest
+// bit-carrying interval a single record may advance the window:
+// generous enough for a link idle for days (4096 five-minute slots ≈
+// two weeks), small enough that a corrupted far-future timestamp cannot
 // force millions of empty-interval closes and poison the stream.
+// Records jumping further are dropped and counted in Stats.FarFuture
+// (the batch path's equivalent is one OutOfRange count).
 const DefaultStreamMaxGap = 4096
 
 // StreamConfig sizes a StreamAccumulator.
@@ -34,13 +36,6 @@ type StreamConfig struct {
 	// table's rows are released as flows go quiet — see Table for who
 	// does that. Defaults to DefaultStreamWindow.
 	Window int
-	// MaxGap bounds how many intervals beyond the newest bit-carrying
-	// interval a single record may advance the window. Records jumping
-	// further are dropped and counted in Stats.FarFuture — a corrupted
-	// export timestamp must not close an unbounded run of empty
-	// intervals (the batch path's equivalent is one OutOfRange count).
-	// Defaults to DefaultStreamMaxGap.
-	MaxGap int
 	// Table is the flow identity table prefixes are interned against —
 	// pass the consuming pipeline's table (core.Pipeline.Table) so
 	// emitted snapshots carry IDs the classifier can index directly.
@@ -76,8 +71,8 @@ type StreamStats struct {
 	// records.
 	LateBits float64
 	// FarFuture counts records dropped because they would advance the
-	// window more than MaxGap intervals past the newest bit-carrying
-	// interval (corrupted timestamps, not traffic).
+	// window more than DefaultStreamMaxGap intervals past the newest
+	// bit-carrying interval (corrupted timestamps, not traffic).
 	FarFuture uint64
 	// Closed is the number of intervals closed (and emitted) so far.
 	Closed int
@@ -159,15 +154,15 @@ type StreamAccumulator struct {
 	newest     int64 // newest bit-carrying instant accepted past the far-future gate; -1 before any
 	table      *core.FlowTable
 	slots      []streamSlot
-	// ownTable marks a private table (StreamConfig.Table nil), whose rows
-	// the accumulator releases itself. lastSeen is kept only then: per
-	// dense ID, the newest interval that touched the flow. A row is
+	// privateTable marks a private table (StreamConfig.Table nil), whose
+	// rows the accumulator releases itself. lastSeen is kept only then:
+	// per dense ID, the newest interval that touched the flow. A row is
 	// released when that interval closes, so a flow recurring every
 	// interval is never released at all — releasing and resurrecting it
 	// each close would churn the table's pending list and put a map
 	// operation back on the steady-state path.
-	ownTable bool
-	lastSeen []int
+	privateTable bool
+	lastSeen     []int
 
 	snap  *core.FlowSnapshot // reused emission buffer
 	stats StreamStats
@@ -183,12 +178,6 @@ func NewStreamAccumulator(cfg StreamConfig) (*StreamAccumulator, error) {
 	}
 	if cfg.Window < 1 {
 		return nil, fmt.Errorf("agg: NewStreamAccumulator: window %d < 1", cfg.Window)
-	}
-	if cfg.MaxGap == 0 {
-		cfg.MaxGap = DefaultStreamMaxGap
-	}
-	if cfg.MaxGap < 1 {
-		return nil, fmt.Errorf("agg: NewStreamAccumulator: max gap %d < 1", cfg.MaxGap)
 	}
 	a := &StreamAccumulator{
 		cfg:        cfg,
@@ -207,7 +196,7 @@ func NewStreamAccumulator(cfg StreamConfig) (*StreamAccumulator, error) {
 	}
 	if a.table == nil {
 		a.table = core.NewFlowTable()
-		a.ownTable = true
+		a.privateTable = true
 		// One tick more than the window keeps a row released at close g
 		// bound until every interval open after that close (g+1 … g+Window)
 		// has closed too: a straggler of the same flow landing in any of
@@ -332,7 +321,7 @@ func (a *StreamAccumulator) add(rec *Record) error {
 	// it. Before any bits land (maxTouched -1) the bound is taken from
 	// the closed edge instead, so a corrupt FIRST record under an
 	// explicit Start is guarded too.
-	if end > max(a.maxTouched, a.base-1)+a.cfg.MaxGap {
+	if end > max(a.maxTouched, a.base-1)+DefaultStreamMaxGap {
 		a.stats.FarFuture++
 		return nil
 	}
@@ -370,7 +359,7 @@ func (a *StreamAccumulator) add(rec *Record) error {
 	// One intern per record, shared by every interval the span touches; a
 	// keyed record's is a verified table probe, not a hash.
 	id := a.table.InternKeyed(rec.Prefix, rec.Key)
-	if a.ownTable {
+	if a.privateTable {
 		if int(id) >= len(a.lastSeen) {
 			a.lastSeen = append(a.lastSeen, make([]int, a.table.Cap()-len(a.lastSeen))...)
 		}
@@ -422,7 +411,7 @@ func (a *StreamAccumulator) closeOldest() error {
 	}
 	a.stats.Closed++
 	a.stats.EvictedFlows += uint64(len(sl.dirty))
-	if a.ownTable {
+	if a.privateTable {
 		// Only flows whose newest bits are in the closing interval go
 		// quiet; anything touched by a later (still open) interval stays
 		// live and is reconsidered at that close.

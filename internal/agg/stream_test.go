@@ -216,7 +216,7 @@ func TestStreamBoundaryAlignedSpan(t *testing.T) {
 // of empty intervals and poisoning the stream for genuine traffic.
 func TestStreamFarFutureGuard(t *testing.T) {
 	iv := time.Minute
-	acc, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: 2, MaxGap: 10})
+	acc, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestStreamFarFutureGuard(t *testing.T) {
 	// Start, maxTouched is still -1 when a corrupt timestamp arrives
 	// (regression: the guard was skipped and one record closed ~10^5
 	// empty intervals).
-	acc2, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: 2, MaxGap: 10})
+	acc2, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestStreamEmptyIntervals(t *testing.T) {
 // meaning (or a new drop path forgetting to count) fails loudly.
 func TestStreamStatsCounters(t *testing.T) {
 	iv := time.Minute
-	acc, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: 2, MaxGap: 4})
+	acc, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,8 +350,9 @@ func TestStreamStatsCounters(t *testing.T) {
 		// of 900 bits) fall into closed interval 0, the rest lands.
 		{Record{Prefix: pfxA, Time: start.Add(30 * time.Second), Span: 90 * time.Second, Bits: 900},
 			StreamStats{Records: 5, InWindow: 3, Late: 2, LateBits: 1000, Closed: 1, EvictedFlows: 1}},
-		// Corrupted far-future timestamp: beyond maxTouched+MaxGap.
-		{Record{Prefix: pfxA, Time: start.Add(7 * iv), Bits: 8},
+		// Corrupted far-future timestamp: beyond the newest interval
+		// with bits (2) plus DefaultStreamMaxGap.
+		{Record{Prefix: pfxA, Time: start.Add((2 + DefaultStreamMaxGap + 1) * iv), Bits: 8},
 			StreamStats{Records: 6, InWindow: 3, Late: 2, LateBits: 1000, FarFuture: 1, Closed: 1, EvictedFlows: 1}},
 	}
 	for i, st := range steps {
@@ -742,11 +743,11 @@ func TestStreamEmitsIDColumns(t *testing.T) {
 func TestStreamClockEdges(t *testing.T) {
 	const iv = time.Minute
 	at := func(intervals float64) time.Time { return start.Add(time.Duration(intervals * float64(iv))) }
+	const gap = DefaultStreamMaxGap
 	cases := []struct {
 		name      string
 		zeroStart bool // align interval 0 to the first record
 		window    int
-		maxGap    int
 		recs      []Record
 		batchFrom int
 		intervals int             // length of the batch series
@@ -819,17 +820,16 @@ func TestStreamClockEdges(t *testing.T) {
 		{
 			name:   "MaxGap counts from the newest interval with bits, inclusive",
 			window: 2,
-			maxGap: 10,
 			recs: []Record{
 				{Prefix: pfxA, Time: at(0), Bits: 1},
-				{Prefix: pfxA, Time: at(10.5), Bits: 2, Key: 3},
-				{Prefix: pfxA, Time: at(21), Bits: 4},                    // 10+11
-				{Prefix: pfxA, Time: at(21), Span: iv, Bits: 8},          // likewise
-				{Prefix: pfxA, Time: at(20), Span: iv, Bits: 16, Key: 3}, // last instant in 20
+				{Prefix: pfxA, Time: at(gap + 0.5), Bits: 2, Key: 3},
+				{Prefix: pfxA, Time: at(2*gap + 1), Bits: 4},                  // gap+gap+1
+				{Prefix: pfxA, Time: at(2*gap + 1), Span: iv, Bits: 8},        // likewise
+				{Prefix: pfxA, Time: at(2 * gap), Span: iv, Bits: 16, Key: 3}, // last instant in 2·gap
 			},
-			intervals: 21,
+			intervals: 2*gap + 1,
 			want:      StreamStats{Records: 5, InWindow: 3, FarFuture: 2},
-			cells:     map[int]float64{0: 1, 10: 2, 20: 16},
+			cells:     map[int]float64{0: 1, gap: 2, 2 * gap: 16},
 		},
 		{
 			name:   "a negative span is a point at Time",
@@ -846,7 +846,7 @@ func TestStreamClockEdges(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := StreamConfig{Start: start, Interval: iv, Window: tc.window, MaxGap: tc.maxGap}
+			cfg := StreamConfig{Start: start, Interval: iv, Window: tc.window}
 			origin := start
 			if tc.zeroStart {
 				cfg.Start, origin = time.Time{}, tc.recs[0].Time

@@ -112,8 +112,8 @@ func BenchmarkSketchClassifierStep(b *testing.B) {
 		name string
 		cls  func() (*SketchClassifier, error)
 	}{
-		{"misragries", func() (*SketchClassifier, error) { return NewMisraGriesClassifier(64, 0) }},
-		{"spacesaving", func() (*SketchClassifier, error) { return NewSpaceSavingClassifier(64, 0) }},
+		{"misragries", func() (*SketchClassifier, error) { return NewMisraGriesClassifier(64) }},
+		{"spacesaving", func() (*SketchClassifier, error) { return NewSpaceSavingClassifier(64) }},
 	} {
 		cls, err := mk.cls()
 		if err != nil {

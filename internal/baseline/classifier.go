@@ -21,7 +21,8 @@ const (
 // through the same pipeline, engine and CLIs as the paper's schemes.
 // Each interval it feeds every active flow's bandwidth through a fresh
 // sketch and classifies as elephants the flows whose estimated share
-// of the interval's traffic exceeds Fraction. The smoothed threshold is
+// of the interval's traffic exceeds 1/(k+1), the classic support
+// threshold. The smoothed threshold is
 // ignored: like TopKClassifier this baseline is volume-only, with no
 // adaptive threshold and no persistence — exactly what the paper's
 // two-feature scheme is compared against. Memory is bounded by the
@@ -40,9 +41,6 @@ const (
 // snapshot is strictly sorted by prefix, the sketches' prefix
 // tie-break order is exactly the snapshot index order.
 type SketchClassifier struct {
-	// Fraction is the heavy-hitter cut as a share of interval traffic.
-	Fraction float64
-
 	kind sketchKind
 	k    int
 	name string
@@ -73,51 +71,42 @@ type SketchClassifier struct {
 }
 
 // NewMisraGriesClassifier returns a per-interval Misra–Gries
-// heavy-hitter classifier with k counters. fraction <= 0 selects
-// 1/(k+1), the classic support threshold. Both sketch classifiers cut
+// heavy-hitter classifier with k counters. Both sketch classifiers cut
 // on their guaranteed weight (Misra–Gries underestimates,
 // Space-Saving's count minus its error bound), so the elephant set has
 // no false positives; borderline true heavy hitters whose guarantee
 // falls below the cut are missed — part of what the exact adaptive
 // schemes buy over a k-counter memory budget.
-func NewMisraGriesClassifier(k int, fraction float64) (*SketchClassifier, error) {
+func NewMisraGriesClassifier(k int) (*SketchClassifier, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("baseline: misra-gries with k=%d", k)
 	}
-	return newSketchClassifier(sketchMisraGries, fmt.Sprintf("misra-gries-%d", k), k, fraction)
+	return newSketchClassifier(sketchMisraGries, fmt.Sprintf("misra-gries-%d", k), k), nil
 }
 
 // NewSpaceSavingClassifier returns a per-interval Space-Saving
-// heavy-hitter classifier with k counters. fraction <= 0 selects
-// 1/(k+1).
-func NewSpaceSavingClassifier(k int, fraction float64) (*SketchClassifier, error) {
+// heavy-hitter classifier with k counters.
+func NewSpaceSavingClassifier(k int) (*SketchClassifier, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("baseline: space-saving with k=%d", k)
 	}
-	return newSketchClassifier(sketchSpaceSaving, fmt.Sprintf("space-saving-%d", k), k, fraction)
+	return newSketchClassifier(sketchSpaceSaving, fmt.Sprintf("space-saving-%d", k), k), nil
 }
 
-func newSketchClassifier(kind sketchKind, name string, k int, fraction float64) (*SketchClassifier, error) {
-	if fraction >= 1 {
-		return nil, fmt.Errorf("baseline: %s: fraction %v must be below 1", name, fraction)
-	}
-	if fraction <= 0 {
-		fraction = 1 / float64(k+1)
-	}
+func newSketchClassifier(kind sketchKind, name string, k int) *SketchClassifier {
 	c := &SketchClassifier{
-		Fraction: fraction,
-		kind:     kind,
-		k:        k,
-		name:     name,
-		owner:    make([]int32, k),
-		cnt:      make([]float64, k),
-		errv:     make([]float64, k),
+		kind:  kind,
+		k:     k,
+		name:  name,
+		owner: make([]int32, k),
+		cnt:   make([]float64, k),
+		errv:  make([]float64, k),
 	}
 	if kind == sketchSpaceSaving {
 		c.heap = make([]int32, 0, k)
 		c.pos = make([]int32, k)
 	}
-	return c, nil
+	return c
 }
 
 // less orders slots by Space-Saving's eviction key.
@@ -195,7 +184,7 @@ func (c *SketchClassifier) Classify(snap *core.FlowSnapshot, _ float64) core.Ver
 		total = c.runSpaceSaving(snap.Bandwidths())
 		nslots = len(c.heap)
 	}
-	cut := c.Fraction * total
+	cut := 1 / float64(c.k+1) * total
 	c.scratch = c.scratch[:0]
 	// Space-Saving's occupied slots are 0..len(heap) because it never
 	// frees a slot, so both sketches scan the dense slot prefix; the

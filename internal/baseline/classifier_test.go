@@ -30,8 +30,8 @@ func TestSketchClassifierFindsHeavyHitter(t *testing.T) {
 		"10.0.4.0/24": 50,
 	})
 	for name, mk := range map[string]func() (*SketchClassifier, error){
-		"misragries":  func() (*SketchClassifier, error) { return NewMisraGriesClassifier(2, 0.5) },
-		"spacesaving": func() (*SketchClassifier, error) { return NewSpaceSavingClassifier(2, 0.5) },
+		"misragries":  func() (*SketchClassifier, error) { return NewMisraGriesClassifier(2) },
+		"spacesaving": func() (*SketchClassifier, error) { return NewSpaceSavingClassifier(2) },
 	} {
 		cls, err := mk()
 		if err != nil {
@@ -59,7 +59,7 @@ func TestSketchClassifierDeterministic(t *testing.T) {
 		sketchSnap(t, map[string]float64{"10.0.0.0/24": 20, "10.0.4.0/24": 700, "10.0.5.0/24": 650, "10.0.6.0/24": 5}),
 	}
 	mk := func() *SketchClassifier {
-		c, err := NewSpaceSavingClassifier(3, 0)
+		c, err := NewSpaceSavingClassifier(3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,11 +136,11 @@ func TestSketchClassifierMatchesMapSketches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mg, err := NewMisraGriesClassifier(k, 0)
+		mg, err := NewMisraGriesClassifier(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := NewSpaceSavingClassifier(k, 0)
+		ss, err := NewSpaceSavingClassifier(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestSketchClassifierMatchesMapSketches(t *testing.T) {
 				ref  hhSketch
 			}{{"misragries", mg, mgRef}, {"spacesaving", ss, ssRef}} {
 				got := c.cls.Classify(snap, 0).Indices
-				want := referenceVerdict(c.ref, snap, c.cls.Fraction)
+				want := referenceVerdict(c.ref, snap, 1/float64(k+1))
 				if len(got) == 0 && len(want) == 0 {
 					continue
 				}
@@ -173,8 +173,8 @@ func TestSketchClassifierSteadyStateAllocs(t *testing.T) {
 	}
 	snap := sketchSnap(t, bws)
 	for name, mk := range map[string]func() (*SketchClassifier, error){
-		"misragries":  func() (*SketchClassifier, error) { return NewMisraGriesClassifier(16, 0) },
-		"spacesaving": func() (*SketchClassifier, error) { return NewSpaceSavingClassifier(16, 0) },
+		"misragries":  func() (*SketchClassifier, error) { return NewMisraGriesClassifier(16) },
+		"spacesaving": func() (*SketchClassifier, error) { return NewSpaceSavingClassifier(16) },
 	} {
 		cls, err := mk()
 		if err != nil {
@@ -188,17 +188,10 @@ func TestSketchClassifierSteadyStateAllocs(t *testing.T) {
 }
 
 func TestSketchClassifierValidation(t *testing.T) {
-	if _, err := NewMisraGriesClassifier(0, 0); err == nil {
-		t.Error("k=0 accepted")
+	if _, err := NewMisraGriesClassifier(0); err == nil {
+		t.Error("misra-gries k=0 accepted")
 	}
-	if _, err := NewSpaceSavingClassifier(4, 1.5); err == nil {
-		t.Error("fraction>=1 accepted")
-	}
-	c, err := NewMisraGriesClassifier(9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Fraction != 0.1 {
-		t.Errorf("default fraction = %v, want 1/(k+1) = 0.1", c.Fraction)
+	if _, err := NewSpaceSavingClassifier(0); err == nil {
+		t.Error("space-saving k=0 accepted")
 	}
 }

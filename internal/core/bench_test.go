@@ -53,7 +53,7 @@ func BenchmarkAestDetect6k(b *testing.B) {
 
 func BenchmarkSingleFeatureClassify6k(b *testing.B) {
 	snap := benchSnapshot(6500, 3)
-	c := SingleFeatureClassifier{}
+	c := &SingleFeatureClassifier{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Classify(snap, 5e4)
@@ -62,7 +62,9 @@ func BenchmarkSingleFeatureClassify6k(b *testing.B) {
 
 func BenchmarkLatentHeatClassify6k(b *testing.B) {
 	snap := benchSnapshot(6500, 4)
-	c, _ := NewLatentHeatClassifier(12)
+	tb := NewFlowTable()
+	tb.FillIDs(snap)
+	c := boundLatent(b, 12, tb)
 	// Warm the history so the steady-state cost is measured.
 	for i := 0; i < 14; i++ {
 		c.Classify(snap, 5e4)
@@ -83,7 +85,7 @@ func BenchmarkLatentHeatClassify6kAttached(b *testing.B) {
 	tb := NewFlowTable()
 	tb.Pin()
 	tb.FillIDs(snap)
-	cs := []*LatentHeatClassifier{boundLatent(b, 12, 0, tb), boundLatent(b, 12, 0, tb)}
+	cs := []*LatentHeatClassifier{boundLatent(b, 12, tb), boundLatent(b, 12, tb)}
 	wins := ShareLatentWindows(cs)
 	if len(wins) != 1 {
 		b.Fatalf("%d shared windows, want 1", len(wins))

@@ -6,24 +6,6 @@ import (
 	"slices"
 )
 
-// Class is a flow's classification state: the underlying two-state
-// process the scheme induces on every flow.
-type Class uint8
-
-// Class values.
-const (
-	Mouse Class = iota
-	Elephant
-)
-
-// String returns "mouse" or "elephant".
-func (c Class) String() string {
-	if c == Elephant {
-		return "elephant"
-	}
-	return "mouse"
-}
-
 // Verdict is a classifier's elephant set for one interval, expressed
 // against the classified snapshot: Indices are positions in the
 // snapshot's columns (ascending), Offline lists flows that carried no
@@ -51,26 +33,24 @@ type Classifier interface {
 
 // SingleFeatureClassifier implements the paper's single-feature scheme:
 // flow j is an elephant at interval t iff x_j(t) > θ̂(t).
-type SingleFeatureClassifier struct{}
-
-// Name implements Classifier.
-func (SingleFeatureClassifier) Name() string { return "single-feature" }
-
-// Classify implements Classifier.
-func (c SingleFeatureClassifier) Classify(snap *FlowSnapshot, thresholdHat float64) Verdict {
-	return Verdict{Indices: c.appendElephants(nil, snap, thresholdHat)}
+type SingleFeatureClassifier struct {
+	// idx is reused across Classify calls; the returned Verdict
+	// aliases it.
+	idx []int
 }
 
-// appendElephants appends the verdict's indices to a buffer the caller
-// owns: the classifier stays a stateless value, and a pipeline stepping
-// it lends its own buffer and allocates nothing.
-func (SingleFeatureClassifier) appendElephants(dst []int, snap *FlowSnapshot, thresholdHat float64) []int {
+// Name implements Classifier.
+func (*SingleFeatureClassifier) Name() string { return "single-feature" }
+
+// Classify implements Classifier.
+func (c *SingleFeatureClassifier) Classify(snap *FlowSnapshot, thresholdHat float64) Verdict {
+	c.idx = c.idx[:0]
 	for i, bw := range snap.Bandwidths() {
 		if bw > thresholdHat {
-			dst = append(dst, i)
+			c.idx = append(c.idx, i)
 		}
 	}
-	return dst
+	return Verdict{Indices: c.idx}
 }
 
 // LatentHeatClassifier implements the two-feature scheme. For every flow
@@ -83,18 +63,19 @@ func (SingleFeatureClassifier) appendElephants(dst []int, snap *FlowSnapshot, th
 // before a flow's first appearance, and slots where it was idle, count
 // as x_j(i) = 0, so a mouse must overshoot the accumulated threshold
 // deficit before it is promoted — this is what filters one-interval
-// bursts.
+// bursts. A flow idle for 4W intervals is forgotten: its window drained
+// long before, so dropping its state changes no latent heat and only
+// bounds memory on long runs.
 //
 // The sum splits into Σ x_j(i), kept per flow by a LatentWindow, and
 // Σ θ̂(i), kept here; the classifier holds the ring of thresholds and
 // makes the two comparisons — over the snapshot's flows, then over the
 // window's idle ones. Who calls the window's Observe: a classifier on
-// its own (Run, RunStreaming, LivePipeline, standalone use) creates its
-// window on the first Classify and observes each snapshot itself; one
-// that ShareLatentWindows attached to a shared window (a RunMatrix
-// group's cells) leaves that to the window's holder and only reads.
-// The pipeline binds its flow table via BindTable; driven standalone,
-// the classifier owns a private table and interns snapshot keys itself.
+// its own creates its window on the first Classify and observes each
+// snapshot itself; one that ShareLatentWindows attached to a shared
+// window (a RunMatrix group's cells) leaves that to the window's holder
+// and only reads. Either way the classifier runs in a Pipeline, which
+// binds its flow table and stamps every snapshot's ID column from it.
 //
 // Equivalence note: the window sum is maintained incrementally
 // (winSum += bw − old, old being the value that leaves the slot — and
@@ -107,14 +88,10 @@ func (SingleFeatureClassifier) appendElephants(dst []int, snap *FlowSnapshot, th
 // integer-representable (the dual-implementation test asserts
 // bit-equality there). A per-flow nonzero-slot counter snaps the sum
 // back to exactly 0 when the window fully drains, so no residue can
-// misclassify an idle flow or block its eviction.
+// misclassify an idle flow.
 type LatentHeatClassifier struct {
 	// Window is W, the number of timeslots summed. Must be >= 1.
 	Window int
-	// EvictAfter drops a flow's state after this many consecutive idle
-	// intervals with non-positive latent heat, bounding memory on
-	// long runs. Zero selects 4*Window.
-	EvictAfter int
 
 	t int // intervals processed
 
@@ -124,8 +101,8 @@ type LatentHeatClassifier struct {
 	// historical slice-of-thresholds implementation.
 	thrHist []float64
 
-	table    *FlowTable
-	ownTable bool // created lazily here, so Classify advances it too
+	// table is the pipeline's flow table, bound by NewPipeline.
+	table *FlowTable
 
 	// win holds the per-flow bandwidth sums; attached marks a shared
 	// window, which its holder observes, not Classify.
@@ -152,26 +129,10 @@ func NewLatentHeatClassifier(window int) (*LatentHeatClassifier, error) {
 // Name implements Classifier.
 func (c *LatentHeatClassifier) Name() string { return "latent-heat" }
 
-// BindTable attaches the pipeline's flow table. Must be called before
-// the first Classify; the table's owner drives its quarantine clock.
-// Snapshot ID columns handed to Classify must come from this table.
-func (c *LatentHeatClassifier) BindTable(tb *FlowTable) {
-	c.table = tb
-	c.ownTable = false
-}
-
-// evictAfter resolves EvictAfter's zero default.
-func (c *LatentHeatClassifier) evictAfter() int {
-	if c.EvictAfter == 0 {
-		return 4 * c.Window
-	}
-	return c.EvictAfter
-}
-
 // shareable reports whether ShareLatentWindows may attach the
 // classifier to a shared window; see there for the conditions.
 func (c *LatentHeatClassifier) shareable() bool {
-	return c.win == nil && c.t == 0 && c.table != nil && c.table.pinned && c.evictAfter() >= c.Window
+	return c.win == nil && c.t == 0 && c.table != nil && c.table.pinned
 }
 
 // thresholdSum returns Σ θ̂ over the last min(t, Window) slots including
@@ -208,26 +169,24 @@ func (c *LatentHeatClassifier) LatentHeat(p netip.Prefix) (float64, bool) {
 	return c.win.winSum[id] - c.thresholdSum(), true
 }
 
-// Classify implements Classifier.
+// Classify implements Classifier. snap's ID column must be stamped by
+// the table NewPipeline bound, as Pipeline.Step leaves it; anything
+// else is a wiring bug and panics.
 func (c *LatentHeatClassifier) Classify(snap *FlowSnapshot, thresholdHat float64) Verdict {
 	if c.table == nil {
-		c.table = NewFlowTable()
-		c.ownTable = true
+		panic("core: latent-heat classifier without a flow table (run it in a Pipeline)")
 	}
-	// Standalone use: intern the snapshot's keys against the private
-	// table (FillIDs also rewrites columns stamped by a foreign table).
-	// Pipeline-driven snapshots already carry this table's IDs.
 	if !snap.HasIDs() || snap.IDTable() != c.table {
-		c.table.FillIDs(snap)
+		panic("core: latent-heat classifier: snapshot ID column not stamped by the classifier's flow table")
 	}
 	c.thrHist[c.t%c.Window] = thresholdHat // θ̂(t) enters the window
 	c.t++
 	thrSum := c.thresholdSum()
 	if !c.attached {
 		if c.win == nil {
-			c.win = newLatentWindow(c.Window, c.evictAfter(), c.table)
+			c.win = newLatentWindow(c.Window, c.table)
 		}
-		c.win.observe(snap, thrSum)
+		c.win.Observe(snap)
 	} else if c.win.t != c.t {
 		panic(fmt.Sprintf("core: latent-heat classifier at interval %d, its shared window at %d (Observe once per interval, before Classify)", c.t, c.win.t))
 	}
@@ -248,9 +207,6 @@ func (c *LatentHeatClassifier) Classify(snap *FlowSnapshot, thresholdHat float64
 		}
 	}
 	slices.SortFunc(c.offline, ComparePrefix)
-	if c.ownTable {
-		c.table.Advance()
-	}
 	return Verdict{Indices: c.idx, Offline: c.offline}
 }
 

@@ -11,11 +11,11 @@ import (
 // refLatentHeat is the pre-refactor prefix-keyed LatentHeatClassifier,
 // kept verbatim as the behavioural reference for the dense-ID columnar
 // implementation: per-flow ring buffers in a map, O(W) window re-sums,
-// and a full-map idle scan. The equivalence tests drive both
-// implementations with identical inputs and require identical verdicts.
+// and a full-map idle scan, evicting a flow idle for 4W intervals. The
+// equivalence tests drive both implementations with identical inputs
+// and require identical verdicts.
 type refLatentHeat struct {
-	Window     int
-	EvictAfter int
+	Window int
 
 	t       int
 	history []float64
@@ -63,10 +63,7 @@ func (c *refLatentHeat) LatentHeat(p netip.Prefix) (float64, bool) {
 }
 
 func (c *refLatentHeat) Classify(snap *FlowSnapshot, thresholdHat float64) Verdict {
-	evictAfter := c.EvictAfter
-	if evictAfter == 0 {
-		evictAfter = 4 * c.Window
-	}
+	evictAfter := 4 * c.Window
 	c.history = append(c.history, thresholdHat)
 	if len(c.history) > c.Window {
 		c.history = c.history[len(c.history)-c.Window:]
@@ -176,22 +173,17 @@ func TestLatentHeatEquivalence(t *testing.T) {
 		pool[i] = pfx(i)
 	}
 	for _, tc := range []struct {
-		window, evict int
-		integer       bool
+		window  int
+		integer bool
 	}{
-		{1, 0, true}, {2, 3, true}, {3, 2, true}, {12, 0, true}, {12, 4, true},
-		{2, 3, false}, {12, 4, false},
+		{1, true}, {2, true}, {3, true}, {12, true},
+		{2, false}, {12, false},
 	} {
-		name := fmt.Sprintf("w=%d,evict=%d,int=%v", tc.window, tc.evict, tc.integer)
+		name := fmt.Sprintf("w=%d,int=%v", tc.window, tc.integer)
 		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(tc.window*100 + tc.evict)))
-			got, err := NewLatentHeatClassifier(tc.window)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got.EvictAfter = tc.evict
+			rng := rand.New(rand.NewSource(int64(tc.window * 100)))
+			got := newTabled(t, tc.window)
 			want := newRefLatentHeat(tc.window)
-			want.EvictAfter = tc.evict
 			for step := 0; step < 400; step++ {
 				snap := equivInterval(rng, pool, step, tc.integer)
 				var thr float64
@@ -244,13 +236,13 @@ func TestPipelineResultEquivalence(t *testing.T) {
 		}
 		return p
 	}
-	lh, err := NewLatentHeatClassifier(6)
+	// W = 3 evicts after 12 idle intervals, inside fillEquiv's 13-interval
+	// idle phases.
+	lh, err := NewLatentHeatClassifier(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lh.EvictAfter = 5
-	ref := newRefLatentHeat(6)
-	ref.EvictAfter = 5
+	ref := newRefLatentHeat(3)
 	pGot, pWant := mk(lh), mk(ref)
 
 	rng := rand.New(rand.NewSource(99))
@@ -306,21 +298,16 @@ func fillEquiv(dst *FlowSnapshot, pool []netip.Prefix, seed int64, t int) *FlowS
 // warm, Classify must not allocate — per-interval garbage is what the
 // dense-ID refactor exists to eliminate.
 func TestLatentHeatSteadyStateAllocs(t *testing.T) {
-	lh, err := NewLatentHeatClassifier(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := NewFlowTable()
-	lh.BindTable(tbl)
+	lh := newTabled(t, 12)
 	snap := NewFlowSnapshot(512)
 	for i := 0; i < 512; i++ {
 		snap.Append(pfx(i), 1e4+float64(i))
 	}
-	tbl.FillIDs(snap)
+	lh.table.FillIDs(snap)
 	for i := 0; i < 2*12; i++ {
-		lh.Classify(snap, 9e3)
+		lh.LatentHeatClassifier.Classify(snap, 9e3)
 	}
-	if avg := testing.AllocsPerRun(200, func() { lh.Classify(snap, 9e3) }); avg != 0 {
+	if avg := testing.AllocsPerRun(200, func() { lh.LatentHeatClassifier.Classify(snap, 9e3) }); avg != 0 {
 		t.Fatalf("steady-state Classify allocates %v times per interval, want 0", avg)
 	}
 }

@@ -26,14 +26,32 @@ func classifySet(c Classifier, s *FlowSnapshot, theta float64) ElephantSet {
 	return mergeElephantsArena(s, c.Classify(s, theta), nil)
 }
 
-func TestClassString(t *testing.T) {
-	if Mouse.String() != "mouse" || Elephant.String() != "elephant" {
-		t.Error("Class.String broken")
+// tabled drives a latent-heat classifier the way Pipeline.Step does,
+// on a private table: each Classify stamps the snapshot's ID column
+// from the table first and ticks the table's quarantine clock after.
+type tabled struct {
+	*LatentHeatClassifier
+}
+
+func newTabled(t testing.TB, window int) tabled {
+	t.Helper()
+	c, err := NewLatentHeatClassifier(window)
+	if err != nil {
+		t.Fatal(err)
 	}
+	c.table = NewFlowTable()
+	return tabled{c}
+}
+
+func (c tabled) Classify(s *FlowSnapshot, thresholdHat float64) Verdict {
+	c.table.FillIDs(s)
+	v := c.LatentHeatClassifier.Classify(s, thresholdHat)
+	c.table.Advance()
+	return v
 }
 
 func TestSingleFeatureStrictExceed(t *testing.T) {
-	c := SingleFeatureClassifier{}
+	c := &SingleFeatureClassifier{}
 	out := classifySet(c, snap(5, 10, 15), 10)
 	if out.Contains(pfx(0)) {
 		t.Error("flow below threshold classified")
@@ -47,7 +65,7 @@ func TestSingleFeatureStrictExceed(t *testing.T) {
 }
 
 func TestSingleFeatureStateless(t *testing.T) {
-	c := SingleFeatureClassifier{}
+	c := &SingleFeatureClassifier{}
 	a := classifySet(c, snap(20), 10)
 	b := classifySet(c, snap(5), 10)
 	if !a.Contains(pfx(0)) || b.Contains(pfx(0)) {
@@ -56,7 +74,7 @@ func TestSingleFeatureStateless(t *testing.T) {
 }
 
 func TestSingleFeatureIndicesAscending(t *testing.T) {
-	c := SingleFeatureClassifier{}
+	c := &SingleFeatureClassifier{}
 	v := c.Classify(snap(50, 5, 50, 5, 50), 10)
 	if len(v.Offline) != 0 {
 		t.Errorf("stateless classifier produced offline flows: %v", v.Offline)
@@ -91,7 +109,7 @@ func TestLatentHeatValidation(t *testing.T) {
 // TestLatentHeatDefinition verifies LH_j(t) = sum over the window of
 // (x_j(i) - thetaHat(i)) against hand-computed values.
 func TestLatentHeatDefinition(t *testing.T) {
-	c, _ := NewLatentHeatClassifier(3)
+	c := newTabled(t, 3)
 	// Interval 0: x=10, theta=8  -> LH = +2 -> elephant
 	out := classifySet(c, snap(10), 8)
 	if !out.Contains(pfx(0)) {
@@ -129,7 +147,7 @@ func TestLatentHeatDefinition(t *testing.T) {
 // verdict's Offline column — the case an index-only return type cannot
 // express.
 func TestLatentHeatOfflineElephant(t *testing.T) {
-	c, _ := NewLatentHeatClassifier(8)
+	c := newTabled(t, 8)
 	c.Classify(snap(10000), 100)
 	s := snap() // flow 0 idle
 	v := c.Classify(s, 100)
@@ -148,8 +166,8 @@ func TestLatentHeatOfflineElephant(t *testing.T) {
 // bursting above the threshold for a single interval stays a mouse,
 // unlike under single-feature classification.
 func TestLatentHeatFiltersOneSlotBurst(t *testing.T) {
-	lh, _ := NewLatentHeatClassifier(12)
-	sf := SingleFeatureClassifier{}
+	lh := newTabled(t, 12)
+	sf := &SingleFeatureClassifier{}
 	theta := 100.0
 
 	// Eleven intervals of modest traffic below the threshold.
@@ -172,7 +190,7 @@ func TestLatentHeatFiltersOneSlotBurst(t *testing.T) {
 // established elephant dipping below the threshold for one interval
 // stays an elephant.
 func TestLatentHeatToleratesOneSlotDip(t *testing.T) {
-	lh, _ := NewLatentHeatClassifier(12)
+	lh := newTabled(t, 12)
 	theta := 100.0
 	for i := 0; i < 11; i++ {
 		lh.Classify(snap(200), theta)
@@ -186,8 +204,8 @@ func TestLatentHeatToleratesOneSlotDip(t *testing.T) {
 // TestLatentHeatWindowOne: with W=1 the scheme degenerates to
 // single-feature (strictly positive distance).
 func TestLatentHeatWindowOne(t *testing.T) {
-	lh, _ := NewLatentHeatClassifier(1)
-	sf := SingleFeatureClassifier{}
+	lh := newTabled(t, 1)
+	sf := &SingleFeatureClassifier{}
 	for i, bw := range []float64{150, 50, 101} {
 		a := classifySet(lh, snap(bw), 100)
 		b := classifySet(sf, snap(bw), 100)
@@ -202,7 +220,7 @@ func TestLatentHeatWindowOne(t *testing.T) {
 // arrival, so a new flow must overcome the full window deficit — the
 // admission control that kills one-interval elephants.
 func TestLatentHeatNewFlowMidStream(t *testing.T) {
-	lh, _ := NewLatentHeatClassifier(4)
+	lh := newTabled(t, 4)
 	for i := 0; i < 4; i++ {
 		lh.Classify(snap(0, 200), 100) // only flow 1 active
 	}
@@ -219,44 +237,55 @@ func TestLatentHeatNewFlowMidStream(t *testing.T) {
 	}
 }
 
+// TestLatentHeatEviction pins the one eviction rule: a flow idle for
+// 4W−1 intervals is still tracked, one idle for 4W is gone.
 func TestLatentHeatEviction(t *testing.T) {
-	lh, _ := NewLatentHeatClassifier(2)
-	lh.EvictAfter = 3
+	const w = 2
+	lh := newTabled(t, w)
 	lh.Classify(snap(500), 100)
 	if lh.TrackedFlows() != 1 {
 		t.Fatalf("tracked = %d", lh.TrackedFlows())
 	}
-	// Idle long enough to be evicted (needs LH <= 0 as well).
-	for i := 0; i < 6; i++ {
+	for i := 1; i < 4*w; i++ {
 		lh.Classify(snap(), 100)
 	}
+	if _, ok := lh.LatentHeat(pfx(0)); !ok || lh.TrackedFlows() != 1 {
+		t.Fatalf("flow dropped after %d idle intervals, before 4W = %d", 4*w-1, 4*w)
+	}
+	lh.Classify(snap(), 100)
 	if lh.TrackedFlows() != 0 {
-		t.Errorf("idle flow not evicted: tracked = %d", lh.TrackedFlows())
+		t.Errorf("idle flow not evicted after 4W = %d intervals: tracked = %d", 4*w, lh.TrackedFlows())
 	}
 	if _, ok := lh.LatentHeat(pfx(0)); ok {
 		t.Error("evicted flow still reports latent heat")
 	}
 }
 
-func TestLatentHeatEvictionSparesPositiveLH(t *testing.T) {
-	lh, _ := NewLatentHeatClassifier(8)
-	lh.EvictAfter = 2
-	// Huge volume then idle: LH stays positive for a while, so the flow
-	// must survive eviction while it is still (latently) an elephant.
-	lh.Classify(snap(10000), 100)
-	for i := 0; i < 3; i++ {
-		out := classifySet(lh, snap(), 100)
-		if !out.Contains(pfx(0)) {
-			t.Fatalf("interval %d: flow with positive LH lost", i+1)
-		}
+// TestLatentHeatRequiresBoundTable: latent heat runs on its pipeline's
+// table; an unbound classifier, or a snapshot whose IDs another table
+// stamped, is a wiring bug and panics instead of being repaired.
+func TestLatentHeatRequiresBoundTable(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: Classify did not panic", name)
+			}
+		}()
+		f()
 	}
-	if lh.TrackedFlows() != 1 {
-		t.Errorf("flow with positive latent heat evicted")
-	}
+	unbound, _ := NewLatentHeatClassifier(3)
+	mustPanic("unbound", func() { unbound.Classify(snap(10), 1) })
+
+	lh := newTabled(t, 3)
+	mustPanic("unstamped snapshot", func() { lh.LatentHeatClassifier.Classify(snap(10), 1) })
+	foreign := snap(10)
+	NewFlowTable().FillIDs(foreign)
+	mustPanic("foreign IDs", func() { lh.LatentHeatClassifier.Classify(foreign, 1) })
 }
 
 func TestLatentHeatUnknownFlowQuery(t *testing.T) {
-	lh, _ := NewLatentHeatClassifier(4)
+	lh := newTabled(t, 4)
 	if _, ok := lh.LatentHeat(pfx(9)); ok {
 		t.Error("unknown flow reported known")
 	}
@@ -265,7 +294,7 @@ func TestLatentHeatUnknownFlowQuery(t *testing.T) {
 // TestLatentHeatManyFlowsIndependent: flows accumulate independent
 // histories.
 func TestLatentHeatManyFlowsIndependent(t *testing.T) {
-	lh, _ := NewLatentHeatClassifier(6)
+	lh := newTabled(t, 6)
 	theta := 100.0
 	// Flow 0 steady heavy, flow 1 steady light, flow 2 alternating.
 	for i := 0; i < 12; i++ {

@@ -23,14 +23,13 @@ import "fmt"
 // serves the flow that was active W intervals ago and the one that was
 // not. nzSlots counts a flow's nonzero slots so that winSum snaps back
 // to exactly 0 when the window drains: no float residue can reach a
-// classification or block an eviction. lastSeen is the 1-based
+// classification. lastSeen is the 1-based
 // interval of the flow's latest bandwidth, 0 for a flow holding no
 // state; the length of a flow's idle run is the distance from it.
 type LatentWindow struct {
-	window     int
-	evictAfter int
-	table      *FlowTable
-	t          int // intervals observed
+	window int
+	table  *FlowTable
+	t      int // intervals observed
 
 	hist     []float64
 	stride   int
@@ -41,29 +40,26 @@ type LatentWindow struct {
 	idle     []uint32 // of those, the ones absent from the latest snapshot
 }
 
-func newLatentWindow(window, evictAfter int, table *FlowTable) *LatentWindow {
-	return &LatentWindow{window: window, evictAfter: evictAfter, table: table}
+// evictWindows is the eviction rule: a flow idle for evictWindows·W
+// intervals has its state dropped. Its window drained W intervals into
+// the idle run, so its sum is exactly 0 by then and dropping it changes
+// no latent heat, whatever the thresholds; it only bounds memory.
+const evictWindows = 4
+
+func newLatentWindow(window int, table *FlowTable) *LatentWindow {
+	return &LatentWindow{window: window, table: table}
 }
 
-// Observe folds one interval's snapshot into a shared window. Whoever
-// obtained the window from ShareLatentWindows calls it exactly once per
-// interval, before the attached classifiers' Classify calls; the
-// snapshot's ID column must come from a table that numbers flows as
-// the classifiers' tables do.
+// Observe folds one interval's snapshot into the window: the one ring
+// update and the one eviction rule. Active flows get their bandwidth
+// written into the interval's slot; flows holding state but absent from
+// the snapshot get the slot zeroed, and one idle for evictWindows·W
+// intervals is evicted. An owning classifier calls it from Classify;
+// whoever obtained a shared window from ShareLatentWindows calls it
+// exactly once per interval, before the attached classifiers' Classify
+// calls. The snapshot's ID column must come from a table that numbers
+// flows as the classifiers' tables do.
 func (w *LatentWindow) Observe(snap *FlowSnapshot) {
-	// A shared window only exists where evictAfter >= window: a flow idle
-	// that long has sum exactly 0, which is not above any floor >= 0.
-	w.observe(snap, 0)
-}
-
-// observe is the one ring update and the one eviction rule. Active
-// flows get their bandwidth written into the interval's slot; flows
-// holding state but absent from the snapshot get the slot zeroed, and
-// one idle for evictAfter intervals whose sum is not above floor is
-// evicted. An owning classifier passes its Σθ̂ as floor — the flow's
-// latent heat is not positive — exactly the rule from before the window
-// was split out of the classifier.
-func (w *LatentWindow) observe(snap *FlowSnapshot, floor float64) {
 	if !snap.HasIDs() {
 		panic("core: LatentWindow: snapshot without an ID column")
 	}
@@ -99,6 +95,7 @@ func (w *LatentWindow) observe(snap *FlowSnapshot, floor float64) {
 	// sweep covers exactly the flows holding state, compacting out
 	// evictions in place.
 	idle := w.idle[:0]
+	evictAt := int32(evictWindows * w.window)
 	k := 0
 	for _, id := range w.liveIDs {
 		if lastSeen[id] == seen {
@@ -115,7 +112,7 @@ func (w *LatentWindow) observe(snap *FlowSnapshot, floor float64) {
 				winSum[id] -= old
 			}
 		}
-		if int(seen-lastSeen[id]) >= w.evictAfter && !(winSum[id]-floor > 0) {
+		if seen-lastSeen[id] >= evictAt {
 			w.evict(id)
 			continue
 		}
@@ -169,21 +166,14 @@ func (w *LatentWindow) evict(id uint32) {
 // the caller then calls Observe on each window once per interval,
 // before stepping the classifiers, and a classifier that drops out
 // midway does not disturb the others' sums. A group is two or more
-// classifiers with equal Window and resolved EvictAfter, none of which
-// has classified yet, each bound to a pinned table — the caller vouches
-// that those tables number flows identically, as the tables of cells
-// that interned one series' rows in one order do. Everything else keeps
-// owning its window.
+// classifiers with equal Window, none of which has classified yet, each
+// bound to a pinned table — the caller vouches that those tables number
+// flows identically, as the tables of cells that interned one series'
+// rows in one order do. Everything else keeps owning its window.
 //
-// Only classifiers whose EvictAfter is at least their Window share: by
-// the time such a flow may be evicted its window has drained, so
-// dropping its state changes no sum, whichever classifier's thresholds
-// would have decided it. (A shorter EvictAfter lets a classifier evict
-// a flow that still holds bandwidth because its own latent heat is not
-// positive — a decision another threshold sequence would not make.)
-// The one input on which attached and owning classifiers can differ is
-// a negative Σθ̂, under which an owning classifier keeps drained flows
-// as elephants; thresholds are bandwidths, and no detector yields one.
+// The window sums and the eviction rule read bandwidths alone, never a
+// threshold, so an attached classifier answers exactly as one owning
+// its window would.
 func ShareLatentWindows(cls []*LatentHeatClassifier) []*LatentWindow {
 	var wins []*LatentWindow
 	for i, c := range cls {
@@ -191,11 +181,11 @@ func ShareLatentWindows(cls []*LatentHeatClassifier) []*LatentWindow {
 			continue
 		}
 		for _, d := range cls[i+1:] {
-			if !d.shareable() || d.Window != c.Window || d.evictAfter() != c.evictAfter() {
+			if !d.shareable() || d.Window != c.Window {
 				continue
 			}
 			if c.win == nil {
-				c.win, c.attached = newLatentWindow(c.Window, c.evictAfter(), c.table), true
+				c.win, c.attached = newLatentWindow(c.Window, c.table), true
 				wins = append(wins, c.win)
 			}
 			d.win, d.attached = c.win, true

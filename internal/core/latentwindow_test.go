@@ -8,52 +8,50 @@ import (
 
 // boundLatent returns a classifier bound to tb, as NewPipeline leaves
 // one.
-func boundLatent(t testing.TB, window, evict int, tb *FlowTable) *LatentHeatClassifier {
+func boundLatent(t testing.TB, window int, tb *FlowTable) *LatentHeatClassifier {
 	t.Helper()
 	c, err := NewLatentHeatClassifier(window)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EvictAfter = evict
-	c.BindTable(tb)
+	c.table = tb
 	return c
 }
 
 // TestShareLatentWindowsGrouping pins who shares: classifiers with equal
-// window and resolved eviction, two or more, each on a pinned table and
-// not yet stepped; an EvictAfter below the window, a lone classifier, an
-// unpinned or missing table and a classifier already running all keep
-// their own window.
+// window, two or more, each on a pinned table and not yet stepped; a
+// lone classifier, an unpinned or missing table and a classifier already
+// running all keep their own window.
 func TestShareLatentWindowsGrouping(t *testing.T) {
 	pinned := func() *FlowTable {
 		tb := NewFlowTable()
 		tb.Pin()
 		return tb
 	}
-	a := boundLatent(t, 4, 0, pinned())           // 4/16
-	b := boundLatent(t, 4, 16, pinned())          // 4/16, spelled out
-	c := boundLatent(t, 6, 0, pinned())           // 6/24
-	d := boundLatent(t, 6, 0, pinned())           // 6/24
-	short1 := boundLatent(t, 4, 3, pinned())      // evict < window
-	short2 := boundLatent(t, 4, 3, pinned())      // evict < window
-	lone := boundLatent(t, 4, 4, pinned())        // shareable, no partner
-	loose := boundLatent(t, 4, 0, NewFlowTable()) // table not pinned
-	bare, _ := NewLatentHeatClassifier(4)         // no table yet
-	running := boundLatent(t, 4, 0, pinned())
-	running.Classify(NewFlowSnapshot(0), 1)
-	e := boundLatent(t, 4, 0, pinned()) // 4/16 again, listed last
+	a := boundLatent(t, 4, pinned())
+	b := boundLatent(t, 4, pinned())
+	c := boundLatent(t, 6, pinned())
+	d := boundLatent(t, 6, pinned())
+	lone := boundLatent(t, 5, pinned())        // shareable, no partner
+	loose := boundLatent(t, 4, NewFlowTable()) // table not pinned
+	bare, _ := NewLatentHeatClassifier(4)      // no table yet
+	running := boundLatent(t, 4, pinned())
+	first := NewFlowSnapshot(0)
+	running.table.FillIDs(first)
+	running.Classify(first, 1)
+	e := boundLatent(t, 4, pinned()) // window 4 again, listed last
 
-	wins := ShareLatentWindows([]*LatentHeatClassifier{a, short1, c, lone, b, loose, bare, running, d, short2, e})
+	wins := ShareLatentWindows([]*LatentHeatClassifier{a, c, lone, b, loose, bare, running, d, e})
 	if len(wins) != 2 {
 		t.Fatalf("%d shared windows, want 2", len(wins))
 	}
 	if !a.attached || a.win != wins[0] || b.win != wins[0] || e.win != wins[0] {
-		t.Error("window=4 evict=16 classifiers do not share the first window")
+		t.Error("window=4 classifiers do not share the first window")
 	}
 	if !c.attached || c.win != wins[1] || d.win != wins[1] {
 		t.Error("window=6 classifiers do not share the second window")
 	}
-	for name, cl := range map[string]*LatentHeatClassifier{"evict<window": short1, "evict<window (2)": short2, "lone": lone, "unpinned": loose, "unbound": bare} {
+	for name, cl := range map[string]*LatentHeatClassifier{"lone": lone, "unpinned": loose, "unbound": bare} {
 		if cl.attached || cl.win != nil {
 			t.Errorf("%s classifier was attached to a shared window", name)
 		}
@@ -72,7 +70,7 @@ func TestShareLatentWindowsGrouping(t *testing.T) {
 func TestSharedWindowRequiresObserve(t *testing.T) {
 	tb := NewFlowTable()
 	tb.Pin()
-	a, b := boundLatent(t, 3, 0, tb), boundLatent(t, 3, 0, tb)
+	a, b := boundLatent(t, 3, tb), boundLatent(t, 3, tb)
 	if len(ShareLatentWindows([]*LatentHeatClassifier{a, b})) != 1 {
 		t.Fatal("no shared window")
 	}
@@ -89,10 +87,10 @@ func TestSharedWindowRequiresObserve(t *testing.T) {
 
 // sharedShape decodes a fuzz input into one run's parameters.
 type sharedShape struct {
-	window, evict, n int
-	integer          bool
-	dropout          int // attached classifier n-1 stops after this interval
-	phases           []byte
+	window, n int
+	integer   bool
+	dropout   int // attached classifier n-1 stops after this interval
+	phases    []byte
 }
 
 func decodeSharedShape(shape []byte) sharedShape {
@@ -102,13 +100,9 @@ func decodeSharedShape(shape []byte) sharedShape {
 		}
 		return 0
 	}
-	sh := sharedShape{window: 1 + at(0)%8, n: 2 + at(2)%3, integer: at(3)%2 == 0, dropout: 20 + at(4)}
-	// Sharing needs evict >= window; 0 is the 4*window default.
-	if e := at(1) % (2*sh.window + 2); e > 0 {
-		sh.evict = sh.window + e - 1
-	}
-	if len(shape) > 5 {
-		sh.phases = shape[5:]
+	sh := sharedShape{window: 1 + at(0)%8, n: 2 + at(1)%3, integer: at(2)%2 == 0, dropout: 20 + at(3)}
+	if len(shape) > 4 {
+		sh.phases = shape[4:]
 	}
 	return sh
 }
@@ -116,19 +110,20 @@ func decodeSharedShape(shape []byte) sharedShape {
 // FuzzLatentShared is the sum-once contract: one interval sequence
 // through N classifiers attached to one window — observed once per
 // interval — and through N that own their windows (each on a private,
-// unpinned table, so evictions really release and recycle IDs) must
-// give equal verdicts, tracked-flow counts and latent heats every
-// interval, whatever each classifier's thresholds. The sequence has
-// cohorts of flows idling in phases taken from the input — so flows
-// return inside the window, outside it but before eviction, and after
-// it — and per-classifier thresholds that are zero, shared or random.
-// One attached classifier stops midway, as a failed cell does.
+// unpinned table, driven as a pipeline drives it, so evictions really
+// release and recycle IDs) must give equal verdicts, tracked-flow
+// counts and latent heats every interval, whatever each classifier's
+// thresholds. The sequence has cohorts of flows idling in phases taken
+// from the input — so flows return inside the window, outside it but
+// before their 4W eviction, and after it — and per-classifier
+// thresholds that are zero, shared or random. One attached classifier
+// stops midway, as a failed cell does.
 func FuzzLatentShared(f *testing.F) {
-	f.Add(int64(1), []byte{11, 0, 0, 0, 40})
-	f.Add(int64(2), []byte{3, 1, 2, 1, 5, 0xff, 0, 0, 0, 0xff, 0x0f, 0xf0})
-	f.Add(int64(3), []byte{0, 0, 1, 0, 0, 1, 2, 4, 8, 16, 32, 64, 128})
-	f.Add(int64(4), []byte{5, 13, 2, 1, 200, 0xaa, 0x55, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0x55})
-	f.Add(int64(5), []byte{2, 2, 0, 0, 9, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0})
+	f.Add(int64(1), []byte{11, 0, 0, 40})
+	f.Add(int64(2), []byte{3, 2, 1, 5, 0xff, 0, 0, 0, 0xff, 0x0f, 0xf0})
+	f.Add(int64(3), []byte{0, 1, 0, 0, 1, 2, 4, 8, 16, 32, 64, 128})
+	f.Add(int64(4), []byte{5, 2, 1, 200, 0xaa, 0x55, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0x55})
+	f.Add(int64(5), []byte{2, 0, 0, 9, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0})
 	f.Fuzz(func(t *testing.T, seed int64, shape []byte) {
 		sh := decodeSharedShape(shape)
 		rng := rand.New(rand.NewSource(seed))
@@ -139,15 +134,14 @@ func FuzzLatentShared(f *testing.F) {
 		shared := NewFlowTable()
 		shared.Pin()
 		attached := make([]*LatentHeatClassifier, sh.n)
-		owning := make([]*LatentHeatClassifier, sh.n)
+		owning := make([]tabled, sh.n)
 		for j := range attached {
-			attached[j] = boundLatent(t, sh.window, sh.evict, shared)
-			owning[j], _ = NewLatentHeatClassifier(sh.window)
-			owning[j].EvictAfter = sh.evict
+			attached[j] = boundLatent(t, sh.window, shared)
+			owning[j] = newTabled(t, sh.window)
 		}
 		wins := ShareLatentWindows(attached)
 		if len(wins) != 1 {
-			t.Fatalf("window=%d evict=%d: %d shared windows, want 1", sh.window, sh.evict, len(wins))
+			t.Fatalf("window=%d: %d shared windows, want 1", sh.window, len(wins))
 		}
 		sharedSnap, ownSnap := NewFlowSnapshot(len(pool)), NewFlowSnapshot(len(pool))
 		for step := 0; step < 160; step++ {
@@ -190,8 +184,8 @@ func FuzzLatentShared(f *testing.F) {
 				got := attached[j].Classify(sharedSnap, thr)
 				want := owning[j].Classify(ownSnap, thr)
 				if !verdictsEqual(got, want) {
-					t.Fatalf("interval %d classifier %d (window=%d evict=%d): attached %v %v, owning %v %v",
-						step, j, sh.window, sh.evict, got.Indices, got.Offline, want.Indices, want.Offline)
+					t.Fatalf("interval %d classifier %d (window=%d): attached %v %v, owning %v %v",
+						step, j, sh.window, got.Indices, got.Offline, want.Indices, want.Offline)
 				}
 				if g, w := attached[j].TrackedFlows(), owning[j].TrackedFlows(); g != w {
 					t.Fatalf("interval %d classifier %d: attached tracks %d flows, owning %d", step, j, g, w)

@@ -16,7 +16,7 @@ func TestObserverReceivesStepDigest(t *testing.T) {
 		p, err := NewPipeline(Config{
 			Detector:   fixedDetector{100},
 			Alpha:      0.5,
-			Classifier: SingleFeatureClassifier{},
+			Classifier: &SingleFeatureClassifier{},
 			MinFlows:   1,
 			Observer:   obs,
 		})
@@ -68,7 +68,7 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 		p, err := NewPipeline(Config{
 			Detector:   fixedDetector{90},
 			Alpha:      0.5,
-			Classifier: SingleFeatureClassifier{},
+			Classifier: &SingleFeatureClassifier{},
 			MinFlows:   1,
 			Observer:   obs,
 		})
@@ -100,7 +100,7 @@ func TestObserverSkippedOnError(t *testing.T) {
 	p, err := NewPipeline(Config{
 		Detector:   fixedDetector{100},
 		Alpha:      0.5,
-		Classifier: SingleFeatureClassifier{},
+		Classifier: &SingleFeatureClassifier{},
 		MinFlows:   4,
 		Observer:   rec,
 	})

@@ -22,7 +22,7 @@ type Config struct {
 	// sufficiently smooth. Must be in [0, 1).
 	Alpha float64
 	// Classifier decides membership each interval. Required (use
-	// SingleFeatureClassifier{} or NewLatentHeatClassifier).
+	// &SingleFeatureClassifier{} or NewLatentHeatClassifier).
 	Classifier Classifier
 	// MinFlows is the minimum number of active flows required to run
 	// detection; below it the previous threshold is reused. Defaults
@@ -89,24 +89,12 @@ type Pipeline struct {
 	// Producers that feed the pipeline (the engine's stream
 	// accumulators) share it so emitted snapshots carry IDs already.
 	table *FlowTable
-	// needIDs records whether the classifier consumes the ID column;
+	// needIDs records whether the classifier consumes the ID column
+	// (latent heat, whose per-flow columns the table indexes);
 	// snapshots arriving without one are filled from the table.
 	needIDs bool
-	// single records that the classifier is exactly the stateless
-	// SingleFeatureClassifier value (not a type embedding it), which
-	// writes its verdict into idx, the pipeline's reused index buffer,
-	// instead of growing a fresh slice every interval.
-	single bool
-	idx    []int
 	// arena amortizes the per-interval ElephantSet storage.
 	arena prefixArena
-}
-
-// TableBinder is implemented by classifiers that keep per-flow state in
-// dense-ID-indexed columns (LatentHeatClassifier). NewPipeline binds
-// its flow table to such classifiers once at construction.
-type TableBinder interface {
-	BindTable(*FlowTable)
 }
 
 // NewPipeline validates cfg and returns a ready pipeline.
@@ -124,11 +112,10 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		cfg.MinFlows = 16
 	}
 	p := &Pipeline{cfg: cfg, ewma: stats.NewEWMA(cfg.Alpha), table: NewFlowTable()}
-	if tb, ok := cfg.Classifier.(TableBinder); ok {
-		tb.BindTable(p.table)
+	if lh, ok := cfg.Classifier.(*LatentHeatClassifier); ok {
+		lh.table = p.table
 		p.needIDs = true
 	}
-	_, p.single = cfg.Classifier.(SingleFeatureClassifier)
 	return p, nil
 }
 
@@ -251,13 +238,7 @@ func (p *Pipeline) Step(snap *FlowSnapshot) (Result, error) {
 	if obs != nil {
 		classifyStart = time.Now()
 	}
-	var v Verdict
-	if p.single {
-		p.idx = SingleFeatureClassifier{}.appendElephants(p.idx[:0], snap, res.Threshold)
-		v.Indices = p.idx
-	} else {
-		v = p.cfg.Classifier.Classify(snap, res.Threshold)
-	}
+	v := p.cfg.Classifier.Classify(snap, res.Threshold)
 	var classifyEnd time.Time
 	if obs != nil {
 		classifyEnd = time.Now()

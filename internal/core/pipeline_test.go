@@ -16,7 +16,7 @@ func (d fixedDetector) Name() string                                    { return
 
 func TestNewPipelineValidation(t *testing.T) {
 	det := fixedDetector{10}
-	cls := SingleFeatureClassifier{}
+	cls := &SingleFeatureClassifier{}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -34,7 +34,7 @@ func TestNewPipelineValidation(t *testing.T) {
 }
 
 func TestPipelineBootstrapUsesRawThreshold(t *testing.T) {
-	p, err := NewPipeline(Config{Detector: fixedDetector{100}, Alpha: 0.5, Classifier: SingleFeatureClassifier{}, MinFlows: 1})
+	p, err := NewPipeline(Config{Detector: fixedDetector{100}, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestPipelineBootstrapUsesRawThreshold(t *testing.T) {
 // exactly the next interval index and rejects gaps and replays, so a
 // streaming producer cannot silently skew the EWMA timeline.
 func TestStepSnapshotOrderEnforced(t *testing.T) {
-	p, err := NewPipeline(Config{Detector: fixedDetector{100}, Alpha: 0.5, Classifier: SingleFeatureClassifier{}, MinFlows: 1})
+	p, err := NewPipeline(Config{Detector: fixedDetector{100}, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestPipelinePhaseOrdering(t *testing.T) {
 		i++
 		return v, nil
 	})
-	p, _ := NewPipeline(Config{Detector: det, Alpha: 0.5, Classifier: SingleFeatureClassifier{}, MinFlows: 1})
+	p, _ := NewPipeline(Config{Detector: det, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 1})
 
 	r0, _ := p.Step(snap(1000))
 	if r0.Threshold != 100 { // bootstrap
@@ -129,7 +129,7 @@ func TestPipelineMinFlowsReusesThreshold(t *testing.T) {
 		calls++
 		return 100, nil
 	})
-	p, _ := NewPipeline(Config{Detector: det, Alpha: 0.5, Classifier: SingleFeatureClassifier{}, MinFlows: 3})
+	p, _ := NewPipeline(Config{Detector: det, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 3})
 
 	if _, err := p.Step(snap(10, 20, 30)); err != nil {
 		t.Fatal(err)
@@ -152,14 +152,14 @@ func TestPipelineMinFlowsReusesThreshold(t *testing.T) {
 }
 
 func TestPipelineSparseFirstIntervalFails(t *testing.T) {
-	p, _ := NewPipeline(Config{Detector: fixedDetector{1}, Alpha: 0.5, Classifier: SingleFeatureClassifier{}, MinFlows: 5})
+	p, _ := NewPipeline(Config{Detector: fixedDetector{1}, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 5})
 	if _, err := p.Step(snap(10)); err == nil {
 		t.Error("sparse bootstrap interval must fail: no prior threshold exists")
 	}
 }
 
 func TestPipelineResultAccounting(t *testing.T) {
-	p, _ := NewPipeline(Config{Detector: fixedDetector{100}, Alpha: 0.5, Classifier: SingleFeatureClassifier{}, MinFlows: 1})
+	p, _ := NewPipeline(Config{Detector: fixedDetector{100}, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 1})
 	res, err := p.Step(snap(150, 250, 50))
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestPipelineResultAccounting(t *testing.T) {
 }
 
 func TestPipelineIgnoresNonPositiveBandwidths(t *testing.T) {
-	p, _ := NewPipeline(Config{Detector: fixedDetector{10}, Alpha: 0.5, Classifier: SingleFeatureClassifier{}, MinFlows: 1})
+	p, _ := NewPipeline(Config{Detector: fixedDetector{10}, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 1})
 	s := SnapshotFromMap(map[netip.Prefix]float64{pfx(0): 100, pfx(1): 0, pfx(2): -5}, nil)
 	res, err := p.Step(s)
 	if err != nil {
@@ -194,7 +194,7 @@ func TestPipelineIgnoresNonPositiveBandwidths(t *testing.T) {
 }
 
 func TestPipelineRejectsUnsortedSnapshot(t *testing.T) {
-	p, _ := NewPipeline(Config{Detector: fixedDetector{10}, Alpha: 0.5, Classifier: SingleFeatureClassifier{}, MinFlows: 1})
+	p, _ := NewPipeline(Config{Detector: fixedDetector{10}, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 1})
 	s := NewFlowSnapshot(2)
 	s.Append(pfx(3), 10)
 	s.Append(pfx(1), 10) // out of order, no Sort call
@@ -212,7 +212,7 @@ func TestPipelineDebugInvariants(t *testing.T) {
 	DebugInvariants = true
 	defer func() { DebugInvariants = false }()
 
-	p, _ := NewPipeline(Config{Detector: fixedDetector{10}, Alpha: 0.5, Classifier: SingleFeatureClassifier{}, MinFlows: 1})
+	p, _ := NewPipeline(Config{Detector: fixedDetector{10}, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 1})
 	if _, err := p.Step(snap(100, 200)); err != nil {
 		t.Fatalf("valid snapshot rejected under debug checks: %v", err)
 	}
@@ -252,7 +252,7 @@ func TestPipelineAlphaZeroTracksRaw(t *testing.T) {
 	seq := []float64{100, 300, 700}
 	i := 0
 	det := detectorFunc(func(_, _ []float64) (float64, error) { v := seq[i]; i++; return v, nil })
-	p, _ := NewPipeline(Config{Detector: det, Alpha: 0, Classifier: SingleFeatureClassifier{}, MinFlows: 1})
+	p, _ := NewPipeline(Config{Detector: det, Alpha: 0, Classifier: &SingleFeatureClassifier{}, MinFlows: 1})
 	p.Step(snap(1))
 	r1, _ := p.Step(snap(1))
 	r2, _ := p.Step(snap(1))
@@ -270,7 +270,7 @@ func TestPipelineSmoothness(t *testing.T) {
 		det := detectorFunc(func(_, _ []float64) (float64, error) {
 			return 100 * math.Exp(rng.NormFloat64()), nil
 		})
-		p, _ := NewPipeline(Config{Detector: det, Alpha: alpha, Classifier: SingleFeatureClassifier{}, MinFlows: 1})
+		p, _ := NewPipeline(Config{Detector: det, Alpha: alpha, Classifier: &SingleFeatureClassifier{}, MinFlows: 1})
 		var prev float64
 		var incs []float64
 		for i := 0; i < 300; i++ {
@@ -303,7 +303,7 @@ func TestPipelineDetectorErrorPropagates(t *testing.T) {
 	det := detectorFunc(func(_, _ []float64) (float64, error) {
 		return 0, errTest
 	})
-	p, _ := NewPipeline(Config{Detector: det, Alpha: 0.5, Classifier: SingleFeatureClassifier{}, MinFlows: 1})
+	p, _ := NewPipeline(Config{Detector: det, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 1})
 	if _, err := p.Step(snap(1)); err == nil {
 		t.Error("detector error swallowed")
 	}
@@ -317,7 +317,7 @@ type DetectorError struct{}
 func (*DetectorError) Error() string { return "detector boom" }
 
 func TestPipelineConfigEcho(t *testing.T) {
-	p, _ := NewPipeline(Config{Detector: fixedDetector{1}, Alpha: 0.5, Classifier: SingleFeatureClassifier{}})
+	p, _ := NewPipeline(Config{Detector: fixedDetector{1}, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}})
 	if p.Config().MinFlows != 16 {
 		t.Errorf("default MinFlows = %d, want 16", p.Config().MinFlows)
 	}
@@ -327,7 +327,7 @@ func TestPipelineConfigEcho(t *testing.T) {
 // resetting and refilling the snapshot for the next interval must not
 // corrupt earlier results — the reuse contract the engine relies on.
 func TestPipelineResultOutlivesSnapshot(t *testing.T) {
-	p, _ := NewPipeline(Config{Detector: fixedDetector{100}, Alpha: 0.5, Classifier: SingleFeatureClassifier{}, MinFlows: 1})
+	p, _ := NewPipeline(Config{Detector: fixedDetector{100}, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 1})
 	s := NewFlowSnapshot(2)
 	s.Append(pfx(0), 150)
 	s.Append(pfx(1), 50)

@@ -116,11 +116,6 @@ func (d *ConstantLoadDetector) DetectThreshold(_, sorted []float64) (float64, er
 // (heavy-tail) behaviour is witnessed, found with the Crovella–Taqqu
 // scaling estimator.
 type AestDetector struct {
-	// FallbackQuantile is the bandwidth quantile used as the threshold
-	// when no tail is detectable in an interval (small samples, light
-	// tails). Zero means 0.95.
-	FallbackQuantile float64
-
 	// scratch is the estimator's reusable working arena; it makes
 	// steady-state detection allocation-free and ties the detector to a
 	// single goroutine at a time (which Detector already implies —
@@ -128,7 +123,11 @@ type AestDetector struct {
 	scratch stats.AestScratch
 }
 
-// NewAestDetector returns a detector with the default fallback quantile.
+// aestFallback is the bandwidth quantile used as the threshold when no
+// tail is detectable in an interval (small samples, light tails).
+const aestFallback = 0.95
+
+// NewAestDetector returns the aest detector.
 func NewAestDetector() *AestDetector { return &AestDetector{} }
 
 // Name implements Detector.
@@ -145,9 +144,5 @@ func (d *AestDetector) DetectThreshold(bandwidths, sorted []float64) (float64, e
 	if res := d.scratch.AestSorted(bandwidths, sorted); res.TailFound {
 		return res.TailOnset, nil
 	}
-	fq := d.FallbackQuantile
-	if fq == 0 {
-		fq = 0.95
-	}
-	return stats.QuantileSorted(sorted, fq), nil
+	return stats.QuantileSorted(sorted, aestFallback), nil
 }

@@ -53,7 +53,7 @@ func randomSnaps(seed int64, n int) []*FlowSnapshot {
 // state threading across both kinds.
 func TestPipelineThresholdSourceEquivalence(t *testing.T) {
 	cfg := func() Config {
-		return Config{Detector: NewAestDetector(), Alpha: 0.5, Classifier: SingleFeatureClassifier{}, MinFlows: 16}
+		return Config{Detector: NewAestDetector(), Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 16}
 	}
 	snaps := randomSnaps(42, 50)
 
@@ -98,7 +98,7 @@ func TestPipelineThresholdSourceEquivalence(t *testing.T) {
 // uses.
 func TestPipelineThresholdSourceError(t *testing.T) {
 	detErr := errors.New("core: aest: empty interval")
-	c := Config{Detector: NewAestDetector(), Alpha: 0.5, Classifier: SingleFeatureClassifier{}, MinFlows: 1,
+	c := Config{Detector: NewAestDetector(), Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 1,
 		Thresholds: &columnSource{errs: map[int]error{0: detErr}}}
 	p, err := NewPipeline(c)
 	if err != nil {

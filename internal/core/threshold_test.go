@@ -200,19 +200,6 @@ func TestAestDetectorFallback(t *testing.T) {
 	}
 }
 
-func TestAestDetectorCustomFallbackQuantile(t *testing.T) {
-	d := NewAestDetector()
-	d.FallbackQuantile = 0.5
-	bws := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	theta, err := detect(d, bws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if theta > 9 {
-		t.Errorf("theta = %v, expected near the median with FallbackQuantile 0.5", theta)
-	}
-}
-
 // TestDetectorsQuickInvariants: no detector may return a negative or NaN
 // threshold on positive input.
 func TestDetectorsQuickInvariants(t *testing.T) {
@@ -277,7 +264,7 @@ func refConstantLoad(beta float64, bws []float64) (float64, error) {
 // refAest is the aest technique on the raw column: the package-level
 // estimator, which filters and sorts for itself, and the fallback
 // quantile of a sorted copy when it finds no tail.
-func refAest(fallback float64, bws []float64) (float64, error) {
+func refAest(bws []float64) (float64, error) {
 	if len(bws) == 0 {
 		return 0, fmt.Errorf("empty interval")
 	}
@@ -286,7 +273,7 @@ func refAest(fallback float64, bws []float64) (float64, error) {
 	}
 	sorted := append([]float64(nil), bws...)
 	sort.Float64s(sorted)
-	return stats.QuantileSorted(sorted, fallback), nil
+	return stats.QuantileSorted(sorted, 0.95), nil
 }
 
 // fuzzColumn decodes a bandwidth column: each big-endian uint16 u is the
@@ -357,11 +344,7 @@ func FuzzDetectThreshold(f *testing.F) {
 		}
 		dets = append(dets, detector{d.Name(), d, func(bw []float64) (float64, error) { return refConstantLoad(beta, bw) }})
 	}
-	for _, fq := range []float64{0.5, 0.95} {
-		d := NewAestDetector()
-		d.FallbackQuantile = fq
-		dets = append(dets, detector{fmt.Sprintf("aest/fallback=%v", fq), d, func(bw []float64) (float64, error) { return refAest(fq, bw) }})
-	}
+	dets = append(dets, detector{"aest", NewAestDetector(), refAest})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		bws := fuzzColumn(b)
 		sorted := append([]float64(nil), bws...)

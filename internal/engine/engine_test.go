@@ -138,7 +138,7 @@ func TestEngineSharedSeries(t *testing.T) {
 			if err != nil {
 				return core.Config{}, err
 			}
-			return core.Config{Detector: det, Alpha: 0.5, Classifier: core.SingleFeatureClassifier{}, MinFlows: 4}, nil
+			return core.Config{Detector: det, Alpha: 0.5, Classifier: &core.SingleFeatureClassifier{}, MinFlows: 4}, nil
 		}
 		return []Link{
 			{ID: "shared/latent", Series: shared, Config: schemeConfig},
@@ -322,7 +322,7 @@ func TestRunStreamingConservation(t *testing.T) {
 		stale   = agg.Record{Prefix: flow, Time: at(1 * iv), Bits: 1e6}                             // behind the closed edge
 		clipped = agg.Record{Prefix: flow, Time: at(4*iv + iv/2), Span: iv + iv/2, Bits: 3e6}       // half in closed interval 4
 		zero    = agg.Record{Prefix: flow, Time: at(6 * iv)}                                        // no bits
-		far     = agg.Record{Prefix: flow, Time: at((agg.DefaultStreamMaxGap + 100) * iv), Bits: 1} // past MaxGap
+		far     = agg.Record{Prefix: flow, Time: at((agg.DefaultStreamMaxGap + 100) * iv), Bits: 1} // past DefaultStreamMaxGap
 		dup     = base[cut-1]
 	)
 	boom := errors.New("boom")

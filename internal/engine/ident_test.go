@@ -11,19 +11,19 @@ import (
 	"repro/internal/core"
 )
 
-// churnConfig builds a pipeline whose classifier evicts aggressively,
-// so flow-table releases, quarantined IDs, resurrections and recycling
-// all happen inside a short trace.
+// churnConfig builds a pipeline whose classifier evicts aggressively —
+// W = 1, so a flow idle for 4 intervals is dropped — so flow-table
+// releases, quarantined IDs, resurrections and recycling all happen
+// inside a short trace.
 func churnConfig() (core.Config, error) {
 	det, err := core.NewConstantLoadDetector(0.8)
 	if err != nil {
 		return core.Config{}, err
 	}
-	lh, err := core.NewLatentHeatClassifier(2)
+	lh, err := core.NewLatentHeatClassifier(1)
 	if err != nil {
 		return core.Config{}, err
 	}
-	lh.EvictAfter = 2
 	return core.Config{Detector: det, Alpha: 0.5, Classifier: lh, MinFlows: 2}, nil
 }
 
@@ -39,8 +39,8 @@ func churnRecords(seed int64, intervals int, iv time.Duration) []agg.Record {
 		switch {
 		case f < 4: // anchors: always on, keep MinFlows satisfied
 			return true
-		case f < 20: // churners: short idle phases (evict + resurrect)
-			return (t+f)%9 >= 3
+		case f < 20: // churners: idle phases just past eviction (evict + resurrect)
+			return (t+f)%11 >= 5
 		case f < 28: // sleepers: one long absence > quarantine
 			return t < 5 || t > 5+20+f%7
 		default: // late arrivals: first seen after IDs were freed

@@ -35,7 +35,7 @@ func TestLivePipelineWatermarkLag(t *testing.T) {
 			return core.Config{
 				Detector:   constDetector{100},
 				Alpha:      0.5,
-				Classifier: core.SingleFeatureClassifier{},
+				Classifier: &core.SingleFeatureClassifier{},
 				MinFlows:   1,
 			}, nil
 		},

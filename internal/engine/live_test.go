@@ -470,7 +470,7 @@ func oneFlowConfig() (core.Config, error) {
 	return core.Config{
 		Detector:   constDetector{100},
 		Alpha:      0.5,
-		Classifier: core.SingleFeatureClassifier{},
+		Classifier: &core.SingleFeatureClassifier{},
 		MinFlows:   1,
 	}, nil
 }

@@ -22,12 +22,13 @@ type MatrixLink struct {
 
 // MatrixID names one (link, spec) cell of a matrix run:
 // "linkID/canonical-spec". Pipeline-level Spec fields that sit outside
-// the spec grammar (Alpha, MinFlows) are appended when set, so specs
+// the spec grammar (Alpha, MinFlows) are appended when they differ from
+// Parse's defaults, so specs
 // differing only in those fields — an alpha sweep on the matrix — get
 // distinct cell IDs instead of a duplicate-ID rejection.
 func MatrixID(linkID string, sp *scheme.Spec) string {
 	id := linkID + "/" + sp.String()
-	if sp.Alpha != 0 && sp.Alpha != scheme.DefaultAlpha {
+	if sp.Alpha != scheme.DefaultAlpha {
 		id += fmt.Sprintf("@alpha=%v", sp.Alpha)
 	}
 	if sp.MinFlows != 0 {

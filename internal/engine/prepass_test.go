@@ -127,8 +127,8 @@ func TestPrepassThresholdCacheKeys(t *testing.T) {
 		scheme.MustParse("load:beta=0.8+single"),
 		scheme.MustParse("load:beta=0.8+latent"), // same detector, different classifier
 		scheme.MustParse("load:beta=0.6+single"), // one param differs
-		scheme.MustParse("aest+single"),
-		scheme.MustParse("aest:fallback=0.9+single"), // one param differs
+		scheme.MustParse("fixed:theta=1e5+single"),
+		scheme.MustParse("fixed:theta=2e5+single"), // one param differs
 	}
 	e := &MultiLinkEngine{Workers: 2}
 	cols := e.prepassThresholds(links, specs)
@@ -150,7 +150,7 @@ func TestPrepassThresholdCacheKeys(t *testing.T) {
 		t.Fatalf("beta=0.8 and beta=0.6 share key %q", specs[0].DetectorKey())
 	}
 	if specs[3].DetectorKey() == specs[4].DetectorKey() {
-		t.Fatalf("default and explicit fallback share key %q", specs[3].DetectorKey())
+		t.Fatalf("theta=1e5 and theta=2e5 share key %q", specs[3].DetectorKey())
 	}
 	// The shared column must really differ between the two betas.
 	c8, c6 := m[specs[0].DetectorKey()], m[specs[2].DetectorKey()]
@@ -180,11 +180,8 @@ func TestPrepassCoversDetectionErrors(t *testing.T) {
 		{ID: "early", Series: gappedSeries(1, 40, n, gaps["early"]...)},
 		{ID: "late", Series: gappedSeries(2, 40, n, gaps["late"]...)},
 	}
-	sp := &scheme.Spec{
-		Detector:   scheme.Component{Name: "load"},
-		Classifier: scheme.Component{Name: "single"},
-		MinFlows:   -1, // force detection even on empty intervals
-	}
+	sp := scheme.MustParse("load+single")
+	sp.MinFlows = -1 // force detection even on empty intervals
 	specs := []*scheme.Spec{sp}
 	assertMatrixMatchesPerCell(t, links, specs)
 

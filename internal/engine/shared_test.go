@@ -53,10 +53,8 @@ func alphaSpec(grammar string, alpha float64) *scheme.Spec {
 // set of window sums stay byte-identical to the perCell oracle, whose
 // every cell owns its window. The spec list mixes what shares — one
 // window across two detectors and across alphas, a second window in the
-// same group, an eviction horizon just past the window so flows are
-// evicted in numbers — with what must not: a pair of evict<window specs
-// (their evictions depend on each one's own thresholds) and a
-// single-feature cell.
+// same group, a window short enough that flows are evicted in numbers —
+// with what must not: a single-feature cell.
 // Worker counts 1, 2 and 8 cut the list into one, two and four groups a
 // link, so the cells that end up sharing differ from run to run.
 func TestRunMatrixSharedWindows(t *testing.T) {
@@ -71,11 +69,9 @@ func TestRunMatrixSharedWindows(t *testing.T) {
 		alphaSpec("load+latent:window=4", 0.8),
 		scheme.MustParse("load+latent:window=6"),
 		scheme.MustParse("aest+latent:window=6"),
-		scheme.MustParse("load+latent:window=4,evict=2"),
-		scheme.MustParse("aest+latent:window=4,evict=2"),
 		scheme.MustParse("load+single"),
-		scheme.MustParse("load+latent:window=3,evict=4"),
-		scheme.MustParse("aest+latent:window=3,evict=4"),
+		scheme.MustParse("load+latent:window=2"),
+		scheme.MustParse("aest+latent:window=2"),
 		scheme.MustParse("load+latent"),
 		scheme.MustParse("aest+latent"),
 	}
@@ -139,7 +135,6 @@ func TestSharedWindowAnswersLikeOwning(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lh.EvictAfter = 5
 			lhs[i] = lh
 			out[i].ID = fmt.Sprint("cell", i)
 			cells[i] = cell{out: &out[i], config: func() (core.Config, error) {
@@ -191,5 +186,74 @@ func TestSharedWindowAnswersLikeOwning(t *testing.T) {
 	}
 	if evicted == 0 {
 		t.Error("no flow was evicted by the end of the run; the comparison never saw the eviction rule")
+	}
+}
+
+// TestLatentEvictionBoundary pins the one eviction rule end to end: a
+// flow idle for 4W−1 intervals is still tracked, one idle for 4W is
+// gone — owning its window or sharing one, under every registered
+// detector, whatever thresholds each yields.
+func TestLatentEvictionBoundary(t *testing.T) {
+	const w, active = 3, 5
+	leaver := netip.MustParsePrefix("10.9.9.0/24")
+	series := func(idle int) *agg.Series {
+		n := active + idle
+		s := agg.NewSeries(start, 5*time.Minute, n)
+		rng := rand.New(rand.NewSource(1))
+		for f := 0; f < 40; f++ { // always on, so every interval detects
+			p := netip.MustParsePrefix(fmt.Sprintf("10.0.%d.0/24", f))
+			for ti := 0; ti < n; ti++ {
+				s.SetBandwidth(p, ti, 1e3*math.Exp(2*rng.NormFloat64()))
+			}
+		}
+		for ti := 0; ti < active; ti++ {
+			s.SetBandwidth(leaver, ti, 1e6)
+		}
+		return s
+	}
+	for _, det := range scheme.DetectorExamples() {
+		sp := scheme.MustParse(fmt.Sprintf("%s+latent:window=%d", det, w))
+		for _, shared := range []bool{false, true} {
+			for _, idle := range []int{4*w - 1, 4 * w} {
+				s := series(idle)
+				lhs := make([]*core.LatentHeatClassifier, 2)
+				out := make([]LinkResult, 2)
+				cells := make([]cell, 2)
+				for i := range cells {
+					out[i].ID = fmt.Sprint("cell", i)
+					cells[i] = cell{out: &out[i], config: func() (core.Config, error) {
+						cfg, err := sp.Config()
+						if err == nil {
+							lhs[i] = cfg.Classifier.(*core.LatentHeatClassifier)
+						}
+						return cfg, err
+					}}
+				}
+				snap := core.NewFlowSnapshot(0)
+				if shared {
+					seriesTask{series: s, cells: cells}.run(snap, nil)
+				} else {
+					seriesTask{series: s, cells: cells[:1]}.run(snap, nil)
+					seriesTask{series: s, cells: cells[1:]}.run(snap, nil)
+				}
+				name := fmt.Sprintf("%s shared=%v idle=%d", sp, shared, idle)
+				if (reflect.ValueOf(lhs[0]).Elem().FieldByName("win").Pointer() ==
+					reflect.ValueOf(lhs[1]).Elem().FieldByName("win").Pointer()) != shared {
+					t.Fatalf("%s: the two cells' windows are not as set up", name)
+				}
+				want, flows := idle < 4*w, 40
+				if want {
+					flows++
+				}
+				for i, lh := range lhs {
+					if out[i].Err != nil {
+						t.Fatalf("%s: cell %d: %v", name, i, out[i].Err)
+					}
+					if _, tracked := lh.LatentHeat(leaver); tracked != want || lh.TrackedFlows() != flows {
+						t.Errorf("%s: cell %d tracks the idle flow: %v (%d flows), want %v (%d)", name, i, tracked, lh.TrackedFlows(), want, flows)
+					}
+				}
+			}
+		}
 	}
 }

@@ -24,11 +24,6 @@ var (
 	AlphaSweep = Sweep{"alpha", []float64{0, 0.25, 0.5, 0.75, 0.9}, func(a float64) *scheme.Spec {
 		sp := PaperSpec()
 		sp.Alpha = a
-		if a == 0 {
-			// Spec.Alpha treats 0 as unset; encode "no smoothing" as a
-			// tiny epsilon that the pipeline accepts.
-			sp.Alpha = 1e-9
-		}
 		return sp
 	}}
 	WindowSweep = Sweep{"window", []float64{1, 6, 12, 24}, func(w float64) *scheme.Spec {

@@ -65,7 +65,7 @@ func TestPaperSpec(t *testing.T) {
 		t.Errorf("PaperSpec().Name() = %q", a.Name())
 	}
 	a.Alpha = 0.9
-	if b.Alpha != 0 {
+	if b.Alpha != scheme.DefaultAlpha {
 		t.Error("PaperSpec() returned shared state")
 	}
 }

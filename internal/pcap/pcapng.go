@@ -87,10 +87,6 @@ func NewNgReader(r io.Reader) (*NgReader, error) {
 	return &NgReader{r: r, order: order}, nil
 }
 
-// Interfaces reports how many interface description blocks have been
-// seen so far.
-func (r *NgReader) Interfaces() int { return len(r.ifaces) }
-
 // ReadPacket returns the next enhanced packet. Interface description
 // blocks are consumed transparently; unknown block types are skipped.
 // io.EOF marks a clean end of file.

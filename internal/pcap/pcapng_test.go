@@ -52,9 +52,6 @@ func TestNgRoundtrip(t *testing.T) {
 	if _, _, err := r.ReadPacket(); err != io.EOF {
 		t.Errorf("after last packet: %v, want EOF", err)
 	}
-	if r.Interfaces() != 1 {
-		t.Errorf("interfaces = %d", r.Interfaces())
-	}
 }
 
 func TestNgNotPcapng(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 func FuzzParseSpec(f *testing.F) {
 	seeds := []string{
 		"", "load", "aest", "load+latent", "load:beta=0.8+latent:window=12",
-		"fixed:theta=2e6+topk:k=50", "misragries:k=20,frac=0.01",
+		"fixed:theta=2e6+topk:k=50", "misragries:k=20",
 		"spacesaving", " load : beta = 0.7 ", "load+latent+single",
 		"load:beta=0.8,beta=0.9", "a+b+c", ":::", "+=,", "load:", "+",
 		"load:beta=2e+06", "latent:window=-1", "\x00", "löad+låtent",

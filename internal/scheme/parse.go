@@ -34,13 +34,13 @@ func Parse(spec string) (*Spec, error) {
 			if err := def.knownKeys(comp.Params); err != nil {
 				return nil, specErr(spec, err)
 			}
-			return &Spec{Detector: comp, Classifier: Component{Name: "single"}}, nil
+			return &Spec{Detector: comp, Classifier: Component{Name: "single"}, Alpha: DefaultAlpha}, nil
 		}
 		if def, ok := classifiers[comp.Name]; ok {
 			if err := def.knownKeys(comp.Params); err != nil {
 				return nil, specErr(spec, err)
 			}
-			return &Spec{Detector: Component{Name: "load"}, Classifier: comp}, nil
+			return &Spec{Detector: Component{Name: "load"}, Classifier: comp, Alpha: DefaultAlpha}, nil
 		}
 		return nil, specErr(spec, fmt.Errorf("unknown component %q; registered\n%s", comp.Name, List()))
 	case 2:
@@ -72,7 +72,7 @@ func Parse(spec string) (*Spec, error) {
 		if err := cd.knownKeys(cls.Params); err != nil {
 			return nil, specErr(spec, err)
 		}
-		return &Spec{Detector: det, Classifier: cls}, nil
+		return &Spec{Detector: det, Classifier: cls, Alpha: DefaultAlpha}, nil
 	default:
 		return nil, specErr(spec, fmt.Errorf("want detector[:k=v,...]+classifier[:k=v,...], got %d components", len(parts)))
 	}

@@ -9,10 +9,16 @@
 // that names one scheme end to end: "load:beta=0.8+latent:window=12" is
 // the paper's headline scheme, "aest" alone is the aest detector with
 // the single-feature classifier, "topk:k=50" alone is the top-K baseline
-// under the default detector. A parsed Spec compiles to a
-// core.Config factory that builds fresh detector/classifier instances on
-// every call, satisfying the engine's fresh-instances-per-link
-// determinism contract, so any registered scheme runs unmodified through
+// under the default detector. A parameter is registered only where a
+// caller sets it (beta, theta, window, k); everything else about a
+// component is one configuration — aest's 0.95 fallback quantile, the
+// sketches' 1/(k+1) cut, latent heat's eviction after 4W idle
+// intervals. Beside its components a Spec carries the EWMA weight
+// Alpha, which Parse sets to the paper's 0.5 and Config holds to
+// [0,1). A parsed Spec compiles to a core.Config factory that builds
+// fresh detector/classifier instances on every call, satisfying the
+// engine's fresh-instances-per-link determinism contract, so any
+// registered scheme runs unmodified through
 // engine.Run, engine.RunMatrix, engine.RunStreaming, engine.LivePipeline,
 // the experiments harnesses and every CLI that takes a -scheme flag.
 //
@@ -154,12 +160,6 @@ func sortedNames(m map[string]*componentDef) []string {
 	return names
 }
 
-// DetectorNames returns the registered detector names, sorted.
-func DetectorNames() []string { return sortedNames(detectors) }
-
-// ClassifierNames returns the registered classifier names, sorted.
-func ClassifierNames() []string { return sortedNames(classifiers) }
-
 // DetectorExamples returns one runnable spec fragment per registered
 // detector, sorted by name.
 func DetectorExamples() []string { return examples(detectors) }
@@ -256,19 +256,9 @@ var components = []componentDef{
 	},
 	{
 		name: "aest", example: "aest",
-		doc:    "aest heavy-tail onset threshold (Crovella–Taqqu scaling estimator)",
-		params: []ParamDef{{Key: "fallback", Default: "0.95", Doc: "bandwidth quantile used when no tail is detected, in (0,1)"}},
-		buildDetector: func(p Params) (core.Detector, error) {
-			fq, err := p.Float("fallback", 0.95)
-			if err != nil {
-				return nil, err
-			}
-			if fq <= 0 || fq >= 1 {
-				return nil, fmt.Errorf("fallback quantile %v outside (0,1)", fq)
-			}
-			d := core.NewAestDetector()
-			d.FallbackQuantile = fq
-			return d, nil
+		doc: "aest heavy-tail onset threshold (Crovella–Taqqu scaling estimator)",
+		buildDetector: func(Params) (core.Detector, error) {
+			return core.NewAestDetector(), nil
 		},
 	},
 	{
@@ -290,34 +280,19 @@ var components = []componentDef{
 		name: "single", example: "single",
 		doc: "single-feature: flow j is an elephant iff x_j(t) > θ̂(t)",
 		buildClassifier: func(Params) (core.Classifier, error) {
-			return core.SingleFeatureClassifier{}, nil
+			return &core.SingleFeatureClassifier{}, nil
 		},
 	},
 	{
 		name: "latent", example: "latent",
-		doc: "two-feature latent heat: elephant iff Σ over window of (x_j − θ̂) > 0",
-		params: []ParamDef{
-			{Key: "window", Default: "12", Doc: "lookback W in intervals"},
-			{Key: "evict", Default: "0", Doc: "idle intervals before flow state is dropped (0 = 4*window)"},
-		},
+		doc:    "two-feature latent heat: elephant iff Σ over window of (x_j − θ̂) > 0",
+		params: []ParamDef{{Key: "window", Default: "12", Doc: "lookback W in intervals"}},
 		buildClassifier: func(p Params) (core.Classifier, error) {
 			w, err := p.Int("window", DefaultLatentWindow)
 			if err != nil {
 				return nil, err
 			}
-			lh, err := core.NewLatentHeatClassifier(w)
-			if err != nil {
-				return nil, err
-			}
-			evict, err := p.Int("evict", 0)
-			if err != nil {
-				return nil, err
-			}
-			if evict < 0 {
-				return nil, fmt.Errorf("evict %d must be non-negative", evict)
-			}
-			lh.EvictAfter = evict
-			return lh, nil
+			return core.NewLatentHeatClassifier(w)
 		},
 	},
 	{
@@ -334,41 +309,27 @@ var components = []componentDef{
 	},
 	{
 		name: "misragries", example: "misragries",
-		doc: "per-interval Misra–Gries heavy hitters (k counters, underestimates)",
-		params: []ParamDef{
-			{Key: "k", Default: "50", Doc: "sketch counters"},
-			{Key: "frac", Default: "1/(k+1)", Doc: "heavy-hitter cut as a share of interval traffic"},
-		},
+		doc:    "per-interval Misra–Gries heavy hitters (k counters, underestimates)",
+		params: []ParamDef{{Key: "k", Default: "50", Doc: "sketch counters"}},
 		buildClassifier: func(p Params) (core.Classifier, error) {
 			return sketchClassifier(p, baseline.NewMisraGriesClassifier)
 		},
 	},
 	{
 		name: "spacesaving", example: "spacesaving",
-		doc: "per-interval Space-Saving heavy hitters (k counters, overestimates)",
-		params: []ParamDef{
-			{Key: "k", Default: "50", Doc: "sketch counters"},
-			{Key: "frac", Default: "1/(k+1)", Doc: "heavy-hitter cut as a share of interval traffic"},
-		},
+		doc:    "per-interval Space-Saving heavy hitters (k counters, overestimates)",
+		params: []ParamDef{{Key: "k", Default: "50", Doc: "sketch counters"}},
 		buildClassifier: func(p Params) (core.Classifier, error) {
 			return sketchClassifier(p, baseline.NewSpaceSavingClassifier)
 		},
 	},
 }
 
-// sketchClassifier builds either sketch baseline from the shared k/frac
-// parameter pair.
-func sketchClassifier(p Params, mk func(int, float64) (*baseline.SketchClassifier, error)) (core.Classifier, error) {
+// sketchClassifier builds either sketch baseline from its k parameter.
+func sketchClassifier(p Params, mk func(int) (*baseline.SketchClassifier, error)) (core.Classifier, error) {
 	k, err := p.Int("k", 50)
 	if err != nil {
 		return nil, err
 	}
-	frac, err := p.Float("frac", 0)
-	if err != nil {
-		return nil, err
-	}
-	if frac < 0 {
-		return nil, fmt.Errorf("frac %v must be non-negative", frac)
-	}
-	return mk(k, frac)
+	return mk(k)
 }

@@ -32,9 +32,6 @@ func TestParseValid(t *testing.T) {
 		{"misragries:k=10", "load+misragries:k=10", "load", "misragries"},
 		{"spacesaving", "load+spacesaving", "load", "spacesaving"},
 		{"fixed:theta=2e6", "fixed:theta=2e6+single", "fixed", "single"},
-		// Multiple params render in lexical key order.
-		{"misragries:frac=0.01,k=20", "load+misragries:frac=0.01,k=20", "load", "misragries"},
-		{"misragries:k=20,frac=0.01", "load+misragries:frac=0.01,k=20", "load", "misragries"},
 		// Spaces are tolerated around names, keys and values.
 		{" load : beta = 0.7 + latent : window = 6 ", "load:beta=0.7+latent:window=6", "load", "latent"},
 	}
@@ -79,6 +76,11 @@ func TestParseErrors(t *testing.T) {
 		{"load:beta=0.8,beta=0.9", "set twice"},
 		{"load:k=5", `no parameter "k"`},
 		{"single:k=5", "takes no parameters"},
+		// Each component runs at one configuration beyond these.
+		{"load+latent:evict=4", `no parameter "evict"`},
+		{"aest:fallback=0.9", "takes no parameters"},
+		{"misragries:frac=0.01", `no parameter "frac"`},
+		{"spacesaving:k=9,frac=0.2", `no parameter "frac"`},
 		{"load:beta=0.8:0.9", "value contains"},
 		{"topk:k=1=2", "value contains"},
 	}
@@ -94,7 +96,7 @@ func TestParseErrors(t *testing.T) {
 	}
 	// Unknown names enumerate the registry.
 	_, err := Parse("nope")
-	for _, name := range append(DetectorNames(), ClassifierNames()...) {
+	for _, name := range append(sortedNames(detectors), sortedNames(classifiers)...) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("unknown-component error does not list %q:\n%v", name, err)
 		}
@@ -110,13 +112,11 @@ func TestValidateValues(t *testing.T) {
 	}{
 		{"load:beta=2", "outside (0,1)"},
 		{"load:beta=x", "not a number"},
-		{"aest:fallback=1.5", "outside (0,1)"},
 		{"latent:window=0", "window 0 < 1"},
 		{"latent:window=1.5", "not an integer"},
-		{"latent:evict=-1", "must be non-negative"},
 		{"topk:k=0", "top-k with k=0"},
 		{"misragries:k=0", "misra-gries with k=0"},
-		{"spacesaving:frac=2", "must be below 1"},
+		{"spacesaving:k=-1", "space-saving with k=-1"},
 		{"fixed+single", "required parameter theta"},
 		{"fixed:theta=-5", "must be positive"},
 	}
@@ -200,16 +200,15 @@ func TestRoundTrip(t *testing.T) {
 // (previously experiments.SchemeConfig.Name).
 func TestSpecName(t *testing.T) {
 	cases := map[string]string{
-		"load":                 "0.80-constant-load",
-		"load:beta=0.5":        "0.50-constant-load",
-		"aest":                 "aest",
-		"aest+latent":          "aest+latent-heat",
-		"load+latent":          "0.80-constant-load+latent-heat",
-		"topk:k=7":             "0.80-constant-load+top-7",
-		"fixed:theta=1e6":      "fixed-1e+06",
-		"misragries:k=9":       "0.80-constant-load+misra-gries-9",
-		"spacesaving:k=9":      "0.80-constant-load+space-saving-9",
-		"load+latent:evict=90": "0.80-constant-load+latent-heat",
+		"load":            "0.80-constant-load",
+		"load:beta=0.5":   "0.50-constant-load",
+		"aest":            "aest",
+		"aest+latent":     "aest+latent-heat",
+		"load+latent":     "0.80-constant-load+latent-heat",
+		"topk:k=7":        "0.80-constant-load+top-7",
+		"fixed:theta=1e6": "fixed-1e+06",
+		"misragries:k=9":  "0.80-constant-load+misra-gries-9",
+		"spacesaving:k=9": "0.80-constant-load+space-saving-9",
 	}
 	for in, want := range cases {
 		if got := MustParse(in).Name(); got != want {
@@ -255,6 +254,30 @@ func TestSpecPipelineLevels(t *testing.T) {
 	}
 }
 
+// TestSpecAlpha: Parse sets the paper's α, Alpha holds the weight itself
+// — 0 is no smoothing, not "unset" — and Config rejects a weight
+// outside [0,1) instead of leaving it to the first interval.
+func TestSpecAlpha(t *testing.T) {
+	if a := MustParse("load+latent").Alpha; a != DefaultAlpha {
+		t.Errorf("parsed alpha = %v, want %v", a, DefaultAlpha)
+	}
+	sp := MustParse("load+latent")
+	sp.Alpha = 0
+	cfg, err := sp.Config()
+	if err != nil {
+		t.Fatalf("alpha 0: %v", err)
+	}
+	if cfg.Alpha != 0 {
+		t.Errorf("alpha 0 compiled to %v", cfg.Alpha)
+	}
+	for _, a := range []float64{1, 1.5, -0.1, math.NaN(), math.Inf(1)} {
+		sp.Alpha = a
+		if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), "outside [0,1)") {
+			t.Errorf("alpha %v: Validate() = %v, want an outside [0,1) error", a, err)
+		}
+	}
+}
+
 func TestLatentWindow(t *testing.T) {
 	if w, ok := MustParse("load+latent").LatentWindow(); !ok || w != DefaultLatentWindow {
 		t.Errorf("LatentWindow(load+latent) = %d,%v", w, ok)
@@ -290,18 +313,34 @@ func TestWithParam(t *testing.T) {
 }
 
 // TestListCoversRegistry: the generated help text names every component
-// and parameter.
+// and parameter, and the registry declares exactly the parameters a
+// caller outside the tests sets.
 func TestListCoversRegistry(t *testing.T) {
 	ls := List()
-	for _, name := range append(DetectorNames(), ClassifierNames()...) {
+	for _, name := range append(sortedNames(detectors), sortedNames(classifiers)...) {
 		if !strings.Contains(ls, name) {
 			t.Errorf("List() missing component %q", name)
 		}
 	}
-	for _, key := range []string{"beta", "window", "k", "frac", "theta", "fallback", "evict"} {
+	want := []string{"beta", "k", "theta", "window"}
+	for _, key := range want {
 		if !strings.Contains(ls, key+"=") {
 			t.Errorf("List() missing parameter %q", key)
 		}
+	}
+	keys := map[string]bool{}
+	for _, d := range components {
+		for _, p := range d.params {
+			keys[p.Key] = true
+		}
+	}
+	var got []string
+	for k := range keys {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("registry parameters %v, want %v", got, want)
 	}
 	if !strings.Contains(FlagUsage(), "detector[:k=v,...]+classifier[:k=v,...]") {
 		t.Error("FlagUsage() missing the grammar synopsis")

@@ -50,14 +50,14 @@ func (c Component) String() string {
 
 // Spec is one parsed classification scheme: a detector and a classifier
 // with their parameters, plus the pipeline-level settings that sit
-// outside the spec grammar. The zero values of Alpha and MinFlows
-// select the defaults (0.5 and core's 16), so a Spec fresh from Parse
-// is the paper's configuration of the named components.
+// outside the spec grammar. A Spec fresh from Parse is the paper's
+// configuration of the named components: Alpha is DefaultAlpha and the
+// zero MinFlows selects core's 16.
 type Spec struct {
 	Detector   Component
 	Classifier Component
-	// Alpha is the EWMA weight on the previous smoothed threshold; 0
-	// selects DefaultAlpha. (CLIs expose it as -alpha.)
+	// Alpha is the EWMA weight on the previous smoothed threshold, in
+	// [0,1); 0 means no smoothing. (CLIs expose it as -alpha.)
 	Alpha float64
 	// MinFlows is the minimum active-flow count for detection; 0
 	// selects the core.Config default.
@@ -75,6 +75,9 @@ func (s *Spec) String() string {
 // state, so Config is directly usable as an engine.Link config factory
 // (the engine's fresh-instances-per-link determinism contract).
 func (s *Spec) Config() (core.Config, error) {
+	if !(s.Alpha >= 0 && s.Alpha < 1) {
+		return core.Config{}, fmt.Errorf("scheme: alpha %v outside [0,1)", s.Alpha)
+	}
 	det, err := s.BuildDetector()
 	if err != nil {
 		return core.Config{}, err
@@ -87,11 +90,7 @@ func (s *Spec) Config() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, fmt.Errorf("scheme: %s: %w", s.Classifier.Name, err)
 	}
-	alpha := s.Alpha
-	if alpha == 0 {
-		alpha = DefaultAlpha
-	}
-	return core.Config{Detector: det, Alpha: alpha, Classifier: cls, MinFlows: s.MinFlows}, nil
+	return core.Config{Detector: det, Alpha: s.Alpha, Classifier: cls, MinFlows: s.MinFlows}, nil
 }
 
 // Factory returns the spec's config factory — the method value plugs
@@ -141,7 +140,7 @@ func (s *Spec) Name() string {
 	if err != nil {
 		return s.String()
 	}
-	if _, single := cfg.Classifier.(core.SingleFeatureClassifier); single {
+	if _, single := cfg.Classifier.(*core.SingleFeatureClassifier); single {
 		return cfg.Detector.Name()
 	}
 	return cfg.Detector.Name() + "+" + cfg.Classifier.Name()
