@@ -36,7 +36,8 @@
 // Because the batch agg.Series and the accumulator share one
 // apportioning arithmetic, streaming classification is byte-identical
 // to batch classification on the same records; streaming_test.go pins
-// that contract on all three substrates.
+// that contract on pcap and NetFlow captures, and internal/engine's
+// FuzzEquivalence on generated record sequences.
 //
 // Flow identity is interned: each pipeline owns a core.FlowTable
 // mapping every prefix it classifies to a dense uint32 ID, and the

@@ -74,6 +74,8 @@ type StreamStats struct {
 	// window more than DefaultStreamMaxGap intervals past the newest
 	// bit-carrying interval (corrupted timestamps, not traffic).
 	FarFuture uint64
+	// FarFutureBits is the total volume of the FarFuture records.
+	FarFutureBits float64
 	// Closed is the number of intervals closed (and emitted) so far.
 	Closed int
 	// EvictedFlows counts flow rows released by closing intervals — the
@@ -323,6 +325,7 @@ func (a *StreamAccumulator) add(rec *Record) error {
 	// explicit Start is guarded too.
 	if end > max(a.maxTouched, a.base-1)+DefaultStreamMaxGap {
 		a.stats.FarFuture++
+		a.stats.FarFutureBits += rec.Bits
 		return nil
 	}
 	// The watermark advances only past the corruption gate: a far-future

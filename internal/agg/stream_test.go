@@ -3,7 +3,6 @@ package agg
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -80,100 +79,6 @@ func collectStreamVia(t *testing.T, cfg StreamConfig, feed func(*StreamAccumulat
 		t.Fatal(err)
 	}
 	return acc, got
-}
-
-// TestStreamMatchesSeries is the accumulator's core contract: fed the
-// same record sequence, the streaming path must emit snapshots
-// bit-identical (keys, bandwidths, totals) to the batch Series path.
-func TestStreamMatchesSeries(t *testing.T) {
-	const intervals = 20
-	iv := time.Minute
-	recs := synthRecords(7, intervals, 40, iv)
-
-	batch := NewSeries(start, iv, intervals)
-	for _, rec := range recs {
-		if !batch.AddRecord(rec) {
-			t.Fatalf("batch dropped record %+v", rec)
-		}
-	}
-
-	acc, got := collectStream(t, StreamConfig{Start: start, Interval: iv, Window: 4}, recs)
-	if st := acc.Stats(); st.Late != 0 || st.LateBits != 0 {
-		t.Fatalf("unexpected late drops: %+v", st)
-	}
-	if len(got) != intervals {
-		t.Fatalf("emitted %d intervals, want %d", len(got), intervals)
-	}
-	for tt, snap := range got {
-		ref := batch.Snapshot(tt, nil)
-		if snap.Len() != ref.Len() {
-			t.Fatalf("interval %d: %d flows, batch has %d", tt, snap.Len(), ref.Len())
-		}
-		for i := 0; i < snap.Len(); i++ {
-			if snap.Key(i) != ref.Key(i) {
-				t.Fatalf("interval %d flow %d: key %v != %v", tt, i, snap.Key(i), ref.Key(i))
-			}
-			if snap.Bandwidth(i) != ref.Bandwidth(i) {
-				t.Fatalf("interval %d flow %d: bw %v != %v (must be bit-identical)", tt, i, snap.Bandwidth(i), ref.Bandwidth(i))
-			}
-		}
-		if snap.TotalLoad() != ref.TotalLoad() {
-			t.Fatalf("interval %d: total %v != %v", tt, snap.TotalLoad(), ref.TotalLoad())
-		}
-	}
-}
-
-// TestStreamLateRecords: bits reaching behind the closed edge are
-// dropped and counted, never silently folded into a wrong interval.
-func TestStreamLateRecords(t *testing.T) {
-	iv := time.Minute
-	acc, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	closed := 0
-	var load4 float64
-	acc.Emit = func(tt int, snap *core.FlowSnapshot) error {
-		closed++
-		if tt == 4 {
-			load4 = snap.TotalLoad()
-		}
-		return nil
-	}
-
-	// Interval 5 opens [4,5]; intervals 0..3 close.
-	if err := acc.Add(Record{Prefix: pfxA, Time: start.Add(5 * iv), Bits: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if acc.Stats().Closed != 4 || closed != 4 {
-		t.Fatalf("closed %d (%d emits), want 4", acc.Stats().Closed, closed)
-	}
-	// A point record for interval 0 is now entirely late.
-	if err := acc.Add(Record{Prefix: pfxB, Time: start, Bits: 16}); err != nil {
-		t.Fatal(err)
-	}
-	st := acc.Stats()
-	if st.Late != 1 || st.LateBits != 16 {
-		t.Errorf("late = %d (%v bits), want 1 (16 bits)", st.Late, st.LateBits)
-	}
-	// A span reaching from closed interval 3 into open interval 4: the
-	// open half lands, the closed half is counted as dropped bits.
-	if err := acc.Add(Record{Prefix: pfxB, Time: start.Add(3*iv + 30*time.Second), Span: iv, Bits: 100}); err != nil {
-		t.Fatal(err)
-	}
-	st = acc.Stats()
-	if st.Late != 1 {
-		t.Errorf("partially-late record counted as fully late: %+v", st)
-	}
-	if want := 16 + 50.0; st.LateBits != want {
-		t.Errorf("LateBits = %v, want %v", st.LateBits, want)
-	}
-	if err := acc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !floatEq(load4, 50.0/iv.Seconds()) {
-		t.Errorf("interval 4 load = %v, want the surviving half", load4)
-	}
 }
 
 // TestStreamBoundaryAlignedSpan: a span ending exactly on an interval
@@ -272,6 +177,22 @@ func TestStreamFarFutureGuard(t *testing.T) {
 	if st := acc2.Stats(); st.Late != 0 || st.InWindow != 1 {
 		t.Fatalf("stream poisoned after guarded first record: %+v", st)
 	}
+
+	// The gap counts from the newest interval with bits, inclusive: a
+	// record DefaultStreamMaxGap+1 intervals past it is dropped, one
+	// DefaultStreamMaxGap past it lands.
+	acc3, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, DefaultStreamMaxGap + 1, DefaultStreamMaxGap} {
+		if err := acc3.Add(Record{Prefix: pfxA, Time: start.Add(time.Duration(k) * iv), Bits: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := acc3.Stats(); st.FarFuture != 1 || st.FarFutureBits != 8 || st.InWindow != 2 {
+		t.Errorf("gap edge: %+v, want one record dropped (8 bits) and two landed", st)
+	}
 }
 
 // TestStreamAlignsToFirstRecord: the zero-value Start aligns interval 0
@@ -316,61 +237,6 @@ func TestStreamEmptyIntervals(t *testing.T) {
 	}
 	if got[0].Len() != 1 || got[6].Len() != 1 {
 		t.Error("edge intervals lost their flow")
-	}
-}
-
-// TestStreamStatsCounters is the regression pin on the Stats() counter
-// contract the serving daemon exposes in its /metrics endpoint: one
-// deterministic record sequence exercising every StreamStats field, with
-// the whole struct asserted at once so a counter silently changing
-// meaning (or a new drop path forgetting to count) fails loudly.
-func TestStreamStatsCounters(t *testing.T) {
-	iv := time.Minute
-	acc, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := []struct {
-		rec  Record
-		want StreamStats
-	}{
-		// In-window point record.
-		{Record{Prefix: pfxA, Time: start, Bits: 600},
-			StreamStats{Records: 1, InWindow: 1}},
-		// Entirely before the stream origin.
-		{Record{Prefix: pfxA, Time: start.Add(-iv), Bits: 600},
-			StreamStats{Records: 2, InWindow: 1, Late: 1, LateBits: 600}},
-		// Advances the window: closes interval 0, evicting its one flow.
-		{Record{Prefix: pfxB, Time: start.Add(2 * iv), Bits: 8},
-			StreamStats{Records: 3, InWindow: 2, Late: 1, LateBits: 600, Closed: 1, EvictedFlows: 1}},
-		// Wholly behind the closed edge.
-		{Record{Prefix: pfxA, Time: start.Add(10 * time.Second), Bits: 100},
-			StreamStats{Records: 4, InWindow: 2, Late: 2, LateBits: 700, Closed: 1, EvictedFlows: 1}},
-		// Span record clipped by the closed edge: 30 of 90 seconds (300
-		// of 900 bits) fall into closed interval 0, the rest lands.
-		{Record{Prefix: pfxA, Time: start.Add(30 * time.Second), Span: 90 * time.Second, Bits: 900},
-			StreamStats{Records: 5, InWindow: 3, Late: 2, LateBits: 1000, Closed: 1, EvictedFlows: 1}},
-		// Corrupted far-future timestamp: beyond the newest interval
-		// with bits (2) plus DefaultStreamMaxGap.
-		{Record{Prefix: pfxA, Time: start.Add((2 + DefaultStreamMaxGap + 1) * iv), Bits: 8},
-			StreamStats{Records: 6, InWindow: 3, Late: 2, LateBits: 1000, FarFuture: 1, Closed: 1, EvictedFlows: 1}},
-	}
-	for i, st := range steps {
-		if err := acc.Add(st.rec); err != nil {
-			t.Fatal(err)
-		}
-		if got := acc.Stats(); got != st.want {
-			t.Errorf("after record %d: Stats() = %+v, want %+v", i, got, st.want)
-		}
-	}
-	// Flush closes intervals 1 and 2 (through the last bit-carrying
-	// interval), evicting one flow from each.
-	if err := acc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want := StreamStats{Records: 6, InWindow: 3, Late: 2, LateBits: 1000, FarFuture: 1, Closed: 3, EvictedFlows: 3}
-	if got := acc.Stats(); got != want {
-		t.Errorf("after flush: Stats() = %+v, want %+v", got, want)
 	}
 }
 
@@ -730,180 +596,6 @@ func TestStreamEmitsIDColumns(t *testing.T) {
 		if err := acc.Flush(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestStreamClockEdges pins the accumulator's interior clock — integer
-// nanoseconds since Start — where it could part from the time.Time
-// arithmetic it replaced, and from its batch twin: each case's records
-// go through StreamAccumulator.Add and through Series.AddRecord, and
-// must leave identical cells; the stream's counters are pinned beside
-// them. The batch series of a case starts at the stream's sealed edge
-// (batchFrom intervals in), which is where both clip a span.
-func TestStreamClockEdges(t *testing.T) {
-	const iv = time.Minute
-	at := func(intervals float64) time.Time { return start.Add(time.Duration(intervals * float64(iv))) }
-	const gap = DefaultStreamMaxGap
-	cases := []struct {
-		name      string
-		zeroStart bool // align interval 0 to the first record
-		window    int
-		recs      []Record
-		batchFrom int
-		intervals int             // length of the batch series
-		want      StreamStats     // Closed and EvictedFlows aside
-		cells     map[int]float64 // bits of pfxA per global interval
-	}{
-		{
-			name:   "span ending exactly on a boundary stays in its interval",
-			window: 1,
-			recs: []Record{
-				{Prefix: pfxA, Time: at(0.5), Span: iv / 2, Bits: 300},
-				{Prefix: pfxA, Time: at(1), Span: iv, Bits: 600, Key: 3},
-			},
-			intervals: 3,
-			want:      StreamStats{Records: 2, InWindow: 2},
-			cells:     map[int]float64{0: 300, 1: 600},
-		},
-		{
-			name:   "span clipped by the sealed edge",
-			window: 2,
-			recs: []Record{
-				{Prefix: pfxB, Time: at(3), Bits: 8}, // seals 0 and 1
-				{Prefix: pfxA, Time: at(1.5), Span: 2 * iv, Bits: 1000, Key: 3},
-				{Prefix: pfxA, Time: at(1.75), Span: iv / 4, Bits: 64}, // ends on the edge
-			},
-			batchFrom: 2,
-			intervals: 2,
-			want:      StreamStats{Records: 3, InWindow: 2, Late: 1, LateBits: 250 + 64},
-			cells:     map[int]float64{2: 500, 3: 250},
-		},
-		{
-			name:   "span clipped by an explicit Start",
-			window: 2,
-			recs: []Record{
-				{Prefix: pfxA, Time: at(-0.25), Span: iv, Bits: 1000},
-				{Prefix: pfxA, Time: at(-1), Span: iv, Bits: 64}, // ends on Start
-			},
-			intervals: 2,
-			want:      StreamStats{Records: 2, InWindow: 1, Late: 1, LateBits: 250 + 64},
-			cells:     map[int]float64{0: 750},
-		},
-		{
-			name:   "three centuries either side of Start saturate, never wrap",
-			window: 2,
-			recs: []Record{
-				{Prefix: pfxA, Time: at(0.5), Bits: 100},
-				{Prefix: pfxA, Time: start.AddDate(300, 0, 0), Bits: 1},
-				{Prefix: pfxA, Time: start.AddDate(300, 0, 0), Span: time.Hour, Bits: 2, Key: 3},
-				{Prefix: pfxA, Time: start.AddDate(-300, 0, 0), Bits: 4},
-				{Prefix: pfxA, Time: start.AddDate(-300, 0, 0), Span: time.Hour, Bits: 8, Key: 3},
-				{Prefix: pfxA, Time: start.AddDate(-300, 0, 0), Span: math.MaxInt64, Bits: 16},
-			},
-			intervals: 2,
-			want:      StreamStats{Records: 6, InWindow: 1, Late: 3, LateBits: 4 + 8 + 16, FarFuture: 2},
-			cells:     map[int]float64{0: 100},
-		},
-		{
-			name:      "first record under a zero Start is interval 0's left edge",
-			zeroStart: true,
-			window:    2,
-			recs: []Record{
-				{Prefix: pfxA, Time: at(0.3), Span: 3 * iv / 2, Bits: 900, Key: 3},
-				{Prefix: pfxA, Time: at(0.3).Add(-time.Nanosecond), Bits: 7},
-				{Prefix: pfxA, Time: at(0.3).Add(-time.Nanosecond), Span: time.Nanosecond, Bits: 9},
-			},
-			intervals: 2,
-			want:      StreamStats{Records: 3, InWindow: 1, Late: 2, LateBits: 7 + 9},
-			cells:     map[int]float64{0: 600, 1: 300},
-		},
-		{
-			name:   "MaxGap counts from the newest interval with bits, inclusive",
-			window: 2,
-			recs: []Record{
-				{Prefix: pfxA, Time: at(0), Bits: 1},
-				{Prefix: pfxA, Time: at(gap + 0.5), Bits: 2, Key: 3},
-				{Prefix: pfxA, Time: at(2*gap + 1), Bits: 4},                  // gap+gap+1
-				{Prefix: pfxA, Time: at(2*gap + 1), Span: iv, Bits: 8},        // likewise
-				{Prefix: pfxA, Time: at(2 * gap), Span: iv, Bits: 16, Key: 3}, // last instant in 2·gap
-			},
-			intervals: 2*gap + 1,
-			want:      StreamStats{Records: 5, InWindow: 3, FarFuture: 2},
-			cells:     map[int]float64{0: 1, gap: 2, 2 * gap: 16},
-		},
-		{
-			name:   "a negative span is a point at Time",
-			window: 2,
-			recs: []Record{
-				{Prefix: pfxA, Time: at(0.5), Span: -time.Hour, Bits: 100}, // Time+Span is before Start
-				{Prefix: pfxB, Time: at(0.5), Bits: 8},
-				{Prefix: pfxA, Time: at(3.5), Span: -3 * iv, Bits: 200, Key: 3}, // Time+Span is in interval 0
-			},
-			intervals: 4,
-			want:      StreamStats{Records: 3, InWindow: 3},
-			cells:     map[int]float64{0: 100, 3: 200},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := StreamConfig{Start: start, Interval: iv, Window: tc.window}
-			origin := start
-			if tc.zeroStart {
-				cfg.Start, origin = time.Time{}, tc.recs[0].Time
-			}
-			acc, got := collectStream(t, cfg, tc.recs)
-			// AddBatch is Add in a loop: the same records in one call leave
-			// the same intervals and the same counters, edge for edge.
-			bacc, bgot := collectStreamVia(t, cfg, func(a *StreamAccumulator) error {
-				n, err := a.AddBatch(tc.recs)
-				if n != len(tc.recs) {
-					t.Errorf("AddBatch presented %d of %d records", n, len(tc.recs))
-				}
-				return err
-			})
-			if bacc.Stats() != acc.Stats() {
-				t.Errorf("AddBatch Stats() = %+v, Add loop %+v", bacc.Stats(), acc.Stats())
-			}
-			if len(bgot) != len(got) {
-				t.Fatalf("AddBatch emitted %d intervals, Add loop %d", len(bgot), len(got))
-			}
-			for g := range got {
-				snapEqual(t, fmt.Sprintf("interval %d, AddBatch vs Add loop", g), bgot[g], got[g])
-			}
-			st := acc.Stats()
-			st.Closed, st.EvictedFlows = 0, 0
-			if st != tc.want {
-				t.Errorf("Stats() = %+v, want %+v", st, tc.want)
-			}
-			if !acc.Start().Equal(origin) {
-				t.Errorf("Start() = %v, want %v", acc.Start(), origin)
-			}
-			batch := NewSeries(origin.Add(time.Duration(tc.batchFrom)*iv), iv, tc.intervals)
-			for _, rec := range tc.recs {
-				batch.AddRecord(rec)
-			}
-			if want := tc.batchFrom + tc.intervals; len(got) > want {
-				t.Fatalf("stream emitted %d intervals, want at most %d", len(got), want)
-			}
-			for len(got) < tc.batchFrom+tc.intervals {
-				got = append(got, core.NewFlowSnapshot(0)) // past the last bits: nothing to flush
-			}
-			for tt := 0; tt < tc.intervals; tt++ {
-				g := tc.batchFrom + tt
-				ref := batch.Snapshot(tt, nil)
-				snapEqual(t, fmt.Sprintf("interval %d, stream vs batch", g), got[g], ref)
-				if got[g].TotalLoad() != ref.TotalLoad() {
-					t.Errorf("interval %d: total %v, batch %v", g, got[g].TotalLoad(), ref.TotalLoad())
-				}
-				var bw float64
-				if i, ok := got[g].Lookup(pfxA); ok {
-					bw = got[g].Bandwidth(i)
-				}
-				if want := tc.cells[g] / iv.Seconds(); !floatEq(bw, want) {
-					t.Errorf("interval %d: %v bit/s of %v, want %v", g, bw, pfxA, want)
-				}
-			}
-		})
 	}
 }
 

@@ -88,6 +88,9 @@ func (w *LatentWindow) Observe(snap *FlowSnapshot) {
 		}
 		if lastSeen[id] == 0 {
 			w.liveIDs = append(w.liveIDs, id)
+			if w.table.state[id] == flowPending { // interned (by a sharing accumulator) before its release
+				w.table.state[id] = flowLive
+			}
 		}
 		lastSeen[id] = seen
 	}

@@ -3,306 +3,13 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"net/netip"
-	"reflect"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/agg"
 	"repro/internal/core"
 )
-
-// streamed is the live path's reference: the same records run to
-// completion through RunStreaming on one worker.
-func streamed(t *testing.T, id string, recs []agg.Record) LinkResult {
-	t.Helper()
-	out, err := (&MultiLinkEngine{Workers: 1}).RunStreaming([]StreamLink{{
-		ID:       id,
-		Source:   &sliceSource{recs: recs},
-		Start:    start,
-		Interval: 5 * time.Minute,
-		Config:   schemeConfig,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].Err != nil {
-		t.Fatal(out[0].Err)
-	}
-	return out[0]
-}
-
-// TestLivePipelineMatchesRunStreamLink: pushing a record sequence
-// through a long-lived LivePipeline must produce exactly the results
-// run-to-completion streaming produces from a source yielding the same
-// sequence — the determinism contract extended to the resident-daemon
-// shape — however the sequence is cut into sends: one record at a time
-// (Send), datagram-sized batches, and every case around the 32-record
-// slab boundary, including batches that split across slabs. Run with
-// -race: the producer goroutine here crosses the send boundary the way
-// the daemon's UDP loop does.
-func TestLivePipelineMatchesRunStreamLink(t *testing.T) {
-	recs := seriesRecords(synthSeries(42, 150, 24))
-
-	want := streamed(t, "live", recs)
-
-	for _, batch := range []int{1, 7, 30, 31, 32, 33, 100} {
-		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			var got []core.Result
-			var lastStats agg.StreamStats
-			lp, err := NewLivePipeline(LiveLink{
-				ID:       "live",
-				Start:    start,
-				Interval: 5 * time.Minute,
-				Buffer:   8, // one slab, so every send after the first exercises backpressure
-				Config:   schemeConfig,
-				OnResult: func(tt int, at time.Time, res core.Result, stats agg.StreamStats) error {
-					if tt != len(got) {
-						t.Errorf("result for interval %d, want %d (in order, gap-free)", tt, len(got))
-					}
-					if want := start.Add(time.Duration(tt) * 5 * time.Minute); !at.Equal(want) {
-						t.Errorf("interval %d at %v, want %v", tt, at, want)
-					}
-					got = append(got, res)
-					lastStats = stats
-					return nil
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			errCh := make(chan error, 1)
-			go func() {
-				for i := 0; i < len(recs); i += batch {
-					if batch == 1 {
-						if err := lp.Send(recs[i]); err != nil {
-							errCh <- err
-							return
-						}
-						continue
-					}
-					end := min(i+batch, len(recs))
-					if sent, err := lp.SendBatch(recs[i:end]); err != nil || sent != end-i {
-						errCh <- fmt.Errorf("SendBatch(%d records) = (%d, %v)", end-i, sent, err)
-						return
-					}
-				}
-				errCh <- nil
-			}()
-			if err := <-errCh; err != nil {
-				t.Fatal(err)
-			}
-			if err := lp.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want.Results) {
-				t.Fatalf("live results diverge from run-to-completion streaming: %d vs %d intervals", len(got), len(want.Results))
-			}
-			st := lp.Stats()
-			if st.Records != uint64(len(recs)) || st.Late != 0 || st.FarFuture != 0 {
-				t.Errorf("final stats = %+v, want %d records, no drops", st, len(recs))
-			}
-			if lastStats.Closed != st.Closed {
-				t.Errorf("OnResult stats lag: last close saw %d closed, final %d", lastStats.Closed, st.Closed)
-			}
-		})
-	}
-}
-
-// flowRecorder is a single-feature classifier that also keeps every
-// interval's per-flow bandwidth column, for tests that check what
-// reached the classify stage flow by flow.
-type flowRecorder struct {
-	core.SingleFeatureClassifier
-	intervals []map[netip.Prefix]float64
-}
-
-func (r *flowRecorder) Classify(snap *core.FlowSnapshot, thresholdHat float64) core.Verdict {
-	col := make(map[netip.Prefix]float64, snap.Len())
-	for i := 0; i < snap.Len(); i++ {
-		col[snap.Key(i)] = snap.Bandwidth(i)
-	}
-	r.intervals = append(r.intervals, col)
-	return r.SingleFeatureClassifier.Classify(snap, thresholdHat)
-}
-
-// TestLivePipelineConcurrentProducers is the shared-socket fallback's
-// shape: several readers SendBatch into one link at once. Every record
-// must reach the accumulator exactly once — none lost or doubled in the
-// slab hand-off — so each flow's per-interval bandwidth is exactly the
-// sum of its records. Bits are whole multiples of the interval, which
-// keeps every float sum exact whatever order the producers interleave
-// in; the window spans the run, so no producer running ahead can make
-// another's records late. Run with -race.
-func TestLivePipelineConcurrentProducers(t *testing.T) {
-	const (
-		producers = 4
-		flowsEach = 16
-		intervals = 6
-		perCell   = 5 // records per flow per interval
-		iv        = time.Minute
-	)
-	rec := &flowRecorder{}
-	lp, err := NewLivePipeline(LiveLink{
-		ID:       "fanout",
-		Start:    start,
-		Interval: iv,
-		Window:   intervals,
-		Buffer:   64, // two slabs between four producers: they contend for them
-		Config: func() (core.Config, error) {
-			return core.Config{Detector: constDetector{100}, Alpha: 0.5, Classifier: rec, MinFlows: 1}, nil
-		},
-		OnResult: func(int, time.Time, core.Result, agg.StreamStats) error { return nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flow := func(g, f int) netip.Prefix {
-		return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(g), byte(f), 0}), 24)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < producers; g++ {
-		var recs []agg.Record
-		for tt := 0; tt < intervals; tt++ {
-			for k := 0; k < perCell; k++ {
-				for f := 0; f < flowsEach; f++ {
-					recs = append(recs, agg.Record{
-						Prefix: flow(g, f),
-						Time:   start.Add(time.Duration(tt)*iv + time.Duration(k)*time.Second),
-						Bits:   float64(60 * (1 + g + f + k)),
-					})
-				}
-			}
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A batch size coprime to the slab size, so batches straddle
-			// slabs differently on every producer.
-			for i := 0; i < len(recs); i += 7 {
-				end := min(i+7, len(recs))
-				if sent, err := lp.SendBatch(recs[i:end]); err != nil || sent != end-i {
-					t.Errorf("SendBatch = (%d, %v), want (%d, nil)", sent, err, end-i)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := lp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	total := producers * flowsEach * intervals * perCell
-	if st := lp.Stats(); st.Records != uint64(total) || st.InWindow != uint64(total) || st.Late != 0 {
-		t.Errorf("final stats = %+v, want %d records all in window", st, total)
-	}
-	if len(rec.intervals) != intervals {
-		t.Fatalf("classified %d intervals, want %d", len(rec.intervals), intervals)
-	}
-	for tt, col := range rec.intervals {
-		if len(col) != producers*flowsEach {
-			t.Errorf("interval %d carries %d flows, want %d", tt, len(col), producers*flowsEach)
-		}
-		for g := 0; g < producers; g++ {
-			for f := 0; f < flowsEach; f++ {
-				want := 0.0
-				for k := 0; k < perCell; k++ {
-					want += float64(1 + g + f + k)
-				}
-				if got := col[flow(g, f)]; got != want {
-					t.Errorf("interval %d flow %v = %v bit/s, want %v", tt, flow(g, f), got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestLivePipelineSendBatch: delivering the record sequence in
-// datagram-sized batches through SendBatch must be indistinguishable
-// from per-record Send — same results, full count, no drops — and a
-// batch sent after failure must report zero enqueued.
-func TestLivePipelineSendBatch(t *testing.T) {
-	recs := seriesRecords(synthSeries(43, 120, 18))
-
-	want := streamed(t, "batchsend", recs)
-
-	var got []core.Result
-	lp, err := NewLivePipeline(LiveLink{
-		ID:       "batchsend",
-		Start:    start,
-		Interval: 5 * time.Minute,
-		Buffer:   8,
-		Config:   schemeConfig,
-		OnResult: func(tt int, at time.Time, res core.Result, stats agg.StreamStats) error {
-			got = append(got, res)
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batch = 30 // one full v5 datagram
-	for i := 0; i < len(recs); i += batch {
-		end := min(i+batch, len(recs))
-		sent, err := lp.SendBatch(recs[i:end])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sent != end-i {
-			t.Fatalf("SendBatch enqueued %d of %d", sent, end-i)
-		}
-	}
-	if err := lp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want.Results) {
-		t.Fatalf("batched sends diverge from streaming: %d vs %d intervals", len(got), len(want.Results))
-	}
-	if st := lp.Stats(); st.Records != uint64(len(recs)) || st.Late != 0 {
-		t.Errorf("final stats = %+v, want %d records, no drops", st, len(recs))
-	}
-
-	// A failed link refuses whole batches up front: once SendBatch
-	// observes the failure it enqueues nothing, and every record it did
-	// accept is reconcilable as accumulated-or-dropped.
-	boom := errors.New("boom")
-	fl, err := NewLivePipeline(LiveLink{
-		ID:       "batchfail",
-		Start:    start,
-		Interval: time.Minute,
-		Window:   1,
-		Buffer:   1,
-		Config:   schemeConfig,
-		OnResult: func(int, time.Time, core.Result, agg.StreamStats) error { return boom },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frecs := seriesRecords(synthSeries(7, 64, 4))
-	accepted := 0
-	var sendErr error
-	for i := 0; i < len(frecs) && sendErr == nil; i += batch {
-		end := min(i+batch, len(frecs))
-		var n int
-		n, sendErr = fl.SendBatch(frecs[i:end])
-		accepted += n
-		if sendErr != nil && n != 0 {
-			t.Errorf("failed SendBatch enqueued %d records, want 0", n)
-		}
-	}
-	if err := fl.Close(); !errors.Is(err, boom) {
-		t.Fatalf("Close = %v, want boom", err)
-	}
-	if sendErr != nil && !errors.Is(sendErr, boom) {
-		t.Errorf("SendBatch = %v, want boom", sendErr)
-	}
-	if got := fl.Stats().Records + fl.Dropped(); got != uint64(accepted) {
-		t.Errorf("accumulated %d + dropped %d != %d accepted", fl.Stats().Records, fl.Dropped(), accepted)
-	}
-}
 
 // TestLivePipelineFailureReleasesProducer: a mid-stream failure must
 // fail the link, release producers blocked in Send or SendBatch, and
@@ -716,61 +423,5 @@ func TestLivePipelineQueueIsLazy(t *testing.T) {
 	}
 	if err := lp.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestLivePipelineConservationAtDefaultBuffer: the conservation law at
-// the default queue depth, with the classify stage failing while
-// producers are mid-burst and the queue holds whatever it holds: every
-// record SendBatch accepted is in the accumulator's Stats or counted
-// Dropped. Run with -race -count=10 — how the accepted records split
-// between the two is timing, their sum is not.
-func TestLivePipelineConservationAtDefaultBuffer(t *testing.T) {
-	boom := errors.New("boom")
-	lp, err := NewLivePipeline(LiveLink{
-		ID:       "burst",
-		Start:    start,
-		Interval: 5 * time.Minute,
-		Config:   schemeConfig,
-		OnResult: func(tt int, _ time.Time, _ core.Result, _ agg.StreamStats) error {
-			if tt == 2 {
-				return boom
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two producers, each bursting the whole trace in datagram-sized
-	// batches as fast as it can; a duplicate record is just more bits.
-	recs := seriesRecords(synthSeries(11, 200, 24))
-	var accepted atomic.Uint64
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < len(recs); i += 30 {
-				n, err := lp.SendBatch(recs[i:min(i+30, len(recs))])
-				accepted.Add(uint64(n))
-				if err != nil {
-					if !errors.Is(err, boom) {
-						t.Errorf("SendBatch = %v, want boom", err)
-					}
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := lp.Close(); !errors.Is(err, boom) {
-		t.Fatalf("Close = %v, want boom", err)
-	}
-	if got := lp.Stats().Records + lp.Dropped(); got != accepted.Load() {
-		t.Errorf("accumulated %d + dropped %d != %d accepted", lp.Stats().Records, lp.Dropped(), accepted.Load())
-	}
-	if lp.Dropped() == 0 && accepted.Load() == 2*uint64(len(recs)) {
-		t.Error("the failure dropped nothing and refused nothing: it did not land mid-burst")
 	}
 }

@@ -7,7 +7,8 @@
 // table row is a label on. Sections is the table of the blocks
 // cmd/experiments prints, each with its title, the paper's claim, the
 // specs it reads and its renderer; Record.Write classifies the union of
-// the selected sections' specs once and renders them in order.
+// the selected sections' specs once and renders them in order. Products
+// added to anything are wrapped in float64(…), as in package stats.
 package experiments
 
 import (

@@ -122,13 +122,13 @@ func sampleSeries(s *agg.Series, n int, meanPacketBytes float64, seed int64) *ag
 // binomialApprox draws Binomial(n, p) for possibly fractional n, using
 // the Poisson limit (accurate for the small p of sampling).
 func binomialApprox(rng *rand.Rand, n, p float64) int {
-	lambda := n * p
+	lambda := float64(n * p)
 	if lambda <= 0 {
 		return 0
 	}
 	if lambda > 30 {
 		// Normal approximation deep in the safe regime.
-		v := lambda + math.Sqrt(lambda)*rng.NormFloat64()
+		v := lambda + float64(math.Sqrt(lambda)*rng.NormFloat64())
 		if v < 0 {
 			return 0
 		}

@@ -112,7 +112,7 @@ func cv(xs []float64) float64 {
 	}
 	var m2 float64
 	for _, x := range xs {
-		m2 += (x - mean) * (x - mean)
+		m2 += float64((x - mean) * (x - mean))
 	}
 	return math.Sqrt(m2/float64(len(xs))) / mean
 }

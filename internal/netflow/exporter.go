@@ -21,7 +21,6 @@ type cacheEntry struct {
 	first, last time.Time
 	packets     uint32
 	octets      uint32
-	tcpFlags    uint8
 }
 
 // ExporterConfig tunes the flow cache.
@@ -56,6 +55,10 @@ type Exporter struct {
 	// order preserves cache insertion order so expiry scans are
 	// deterministic (map iteration is not).
 	order []flowKey
+	// deadline is a lower bound on when the first cached flow times out
+	// (zero with the cache empty): the expiry scan runs only once now
+	// passes it, not on every packet.
+	deadline time.Time
 
 	// boot anchors SysUptime: the first packet's time.
 	boot     time.Time
@@ -92,9 +95,10 @@ func (e *Exporter) AddPacket(ts time.Time, sum packet.Summary) error {
 	k := flowKey{sum.SrcIP, sum.DstIP, sum.SrcPort, sum.DstPort, sum.Protocol}
 	ent, ok := e.cache[k]
 	if !ok {
-		ent = &cacheEntry{first: ts}
+		ent = &cacheEntry{first: ts, last: ts}
 		e.cache[k] = ent
 		e.order = append(e.order, k)
+		e.lowerDeadline(ent)
 	}
 	ent.last = ts
 	ent.packets++
@@ -102,28 +106,42 @@ func (e *Exporter) AddPacket(ts time.Time, sum packet.Summary) error {
 	return nil
 }
 
-// expire flushes entries past their timeouts.
+// expire flushes entries past their timeouts, scanning the cache only
+// once now has passed the deadline bound. A packet only ever moves its
+// entry's deadline later, so the bound stays a bound between scans.
 func (e *Exporter) expire() error {
-	kept := e.order[:0]
-	for _, k := range e.order {
-		ent, ok := e.cache[k]
-		if !ok {
-			continue
+	if !e.deadline.IsZero() && e.now.After(e.deadline) {
+		kept := e.order[:0]
+		e.deadline = time.Time{}
+		for _, k := range e.order {
+			ent := e.cache[k]
+			idle := e.now.Sub(ent.last) > e.cfg.InactiveTimeout
+			long := e.now.Sub(ent.first) > e.cfg.ActiveTimeout
+			if idle || long {
+				e.flushEntry(k, ent)
+				delete(e.cache, k)
+				continue
+			}
+			kept = append(kept, k)
+			e.lowerDeadline(ent)
 		}
-		idle := e.now.Sub(ent.last) > e.cfg.InactiveTimeout
-		long := e.now.Sub(ent.first) > e.cfg.ActiveTimeout
-		if idle || long {
-			e.flushEntry(k, ent)
-			delete(e.cache, k)
-			continue
-		}
-		kept = append(kept, k)
+		e.order = kept
 	}
-	e.order = kept
 	if len(e.pending) >= MaxRecordsPerDatagram {
 		return e.sendPending(MaxRecordsPerDatagram)
 	}
 	return nil
+}
+
+// lowerDeadline folds ent's expiry instant into the deadline bound.
+func (e *Exporter) lowerDeadline(ent *cacheEntry) {
+	d := ent.last.Add(e.cfg.InactiveTimeout)
+	if a := ent.first.Add(e.cfg.ActiveTimeout); a.Before(d) {
+		d = a
+	}
+	if e.deadline.IsZero() || d.Before(e.deadline) {
+		e.deadline = d
+	}
 }
 
 // flushEntry converts a cache entry to a pending record.
@@ -131,12 +149,11 @@ func (e *Exporter) flushEntry(k flowKey, ent *cacheEntry) {
 	e.pending = append(e.pending, Record{
 		SrcAddr: k.src, DstAddr: k.dst,
 		Packets: ent.packets, Octets: ent.octets,
-		First:    e.uptime(ent.first),
-		Last:     e.uptime(ent.last),
-		SrcPort:  k.sport,
-		DstPort:  k.dport,
-		TCPFlags: ent.tcpFlags,
-		Proto:    k.proto,
+		First:   e.uptime(ent.first),
+		Last:    e.uptime(ent.last),
+		SrcPort: k.sport,
+		DstPort: k.dport,
+		Proto:   k.proto,
 	})
 }
 
@@ -189,6 +206,7 @@ func (e *Exporter) Flush() error {
 		}
 	}
 	e.order = e.order[:0]
+	e.deadline = time.Time{}
 	for len(e.pending) > 0 {
 		if err := e.sendPending(MaxRecordsPerDatagram); err != nil {
 			return err

@@ -554,3 +554,110 @@ func TestExporterDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// scanEveryPacket is the exporter's expiry without the deadline bound:
+// every packet walks the whole cache. It is the reference
+// TestExporterDeadlineMatchesFullScan holds the bounded scan to.
+type scanEveryPacket struct{ *Exporter }
+
+func (e scanEveryPacket) AddPacket(ts time.Time, sum packet.Summary) error {
+	if e.boot.IsZero() {
+		e.boot = ts
+	}
+	e.now = ts
+	kept := e.order[:0]
+	for _, k := range e.order {
+		ent := e.cache[k]
+		if e.now.Sub(ent.last) > e.cfg.InactiveTimeout || e.now.Sub(ent.first) > e.cfg.ActiveTimeout {
+			e.flushEntry(k, ent)
+			delete(e.cache, k)
+			continue
+		}
+		kept = append(kept, k)
+	}
+	e.order = kept
+	if len(e.pending) >= MaxRecordsPerDatagram {
+		if err := e.sendPending(MaxRecordsPerDatagram); err != nil {
+			return err
+		}
+	}
+	k := flowKey{sum.SrcIP, sum.DstIP, sum.SrcPort, sum.DstPort, sum.Protocol}
+	ent, ok := e.cache[k]
+	if !ok {
+		ent = &cacheEntry{first: ts}
+		e.cache[k] = ent
+		e.order = append(e.order, k)
+	}
+	ent.last = ts
+	ent.packets++
+	ent.octets += uint32(sum.WireLength)
+	return nil
+}
+
+// TestExporterDeadlineMatchesFullScan: the exporter scans its cache only
+// once the earliest deadline has passed, and must still emit exactly the
+// datagrams — headers and records, byte for byte — of a scan on every
+// packet. The streams are random, with packets landing exactly on a
+// timeout (ties do not expire), whole-second steps that expire more than
+// two datagrams' worth of flows at once, and idle gaps; a backlog of
+// pending records still leaves one datagram per packet.
+func TestExporterDeadlineMatchesFullScan(t *testing.T) {
+	for _, to := range []struct{ active, inactive time.Duration }{
+		{30 * time.Second, 10 * time.Second},
+		{60 * time.Second, 15 * time.Second},
+		{5 * time.Second, 2 * time.Second},
+	} {
+		for seed := int64(1); seed <= 4; seed++ {
+			run := func(full bool) [][]byte {
+				var wires [][]byte
+				e := NewExporter(ExporterConfig{ActiveTimeout: to.active, InactiveTimeout: to.inactive}, func(d *Datagram) error {
+					wire, err := d.Encode(nil)
+					wires = append(wires, wire)
+					return err
+				})
+				add := e.AddPacket
+				if full {
+					add = scanEveryPacket{e}.AddPacket
+				}
+				rng := rand.New(rand.NewSource(seed))
+				now := t0
+				for i := 0; i < 2000; i++ {
+					switch r := rng.Intn(100); {
+					case r < 2: // a burst: 70 new flows in one instant
+						for j := 0; j < 70; j++ {
+							dst := netip.AddrFrom4([4]byte{198, 51, byte(i), byte(j)})
+							if err := add(now, packetAt(dst, 64)); err != nil {
+								t.Fatal(err)
+							}
+						}
+					case r < 10: // exactly one timeout on
+						now = now.Add(to.inactive)
+					case r < 15:
+						now = now.Add(to.active)
+					case r < 17: // an idle gap
+						now = now.Add(time.Duration(rng.Int63n(int64(3 * to.active))))
+					default:
+						now = now.Add(time.Duration(rng.Intn(4)) * 250 * time.Millisecond)
+					}
+					dst := netip.AddrFrom4([4]byte{192, 0, 2, byte(rng.Intn(64))})
+					if err := add(now, packetAt(dst, 40+rng.Intn(1400))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := e.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				return wires
+			}
+			got, want := run(false), run(true)
+			if len(got) != len(want) {
+				t.Fatalf("timeouts %v/%v seed %d: %d datagrams, full scan %d", to.active, to.inactive, seed, len(got), len(want))
+			}
+			for i := range want {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("timeouts %v/%v seed %d: datagram %d differs from the full scan", to.active, to.inactive, seed, i)
+				}
+			}
+		}
+	}
+}

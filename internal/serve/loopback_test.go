@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,116 +14,35 @@ import (
 	"time"
 
 	"repro/internal/agg"
-	"repro/internal/bgp"
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/netflow"
+	"repro/internal/enginetest"
 	"repro/internal/scheme"
-	"repro/internal/trace"
 )
 
-// TestLoopbackEquivalence is the serving subsystem's acceptance test:
-// synthetic traffic goes through the router-model flow cache
-// (netflow.Exporter), the resulting v5 datagrams travel through a real
+// TestLoopbackEquivalence is the serving subsystem's acceptance test: a
+// generated v5 link (enginetest: records out of order, duplicated, before
+// the origin, behind the sealed edge and past the far-future gate, with
+// unrouted ones among them) travels as NetFlow datagrams through a real
 // UDP socket into a running daemon, and the elephant sets the HTTP API
-// reports per interval must equal what the batch pipeline computes from
-// the very same datagrams — at every ingest reader count, pinning that
-// the sharded REUSEPORT front-end preserves per-link record order (one
-// exporter socket hashes to one reader), and once more with the
-// SO_REUSEPORT hook refusing, where four readers asked for must come
-// down to one reader on one socket (readers sharing a socket could hand
-// one exporter's datagrams to its link out of order). Alongside,
-// /metrics must report zero decode errors and zero late drops for the
-// run. Run with -race: the test exercises the full ingest/store/HTTP
-// concurrency.
+// reports per interval must equal the sequential reference on the same
+// records — at every ingest reader count, pinning that the sharded
+// REUSEPORT front-end preserves per-link record order (one exporter
+// socket hashes to one reader), and once more with the SO_REUSEPORT hook
+// refusing, where four readers asked for must come down to one reader on
+// one socket (readers sharing a socket could hand one exporter's
+// datagrams to its link out of order). Alongside, /metrics must report
+// zero decode errors and the reference's late and far-future drops. Run
+// with -race: the test exercises the full ingest/store/HTTP concurrency.
 func TestLoopbackEquivalence(t *testing.T) {
-	const (
-		intervals = 5
-		interval  = 30 * time.Second
-	)
-	start := time.Date(2001, time.July, 24, 9, 0, 0, 0, time.UTC)
-
-	table, err := bgp.Generate(bgp.GenConfig{Routes: 1200, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	link, err := trace.NewLink(trace.LinkConfig{
-		Name:        "edge",
-		Profile:     trace.FlatProfile(),
-		MeanLoadBps: 2e5,
-		Flows:       120,
-		Table:       table,
-		Seed:        21,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := link.GenerateSeries(start, interval, intervals)
-	var capture bytes.Buffer
-	if _, err := trace.NewPacketEmitter(22).Emit(&capture, series); err != nil {
-		t.Fatal(err)
-	}
-
-	// Router model: flow cache → datagrams. Each emitted datagram is
-	// kept as its wire bytes (what travels over UDP) and simultaneously
-	// attributed into the batch reference series.
-	refSeries := agg.NewSeries(start, interval, intervals+2)
-	var refRecords, refUnrouted uint64
-	var recs []agg.Record
-	var wires [][]byte
-	exporter := netflow.NewExporter(netflow.ExporterConfig{
-		ActiveTimeout:   30 * time.Second,
-		InactiveTimeout: 10 * time.Second,
-	}, func(dg *netflow.Datagram) error {
-		wire, err := dg.Encode(nil)
-		if err != nil {
-			return err
-		}
-		wires = append(wires, append([]byte(nil), wire...))
-		var unrouted int
-		recs, unrouted = netflow.AttributeDatagram(table, dg, recs[:0])
-		refRecords += uint64(len(dg.Records))
-		refUnrouted += uint64(unrouted)
-		for _, rec := range recs {
-			refSeries.AddRecord(rec)
-		}
-		return nil
-	})
-	src, err := agg.NewPcapPacketSource(bytes.NewReader(capture.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		ts, sum, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := exporter.AddPacket(ts, sum); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := exporter.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(wires) == 0 {
-		t.Fatal("exporter produced no datagrams")
-	}
-
-	// Batch reference: the engine over the collected series.
+	c := enginetest.Generate(5, []byte("\x8f\x0c\x0c\x02\x01\x18"))
 	sp := scheme.MustParse("load+latent")
-	batch, err := (&engine.MultiLinkEngine{}).Run([]engine.Link{
-		{ID: "ref", Series: refSeries, Config: sp.Factory()},
-	})
+	sp.MinFlows = 4
+	series, stats := c.Reference()
+	ref, err := enginetest.Sequential(series, sp.Factory())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batch[0].Err != nil {
-		t.Fatal(batch[0].Err)
-	}
-	ref := batch[0].Results
+	wires := c.Datagrams()
 
 	// A platform without SO_REUSEPORT runs one reader at every count.
 	probe, err := listenUDP("127.0.0.1:0", 2, t.Logf)
@@ -141,31 +59,31 @@ func TestLoopbackEquivalence(t *testing.T) {
 			if !reusePort {
 				want = 1
 			}
-			loopbackRun(t, table, sp, wires, ref, refRecords, refUnrouted, start, interval, intervals, readers, want)
+			loopbackRun(t, c, sp, wires, ref, stats, readers, want)
 		})
 	}
 	t.Run("readers=4 without SO_REUSEPORT", func(t *testing.T) {
 		reusePortControl = func(string, string, syscall.RawConn) error { return errors.ErrUnsupported }
 		defer func() { reusePortControl = controlReusePort }()
-		loopbackRun(t, table, sp, wires, ref, refRecords, refUnrouted, start, interval, intervals, 4, 1)
+		loopbackRun(t, c, sp, wires, ref, stats, 4, 1)
 	})
 }
 
 // loopbackRun drives one daemon instance (asked for readers readers,
-// expected to run wantReaders) with the pre-captured wire datagrams and
-// asserts API ≡ batch.
-func loopbackRun(t *testing.T, table *bgp.Table, sp *scheme.Spec, wires [][]byte,
-	ref []core.Result, refRecords, refUnrouted uint64,
-	start time.Time, interval time.Duration, intervals, readers, wantReaders int) {
+// expected to run wantReaders) with c's wire datagrams and asserts API ≡
+// the reference.
+func loopbackRun(t *testing.T, c enginetest.Case, sp *scheme.Spec, wires [][]byte,
+	ref []core.Result, stats agg.StreamStats, readers, wantReaders int) {
 	// The daemon under test, anchored at the same interval origin.
 	d, err := NewDaemon(Config{
 		UDPAddr:  "127.0.0.1:0",
 		HTTPAddr: "127.0.0.1:0",
-		Table:    table,
+		Table:    c.Table,
 		Scheme:   sp,
 		Readers:  readers,
-		Interval: interval,
-		Start:    start,
+		Interval: c.Interval,
+		Window:   c.Window,
+		Start:    c.Start,
 		History:  64,
 		Logf:     t.Logf,
 	})
@@ -252,25 +170,16 @@ func loopbackRun(t *testing.T, table *bgp.Table, sp *scheme.Spec, wires [][]byte
 	if ls.Ingest.Datagrams != uint64(len(wires)) {
 		t.Errorf("link datagrams = %d, want %d", ls.Ingest.Datagrams, len(wires))
 	}
-	if ls.Ingest.Records != refRecords {
-		t.Errorf("link records = %d, the reference saw %d", ls.Ingest.Records, refRecords)
-	}
-	if ls.Ingest.Unrouted != refUnrouted {
-		t.Errorf("unrouted = %d, the reference saw %d", ls.Ingest.Unrouted, refUnrouted)
+	if in := ls.Ingest; in.Records != uint64(len(c.Wire)) || in.Routed != uint64(len(c.Records)) {
+		t.Errorf("link ingest %+v, want %d records, %d routed", in, len(c.Wire), len(c.Records))
 	}
 
 	// Per-interval equivalence through the API: every closed interval's
-	// elephant set must match the batch pipeline's.
+	// elephant set must match the reference's.
 	var hist HistoryPage
 	getJSON(t, base+"/links/"+ls.ID+"/history?flows=1", &hist)
-	if len(hist.Entries) == 0 {
-		t.Fatal("no closed intervals in history")
-	}
-	if len(hist.Entries) > len(ref) {
-		t.Fatalf("daemon closed %d intervals, batch has %d", len(hist.Entries), len(ref))
-	}
-	if len(hist.Entries) < intervals {
-		t.Errorf("daemon closed %d intervals, want >= %d", len(hist.Entries), intervals)
+	if len(hist.Entries) != len(ref) {
+		t.Fatalf("daemon closed %d intervals, the reference %d", len(hist.Entries), len(ref))
 	}
 	for _, e := range hist.Entries {
 		want := ref[e.Interval]
@@ -279,12 +188,12 @@ func loopbackRun(t *testing.T, table *bgp.Table, sp *scheme.Spec, wires [][]byte
 			wantFlows = append(wantFlows, p.String())
 		}
 		if fmt.Sprint(e.Flows) != fmt.Sprint(wantFlows) {
-			t.Errorf("interval %d: elephants %v, batch says %v", e.Interval, e.Flows, wantFlows)
+			t.Errorf("interval %d: elephants %v, the reference says %v", e.Interval, e.Flows, wantFlows)
 		}
 		if e.Elephants != want.ElephantCount() {
-			t.Errorf("interval %d: count %d, batch %d", e.Interval, e.Elephants, want.ElephantCount())
+			t.Errorf("interval %d: count %d, the reference %d", e.Interval, e.Elephants, want.ElephantCount())
 		}
-		if at := start.Add(time.Duration(e.Interval) * interval); !e.Start.Equal(at) {
+		if at := c.Origin().Add(time.Duration(e.Interval) * c.Interval); !e.Start.Equal(at) {
 			t.Errorf("interval %d: start %v, want %v", e.Interval, e.Start, at)
 		}
 	}
@@ -300,13 +209,13 @@ func loopbackRun(t *testing.T, table *bgp.Table, sp *scheme.Spec, wires [][]byte
 		t.Errorf("current flows %v != history tail %v", cur.Flows, lastEntry.Flows)
 	}
 
-	// Metrics: a clean run means zero decode errors and zero drops.
+	// Metrics: no decode errors, and the reference's drops.
 	metrics := getBody(t, base+"/metrics")
 	for _, want := range []string{
 		"elephantd_decode_errors_total 0",
-		`elephantd_link_late_records_total{link="127.0.0.1@0"} 0`,
-		`elephantd_link_far_future_total{link="127.0.0.1@0"} 0`,
-		fmt.Sprintf(`elephantd_link_intervals_closed_total{link="127.0.0.1@0"} %d`, len(hist.Entries)),
+		fmt.Sprintf(`elephantd_link_late_records_total{link="127.0.0.1@0"} %d`, stats.Late),
+		fmt.Sprintf(`elephantd_link_far_future_total{link="127.0.0.1@0"} %d`, stats.FarFuture),
+		fmt.Sprintf(`elephantd_link_intervals_closed_total{link="127.0.0.1@0"} %d`, stats.Closed),
 	} {
 		if !strings.Contains(metrics, want+"\n") {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)

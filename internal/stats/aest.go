@@ -380,7 +380,7 @@ func (s *AestScratch) shiftAlpha(onset float64) (float64, bool) {
 			if !ok1 || !ok2 || x2 <= x1 || x1 <= 0 {
 				continue
 			}
-			dx := math.Log10(x2) - math.Log10(x1)
+			dx := float64(math.Log10(x2)) - float64(math.Log10(x1))
 			if dx <= 0 {
 				continue
 			}

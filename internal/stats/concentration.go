@@ -58,7 +58,7 @@ func Gini(xs []float64) (float64, error) {
 	var area float64
 	prevF, prevL := 0.0, 0.0
 	for i := range f {
-		area += (f[i] - prevF) * (l[i] + prevL) / 2
+		area += float64((f[i] - prevF) * (l[i] + prevL) / 2)
 		prevF, prevL = f[i], l[i]
 	}
 	return 1 - 2*area, nil
@@ -77,7 +77,7 @@ func TopShare(xs []float64, p float64) (float64, error) {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	k := int(p*float64(len(sorted)) + 0.5)
+	k := int(float64(p*float64(len(sorted))) + 0.5)
 	if k < 1 {
 		k = 1
 	}

@@ -123,16 +123,16 @@ func FitLine(x, y []float64) (LinearFit, error) {
 	var sxx, sxy, syy float64
 	for i := range x {
 		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
+		sxx += float64(dx * dx)
+		sxy += float64(dx * dy)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 {
 		return LinearFit{}, fmt.Errorf("stats: FitLine: x values are constant")
 	}
 	f := LinearFit{N: n}
 	f.Slope = sxy / sxx
-	f.Intercept = my - f.Slope*mx
+	f.Intercept = my - float64(f.Slope*mx)
 	if syy == 0 {
 		f.R2 = 1
 	} else {

@@ -3,7 +3,8 @@
 // Crovella–Taqqu "aest" scaling estimator for heavy-tail onset and index,
 // run at the published tool's one configuration, a Hill estimator used as
 // a cross-check, EWMA smoothing and quantiles. Everything is
-// deterministic and stdlib-only.
+// deterministic and stdlib-only. A summed product is wrapped in float64(…)
+// so no host fuses a multiply-add (scripts/nofma.sh).
 //
 // Each estimator has one form: QuantileSorted reads a sorted sample,
 // AggregateInto appends block sums (a nil dst allocates), Hill and
@@ -52,7 +53,7 @@ func Summarize(xs []float64) Summary {
 		}
 		delta := x - mean
 		mean += delta / float64(i+1)
-		m2 += delta * (x - mean)
+		m2 += float64(delta * (x - mean))
 	}
 	s.Mean = mean
 	if s.N > 1 {
@@ -77,14 +78,14 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	if n == 1 {
 		return sorted[0]
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // EWMA is an exponentially weighted moving average with the paper's
@@ -113,7 +114,7 @@ func (e *EWMA) Update(x float64) float64 {
 		e.init = true
 		return e.value
 	}
-	e.value = e.Alpha*e.value + (1-e.Alpha)*x
+	e.value = float64(e.Alpha*e.value) + float64((1-e.Alpha)*x)
 	return e.value
 }
 

@@ -163,7 +163,7 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 		if flows[i].heavy {
 			expected += flows[i].baseRate
 		} else {
-			expected += flows[i].baseRate * duty
+			expected += float64(flows[i].baseRate * duty)
 		}
 	}
 	scale := cfg.MeanLoadBps / expected
@@ -210,9 +210,9 @@ func (l *Link) step(f *flowState, diurnal float64) float64 {
 	}
 	// AR(1) evolution of the log modulation.
 	rho := cfg.BurstRho
-	f.logMod = rho*f.logMod + math.Sqrt(1-rho*rho)*l.rng.NormFloat64()*cfg.BurstSigma
+	f.logMod = float64(rho*f.logMod) + float64(math.Sqrt(1-float64(rho*rho))*l.rng.NormFloat64()*cfg.BurstSigma)
 	// exp(sigma^2/2) mean-correction keeps E[multiplier] = 1.
-	mult := math.Exp(f.logMod - cfg.BurstSigma*cfg.BurstSigma/2)
+	mult := math.Exp(f.logMod - float64(cfg.BurstSigma*cfg.BurstSigma/2))
 	return f.baseRate * diurnal * mult
 }
 

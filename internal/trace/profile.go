@@ -6,7 +6,9 @@
 // "east coast" link), AR(1)-correlated short-term rate volatility, and
 // flow birth/death churn. It can emit either the per-interval bandwidth
 // matrix directly (fast path for the 28-hour experiments) or real packets
-// through the packet/pcap substrate (full-pipeline path).
+// through the packet/pcap substrate (full-pipeline path). A product added
+// to anything is wrapped in float64(…), which forbids a fused
+// multiply-add: every host draws the same traffic (scripts/nofma.sh).
 package trace
 
 import (
@@ -58,7 +60,7 @@ func (p *gaussianBumpProfile) raw(d time.Duration) float64 {
 		dist = alt
 	}
 	w := float64(p.width)
-	return p.baseline + p.bump*math.Exp(-dist*dist/(2*w*w))
+	return p.baseline + float64(p.bump*math.Exp(-dist*dist/(2*w*w)))
 }
 
 // At implements DiurnalProfile.

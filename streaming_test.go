@@ -1,13 +1,11 @@
 package repro
 
-// The batch-vs-stream equivalence contract, end to end on every ingest
-// substrate: classifications produced by the streaming path
-// (RecordSource -> StreamAccumulator -> Pipeline.StepSnapshot, driven
-// through engine.RunStreaming) must be byte-identical to the same
-// records collected into an agg.Series and classified by the sequential
-// oracle (one core pipeline stepped over plain snapshots, no engine
-// code) or by engine.Run. Run with -race: the multi-link variants
-// exercise the concurrent pool.
+// Batch ≡ stream on the two real ingest substrates: records decoded from
+// a pcap capture, and records a NetFlow flow cache exported, classified
+// by engine.RunStreaming must be byte-identical to the same records
+// collected into an agg.Series and stepped by the sequential reference.
+// Generated record sequences go down every path in internal/engine's
+// FuzzEquivalence.
 
 import (
 	"bytes"
@@ -19,6 +17,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/enginetest"
 	"repro/internal/netflow"
 	"repro/internal/trace"
 )
@@ -39,32 +38,6 @@ func eqScheme() (core.Config, error) {
 	return core.Config{Detector: det, Alpha: 0.5, Classifier: lh, MinFlows: 8}, nil
 }
 
-// sequential is the oracle every engine path is compared against: one
-// pipeline built straight on core and stepped over the series' plain
-// snapshots — no flow IDs, no engine code.
-func sequential(t *testing.T, s *agg.Series, factory func() (core.Config, error)) []core.Result {
-	t.Helper()
-	cfg, err := factory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, err := core.NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap *core.FlowSnapshot
-	results := make([]core.Result, 0, s.Intervals)
-	for tt := 0; tt < s.Intervals; tt++ {
-		snap = s.Snapshot(tt, snap)
-		res, err := pipe.Step(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
-	}
-	return results
-}
-
 // runBatchRecords collects a record source into a series and classifies
 // it sequentially — the batch reference.
 func runBatchRecords(t *testing.T, src agg.RecordSource, intervals int, interval time.Duration) []core.Result {
@@ -73,7 +46,11 @@ func runBatchRecords(t *testing.T, src agg.RecordSource, intervals int, interval
 	if _, err := agg.Collect(src, s); err != nil {
 		t.Fatal(err)
 	}
-	return sequential(t, s, eqScheme)
+	results, err := enginetest.Sequential(s, eqScheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
 }
 
 // runStreamRecords classifies a record source live through the
@@ -187,55 +164,4 @@ func TestStreamEquivalenceNetFlow(t *testing.T) {
 	batch := runBatchRecords(t, mkSource(), intervals, interval)
 	stream := runStreamRecords(t, mkSource(), interval, 8)
 	requireIdentical(t, "netflow", batch, stream)
-}
-
-// TestStreamEquivalenceSynthetic: the generator's incremental mode,
-// batch vs stream, including the full multi-link engine on both sides.
-func TestStreamEquivalenceSynthetic(t *testing.T) {
-	table, err := bgp.Generate(bgp.GenConfig{Routes: 1500, Seed: 52})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const intervals = 16
-	interval := 5 * time.Minute
-	mkSource := func(seed int64) agg.RecordSource {
-		link, err := trace.NewLink(trace.LinkConfig{
-			Table: table, Flows: 400, MeanLoadBps: 5e6, Seed: seed,
-			Profile: trace.WestCoastProfile(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return link.Stream(eqStart, interval, intervals)
-	}
-
-	seeds := []int64{52, 53, 54}
-	batchLinks := make([]engine.Link, len(seeds))
-	streamLinks := make([]engine.StreamLink, len(seeds))
-	for i, seed := range seeds {
-		s := agg.NewSeries(eqStart, interval, intervals)
-		if _, err := agg.Collect(mkSource(seed), s); err != nil {
-			t.Fatal(err)
-		}
-		batchLinks[i] = engine.Link{ID: string(rune('a' + i)), Series: s, Config: eqScheme}
-		streamLinks[i] = engine.StreamLink{
-			ID: string(rune('a' + i)), Source: mkSource(seed),
-			Start: eqStart, Interval: interval, Window: 4, Config: eqScheme,
-		}
-	}
-	eng := engine.MultiLinkEngine{Workers: 3}
-	want, err := eng.Run(batchLinks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.RunStreaming(streamLinks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i].Err != nil || got[i].Err != nil {
-			t.Fatalf("link %s: errs %v / %v", want[i].ID, want[i].Err, got[i].Err)
-		}
-		requireIdentical(t, "synthetic/"+want[i].ID, want[i].Results, got[i].Results)
-	}
 }
