@@ -73,7 +73,7 @@ func run(args []string, stdout io.Writer) error {
 		schemeSpec = fs.String("scheme", "load+latent", scheme.FlagUsage())
 		alpha      = fs.Float64("alpha", scheme.DefaultAlpha, "EWMA weight on the previous smoothed threshold")
 		interval   = fs.Duration("interval", 5*time.Minute, "measurement interval")
-		top        = fs.Int("top", 10, "print the top-N elephant flows by volume")
+		top        = fs.Int("top", 10, "print the N flows classified as elephants in the most intervals")
 		swindow    = fs.Int("stream-window", 0, "open-interval window (memory bound); 0 derives it from the scheme's latent-heat window, floored at agg.DefaultStreamWindow")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -8,9 +8,9 @@
 // Memory is bounded by the accumulator's window (the latent-heat
 // lookback, 12 five-minute slots) however long the link is monitored.
 // The hook prints a status line per interval, flagging promotions and
-// demotions (the reroute events a TE controller would act on) and
-// counts them; a stage observer sums each step's timings, and the
-// closing digest reports both.
+// demotions (the reroute events a TE controller would act on), counts
+// them and sums each step's timings, which the pipeline hands it with
+// the interval; the closing digest reports both.
 //
 //	go run ./examples/livemonitor
 //
@@ -187,9 +187,8 @@ func runLocal() error {
 	// Any other registered spec ("aest+latent", "spacesaving:k=100", ...)
 	// changes nothing below.
 	sp := scheme.MustParse("load+latent")
-	// Every step's stage timings, summed by the observer, and the churn
-	// the hook counts.
-	var times stageTimes
+	// Every step's stage timings and the churn, summed by the hook.
+	var steps, stepNs, detectNs, classifyNs int64
 	var promotedN, demotedN int
 
 	// The window is derived from the scheme, so ingestion holds no more
@@ -201,15 +200,12 @@ func runLocal() error {
 		Start:    start,
 		Interval: 5 * time.Minute,
 		Window:   engine.StreamWindow(sp, 0),
-		Config: func() (core.Config, error) {
-			cc, err := sp.Config()
-			cc.Observer = &times
-			return cc, err
-		},
-		OnResult: func(t int, at time.Time, res core.Result, _ agg.StreamStats) error {
+		Config:   sp.Factory(),
+		OnResult: func(s engine.Sealed) error {
+			res := s.Result
 			promoted, demoted := missing(res.Elephants, prev), missing(prev, res.Elephants)
 			fmt.Printf("[%s] flows=%4d elephants=%3d load=%5.1f Mb/s eleph=%.2f",
-				at.Format("15:04"), res.ActiveFlows, res.ElephantCount(),
+				s.At.Format("15:04"), res.ActiveFlows, res.ElephantCount(),
 				res.TotalLoad/1e6, res.LoadFraction())
 			if len(promoted) > 0 {
 				fmt.Printf("  +%d promoted (e.g. %s)", len(promoted), promoted[0])
@@ -220,6 +216,10 @@ func runLocal() error {
 			fmt.Println()
 			promotedN += len(promoted)
 			demotedN += len(demoted)
+			steps++
+			stepNs += s.Step.StepNanos
+			detectNs += s.Step.DetectNanos
+			classifyNs += s.Step.ClassifyNanos
 			prev = res.Elephants
 			return nil
 		},
@@ -241,22 +241,11 @@ func runLocal() error {
 		return err
 	}
 
-	// The digest: the sums the observer kept, the counts the hook did.
-	n := float64(times.steps)
+	// The digest: the sums the hook kept.
+	n := float64(steps)
 	fmt.Printf("\nstage timings over %.0f intervals: step mean %.0f µs (detect %.0f, classify %.0f); churn +%d/-%d\n",
-		n, float64(times.step)/n/1e3, float64(times.detect)/n/1e3, float64(times.classify)/n/1e3, promotedN, demotedN)
+		n, float64(stepNs)/n/1e3, float64(detectNs)/n/1e3, float64(classifyNs)/n/1e3, promotedN, demotedN)
 	return nil
-}
-
-// stageTimes is a core.StageObserver summing the stage timings of every
-// step it observes, in nanoseconds.
-type stageTimes struct{ steps, step, detect, classify int64 }
-
-func (s *stageTimes) ObserveStep(o core.StepObservation) {
-	s.steps++
-	s.step += o.StepNanos
-	s.detect += o.DetectNanos
-	s.classify += o.ClassifyNanos
 }
 
 // missing lists the flows of a that b lacks, in string order.

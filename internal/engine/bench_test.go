@@ -2,10 +2,7 @@ package engine
 
 import (
 	"testing"
-	"time"
 
-	"repro/internal/agg"
-	"repro/internal/core"
 	"repro/internal/scheme"
 )
 
@@ -27,7 +24,7 @@ func BenchmarkLivePipelineSaturation(b *testing.B) {
 			Window:   4,
 			Buffer:   4096,
 			Config:   schemeConfig,
-			OnResult: func(int, time.Time, core.Result, agg.StreamStats) error {
+			OnResult: func(Sealed) error {
 				intervals++
 				return nil
 			},

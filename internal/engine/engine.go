@@ -246,14 +246,15 @@ type cell struct {
 // build constructs the cell's pipeline, reporting whether the cell is
 // live; a construction failure lands in the slot's Err.
 func (c *cell) build() bool {
-	c.pipe, c.out.Err = newPipeline(c.out.ID, c.config, c.thresholds)
+	c.pipe, c.out.Err = newPipeline(c.out.ID, c.config, c.thresholds, nil)
 	return c.pipe != nil
 }
 
 // newPipeline builds a link's private pipeline from its config factory,
 // with an optional precomputed threshold column attached (the matrix
-// prepass); with src nil the pipeline detects inline.
-func newPipeline(id string, factory func() (core.Config, error), src core.ThresholdSource) (*core.Pipeline, error) {
+// prepass); with src nil the pipeline detects inline. A non-nil obs
+// replaces the config's stage observer (a LivePipeline's own).
+func newPipeline(id string, factory func() (core.Config, error), src core.ThresholdSource, obs core.StageObserver) (*core.Pipeline, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("engine: link %q: nil config factory", id)
 	}
@@ -262,6 +263,9 @@ func newPipeline(id string, factory func() (core.Config, error), src core.Thresh
 		return nil, fmt.Errorf("engine: link %q: %w", id, err)
 	}
 	cfg.Thresholds = src
+	if obs != nil {
+		cfg.Observer = obs
+	}
 	pipe, err := core.NewPipeline(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("engine: link %q: %w", id, err)
@@ -378,8 +382,8 @@ func runStream(l StreamLink, out *LinkResult) {
 		Window:   l.Window,
 		Config:   l.Config,
 		// Runs on the classify stage; the worker reads out only after Close.
-		OnResult: func(_ int, _ time.Time, res core.Result, _ agg.StreamStats) error {
-			out.Results = append(out.Results, res)
+		OnResult: func(s Sealed) error {
+			out.Results = append(out.Results, s.Result)
 			return nil
 		},
 	})

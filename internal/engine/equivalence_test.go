@@ -518,21 +518,21 @@ func split(recs []agg.Record, parts int) [][]agg.Record {
 // send runs one LivePipeline on c under sp, one producer goroutine per
 // part sending its records batch at a time (Send when batch is 1), and
 // returns the results, the final counters and Close's error. The hook's
-// arguments and the queue's books are checked on the way: results in
-// order and gap-free, each at its interval's left edge, with counters
-// that have closed it; and Stats().Records + Dropped() is what the sends
-// accepted.
+// Sealed and the queue's books are checked on the way: results in order
+// and gap-free, each at its interval's left edge, with counters that
+// have closed it and the step observation of its own interval; and
+// Stats().Records + Dropped() is what the sends accepted.
 func (r *reference) send(leg string, c enginetest.Case, sp *scheme.Spec, buffer int, parts [][]agg.Record, batch int) ([]core.Result, agg.StreamStats, error) {
 	t := r.t
 	origin := c.Origin()
 	var got []core.Result
 	lp, err := engine.NewLivePipeline(engine.LiveLink{
 		ID: "live", Start: c.Start, Interval: c.Interval, Window: c.Window, Buffer: buffer, Config: sp.Factory(),
-		OnResult: func(i int, at time.Time, res core.Result, st agg.StreamStats) error {
-			if i != len(got) || st.Closed != i+1 || !at.Equal(origin.Add(time.Duration(i)*c.Interval)) {
-				t.Errorf("%s/%s: result for interval %d at %v with %d closed, want interval %d at %v", leg, sp, i, at, st.Closed, len(got), origin.Add(time.Duration(len(got))*c.Interval))
+		OnResult: func(s engine.Sealed) error {
+			if i := s.T; i != len(got) || s.Stats.Closed != i+1 || !s.At.Equal(origin.Add(time.Duration(i)*c.Interval)) || s.Step.Interval != s.Result.Interval {
+				t.Errorf("%s/%s: result for interval %d at %v with %d closed, step observed for %d, want interval %d at %v", leg, sp, i, s.At, s.Stats.Closed, s.Step.Interval, len(got), origin.Add(time.Duration(len(got))*c.Interval))
 			}
-			got = append(got, res)
+			got = append(got, s.Result)
 			return nil
 		},
 	})

@@ -56,8 +56,9 @@ var errClassifyFailed = errors.New("engine: classify stage failed")
 // resident-daemon counterpart of StreamLink: where a StreamLink drains
 // a finite RecordSource to completion, a LiveLink accepts records
 // pushed from the outside (a UDP ingest loop) for as long as the
-// process lives, delivering classification results through a hook as
-// intervals close.
+// process lives, handing each interval to one hook as it closes: its
+// Sealed, whose consumer needs nothing else from the pipeline (the
+// daemon's serve.LinkState is that hook).
 type LiveLink struct {
 	// ID names the link in errors.
 	ID string
@@ -75,15 +76,35 @@ type LiveLink struct {
 	Buffer int
 	// Config returns a fresh pipeline configuration for this link —
 	// the same fresh-instances-per-link determinism contract as every
-	// other engine mode.
+	// other engine mode. The pipeline observes its own steps, so a
+	// configured Observer is replaced; the hook reads Sealed.Step.
 	Config func() (core.Config, error)
-	// OnResult receives each closed interval's classification in order:
-	// the interval index, its left-edge wall time (from the
+	// OnResult receives each closed interval, classified, in order. It
+	// runs on the link's classify goroutine; an error fails the link.
+	// Required.
+	OnResult func(Sealed) error
+}
+
+// Sealed is one closed interval as a LivePipeline hands it to its
+// OnResult hook: everything the pipeline knows of the interval, in one
+// value. The stage overlap is not in it — the classify stage measures an
+// interval's overlap only after its hook returns (LastOverlap).
+type Sealed struct {
+	// T is the interval index; At its left-edge wall time (from the
 	// accumulator's resolved anchor — the configured Start, or the
-	// first record when aligning automatically) and the accumulator's
-	// counters as of that close. It runs on the link's classify
-	// goroutine; an error fails the link. Required.
-	OnResult func(t int, at time.Time, res core.Result, stats agg.StreamStats) error
+	// first record when aligning automatically).
+	T  int
+	At time.Time
+	// Result is the interval's classification.
+	Result core.Result
+	// Stats are the accumulator's counters as of the seal.
+	Stats agg.StreamStats
+	// Step is where the interval's step spent its time.
+	Step core.StepObservation
+	// SealLag is the watermark lag the interval sealed under; the
+	// pipeline's WatermarkLag may already reflect later records (the
+	// stages overlap).
+	SealLag time.Duration
 }
 
 // recordSlab is the unit of work crossing the producer→accumulate
@@ -97,8 +118,8 @@ type recordSlab struct {
 
 // sealedInterval is the unit of work crossing the accumulate→classify
 // stage boundary: one sealed interval's snapshot (in a transfer buffer
-// the classify stage returns after use) plus the interval's identity
-// and the accumulator counters captured at seal time.
+// the classify stage returns after use) plus what the seal knows of the
+// interval — the rest of its Sealed, which the classify stage completes.
 type sealedInterval struct {
 	t     int
 	at    time.Time
@@ -107,13 +128,22 @@ type sealedInterval struct {
 	snap  *core.FlowSnapshot
 }
 
+// stepObserver is a LivePipeline's own stage observer: its pipeline's
+// Step fills it on the classify goroutine, and the classify stage copies
+// it into the same interval's Sealed.
+type stepObserver struct{ last core.StepObservation }
+
+func (o *stepObserver) ObserveStep(s core.StepObservation) { o.last = s }
+
 // LivePipeline is a long-lived per-link classification pipeline, run
 // as two stages: an accumulate goroutine owns the StreamAccumulator
 // and consumes the record batches SendBatch queues; a classify
-// goroutine owns the core.Pipeline and consumes sealed interval
-// snapshots, firing OnResult per interval. The stages are joined by a
-// bounded channel of double-buffered snapshot copies, so interval t+1
-// accumulates while interval t classifies.
+// goroutine owns the core.Pipeline, observes its steps itself and
+// consumes sealed interval snapshots, handing OnResult each interval
+// whole — one Sealed carrying the result, the counters, the step's
+// timings and the seal lag. The stages are joined by a bounded channel
+// of double-buffered snapshot copies, so interval t+1 accumulates while
+// interval t classifies.
 //
 // The determinism contract survives the overlap: sealed intervals
 // are copied out in seal order and classified strictly in that order
@@ -176,13 +206,6 @@ type LivePipeline struct {
 	emitWait    atomic.Int64
 	lastOverlap atomic.Int64
 
-	// sealLag is the watermark lag the most recently classified
-	// interval was sealed under, stored by the classify stage right
-	// before its OnResult fires — the per-interval lag a result hook
-	// should record (WatermarkLag may already reflect later records
-	// by the time classification runs).
-	sealLag atomic.Int64
-
 	// classifyFailed tells the accumulate stage to stop sealing: the
 	// classify goroutine recorded the link error and is draining.
 	classifyFailed atomic.Bool
@@ -194,6 +217,9 @@ type LivePipeline struct {
 	mu  sync.Mutex
 	err error
 
+	// step is classify-stage-owned: the pipeline's observer.
+	step stepObserver
+
 	// Accumulate-stage-owned; read by other goroutines only after done
 	// is closed (Stats, Dropped) — the channel close/receive pair
 	// orders those accesses.
@@ -204,10 +230,6 @@ type LivePipeline struct {
 // NewLivePipeline validates the link, builds its private accumulator
 // and pipeline, and starts the accumulate and classify stages.
 func NewLivePipeline(l LiveLink) (*LivePipeline, error) {
-	pipe, err := newPipeline(l.ID, l.Config, nil)
-	if err != nil {
-		return nil, err
-	}
 	// No Table: the accumulator's flow identities are private to the
 	// accumulate stage, which also releases their rows as flows go quiet.
 	// The classify stage runs concurrently and owns the core pipeline's
@@ -243,6 +265,10 @@ func NewLivePipeline(l LiveLink) (*LivePipeline, error) {
 		classifyDone: make(chan struct{}),
 		acc:          acc,
 	}
+	pipe, err := newPipeline(l.ID, l.Config, nil, &p.step)
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < liveTransferBuffers; i++ {
 		p.free <- core.NewFlowSnapshot(0)
 	}
@@ -272,22 +298,22 @@ func NewLivePipeline(l LiveLink) (*LivePipeline, error) {
 }
 
 // classify is the downstream stage: consume sealed intervals in order,
-// step the core pipeline and fire OnResult. Every transfer buffer is
-// recycled on every path — success, failure, post-failure drain — so
-// the accumulate stage can never wedge waiting for a buffer.
-func (p *LivePipeline) classify(pipe *core.Pipeline, onResult func(int, time.Time, core.Result, agg.StreamStats) error) {
+// step the core pipeline and hand OnResult the interval whole. Every
+// transfer buffer is recycled on every path — success, failure,
+// post-failure drain — so the accumulate stage can never wedge waiting
+// for a buffer.
+func (p *LivePipeline) classify(pipe *core.Pipeline, onResult func(Sealed) error) {
 	defer close(p.classifyDone)
 	for m := range p.sealed {
 		if p.classifyFailed.Load() {
 			p.free <- m.snap
 			continue
 		}
-		p.sealLag.Store(int64(m.lag))
 		waitBefore := p.emitWait.Load()
 		busyStart := time.Now()
 		res, err := pipe.StepSnapshot(m.t, m.snap)
 		if err == nil {
-			err = onResult(m.t, m.at, res, m.stats)
+			err = onResult(Sealed{T: m.t, At: m.at, Result: res, Stats: m.stats, Step: p.step.last, SealLag: m.lag})
 		}
 		busy := time.Since(busyStart).Nanoseconds()
 		p.free <- m.snap
@@ -364,15 +390,6 @@ func (p *LivePipeline) finish() {
 // atomic load, so HTTP scrape handlers read it while the worker runs.
 func (p *LivePipeline) WatermarkLag() time.Duration {
 	return time.Duration(p.lag.Load())
-}
-
-// LastSealLag returns the watermark lag the most recently classified
-// interval was sealed under. Inside an OnResult hook it is exactly
-// that interval's seal-time lag — the value to record per interval —
-// where WatermarkLag may already reflect records accumulated since the
-// seal (the stages overlap). Safe from any goroutine at any time.
-func (p *LivePipeline) LastSealLag() time.Duration {
-	return time.Duration(p.sealLag.Load())
 }
 
 // Stalls returns how many times a Send/SendBatch found every batch of

@@ -16,17 +16,15 @@ func (d constDetector) Name() string                                    { return
 
 // TestLivePipelineWatermarkLag: the accumulate stage publishes the
 // watermark lag at every seal, readable from any goroutine; a result
-// hook observes the lag its interval was sealed under via LastSealLag
-// (the classify stage runs behind the accumulate stage, so the fresh
-// WatermarkLag may already reflect later records). Run with -race:
-// both readings cross the stage boundary like a scrape does.
+// hook reads the lag its interval was sealed under from its Sealed (the
+// classify stage runs behind the accumulate stage, so the fresh
+// WatermarkLag may already reflect later records). Run with -race: both
+// readings cross the stage boundary like a scrape does.
 func TestLivePipelineWatermarkLag(t *testing.T) {
 	const iv = time.Minute
 	p := netip.MustParsePrefix("10.0.0.0/24")
-	var lp *LivePipeline
 	var lags []time.Duration
-	var err error
-	lp, err = NewLivePipeline(LiveLink{
+	lp, err := NewLivePipeline(LiveLink{
 		ID:       "lag",
 		Start:    start,
 		Interval: iv,
@@ -39,8 +37,8 @@ func TestLivePipelineWatermarkLag(t *testing.T) {
 				MinFlows:   1,
 			}, nil
 		},
-		OnResult: func(tt int, at time.Time, res core.Result, stats agg.StreamStats) error {
-			lags = append(lags, lp.LastSealLag())
+		OnResult: func(s Sealed) error {
+			lags = append(lags, s.SealLag)
 			return nil
 		},
 	})

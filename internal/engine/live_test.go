@@ -24,7 +24,7 @@ func TestLivePipelineFailureReleasesProducer(t *testing.T) {
 		Window:   1,
 		Buffer:   1,
 		Config:   schemeConfig,
-		OnResult: func(tt int, at time.Time, res core.Result, stats agg.StreamStats) error {
+		OnResult: func(s Sealed) error {
 			fired++
 			return boom
 		},
@@ -78,7 +78,7 @@ func TestLivePipelineFailureReleasesProducer(t *testing.T) {
 			Window:   1,
 			Buffer:   64, // two slabs
 			Config:   oneFlowConfig,
-			OnResult: func(int, time.Time, core.Result, agg.StreamStats) error {
+			OnResult: func(Sealed) error {
 				<-gate
 				return boom
 			},
@@ -135,7 +135,7 @@ func TestLivePipelineFailureReleasesProducer(t *testing.T) {
 }
 
 func TestLivePipelineValidation(t *testing.T) {
-	ok := func(tt int, at time.Time, res core.Result, stats agg.StreamStats) error { return nil }
+	ok := func(s Sealed) error { return nil }
 	if _, err := NewLivePipeline(LiveLink{ID: "x", Interval: time.Minute, Config: schemeConfig}); err == nil {
 		t.Error("nil OnResult accepted")
 	}
@@ -150,7 +150,7 @@ func TestLivePipelineValidation(t *testing.T) {
 func TestLivePipelineStatsBeforeClose(t *testing.T) {
 	lp, err := NewLivePipeline(LiveLink{
 		ID: "x", Interval: time.Minute, Config: schemeConfig,
-		OnResult: func(int, time.Time, core.Result, agg.StreamStats) error { return nil },
+		OnResult: func(Sealed) error { return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestLivePipelineStalls(t *testing.T) {
 		Window:   1,
 		Buffer:   1,
 		Config:   oneFlowConfig,
-		OnResult: func(tt int, at time.Time, res core.Result, stats agg.StreamStats) error {
+		OnResult: func(s Sealed) error {
 			if !gated {
 				gated = true
 				<-gate
@@ -304,7 +304,7 @@ func TestLivePipelineSendBatchStalls(t *testing.T) {
 				Window:   1,
 				Buffer:   tc.buffer,
 				Config:   oneFlowConfig,
-				OnResult: func(int, time.Time, core.Result, agg.StreamStats) error {
+				OnResult: func(Sealed) error {
 					if !gated {
 						gated = true
 						<-gate
@@ -365,7 +365,7 @@ func TestLivePipelineSendBatchAllocs(t *testing.T) {
 		Interval: time.Minute,
 		Buffer:   32, // one slab: the first send allocates it, every later one reuses it
 		Config:   oneFlowConfig,
-		OnResult: func(int, time.Time, core.Result, agg.StreamStats) error { return nil },
+		OnResult: func(Sealed) error { return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +398,7 @@ func TestLivePipelineQueueIsLazy(t *testing.T) {
 		Start:    start,
 		Interval: time.Minute,
 		Config:   oneFlowConfig,
-		OnResult: func(int, time.Time, core.Result, agg.StreamStats) error { return nil },
+		OnResult: func(Sealed) error { return nil },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,15 +8,12 @@ import (
 	"net/http"
 	"net/netip"
 	"runtime"
-	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/bgp"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/scheme"
 )
@@ -98,22 +95,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// liveLink pairs a link's pipeline with its store entry. It is the
-// pipeline's stage observer: last is the step's observation, which the
-// result hook reads on the same goroutine. The link map holding these is
-// copy-on-write (see linkMap in ingest.go); the state inside is
-// concurrency-safe.
-type liveLink struct {
-	id    string
-	state *LinkState
-	lp    *engine.LivePipeline
-	last  core.StepObservation
-}
-
 // Daemon is the live monitoring process: a sharded UDP NetFlow v5
 // collector demultiplexing datagrams into per-link classification
-// pipelines, a state store, and an HTTP query/metrics API. See
-// the package documentation for the lifecycle.
+// pipelines, the store indexing those links, and an HTTP query/metrics
+// API. See the package documentation for the lifecycle.
 type Daemon struct {
 	cfg   Config
 	store *Store
@@ -125,10 +110,6 @@ type Daemon struct {
 	httpLn  net.Listener
 	httpSrv *http.Server
 
-	// links is the copy-on-write exporter→pipeline index; readers load
-	// it lock-free, createLink publishes new versions under linkMu.
-	links    atomic.Pointer[linkMap]
-	linkMu   sync.Mutex
 	loopDone chan struct{} // closed when every reader has exited
 	httpDone chan struct{}
 	httpErr  error
@@ -213,8 +194,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		loopDone: make(chan struct{}),
 		httpDone: make(chan struct{}),
 	}
-	empty := make(linkMap)
-	d.links.Store(&empty)
 	d.readers = make([]*reader, len(conns))
 	for i, c := range conns {
 		d.readers[i] = newReader(i, c, effectiveReadBuffer(c))
@@ -226,7 +205,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// Store exposes the daemon's state store (read-only use; handlers and
+// Store exposes the daemon's link index (read-only use; handlers and
 // tests).
 func (d *Daemon) Store() *Store { return d.store }
 
@@ -288,17 +267,6 @@ func linkID(addr netip.Addr, engineID uint8) string {
 	return addr.Unmap().String() + "@" + strconv.Itoa(int(engineID))
 }
 
-// pipelines returns the links that have a pipeline, in ID order.
-func (d *Daemon) pipelines() []*liveLink {
-	m := *d.links.Load()
-	lls := make([]*liveLink, 0, len(m))
-	for _, ll := range m {
-		lls = append(lls, ll)
-	}
-	slices.SortFunc(lls, func(a, b *liveLink) int { return strings.Compare(a.id, b.id) })
-	return lls
-}
-
 // DrainIngest performs the ingest half of a graceful shutdown: stop
 // accepting new datagrams once every socket's kernel buffer is empty,
 // close every link's remaining open intervals (final flush through each
@@ -326,20 +294,12 @@ func (d *Daemon) DrainIngest(ctx context.Context) error {
 			_ = c.Close()
 		}
 
-		// The readers have exited; the link map is quiescent. Close
-		// pipelines in ID order for deterministic logs.
-		for _, ll := range d.pipelines() {
-			if err := ll.lp.Close(); err != nil {
-				ll.state.Fail(err)
-				if d.drainErr == nil {
-					d.drainErr = err
-				}
+		// The readers have exited, so no link is created from here on.
+		// Close pipelines in ID order for deterministic logs.
+		for _, ls := range d.store.links() {
+			if err := ls.close(); err != nil && d.drainErr == nil {
+				d.drainErr = err
 			}
-			ll.state.SetStreamStats(ll.lp.Stats())
-			// Records that were queued when the pipeline failed were
-			// discarded unclassified: move them from Routed to Dropped
-			// so the final counters say what actually happened.
-			ll.state.ReclassifyDropped(ll.lp.Dropped())
 		}
 		datagrams, records, decodeErrors := d.ingestTotals()
 		d.cfg.Logf("serve: ingest drained — %d datagrams, %d records, %d decode errors, %d links, %d readers",

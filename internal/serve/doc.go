@@ -10,8 +10,8 @@
 //	UDP sockets → decode → demux by exporter (source IP @ engine ID)
 //	  → attribute records against the BGP table
 //	  → per-link engine.LivePipeline (StreamAccumulator → core.Pipeline)
-//	  → Store (per link: current ElephantSet, history ring, ingest
-//	    counters)
+//	  → the link's LinkState, the pipeline's result hook (current
+//	    ElephantSet, history ring, ingest counters)
 //	  → HTTP API (/links, /links/{id}/elephants, /links/{id}/history,
 //	    /links/{id}/debug/intervals, /healthz, /readyz, /metrics)
 //
@@ -24,52 +24,64 @@
 // several sockets (nfreplay -single-link) is fed by several readers at
 // once: the link's pipeline accepts that (SendBatch is safe from several
 // goroutines), but its datagrams can reach it out of arrival order. A
-// platform without the option runs one reader on one socket. Each reader reuses
-// a private decode scratch (netflow.DecodeInto) and attribution batch, and link
-// lookup is one atomic load on a copy-on-write map, so a datagram for
-// an existing link travels read → decode → dispatch without allocating
-// or taking a lock. Each link's pipeline runs on its own worker behind a
-// bounded record queue that a datagram's records cross as one batch — one
-// copy and one queue operation per datagram, not per record — so ingest
-// and classification of different links
-// never serialise on each other, and the engine's determinism contract
-// (single consumer, fresh pipeline state per link) holds for however
-// long the daemon lives. Memory per link is the
-// accumulator window plus the fixed-capacity history ring (208 bytes an
-// interval), independent of uptime: each link's pipeline owns a core.FlowTable interning its
-// prefixes into dense IDs, the whole per-interval path runs on
-// ID-indexed columns (one hash per decoded record, none per flow per
-// interval), and classifier eviction recycles the IDs of long-idle
-// flows, bounding the identity table by the live flow set.
+// platform without the option runs one reader on one socket. Each reader
+// reuses a private decode scratch (netflow.DecodeInto) and attribution
+// batch.
 //
-// A sealed interval is recorded once. The link's result hook makes one
-// call (LinkState.record) under the link's one lock: it computes the
-// interval's churn against the previous elephant set — the only place
-// churn is computed — and writes one entry into the history ring,
-// holding the summary, the owning elephant set and the numbers only the
-// pipeline knows (stage timings from the step's observation, raw θ(t),
-// seal-time watermark lag, stage overlap). /links/{id}/history and
-// /links/{id}/debug/intervals (JSONL of IntervalTrace) are two
-// renderings of that ring, so Config.History bounds both and they
-// cannot disagree about an interval. The same call folds the step's
-// stage timings and the stage overlap into the link's histograms and
-// the churn into its promote/demote totals.
+// A link is one LinkState: it holds the link's pipeline and is that
+// pipeline's result hook. The Store is the one index of links: an
+// immutable value behind one atomic pointer, holding the links by wire
+// key and in ID order, replaced under one mutex when a link is created.
+// A datagram's lookup, an HTTP lookup by ID and every ordered walk
+// (/links, /metrics, /healthz, /readyz, DrainIngest) are each one atomic
+// load, so a datagram for an existing link travels read → decode →
+// dispatch without allocating or taking a lock. A link whose pipeline
+// cannot be built is published once, failed, and its datagrams are
+// counted as dropped.
+//
+// Each link's pipeline runs on its own worker behind a bounded record
+// queue that a datagram's records cross as one batch — one copy and one
+// queue operation per datagram, not per record — so ingest and
+// classification of different links never serialise on each other, and
+// the engine's determinism contract (single consumer, fresh pipeline
+// state per link) holds for however long the daemon lives. Memory per
+// link is the accumulator window plus the fixed-capacity history ring
+// (208 bytes an interval), independent of uptime: each link's pipeline
+// owns a core.FlowTable interning its prefixes into dense IDs, the whole
+// per-interval path runs on ID-indexed columns (one hash per decoded
+// record, none per flow per interval), and classifier eviction recycles
+// the IDs of long-idle flows, bounding the identity table by the live
+// flow set.
+//
+// A sealed interval is recorded once. The pipeline hands the link's
+// hook the interval whole (engine.Sealed: result, counters, the step's
+// timings, seal lag), and the hook makes one call (LinkState.record)
+// under the link's one lock: it computes the interval's churn against
+// the previous elephant set — the only place churn is computed — and
+// writes one entry into the history ring, holding the summary, the
+// owning elephant set and the numbers only the pipeline knows (stage
+// timings, raw θ(t), seal-time watermark lag, stage overlap).
+// /links/{id}/history and /links/{id}/debug/intervals (JSONL of
+// IntervalTrace) are two renderings of that ring, so Config.History
+// bounds both and they cannot disagree about an interval. The same call
+// folds the step's stage timings and the stage overlap into the link's
+// histograms and the churn into its promote/demote totals.
 //
 // The daemon is itself observed, and /metrics keeps nothing of its own.
-// Every per-link family is read at scrape time from the link's
-// LinkState (ingest and stream counters, the newest ring entry, the
-// stage histograms and churn totals) or its pipeline (watermark lag,
-// queue stalls), each family listing its links in ID order — so a quiet
-// daemon's scrapes are byte-identical; the tests lint every page they
-// scrape with reporttest.LintExposition.
-// /healthz is pure liveness (always 200,
-// with per-link staleness detail); /readyz is readiness — 503 once
-// links exist and every one has gone longer than Config.StaleAfter
-// (default 3× the interval) without sealing. Config.Pprof optionally
-// mounts net/http/pprof under /debug/pprof/ on the same mux. All
-// instrumentation on the per-interval path is allocation-free (fields
-// of the LinkState and the pre-allocated ring, under the one lock a seal
-// already takes); rendering happens on scrape goroutines.
+// A scrape reads each link once, under the link's read-lock once: its
+// ingest and stream counters, the newest ring entry, the stage
+// histograms and churn totals, and its pipeline's watermark lag and
+// queue stalls. Every per-link family lists all links in ID order — so
+// a quiet daemon's scrapes are byte-identical; the tests lint every page
+// they scrape with reporttest.LintExposition. /healthz is pure liveness
+// (always 200, with per-link staleness detail); /readyz is readiness —
+// 503 once links exist and every one has gone longer than
+// Config.StaleAfter (default 3× the interval) without sealing.
+// Config.Pprof optionally mounts net/http/pprof under /debug/pprof/ on
+// the same mux. All instrumentation on the per-interval path is
+// allocation-free (fields of the LinkState and the pre-allocated ring,
+// under the one lock a seal already takes); rendering happens on scrape
+// goroutines.
 //
 // Shutdown is graceful and two-phase: DrainIngest consumes what the
 // kernel has buffered on every socket, closes every link's open

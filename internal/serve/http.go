@@ -176,21 +176,18 @@ type LinkPipeline struct {
 }
 
 func (d *Daemon) handleLinks(w http.ResponseWriter, r *http.Request) {
-	lls := d.pipelines()
-	pipes := make([]LinkPipeline, len(lls))
-	for i, ll := range lls {
-		pipes[i] = LinkPipeline{
-			Link:              ll.id,
-			Stalls:            ll.lp.Stalls(),
-			StageOverlapNanos: int64(ll.lp.LastOverlap()),
-		}
-	}
-	d.writeJSON(w, http.StatusOK, LinksPage{
+	rows := d.store.readings()
+	page := LinksPage{
 		ReusePort: d.ReusePort(),
 		Readers:   d.readerStatus(),
-		Links:     d.store.Summaries(),
-		Pipelines: pipes,
-	})
+		Links:     make([]LinkSummary, len(rows)),
+		Pipelines: make([]LinkPipeline, len(rows)),
+	}
+	for i, row := range rows {
+		page.Links[i] = row.LinkSummary
+		page.Pipelines[i] = LinkPipeline{Link: row.ID, Stalls: row.stalls, StageOverlapNanos: int64(row.overlap)}
+	}
+	d.writeJSON(w, http.StatusOK, page)
 }
 
 // linkState resolves the {id} path value, answering 404 on a miss.

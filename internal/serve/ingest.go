@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/agg"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/netflow"
 )
@@ -19,7 +18,7 @@ import (
 // buffer, the netflow decode scratch and the attributed-record batch —
 // everything the read→decode→dispatch path touches per datagram lives
 // here, so the steady state allocates nothing and readers share only
-// the link-map pointer and the per-link state they demultiplex into.
+// the store's index pointer and the per-link state they demultiplex into.
 type reader struct {
 	index int
 	conn  *net.UDPConn // the reader's own socket
@@ -105,90 +104,48 @@ func listenUDP(addr string, n int, logf func(string, ...any)) (conns []*net.UDPC
 
 // linkKey identifies a link on the dispatch fast path without building
 // the string ID: the exporter's (unmapped) source address plus the v5
-// engine ID. Comparable, so the link-map lookup allocates nothing.
+// engine ID. Comparable, so the index lookup allocates nothing.
 type linkKey struct {
 	addr   netip.Addr
 	engine uint8
 }
 
-// linkMap is the copy-on-write exporter→pipeline index. Readers load
-// the current map through an atomic pointer and only ever read it;
-// createLink publishes a fresh copy under linkMu. Lock-free lookups at
-// any reader count, at the cost of an O(links) copy on the (rare) first
-// sight of a new exporter.
-type linkMap map[linkKey]*liveLink
-
-// findLink is the lock-free read path: one atomic load, one map lookup.
-func (d *Daemon) findLink(key linkKey) *liveLink {
-	return (*d.links.Load())[key]
-}
-
-// createLink builds the link's pipeline and publishes a new link map —
-// the slow path, serialized by linkMu so exactly one pipeline exists
-// per link however many readers race on first sight.
-func (d *Daemon) createLink(key linkKey) (*liveLink, error) {
-	d.linkMu.Lock()
-	defer d.linkMu.Unlock()
-	old := *d.links.Load()
-	if ll, ok := old[key]; ok {
-		return ll, nil
+// link returns the exporter's link: one atomic load and one map lookup
+// once it exists. On first sight it is created under the store's
+// creation lock, so exactly one pipeline is built per link however many
+// readers race.
+func (d *Daemon) link(key linkKey) *LinkState {
+	if ls := d.store.index.Load().byKey[key]; ls != nil {
+		return ls
 	}
 	id := linkID(key.addr, key.engine)
-	state := d.store.GetOrCreate(id, d.cfg.History)
-	// The link rides the pipeline as its stage observer, and the result
-	// hook (onResult) reads the step's timings back from it: both run on
-	// the pipeline's classify goroutine inside the same seal, so ll.last
-	// there is always this interval's observation. ll.lp is assigned
-	// before first use: the worker can only reach the hook via a record
-	// sent after createLink published the link (the channel send orders
-	// the assignment).
-	ll := &liveLink{id: id, state: state}
-	factory := d.cfg.Scheme.Factory()
-	var err error
-	ll.lp, err = engine.NewLivePipeline(engine.LiveLink{
+	return d.store.create(key, id, func() *LinkState { return d.newLink(id) })
+}
+
+// newLink builds a link and its pipeline, the link being the pipeline's
+// result hook. The hook reads ls.lp only after a record has reached the
+// pipeline, which the link's publication orders after the assignment. A
+// link whose pipeline cannot be built is returned failed, so it is
+// published once and its datagrams are counted as dropped.
+func (d *Daemon) newLink(id string) *LinkState {
+	ls := newLinkState(id, d.cfg.History)
+	lp, err := engine.NewLivePipeline(engine.LiveLink{
 		ID:       id,
 		Start:    d.cfg.Start,
 		Interval: d.cfg.Interval,
 		Window:   d.cfg.Window,
 		Buffer:   d.cfg.Buffer,
-		Config: func() (core.Config, error) {
-			cc, err := factory()
-			if err != nil {
-				return cc, err
-			}
-			cc.Observer = ll
-			return cc, nil
-		},
-		OnResult: ll.onResult,
+		Config:   d.cfg.Scheme.Factory(),
+		OnResult: ls.sealed,
 	})
 	if err != nil {
-		return nil, err
+		ls.Fail(err)
+		d.cfg.Logf("serve: new link %s failed: %v", id, err)
+		return ls
 	}
-	next := make(linkMap, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[key] = ll
-	d.links.Store(&next)
+	ls.lp = lp
 	d.cfg.Logf("serve: new link %s", id)
-	return ll, nil
-}
-
-// ObserveStep implements core.StageObserver: keep the step's
-// observation for the result hook that follows it.
-func (ll *liveLink) ObserveStep(o core.StepObservation) { ll.last = o }
-
-// onResult is the link's result hook — everything the daemon does with
-// a sealed interval. One call records it (LinkState.record: one lock,
-// one ring entry, the interval's one churn computation, the stage
-// histograms and churn totals), so /history, /debug/intervals and
-// /metrics are readings of one record. LastSealLag is the lag this
-// interval sealed under; LastOverlap is the overlap of the interval
-// classified before it (the stage publishes an interval's overlap after
-// its hook returns).
-func (ll *liveLink) onResult(t int, at time.Time, res core.Result, stats agg.StreamStats) error {
-	ll.state.record(t, at, res, stats, ll.last, ll.lp.LastSealLag(), ll.lp.LastOverlap())
-	return nil
+	return ls
 }
 
 // dispatch demultiplexes one decoded datagram: resolve the link
@@ -203,33 +160,20 @@ func (ll *liveLink) onResult(t int, at time.Time, res core.Result, stats agg.Str
 // dispatched by several readers at once; SendBatch is safe under that,
 // but the link's datagrams can then reach it out of arrival order.
 func (d *Daemon) dispatch(r *reader, ap netip.AddrPort, dg *netflow.Datagram) {
-	key := linkKey{addr: ap.Addr().Unmap(), engine: dg.Header.EngineID}
-	ll := d.findLink(key)
-	if ll == nil {
-		var err error
-		if ll, err = d.createLink(key); err != nil {
-			// Pipeline construction failed (bad scheme parameters reach
-			// Validate earlier, so this is exceptional); account the
-			// datagram against a store entry carrying the error.
-			state := d.store.GetOrCreate(linkID(key.addr, key.engine), d.cfg.History)
-			state.Fail(err)
-			state.ObserveDatagram(len(dg.Records), 0, 0, len(dg.Records))
-			return
-		}
-	}
+	ls := d.link(linkKey{addr: ap.Addr().Unmap(), engine: dg.Header.EngineID})
 	recs, unrouted := netflow.AttributeDatagram(d.cfg.Table, dg, r.recs[:0])
 	r.recs = recs
 	var routed, dropped int
-	if ll.state.Failed() {
+	if ls.lp == nil || ls.Failed() { // no pipeline was built, or it failed
 		dropped = len(recs)
-	} else if sent, err := ll.lp.SendBatch(recs); err != nil {
+	} else if sent, err := ls.lp.SendBatch(recs); err != nil {
 		routed, dropped = sent, len(recs)-sent
-		ll.state.Fail(err)
-		d.cfg.Logf("serve: link %s failed: %v", ll.id, err)
+		ls.Fail(err)
+		d.cfg.Logf("serve: link %s failed: %v", ls.id, err)
 	} else {
 		routed = sent
 	}
-	ll.state.ObserveDatagram(len(dg.Records), routed, unrouted, dropped)
+	ls.ObserveDatagram(len(dg.Records), routed, unrouted, dropped)
 }
 
 // readLoop is one reader's loop: read, decode into the private scratch,

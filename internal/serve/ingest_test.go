@@ -44,7 +44,7 @@ func (lc *logCapture) count(substr string) int {
 // goroutines racing over the same fresh exporter identities: every link
 // must end up with exactly one pipeline (one "new link" log line, one
 // store entry) and no datagram may escape the per-link accounting. Run
-// with -race: this is the link map's publication-safety test.
+// with -race: this is the link index's publication-safety test.
 func TestConcurrentLinkCreation(t *testing.T) {
 	const (
 		goroutines = 8
@@ -118,8 +118,8 @@ func TestConcurrentLinkCreation(t *testing.T) {
 	if got := d.store.Len(); got != links {
 		t.Fatalf("store has %d links, want %d", got, links)
 	}
-	if got := len(*d.links.Load()); got != links {
-		t.Fatalf("link map has %d entries, want %d", got, links)
+	if got := len(d.store.index.Load().byKey); got != links {
+		t.Fatalf("index has %d wire keys, want %d", got, links)
 	}
 	if got := logs.count("new link"); got != links {
 		t.Errorf("%d \"new link\" creations logged, want exactly %d (one pipeline per link)", got, links)
@@ -152,7 +152,7 @@ func TestConcurrentLinkCreation(t *testing.T) {
 // first classification fails the link while the accumulate stage is a
 // few records into the first datagram's batch. Dispatch counted every
 // record of every batch it queued as Routed; after the drain,
-// ReclassifyDropped must have moved the unread rest of that batch and
+// the link's close must have moved the unread rest of that batch and
 // everything queued behind it to Dropped, leaving Routed equal to what
 // actually reached the accumulator.
 func TestFailedLinkReconcilesMidBatch(t *testing.T) {

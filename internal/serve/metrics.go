@@ -57,135 +57,87 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			[]report.Label{{Name: "reader", Value: strconv.Itoa(row.Reader)}}, float64(row.ReceiveBufferBytes))
 	}
 
-	rows := d.store.Summaries()
-
-	// Per-link counters: each family contiguous over all links, as the
-	// exposition format requires.
-	counter := func(name, help string, v func(LinkSummary) float64) {
-		m.Family(name, help, "counter")
-		for _, row := range rows {
-			m.Sample(name, []report.Label{{Name: "link", Value: row.ID}}, v(row))
+	// Per-link families, each contiguous over all links, as the
+	// exposition format requires: every link read once, under its lock
+	// once.
+	rows := d.store.readings()
+	perLink := func(name, help, typ string, v func(*linkReading) float64) {
+		m.Family(name, help, typ)
+		for i := range rows {
+			m.Sample(name, []report.Label{{Name: "link", Value: rows[i].ID}}, v(&rows[i]))
 		}
 	}
-	gauge := func(name, help string, v func(LinkSummary) float64) {
-		m.Family(name, help, "gauge")
-		for _, row := range rows {
-			m.Sample(name, []report.Label{{Name: "link", Value: row.ID}}, v(row))
+	counter := func(name, help string, v func(*linkReading) float64) { perLink(name, help, "counter", v) }
+	gauge := func(name, help string, v func(*linkReading) float64) { perLink(name, help, "gauge", v) }
+	// last reads a field of the newest closed interval, 0 before it.
+	last := func(v func(*IntervalSummary) float64) func(*linkReading) float64 {
+		return func(r *linkReading) float64 {
+			if r.Last == nil {
+				return 0
+			}
+			return v(r.Last)
+		}
+	}
+	stage := func(name, help string, h func(*linkMetrics) *histogram) {
+		m.Family(name, help, "histogram")
+		for i := range rows {
+			hi := h(&rows[i].metrics)
+			m.Histogram(name, []report.Label{{Name: "link", Value: rows[i].ID}}, stageBounds[:], hi.counts[:], hi.sum)
 		}
 	}
 
 	counter("elephantd_link_datagrams_total", "Datagrams demultiplexed to the link.",
-		func(s LinkSummary) float64 { return float64(s.Ingest.Datagrams) })
+		func(r *linkReading) float64 { return float64(r.Ingest.Datagrams) })
 	counter("elephantd_link_records_total", "Flow records demultiplexed to the link.",
-		func(s LinkSummary) float64 { return float64(s.Ingest.Records) })
+		func(r *linkReading) float64 { return float64(r.Ingest.Records) })
 	counter("elephantd_link_routed_total", "Records attributed to a BGP prefix and classified.",
-		func(s LinkSummary) float64 { return float64(s.Ingest.Routed) })
+		func(r *linkReading) float64 { return float64(r.Ingest.Routed) })
 	counter("elephantd_link_unrouted_total", "Records with no matching route, skipped.",
-		func(s LinkSummary) float64 { return float64(s.Ingest.Unrouted) })
+		func(r *linkReading) float64 { return float64(r.Ingest.Unrouted) })
 	counter("elephantd_link_dropped_total", "Routed records discarded because the link's pipeline failed.",
-		func(s LinkSummary) float64 { return float64(s.Ingest.Dropped) })
+		func(r *linkReading) float64 { return float64(r.Ingest.Dropped) })
 	counter("elephantd_link_late_records_total", "Records whose bits fell entirely behind the closed interval edge.",
-		func(s LinkSummary) float64 { return float64(s.Stream.Late) })
+		func(r *linkReading) float64 { return float64(r.Stream.Late) })
 	counter("elephantd_link_far_future_total", "Records dropped for advancing the window implausibly far.",
-		func(s LinkSummary) float64 { return float64(s.Stream.FarFuture) })
+		func(r *linkReading) float64 { return float64(r.Stream.FarFuture) })
 	counter("elephantd_link_intervals_closed_total", "Measurement intervals closed and classified.",
-		func(s LinkSummary) float64 { return float64(s.Stream.Closed) })
+		func(r *linkReading) float64 { return float64(r.Stream.Closed) })
 	counter("elephantd_link_evicted_flows_total", "Flow rows released by closing intervals.",
-		func(s LinkSummary) float64 { return float64(s.Stream.EvictedFlows) })
+		func(r *linkReading) float64 { return float64(r.Stream.EvictedFlows) })
 
 	gauge("elephantd_link_failed", "1 when the link's pipeline has failed, else 0.",
-		func(s LinkSummary) float64 {
-			if s.Error != "" {
-				return 1
-			}
-			return 0
-		})
+		func(r *linkReading) float64 { return b2f(r.Error != "") })
 	gauge("elephantd_link_elephants", "Elephant count of the last closed interval.",
-		func(s LinkSummary) float64 {
-			if s.Last == nil {
-				return 0
-			}
-			return float64(s.Last.Elephants)
-		})
+		last(func(s *IntervalSummary) float64 { return float64(s.Elephants) }))
 	gauge("elephantd_link_active_flows", "Active flow count of the last closed interval.",
-		func(s LinkSummary) float64 {
-			if s.Last == nil {
-				return 0
-			}
-			return float64(s.Last.ActiveFlows)
-		})
+		last(func(s *IntervalSummary) float64 { return float64(s.ActiveFlows) }))
 	gauge("elephantd_link_load_bps", "Total load of the last closed interval (bit/s).",
-		func(s LinkSummary) float64 {
-			if s.Last == nil {
-				return 0
-			}
-			return s.Last.TotalLoadBps
-		})
+		last(func(s *IntervalSummary) float64 { return s.TotalLoadBps }))
 	gauge("elephantd_link_elephant_load_fraction", "Fraction of load carried by elephants in the last closed interval.",
-		func(s LinkSummary) float64 {
-			if s.Last == nil {
-				return 0
-			}
-			return s.Last.LoadFraction
-		})
+		last(func(s *IntervalSummary) float64 { return s.LoadFraction }))
 	gauge("elephantd_link_threshold_bps", "Smoothed elephant threshold of the last closed interval (bit/s).",
-		func(s LinkSummary) float64 {
-			if s.Last == nil {
-				return 0
-			}
-			return s.Last.ThresholdBps
-		})
+		last(func(s *IntervalSummary) float64 { return s.ThresholdBps }))
 
-	// Per-pipeline families: what LinkState.record folded, the newest
-	// ring entry's raw threshold, and the pipeline's own lag and stall
-	// readings — read here, stored nowhere else.
-	type pipelineRow struct {
-		labels []report.Label
-		m      linkMetrics
-		raw    float64
-		lag    float64
-		stalls uint64
-	}
-	lls := d.pipelines()
-	prows := make([]pipelineRow, len(lls))
-	for i, ll := range lls {
-		p := &prows[i]
-		p.labels = []report.Label{{Name: "link", Value: ll.id}}
-		p.m, p.raw = ll.state.metricsSnapshot()
-		p.lag = ll.lp.WatermarkLag().Seconds()
-		p.stalls = ll.lp.Stalls()
-	}
-	pipeline := func(name, help, typ string, v func(*pipelineRow) float64) {
-		m.Family(name, help, typ)
-		for i := range prows {
-			m.Sample(name, prows[i].labels, v(&prows[i]))
-		}
-	}
-	stage := func(name, help string, h func(*pipelineRow) *histogram) {
-		m.Family(name, help, "histogram")
-		for i := range prows {
-			hi := h(&prows[i])
-			m.Histogram(name, prows[i].labels, stageBounds[:], hi.counts[:], hi.sum)
-		}
-	}
+	// What LinkState.record folded, the newest ring entry's raw
+	// threshold, and the pipeline's own lag and stall readings.
 	stage("elephantd_step_duration_seconds", "Whole pipeline step wall time per interval.",
-		func(p *pipelineRow) *histogram { return &p.m.step })
+		func(m *linkMetrics) *histogram { return &m.step })
 	stage("elephantd_detect_duration_seconds", "Threshold-detection stage wall time per interval.",
-		func(p *pipelineRow) *histogram { return &p.m.detect })
+		func(m *linkMetrics) *histogram { return &m.detect })
 	stage("elephantd_classify_duration_seconds", "Classification stage wall time per interval.",
-		func(p *pipelineRow) *histogram { return &p.m.classify })
-	pipeline("elephantd_link_promoted_total", "Flows promoted into the elephant set.", "counter",
-		func(p *pipelineRow) float64 { return float64(p.m.promoted) })
-	pipeline("elephantd_link_demoted_total", "Flows demoted out of the elephant set.", "counter",
-		func(p *pipelineRow) float64 { return float64(p.m.demoted) })
-	pipeline("elephantd_link_raw_threshold_bps", "Last interval's detected raw threshold theta(t) (bit/s).", "gauge",
-		func(p *pipelineRow) float64 { return p.raw })
-	pipeline("elephantd_link_watermark_lag_seconds", "Interval watermark lag: newest record export time minus newest sealed interval edge.", "gauge",
-		func(p *pipelineRow) float64 { return p.lag })
-	pipeline("elephantd_link_stalls_total", "Blocking waits for a free batch: sends that found every batch of the link's record queue in use.", "counter",
-		func(p *pipelineRow) float64 { return float64(p.stalls) })
+		func(m *linkMetrics) *histogram { return &m.classify })
+	counter("elephantd_link_promoted_total", "Flows promoted into the elephant set.",
+		func(r *linkReading) float64 { return float64(r.metrics.promoted) })
+	counter("elephantd_link_demoted_total", "Flows demoted out of the elephant set.",
+		func(r *linkReading) float64 { return float64(r.metrics.demoted) })
+	gauge("elephantd_link_raw_threshold_bps", "Last interval's detected raw threshold theta(t) (bit/s).",
+		func(r *linkReading) float64 { return r.raw })
+	gauge("elephantd_link_watermark_lag_seconds", "Interval watermark lag: newest record export time minus newest sealed interval edge.",
+		func(r *linkReading) float64 { return r.lag.Seconds() })
+	counter("elephantd_link_stalls_total", "Blocking waits for a free batch: sends that found every batch of the link's record queue in use.",
+		func(r *linkReading) float64 { return float64(r.stalls) })
 	stage("elephantd_stage_overlap_seconds", "Classify-stage wall time overlapped with the accumulate stage, per interval.",
-		func(p *pipelineRow) *histogram { return &p.m.overlap })
+		func(m *linkMetrics) *histogram { return &m.overlap })
 
 	if err := m.Err(); err != nil {
 		d.cfg.Logf("serve: rendering metrics: %v", err)

@@ -465,24 +465,41 @@ func TestMetricsByteStableQuietDaemon(t *testing.T) {
 
 // TestMetricsSeriesInLinkOrder: every family with a link label lists
 // its series in ascending link ID, whatever order the links were created
-// in. The links here are created as engine ID 2, then 0, then 1 — one
-// socket, one reader, so datagrams are dispatched in the order sent.
+// in, and /links lists the same IDs in its links and pipelines arrays —
+// a link whose pipeline could not be built included. The links here are
+// created as engine ID 2, then 0, then 1 — one socket, one reader, so
+// datagrams are dispatched in the order sent — and then engine ID 10
+// under a scheme whose factory fails: it sorts between 1 and 2, is
+// published once, failed, and its datagrams are counted as dropped.
 func TestMetricsSeriesInLinkOrder(t *testing.T) {
-	d := newObsDaemon(t, nil)
+	var logs logCapture
+	d := newObsDaemon(t, func(c *Config) { c.Logf = logs.logf })
 	start := d.cfg.Start
-	var wires [][]byte
-	for _, e := range []uint8{2, 0, 1} {
-		for i := 0; i < 3; i++ {
-			wires = append(wires, v5wire(t, e, start.Add(time.Duration(i)*time.Minute+15*time.Second), 800))
+	send := func(engines ...uint8) {
+		var wires [][]byte
+		for _, e := range engines {
+			for i := 0; i < 3; i++ {
+				wires = append(wires, v5wire(t, e, start.Add(time.Duration(i)*time.Minute+15*time.Second), 800))
+			}
 		}
+		sendWires(t, d, wires)
 	}
-	sendWires(t, d, wires)
+	send(2, 0, 1)
+	// A link is built under the store's creation lock, so swapping the
+	// scheme under it orders the swap against the readers' builds.
+	broken := *d.cfg.Scheme
+	broken.Alpha = 1.5
+	d.store.mu.Lock()
+	d.cfg.Scheme = &broken
+	d.store.mu.Unlock()
+	send(10)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := d.DrainIngest(ctx); err != nil {
 		t.Fatal(err)
 	}
-	page := getBody(t, "http://"+d.HTTPAddr().String()+"/metrics")
+	base := "http://" + d.HTTPAddr().String()
+	page := getBody(t, base+"/metrics")
 	if err := reporttest.LintExposition(strings.NewReader(page)); err != nil {
 		t.Fatalf("lint: %v", err)
 	}
@@ -506,14 +523,34 @@ func TestMetricsSeriesInLinkOrder(t *testing.T) {
 			listed[fam] = append(l, m[1])
 		}
 	}
-	want := []string{"127.0.0.1@0", "127.0.0.1@1", "127.0.0.1@2"}
-	if len(listed) == 0 {
-		t.Fatalf("no family carries a link label:\n%s", page)
+	const failed = "127.0.0.1@10"
+	want := []string{"127.0.0.1@0", "127.0.0.1@1", failed, "127.0.0.1@2"}
+	if len(listed) != 24 {
+		t.Errorf("%d families carry a link label, want the 24 per-link families:\n%s", len(listed), page)
 	}
 	for _, fam := range families {
 		if got, ok := listed[fam]; ok && !slices.Equal(got, want) {
 			t.Errorf("%s lists its series as %v, want %v", fam, got, want)
 		}
+	}
+
+	var lp LinksPage
+	getJSON(t, base+"/links", &lp)
+	var links, pipelines []string
+	for _, l := range lp.Links {
+		links = append(links, l.ID)
+	}
+	for _, p := range lp.Pipelines {
+		pipelines = append(pipelines, p.Link)
+	}
+	if !slices.Equal(links, want) || !slices.Equal(pipelines, want) {
+		t.Errorf("/links lists links %v and pipelines %v, want %v for both", links, pipelines, want)
+	}
+	if row := lp.Links[2]; row.Error == "" || row.Ingest != (IngestCounters{Datagrams: 3, Records: 3, Dropped: 3}) {
+		t.Errorf("link %s = %+v, want failed with its 3 datagrams' records dropped", failed, row)
+	}
+	if n := logs.count("new link " + failed); n != 1 {
+		t.Errorf("link %s built %d times, want once", failed, n)
 	}
 }
 

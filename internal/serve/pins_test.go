@@ -10,6 +10,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/bgp"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/scheme"
 )
@@ -42,49 +43,59 @@ func newPinDaemon(t *testing.T) *Daemon {
 	return d
 }
 
+// stepRecorder keeps a step's observation for the hook that follows,
+// as a LivePipeline's own observer does.
+type stepRecorder struct{ last core.StepObservation }
+
+func (r *stepRecorder) ObserveStep(o core.StepObservation) { r.last = o }
+
 // TestInstrumentedStepSteadyStateAllocs pins the resident daemon's
-// per-interval hot path at zero amortized allocations: a step observed
-// by the link, then the link's own result hook — the one record call,
-// which also folds the stage histograms. The link is built by
-// createLink and stays idle; a pipeline configured as createLink
-// configures the link's (the scheme's factory, the link's observer) is
-// stepped on this goroutine and each Result handed to ll.onResult, so
-// what is measured is the daemon's wiring, not a copy of it. Same
-// protocol as the root TestPipelineStepSteadyStateAllocs: AllocsPerRun
-// truncates the average, so the arena growing a chunk every several
-// intervals passes and a genuine per-interval allocation fails.
+// per-interval hot path at zero amortized allocations: an observed step,
+// then the link's own result hook handed the interval whole — the one
+// record call, which also folds the stage histograms. The link is built
+// by the daemon (Daemon.link) and stays idle; a pipeline configured as
+// the link's is (the scheme's factory, an observer) is stepped on this
+// goroutine and each interval handed to the link's hook as the
+// engine.Sealed its pipeline would build — result, step observation and
+// seal lag — so what is measured is the daemon's wiring, not a copy of
+// it. Same protocol as the root TestPipelineStepSteadyStateAllocs:
+// AllocsPerRun truncates the average, so the arena growing a chunk every
+// several intervals passes and a genuine per-interval allocation fails.
 func TestInstrumentedStepSteadyStateAllocs(t *testing.T) {
 	cfg := experiments.SmallConfig()
 	cfg.Intervals = 48
 	cfg.Flows = 1200
 	cfg.Routes = 3000
-	ls, err := experiments.BuildLinks(cfg)
+	links, err := experiments.BuildLinks(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := newPinDaemon(t)
-	ll, err := d.createLink(linkKey{addr: netip.MustParseAddr("192.0.2.1")})
-	if err != nil {
-		t.Fatal(err)
+	ls := d.link(linkKey{addr: netip.MustParseAddr("192.0.2.1")})
+	if ls.lp == nil {
+		t.Fatalf("link has no pipeline: %s", ls.Summary().Error)
 	}
 	cc, err := d.cfg.Scheme.Factory()()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc.Observer = ll
+	var obs stepRecorder
+	cc.Observer = &obs
 	pipe, err := core.NewPipeline(cc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := core.NewFlowSnapshot(0)
-	n := ls.West.Intervals
+	n := links.West.Intervals
+	lag := func(i int) time.Duration { return time.Duration(i+1) * time.Millisecond }
 	step := func(i int) {
-		snap = ls.West.Snapshot(i%n, snap)
+		snap = links.West.Snapshot(i%n, snap)
 		res, err := pipe.Step(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ll.onResult(res.Interval, ls.West.Start, res, agg.StreamStats{Closed: i + 1}); err != nil {
+		s := engine.Sealed{T: res.Interval, At: links.West.Start, Result: res, Stats: agg.StreamStats{Closed: i + 1}, Step: obs.last, SealLag: lag(i)}
+		if err := ls.sealed(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,38 +110,39 @@ func TestInstrumentedStepSteadyStateAllocs(t *testing.T) {
 		t.Errorf("instrumented step + result hook averages %v allocs/interval, want 0", avg)
 	}
 	// The hook did its work: every interval is in the ring with the
-	// timings of its own step, and the counters moved with it.
-	traces := ll.state.traces()
-	if last := traces[len(traces)-1]; len(traces) != min(i, d.cfg.History) || last.Interval != i-1 || last.StepNanos <= 0 {
+	// timings and seal lag of its own Sealed, and the counters moved
+	// with it.
+	traces := ls.traces()
+	if last := traces[len(traces)-1]; len(traces) != min(i, d.cfg.History) || last.Interval != i-1 || last.StepNanos <= 0 || last.WatermarkLagNanos != int64(lag(i-1)) {
 		t.Errorf("ring holds %d traces ending %+v after %d intervals", len(traces), last, i)
 	}
-	if got := ll.state.metrics.step.count(); got != uint64(i) {
+	if got := ls.metrics.step.count(); got != uint64(i) {
 		t.Errorf("step histogram counted %d intervals, want %d", got, i)
 	}
 }
 
 // TestIdleLinkFootprint pins what a link costs before its first record:
 // heap bytes and heap objects per link, over 512 links made by
-// createLink at the default Config (History 288, the default queue,
+// Daemon.link at the default Config (History 288, the default queue,
 // elephantd's default scheme). The figure repeats to within a few dozen
-// bytes, so the bounds sit just above it: 73 979–73 990 B (73 987 B
-// under -race) and 47 mallocs a link on 2 vCPU, go1.24, once a link's
-// stage histograms and churn totals became fields of its LinkState
-// instead of registry series (76 242–76 253 B and 93 before), plus 1 %
-// and one malloc.
+// bytes, so the bounds sit just above it: 73 875 B (73 882 B under
+// -race) and 46 mallocs a link on 2 vCPU, go1.24, once the link became
+// one LinkState holding its pipeline in one index (73 963 B and 47
+// before, beside a second link object and a second index), plus 1 % and
+// one malloc.
 func TestIdleLinkFootprint(t *testing.T) {
 	const (
 		links     = 512
-		maxBytes  = 73_990 * 101 / 100
-		maxAllocs = 47 + 1
+		maxBytes  = 73_882 * 101 / 100
+		maxAllocs = 46 + 1
 	)
 	d := newPinDaemon(t)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < links; i++ {
-		if _, err := d.createLink(linkKey{addr: netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})}); err != nil {
-			t.Fatal(err)
+		if ls := d.link(linkKey{addr: netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})}); ls.lp == nil {
+			t.Fatalf("link %s has no pipeline", ls.id)
 		}
 	}
 	runtime.GC()

@@ -18,6 +18,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/bgp"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/report"
 	"repro/internal/report/reporttest"
 	"repro/internal/scheme"
@@ -25,7 +26,7 @@ import (
 
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
-// IDs is the store's sorted view (links, which /links, /metrics and the
+// IDs is the store's ID-ordered links (which /links, /metrics and the
 // readiness probes walk) as a list of IDs, for the tests that pin its
 // order and completeness.
 func (s *Store) IDs() []string {
@@ -60,7 +61,7 @@ func TestLinkStateHistoryRing(t *testing.T) {
 		res := resultWith(pfx(fmt.Sprintf("10.0.%d.0/24", i)))
 		res.RawThreshold = 4e5 + float64(i)
 		o, lag, overlap := timings(i)
-		ls.record(i, t0.Add(time.Duration(i)*time.Minute), res, agg.StreamStats{Closed: i + 1}, o, lag, overlap)
+		ls.record(engine.Sealed{T: i, At: t0.Add(time.Duration(i) * time.Minute), Result: res, Stats: agg.StreamStats{Closed: i + 1}, Step: o, SealLag: lag}, overlap)
 		if m := ls.metrics; m.promoted != uint64(i+1) || m.demoted != uint64(i) {
 			t.Errorf("interval %d: churn totals +%d/-%d, want +%d/-%d", i, m.promoted, m.demoted, i+1, i)
 		}
@@ -210,19 +211,20 @@ d_step_seconds_count{link="a@0"} 4
 // interval's, 0 before the first.
 func TestRecordFoldsStageMetrics(t *testing.T) {
 	ls := newLinkState("a@0", 4)
-	if _, raw := ls.metricsSnapshot(); raw != 0 {
+	if raw := ls.read().raw; raw != 0 {
 		t.Errorf("raw threshold before the first seal = %v, want 0", raw)
 	}
 	t0 := time.Date(2001, time.July, 24, 9, 0, 0, 0, time.UTC)
 	first := resultWith(pfx("10.0.0.0/24"))
 	first.RawThreshold = 4e5
-	ls.record(0, t0, first, agg.StreamStats{Closed: 1},
-		core.StepObservation{StepNanos: 2_000_000, DetectNanos: 1_000_000, ClassifyNanos: 500_000}, time.Second, 3*time.Millisecond)
+	ls.record(engine.Sealed{T: 0, At: t0, Result: first, Stats: agg.StreamStats{Closed: 1}, SealLag: time.Second,
+		Step: core.StepObservation{StepNanos: 2_000_000, DetectNanos: 1_000_000, ClassifyNanos: 500_000}}, 3*time.Millisecond)
 	second := resultWith(pfx("10.0.1.0/24"))
 	second.RawThreshold = 6e5
-	ls.record(1, t0.Add(time.Minute), second, agg.StreamStats{Closed: 2}, core.StepObservation{Interval: 1, StepNanos: 3_000_000}, 0, 0)
+	ls.record(engine.Sealed{T: 1, At: t0.Add(time.Minute), Result: second, Stats: agg.StreamStats{Closed: 2}, Step: core.StepObservation{Interval: 1, StepNanos: 3_000_000}}, 0)
 
-	m, raw := ls.metricsSnapshot()
+	r := ls.read()
+	m, raw := r.metrics, r.raw
 	for _, c := range []struct {
 		name string
 		h    histogram
@@ -284,7 +286,7 @@ func TestStoreConcurrency(t *testing.T) {
 	}
 }
 
-// TestStoreSortedViewUnderCreation pins the cached link order: while
+// TestStoreSortedViewUnderCreation pins the index's link order: while
 // writers create links, every Summaries read is in sort.Strings order
 // and never loses a link an earlier read held; a link whose GetOrCreate
 // returned before a read began is in that read; and once the writers

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -10,79 +11,91 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // DefaultHistory is the default per-link history ring capacity: a day
 // of five-minute intervals.
 const DefaultHistory = 288
 
-// Store is the daemon's in-memory state: one LinkState per monitored
-// link, keyed by link ID, behind one lock. The lock guards the map and
-// nothing else — the ingest path resolves a link's state once, when the
-// link is created, and every counter and ring lives behind the
-// LinkState's own lock — so its only traffic is HTTP handlers looking a
-// link up or walking them all, and the rare creation. All methods are
-// safe for concurrent use.
+// Store is the daemon's one link index: one immutable linkIndex behind
+// one atomic pointer, so a datagram's lookup by wire key, a handler's
+// lookup by ID and every walk of the links in ID order are each one
+// atomic load and never a lock. A creation builds the next index under
+// mu and publishes it; links are never removed. Each link's counters and
+// ring live behind the LinkState's own lock. All methods are safe for
+// concurrent use.
 type Store struct {
-	mu   sync.RWMutex
-	byID map[string]*LinkState
-	// sorted is every link in ID order, nil when a creation has dropped
-	// it. A reader that finds it nil builds and stores it while still
-	// holding the read lock, and a creation clears it before releasing
-	// the write lock: no view can be stored that lacks a link created
-	// before it. Links are never removed.
-	sorted atomic.Pointer[[]*LinkState]
+	mu    sync.Mutex // serialises creations
+	index atomic.Pointer[linkIndex]
+}
+
+// linkIndex is one published version of the store's links, never
+// modified once published: every link in ID order, and the links
+// created by an exporter's datagrams by its wire key.
+type linkIndex struct {
+	sorted []*LinkState
+	byKey  map[linkKey]*LinkState
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{byID: make(map[string]*LinkState)}
+	s := &Store{}
+	s.index.Store(&linkIndex{byKey: map[linkKey]*LinkState{}})
+	return s
+}
+
+// links returns every known link in ID order: a link whose creation has
+// returned is in every later read. The slice is shared; callers only
+// read it.
+func (s *Store) links() []*LinkState { return s.index.Load().sorted }
+
+// search finds id's position in links, an ID-ordered slice.
+func search(links []*LinkState, id string) (int, bool) {
+	return slices.BinarySearchFunc(links, id, func(ls *LinkState, id string) int { return strings.Compare(ls.id, id) })
 }
 
 // Get returns the link's state, or nil when the link is unknown.
 func (s *Store) Get(id string) *LinkState {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.byID[id]
+	links := s.links()
+	if i, ok := search(links, id); ok {
+		return links[i]
+	}
+	return nil
 }
 
 // GetOrCreate returns the link's state, creating it (with the given
-// history capacity) on first sight.
+// history capacity and no pipeline, for a caller that steps its own) on
+// first sight.
 func (s *Store) GetOrCreate(id string, history int) *LinkState {
 	if ls := s.Get(id); ls != nil {
 		return ls
 	}
+	return s.create(linkKey{}, id, func() *LinkState { return newLinkState(id, history) })
+}
+
+// create publishes the link mk builds as id — reachable by key too when
+// key is an exporter's — or returns the link already published as id:
+// one state per ID however many callers race.
+func (s *Store) create(key linkKey, id string, mk func() *LinkState) *LinkState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ls := s.byID[id]
-	if ls == nil {
-		ls = newLinkState(id, history)
-		s.byID[id] = ls
-		s.sorted.Store(nil)
+	old := s.index.Load()
+	i, found := search(old.sorted, id)
+	if found {
+		return old.sorted[i]
 	}
+	ls := mk()
+	next := &linkIndex{sorted: slices.Insert(slices.Clip(old.sorted), i, ls), byKey: old.byKey}
+	if key.addr.IsValid() {
+		next.byKey = maps.Clone(old.byKey)
+		next.byKey[key] = ls
+	}
+	s.index.Store(next)
 	return ls
 }
 
-// links returns every known link in ID order: a link whose GetOrCreate
-// has returned is in every later read. The slice is shared; callers
-// only read it.
-func (s *Store) links() []*LinkState {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if v := s.sorted.Load(); v != nil {
-		return *v
-	}
-	links := make([]*LinkState, 0, len(s.byID))
-	for _, ls := range s.byID {
-		links = append(links, ls)
-	}
-	slices.SortFunc(links, func(a, b *LinkState) int { return strings.Compare(a.id, b.id) })
-	s.sorted.Store(&links)
-	return links
-}
-
-// Summaries returns every link's summary row, sorted by ID — the
-// collection both /links and /metrics render.
+// Summaries returns every link's summary row, sorted by ID.
 func (s *Store) Summaries() []LinkSummary {
 	links := s.links()
 	out := make([]LinkSummary, len(links))
@@ -92,12 +105,19 @@ func (s *Store) Summaries() []LinkSummary {
 	return out
 }
 
-// Len reports the number of known links.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.byID)
+// readings reads every link once, in ID order — what /links and
+// /metrics render.
+func (s *Store) readings() []linkReading {
+	links := s.links()
+	out := make([]linkReading, len(links))
+	for i, ls := range links {
+		out[i] = ls.read()
+	}
+	return out
 }
+
+// Len reports the number of known links.
+func (s *Store) Len() int { return len(s.links()) }
 
 // IngestCounters counts a link's datagram/record attribution outcomes
 // in the UDP ingest path (decode errors happen before a link is known
@@ -253,14 +273,18 @@ type linkMetrics struct {
 	promoted, demoted               uint64
 }
 
-// LinkState is one link's live state: ingest counters, the running
-// metrics of its sealed intervals and a fixed-capacity ring of recent
-// closed intervals, the newest of which is the link's current elephant
-// set.
+// LinkState is one link: its pipeline, whose result hook it is, its
+// ingest counters, the running metrics of its sealed intervals and a
+// fixed-capacity ring of recent closed intervals, the newest of which is
+// the link's current elephant set.
 // Writers are the UDP ingest loop (counters) and the link's pipeline
-// worker (results); readers are the HTTP handlers.
+// (results); readers are the HTTP handlers.
 type LinkState struct {
 	id string
+	// lp is set before the link is published and never changed; nil
+	// when the pipeline could not be built (the link is failed) or the
+	// link was made by Store.GetOrCreate.
+	lp *engine.LivePipeline
 
 	mu     sync.RWMutex
 	ingest IngestCounters
@@ -307,25 +331,34 @@ func (ls *LinkState) ObserveDatagram(records, routed, unrouted, dropped int) {
 // timings, seal lag or overlap to report — record for a caller that
 // drives its own pipeline and keeps no observer.
 func (ls *LinkState) RecordResult(t int, at time.Time, res core.Result, stats agg.StreamStats) {
-	ls.record(t, at, res, stats, core.StepObservation{}, 0, 0)
+	ls.record(engine.Sealed{T: t, At: at, Result: res, Stats: stats}, 0)
+}
+
+// sealed is the link's result hook: it records the interval its
+// pipeline hands over, with the overlap of the interval classified
+// before it (the pipeline measures an interval's overlap only after the
+// hook returns).
+func (ls *LinkState) sealed(s engine.Sealed) error {
+	ls.record(s, ls.lp.LastOverlap())
+	return nil
 }
 
 // record folds one closed interval into the state, once, under one
 // lock: churn against the previous interval's set — the interval's only
 // churn computation, added to the churn totals — the accumulator
 // counters as of the close, the stage histograms and the interval's
-// entry in the ring. o is the pipeline's observation of the step that
-// produced res; lag and overlap are the live pipeline's seal-time
-// watermark lag and stage overlap.
-func (ls *LinkState) record(t int, at time.Time, res core.Result, stats agg.StreamStats, o core.StepObservation, lag, overlap time.Duration) {
+// entry in the ring, with the step's timings and seal lag from s and the
+// live pipeline's stage overlap.
+func (ls *LinkState) record(s engine.Sealed, overlap time.Duration) {
 	now := time.Now()
+	res, o := &s.Result, &s.Step
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	_, prev, _ := ls.newest()
 	promoted, demoted := core.Churn(prev, res.Elephants)
 	sum := IntervalSummary{
-		Interval:        t,
-		Start:           at,
+		Interval:        s.T,
+		Start:           s.At,
 		TotalLoadBps:    res.TotalLoad,
 		ActiveFlows:     res.ActiveFlows,
 		Elephants:       res.ElephantCount(),
@@ -335,7 +368,7 @@ func (ls *LinkState) record(t int, at time.Time, res core.Result, stats agg.Stre
 		Promoted:        promoted,
 		Demoted:         demoted,
 	}
-	ls.stream = stats
+	ls.stream = s.Stats
 	ls.lastSeal = now
 	m := &ls.metrics
 	m.step.observe(float64(o.StepNanos) / 1e9)
@@ -353,7 +386,7 @@ func (ls *LinkState) record(t int, at time.Time, res core.Result, stats agg.Stre
 		finalizeNanos:   o.FinalizeNanos,
 		stepNanos:       o.StepNanos,
 		rawThreshold:    res.RawThreshold,
-		lagNanos:        int64(lag),
+		lagNanos:        int64(s.SealLag),
 		overlapNanos:    int64(overlap),
 	}
 	ls.next = (ls.next + 1) % len(ls.ring)
@@ -378,28 +411,24 @@ func (ls *LinkState) Staleness(now time.Time) time.Duration {
 	return 0
 }
 
-// SetStreamStats records the accumulator's final counters (after the
-// shutdown flush, when no more closes will deliver them).
-func (ls *LinkState) SetStreamStats(stats agg.StreamStats) {
-	ls.mu.Lock()
-	ls.stream = stats
-	ls.mu.Unlock()
-}
-
-// ReclassifyDropped moves n records from Routed to Dropped — the
-// post-mortem correction for records a failed pipeline accepted into
-// its queue but discarded unclassified (engine.LivePipeline.Dropped).
-func (ls *LinkState) ReclassifyDropped(n uint64) {
-	if n == 0 {
-		return
+// close flushes the link's pipeline, if it has one, and records how
+// its run ended: the failure, the accumulator's final counters (no
+// later seal will deliver them) and the records a failed pipeline had
+// accepted into its queue but discarded unclassified, moved from Routed
+// to Dropped. It returns the pipeline's error.
+func (ls *LinkState) close() error {
+	if ls.lp == nil {
+		return nil
 	}
+	err := ls.lp.Close()
+	ls.Fail(err)
 	ls.mu.Lock()
-	if n > ls.ingest.Routed {
-		n = ls.ingest.Routed
-	}
+	ls.stream = ls.lp.Stats()
+	n := min(ls.lp.Dropped(), ls.ingest.Routed)
 	ls.ingest.Routed -= n
 	ls.ingest.Dropped += n
 	ls.mu.Unlock()
+	return err
 }
 
 // Fail marks the link's pipeline as failed. The first failure wins.
@@ -422,25 +451,36 @@ func (ls *LinkState) Failed() bool {
 }
 
 // Summary returns the link's /links row.
-func (ls *LinkState) Summary() LinkSummary {
-	ls.mu.RLock()
-	defer ls.mu.RUnlock()
-	out := LinkSummary{ID: ls.id, Ingest: ls.ingest, Stream: ls.stream, Error: ls.failed}
-	if last, _, ok := ls.newest(); ok {
-		out.Last = &last
-	}
-	return out
+func (ls *LinkState) Summary() LinkSummary { return ls.read().LinkSummary }
+
+// linkReading is all a scrape reads of one link: its /links row, the
+// running metrics and newest raw threshold (0 before the first seal)
+// /metrics renders, and its pipeline's lag, stalls and last stage
+// overlap (zero without a pipeline).
+type linkReading struct {
+	LinkSummary
+	metrics linkMetrics
+	raw     float64
+	lag     time.Duration
+	stalls  uint64
+	overlap time.Duration
 }
 
-// metricsSnapshot returns a copy of the link's running metrics and the
-// raw threshold of its newest interval, 0 before the first seal.
-func (ls *LinkState) metricsSnapshot() (linkMetrics, float64) {
+// read takes the link's reading under one read-lock; the pipeline's
+// numbers are atomics.
+func (ls *LinkState) read() linkReading {
 	ls.mu.RLock()
-	defer ls.mu.RUnlock()
-	if ls.count == 0 {
-		return ls.metrics, 0
+	r := linkReading{LinkSummary: LinkSummary{ID: ls.id, Ingest: ls.ingest, Stream: ls.stream, Error: ls.failed}, metrics: ls.metrics}
+	if ls.count > 0 {
+		e := ls.retained(ls.count - 1)
+		last := e.summary
+		r.Last, r.raw = &last, e.rawThreshold
 	}
-	return ls.metrics, ls.retained(ls.count - 1).rawThreshold
+	ls.mu.RUnlock()
+	if ls.lp != nil {
+		r.lag, r.stalls, r.overlap = ls.lp.WatermarkLag(), ls.lp.Stalls(), ls.lp.LastOverlap()
+	}
+	return r
 }
 
 // Current returns the most recent closed interval's summary and its
