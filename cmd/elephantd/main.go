@@ -116,6 +116,14 @@ func main() {
 		sp.Alpha = *alpha
 		err = sp.Validate()
 	}
+	// serve.Config reads zero as "the default"; on the command line a
+	// non-positive value is a mistake, not a request for it.
+	if err == nil && *interval <= 0 {
+		err = fmt.Errorf("-interval %v must be positive", *interval)
+	}
+	if err == nil && *history <= 0 {
+		err = fmt.Errorf("-history %d must be positive", *history)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "elephantd:", err)
 		os.Exit(2)

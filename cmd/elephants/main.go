@@ -95,6 +95,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := sp.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
+	if *interval <= 0 {
+		return fmt.Errorf("%w: -interval %v must be positive", errUsage, *interval)
+	}
 	if *swindow < 0 {
 		return fmt.Errorf("%w: -stream-window %d must be >= 0 (0 derives it from the scheme)", errUsage, *swindow)
 	}

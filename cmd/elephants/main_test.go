@@ -278,6 +278,8 @@ func TestRejectedInputs(t *testing.T) {
 	}{
 		{name: "removed -stream flag", frames: frames, routes: true, extra: []string{"-stream"}, wantErr: "flag provided but not defined: -stream", usage: true},
 		{name: "alpha outside [0,1)", frames: frames, routes: true, extra: []string{"-alpha", "1.5"}, wantErr: "alpha 1.5 outside [0,1)", usage: true},
+		{name: "zero interval", frames: frames, routes: true, extra: []string{"-interval", "0"}, wantErr: "-interval 0s must be positive", usage: true},
+		{name: "negative interval", frames: frames, routes: true, extra: []string{"-interval", "-1m"}, wantErr: "-interval -1m0s must be positive", usage: true},
 		{name: "removed evict parameter", frames: frames, routes: true, extra: []string{"-scheme", "load+latent:evict=4"}, wantErr: `no parameter "evict"`, usage: true},
 		{name: "empty pcap", routes: true, wantErr: "empty capture"},
 		{name: "empty pcapng", ng: true, routes: true, wantErr: "empty capture"},

@@ -12,8 +12,7 @@ import (
 // cellOracle is what FuzzSeriesRowWrites holds a Series to: a cell map
 // per prefix, the order prefixes first got a row in, and the totals
 // under the same two update rules (set: total += new − old; add: total
-// += bw). It knows nothing of row indices, the sorted cache or the
-// interval index.
+// += bw). It knows nothing of row indices or the interval index.
 type cellOracle struct {
 	cells map[netip.Prefix]map[int]float64
 	order []netip.Prefix
@@ -64,29 +63,31 @@ func panics(f func()) (panicked bool) {
 // SetRowBandwidth, AddRowBits) with the prefix-keyed ones they are the
 // body of, over eight prefixes and six intervals: overwrites, zero and
 // negative values, intervals outside the window (a panic; the prefix
-// forms leave no row behind), a row created mid-run with no cell, a
-// write after a read (the index is dropped and the next read rebuilds
-// it) and a write after Seal — which unseals, or, when the first byte
-// turns core.DebugInvariants on, panics and changes nothing. Row
-// indices are resolved once per prefix and reused for the rest of the
-// run. After every op the row order, the sealed flag and the totals
-// must equal the oracle's; reads compare snapshots and every cell.
+// forms leave no row behind), a row created mid-run with no cell, and
+// writes after the series froze. The first read or Seal freezes it:
+// every write after that panics and changes nothing, whether or not the
+// first byte turns core.DebugInvariants on. Row indices are resolved
+// once per prefix and reused for the rest of the run. After every op
+// the row order, the freeze and the totals must equal the oracle's;
+// reads compare snapshots and every cell.
 // AddRecord rides along as the writer that resolves a row for several
 // cells at once: a record starting mid-interval and running for a
 // number of half-intervals, so it straddles either window edge, covers
 // the whole window, or misses it — and then must leave no row — and
-// must report whether anything landed.
+// must report whether anything landed — or, frozen, panic exactly when
+// it would have landed.
 //
 // Two bytes an op: kind in a's top three bits, prefix in its low three;
 // interval (−1..6) in b's bits 4–6, value in its low four. Kind 7 with
 // b = 0 is the full read; otherwise b's low four bits are also the
 // record's span in half-intervals (0: a point record).
 func FuzzSeriesRowWrites(f *testing.F) {
-	// Row writes, an overwrite, a zero and a negative; read; write again.
+	// Row writes, an overwrite, a zero and a negative; read; a refused
+	// write.
 	f.Add([]byte{0, 0x40, 0x13, 0x41, 0x23, 0x40, 0x10, 0x60, 0x22, 0x01, 0x21, 0xa0, 0x10, 0x42, 0x34, 0xe0, 0})
 	// A prefix-keyed fill, a bare new row between two row writes, reads.
 	f.Add([]byte{0, 0x05, 0x15, 0x25, 0x26, 0x45, 0x17, 0x83, 0, 0x65, 0x18, 0xa0, 0x20, 0x03, 0x29, 0xe0, 0})
-	// Seal then write, invariants off (unseals) and on (panics).
+	// Seal then write, invariants off and on: both refused.
 	f.Add([]byte{0, 0x41, 0x13, 0xc0, 0, 0x41, 0x24, 0x02, 0x15, 0xe0, 0})
 	f.Add([]byte{1, 0x41, 0x13, 0xa0, 0x10, 0xc0, 0, 0x41, 0x24, 0x02, 0x15, 0x86, 0, 0x61, 0x11, 0xe0, 0})
 	// Intervals outside the window, keyed (no row) and by row (row stays).
@@ -118,7 +119,7 @@ func FuzzSeriesRowWrites(f *testing.F) {
 		s := NewSeries(start, time.Minute, intervals)
 		o := &cellOracle{cells: make(map[netip.Prefix]map[int]float64), total: make([]float64, intervals)}
 		rowOf := make(map[netip.Prefix]int) // resolved once, reused
-		sealed := false
+		frozen := false                     // by the first read or Seal
 
 		compareAll := func(ctx string) {
 			t.Helper()
@@ -147,7 +148,6 @@ func FuzzSeriesRowWrites(f *testing.F) {
 			ti, v := int(b>>4&7)-1, values[b&15]
 			badT := ti < 0 || ti >= intervals
 			_, known := o.cells[p]
-			wrote := false
 			switch kind {
 			case 0, 1: // prefix-keyed
 				got := panics(func() {
@@ -157,11 +157,10 @@ func FuzzSeriesRowWrites(f *testing.F) {
 						s.AddBits(p, ti, v)
 					}
 				})
-				if want := badT || (sealed && debug); got != want {
-					t.Fatalf("op %d: keyed write (t=%d, sealed %v, invariants %v) panicked %v", i, ti, sealed, debug, got)
+				if want := badT || frozen; got != want {
+					t.Fatalf("op %d: keyed write (t=%d, frozen %v, invariants %v) panicked %v", i, ti, frozen, debug, got)
 				}
 				if !got {
-					wrote = true
 					if kind == 0 {
 						o.set(p, ti, v)
 					} else {
@@ -172,15 +171,14 @@ func FuzzSeriesRowWrites(f *testing.F) {
 				row, resolved := rowOf[p]
 				if !resolved {
 					got := panics(func() { row = s.RowIndex(p) })
-					if want := !known && sealed && debug; got != want {
-						t.Fatalf("op %d: RowIndex(%v) (known %v, sealed %v, invariants %v) panicked %v", i, p, known, sealed, debug, got)
+					if want := !known && frozen; got != want {
+						t.Fatalf("op %d: RowIndex(%v) (known %v, frozen %v, invariants %v) panicked %v", i, p, known, frozen, debug, got)
 					}
 					if got {
 						break
 					}
 					rowOf[p] = row
 					if !known {
-						wrote = true
 						o.row(p)
 					}
 				}
@@ -190,8 +188,6 @@ func FuzzSeriesRowWrites(f *testing.F) {
 				if kind == 4 {
 					break
 				}
-				// A row created just above has already unsealed the series.
-				blocked := sealed && debug
 				got := panics(func() {
 					if kind == 2 {
 						s.SetRowBandwidth(row, ti, v)
@@ -199,11 +195,10 @@ func FuzzSeriesRowWrites(f *testing.F) {
 						s.AddRowBits(row, ti, v)
 					}
 				})
-				if want := badT || blocked; got != want {
-					t.Fatalf("op %d: row write (t=%d, sealed %v, invariants %v) panicked %v", i, ti, sealed, debug, got)
+				if want := badT || frozen; got != want {
+					t.Fatalf("op %d: row write (t=%d, frozen %v, invariants %v) panicked %v", i, ti, frozen, debug, got)
 				}
 				if !got {
-					wrote = true
 					if kind == 2 {
 						o.set(p, ti, v)
 					} else {
@@ -213,13 +208,15 @@ func FuzzSeriesRowWrites(f *testing.F) {
 			case 5:
 				if !badT {
 					snapEqual(t, "read", s.Snapshot(ti, nil), o.snapshot(ti))
+					frozen = true
 				}
 			case 6:
 				s.Seal()
-				sealed = true
+				frozen = true
 			case 7:
 				if b == 0 {
 					compareAll("full read")
+					frozen = true
 					break
 				}
 				// The record runs from the middle of interval ti for b&15
@@ -244,27 +241,20 @@ func FuzzSeriesRowWrites(f *testing.F) {
 				got := panics(func() {
 					landed = s.AddRecord(Record{Prefix: p, Time: start.Add(time.Duration(from)), Span: time.Duration(span), Bits: v})
 				})
-				if want := len(cells) > 0 && sealed && debug; got != want {
-					t.Fatalf("op %d: AddRecord (%d cells in the window, sealed %v, invariants %v) panicked %v", i, len(cells), sealed, debug, got)
+				if want := len(cells) > 0 && frozen; got != want {
+					t.Fatalf("op %d: AddRecord (%d cells in the window, frozen %v, invariants %v) panicked %v", i, len(cells), frozen, debug, got)
 				}
 				if !got {
 					if landed != (len(cells) > 0) {
 						t.Fatalf("op %d: AddRecord reported landed = %v with %d cells in the window", i, landed, len(cells))
 					}
 					for _, c := range cells {
-						wrote = true
 						o.add(p, c.t, c.bits/time.Minute.Seconds())
 					}
 				}
 			}
-			if wrote {
-				sealed = false
-				if s.idx.Load() != nil {
-					t.Fatalf("op %d: a write left the index in place", i)
-				}
-			}
-			if s.sealed != sealed {
-				t.Fatalf("op %d: sealed = %v, want %v", i, s.sealed, sealed)
+			if got := s.idx.Load() != nil; got != frozen {
+				t.Fatalf("op %d: indexed = %v, frozen %v", i, got, frozen)
 			}
 			if !slices.Equal(s.Flows(), o.order) {
 				t.Fatalf("op %d: row order %v, oracle %v", i, s.Flows(), o.order)

@@ -47,8 +47,9 @@ func randomSeries(seed int64, flows, intervals int) *Series {
 
 // denseSnapshot is the oracle every read of a Series is held to:
 // interval t by a scan over every row, in an order sorted here, with
-// one checked append per positive cell. It touches neither the sorted
-// row cache nor the interval index. rowIDs nil leaves the ID column out.
+// one checked append per positive cell. It does not touch the interval
+// index, so it neither reads it nor freezes the series. rowIDs nil
+// leaves the ID column out.
 func denseSnapshot(s *Series, t int, tbl *core.FlowTable, rowIDs []uint32) *core.FlowSnapshot {
 	order := make([]int, len(s.keys))
 	for i := range order {
@@ -115,8 +116,8 @@ func TestSealedSnapshotsMatchDense(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		s := randomSeries(seed, 120, 16)
 		s.Seal()
-		if !s.sealed {
-			t.Fatal("Seal did not mark the series sealed")
+		if s.idx.Load() == nil {
+			t.Fatal("Seal did not build the index")
 		}
 		var snap *core.FlowSnapshot
 		for ti := 0; ti < s.Intervals; ti++ {
@@ -212,43 +213,65 @@ func TestSealedBulkFillOrderCheckedUnderDebugInvariants(t *testing.T) {
 	s.Snapshot(ti, nil)
 }
 
-// TestSealMutationUnseals pins the release-mode contract: mutating a
-// sealed series (including the zero→nonzero transition that changes an
-// interval's flow membership) silently unseals it, drops the index, and
-// subsequent snapshots — before a re-Seal or after — reflect the new
-// values.
-func TestSealMutationUnseals(t *testing.T) {
-	s := NewSeries(start, time.Minute, 3)
-	s.SetBandwidth(pfxA, 0, 100)
-	s.SetBandwidth(pfxB, 1, 200)
-	s.Seal()
-	_ = s.Snapshot(0, nil) // force the index to build
-
-	s.SetBandwidth(pfxC, 0, 300) // zero→nonzero on a sealed series
-	if s.sealed || s.idx.Load() != nil {
-		t.Fatal("series still sealed, or still indexed, after mutation")
+// TestSeriesWriteAfterReadPanics: the first per-interval read freezes
+// the series, with core.DebugInvariants off as much as on. Every write
+// after it panics — adding to a cell, overwriting one, a new row, a
+// record — and leaves the cells, the totals and the rows as they were,
+// so every later read still sees what the first one did.
+func TestSeriesWriteAfterReadPanics(t *testing.T) {
+	newFlow := netip.MustParsePrefix("172.16.0.0/12")
+	writes := []struct {
+		name  string
+		write func(s *Series)
+	}{
+		{"AddBits", func(s *Series) { s.AddBits(s.Flows()[0], 3, 5e8) }},
+		{"SetBandwidth to zero", func(s *Series) { s.SetBandwidth(s.Flows()[0], 3, 0) }},
+		{"SetRowBandwidth", func(s *Series) { s.SetRowBandwidth(0, 1, 7) }},
+		{"AddRowBits", func(s *Series) { s.AddRowBits(0, 1, 7) }},
+		{"RowIndex of a new flow", func(s *Series) { s.RowIndex(newFlow) }},
+		{"AddRecord", func(s *Series) {
+			s.AddRecord(Record{Prefix: newFlow, Time: start.Add(30 * time.Second), Span: 4 * time.Minute, Bits: 1e9})
+		}},
 	}
-	want := map[netip.Prefix]float64{pfxA: 100, pfxC: 300}
-	check := func(ctx string) {
-		t.Helper()
-		snap := s.Snapshot(0, nil)
-		if snap.Len() != len(want) {
-			t.Fatalf("%s: %d flows, want %d", ctx, snap.Len(), len(want))
-		}
-		for i := 0; i < snap.Len(); i++ {
-			if want[snap.Key(i)] != snap.Bandwidth(i) {
-				t.Fatalf("%s: flow %v = %v, want %v", ctx, snap.Key(i), snap.Bandwidth(i), want[snap.Key(i)])
+	reads := []struct {
+		name string
+		read func(s *Series)
+	}{
+		{"Snapshot", func(s *Series) { s.Snapshot(0, nil) }},
+		{"SnapshotIDs", func(s *Series) {
+			tbl := core.NewFlowTable()
+			s.SnapshotIDs(0, nil, tbl, s.InternRows(tbl, nil))
+		}},
+		{"IntervalBandwidths", func(s *Series) { s.IntervalBandwidths(0) }},
+		{"ActiveFlows", func(s *Series) { s.ActiveFlows(0) }},
+		{"InternRows", func(s *Series) { s.InternRows(core.NewFlowTable(), nil) }},
+		{"Seal", func(s *Series) { s.Seal() }},
+	}
+	for _, r := range reads {
+		for _, w := range writes {
+			s := randomSeries(41, 80, 9)
+			r.read(s)
+			flows, total := len(s.Flows()), s.TotalBandwidth(3)
+			want := make([]*core.FlowSnapshot, s.Intervals)
+			for ti := range want {
+				want[ti] = denseSnapshot(s, ti, nil, nil)
+			}
+			if !panics(func() { w.write(s) }) {
+				t.Fatalf("%s after %s did not panic", w.name, r.name)
+			}
+			if len(s.Flows()) != flows || s.TotalBandwidth(3) != total {
+				t.Fatalf("%s after %s changed the series before panicking", w.name, r.name)
+			}
+			for ti := range want {
+				snapEqual(t, fmt.Sprintf("%s after %s: interval %d", w.name, r.name, ti), s.Snapshot(ti, nil), want[ti])
 			}
 		}
 	}
-	check("unsealed after mutation")
-	s.Seal()
-	check("re-sealed")
 }
 
-// TestSealMutationPanicsUnderDebugInvariants pins the debug-mode
-// contract: with core.DebugInvariants on, mutating a sealed series is a
-// programmer error and panics instead of silently unsealing.
+// TestSealMutationPanicsUnderDebugInvariants: turning
+// core.DebugInvariants on changes nothing for a sealed series, whose
+// writes panic as they do with it off (TestSeriesWriteAfterReadPanics).
 func TestSealMutationPanicsUnderDebugInvariants(t *testing.T) {
 	core.DebugInvariants = true
 	defer func() { core.DebugInvariants = false }()
@@ -263,23 +286,24 @@ func TestSealMutationPanicsUnderDebugInvariants(t *testing.T) {
 	s.AddBits(pfxA, 1, 1e6)
 }
 
-// TestSealedSnapshotConcurrentReaders proves the lazy index build is
-// safe under concurrent snapshotting of a freshly sealed series (the
-// matrix engine's access pattern: many workers, first touch builds).
-// The references come from the oracle, so no read has built the index
-// when the readers start. Run with -race.
+// TestSealedSnapshotConcurrentReaders proves the one index build is
+// safe when several readers seal one series at once and then snapshot
+// it — the matrix engine's access pattern: every task sharing a series
+// seals it, and whichever comes first builds. The references come from
+// the oracle, so no read has built the index when the readers start.
+// Run with -race.
 func TestSealedSnapshotConcurrentReaders(t *testing.T) {
 	s := randomSeries(23, 150, 8)
 	refs := make([]*core.FlowSnapshot, s.Intervals)
 	for ti := 0; ti < s.Intervals; ti++ {
 		refs[ti] = denseSnapshot(s, ti, nil, nil)
 	}
-	s.Seal()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			s.Seal()
 			var snap *core.FlowSnapshot
 			for ti := 0; ti < s.Intervals; ti++ {
 				snap = s.Snapshot(ti, snap)
@@ -291,54 +315,4 @@ func TestSealedSnapshotConcurrentReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestSeriesReadAfterWriteRebuildsIndex: reads need no Seal. A read
-// after a write sees the write — the write dropped the index and the
-// read rebuilt it — at every interval, through every read, whether the
-// write added to a cell, zeroed one or brought a new flow; and a write
-// after Seal still panics under DebugInvariants.
-func TestSeriesReadAfterWriteRebuildsIndex(t *testing.T) {
-	s := randomSeries(41, 80, 9)
-	tbl := core.NewFlowTable()
-	check := func(ctx string) {
-		t.Helper()
-		rows := s.InternRows(tbl, nil)
-		for ti := 0; ti < s.Intervals; ti++ {
-			dense := denseSnapshot(s, ti, nil, nil)
-			snapEqual(t, fmt.Sprintf("%s: interval %d", ctx, ti), s.Snapshot(ti, nil), dense)
-			snapEqual(t, fmt.Sprintf("%s: interval %d with IDs", ctx, ti), s.SnapshotIDs(ti, nil, tbl, rows), denseSnapshot(s, ti, tbl, rows))
-			if !slices.Equal(s.IntervalBandwidths(ti), dense.Bandwidths()) {
-				t.Fatalf("%s: interval %d: IntervalBandwidths diverges from the dense column", ctx, ti)
-			}
-			if got := s.ActiveFlows(ti); got != dense.Len() {
-				t.Fatalf("%s: interval %d: ActiveFlows %d, dense scan finds %d", ctx, ti, got, dense.Len())
-			}
-		}
-	}
-	check("first read")
-	if s.sealed {
-		t.Fatal("a read sealed the series")
-	}
-	first := s.Flows()[0]
-	s.AddBits(first, 3, 5e8)
-	if s.idx.Load() != nil {
-		t.Fatal("a write left the index in place")
-	}
-	check("after AddBits")
-	s.SetBandwidth(first, 3, 0)
-	check("after an overwrite to zero")
-	s.AddRecord(Record{Prefix: netip.MustParsePrefix("172.16.0.0/12"), Time: start.Add(30 * time.Second), Span: 4 * time.Minute, Bits: 1e9})
-	check("after a span record for a new flow")
-
-	s.Seal()
-	check("sealed")
-	core.DebugInvariants = true
-	defer func() { core.DebugInvariants = false }()
-	defer func() {
-		if recover() == nil {
-			t.Error("SetBandwidth on a sealed series did not panic under DebugInvariants")
-		}
-	}()
-	s.SetBandwidth(first, 0, 1)
 }

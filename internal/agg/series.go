@@ -4,24 +4,23 @@
 // default is 5 minutes) and produces per-flow average-bandwidth series —
 // the x_j(t) values every classification scheme consumes.
 //
-// A Series is filled one way and read one way. Every ingest substrate
-// reaches it as a RecordSource drained by Collect (AddRecord, the
-// apportioning arithmetic the stream accumulator shares); the synthetic
-// generator sets cells directly. Storage is a row-major flow×interval
-// matrix, and the one write body is row-indexed: RowIndex resolves (or
-// creates) a flow's row — the only prefix hash a write needs — and
-// SetRowBandwidth / AddRowBits write a cell of it. A writer whose cells
-// come in runs of one flow (the generator, Rebin, the sampling
-// experiment) resolves the row once per flow; SetBandwidth and AddBits
-// are the same body for a single cell named by prefix. Rows are in
-// first-write order, which is the order Flows reports. Every
-// per-interval read — Snapshot, SnapshotIDs, IntervalBandwidths,
-// ActiveFlows — goes through an interval-major sparse index, built by
-// the first read and dropped by the next write, so that an interval's
-// emission walks exactly that interval's non-zero cells instead of
-// scanning every row. Seal asserts that writing is over: a write to a
-// sealed series panics under core.DebugInvariants, where it is treated
-// as a programmer error.
+// A Series is filled one way and read one way, in that order. Every
+// ingest substrate reaches it as a RecordSource drained by Collect
+// (AddRecord, the apportioning arithmetic the stream accumulator
+// shares); the synthetic generator sets cells directly. Storage is a
+// row-major flow×interval matrix, and the one write body is
+// row-indexed: RowIndex resolves (or creates) a flow's row — the only
+// prefix hash a write needs — and SetRowBandwidth / AddRowBits write a
+// cell of it. A writer whose cells come in runs of one flow (the
+// generator, Rebin, the sampling experiment) resolves the row once per
+// flow; SetBandwidth and AddBits are the same body for a single cell
+// named by prefix. Rows are in first-write order, which is the order
+// Flows reports. Every per-interval read — Snapshot, SnapshotIDs,
+// IntervalBandwidths, ActiveFlows, InternRows — goes through an
+// interval-major sparse index, so that an interval's emission walks
+// exactly that interval's non-zero cells instead of scanning every row.
+// The index is built once, by the first such read or by Seal, and
+// freezes the series: every write after it panics.
 //
 // The streaming accumulator folds one link's records on one goroutine;
 // links are the unit of parallelism, one accumulator each. Handing a
@@ -35,7 +34,6 @@ import (
 	"math"
 	"net/netip"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,23 +56,15 @@ type Series struct {
 	keys  []netip.Prefix       // row index -> prefix
 	rows  [][]float64          // bandwidth in bit/s, len = Intervals
 	total []float64            // per-interval total bandwidth in bit/s
-	// sortedIdx caches row indices in core.ComparePrefix order, the
-	// order every emission is in; it is rebuilt lazily — under sortedMu,
-	// because a fully aggregated series may be read by several engine
-	// workers at once (e.g. one link classified under two schemes) —
-	// when flows were added since the last build.
-	sortedMu  sync.Mutex
-	sortedIdx []int
-
-	// sealed marks the series immutable: a later AddBits/SetBandwidth
-	// panics under core.DebugInvariants and otherwise clears the flag.
-	// It is written by Seal (under sortedMu) and by writers, which by
-	// contract never run concurrently with reads.
-	sealed bool
-	// idx is the interval-major CSR view of the matrix every
-	// per-interval read goes through; nil until the first read after a
-	// write. Built once under sortedMu and then read with a plain atomic
-	// load: per-interval emission takes no lock.
+	// mu serialises the one build of idx: a finished series may take
+	// its first read from several engine workers at once (one link
+	// classified under several schemes).
+	mu sync.Mutex
+	// idx is the interval-major index every per-interval read goes
+	// through, and its presence is the freeze: nil while the series is
+	// written, built once by the first read or Seal, after which every
+	// write panics. Read with a plain atomic load: emission takes no
+	// lock.
 	idx atomic.Pointer[intervalIndex]
 }
 
@@ -83,8 +73,10 @@ type Series struct {
 // rows[offsets[t]:offsets[t+1]] (row indices, in core.ComparePrefix
 // order of their prefixes) with bandwidths in the parallel bw array.
 // Emission of interval t is then O(active(t)) sequential reads instead
-// of an O(flows) strided scan over every row.
+// of an O(flows) strided scan over every row. sorted is every row in
+// core.ComparePrefix order, the order the build fills the index in.
 type intervalIndex struct {
+	sorted  []int
 	offsets []int64
 	rows    []int32
 	bw      []float64
@@ -131,34 +123,20 @@ func (s *Series) RowIndex(p netip.Prefix) int {
 	return i
 }
 
-// Seal asserts that the series is complete. No read depends on it —
-// the interval index is built by whichever read comes first — but a
-// driver that hands one series to several readers seals it so that a
-// stray AddBits/SetBandwidth afterwards panics under
-// core.DebugInvariants instead of racing them; without the invariant
-// build such a write clears the flag and drops the index like any
-// other. Sealing is idempotent.
-func (s *Series) Seal() {
-	s.sortedMu.Lock()
-	s.sealed = true
-	s.sortedMu.Unlock()
-}
+// Seal ends the writing: it builds the interval index the first read
+// would otherwise build, so that a driver handing one series to several
+// readers has every write after this point panic instead of racing
+// them. Sealing is idempotent, and sealing a series already read
+// changes nothing.
+func (s *Series) Seal() { s.intervalIdx() }
 
-// mutate gates every write: it drops the interval index, so the next
-// read rebuilds it and no stale view can be served, and it is where a
-// write to a sealed series is caught. Writers never run concurrently
-// with reads (the Snapshot contract), so neither check needs the lock;
-// the index is loaded before it is cleared because a run of writes —
-// every fill is one — then pays a plain load each, not an atomic store.
+// mutate gates every write: once the index is built the series is
+// frozen and the write is a programmer error, whatever
+// core.DebugInvariants says. Writers never run concurrently with reads
+// (the Snapshot contract), so the check needs no lock.
 func (s *Series) mutate() {
-	if s.sealed {
-		if core.DebugInvariants {
-			panic("agg: Series mutated after Seal")
-		}
-		s.sealed = false
-	}
 	if s.idx.Load() != nil {
-		s.idx.Store(nil)
+		panic("agg: Series written after its first read or Seal")
 	}
 }
 
@@ -224,50 +202,29 @@ func (s *Series) Row(p netip.Prefix) ([]float64, bool) {
 // TotalBandwidth returns the aggregate link load in interval t (bit/s).
 func (s *Series) TotalBandwidth(t int) float64 { return s.total[t] }
 
-// sortedRows returns row indices in core.ComparePrefix order. Flows are
-// only ever added, so a length mismatch is the exact staleness signal;
-// the sort cost is amortized across every read between flow arrivals.
-// The rebuild is mutex-guarded so concurrent readers of a
-// no-longer-mutated series are safe.
-func (s *Series) sortedRows() []int {
-	s.sortedMu.Lock()
-	defer s.sortedMu.Unlock()
-	return s.sortedRowsLocked()
-}
-
-// sortedRowsLocked is sortedRows for callers already holding sortedMu.
-func (s *Series) sortedRowsLocked() []int {
-	if len(s.sortedIdx) != len(s.keys) {
-		s.sortedIdx = s.sortedIdx[:0]
-		for i := range s.keys {
-			s.sortedIdx = append(s.sortedIdx, i)
-		}
-		sort.Slice(s.sortedIdx, func(a, b int) bool {
-			return core.ComparePrefix(s.keys[s.sortedIdx[a]], s.keys[s.sortedIdx[b]]) < 0
-		})
-	}
-	return s.sortedIdx
-}
-
-// intervalIdx returns the CSR interval index, building it when no read
-// has since the last write. The build is a two-pass count/fill: the
-// fill iterates rows in sorted-prefix order, so each interval's slice
-// lists its active rows in ascending core.ComparePrefix order — the
-// order a per-interval scan of the sorted rows would meet them in,
-// which fixes the float summation order of everything downstream.
+// intervalIdx returns the CSR interval index, building it on the first
+// call. The build is a two-pass count/fill: the fill iterates rows in
+// sorted-prefix order, so each interval's slice lists its active rows
+// in ascending core.ComparePrefix order — the order a per-interval scan
+// of the sorted rows would meet them in, which fixes the float
+// summation order of everything downstream.
 func (s *Series) intervalIdx() *intervalIndex {
 	if ix := s.idx.Load(); ix != nil {
 		return ix
 	}
-	s.sortedMu.Lock()
-	defer s.sortedMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if ix := s.idx.Load(); ix != nil {
 		return ix
 	}
 	if len(s.keys) > math.MaxInt32 {
 		panic(fmt.Sprintf("agg: %d flows overflow the interval index's int32 row positions", len(s.keys)))
 	}
-	idx := &intervalIndex{offsets: make([]int64, s.Intervals+1)}
+	idx := &intervalIndex{sorted: make([]int, len(s.keys)), offsets: make([]int64, s.Intervals+1)}
+	for i := range idx.sorted {
+		idx.sorted[i] = i
+	}
+	slices.SortFunc(idx.sorted, func(a, b int) int { return core.ComparePrefix(s.keys[a], s.keys[b]) })
 	counts := idx.offsets[1:] // counts[t] accumulates nnz(t), then prefix-sums in place
 	for i := range s.rows {
 		for t, bw := range s.rows[i] {
@@ -284,7 +241,7 @@ func (s *Series) intervalIdx() *intervalIndex {
 	idx.bw = make([]float64, nnz)
 	cur := make([]int64, s.Intervals)
 	copy(cur, idx.offsets[:s.Intervals])
-	for _, i := range s.sortedRowsLocked() {
+	for _, i := range idx.sorted {
 		for t, bw := range s.rows[i] {
 			if bw > 0 {
 				c := cur[t]
@@ -302,8 +259,8 @@ func (s *Series) intervalIdx() *intervalIndex {
 // flow bandwidths in sorted prefix order — the columnar per-interval
 // view the online classifier consumes, emitted pre-sorted so the
 // pipeline never re-sorts. The returned snapshot is reusable: pass it
-// back in for the next interval to avoid allocation. Once aggregation
-// is done (no more AddBits/SetBandwidth), Snapshot is safe to call from
+// back in for the next interval to avoid allocation. Like every
+// per-interval read it freezes the series, and it is safe to call from
 // multiple goroutines with distinct dst snapshots — the engine relies
 // on this when one link's series is classified under several schemes.
 func (s *Series) Snapshot(t int, dst *core.FlowSnapshot) *core.FlowSnapshot {
@@ -327,8 +284,8 @@ func (s *Series) emit(t int, dst *core.FlowSnapshot, rowIDs []uint32) *core.Flow
 // IntervalBandwidths returns interval t's non-zero bandwidth column as
 // a zero-copy view into the CSR index — the same values, in the same
 // sorted-prefix order, that Snapshot(t) would append, without emitting
-// keys. The view is read-only and capacity-capped; it stays valid until
-// the next write to the series. This is the batch detector prepass's
+// keys. The view is read-only and capacity-capped, and valid for the
+// life of the series, which the read freezes. This is the batch detector prepass's
 // input: threshold detection consumes only the bandwidth column, so the
 // engine can precompute θ(t) columns without paying for full snapshots.
 func (s *Series) IntervalBandwidths(t int) []float64 {
@@ -352,7 +309,7 @@ func (s *Series) InternRows(tbl *core.FlowTable, dst []uint32) []uint32 {
 	// Interned in sorted-prefix order, so that on a fresh table IDs rise
 	// with the snapshot's rows and a consumer's ID-indexed columns are
 	// walked front to back, not at random.
-	for _, i := range s.sortedRows() {
+	for _, i := range s.intervalIdx().sorted {
 		dst[i] = tbl.Intern(s.keys[i])
 	}
 	return dst

@@ -107,7 +107,6 @@ func BenchmarkSketchClassifierStep(b *testing.B) {
 	for i := range ps {
 		snap.Append(ps[i], ws[i])
 	}
-	snap.Sort()
 	for _, mk := range []struct {
 		name string
 		cls  func() (*SketchClassifier, error)

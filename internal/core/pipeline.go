@@ -142,9 +142,10 @@ func (p *Pipeline) StepSnapshot(t int, snap *FlowSnapshot) (Result, error) {
 }
 
 // Step processes one interval's snapshot and returns the classification
-// result. The snapshot must be sorted (producers that append in
-// ComparePrefix order — agg.Series.Snapshot — are sorted for free; map
-// fills must call Sort). Calls must be made in interval order. The
+// result. The snapshot must be sorted: every producer — agg.Series,
+// the stream accumulator, SnapshotFromMap — appends in ComparePrefix
+// order, and a snapshot an out-of-order append marked unsorted is
+// refused, not repaired. Calls must be made in interval order. The
 // snapshot is not retained: the caller may reset and refill it for the
 // next interval.
 func (p *Pipeline) Step(snap *FlowSnapshot) (Result, error) {
@@ -164,7 +165,7 @@ func (p *Pipeline) Step(snap *FlowSnapshot) (Result, error) {
 	// runs. The snapshot carries it by construction; earlier revisions
 	// re-sorted a map's keys here, O(n log n) every interval.
 	if !snap.IsSorted() {
-		return res, fmt.Errorf("core: interval %d: snapshot not sorted (call Sort after out-of-order appends)", p.t)
+		return res, fmt.Errorf("core: interval %d: snapshot not sorted (flows must be appended in ComparePrefix order)", p.t)
 	}
 	if DebugInvariants && !snap.verifySorted() {
 		return res, fmt.Errorf("core: interval %d: snapshot columns mutated out of order", p.t)
@@ -187,8 +188,8 @@ func (p *Pipeline) Step(snap *FlowSnapshot) (Result, error) {
 			// exactly as the detector would have produced them.
 			raw, err = p.cfg.Thresholds.RawThreshold(p.t)
 		} else {
-			// The snapshot's cached sorted column is one sort per emitted
-			// interval, shared by every pipeline stepping it.
+			// Inline detection sorts the snapshot's column once per
+			// fill; a TopK classifier stepping the same fill reuses it.
 			raw, err = p.cfg.Detector.DetectThreshold(snap.Bandwidths(), snap.SortedBandwidths())
 		}
 		if err != nil {

@@ -197,9 +197,15 @@ func TestPipelineRejectsUnsortedSnapshot(t *testing.T) {
 	p, _ := NewPipeline(Config{Detector: fixedDetector{10}, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 1})
 	s := NewFlowSnapshot(2)
 	s.Append(pfx(3), 10)
-	s.Append(pfx(1), 10) // out of order, no Sort call
+	s.Append(pfx(1), 10) // out of order
 	if _, err := p.Step(s); err == nil {
 		t.Error("unsorted snapshot accepted")
+	}
+	s.Reset()
+	s.Append(pfx(1), 10)
+	s.Append(pfx(1), 10) // one prefix twice
+	if _, err := p.Step(s); err == nil {
+		t.Error("snapshot with a repeated prefix accepted")
 	}
 	if _, err := p.Step(nil); err == nil {
 		t.Error("nil snapshot accepted")

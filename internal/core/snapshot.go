@@ -103,8 +103,8 @@ func (s *FlowSnapshot) CopyFrom(src *FlowSnapshot) {
 // Append adds one flow. Bandwidths that are not positive, NaN among
 // them, are dropped (an idle flow is simply absent from the interval).
 // Appending in ComparePrefix order keeps the snapshot sorted for free;
-// out-of-order appends are tolerated but require a Sort call before the
-// snapshot is classified.
+// an out-of-order or repeated prefix marks it unsorted, and
+// Pipeline.Step refuses an unsorted snapshot.
 func (s *FlowSnapshot) Append(p netip.Prefix, bw float64) {
 	if !(bw > 0) {
 		return
@@ -212,10 +212,11 @@ func (s *FlowSnapshot) Bandwidths() []float64 { return s.bw }
 
 // SortedBandwidths returns the bandwidth column sorted ascending. The
 // copy is computed lazily once per fill and cached until the snapshot
-// is next mutated, so every consumer of the interval — notably the S
-// pipelines classifying one emitted snapshot under the engine's
-// emit-once matrix execution — shares a single sort. Read-only shared
-// storage; do not modify.
+// is next mutated, so every consumer of one fill shares a single sort.
+// Its consumers are inline detection (the live, stream and example
+// pipelines) and TopK classifiers, such as the RunMatrix cells stepping
+// one emitted snapshot; batch detection reads θ(t) from the prepass's
+// column and sorts nothing. Read-only shared storage; do not modify.
 func (s *FlowSnapshot) SortedBandwidths() []float64 {
 	if !s.sortedBWOK {
 		// Every way into a snapshot keeps its bandwidths positive, where
@@ -234,47 +235,10 @@ func (s *FlowSnapshot) SortedBandwidths() []float64 {
 // TotalLoad returns the aggregate link load of the interval in bit/s.
 func (s *FlowSnapshot) TotalLoad() float64 { return s.total }
 
-// IsSorted reports whether every Append so far was in ComparePrefix
-// order (or Sort has been called since the last violation). It is O(1):
-// the flag is maintained incrementally.
+// IsSorted reports whether every Append since the last Reset was in
+// strictly ascending ComparePrefix order. It is O(1): the flag is
+// maintained incrementally.
 func (s *FlowSnapshot) IsSorted() bool { return s.sorted }
-
-// Sort restores the canonical order after out-of-order appends, e.g.
-// when the snapshot was filled from a map. Duplicate prefixes (possible
-// when merging partial interval sources) are coalesced by summing their
-// bandwidths, preserving both TotalLoad and the strict ordering
-// invariant the pipeline relies on.
-func (s *FlowSnapshot) Sort() {
-	if s.sorted {
-		return
-	}
-	withIDs := s.HasIDs()
-	s.sortedBWOK = false
-	sort.Sort((*snapshotSorter)(s))
-	w := 0
-	for i := 1; i < len(s.keys); i++ {
-		if s.keys[i] == s.keys[w] {
-			// Duplicates of one prefix interned against one table carry
-			// equal IDs, so keeping the first suffices for the ID column.
-			s.bw[w] += s.bw[i]
-		} else {
-			w++
-			s.keys[w] = s.keys[i]
-			s.bw[w] = s.bw[i]
-			if withIDs {
-				s.ids[w] = s.ids[i]
-			}
-		}
-	}
-	if len(s.keys) > 0 {
-		s.keys = s.keys[:w+1]
-		s.bw = s.bw[:w+1]
-		if withIDs {
-			s.ids = s.ids[:w+1]
-		}
-	}
-	s.sorted = true
-}
 
 // verifySorted is the O(n) invariant check behind DebugInvariants,
 // catching callers that mutated the columns behind the flag's back.
@@ -285,20 +249,6 @@ func (s *FlowSnapshot) verifySorted() bool {
 		}
 	}
 	return true
-}
-
-type snapshotSorter FlowSnapshot
-
-func (s *snapshotSorter) Len() int { return len(s.keys) }
-func (s *snapshotSorter) Less(i, j int) bool {
-	return ComparePrefix(s.keys[i], s.keys[j]) < 0
-}
-func (s *snapshotSorter) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.bw[i], s.bw[j] = s.bw[j], s.bw[i]
-	if len(s.ids) == len(s.keys) {
-		s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	}
 }
 
 // Lookup binary-searches the prefix column and returns the flow's index.
@@ -314,18 +264,23 @@ func (s *FlowSnapshot) Lookup(p netip.Prefix) (int, bool) {
 }
 
 // SnapshotFromMap fills dst (allocating when nil) from a flow->bandwidth
-// map and sorts it — the bridge for callers that still assemble
-// intervals as maps (tests, ad-hoc tooling). Hot paths should build
-// snapshots directly in sorted order instead.
+// map, appending the map's flows in ComparePrefix order so the snapshot
+// and its total are the same whatever order the map iterates in — the
+// bridge for callers that assemble intervals as maps (tests, ad-hoc
+// tooling). Hot paths build snapshots directly in sorted order.
 func SnapshotFromMap(m map[netip.Prefix]float64, dst *FlowSnapshot) *FlowSnapshot {
 	if dst == nil {
 		dst = NewFlowSnapshot(len(m))
 	}
 	dst.Reset()
-	for p, bw := range m {
-		dst.Append(p, bw)
+	keys := make([]netip.Prefix, 0, len(m))
+	for p := range m {
+		keys = append(keys, p)
 	}
-	dst.Sort()
+	slices.SortFunc(keys, ComparePrefix)
+	for _, p := range keys {
+		dst.Append(p, m[p])
+	}
 	return dst
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -65,6 +66,9 @@ func TestSnapshotSortedBandwidthsInf(t *testing.T) {
 	}
 }
 
+// TestSnapshotOutOfOrderNeedsSort: a snapshot has no repair path. An
+// append out of ComparePrefix order, or of a prefix already appended,
+// marks it unsorted, and only a Reset and an in-order refill clear it.
 func TestSnapshotOutOfOrderNeedsSort(t *testing.T) {
 	s := NewFlowSnapshot(0)
 	s.Append(pfx(3), 30)
@@ -72,9 +76,17 @@ func TestSnapshotOutOfOrderNeedsSort(t *testing.T) {
 	if s.IsSorted() {
 		t.Fatal("out-of-order append not detected")
 	}
-	s.Sort()
-	if !s.IsSorted() || s.Key(0) != pfx(1) || s.Bandwidth(0) != 10 {
-		t.Errorf("Sort broken: keys=%v bw=%v", s.Keys(), s.Bandwidths())
+	s.Reset()
+	s.Append(pfx(1), 10)
+	s.Append(pfx(1), 30)
+	if s.IsSorted() {
+		t.Fatal("repeated prefix not detected")
+	}
+	s.Reset()
+	s.Append(pfx(1), 10)
+	s.Append(pfx(3), 30)
+	if !s.IsSorted() || s.Key(0) != pfx(1) || s.TotalLoad() != 40 {
+		t.Errorf("in-order refill: sorted=%v keys=%v total=%v", s.IsSorted(), s.Keys(), s.TotalLoad())
 	}
 }
 
@@ -116,27 +128,6 @@ func TestSnapshotLookup(t *testing.T) {
 	}
 }
 
-// TestSnapshotSortCoalescesDuplicates: merging partial sources may
-// Append the same prefix twice; Sort must leave a strictly ordered
-// snapshot with the bandwidths summed, not a duplicate key the
-// pipeline's sorted gate would wave through.
-func TestSnapshotSortCoalescesDuplicates(t *testing.T) {
-	s := NewFlowSnapshot(0)
-	s.Append(pfx(1), 10)
-	s.Append(pfx(0), 5)
-	s.Append(pfx(1), 30)
-	s.Sort()
-	if s.Len() != 2 || !s.verifySorted() {
-		t.Fatalf("len=%d keys=%v", s.Len(), s.Keys())
-	}
-	if i, ok := s.Lookup(pfx(1)); !ok || s.Bandwidth(i) != 40 {
-		t.Errorf("duplicate not coalesced: %v %v", s.Keys(), s.Bandwidths())
-	}
-	if s.TotalLoad() != 45 {
-		t.Errorf("total = %v, want 45", s.TotalLoad())
-	}
-}
-
 func TestSnapshotFromMap(t *testing.T) {
 	m := map[netip.Prefix]float64{pfx(3): 30, pfx(0): 10, pfx(1): 0}
 	s := SnapshotFromMap(m, nil)
@@ -150,6 +141,31 @@ func TestSnapshotFromMap(t *testing.T) {
 	s2 := SnapshotFromMap(map[netip.Prefix]float64{pfx(7): 1}, s)
 	if s2 != s || s.Len() != 1 || s.Key(0) != pfx(7) {
 		t.Error("dst reuse broken")
+	}
+}
+
+// TestSnapshotFromMapTotalIgnoresMapOrder: the total is a fold over the
+// appended column, so a map appended in iteration order would round
+// differently from one build to the next. Here 1e16 + 1 + 1 folded in
+// ComparePrefix order is 1e16 (each 1 is lost to rounding), while
+// folding the two 1s first gives 1.0000000000000002e16.
+func TestSnapshotFromMapTotalIgnoresMapOrder(t *testing.T) {
+	big := netip.MustParsePrefix("10.0.0.0/8")
+	small1 := netip.MustParsePrefix("11.0.0.0/8")
+	small2 := netip.MustParsePrefix("12.0.0.0/8")
+	want := NewFlowSnapshot(3)
+	want.Append(big, 1e16)
+	want.Append(small1, 1)
+	want.Append(small2, 1)
+	if want.TotalLoad() != 1e16 {
+		t.Fatalf("canonical-order fold = %v, want 1e16", want.TotalLoad())
+	}
+	for i := 0; i < 200; i++ {
+		m := map[netip.Prefix]float64{big: 1e16, small1: 1, small2: 1}
+		s := SnapshotFromMap(m, nil)
+		if s.TotalLoad() != want.TotalLoad() || !slices.Equal(s.Keys(), want.Keys()) {
+			t.Fatalf("build %d: total %v over %v, want %v over %v", i, s.TotalLoad(), s.Keys(), want.TotalLoad(), want.Keys())
+		}
 	}
 }
 
@@ -235,30 +251,5 @@ func TestSnapshotIDColumn(t *testing.T) {
 	s.Reset()
 	if !s.HasIDs() || s.Len() != 0 {
 		t.Error("reset snapshot must be trivially ID-complete")
-	}
-}
-
-func TestSnapshotSortCarriesIDs(t *testing.T) {
-	s := NewFlowSnapshot(4)
-	// Out of order, with a duplicate prefix (same table => same ID).
-	s.AppendID(pfx(2), 12, 30)
-	s.AppendID(pfx(0), 10, 10)
-	s.AppendID(pfx(2), 12, 5)
-	s.AppendID(pfx(1), 11, 20)
-	if s.IsSorted() {
-		t.Fatal("out-of-order snapshot claims sorted")
-	}
-	s.Sort()
-	if !s.HasIDs() {
-		t.Fatal("Sort dropped the ID column")
-	}
-	wantKeys := []netip.Prefix{pfx(0), pfx(1), pfx(2)}
-	wantIDs := []uint32{10, 11, 12}
-	wantBW := []float64{10, 20, 35}
-	for i := range wantKeys {
-		if s.Key(i) != wantKeys[i] || s.ID(i) != wantIDs[i] || s.Bandwidth(i) != wantBW[i] {
-			t.Fatalf("row %d = %v/%d/%v, want %v/%d/%v",
-				i, s.Key(i), s.ID(i), s.Bandwidth(i), wantKeys[i], wantIDs[i], wantBW[i])
-		}
 	}
 }

@@ -330,7 +330,7 @@ func (task seriesTask) run(snap *core.FlowSnapshot, rowIDs []uint32) []uint32 {
 		return rowIDs
 	}
 	// The series is read from here on, perhaps by several tasks at once:
-	// a write to it now is a bug the invariant build turns into a panic.
+	// sealing builds its index, and a write to it now panics.
 	s.Seal()
 	live := 0
 	var latent []*core.LatentHeatClassifier

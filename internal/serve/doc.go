@@ -46,7 +46,8 @@
 // the engine's determinism contract (single consumer, fresh pipeline
 // state per link) holds for however long the daemon lives. Memory per
 // link is the accumulator window plus the fixed-capacity history ring
-// (208 bytes an interval), independent of uptime: each link's pipeline
+// (208 bytes an interval, allocated at the link's first seal, so a link
+// that never seals holds none), independent of uptime: each link's pipeline
 // owns a core.FlowTable interning its prefixes into dense IDs, the whole
 // per-interval path runs on ID-indexed columns (one hash per decoded
 // record, none per flow per interval), and classifier eviction recycles
@@ -79,9 +80,9 @@
 // Config.StaleAfter (default 3× the interval) without sealing.
 // Config.Pprof optionally mounts net/http/pprof under /debug/pprof/ on
 // the same mux. All instrumentation on the per-interval path is
-// allocation-free (fields of the LinkState and the pre-allocated ring,
-// under the one lock a seal already takes); rendering happens on scrape
-// goroutines.
+// allocation-free after a link's first seal, which allocates its ring
+// (fields of the LinkState and the ring, under the one lock a seal
+// already takes); rendering happens on scrape goroutines.
 //
 // Shutdown is graceful and two-phase: DrainIngest consumes what the
 // kernel has buffered on every socket, closes every link's open

@@ -125,16 +125,15 @@ func TestInstrumentedStepSteadyStateAllocs(t *testing.T) {
 // heap bytes and heap objects per link, over 512 links made by
 // Daemon.link at the default Config (History 288, the default queue,
 // elephantd's default scheme). The figure repeats to within a few dozen
-// bytes, so the bounds sit just above it: 73 875 B (73 882 B under
-// -race) and 46 mallocs a link on 2 vCPU, go1.24, once the link became
-// one LinkState holding its pipeline in one index (73 963 B and 47
-// before, beside a second link object and a second index), plus 1 % and
-// one malloc.
+// bytes, so the bounds sit just above it: at most 8 349 B (-race
+// included) and 45 mallocs a link on 2 vCPU, go1.24, once the history
+// ring moved to the link's first seal (73 882 B and 46 while every link
+// held its 288 entries from creation), plus 1 % and one malloc.
 func TestIdleLinkFootprint(t *testing.T) {
 	const (
 		links     = 512
-		maxBytes  = 73_882 * 101 / 100
-		maxAllocs = 46 + 1
+		maxBytes  = 8_349 * 101 / 100
+		maxAllocs = 45 + 1
 	)
 	d := newPinDaemon(t)
 	var before, after runtime.MemStats

@@ -299,18 +299,20 @@ type LinkState struct {
 
 	metrics linkMetrics
 
-	// ring is the history: capacity fixed at creation, oldest entries
+	// ring is the history: history entries, allocated at the first seal
+	// so that a link which never seals holds none; the oldest entry is
 	// overwritten in place.
-	ring  []historyEntry
-	next  int // ring slot the next entry lands in
-	count int // entries held, <= cap(ring)
+	history int
+	ring    []historyEntry
+	next    int // ring slot the next entry lands in
+	count   int // entries held, <= len(ring)
 }
 
 func newLinkState(id string, history int) *LinkState {
 	if history <= 0 {
 		history = DefaultHistory
 	}
-	return &LinkState{id: id, ring: make([]historyEntry, history), created: time.Now()}
+	return &LinkState{id: id, history: history, created: time.Now()}
 }
 
 // ID returns the link's identifier.
@@ -377,6 +379,9 @@ func (ls *LinkState) record(s engine.Sealed, overlap time.Duration) {
 	m.overlap.observe(overlap.Seconds())
 	m.promoted += uint64(promoted)
 	m.demoted += uint64(demoted)
+	if ls.ring == nil {
+		ls.ring = make([]historyEntry, ls.history)
+	}
 	ls.ring[ls.next] = historyEntry{
 		summary:         sum,
 		set:             res.Elephants,
