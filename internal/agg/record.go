@@ -140,8 +140,8 @@ type CollectStats struct {
 // Collect drains src into s — the batch reference the streaming path is
 // defined (and tested) against. The whole source is materialised into
 // the flow-by-interval matrix before anything is classified; use
-// Stream + StreamAccumulator when memory must stay bounded by the
-// window instead of the trace length.
+// engine.RunStreaming (a StreamAccumulator per link) when memory must
+// stay bounded by the window instead of the trace length.
 func Collect(src RecordSource, s *Series) (CollectStats, error) {
 	var st CollectStats
 	for {

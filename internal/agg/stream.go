@@ -131,7 +131,8 @@ func (sl *streamSlot) grow(n int) {
 // The emitted snapshot is owned by the accumulator and reused across
 // intervals; Emit consumers must not retain it (the same ownership
 // contract as Series.Snapshot). An accumulator is single-goroutine:
-// drive it from one producer, typically via Stream.
+// drive it from one producer, typically engine.LivePipeline's
+// accumulate stage.
 type StreamAccumulator struct {
 	// Emit receives each closed interval in order (gap-free, including
 	// empty intervals) with its global interval index. A nil Emit
@@ -397,11 +398,11 @@ func (a *StreamAccumulator) advanceTo(newBase int) error {
 // reused snapshot. Only the interval's dirty IDs are put in order
 // (core.FlowTable.SortIDs: normally a bitmap sweep over the table's
 // rank column, no comparisons) — not every flow the link has ever seen
-// — and they must be in prefix order BEFORE appending (rather than
-// appending unordered and calling snap.Sort): Append folds each
-// bandwidth into the snapshot's running total, and that float sum is
-// only bit-identical to the batch path's if the addition order is the
-// same sorted order Series.Snapshot uses.
+// — and they must be in prefix order BEFORE appending (nothing sorts a
+// snapshot afterwards; Pipeline.Step refuses an unsorted one): Append
+// folds each bandwidth into the snapshot's running total, and that
+// float sum is only bit-identical to the batch path's if the addition
+// order is the same sorted order Series.Snapshot uses.
 func (a *StreamAccumulator) closeOldest() error {
 	g := a.base
 	sl := a.slot(g)

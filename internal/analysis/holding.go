@@ -1,21 +1,24 @@
-// Package analysis derives the paper's evaluation metrics from a
-// sequence of per-interval classification results: elephant counts,
-// traffic fractions, holding times in the elephant state (the two-state
-// process of Section II), single-interval-elephant counts, and the
-// prefix-length characteristics of Section III.
+// Package analysis is the one place a classified run is summarised. It
+// derives the paper's evaluation metrics from a sequence of
+// per-interval classification results: elephant counts, traffic
+// fractions, holding times in the elephant state (the two-state process
+// of Section II), single-interval-elephant counts, churn and membership
+// stability (Summarize), and the prefix-length characteristics of
+// Section III.
 package analysis
 
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"repro/internal/core"
 )
 
-// StateSequences reconstructs, for every flow that was ever an elephant,
+// stateSequences reconstructs, for every flow that was ever an elephant,
 // the per-interval two-state process I_j(t) over the window [from, to)
 // of result indices.
-func StateSequences(results []core.Result, from, to int) map[netip.Prefix][]bool {
+func stateSequences(results []core.Result, from, to int) map[netip.Prefix][]bool {
 	if from < 0 {
 		from = 0
 	}
@@ -42,11 +45,12 @@ func StateSequences(results []core.Result, from, to int) map[netip.Prefix][]bool
 
 // HoldingStats summarizes elephant-state holding times across flows.
 type HoldingStats struct {
-	// PerFlow maps each flow to its average holding time in the
-	// elephant state, in measurement intervals.
-	PerFlow map[netip.Prefix]float64
+	// Averages holds each flow's average holding time in the elephant
+	// state, in measurement intervals, in core.ComparePrefix order.
+	Averages []float64
 	// MeanHolding is the across-flow mean of the per-flow averages, in
-	// intervals.
+	// intervals, summed in Averages order so it is the same on every
+	// call.
 	MeanHolding float64
 	// SingleIntervalFlows counts flows whose every stay in the
 	// elephant state lasted exactly one interval.
@@ -79,25 +83,23 @@ func runLengths(seq []bool) []int {
 // HoldingTimes computes holding-time statistics over result indices
 // [from, to) — typically the five-hour busy period.
 func HoldingTimes(results []core.Result, from, to int) HoldingStats {
-	seqs := StateSequences(results, from, to)
-	st := HoldingStats{PerFlow: make(map[netip.Prefix]float64, len(seqs))}
+	seqs := stateSequences(results, from, to)
+	flows := make([]netip.Prefix, 0, len(seqs))
+	for p := range seqs {
+		flows = append(flows, p)
+	}
+	slices.SortFunc(flows, core.ComparePrefix)
+	st := HoldingStats{Averages: make([]float64, len(flows)), Flows: len(flows)}
 	var sum float64
-	for p, seq := range seqs {
-		runs := runLengths(seq)
-		if len(runs) == 0 {
-			continue
-		}
+	for i, p := range flows {
+		runs := runLengths(seqs[p])
 		var total, maxRun int
 		for _, r := range runs {
 			total += r
-			if r > maxRun {
-				maxRun = r
-			}
+			maxRun = max(maxRun, r)
 		}
-		avg := float64(total) / float64(len(runs))
-		st.PerFlow[p] = avg
-		sum += avg
-		st.Flows++
+		st.Averages[i] = float64(total) / float64(len(runs))
+		sum += st.Averages[i]
 		if maxRun == 1 {
 			st.SingleIntervalFlows++
 		}
@@ -113,7 +115,7 @@ func HoldingTimes(results []core.Result, from, to int) HoldingStats {
 // Figure 1(c).
 func (h HoldingStats) HoldingHistogram(maxIntervals int) []int {
 	bins := make([]int, maxIntervals)
-	for _, avg := range h.PerFlow {
+	for _, avg := range h.Averages {
 		i := int(avg)
 		if i >= maxIntervals {
 			i = maxIntervals - 1
@@ -189,34 +191,4 @@ func MeanFloat(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// TransitionCounts tallies the per-interval transitions of the two-state
-// process over [from, to): promotions (mouse→elephant), demotions
-// (elephant→mouse) and steady states. A measure of churn.
-type TransitionCounts struct {
-	Promotions, Demotions int
-	SteadyElephant        int
-}
-
-// Transitions computes TransitionCounts over [from, to).
-func Transitions(results []core.Result, from, to int) TransitionCounts {
-	seqs := StateSequences(results, from, to)
-	var tc TransitionCounts
-	for _, seq := range seqs {
-		for i := 1; i < len(seq); i++ {
-			switch {
-			case seq[i] && !seq[i-1]:
-				tc.Promotions++
-			case !seq[i] && seq[i-1]:
-				tc.Demotions++
-			case seq[i] && seq[i-1]:
-				tc.SteadyElephant++
-			}
-		}
-		if len(seq) > 0 && seq[0] {
-			tc.Promotions++ // first appearance counts as a promotion
-		}
-	}
-	return tc
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -39,7 +40,7 @@ func TestStateSequences(t *testing.T) {
 		1: ".....",
 		2: "..E..",
 	})
-	seqs := StateSequences(res, 0, 5)
+	seqs := stateSequences(res, 0, 5)
 	if len(seqs) != 2 {
 		t.Fatalf("tracked flows = %d, want 2 (flow 1 was never an elephant)", len(seqs))
 	}
@@ -53,10 +54,10 @@ func TestStateSequences(t *testing.T) {
 
 func TestStateSequencesWindowClamping(t *testing.T) {
 	res := resultsFromPattern(map[int]string{0: "EEE"})
-	if got := StateSequences(res, -5, 99); len(got[pfx(0)]) != 3 {
+	if got := stateSequences(res, -5, 99); len(got[pfx(0)]) != 3 {
 		t.Errorf("clamped window length = %d", len(got[pfx(0)]))
 	}
-	if got := StateSequences(res, 2, 2); got != nil {
+	if got := stateSequences(res, 2, 2); got != nil {
 		t.Errorf("empty window returned %v", got)
 	}
 }
@@ -103,14 +104,8 @@ func TestHoldingTimes(t *testing.T) {
 	if st.Flows != 3 {
 		t.Fatalf("Flows = %d, want 3", st.Flows)
 	}
-	if got := st.PerFlow[pfx(0)]; got != 4 {
-		t.Errorf("flow 0 avg = %v, want 4", got)
-	}
-	if got := st.PerFlow[pfx(1)]; got != 1 {
-		t.Errorf("flow 1 avg = %v, want 1", got)
-	}
-	if got := st.PerFlow[pfx(2)]; got != 2 {
-		t.Errorf("flow 2 avg = %v, want 2", got)
+	if want := []float64{4, 1, 2}; !slices.Equal(st.Averages, want) {
+		t.Errorf("Averages = %v, want %v (flows 0, 1, 2 in prefix order)", st.Averages, want)
 	}
 	if st.SingleIntervalFlows != 1 {
 		t.Errorf("SingleIntervalFlows = %d, want 1 (only flow 1)", st.SingleIntervalFlows)
@@ -202,22 +197,5 @@ func TestMeans(t *testing.T) {
 	}
 	if got := MeanFloat([]float64{1, 2}); got != 1.5 {
 		t.Errorf("MeanFloat = %v", got)
-	}
-}
-
-func TestTransitions(t *testing.T) {
-	res := resultsFromPattern(map[int]string{
-		0: "EE.E", // promo (t0), steady (t1), demo (t2), promo (t3)
-		1: "..E.", // promo (t2), demo (t3)
-	})
-	tc := Transitions(res, 0, 4)
-	if tc.Promotions != 3 {
-		t.Errorf("Promotions = %d, want 3", tc.Promotions)
-	}
-	if tc.Demotions != 2 {
-		t.Errorf("Demotions = %d, want 2", tc.Demotions)
-	}
-	if tc.SteadyElephant != 1 {
-		t.Errorf("SteadyElephant = %d, want 1", tc.SteadyElephant)
 	}
 }

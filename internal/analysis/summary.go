@@ -1,17 +1,15 @@
-package experiments
+package analysis
 
 import (
-	"fmt"
 	"math"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/report"
 )
 
 // Summary condenses one classified run into the quantities the paper
-// argues with. Every table row of the record is a label on one Summary.
+// argues with. Every table row of the reproduction record is a label on
+// one Summary.
 type Summary struct {
 	// MeanElephants is the run-wide average per-interval elephant count.
 	MeanElephants float64
@@ -30,69 +28,52 @@ type Summary struct {
 	// of per-flow average stays in the elephant state (in intervals),
 	// the flows that were elephants for single intervals only, and the
 	// distinct flows that entered the class.
-	Holding analysis.HoldingStats
+	Holding HoldingStats
 	// MeanHolding is Holding.MeanHolding as a duration.
 	MeanHolding time.Duration
 	// Reclassifications counts promotions plus demotions over the whole
-	// run, a direct churn measure.
+	// run (core.Churn of consecutive elephant sets, an empty set before
+	// the first), a direct churn measure.
 	Reclassifications int
 	// ThresholdCV is the coefficient of variation of the smoothed
 	// threshold θ̂(t) — the smoothness the EWMA is meant to provide.
 	ThresholdCV float64
 	// SetJaccard is the average Jaccard similarity of consecutive
-	// elephant sets — membership stability, which a fixed count (top-K)
-	// cannot fake.
+	// elephant sets (0 for fewer than two intervals) — membership
+	// stability, which a fixed count (top-K) cannot fake.
 	SetJaccard float64
 }
 
-// Row is one line of a section's table: a label on a run's Summary.
-type Row struct {
-	Label string
-	Summary
-}
-
 // Summarize computes the Summary of one run's results at the given
-// measurement interval. It is the package's one busy-window rule and
-// one holding-time computation.
+// measurement interval. It is the one busy-window rule and the one
+// holding-time computation behind every row of the record.
 func Summarize(results []core.Result, interval time.Duration) (Summary, error) {
-	from, to, err := analysis.BusyWindow(results, min(busySlots(interval), len(results)))
+	from, to, err := BusyWindow(results, min(busySlots(interval), len(results)))
 	if err != nil {
 		return Summary{}, err
 	}
-	counts := analysis.CountSeries(results)
-	fracs := analysis.FractionSeries(results)
-	thetas := make([]float64, len(results))
+	n := len(results)
+	counts, fracs, thetas := make([]float64, n), make([]float64, n), make([]float64, n)
+	s := Summary{BusyFrom: from, BusyTo: to, Holding: HoldingTimes(results, from, to)}
+	var prev core.ElephantSet
 	for i := range results {
-		thetas[i] = results[i].Threshold
+		r := &results[i]
+		counts[i], fracs[i], thetas[i] = float64(r.ElephantCount()), r.LoadFraction(), r.Threshold
+		promoted, demoted := core.Churn(prev, r.Elephants)
+		s.Reclassifications += promoted + demoted
+		if i > 0 {
+			s.SetJaccard += prev.Jaccard(r.Elephants)
+		}
+		prev = r.Elephants
 	}
-	tc := analysis.Transitions(results, 0, len(results))
-	s := Summary{
-		MeanElephants:     analysis.MeanInt(counts),
-		CountCV:           cv(report.IntsToFloats(counts)),
-		MeanLoadFraction:  analysis.MeanFloat(fracs),
-		LoadFractionCV:    cv(fracs),
-		BusyFrom:          from,
-		BusyTo:            to,
-		Holding:           analysis.HoldingTimes(results, from, to),
-		Reclassifications: tc.Promotions + tc.Demotions,
-		ThresholdCV:       cv(thetas),
-		SetJaccard:        analysis.Stability(results).MeanJaccard,
+	if n > 1 {
+		s.SetJaccard /= float64(n - 1)
 	}
+	s.MeanElephants, s.CountCV = MeanFloat(counts), cv(counts)
+	s.MeanLoadFraction, s.LoadFractionCV = MeanFloat(fracs), cv(fracs)
+	s.ThresholdCV = cv(thetas)
 	s.MeanHolding = time.Duration(s.Holding.MeanHolding * float64(interval))
 	return s, nil
-}
-
-// summarizeRuns labels each run's Summary with the run's figure label.
-func summarizeRuns(runs []Run) ([]Row, error) {
-	rows := make([]Row, len(runs))
-	for i, r := range runs {
-		s, err := Summarize(r.Results, r.Series.Interval)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.Label(), err)
-		}
-		rows[i] = Row{Label: r.Label(), Summary: s}
-	}
-	return rows, nil
 }
 
 // busySlots converts the paper's five-hour busy period to slots.
@@ -106,7 +87,7 @@ func busySlots(interval time.Duration) int {
 // cv returns the coefficient of variation of xs (0 for an empty series
 // or a non-positive mean).
 func cv(xs []float64) float64 {
-	mean := analysis.MeanFloat(xs)
+	mean := MeanFloat(xs)
 	if mean <= 0 {
 		return 0
 	}

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -20,9 +19,8 @@ func benchPrefixes(n int) []netip.Prefix {
 
 // benchWeights returns heavy-tailed weights — a Pareto-ish body plus a
 // handful of planted elephants heavy enough to cross the sketches'
-// default total/(k+1) cut — so the benches exercise the fast
-// (tracked-counter) path, the eviction path and a non-empty
-// heavy-hitter report.
+// default total/(k+1) cut — so the bench exercises the free-slot
+// path, the eviction path and a non-empty verdict.
 func benchWeights(n int) []float64 {
 	rng := rand.New(rand.NewSource(3))
 	ws := make([]float64, n)
@@ -34,67 +32,6 @@ func benchWeights(n int) []float64 {
 		ws[i*(n/8)] = 1e7
 	}
 	return ws
-}
-
-func BenchmarkMisraGriesAdd(b *testing.B) {
-	const flows = 4096
-	ps, ws := benchPrefixes(flows), benchWeights(flows)
-	mg, err := NewMisraGries(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mg.Add(ps[i%flows], ws[i%flows])
-	}
-}
-
-func BenchmarkSpaceSavingAdd(b *testing.B) {
-	const flows = 4096
-	ps, ws := benchPrefixes(flows), benchWeights(flows)
-	ss, err := NewSpaceSaving(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ss.Add(ps[i%flows], ws[i%flows])
-	}
-}
-
-func BenchmarkSketchHeavyHitters(b *testing.B) {
-	const flows = 4096
-	ps, ws := benchPrefixes(flows), benchWeights(flows)
-	for _, k := range []int{64, 512} {
-		mg, err := NewMisraGries(k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ss, err := NewSpaceSaving(k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := range ps {
-			mg.Add(ps[i], ws[i])
-			ss.Add(ps[i], ws[i])
-		}
-		b.Run(fmt.Sprintf("misragries/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if len(mg.HeavyHitters(0.001)) == 0 {
-					b.Fatal("no heavy hitters")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("spacesaving/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if len(ss.HeavyHitters(0.001)) == 0 {
-					b.Fatal("no heavy hitters")
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkSketchClassifierStep measures the full per-interval

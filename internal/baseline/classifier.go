@@ -32,42 +32,41 @@ const (
 // Space-Saving).
 //
 // The per-interval state is columnar and keyed by snapshot index
-// rather than by prefix: counters live in flat slot arrays and the
-// flow→counter association is an index column reset each interval, so
-// the classify path never hashes or compares a prefix. The verdicts
-// are identical to the textbook map-based MisraGries/SpaceSaving
-// sketches (the oracle in sketch_test.go) fed in snapshot order: every eviction decision depends only
-// on counter values with a deterministic tie-break, and because the
-// snapshot is strictly sorted by prefix, the sketches' prefix
-// tie-break order is exactly the snapshot index order.
+// rather than by prefix: counters live in flat slot arrays owned by
+// snapshot indices, so the classify path never hashes or compares a
+// prefix. Each index is fed exactly once an interval, so a flow is
+// never already tracked when it arrives and no flow→counter lookup is
+// kept. The verdicts are identical to the textbook map-based
+// MisraGries/SpaceSaving sketches (the oracle in sketch_test.go) fed
+// in snapshot order: every eviction decision depends only on counter
+// values with a deterministic tie-break, and because the snapshot is
+// strictly sorted by prefix, the sketches' prefix tie-break order is
+// exactly the snapshot index order.
 type SketchClassifier struct {
 	kind sketchKind
 	k    int
 	name string
 
-	// slot maps snapshot index -> occupied slot (-1 when untracked);
-	// reset each interval. owner/cnt/errv are the k counter slots:
-	// owning snapshot index, counter value, and (Space-Saving only) the
-	// overestimation bound inherited at eviction.
-	slot    []int32
+	// owner/cnt/errv are the k counter slots: owning snapshot index,
+	// counter value, and (Space-Saving only) the overestimation bound
+	// inherited at eviction.
 	owner   []int32
 	cnt     []float64
 	errv    []float64
 	scratch []int
 
-	// Space-Saving keeps its occupied slots in an indexed min-heap so
-	// each eviction finds its minimum in O(log k) instead of an O(k)
-	// argmin scan per new flow: heap lists the slots in heap order and
-	// pos is each slot's heap position. The heap key is (count, owner),
-	// whose unique lexicographic minimum is exactly the slot the linear
-	// scan selected, and every update only grows a slot's key, so a
-	// siftDown from the slot's position restores the invariant.
+	// Space-Saving keeps its occupied slots in a min-heap so each
+	// eviction finds its minimum in O(log k) instead of an O(k) argmin
+	// scan per new flow: heap lists the slots in heap order. The heap
+	// key is (count, owner), whose unique lexicographic minimum is
+	// exactly the slot the linear scan selected, and an eviction only
+	// grows the root's key, so a siftDown from the root restores the
+	// invariant.
 	// Misra–Gries deliberately stays linear: its decrement step touches
 	// every surviving counter anyway (a uniform O(k) subtraction), so a
 	// heap saves nothing there and measurably loses to two dense
 	// sequential passes on the flat slot arrays.
 	heap []int32
-	pos  []int32
 }
 
 // NewMisraGriesClassifier returns a per-interval Misra–Gries
@@ -104,7 +103,6 @@ func newSketchClassifier(kind sketchKind, name string, k int) *SketchClassifier 
 	}
 	if kind == sketchSpaceSaving {
 		c.heap = make([]int32, 0, k)
-		c.pos = make([]int32, k)
 	}
 	return c
 }
@@ -123,7 +121,7 @@ func (c *SketchClassifier) siftUp(j int) {
 		if !c.less(c.heap[j], c.heap[parent]) {
 			break
 		}
-		c.heapSwap(j, parent)
+		c.heap[j], c.heap[parent] = c.heap[parent], c.heap[j]
 		j = parent
 	}
 }
@@ -142,21 +140,9 @@ func (c *SketchClassifier) siftDown(j int) {
 		if !c.less(c.heap[m], c.heap[j]) {
 			break
 		}
-		c.heapSwap(j, m)
+		c.heap[j], c.heap[m] = c.heap[m], c.heap[j]
 		j = m
 	}
-}
-
-func (c *SketchClassifier) heapSwap(i, j int) {
-	c.heap[i], c.heap[j] = c.heap[j], c.heap[i]
-	c.pos[c.heap[i]] = int32(i)
-	c.pos[c.heap[j]] = int32(j)
-}
-
-func (c *SketchClassifier) heapPush(s int32) {
-	c.pos[s] = int32(len(c.heap))
-	c.heap = append(c.heap, s)
-	c.siftUp(len(c.heap) - 1)
 }
 
 // Name implements core.Classifier.
@@ -166,15 +152,6 @@ func (c *SketchClassifier) Name() string { return c.name }
 // ignored. The snapshot's sorted flow order makes the sketch's
 // eviction decisions, and therefore the verdict, deterministic.
 func (c *SketchClassifier) Classify(snap *core.FlowSnapshot, _ float64) core.Verdict {
-	n := snap.Len()
-	if cap(c.slot) < n {
-		c.slot = make([]int32, n)
-	} else {
-		c.slot = c.slot[:n]
-	}
-	for i := range c.slot {
-		c.slot[i] = -1
-	}
 	var total float64
 	var nslots int
 	if c.kind == sketchMisraGries {
@@ -210,45 +187,22 @@ func (c *SketchClassifier) Classify(snap *core.FlowSnapshot, _ float64) core.Ver
 // the same weighted-update rule as MisraGries.Add). Deleted slots are
 // compacted by moving the last occupied slot down.
 //
-// The minimum counter is tracked incrementally instead of rescanned
-// per step: the subtract/compact pass computes the survivors' minimum
-// as it goes, inserts fold their value in, and only a tracked hit on a
-// minimum-valued slot (which may raise a unique minimum) invalidates
-// the cached value and forces the next step to rescan. The floats are
-// untouched — curMin is always a value some cnt[s] holds, compared and
-// subtracted exactly as the two-pass form did — so decrement amounts,
-// deletion sets and verdicts are bit-identical; the cache only deletes
-// the separate argmin pass, halving the per-step work.
+// The minimum counter is tracked incrementally, never rescanned: the
+// subtract/compact pass computes the survivors' minimum as it goes and
+// inserts fold their value in. No counter grows in place (each flow
+// arrives once), so nothing can raise the minimum behind the tracker's
+// back. The floats are untouched — curMin is always a value some cnt[s]
+// holds, compared and subtracted exactly as a two-pass form would — so
+// decrement amounts, deletion sets and verdicts are bit-identical.
 func (c *SketchClassifier) runMisraGries(bw []float64) (total float64, nslots int) {
-	var curMin float64
-	minValid := false
+	curMin := math.MaxFloat64
 	for i, w := range bw {
 		total += w
-		if s := c.slot[i]; s >= 0 {
-			old := c.cnt[s]
-			c.cnt[s] = old + w
-			if old == curMin {
-				minValid = false
-			}
-			continue
-		}
 		if nslots < c.k {
 			c.owner[nslots], c.cnt[nslots] = int32(i), w
-			c.slot[i] = int32(nslots)
 			nslots++
-			if minValid && w < curMin {
-				curMin = w
-			}
+			curMin = min(curMin, w)
 			continue
-		}
-		if !minValid {
-			curMin = c.cnt[0]
-			for s := 1; s < nslots; s++ {
-				if c.cnt[s] < curMin {
-					curMin = c.cnt[s]
-				}
-			}
-			minValid = true
 		}
 		if w < curMin {
 			// Pure-decrement step: dec = w frees no counter (cnt − w ≤ 0
@@ -275,17 +229,13 @@ func (c *SketchClassifier) runMisraGries(bw []float64) (total float64, nslots in
 		// indices are sorted) and the per-owner counter values are
 		// identical. A moved-in slot re-runs the loop body, so it is
 		// decremented exactly once like every other survivor.
-		cnt, owner, slot := c.cnt, c.owner, c.slot
+		cnt, owner := c.cnt, c.owner
 		for s := 0; s < nslots; {
 			v := cnt[s] - dec
 			if v <= 0 {
-				slot[owner[s]] = -1
 				nslots--
-				if s != nslots {
-					cnt[s] = cnt[nslots]
-					owner[s] = owner[nslots]
-					slot[owner[s]] = int32(s)
-				}
+				cnt[s] = cnt[nslots]
+				owner[s] = owner[nslots]
 				continue
 			}
 			cnt[s] = v
@@ -296,7 +246,6 @@ func (c *SketchClassifier) runMisraGries(bw []float64) (total float64, nslots in
 		}
 		if rest := w - dec; rest > 0 && nslots < c.k {
 			c.owner[nslots], c.cnt[nslots] = int32(i), rest
-			c.slot[i] = int32(nslots)
 			nslots++
 			if rest < newMin {
 				newMin = rest
@@ -315,28 +264,21 @@ func (c *SketchClassifier) runMisraGries(bw []float64) (total float64, nslots in
 // verdicts. The owner tie-break matches SpaceSaving.Add's prefix
 // tie-break, since snapshot order is prefix order. Every update only
 // grows a slot's key (bandwidths are positive), so a siftDown from
-// the slot's position restores the heap.
+// the root restores the heap after an eviction.
 func (c *SketchClassifier) runSpaceSaving(bw []float64) (total float64) {
 	for i, w := range bw {
 		total += w
-		if s := c.slot[i]; s >= 0 {
-			c.cnt[s] += w
-			c.siftDown(int(c.pos[s]))
-			continue
-		}
 		if len(c.heap) < c.k {
 			s := int32(len(c.heap))
 			c.owner[s], c.cnt[s], c.errv[s] = int32(i), w, 0
-			c.slot[i] = s
-			c.heapPush(s)
+			c.heap = append(c.heap, s)
+			c.siftUp(int(s))
 			continue
 		}
 		s := c.heap[0]
-		c.slot[c.owner[s]] = -1
 		c.errv[s] = c.cnt[s]
 		c.cnt[s] += w
 		c.owner[s] = int32(i)
-		c.slot[i] = s
 		c.siftDown(0)
 	}
 	return total

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/analysis"
 	"repro/internal/engine"
 	"repro/internal/scheme"
 )
@@ -18,7 +19,7 @@ import (
 // ref's mean elephant count, so each baseline gets its best shot. The
 // five baselines share one Classify call; rows come back paper first.
 func BaselineComparison(ref Run) ([]Row, error) {
-	paper, err := Summarize(ref.Results, ref.Series.Interval)
+	paper, err := analysis.Summarize(ref.Results, ref.Series.Interval)
 	if err != nil {
 		return nil, err
 	}

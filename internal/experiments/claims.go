@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/agg"
 	"repro/internal/analysis"
 	"repro/internal/engine"
 	"repro/internal/scheme"
@@ -60,7 +59,10 @@ func IntervalSensitivity(cfg LinksConfig, sp *scheme.Spec) ([]IntervalRow, error
 	}
 	rows := make([]IntervalRow, 0, len(intervals))
 	for _, iv := range intervals {
-		series, err := rebinTo(west, iv)
+		// Rebin returns west itself at base. The sweep compares
+		// mean statistics, so the trailing intervals it truncates on a
+		// non-dividing factor are acceptable here.
+		series, _, err := west.Rebin(iv)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: interval sensitivity at %v: %w", iv, err)
 		}
@@ -73,22 +75,11 @@ func IntervalSensitivity(cfg LinksConfig, sp *scheme.Spec) ([]IntervalRow, error
 		if err != nil {
 			return nil, fmt.Errorf("experiments: interval sensitivity at %v: %w", iv, err)
 		}
-		s, err := Summarize(runs[0].Results, iv)
+		s, err := analysis.Summarize(runs[0].Results, iv)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, IntervalRow{Row: Row{Label: iv.String(), Summary: s}, Scheme: spAdj.Name()})
 	}
 	return rows, nil
-}
-
-// rebinTo rebins, tolerating the identity case. The sensitivity sweep
-// compares mean statistics, so the (reported) trailing intervals Rebin
-// truncates on non-dividing factors are acceptable here.
-func rebinTo(s *agg.Series, iv time.Duration) (*agg.Series, error) {
-	if iv == s.Interval {
-		return s, nil
-	}
-	out, _, err := s.Rebin(iv)
-	return out, err
 }

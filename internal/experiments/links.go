@@ -2,9 +2,10 @@
 // paper's figures and quantitative claims are computed. It has four
 // parts. BuildLinks synthesises the two evaluation links. Classify is
 // the only engine call — links × scheme specs through one RunMatrix.
-// Summarize is the only summariser — one Summary of a classified run
-// (counts, load share, busy-window holding times, churn) that every
-// table row is a label on. Sections is the table of the blocks
+// Every table row is a Row, a label on analysis.Summarize of one
+// classified run (counts, load share, busy-window holding times,
+// churn); the package computes no metric of its own beside the
+// section-specific columns. Sections is the table of the blocks
 // cmd/experiments prints, each with its title, the paper's claim, the
 // specs it reads and its renderer; Record.Write classifies the union of
 // the selected sections' specs once and renders them in order. Products

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/agg"
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/scheme"
@@ -36,6 +37,25 @@ func (r Run) Label() string {
 		base = r.Scheme.Name()
 	}
 	return fmt.Sprintf("%s (%s coast)", base, r.Link)
+}
+
+// Row is one line of a section's table: a label on a run's Summary.
+type Row struct {
+	Label string
+	analysis.Summary
+}
+
+// summarizeRuns labels each run's Summary with the run's figure label.
+func summarizeRuns(runs []Run) ([]Row, error) {
+	rows := make([]Row, len(runs))
+	for i, r := range runs {
+		s, err := analysis.Summarize(r.Results, r.Series.Interval)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", r.Label(), err)
+		}
+		rows[i] = Row{Label: r.Label(), Summary: s}
+	}
+	return rows, nil
 }
 
 // Classify is the package's one engine call: every link under every

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/agg"
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/scheme"
@@ -67,7 +68,7 @@ func SamplingImpact(ref Run, rates []int, seed int64) ([]SamplingRow, error) {
 			run, runs = runs[0], runs[1:]
 		}
 		res := run.Results
-		s, err := Summarize(res, truth.Interval)
+		s, err := analysis.Summarize(res, truth.Interval)
 		if err != nil {
 			return nil, err
 		}

@@ -189,7 +189,7 @@ func (r *Record) chart(cfg report.ChartConfig, csv, idx string, series []report.
 }
 
 // holding renders a mean holding time in slots and wall-clock minutes.
-func holding(s Summary) string {
+func holding(s analysis.Summary) string {
 	return fmt.Sprintf("%.1f slots (%v)", s.Holding.MeanHolding, s.MeanHolding.Round(time.Minute))
 }
 

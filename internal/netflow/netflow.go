@@ -9,7 +9,7 @@
 // active/inactive timeout semantics, and the bridge to the unified
 // record stream: Attribute and AttributeDatagram turn v5 records into
 // agg.Records, and RecordSource yields a framed export as an
-// agg.RecordSource for agg.Collect or agg.Stream to drain.
+// agg.RecordSource for agg.Collect or engine.RunStreaming to drain.
 package netflow
 
 import (

@@ -22,7 +22,7 @@ type RecordSourceStats struct {
 // apportioned by overlap (all its bytes in one interval would let the
 // exporter's active timeout alias the diurnal signal). Unrouted records
 // are counted and skipped. Both consumers — agg.Collect into a Series,
-// agg.Stream into a StreamAccumulator — run the same apportioning
+// engine.RunStreaming into a StreamAccumulator — run the same apportioning
 // arithmetic, so the two are bit-identical on one stream.
 //
 // Flow records are exported out of order up to the cache's active
