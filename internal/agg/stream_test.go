@@ -157,14 +157,15 @@ func TestStreamFarFutureGuard(t *testing.T) {
 	// The guard must hold for the FIRST record too: under an explicit
 	// Start, maxTouched is still -1 when a corrupt timestamp arrives
 	// (regression: the guard was skipped and one record closed ~10^5
-	// empty intervals).
+	// empty intervals). The gap then counts from the closed edge,
+	// interval -1, so interval DefaultStreamMaxGap is already too far.
 	acc2, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	closed2 := 0
 	acc2.Emit = func(tt int, snap *core.FlowSnapshot) error { closed2++; return nil }
-	if err := acc2.Add(Record{Prefix: pfxA, Time: start.Add(500000 * iv), Bits: 8}); err != nil {
+	if err := acc2.Add(Record{Prefix: pfxA, Time: start.Add(DefaultStreamMaxGap * iv), Bits: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if st := acc2.Stats(); st.FarFuture != 1 || closed2 != 0 {
@@ -180,9 +181,13 @@ func TestStreamFarFutureGuard(t *testing.T) {
 
 	// The gap counts from the newest interval with bits, inclusive: a
 	// record DefaultStreamMaxGap+1 intervals past it is dropped, one
-	// DefaultStreamMaxGap past it lands.
+	// DefaultStreamMaxGap past it lands. A 1 ns span is one instant,
+	// not a saturated far-future one.
 	acc3, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: 2})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := acc3.Add(Record{Prefix: pfxB, Time: start, Span: time.Nanosecond, Bits: 8}); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{0, DefaultStreamMaxGap + 1, DefaultStreamMaxGap} {
@@ -190,8 +195,8 @@ func TestStreamFarFutureGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := acc3.Stats(); st.FarFuture != 1 || st.FarFutureBits != 8 || st.InWindow != 2 {
-		t.Errorf("gap edge: %+v, want one record dropped (8 bits) and two landed", st)
+	if st := acc3.Stats(); st.FarFuture != 1 || st.FarFutureBits != 8 || st.InWindow != 3 {
+		t.Errorf("gap edge: %+v, want one record dropped (8 bits) and three landed", st)
 	}
 }
 
@@ -528,6 +533,9 @@ func TestStreamConfigValidation(t *testing.T) {
 	if _, err := NewStreamAccumulator(StreamConfig{Interval: 0}); err == nil {
 		t.Error("zero interval accepted")
 	}
+	if _, err := NewStreamAccumulator(StreamConfig{Interval: time.Nanosecond}); err != nil {
+		t.Errorf("1 ns interval refused: %v", err)
+	}
 	if _, err := NewStreamAccumulator(StreamConfig{Interval: time.Minute, Window: -1}); err == nil {
 		t.Error("negative window accepted")
 	}
@@ -553,48 +561,9 @@ func TestCollectMatchesAggregatorArithmetic(t *testing.T) {
 	if a.Bandwidth(pfxA, 0) != b.Bandwidth(pfxA, 0) {
 		t.Errorf("AddBits %v != AddRecord %v", a.Bandwidth(pfxA, 0), b.Bandwidth(pfxA, 0))
 	}
-	if b.AddRecord(Record{Prefix: pfxA, Time: start.Add(2 * iv), Bits: 1}) {
-		t.Error("out-of-window record accepted")
-	}
-}
-
-// TestStreamEmitsIDColumns: an accumulator sharing a table emits
-// snapshots whose ID column resolves every row through that table; a
-// table-less accumulator still emits complete ID columns against its
-// private table.
-func TestStreamEmitsIDColumns(t *testing.T) {
-	iv := time.Minute
-	recs := synthRecords(3, 6, 20, iv)
-	for _, shared := range []bool{true, false} {
-		cfg := StreamConfig{Start: start, Interval: iv, Window: 2}
-		if shared {
-			cfg.Table = core.NewFlowTable()
-		}
-		acc, err := NewStreamAccumulator(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shared && acc.Table() != cfg.Table {
-			t.Fatal("accumulator did not adopt the shared table")
-		}
-		acc.Emit = func(tt int, snap *core.FlowSnapshot) error {
-			if snap.Len() > 0 && !snap.HasIDs() {
-				t.Fatalf("interval %d: emitted snapshot lacks ID column", tt)
-			}
-			for i := 0; i < snap.Len(); i++ {
-				if got := acc.Table().PrefixOf(snap.ID(i)); got != snap.Key(i) {
-					t.Fatalf("interval %d row %d: id %d resolves to %v, want %v", tt, i, snap.ID(i), got, snap.Key(i))
-				}
-			}
-			return nil
-		}
-		for _, rec := range recs {
-			if err := acc.Add(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := acc.Flush(); err != nil {
-			t.Fatal(err)
+	for _, at := range []time.Duration{2 * iv, -time.Nanosecond} {
+		if b.AddRecord(Record{Prefix: pfxA, Time: start.Add(at), Bits: 1}) {
+			t.Errorf("record at %v, outside the window, accepted", at)
 		}
 	}
 }

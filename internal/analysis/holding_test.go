@@ -54,8 +54,10 @@ func TestStateSequences(t *testing.T) {
 
 func TestStateSequencesWindowClamping(t *testing.T) {
 	res := resultsFromPattern(map[int]string{0: "EEE"})
-	if got := stateSequences(res, -5, 99); len(got[pfx(0)]) != 3 {
-		t.Errorf("clamped window length = %d", len(got[pfx(0)]))
+	for _, from := range []int{-5, -1} {
+		if got := stateSequences(res, from, 99); len(got[pfx(0)]) != 3 {
+			t.Errorf("from %d: clamped window length = %d", from, len(got[pfx(0)]))
+		}
 	}
 	if got := stateSequences(res, 2, 2); got != nil {
 		t.Errorf("empty window returned %v", got)
@@ -112,6 +114,13 @@ func TestHoldingTimes(t *testing.T) {
 	}
 	if want := (4.0 + 1 + 2) / 3; math.Abs(st.MeanHolding-want) > 1e-12 {
 		t.Errorf("MeanHolding = %v, want %v", st.MeanHolding, want)
+	}
+	// One flow's mean is its own; no flow's is 0, not NaN.
+	if st := HoldingTimes(res, 2, 3); st.Flows != 1 || st.MeanHolding != 1 {
+		t.Errorf("interval 2 alone: Flows = %d, MeanHolding = %v, want 1, 1", st.Flows, st.MeanHolding)
+	}
+	if st := HoldingTimes(res, 8, 8); st.Flows != 0 || st.MeanHolding != 0 {
+		t.Errorf("empty window: Flows = %d, MeanHolding = %v, want 0, 0", st.Flows, st.MeanHolding)
 	}
 }
 
@@ -171,20 +180,6 @@ func TestBusyWindowErrors(t *testing.T) {
 	}
 	if _, _, err := BusyWindow(res, 4); err == nil {
 		t.Error("window beyond series accepted")
-	}
-}
-
-func TestCountAndFractionSeries(t *testing.T) {
-	res := resultsFromPattern(map[int]string{0: "E.", 1: "E."})
-	res[0].ElephantLoad, res[0].TotalLoad = 6, 10
-	res[1].ElephantLoad, res[1].TotalLoad = 0, 10
-	counts := CountSeries(res)
-	if counts[0] != 2 || counts[1] != 0 {
-		t.Errorf("counts = %v", counts)
-	}
-	fracs := FractionSeries(res)
-	if fracs[0] != 0.6 || fracs[1] != 0 {
-		t.Errorf("fracs = %v", fracs)
 	}
 }
 

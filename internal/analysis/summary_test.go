@@ -95,3 +95,30 @@ func TestHoldingTimesFoldOrder(t *testing.T) {
 		t.Errorf("MeanHolding took %d bit patterns over 200 calls, want only %d: %v", len(seen), want, seen)
 	}
 }
+
+// TestBusySlotsAndCV pins the two helpers behind every row: the
+// five-hour busy period in slots (at least one; 60 for a non-positive
+// interval) and the coefficient of variation (0 for a mean at or below
+// zero).
+func TestBusySlotsAndCV(t *testing.T) {
+	for _, tc := range []struct {
+		interval time.Duration
+		want     int
+	}{
+		{0, 60}, {-time.Minute, 60}, {time.Nanosecond, int(5 * time.Hour)}, {time.Minute, 300}, {6 * time.Hour, 1},
+	} {
+		if got := busySlots(tc.interval); got != tc.want {
+			t.Errorf("busySlots(%v) = %d, want %d", tc.interval, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{nil, 0}, {[]float64{0, 0}, 0}, {[]float64{-1, 0}, 0}, {[]float64{0.25, 0.75}, 0.5},
+	} {
+		if got := cv(tc.xs); got != tc.want {
+			t.Errorf("cv(%v) = %v, want %v", tc.xs, got, tc.want)
+		}
+	}
+}

@@ -168,24 +168,31 @@ func verdictsEqual(a, b Verdict) bool {
 // with the reference's O(W) re-sum to the last bit; the continuous runs
 // cover realistic magnitudes.
 func TestLatentHeatEquivalence(t *testing.T) {
-	pool := make([]netip.Prefix, 60)
-	for i := range pool {
-		pool[i] = pfx(i)
-	}
 	for _, tc := range []struct {
 		window  int
 		integer bool
+		flows   int // past 60, two more flows open each interval
 	}{
-		{1, true}, {2, true}, {3, true}, {12, true},
-		{2, false}, {12, false},
+		{1, true, 60}, {2, true, 60}, {3, true, 60}, {12, true, 60},
+		{2, false, 60}, {12, false, 60},
+		// The window's columns outgrow their 256-flow stride twice,
+		// with history in every slot.
+		{3, true, 600},
 	} {
 		name := fmt.Sprintf("w=%d,int=%v", tc.window, tc.integer)
+		if tc.flows != 60 {
+			name += fmt.Sprintf(",flows=%d", tc.flows)
+		}
 		t.Run(name, func(t *testing.T) {
+			pool := make([]netip.Prefix, tc.flows)
+			for i := range pool {
+				pool[i] = pfx(i)
+			}
 			rng := rand.New(rand.NewSource(int64(tc.window * 100)))
 			got := newTabled(t, tc.window)
 			want := newRefLatentHeat(tc.window)
 			for step := 0; step < 400; step++ {
-				snap := equivInterval(rng, pool, step, tc.integer)
+				snap := equivInterval(rng, pool[:min(len(pool), 60+2*step)], step, tc.integer)
 				var thr float64
 				if tc.integer {
 					thr = float64(rng.Intn(2000))

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 )
 
@@ -318,5 +319,84 @@ func TestLatentHeatManyFlowsIndependent(t *testing.T) {
 				t.Fatalf("interval %d: alternating flow with mean above theta lost", i)
 			}
 		}
+	}
+}
+
+// panicMessage returns what f panicked with, "<nil>" if it returned.
+func panicMessage(f func()) (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	f()
+	return
+}
+
+// TestLatentHeatMisusePanics: each wiring bug the latent-heat classifier
+// refuses panics with core's own message, not with the nil dereference
+// or index error its body would hit next; before any Classify it tracks
+// nothing, and a flow interned after its window last grew is unknown.
+func TestLatentHeatMisusePanics(t *testing.T) {
+	bare, err := NewLatentHeatClassifier(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bare.TrackedFlows(); n != 0 {
+		t.Errorf("TrackedFlows before any Classify = %d, want 0", n)
+	}
+	own := newTabled(t, 3)
+	foreign := snap(5)
+	NewFlowTable().FillIDs(foreign)
+	tb := NewFlowTable()
+	tb.Pin()
+	a, b := boundLatent(t, 3, tb), boundLatent(t, 3, tb)
+	wins := ShareLatentWindows([]*LatentHeatClassifier{a, b})
+	shared := snap(5)
+	tb.FillIDs(shared)
+	stranger := NewFlowSnapshot(1) // ID 0 of another table, not tb's pfx(0)
+	stranger.Append(pfx(7), 5)
+	NewFlowTable().FillIDs(stranger)
+	defer func(on bool) { DebugInvariants = on }(DebugInvariants)
+	DebugInvariants = true
+	for _, tc := range []struct {
+		want string
+		f    func()
+	}{
+		{"without a flow table", func() { bare.Classify(snap(5), 1) }},
+		{"not stamped by the classifier's flow table", func() { own.LatentHeatClassifier.Classify(snap(5), 1) }},
+		{"not stamped by the classifier's flow table", func() { own.LatentHeatClassifier.Classify(foreign, 1) }},
+		{"at interval 1, its shared window at 0", func() { a.Classify(shared, 1) }},
+		{"snapshot without an ID column", func() { wins[0].Observe(snap(5)) }},
+		{"does not resolve to 10.0.7.0/24", func() { wins[0].Observe(stranger) }},
+	} {
+		if got := panicMessage(tc.f); !strings.Contains(got, tc.want) {
+			t.Errorf("panic %q, want one containing %q", got, tc.want)
+		}
+	}
+	own.Classify(snap(5), 1)
+	late := pfx(1)
+	own.table.Intern(late)
+	if _, ok := own.LatentHeat(late); ok {
+		t.Error("a flow interned after the last Classify has a latent heat")
+	}
+}
+
+// TestLatentHeatIdleWindowIsExactlyZero: once a flow's W slots have all
+// been zeroed its window sum is 0 exactly, not the residue of adding and
+// then subtracting its bandwidths (0.1+0.2+0.3 minus each is 5.6e-17),
+// so at θ̂ = 0 the idle flow is no elephant.
+func TestLatentHeatIdleWindowIsExactlyZero(t *testing.T) {
+	c := newTabled(t, 3)
+	for _, bw := range []float64{0.1, 0.2, 0.3} {
+		c.Classify(snap(bw), 0)
+	}
+	var v Verdict
+	for range 3 {
+		s := NewFlowSnapshot(1)
+		s.Append(pfx(1), 1)
+		v = c.Classify(s, 0)
+	}
+	if len(v.Offline) != 0 {
+		t.Errorf("idle flow an offline elephant at θ̂ = 0: %v", v.Offline)
+	}
+	if lh, ok := c.LatentHeat(pfx(0)); !ok || lh != 0 {
+		t.Errorf("LatentHeat = %v, %v; want exactly 0, true", lh, ok)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -56,6 +57,9 @@ func TestFlowTableQuarantineRecycle(t *testing.T) {
 	tb.Advance() // quarantine (3) expires here
 	if _, ok := tb.Lookup(a); ok {
 		t.Fatal("mapping survived quarantine expiry")
+	}
+	if p := tb.PrefixOf(ida); p != (netip.Prefix{}) {
+		t.Errorf("free ID %d resolves to %v, want the zero Prefix", ida, p)
 	}
 	if idc := tb.Intern(pfx(3)); idc != ida {
 		t.Errorf("expired ID %d not recycled (got %d)", ida, idc)
@@ -398,5 +402,39 @@ func TestStepReintersForeignIDColumn(t *testing.T) {
 	}
 	if _, ok := lh.LatentHeat(pfx(7)); !ok {
 		t.Fatal("heaviest flow unknown to the classifier after re-interning")
+	}
+}
+
+// TestEnsureQuarantineOnlyRaises: a producer's window raises the
+// quarantine; a shorter, zero or negative one leaves it alone.
+func TestEnsureQuarantineOnlyRaises(t *testing.T) {
+	tb := NewFlowTable()
+	for _, q := range []int{-1, 0, 1, DefaultQuarantine - 1} {
+		tb.EnsureQuarantine(q)
+	}
+	if got := tb.Quarantine(); got != DefaultQuarantine {
+		t.Errorf("quarantine %d after shorter windows, want %d", got, DefaultQuarantine)
+	}
+	tb.EnsureQuarantine(DefaultQuarantine + 4)
+	if got := tb.Quarantine(); got != DefaultQuarantine+4 {
+		t.Errorf("quarantine %d, want %d", got, DefaultQuarantine+4)
+	}
+}
+
+// TestFlowTableMisusePanics: releasing an ID the table never bound, and
+// sorting IDs that are not distinct, panic with core's own message.
+func TestFlowTableMisusePanics(t *testing.T) {
+	tb := NewFlowTable()
+	tb.Intern(netip.MustParsePrefix("10.0.0.0/24"))
+	for _, tc := range []struct {
+		want string
+		f    func()
+	}{
+		{"Release of non-interned id 1", func() { tb.Release(1) }},
+		{"1 of 2 ids are distinct and bound", func() { tb.SortIDs([]uint32{0, 0}) }},
+	} {
+		if got := panicMessage(tc.f); !strings.Contains(got, tc.want) {
+			t.Errorf("panic %q, want one containing %q", got, tc.want)
+		}
 	}
 }

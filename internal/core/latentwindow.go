@@ -148,18 +148,12 @@ func (w *LatentWindow) grow(n int) {
 	w.lastSeen = append(w.lastSeen, make([]int32, n-len(w.lastSeen))...)
 }
 
-// evict clears a flow's columns and hands its ID back to the table's
-// quarantine. The zeroed state is what makes ID recycling safe: a
-// future flow admitted under this ID starts from the same all-zero
-// history a brand-new flow gets.
+// evict hands a flow's ID back to the table's quarantine. A flow is
+// evicted after evictWindows·W idle intervals, and each of the last W
+// zeroed one of its slots, so its history is already all zero (and
+// winSum reset to 0 with nzSlots): a future flow admitted under this ID
+// starts from the history a brand-new flow gets.
 func (w *LatentWindow) evict(id uint32) {
-	if w.nzSlots[id] != 0 {
-		for s := 0; s < w.window; s++ {
-			w.hist[s*w.stride+int(id)] = 0
-		}
-		w.nzSlots[id] = 0
-		w.winSum[id] = 0
-	}
 	w.lastSeen[id] = 0
 	w.table.Release(id)
 }

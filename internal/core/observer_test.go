@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"time"
 )
 
 // recordingObserver captures every observation it receives.
@@ -30,6 +31,7 @@ func TestObserverReceivesStepDigest(t *testing.T) {
 	// Flows against theta 100: one elephant, then pfx(1) promoted, then
 	// pfx(0) demoted. The observation carries none of that — the Result
 	// does, and it is the uninstrumented pipeline's Result.
+	begin := time.Now()
 	for i, bws := range [][]float64{{150, 50, 30}, {150, 120, 30}, {30, 120, 30}} {
 		want, err := bare.Step(snap(bws...))
 		if err != nil {
@@ -44,6 +46,7 @@ func TestObserverReceivesStepDigest(t *testing.T) {
 		}
 	}
 
+	elapsed := time.Since(begin).Nanoseconds()
 	if len(rec.obs) != 3 {
 		t.Fatalf("observer saw %d observations, want 3", len(rec.obs))
 	}
@@ -56,6 +59,9 @@ func TestObserverReceivesStepDigest(t *testing.T) {
 		}
 		if o.StepNanos <= 0 || o.StepNanos < o.DetectNanos+o.ClassifyNanos+o.FinalizeNanos {
 			t.Errorf("obs %d: StepNanos %d, want positive and at least the sum of the stages %+v", i, o.StepNanos, o)
+		}
+		if max(o.StepNanos, o.DetectNanos, o.ClassifyNanos, o.FinalizeNanos) > elapsed {
+			t.Errorf("obs %d: %+v, a time above the %d ns all three steps took", i, o, elapsed)
 		}
 	}
 }

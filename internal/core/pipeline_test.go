@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 )
 
@@ -238,6 +239,34 @@ func TestPipelineDebugInvariants(t *testing.T) {
 	if _, err := p2.Step(snap(100)); err == nil {
 		t.Error("verdict with snapshot/offline overlap passed the debug check")
 	}
+	// So must a verdict that breaks the ordering contract, each with its
+	// own error.
+	for _, tc := range []struct {
+		want string
+		v    Verdict
+	}{
+		{"index -1 out of range", Verdict{Indices: []int{-1}}},
+		{"index 2 out of range", Verdict{Indices: []int{2}}},
+		{"indices not ascending at position 1", Verdict{Indices: []int{1, 1}}},
+		{"offline flows not sorted at position 1", Verdict{Offline: []netip.Prefix{pfx(9), pfx(9)}}},
+	} {
+		bad := classifierFunc(func(*FlowSnapshot, float64) Verdict { return tc.v })
+		p3, _ := NewPipeline(Config{Detector: fixedDetector{10}, Alpha: 0.5, Classifier: bad, MinFlows: 1})
+		if _, err := p3.Step(snap(100, 200)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("verdict %+v: error %v, want one containing %q", tc.v, err, tc.want)
+		}
+	}
+	// And an ID column stamped by the pipeline's own table whose IDs
+	// name other prefixes.
+	lh, _ := NewLatentHeatClassifier(2)
+	p4, _ := NewPipeline(Config{Detector: fixedDetector{10}, Alpha: 0.5, Classifier: lh, MinFlows: 1})
+	p4.Table().Intern(pfx(5))
+	wrong := NewFlowSnapshot(1)
+	wrong.AppendID(pfx(0), 0, 100) // ID 0 is pfx(5)
+	wrong.SetIDTable(p4.Table())
+	if _, err := p4.Step(wrong); err == nil || !strings.Contains(err.Error(), "does not resolve") {
+		t.Errorf("a mis-stamped ID column: error %v, want one saying it does not resolve", err)
+	}
 }
 
 type classifierFunc func(*FlowSnapshot, float64) Verdict
@@ -249,6 +278,10 @@ func TestLoadFractionIdleLink(t *testing.T) {
 	r := Result{}
 	if r.LoadFraction() != 0 {
 		t.Error("idle link fraction must be 0")
+	}
+	// A link carrying under 1 bit/s is not idle.
+	if r := (Result{ElephantLoad: 0.25, TotalLoad: 0.5}); r.LoadFraction() != 0.5 {
+		t.Errorf("fraction %v of a 0.5 bit/s link, want 0.5", r.LoadFraction())
 	}
 }
 
@@ -351,52 +384,15 @@ func TestPipelineResultOutlivesSnapshot(t *testing.T) {
 	}
 }
 
-// TestPipelineEndToEndWithLatentHeat is a small integration of pipeline +
-// latent heat + constant-load detection over synthetic two-class traffic:
-// persistent heavies must dominate the elephant set, transient bursters
-// must not enter it.
-func TestPipelineEndToEndWithLatentHeat(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	det, _ := NewConstantLoadDetector(0.8)
-	lh, _ := NewLatentHeatClassifier(6)
-	p, _ := NewPipeline(Config{Detector: det, Alpha: 0.5, Classifier: lh, MinFlows: 1})
-
-	const heavies, mice = 10, 200
-	var lastElephants ElephantSet
-	s := NewFlowSnapshot(heavies + mice)
-	for t0 := 0; t0 < 40; t0++ {
-		s.Reset()
-		for i := 0; i < heavies; i++ {
-			s.Append(pfx(i), 1000*math.Exp(rng.NormFloat64()*0.2))
-		}
-		for i := heavies; i < heavies+mice; i++ {
-			bw := 5 * math.Exp(rng.NormFloat64()*0.5)
-			if rng.Float64() < 0.01 {
-				bw = 2000 // rare one-interval burst
-			}
-			s.Append(pfx(i), bw)
-		}
-		res, err := p.Step(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lastElephants = res.Elephants
+// TestPipelineManyElephants: an interval whose elephant set outgrows the
+// result arena's default chunk still gets every elephant.
+func TestPipelineManyElephants(t *testing.T) {
+	p, _ := NewPipeline(Config{Detector: fixedDetector{10}, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 1})
+	s := NewFlowSnapshot(3000)
+	for i := range 3000 {
+		s.Append(pfx(i), 100)
 	}
-	for i := 0; i < heavies; i++ {
-		if !lastElephants.Contains(pfx(i)) {
-			t.Errorf("persistent heavy flow %d not in final elephant set", i)
-		}
-	}
-	for _, p0 := range lastElephants.Flows() {
-		found := false
-		for i := 0; i < heavies; i++ {
-			if p0 == pfx(i) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("transient flow %v in final elephant set", p0)
-		}
+	if res, err := p.Step(s); err != nil || res.ElephantCount() != 3000 {
+		t.Errorf("3000 flows above θ̂: %d elephants (err %v)", res.ElephantCount(), err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -170,6 +171,11 @@ func TestSnapshotFromMapTotalIgnoresMapOrder(t *testing.T) {
 }
 
 func TestElephantSetBasics(t *testing.T) {
+	for n, flows := range [][]netip.Prefix{{}, {pfx(1)}, {pfx(1), pfx(1)}} {
+		if got := NewElephantSet(flows...).Len(); got != min(n, 1) {
+			t.Errorf("NewElephantSet(%v) has %d flows, want %d", flows, got, min(n, 1))
+		}
+	}
 	e := NewElephantSet(pfx(5), pfx(1), pfx(5), pfx(3))
 	if e.Len() != 3 {
 		t.Fatalf("len = %d, want 3 (deduplicated)", e.Len())
@@ -251,5 +257,52 @@ func TestSnapshotIDColumn(t *testing.T) {
 	s.Reset()
 	if !s.HasIDs() || s.Len() != 0 {
 		t.Error("reset snapshot must be trivially ID-complete")
+	}
+}
+
+// TestSnapshotBookkeeping: the flags and caches beside the columns
+// follow every write — Reset drops the table stamp, CopyFrom carries the
+// sorted flag, Append invalidates the sorted column, AppendID keeps a
+// flow under 1 bit/s — and FillRows, under DebugInvariants, refuses the
+// producer bugs it is vouched against.
+func TestSnapshotBookkeeping(t *testing.T) {
+	s := NewFlowSnapshot(2)
+	s.SetIDTable(NewFlowTable())
+	s.Reset()
+	if s.IDTable() != nil {
+		t.Error("Reset kept the table stamp")
+	}
+	s.AppendID(pfx(0), 0, 0.5)
+	if s.Len() != 1 {
+		t.Errorf("AppendID at 0.5 bit/s: %d flows, want 1", s.Len())
+	}
+	s.SortedBandwidths()
+	s.Append(pfx(1), 0.25)
+	if got := s.SortedBandwidths(); !slices.Equal(got, []float64{0.25, 0.5}) {
+		t.Errorf("sorted column %v after Append, want [0.25 0.5]", got)
+	}
+	unsorted := NewFlowSnapshot(2)
+	unsorted.Append(pfx(1), 1)
+	unsorted.Append(pfx(0), 1)
+	s.CopyFrom(unsorted)
+	if s.IsSorted() {
+		t.Error("CopyFrom of an unsorted snapshot reads as sorted")
+	}
+
+	defer func(on bool) { DebugInvariants = on }(DebugInvariants)
+	DebugInvariants = true
+	keys := []netip.Prefix{pfx(0), pfx(1)}
+	for _, tc := range []struct {
+		want string
+		rows []int32
+		bw   []float64
+	}{
+		{"keys not in strictly ascending ComparePrefix order", []int32{1, 0}, []float64{1, 1}},
+		{"keys not in strictly ascending ComparePrefix order", []int32{0, 0}, []float64{1, 1}},
+		{"non-positive bandwidth 0", []int32{0, 1}, []float64{1, 0}},
+	} {
+		if got := panicMessage(func() { s.FillRows(tc.rows, tc.bw, keys, nil) }); !strings.Contains(got, tc.want) {
+			t.Errorf("panic %q, want one containing %q", got, tc.want)
+		}
 	}
 }

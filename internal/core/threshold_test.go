@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -37,11 +38,15 @@ func TestConstantLoadValidation(t *testing.T) {
 
 func TestConstantLoadEmptyAndZero(t *testing.T) {
 	d, _ := NewConstantLoadDetector(0.8)
-	if _, err := detect(d, nil); err == nil {
-		t.Error("empty interval accepted")
+	if _, err := detect(d, nil); err == nil || !strings.Contains(err.Error(), "empty interval") {
+		t.Errorf("empty interval: error %v", err)
 	}
-	if _, err := detect(d, []float64{0, 0}); err == nil {
-		t.Error("zero traffic accepted")
+	if _, err := detect(d, []float64{0, 0}); err == nil || !strings.Contains(err.Error(), "zero total traffic") {
+		t.Errorf("zero traffic: error %v", err)
+	}
+	// Under 1 bit/s in all is still traffic.
+	if theta, err := detect(d, []float64{0.5, 0.25}); err != nil || theta != 0.25*0.999 {
+		t.Errorf("0.5 + 0.25 bit/s: θ = %v, error %v; want just below 0.25, none", theta, err)
 	}
 }
 
@@ -71,6 +76,20 @@ func TestConstantLoadSemantics(t *testing.T) {
 	sort.Float64s(aboveSet)
 	if len(aboveSet) > 0 && above-aboveSet[0] >= 0.8*total {
 		t.Errorf("theta=%v not minimal: removing %v still meets target", theta, aboveSet[0])
+	}
+	// Exactly the target fraction suffices ({4} is half of 8), and a
+	// target met by all but the smallest flow puts θ at that flow.
+	half, _ := NewConstantLoadDetector(0.5)
+	for _, tc := range []struct {
+		bws  []float64
+		want float64
+	}{
+		{[]float64{1, 1, 2, 4}, 2},
+		{[]float64{1, 9}, 1},
+	} {
+		if theta, err := detect(half, tc.bws); err != nil || theta != tc.want {
+			t.Errorf("β = 0.5 over %v: θ = %v (err %v), want %v", tc.bws, theta, err, tc.want)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/netflow"
 	"repro/internal/scheme"
+	"repro/internal/stats"
 )
 
 // Shape flags, shape[0] of Generate. Each adds one kind of record to the
@@ -213,7 +214,7 @@ func (g *gen) traffic(window int) {
 	}
 	rate := make([]float64, nflows)
 	for f := range rate {
-		rate[f] = 2e4 * math.Exp(g.rng.NormFloat64())
+		rate[f] = 2e4 * stats.Exp(g.rng.NormFloat64())
 		if f%7 == 0 {
 			rate[f] = 2e5 * (1 + 4*g.rng.Float64())
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/scheme"
+	"repro/internal/stats"
 )
 
 // SamplingRow reports how classification degrades when bandwidths are
@@ -136,7 +137,7 @@ func binomialApprox(rng *rand.Rand, n, p float64) int {
 		return int(v + 0.5)
 	}
 	// Knuth's Poisson sampler.
-	l := math.Exp(-lambda)
+	l := stats.Exp(-lambda)
 	k, prod := 0, 1.0
 	for {
 		prod *= rng.Float64()

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/bgp"
+	"repro/internal/stats"
 )
 
 // LinkConfig describes one synthetic backbone link.
@@ -135,7 +136,7 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 	// Median of the body; the tail starts well above it so that the
 	// rate distribution has a clear body/tail structure for aest.
 	bodyMedian := 1.0
-	tailStart := bodyMedian * math.Exp(2.5*cfg.BodySigma)
+	tailStart := bodyMedian * stats.Exp(2.5*cfg.BodySigma)
 	for i := range flows {
 		f := &flows[i]
 		f.prefix = routes[perm[i]].Prefix
@@ -146,9 +147,9 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 			if u < 1e-12 {
 				u = 1e-12
 			}
-			f.baseRate = tailStart * math.Pow(u, -1/cfg.TailIndex)
+			f.baseRate = tailStart * stats.Exp(-1/cfg.TailIndex*math.Log(u))
 		} else {
-			f.baseRate = bodyMedian * math.Exp(rng.NormFloat64()*cfg.BodySigma)
+			f.baseRate = bodyMedian * stats.Exp(rng.NormFloat64()*cfg.BodySigma)
 		}
 		sum += f.baseRate
 		f.on = true
@@ -212,7 +213,7 @@ func (l *Link) step(f *flowState, diurnal float64) float64 {
 	rho := cfg.BurstRho
 	f.logMod = float64(rho*f.logMod) + float64(math.Sqrt(1-float64(rho*rho))*l.rng.NormFloat64()*cfg.BurstSigma)
 	// exp(sigma^2/2) mean-correction keeps E[multiplier] = 1.
-	mult := math.Exp(f.logMod - float64(cfg.BurstSigma*cfg.BurstSigma/2))
+	mult := stats.Exp(f.logMod - float64(cfg.BurstSigma*cfg.BurstSigma/2))
 	return f.baseRate * diurnal * mult
 }
 

@@ -14,6 +14,8 @@ package trace
 import (
 	"math"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // DiurnalProfile maps time-of-day to a link utilisation multiplier with
@@ -60,7 +62,7 @@ func (p *gaussianBumpProfile) raw(d time.Duration) float64 {
 		dist = alt
 	}
 	w := float64(p.width)
-	return p.baseline + float64(p.bump*math.Exp(-dist*dist/(2*w*w)))
+	return p.baseline + float64(p.bump*stats.Exp(-dist*dist/(2*w*w)))
 }
 
 // At implements DiurnalProfile.
