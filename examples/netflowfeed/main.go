@@ -137,7 +137,7 @@ func main() {
 	fmt.Println("interval  elephants(pcap)  elephants(netflow)  agreement")
 	for t := 0; t < intervals; t++ {
 		inter := 0
-		for p := range a[t] {
+		for p := range a[t] { // order-free: a count
 			if b[t][p] {
 				inter++
 			}

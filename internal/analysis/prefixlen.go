@@ -45,6 +45,7 @@ func PrefixLengths(results []core.Result, series *agg.Series) PrefixLengthStats 
 		}
 	}
 	first := true
+	// order-free: counts, a minimum and a maximum.
 	for p := range elephants {
 		if !p.Addr().Is4() {
 			continue

@@ -113,9 +113,9 @@ func TestObserverSkippedOnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Below MinFlows with no prior threshold: the step fails.
-	if _, err := p.Step(snap(150, 50)); err == nil {
-		t.Fatal("sparse bootstrap accepted")
+	// No flow and no prior threshold: the step fails.
+	if _, err := p.Step(snap()); err == nil {
+		t.Fatal("empty bootstrap accepted")
 	}
 	if len(rec.obs) != 0 {
 		t.Fatalf("failed step observed: %+v", rec.obs)

@@ -25,8 +25,10 @@ type Config struct {
 	// &SingleFeatureClassifier{} or NewLatentHeatClassifier).
 	Classifier Classifier
 	// MinFlows is the minimum number of active flows required to run
-	// detection; below it the previous threshold is reused. Defaults
-	// to 16.
+	// detection once a threshold exists; below it the previous
+	// threshold is reused. Before the first threshold (the bootstrap)
+	// any interval with at least one active flow is detected on, and an
+	// interval with none fails. Defaults to 16.
 	MinFlows int
 	// Thresholds optionally supplies precomputed raw thresholds θ(t)
 	// (the engine's batch prepass). A pipeline that has a source
@@ -174,12 +176,13 @@ func (p *Pipeline) Step(snap *FlowSnapshot) (Result, error) {
 	res.ActiveFlows = snap.Len()
 
 	// Phase 1 for this interval: detect θ(t) if the interval carries
-	// enough flows; otherwise reuse the running estimate.
+	// enough flows, or any flow while no threshold exists yet (the
+	// bootstrap); otherwise reuse the running estimate.
 	var detectStart time.Time
 	if obs != nil {
 		detectStart = time.Now()
 	}
-	if res.ActiveFlows >= p.cfg.MinFlows {
+	if res.ActiveFlows >= p.cfg.MinFlows || (res.ActiveFlows > 0 && !p.ewma.Initialized()) {
 		var raw float64
 		var err error
 		if p.cfg.Thresholds != nil {
@@ -199,7 +202,7 @@ func (p *Pipeline) Step(snap *FlowSnapshot) (Result, error) {
 	} else if p.ewma.Initialized() {
 		res.RawThreshold = p.ewma.Value()
 	} else {
-		return res, fmt.Errorf("core: interval %d: only %d active flows and no prior threshold", p.t, res.ActiveFlows)
+		return res, fmt.Errorf("core: interval %d: no active flows and no prior threshold", p.t)
 	}
 	var detectNanos int64
 	if obs != nil {

@@ -84,41 +84,6 @@ func TestStepSnapshotOrderEnforced(t *testing.T) {
 	}
 }
 
-// TestPipelinePhaseOrdering: interval t classifies with the EWMA carried
-// from intervals < t; theta(t) only affects t+1. This is the paper's
-// two-phase structure.
-func TestPipelinePhaseOrdering(t *testing.T) {
-	seq := []float64{100, 200, 400}
-	i := 0
-	det := detectorFunc(func(_, _ []float64) (float64, error) {
-		v := seq[i]
-		i++
-		return v, nil
-	})
-	p, _ := NewPipeline(Config{Detector: det, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 1})
-
-	r0, _ := p.Step(snap(1000))
-	if r0.Threshold != 100 { // bootstrap
-		t.Errorf("t0 used %v, want 100", r0.Threshold)
-	}
-	r1, _ := p.Step(snap(1000))
-	// EWMA after t0: 100. t1 classifies with 100, then folds 200:
-	// 0.5*100 + 0.5*200 = 150.
-	if r1.Threshold != 100 {
-		t.Errorf("t1 used %v, want 100 (theta(1) must not affect its own interval)", r1.Threshold)
-	}
-	r2, _ := p.Step(snap(1000))
-	if r2.Threshold != 150 {
-		t.Errorf("t2 used %v, want 150", r2.Threshold)
-	}
-	if got := p.Threshold(); got != 0.5*150+0.5*400 {
-		t.Errorf("post-run EWMA = %v, want 275", got)
-	}
-	if p.Intervals() != 3 {
-		t.Errorf("Intervals = %d", p.Intervals())
-	}
-}
-
 type detectorFunc func(bw, sorted []float64) (float64, error)
 
 func (f detectorFunc) DetectThreshold(bw, sorted []float64) (float64, error) { return f(bw, sorted) }
@@ -152,10 +117,18 @@ func TestPipelineMinFlowsReusesThreshold(t *testing.T) {
 	}
 }
 
+// TestPipelineSparseFirstIntervalFails: of the sparse first intervals
+// only an empty one fails, leaving the pipeline where it was. Before the
+// first threshold MinFlows does not gate detection, so an interval with
+// one flow is detected on.
 func TestPipelineSparseFirstIntervalFails(t *testing.T) {
 	p, _ := NewPipeline(Config{Detector: fixedDetector{1}, Alpha: 0.5, Classifier: &SingleFeatureClassifier{}, MinFlows: 5})
-	if _, err := p.Step(snap(10)); err == nil {
-		t.Error("sparse bootstrap interval must fail: no prior threshold exists")
+	if _, err := p.Step(snap()); err == nil || p.Intervals() != 0 {
+		t.Errorf("empty bootstrap interval: err %v at interval %d, want an error at 0", err, p.Intervals())
+	}
+	res, err := p.Step(snap(10))
+	if err != nil || res.RawThreshold != 1 || res.ElephantCount() != 1 {
+		t.Errorf("sparse bootstrap interval: %+v, %v; want θ = 1 detected and one elephant", res, err)
 	}
 }
 

@@ -163,11 +163,11 @@ func TestRunStreamingValidation(t *testing.T) {
 	}
 }
 
-// TestEngineSparseLinkError: a link whose bootstrap interval is too
-// sparse surfaces the pipeline error without stopping the engine.
+// TestEngineSparseLinkError: a link whose bootstrap interval is empty
+// surfaces the pipeline error without stopping the engine.
 func TestEngineSparseLinkError(t *testing.T) {
 	sparse := agg.NewSeries(start, 5*time.Minute, 2)
-	sparse.SetBandwidth(netip.MustParsePrefix("10.0.0.0/24"), 0, 1)
+	sparse.SetBandwidth(netip.MustParsePrefix("10.0.0.0/24"), 1, 1)
 	links := testLinks(1)
 	links = append(links, Link{ID: "sparse", Series: sparse, Config: schemeConfig})
 	eng := MultiLinkEngine{}

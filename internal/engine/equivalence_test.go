@@ -84,8 +84,9 @@ func TestLivePipelineConcurrentProducers(t *testing.T) {
 	onCorpus(t, (*reference).producers)
 }
 
-// TestLivePipelineConservationAtDefaultBuffer runs the corpus' failing
-// specs through LivePipelines fed by several producers at once.
+// TestLivePipelineConservationAtDefaultBuffer runs the corpus, its
+// interval 0 left empty, through LivePipelines fed by several producers
+// at once.
 func TestLivePipelineConservationAtDefaultBuffer(t *testing.T) {
 	onCorpus(t, (*reference).burst)
 }
@@ -112,32 +113,49 @@ func TestStreamEvictionRecyclingMatchesBatch(t *testing.T) {
 // onCorpus runs leg on every case of FuzzEquivalence's seed corpus, the
 // cases side by side, and returns how many cases there are.
 func onCorpus(t *testing.T, leg func(*reference)) int {
+	cases := corpus(t)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			leg(newReference(t, enginetest.Generate(c.seed, c.shape)))
+		})
+	}
+	return len(cases)
+}
+
+// corpusCase is one file of FuzzEquivalence's seed corpus.
+type corpusCase struct {
+	name  string
+	seed  int64
+	shape []byte
+}
+
+// corpus reads FuzzEquivalence's seed corpus.
+func corpus(tb testing.TB) []corpusCase {
 	dir := filepath.Join("testdata", "fuzz", "FuzzEquivalence")
 	files, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	var out []corpusCase
 	for _, fi := range files {
-		t.Run(fi.Name(), func(t *testing.T) {
-			t.Parallel()
-			body, err := os.ReadFile(filepath.Join(dir, fi.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// go test fuzz v1, then int64(seed) and []byte("shape").
-			lines := strings.Split(strings.TrimSpace(string(body)), "\n")
-			if len(lines) != 3 {
-				t.Fatalf("%d lines, want a header, an int64 and a []byte", len(lines))
-			}
-			seed, err1 := strconv.ParseInt(strings.TrimSuffix(strings.TrimPrefix(lines[1], "int64("), ")"), 10, 64)
-			shape, err2 := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[2], "[]byte("), ")"))
-			if err := errors.Join(err1, err2); err != nil {
-				t.Fatal(err)
-			}
-			leg(newReference(t, enginetest.Generate(seed, []byte(shape))))
-		})
+		body, err := os.ReadFile(filepath.Join(dir, fi.Name()))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		// go test fuzz v1, then int64(seed) and []byte("shape").
+		lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+		if len(lines) != 3 {
+			tb.Fatalf("%s: %d lines, want a header, an int64 and a []byte", fi.Name(), len(lines))
+		}
+		seed, err1 := strconv.ParseInt(strings.TrimSuffix(strings.TrimPrefix(lines[1], "int64("), ")"), 10, 64)
+		shape, err2 := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[2], "[]byte("), ")"))
+		if err := errors.Join(err1, err2); err != nil {
+			tb.Fatalf("%s: %v", fi.Name(), err)
+		}
+		out = append(out, corpusCase{fi.Name(), seed, []byte(shape)})
 	}
-	return len(files)
+	return out
 }
 
 // outcome is one spec's reference run: the results of the intervals
@@ -452,30 +470,29 @@ func (r *reference) producers() {
 	}
 }
 
-// burst sends the records of each spec the case fails from its producers
-// a datagram at a time, at the default queue depth, from an explicit
-// Start: the failure lands mid-burst, and send checks the books balance.
-// How the producers interleave decides which intervals a spec sees, so
-// only a spec whose MinFlows exceeds every flow of the case must fail.
+// burst sends the records from the case's producers a datagram at a
+// time, at the default queue depth, into a LivePipeline per spec whose
+// Start lies three intervals before the origin. No record reaches back
+// that far, so interval 0 is empty in every interleaving and each spec
+// fails there with no threshold to reuse: the failure lands mid-burst,
+// and send checks the books balance.
 func (r *reference) burst() {
 	c := r.c
-	c.Start = c.Origin()
-	b := newReference(r.t, c)
-	flows := map[netip.Prefix]bool{}
+	c.Start = c.Origin().Add(-3 * c.Interval)
+	end0 := c.Start.Add(c.Interval)
 	for _, rec := range c.Records {
-		flows[rec.Prefix] = true
-	}
-	var runs []*liveRun
-	for _, x := range b.pipelines("LivePipeline failing mid-burst", 0, 30, split(c.Records, c.Producers)) {
-		if b.want[x.i].err != nil {
-			runs = append(runs, x)
+		if rec.Bits > 0 && rec.Time.Before(end0) && (!rec.Time.Before(c.Start) || rec.Time.Add(max(rec.Span, 0)).After(c.Start)) {
+			r.t.Fatalf("record %+v lands in interval 0 of %v", rec, c.Start)
 		}
 	}
-	r.runAll(runs)
+	b := newReference(r.t, c)
+	runs := b.pipelines("LivePipeline failing mid-burst", 0, 30, split(c.Records, c.Producers))
+	b.runAll(runs)
 	for _, x := range runs {
-		if sp := c.Specs[x.i]; x.err == nil && sp.MinFlows > len(flows) {
-			r.t.Errorf("%s/%s: no error, the reference fails with %v", x.leg, sp, b.want[x.i].err)
+		if b.want[x.i].err == nil {
+			r.t.Fatalf("%s/%s: the reference classifies an empty interval 0", x.leg, c.Specs[x.i])
 		}
+		b.same(x.leg, x.i, "live", x.got, x.err)
 	}
 }
 

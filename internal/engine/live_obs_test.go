@@ -53,6 +53,13 @@ func TestLivePipelineWatermarkLag(t *testing.T) {
 	if err := lp.Send(agg.Record{Prefix: p, Time: start.Add(30 * time.Second), Bits: 1e4}); err != nil {
 		t.Fatal(err)
 	}
+	// Published when the accumulate stage is done with the batch.
+	for deadline := time.Now().Add(10 * time.Second); lp.WatermarkLag() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := lp.WatermarkLag(); got != 30*time.Second {
+		t.Errorf("lag after the first record = %v, want 30s", got)
+	}
 	if err := lp.Send(agg.Record{Prefix: p, Time: start.Add(2*iv + 10*time.Second), Bits: 1e4}); err != nil {
 		t.Fatal(err)
 	}
@@ -72,5 +79,41 @@ func TestLivePipelineWatermarkLag(t *testing.T) {
 	}
 	if got := lp.WatermarkLag(); got != 0 {
 		t.Errorf("post-flush lag = %v, want 0", got)
+	}
+}
+
+// TestLivePipelineStageOverlap: the stage-overlap reading is the
+// classify stage's busy time less the accumulate stage's waits for a
+// transfer buffer that ended while it ran. Interval 0's hook holds a
+// buffer while interval 1 holds the other and the accumulate stage waits
+// to seal interval 2; the last interval, classified after every wait has
+// been counted, overlaps for its whole busy time.
+func TestLivePipelineStageOverlap(t *testing.T) {
+	const iv = time.Minute
+	gate := make(chan struct{})
+	lp, err := NewLivePipeline(LiveLink{
+		ID: "overlap", Start: start, Interval: iv, Window: 1, Config: oneFlowConfig,
+		OnResult: func(s Sealed) error {
+			if s.T == 0 {
+				<-gate
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range oneFlowRecords(4, iv) {
+		if err := lp.Send(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // the accumulate stage waits for a buffer
+	close(gate)
+	if err := lp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := lp.LastOverlap(); got <= 0 {
+		t.Errorf("last interval's overlap = %v, want its busy time", got)
 	}
 }

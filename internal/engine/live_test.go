@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"net/netip"
 	"runtime"
 	"testing"
 	"time"
@@ -117,8 +118,8 @@ func TestLivePipelineFailureReleasesProducer(t *testing.T) {
 		if !errors.Is(o.err, boom) {
 			t.Errorf("blocked SendBatch = %v, want boom", o.err)
 		}
-		if o.accepted != 2*batch {
-			t.Errorf("accepted %d records, want the %d of the two batches sent before the stall", o.accepted, 2*batch)
+		if o.accepted != 2*batch || lp.Stalls() != 1 {
+			t.Errorf("accepted %d records after %d stalls, want the %d of the two batches sent before the one stall", o.accepted, lp.Stalls(), 2*batch)
 		}
 		if err := lp.Close(); !errors.Is(err, boom) {
 			t.Fatalf("Close = %v, want boom", err)
@@ -168,6 +169,42 @@ func TestLivePipelineStatsBeforeClose(t *testing.T) {
 	}
 	if st := lp.Stats(); st.Records != 0 || st.Closed != 0 {
 		t.Errorf("empty link stats = %+v", st)
+	}
+}
+
+// TestLivePipelineQuietFirstInterval: a first interval with fewer
+// flows than MinFlows bootstraps the threshold instead of failing the
+// link, and the busy intervals after it are detected on.
+func TestLivePipelineQuietFirstInterval(t *testing.T) {
+	var got []core.Result
+	lp, err := NewLivePipeline(LiveLink{
+		ID: "quiet", Start: start, Interval: time.Minute, Window: 1,
+		Config: func() (core.Config, error) {
+			det, err := core.NewConstantLoadDetector(0.8)
+			return core.Config{Detector: det, Alpha: 0.5, Classifier: &core.SingleFeatureClassifier{}}, err
+		},
+		OnResult: func(s Sealed) error { got = append(got, s.Result); return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for iv := 0; iv < 6; iv++ {
+		n := 40
+		if iv == 0 {
+			n = 5
+		}
+		for f := 0; f < n; f++ {
+			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(f), 0}), 24)
+			if err := lp.Send(agg.Record{Prefix: p, Time: start.Add(time.Duration(iv) * time.Minute), Bits: float64(1+f) * 1e4}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := lp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 6 || got[0].ActiveFlows != 5 || got[0].RawThreshold <= 0 || got[5].RawThreshold == got[0].RawThreshold {
+		t.Fatalf("%d results, want 6: the first with 5 flows and its own θ, the later ones detected again", len(got))
 	}
 }
 

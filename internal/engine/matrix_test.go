@@ -72,6 +72,7 @@ func TestStreamWindow(t *testing.T) {
 		{"load+latent:window=24", 0, 24},
 		{"load+latent:window=4", 0, agg.DefaultStreamWindow},
 		{"load+latent:window=24", 6, 6},
+		{"load+latent:window=24", 1, 1},
 		{"topk:k=5", 0, agg.DefaultStreamWindow},
 	}
 	for _, c := range cases {
@@ -88,12 +89,12 @@ func TestRunMatrixPipelineLevelSweep(t *testing.T) {
 	links := []MatrixLink{{ID: "l", Series: synthSeries(7, 200, 12)}}
 	a, b := scheme.MustParse("load+latent"), scheme.MustParse("load+latent")
 	a.Alpha, b.Alpha = 0.25, 0.75
-	a.MinFlows, b.MinFlows = 8, 8
+	a.MinFlows, b.MinFlows = 1, -1
 	got, err := (&MultiLinkEngine{}).RunMatrix(links, []*scheme.Spec{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].ID == got[1].ID {
+	if len(got) != 2 || got[0].ID != "l/load+latent@alpha=0.25@minflows=1" || got[1].ID != "l/load+latent@alpha=0.75@minflows=-1" {
 		t.Fatalf("alpha sweep cells = %+v", []string{got[0].ID, got[1].ID})
 	}
 	for _, lr := range got {
@@ -116,11 +117,14 @@ func TestRunMatrixValidation(t *testing.T) {
 	if _, err := (&MultiLinkEngine{}).RunMatrix(links, []*scheme.Spec{nil}); err == nil {
 		t.Error("nil spec accepted")
 	}
+	out, err := (&MultiLinkEngine{}).RunMatrix(append(links, MatrixLink{ID: "none"}), []*scheme.Spec{scheme.MustParse("load")})
+	if err != nil || len(out) != 2 || out[0].Err != nil || out[1].Err == nil {
+		t.Errorf("link without a series: %+v, %v; want its cell to fail alone", out, err)
+	}
 	// Duplicate specs collide on cell IDs and must be rejected
 	// structurally, not raced.
 	dup := []*scheme.Spec{scheme.MustParse("load+single"), scheme.MustParse("load+single")}
-	_, err := (&MultiLinkEngine{}).RunMatrix(links, dup)
-	if err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if _, err := (&MultiLinkEngine{}).RunMatrix(links, dup); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate specs: err = %v, want duplicate-ID error", err)
 	}
 }

@@ -68,9 +68,8 @@ type Case struct {
 	// Records is the routed record sequence in arrival order.
 	Records []agg.Record
 	// Specs are the schemes every path runs: every registered
-	// detector×classifier example, latent heat at the shaped window W —
-	// two detectors sharing it, one at W+1 — and, when shaped, a spec
-	// whose MinFlows no interval reaches.
+	// detector×classifier example and latent heat at the shaped window
+	// W — two detectors sharing it, one at W+1.
 	Specs []*scheme.Spec
 	// Producers is how many goroutines feed the concurrent live leg.
 	Producers int
@@ -102,9 +101,8 @@ func (c Case) Origin() time.Time {
 //	shape[2]  8 + shape[2]%57 flows
 //	shape[3]  accumulator window 1 + shape[3]%6
 //	shape[4]  latent window W = 1 + shape[4]%3 of the shaped specs
-//	shape[5]  bit 0: zero Start; bit 1: a spec that fails; bits 2–3:
-//	          MinFlows 0 (core's 16), 1, 4 or 8; bits 4–5: 2 to 5
-//	          producers
+//	shape[5]  bit 0: zero Start; bit 1 is ignored; bits 2–3: MinFlows 0
+//	          (core's 16), 1, 4 or 8; bits 4–5: 2 to 5 producers
 func Generate(seed int64, shape []byte) Case {
 	at := func(i int) int {
 		if i < len(shape) {
@@ -140,7 +138,7 @@ func Generate(seed int64, shape []byte) Case {
 		g.recs = append([]agg.Record{g.record(0, g.intervals+agg.DefaultStreamMaxGap+5, 0, 0, 1e4)}, g.recs...)
 	}
 	c.Records = g.recs
-	c.Specs = specs(g.latent, [4]int{0, 1, 4, 8}[opts>>2&3], opts&2 != 0)
+	c.Specs = specs(g.latent, [4]int{0, 1, 4, 8}[opts>>2&3])
 	if flags&V5 != 0 {
 		c.Table, c.Wire = g.route()
 	}
@@ -373,9 +371,8 @@ func (g *gen) route() (*bgp.Table, []agg.Record) {
 }
 
 // specs returns the schemes of a case: every registry example pair and
-// latent heat at window w, all at minFlows, and with broken a spec no
-// interval can satisfy.
-func specs(w, minFlows int, broken bool) []*scheme.Spec {
+// latent heat at window w, all at minFlows.
+func specs(w, minFlows int) []*scheme.Spec {
 	var out []*scheme.Spec
 	for _, det := range scheme.DetectorExamples() {
 		for _, cls := range scheme.ClassifierExamples() {
@@ -388,11 +385,6 @@ func specs(w, minFlows int, broken bool) []*scheme.Spec {
 		scheme.MustParse(fmt.Sprintf("fixed:theta=150000+latent:window=%d", w+1)))
 	for _, sp := range out {
 		sp.MinFlows = minFlows
-	}
-	if broken {
-		sp := scheme.MustParse("load+single")
-		sp.MinFlows = 1 << 20
-		out = append(out, sp)
 	}
 	return out
 }

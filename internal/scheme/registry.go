@@ -78,7 +78,7 @@ func (p Params) clone() Params {
 		return nil
 	}
 	out := make(Params, len(p))
-	for k, v := range p {
+	for k, v := range p { // order-free: a copy holds every pair whatever the order
 		out[k] = v
 	}
 	return out
@@ -126,9 +126,15 @@ func byRole() (det, cls map[string]*componentDef) {
 }
 
 // knownKeys validates that every explicitly-set parameter is declared by
-// the component.
+// the component. Of several undeclared keys it names the first in
+// lexical order, so the error is the same from run to run.
 func (d *componentDef) knownKeys(p Params) error {
+	set := make([]string, 0, len(p))
 	for key := range p {
+		set = append(set, key)
+	}
+	sort.Strings(set)
+	for _, key := range set {
 		ok := false
 		for _, def := range d.params {
 			if def.Key == key {

@@ -94,6 +94,13 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) = %v, want substring %q", c.in, err, c.wantSub)
 		}
 	}
+	// Of two unknown keys the error names the first in lexical order,
+	// whatever order the map of parameters hands them out in.
+	for range 32 {
+		if _, err := Parse("load:zeta=1,alpha=2"); err == nil || !strings.Contains(err.Error(), `no parameter "alpha"`) {
+			t.Fatalf(`Parse("load:zeta=1,alpha=2") = %v, want it to name "alpha"`, err)
+		}
+	}
 	// Unknown names enumerate the registry.
 	_, err := Parse("nope")
 	for _, name := range append(sortedNames(detectors), sortedNames(classifiers)...) {
@@ -382,5 +389,12 @@ func TestComponentNames(t *testing.T) {
 	}
 	if len(detectors)+len(classifiers) != len(components) {
 		t.Errorf("role maps hold %d+%d components, table has %d", len(detectors), len(classifiers), len(components))
+	}
+	// The examples, List and every error listing read sortedNames: in
+	// lexical order whatever order a map hands the names out in.
+	for range 32 {
+		if names := sortedNames(classifiers); !sort.StringsAreSorted(names) {
+			t.Fatalf("sortedNames = %v", names)
+		}
 	}
 }

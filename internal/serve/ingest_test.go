@@ -147,10 +147,10 @@ func TestConcurrentLinkCreation(t *testing.T) {
 
 // TestFailedLinkReconcilesMidBatch pins the failed-link books now that
 // records queue a batch at a time. One record per interval to a single
-// destination: interval 0 seals with one active flow — below the
-// scheme's MinFlows, with no prior threshold to fall back on — so the
-// first classification fails the link while the accumulate stage is a
-// few records into the first datagram's batch. Dispatch counted every
+// destination, from interval 1 on: interval 0 seals with no active flow
+// and no prior threshold to fall back on, so the first classification
+// fails the link while the accumulate stage is a few records into the
+// first datagram's batch. Dispatch counted every
 // record of every batch it queued as Routed; after the drain,
 // the link's close must have moved the unread rest of that batch and
 // everything queued behind it to Dropped, leaving Routed equal to what
@@ -187,7 +187,7 @@ func TestFailedLinkReconcilesMidBatch(t *testing.T) {
 	for j := 0; j < datagrams; j++ {
 		recs := make([]netflow.Record, netflow.MaxRecordsPerDatagram)
 		for k := range recs {
-			minute := uint32(j*len(recs) + k)
+			minute := uint32(j*len(recs) + k + 1)
 			recs[k] = netflow.Record{DstAddr: dst, Octets: 1000, First: minute * 60000, Last: minute * 60000}
 		}
 		d.dispatch(r, ap, &netflow.Datagram{

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
+	"path"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -11,7 +14,7 @@ import (
 // key. They hold the paper's definition (its three strict comparisons
 // and the latent window's eviction), the mutation checks earlier
 // changes recorded by hand, and one mutant per operator per package in
-// scope.
+// scope. The edits below add the ones no operator makes.
 var sentinels = []struct{ file, key string }{
 	// The paper's two-feature rule: strictly above θ̂, strictly positive
 	// latent heat, for active and for idle flows.
@@ -79,6 +82,33 @@ var sentinels = []struct{ file, key string }{
 	{"internal/stats/aest.go", "(*AestScratch).ensure: cap(s.buf) < n → !(cap(s.buf) < n)"},
 }
 
+// edits are sentinels no operator makes, each an edit of source text
+// that occurs exactly once in its file.
+var edits = []struct{ file, fn, orig, mut string }{
+	// The EWMA's weight on the wrong term: at α = ½ the two weights are
+	// equal and the swap does not show.
+	{"internal/stats/summary.go", "(*EWMA).Update", "float64(e.Alpha*e.value) + float64((1-e.Alpha)*x)", "float64((1-e.Alpha)*e.value) + float64(e.Alpha*x)"},
+}
+
+// editMutant returns the mutant an edit makes.
+func editMutant(root string, file, fn, orig, mut string) (*Mutant, error) {
+	src, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(file)))
+	if err != nil {
+		return nil, err
+	}
+	at := bytes.Index(src, []byte(orig))
+	if at < 0 || bytes.Count(src, []byte(orig)) != 1 {
+		return nil, fmt.Errorf("%s: %q does not occur exactly once", file, orig)
+	}
+	line := 1 + bytes.Count(src[:at], []byte("\n"))
+	col := at - bytes.LastIndexByte(src[:at], '\n')
+	return &Mutant{
+		Pkg: path.Dir(file), File: file, Line: line, Col: col, Func: fn, Op: "edit",
+		Orig: orig, Mut: mut, Key: fn + ": " + orig + " → " + mut,
+		start: at, end: at + len(orig), repl: mut,
+	}, nil
+}
+
 func gate(root string) error {
 	ms, err := enumerate(root)
 	if err != nil {
@@ -102,6 +132,14 @@ func gate(root string) error {
 	}
 	if len(missing) > 0 {
 		return fmt.Errorf("sentinels match no mutant of the tree:\n\t%s", strings.Join(missing, "\n\t"))
+	}
+	for _, e := range edits {
+		m, err := editMutant(root, e.file, e.fn, e.orig, e.mut)
+		if err != nil {
+			return err
+		}
+		picked = append(picked, m)
+		pkgs["./"+m.Pkg] = true
 	}
 	if _, err := baseline(root, sortedKeys(pkgs)); err != nil {
 		return err
