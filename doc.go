@@ -39,20 +39,23 @@
 // that contract on pcap and NetFlow captures, and internal/engine's
 // FuzzEquivalence on generated record sequences.
 //
-// Flow identity is interned: each pipeline owns a core.FlowTable
-// mapping every prefix it classifies to a dense uint32 ID, and the
+// Flow identity is interned: each pipeline and each stream accumulator
+// owns a core.FlowTable mapping every prefix it sees to a dense uint32
+// ID, and the
 // whole interval hot path — accumulator ring slots, the latent-heat
 // classifier's per-flow windows (incrementally summed, O(1) per flow)
 // — runs on flat ID-indexed columns instead of prefix-keyed maps. Snapshots carry the ID column from producer to
 // classifier, so steady-state classification performs at most a single
 // hash per record at ingest — none for a NetFlow record, whose
 // longest-prefix-match answer doubles as a verified key into the table
-// — and none per flow per interval. Classifier eviction recycles IDs
-// through a quarantined free list sized to the accumulator's open
-// window, keeping resident-daemon memory bounded by the live flow set;
-// equivalence of the ID path with the prefix-keyed
-// semantics is pinned by dual-implementation tests in internal/core
-// and the eviction/recycling stream≡batch test in internal/engine.
+// — and none per flow per interval. Each table has one owner, which
+// recycles the IDs of flows it has let go (the accumulator after a
+// grace period of quiet closes, the classifier at eviction), keeping
+// resident-daemon memory bounded by the live flow set; a column that
+// crosses to another owner is translated into its table (FillIDs).
+// Equivalence of the ID path with the prefix-keyed semantics is pinned
+// by dual-implementation tests in internal/core and the
+// eviction/recycling stream≡batch test in internal/engine.
 // Performance has one record: bench/ (a module of its own, declared in
 // BENCHMARK.json) measures four workloads end to end and layer by
 // layer. The Benchmark functions beside the tests run once each in CI

@@ -32,27 +32,17 @@ type StreamConfig struct {
 	Interval time.Duration
 	// Window is W, the number of simultaneously open intervals (the
 	// reordering/span tolerance of the source). Memory is bounded by W
-	// columns of active flows regardless of trace length, given that the
-	// table's rows are released as flows go quiet — see Table for who
-	// does that. Defaults to DefaultStreamWindow.
+	// columns of active flows regardless of trace length: the
+	// accumulator releases a flow's row in its own table once the flow
+	// has been quiet for W closes, or 15 if W is smaller. Defaults to
+	// DefaultStreamWindow.
 	Window int
-	// Table is the flow identity table prefixes are interned against —
-	// pass the consuming pipeline's table (core.Pipeline.Table) so
-	// emitted snapshots carry IDs the classifier can index directly.
-	// That needs the pipeline stepped on the accumulator's goroutine, which
-	// no production path does any more (engine.LivePipeline, under both
-	// RunStreaming and the daemon, classifies on a stage of its own and
-	// leaves Table nil); the benchmark harness's staged record path does.
-	// The accumulator raises a caller's table's quarantine to at least
-	// Window, so an ID released downstream can never be re-bound while an
-	// open slot still references it, and otherwise leaves the table's
-	// lifecycle to the caller: the classifier releases rows as it evicts
-	// flows and the pipeline ticks the quarantine clock.
-	// Nil allocates a private table, whose rows nobody else can release:
-	// the accumulator then releases a flow's row itself when the newest
-	// interval that touched the flow closes, and ticks the clock once per
-	// closed interval, so the table tracks the flows of the last
-	// quarantine's worth of intervals rather than every flow ever seen.
+	// Table is ignored. The accumulator interns into a table of its own
+	// (StreamAccumulator.Table) and emits columns stamped with it; a
+	// core.Pipeline translates such a column into its own table as it
+	// steps it (FillIDs), on whichever goroutine drives it. The field is
+	// kept only so the benchmark harness's staged path, which still sets
+	// it, compiles; it goes with that caller.
 	Table *core.FlowTable
 }
 
@@ -157,15 +147,11 @@ type StreamAccumulator struct {
 	newest     int64 // newest bit-carrying instant accepted past the far-future gate; -1 before any
 	table      *core.FlowTable
 	slots      []streamSlot
-	// privateTable marks a private table (StreamConfig.Table nil), whose
-	// rows the accumulator releases itself. lastSeen is kept only then:
-	// per dense ID, the newest interval that touched the flow. A row is
-	// released when that interval closes, so a flow recurring every
-	// interval is never released at all — releasing and resurrecting it
-	// each close would churn the table's pending list and put a map
-	// operation back on the steady-state path.
-	privateTable bool
-	lastSeen     []int
+	// lastSeen is, per dense ID, the newest interval that touched the
+	// flow; quiet is the ring of per-close lists of flows gone quiet,
+	// allocated at the first close (see releaseQuiet).
+	lastSeen []int
+	quiet    [][]uint32
 
 	snap  *core.FlowSnapshot // reused emission buffer
 	stats StreamStats
@@ -190,32 +176,18 @@ func NewStreamAccumulator(cfg StreamConfig) (*StreamAccumulator, error) {
 		secs:       cfg.Interval.Seconds(),
 		maxTouched: -1,
 		newest:     -1,
-		table:      cfg.Table,
+		table:      core.NewFlowTable(),
 		slots:      make([]streamSlot, cfg.Window),
 		snap:       core.NewFlowSnapshot(0),
 	}
 	for i := range a.slots {
 		a.slots[i].gen = 1
 	}
-	if a.table == nil {
-		a.table = core.NewFlowTable()
-		a.privateTable = true
-		// One tick more than the window keeps a row released at close g
-		// bound until every interval open after that close (g+1 … g+Window)
-		// has closed too: a straggler of the same flow landing in any of
-		// them resurrects the row — same ID, no new binding, no rank
-		// rebuild — instead of minting another.
-		a.table.EnsureQuarantine(cfg.Window + 1)
-	} else {
-		// A released ID must survive long enough for every open slot that
-		// might hold its bits to close, or those bits would be emitted
-		// under a recycled identity.
-		a.table.EnsureQuarantine(cfg.Window)
-	}
 	return a, nil
 }
 
-// Table returns the flow identity table the accumulator interns into.
+// Table returns the accumulator's own flow identity table, the one it
+// interns into and releases from.
 func (a *StreamAccumulator) Table() *core.FlowTable { return a.table }
 
 // Start returns the resolved left edge of interval 0 — the configured
@@ -363,13 +335,11 @@ func (a *StreamAccumulator) add(rec *Record) error {
 	// One intern per record, shared by every interval the span touches; a
 	// keyed record's is a verified table probe, not a hash.
 	id := a.table.InternKeyed(rec.Prefix, rec.Key)
-	if a.privateTable {
-		if int(id) >= len(a.lastSeen) {
-			a.lastSeen = append(a.lastSeen, make([]int, a.table.Cap()-len(a.lastSeen))...)
-		}
-		// end is the last interval the record's bits reach.
-		a.lastSeen[id] = max(a.lastSeen[id], end)
+	if int(id) >= len(a.lastSeen) {
+		a.lastSeen = append(a.lastSeen, make([]int, a.table.Cap()-len(a.lastSeen))...)
 	}
+	// end is the last interval the record's bits reach.
+	a.lastSeen[id] = max(a.lastSeen[id], end)
 	spreadRecord(off, span, rec.Bits, a.interval, a.base, a.base+a.cfg.Window, func(t int, bits float64) {
 		a.addBits(id, t, bits)
 	})
@@ -415,17 +385,7 @@ func (a *StreamAccumulator) closeOldest() error {
 	}
 	a.stats.Closed++
 	a.stats.EvictedFlows += uint64(len(sl.dirty))
-	if a.privateTable {
-		// Only flows whose newest bits are in the closing interval go
-		// quiet; anything touched by a later (still open) interval stays
-		// live and is reconsidered at that close.
-		for _, id := range sl.dirty {
-			if a.lastSeen[id] == g {
-				a.table.Release(id)
-			}
-		}
-		a.table.Advance()
-	}
+	a.releaseQuiet(g, sl.dirty)
 	// Recycle the slot for interval g+Window: bumping the generation
 	// invalidates every cell at once, so steady-state accumulation
 	// neither clears columns nor allocates.
@@ -440,6 +400,37 @@ func (a *StreamAccumulator) closeOldest() error {
 		return a.Emit(g, a.snap)
 	}
 	return nil
+}
+
+// minQuietCloses is the fewest closes a quiet flow's row outlives the
+// flow. Rows of flows that pause for a few intervals are then not
+// re-bound, each re-binding costing a rank rebuild at the next close: at
+// Window's 12 closes alone stream_replay ran at 0.57× the records/s.
+const minQuietCloses = 15
+
+// releaseQuiet files the flows that go quiet at close g — whose newest
+// bits are in the closing interval — and releases the rows of those
+// that went quiet at close g-grace and have not been touched since: a
+// flow back within the grace period keeps its row and ID. grace >=
+// Window, so no open slot can hold bits of a released row.
+func (a *StreamAccumulator) releaseQuiet(g int, dirty []uint32) {
+	if a.quiet == nil {
+		a.quiet = make([][]uint32, max(a.cfg.Window, minQuietCloses)+1)
+	}
+	grace := len(a.quiet) - 1
+	due := &a.quiet[(g+1)%len(a.quiet)] // filed at close g-grace
+	for _, id := range *due {
+		if a.lastSeen[id] == g-grace {
+			a.table.Release(id)
+		}
+	}
+	*due = (*due)[:0]
+	now := &a.quiet[g%len(a.quiet)]
+	for _, id := range dirty {
+		if a.lastSeen[id] == g {
+			*now = append(*now, id)
+		}
+	}
 }
 
 // Flush closes every remaining interval through the last one that

@@ -290,11 +290,11 @@ func churnRecords(intervals, anchors, churners int, iv time.Duration) []Record {
 	return recs
 }
 
-// TestStreamRowReleaseMatchesSeries drives a private-table accumulator
-// through enough closes under churn that the rows it releases are
-// quarantined, freed and re-bound to other prefixes, and requires
-// bit-equality with batch throughout: a recycled ID must never carry
-// one flow's bits out under another's prefix.
+// TestStreamRowReleaseMatchesSeries drives an accumulator through
+// enough closes under churn that the rows it releases are freed and
+// re-bound to other prefixes, and requires bit-equality with batch
+// throughout: a recycled ID must never carry one flow's bits out under
+// another's prefix.
 func TestStreamRowReleaseMatchesSeries(t *testing.T) {
 	const intervals = 40
 	iv := time.Minute
@@ -321,12 +321,13 @@ func TestStreamRowReleaseMatchesSeries(t *testing.T) {
 	}
 }
 
-// TestStreamRowReleaseBoundsTable: an accumulator that owns its table
-// releases a flow's row once the newest interval that touched the flow
-// has closed, so the table follows the flows of the last quarantine's
-// worth of intervals, not every prefix the link ever carried — while a
-// flow that recurs every interval keeps its row and its ID. A caller's
-// table is the caller's to release: the accumulator leaves it whole.
+// TestStreamRowReleaseBoundsTable: the accumulator releases a flow's
+// row in its own table once the flow has been quiet for max(Window, 15)
+// closes, so the table follows the flows of the last few intervals,
+// not every prefix the link ever carried — while a flow that recurs
+// every interval keeps its row and its ID. A caller's Table is
+// ignored: the columns arrive stamped with the accumulator's own table,
+// and nothing is interned into or released from the caller's.
 func TestStreamRowReleaseBoundsTable(t *testing.T) {
 	const (
 		iv       = time.Minute
@@ -336,21 +337,24 @@ func TestStreamRowReleaseBoundsTable(t *testing.T) {
 	)
 	anchor := netip.MustParsePrefix("10.0.0.0/24")
 	// run streams the trace and checks, at every close, that the anchor
-	// still holds the ID it had at the first; it returns the table and
-	// the most rows it held at any close.
-	run := func(t *testing.T, table *core.FlowTable, recs []Record) (tb *core.FlowTable, maxLen int) {
+	// still holds the ID it had at the first; it returns the accumulator
+	// and the most rows its table held at any close.
+	run := func(t *testing.T, table *core.FlowTable, recs []Record) (acc *StreamAccumulator, maxLen int) {
 		acc, err := NewStreamAccumulator(StreamConfig{Start: start, Interval: iv, Window: window, Table: table})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var anchorID uint32
-		acc.Emit = func(tt int, _ *core.FlowSnapshot) error {
+		acc.Emit = func(tt int, snap *core.FlowSnapshot) error {
 			id, ok := acc.Table().Lookup(anchor)
 			if tt == 0 {
 				anchorID = id
 			}
 			if !ok || id != anchorID {
 				t.Fatalf("close %d: anchor has ID %d (bound: %v), want %d", tt, id, ok, anchorID)
+			}
+			if snap.IDTable() != acc.Table() {
+				t.Fatalf("close %d: column stamped %p, want the accumulator's table %p", tt, snap.IDTable(), acc.Table())
 			}
 			maxLen = max(maxLen, acc.Table().Len())
 			return nil
@@ -363,7 +367,7 @@ func TestStreamRowReleaseBoundsTable(t *testing.T) {
 		if err := acc.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		return acc.Table(), maxLen
+		return acc, maxLen
 	}
 
 	t.Run("recurring flows keep their rows", func(t *testing.T) {
@@ -375,27 +379,90 @@ func TestStreamRowReleaseBoundsTable(t *testing.T) {
 	const intervals = 20000 / churners
 	churn := churnRecords(intervals, anchors, churners, iv)
 	t.Run("private table follows the live flows", func(t *testing.T) {
-		tb, _ := run(t, nil, churn)
-		if bound := (int(tb.Quarantine()) + 1) * (anchors + churners); tb.Len() > bound {
-			t.Errorf("table holds %d rows after %d one-interval flows, want <= %d", tb.Len(), intervals*churners, bound)
+		// At a close the table holds the anchors, the churners of the
+		// grace intervals up to the one sealed (quiet, not yet released),
+		// and those of the open intervals.
+		grace := max(window, 15) // StreamConfig.Window's documented floor
+		acc, maxLen := run(t, nil, churn)
+		if bound := anchors + (grace+window)*churners; maxLen > bound {
+			t.Errorf("table held up to %d rows over %d one-interval flows, want <= %d", maxLen, intervals*churners, bound)
+		}
+		if want := anchors + grace*churners; acc.Table().Len() != want {
+			t.Errorf("table holds %d rows after the flush, want %d: the anchors and the last %d intervals' churners", acc.Table().Len(), want, grace)
 		}
 	})
 	t.Run("caller's table is left whole", func(t *testing.T) {
-		// A row the caller released stays quarantined unless somebody ticks
-		// the clock; rows somebody else released go once the caller does.
 		tb := core.NewFlowTable()
-		tb.Release(tb.Intern(pfxB))
-		run(t, tb, churn)
-		if _, ok := tb.Lookup(pfxB); !ok {
-			t.Error("the accumulator advanced the caller's quarantine clock")
+		tb.Intern(pfxB)
+		acc, _ := run(t, tb, churn)
+		if id, ok := tb.Lookup(pfxB); tb.Len() != 1 || tb.Cap() != 1 || !ok || id != 0 {
+			t.Errorf("caller's table holds %d rows in %d IDs, want only its own pfxB at 0", tb.Len(), tb.Cap())
 		}
-		for i := uint64(0); i <= tb.Quarantine(); i++ {
-			tb.Advance()
-		}
-		if want := anchors + intervals*churners; tb.Len() != want {
-			t.Errorf("caller's table holds %d rows, want every flow of the trace still bound: %d", tb.Len(), want)
+		if want := anchors + max(window, 15)*churners; acc.Table().Len() != want {
+			t.Errorf("accumulator's table holds %d rows after the flush, want %d as without a caller's table", acc.Table().Len(), want)
 		}
 	})
+}
+
+// TestStreamQuietFlowGrace: a flow last touched in interval 0 goes
+// quiet at close 0, and its row is released at close grace =
+// max(Window, 15): every interval open after close 0 has
+// closed by then. A straggler or a returning flow reaching it before
+// then reuses the row, its ID unchanged, and keeps it past close grace;
+// after it, the freed ID goes to the next new flow. Every column is
+// stamped with the accumulator's own table.
+func TestStreamQuietFlowGrace(t *testing.T) {
+	const iv = time.Minute
+	for _, window := range []int{3, 17} {
+		grace := max(window, 15) // StreamConfig.Window's documented floor
+		for k := 1; k <= grace+window+1; k++ {
+			t.Run(fmt.Sprintf("window=%d/back in interval %d", window, k), func(t *testing.T) {
+				at := start.Add(time.Duration(k)*iv + time.Second)
+				var idA, idB, idA2 uint32
+				acc, got := collectStreamVia(t, StreamConfig{Start: start, Interval: iv, Window: window}, func(acc *StreamAccumulator) error {
+					collect := acc.Emit
+					acc.Emit = func(g int, snap *core.FlowSnapshot) error {
+						if snap.IDTable() != acc.Table() {
+							t.Fatalf("close %d: column stamped %p, want the accumulator's table %p", g, snap.IDTable(), acc.Table())
+						}
+						return collect(g, snap)
+					}
+					if err := acc.Add(Record{Prefix: pfxA, Time: start, Bits: 60}); err != nil {
+						return err
+					}
+					idA, _ = acc.Table().Lookup(pfxA)
+					// pfxB closes intervals up to k-window; pfxA returns in k.
+					if err := acc.Add(Record{Prefix: pfxB, Time: at, Bits: 120}); err != nil {
+						return err
+					}
+					idB, _ = acc.Table().Lookup(pfxB)
+					if err := acc.Add(Record{Prefix: pfxA, Time: at, Bits: 180}); err != nil {
+						return err
+					}
+					idA2, _ = acc.Table().Lookup(pfxA)
+					return nil
+				})
+				released := k-window >= grace // close grace has run
+				if kept := idA2 == idA; kept == released {
+					t.Errorf("pfxA had ID %d, returns with %d after closes 0…%d; want it kept: %v", idA, idA2, k-window, !released)
+				}
+				if released && idB != idA {
+					t.Errorf("pfxB got ID %d, want pfxA's freed %d", idB, idA)
+				}
+				if len(got) != k+1 {
+					t.Fatalf("emitted %d intervals, want %d", len(got), k+1)
+				}
+				last := got[k]
+				if last.Len() != 2 || last.Key(0) != pfxA || last.Bandwidth(0) != 3 || last.Key(1) != pfxB || last.Bandwidth(1) != 2 {
+					t.Errorf("interval %d = %v %v, want pfxA at 3, pfxB at 2", k, last.Keys(), last.Bandwidths())
+				}
+				// Flushed through k: both flows quiet, neither released yet.
+				if id, ok := acc.Table().Lookup(pfxA); !ok || id != idA2 {
+					t.Errorf("after the flush pfxA has ID %d (bound %v), want %d", id, ok, idA2)
+				}
+			})
+		}
+	}
 }
 
 // TestStreamEmitError: an Emit error aborts the Add/Flush that
@@ -437,16 +504,16 @@ func TestStreamEmitError(t *testing.T) {
 
 // TestAddBatchRecycleMidSlab: the flow behind a key can change in the
 // middle of one AddBatch call. The slab's second record closes so many
-// intervals that the flow behind key 7 is released, its quarantine
-// expires and its ID is bound to another prefix, after which key 7
-// arrives with a new prefix and with the old one again, twice. Anything
-// AddBatch resolved for the slab ahead of that record — a key's slot, the
-// row it names, an ID — would be stale by then, so snapshots, counters
-// and the table must come out as the Add loop leaves them. Once with the
-// accumulator's own table (it releases the rows) and once with a
-// caller's table whose consumer releases every emitted flow.
+// intervals that the flow behind key 7 is released and its ID is bound
+// to another prefix, after which key 7 arrives with a new prefix and
+// with the old one again, twice. Anything AddBatch resolved for the
+// slab ahead of that record — a key's slot, the row it names, an ID —
+// would be stale by then, so snapshots, counters and the table must
+// come out as the Add loop leaves them. Once without a caller's table
+// and once naming one, which changes nothing: the columns carry the
+// accumulator's own IDs and the caller's table stays empty.
 func TestAddBatchRecycleMidSlab(t *testing.T) {
-	const jump = 40 // intervals: past DefaultQuarantine for the shared table
+	const jump = 40 // intervals: past the accumulator's release, 15 closes at Window 2
 	later := start.Add(jump * time.Minute)
 	first := Record{Prefix: pfxA, Key: 7, Time: start, Bits: 600}
 	slab := []Record{
@@ -459,24 +526,21 @@ func TestAddBatchRecycleMidSlab(t *testing.T) {
 	}
 	for _, shared := range []bool{false, true} {
 		t.Run(fmt.Sprintf("shared=%v", shared), func(t *testing.T) {
+			var callerTables []*core.FlowTable
 			run := func(batch bool) (*StreamAccumulator, []*core.FlowSnapshot, uint32) {
 				cfg := StreamConfig{Start: start, Interval: time.Minute, Window: 2}
 				if shared {
 					cfg.Table = core.NewFlowTable()
+					callerTables = append(callerTables, cfg.Table)
 				}
 				var firstID uint32
 				acc, snaps := collectStreamVia(t, cfg, func(a *StreamAccumulator) error {
-					if shared {
-						// The consumer a shared table expects: it releases the
-						// flows it is shown and ticks the quarantine clock.
-						collect := a.Emit
-						a.Emit = func(g int, snap *core.FlowSnapshot) error {
-							for _, id := range snap.IDs() {
-								a.Table().Release(id)
-							}
-							a.Table().Advance()
-							return collect(g, snap)
+					collect := a.Emit
+					a.Emit = func(g int, snap *core.FlowSnapshot) error {
+						if snap.IDTable() != a.Table() {
+							t.Errorf("interval %d: column stamped %p, want the accumulator's table %p", g, snap.IDTable(), a.Table())
 						}
+						return collect(g, snap)
 					}
 					if err := a.Add(first); err != nil {
 						return err
@@ -524,6 +588,9 @@ func TestAddBatchRecycleMidSlab(t *testing.T) {
 			if bacc.Table().Len() != acc.Table().Len() || bacc.Table().Cap() != acc.Table().Cap() {
 				t.Errorf("AddBatch leaves a table of %d rows in %d IDs, Add loop %d in %d",
 					bacc.Table().Len(), bacc.Table().Cap(), acc.Table().Len(), acc.Table().Cap())
+			}
+			if shared && (callerTables[0].Cap() != 0 || callerTables[1].Cap() != 0) {
+				t.Errorf("the caller's tables hold %d and %d IDs, want none", callerTables[0].Cap(), callerTables[1].Cap())
 			}
 		})
 	}

@@ -120,8 +120,8 @@ func (c *refLatentHeat) Classify(snap *FlowSnapshot, thresholdHat float64) Verdi
 
 // equivInterval builds one random interval: a sorted snapshot over a
 // subset of the flow pool. Flows idle with probability pIdle, and a few
-// flows get long forced-idle stretches so eviction and post-eviction
-// resurrection are exercised.
+// flows get long forced-idle stretches so eviction and readmission
+// after it are exercised.
 func equivInterval(rng *rand.Rand, pool []netip.Prefix, t int, integerBw bool) *FlowSnapshot {
 	s := NewFlowSnapshot(len(pool))
 	for i, p := range pool {
@@ -162,7 +162,7 @@ func verdictsEqual(a, b Verdict) bool {
 
 // TestLatentHeatEquivalence drives the columnar ID-indexed classifier
 // and the prefix-keyed reference through identical random interval
-// sequences — idle phases, evictions, resurrections — and requires
+// sequences — idle phases, evictions, readmissions — and requires
 // identical verdicts every interval. The integer-bandwidth runs make
 // the float arithmetic exact, so the incremental window sum must agree
 // with the reference's O(W) re-sum to the last bit; the continuous runs

@@ -29,7 +29,7 @@ func classifySet(c Classifier, s *FlowSnapshot, theta float64) ElephantSet {
 
 // tabled drives a latent-heat classifier the way Pipeline.Step does,
 // on a private table: each Classify stamps the snapshot's ID column
-// from the table first and ticks the table's quarantine clock after.
+// from the table first.
 type tabled struct {
 	*LatentHeatClassifier
 }
@@ -46,9 +46,7 @@ func newTabled(t testing.TB, window int) tabled {
 
 func (c tabled) Classify(s *FlowSnapshot, thresholdHat float64) Verdict {
 	c.table.FillIDs(s)
-	v := c.LatentHeatClassifier.Classify(s, thresholdHat)
-	c.table.Advance()
-	return v
+	return c.LatentHeatClassifier.Classify(s, thresholdHat)
 }
 
 func TestSingleFeatureStrictExceed(t *testing.T) {

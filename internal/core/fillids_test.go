@@ -29,29 +29,28 @@ type fillProducer struct {
 	active [16]bool
 }
 
-// Op bytes of FuzzFillIDsForeign: kind in the top three bits, pool
-// index in the low four; bit 4 picks the second producer (or, for
-// fOpBare, the ID column without a stamp).
+// Op bytes of FuzzFillIDsForeign: kind in the top three bits, modulo
+// the six kinds (6 and 7 repeat 0 and 1), pool index in the low four;
+// bit 4 picks the second producer (or, for fOpBare, the ID column
+// without a stamp).
 const (
 	fOpIntern   = 0 << 5 // producer interns pool[k]; the flow is active
 	fOpRelease  = 1 << 5 // producer releases pool[k] if bound; inactive
-	fOpAdvance  = 2 << 5 // producer quarantine tick
-	fOpEmit     = 3 << 5 // producer emits its active flows → CopyFrom → FillIDs
-	fOpConsRel  = 4 << 5 // consumer releases pool[k] if bound, as a classifier evicts
-	fOpConsAdv  = 5 << 5 // consumer quarantine tick, as Pipeline.Step ends
-	fOpBare     = 6 << 5 // first producer's flows emitted with no ID column, or an unstamped one
-	fOpIdle     = 7 << 5 // producer's pool[k] goes quiet but keeps its ID
+	fOpEmit     = 2 << 5 // producer emits its active flows → CopyFrom → FillIDs
+	fOpConsRel  = 3 << 5 // consumer releases pool[k] if bound, as a classifier evicts
+	fOpBare     = 4 << 5 // first producer's flows emitted with no ID column, or an unstamped one
+	fOpIdle     = 5 << 5 // producer's pool[k] goes quiet but keeps its ID
 	fOpSecond   = 1 << 4
 	fPinnedFlag = 1
 )
 
-// FuzzFillIDsForeign drives two producer tables (intern, release,
-// quarantine expiry, an ID recycled to another prefix) and one consumer
-// table (classifier-style Release and Advance; pinned when the first
-// byte's low bit is set) from one op stream. Every emitted snapshot
-// crosses CopyFrom, which must carry the ID column and the producer's
-// stamp, and is then filled twice: by FillIDs on the consumer and by
-// the map-only fillIDsByMap on a second consumer kept in lockstep.
+// FuzzFillIDsForeign drives two producer tables (intern, release, an
+// ID recycled to another prefix) and one consumer table
+// (classifier-style Release; pinned when the first byte's low bit is
+// set) from one op stream. Every emitted snapshot crosses CopyFrom,
+// which must carry the ID column and the producer's stamp, and is then
+// filled twice: by FillIDs on the consumer and by the map-only
+// fillIDsByMap on a second consumer kept in lockstep.
 // After every fill each ids[i] must equal Lookup(keys[i]), the two
 // columns must be equal, and the two tables must be in the same state
 // (bindings, lifecycle states, free list) — identical, not equivalent.
@@ -61,15 +60,15 @@ const (
 // free slot holds — the one key that tells "bound to p" from "free".
 func FuzzFillIDsForeign(f *testing.F) {
 	// Producer recycles an ID to another prefix between two emissions.
-	f.Add([]byte{0, fOpIntern | 1, fOpIntern | 2, fOpEmit, fOpRelease | 1, fOpAdvance, fOpAdvance, fOpAdvance, fOpIntern | 3, fOpEmit, fOpEmit})
+	f.Add([]byte{0, fOpIntern | 1, fOpIntern | 2, fOpEmit, fOpRelease | 1, fOpIntern | 3, fOpEmit, fOpEmit})
 	// Consumer frees the zero prefix's ID; the producer still sends it.
-	f.Add([]byte{0, fOpIntern | 0, fOpIntern | 1, fOpEmit, fOpConsRel | 0, fOpConsAdv, fOpConsAdv, fOpConsAdv, fOpEmit, fOpEmit})
+	f.Add([]byte{0, fOpIntern | 0, fOpIntern | 1, fOpEmit, fOpConsRel | 0, fOpEmit, fOpEmit})
 	// The second producer's column arrives after the first one's.
 	f.Add([]byte{0, fOpIntern | 1, fOpIntern | 2, fOpIntern | 3, fOpEmit, fOpSecond | fOpIntern | 1, fOpSecond | fOpEmit, fOpEmit, fOpSecond | fOpEmit})
-	// Consumer quarantines a flow that then returns (resurrected by a
-	// hit), recycles another's ID to a third prefix; pinned likewise.
-	f.Add([]byte{0, fOpIntern | 1, fOpIntern | 2, fOpEmit, fOpConsRel | 1, fOpEmit, fOpConsRel | 2, fOpIdle | 2, fOpConsAdv, fOpConsAdv, fOpConsAdv, fOpIntern | 5, fOpEmit, fOpIntern | 2, fOpEmit})
-	f.Add([]byte{fPinnedFlag, fOpIntern | 1, fOpIntern | 2, fOpEmit, fOpConsRel | 1, fOpConsAdv, fOpConsAdv, fOpConsAdv, fOpRelease | 2, fOpAdvance, fOpAdvance, fOpAdvance, fOpIntern | 7, fOpEmit, fOpBare, fOpSecond | fOpBare, fOpEmit})
+	// Consumer frees a flow that then returns (a stale translation
+	// entry), recycles another's ID to a third prefix; pinned likewise.
+	f.Add([]byte{0, fOpIntern | 1, fOpIntern | 2, fOpEmit, fOpConsRel | 1, fOpEmit, fOpConsRel | 2, fOpIdle | 2, fOpIntern | 5, fOpEmit, fOpIntern | 2, fOpEmit})
+	f.Add([]byte{fPinnedFlag, fOpIntern | 1, fOpIntern | 2, fOpEmit, fOpConsRel | 1, fOpRelease | 2, fOpIntern | 7, fOpEmit, fOpBare, fOpSecond | fOpBare, fOpEmit})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
@@ -78,13 +77,8 @@ func FuzzFillIDsForeign(f *testing.F) {
 		for i := 1; i < len(pool); i++ {
 			pool[i] = pfx(i)
 		}
-		newTable := func() *FlowTable {
-			tb := NewFlowTable()
-			tb.quarantine = 2 // short quarantine: more recycling per op budget
-			return tb
-		}
-		producers := [2]*fillProducer{{tb: newTable()}, {tb: newTable()}}
-		cons, ref := newTable(), newTable()
+		producers := [2]*fillProducer{{tb: NewFlowTable()}, {tb: NewFlowTable()}}
+		cons, ref := NewFlowTable(), NewFlowTable()
 		if ops[0]&fPinnedFlag != 0 {
 			cons.Pin()
 			ref.Pin()
@@ -95,7 +89,8 @@ func FuzzFillIDsForeign(f *testing.F) {
 		for i, op := range ops[1:] {
 			pr := producers[op>>4&1]
 			k := int(op & 0x0f)
-			switch op &^ 0x1f {
+			kind := (op >> 5) % 6 << 5
+			switch kind {
 			case fOpIntern:
 				pr.tb.Intern(pool[k])
 				pr.active[k] = true
@@ -104,8 +99,6 @@ func FuzzFillIDsForeign(f *testing.F) {
 					pr.tb.Release(id)
 				}
 				pr.active[k] = false
-			case fOpAdvance:
-				pr.tb.Advance()
 			case fOpIdle:
 				pr.active[k] = false
 			case fOpConsRel:
@@ -113,11 +106,8 @@ func FuzzFillIDsForeign(f *testing.F) {
 					cons.Release(id)
 					ref.Release(id)
 				}
-			case fOpConsAdv:
-				cons.Advance()
-				ref.Advance()
 			case fOpEmit, fOpBare:
-				bare := op&^0x1f == fOpBare
+				bare := kind == fOpBare
 				if bare {
 					pr = producers[0]
 				}

@@ -7,54 +7,35 @@ import (
 	"slices"
 )
 
-// DefaultQuarantine is the default number of Advance ticks a released ID
-// stays resolvable (and un-reusable) before it is recycled. It must be
-// at least the widest open-interval window of any producer sharing the
-// table, so a recycled ID can never alias bits already accumulated for
-// its previous prefix; 16 covers agg.DefaultStreamWindow (12) with
-// headroom. Producers with wider windows raise it via EnsureQuarantine.
-const DefaultQuarantine = 16
-
 // Lifecycle states of an ID slot.
 const (
-	flowLive    uint8 = iota // interned, resolvable, in use
-	flowPending              // released, still resolvable, awaiting recycle
-	flowFree                 // on the free list, prefix cleared
+	flowLive uint8 = iota // interned, resolvable, in use
+	flowFree              // on the free list, prefix cleared
 )
 
 // FlowTable interns flow prefixes into dense uint32 IDs — the flow
-// identity layer of the hot path. One table is owned per pipeline (per
-// link): every component that keeps per-flow state across intervals
-// (stream accumulator slots, latent-heat history) indexes
-// flat columns by the table's IDs instead of hashing 24-byte
-// netip.Prefix keys per record and per flow per interval.
+// identity layer of the hot path. Every component that keeps per-flow
+// state across intervals (stream accumulator slots, latent-heat
+// history) indexes flat columns by the IDs of the table it owns instead
+// of hashing 24-byte netip.Prefix keys per record and per flow per
+// interval.
 //
-// An ID is stable from Intern until Release plus a quarantine of
-// Quarantine Advance ticks (one tick per closed interval, driven by the
-// table's owner). During quarantine the mapping stays intact: Lookup
-// and PrefixOf still resolve it, and re-interning the same prefix
-// resurrects the ID instead of allocating a new one. Only after the
-// quarantine expires is the mapping dropped and the ID pushed onto the
-// free list for reuse by a different prefix. The quarantine is what
-// makes classifier-driven eviction safe while an accumulator with open
-// intervals shares the table: a released flow's bits already spread
-// into open slots are still attributed to the right prefix when those
-// slots close, because the ID cannot be re-bound before every slot that
-// might reference it has been emitted.
+// A table has one owner, and only the owner interns into it or
+// releases from it: an ID is stable from Intern until its owner's
+// Release, which drops the mapping and puts the ID on the free list for
+// the next new prefix at once. An owner releases a flow only once no
+// state of its own still names the ID. A column that crosses to another
+// owner — a stream accumulator's sealed interval, carried into a
+// pipeline — is translated into that owner's table by FillIDs, never
+// indexed as it came.
 //
-// A FlowTable is single-goroutine, like the pipeline that owns it.
+// A FlowTable is single-goroutine, like the owner that drives it.
 type FlowTable struct {
 	ids      map[netip.Prefix]uint32
 	prefixes []netip.Prefix // id -> prefix; zero value for free slots
 	state    []uint8        // id -> lifecycle state
-	relTick  []uint64       // id -> tick of the latest Release
-	free     []uint32       // recyclable IDs (quarantine expired)
-
-	pending     []pendingRelease // FIFO by tick
-	pendingHead int
-	tick        uint64
-	quarantine  uint64
-	pinned      bool
+	free     []uint32       // released IDs, reused before the ID space grows
+	pinned   bool
 
 	// Lazily rebuilt prefix-rank column: ranks[id] is the position of
 	// the ID's prefix in ComparePrefix order over all bound IDs, so
@@ -92,47 +73,22 @@ type FlowTable struct {
 	foreignIDs []uint32
 }
 
-type pendingRelease struct {
-	id   uint32
-	tick uint64
-}
-
-// NewFlowTable returns an empty table with the default quarantine.
+// NewFlowTable returns an empty table.
 func NewFlowTable() *FlowTable {
-	return &FlowTable{
-		ids:        make(map[netip.Prefix]uint32),
-		quarantine: DefaultQuarantine,
-	}
+	return &FlowTable{ids: make(map[netip.Prefix]uint32)}
 }
 
-// Len reports the number of interned mappings (live plus quarantined).
+// Len reports the number of interned mappings.
 func (tb *FlowTable) Len() int { return len(tb.ids) }
 
 // Cap reports the ID space size: every ID ever handed out is below Cap,
 // so Cap is the length ID-indexed columns must be grown to.
 func (tb *FlowTable) Cap() int { return len(tb.prefixes) }
 
-// Quarantine returns the current quarantine length in Advance ticks.
-func (tb *FlowTable) Quarantine() uint64 { return tb.quarantine }
-
-// EnsureQuarantine raises the quarantine to at least q ticks (it never
-// lowers it): producers call it with their open-interval window when
-// they attach to a shared table.
-func (tb *FlowTable) EnsureQuarantine(q int) {
-	if q > 0 && uint64(q) > tb.quarantine {
-		tb.quarantine = uint64(q)
-	}
-}
-
-// Intern returns the prefix's dense ID, assigning one on first sight.
-// Re-interning a quarantined prefix resurrects its old ID, so a flow
-// that falls idle, is evicted and returns within the quarantine keeps a
-// single identity.
+// Intern returns the prefix's dense ID, assigning one on first sight:
+// the most recently released ID if there is one, else a new one.
 func (tb *FlowTable) Intern(p netip.Prefix) uint32 {
 	if id, ok := tb.ids[p]; ok {
-		if tb.state[id] == flowPending {
-			tb.state[id] = flowLive
-		}
 		return id
 	}
 	var id uint32
@@ -145,7 +101,6 @@ func (tb *FlowTable) Intern(p netip.Prefix) uint32 {
 		id = uint32(len(tb.prefixes))
 		tb.prefixes = append(tb.prefixes, p)
 		tb.state = append(tb.state, flowLive)
-		tb.relTick = append(tb.relTick, 0)
 	}
 	tb.ids[p] = id
 	tb.bindGen++ // a new binding invalidates the rank column
@@ -176,7 +131,6 @@ func (tb *FlowTable) InternKeyed(p netip.Prefix, key uint32) uint32 {
 			}
 			id := uint32(e) - 1
 			if tb.prefixes[id] == p && tb.state[id] != flowFree {
-				tb.state[id] = flowLive // as Intern: a quarantined flow is resurrected
 				return id
 			}
 			id = tb.Intern(p)
@@ -304,11 +258,10 @@ func (tb *FlowTable) Prefixes() []netip.Prefix { return tb.prefixes }
 // classifier evicts the flow's state. Pinning cannot be undone.
 func (tb *FlowTable) Pin() { tb.pinned = true }
 
-// Release begins recycling an ID: the mapping stays resolvable for
-// Quarantine more Advance ticks, then the ID returns to the free list.
-// Releasing an already-pending ID restarts its quarantine. On a pinned
-// table Release is a no-op. Releasing a free ID is a programming error
-// and panics.
+// Release frees an ID: the mapping is dropped and the ID goes onto the
+// free list, to be bound to the next new prefix. On a pinned table
+// Release is a no-op. Releasing a free ID is a programming error and
+// panics.
 func (tb *FlowTable) Release(id uint32) {
 	if int(id) >= len(tb.state) || tb.state[id] == flowFree {
 		panic(fmt.Sprintf("core: FlowTable.Release of non-interned id %d", id))
@@ -316,36 +269,10 @@ func (tb *FlowTable) Release(id uint32) {
 	if tb.pinned {
 		return
 	}
-	tb.state[id] = flowPending
-	tb.relTick[id] = tb.tick
-	tb.pending = append(tb.pending, pendingRelease{id: id, tick: tb.tick})
-}
-
-// Advance ticks the quarantine clock — the table's owner calls it once
-// per closed interval — and finalises releases whose quarantine has
-// expired: their mapping is dropped and the ID becomes reusable.
-func (tb *FlowTable) Advance() {
-	tb.tick++
-	for tb.pendingHead < len(tb.pending) {
-		e := tb.pending[tb.pendingHead]
-		if e.tick+tb.quarantine > tb.tick {
-			break
-		}
-		tb.pendingHead++
-		// The entry is stale if the ID was resurrected (live again) or
-		// re-released later (a newer pending entry owns it).
-		if tb.state[e.id] == flowPending && tb.relTick[e.id] == e.tick {
-			delete(tb.ids, tb.prefixes[e.id])
-			tb.prefixes[e.id] = netip.Prefix{}
-			tb.state[e.id] = flowFree
-			tb.free = append(tb.free, e.id)
-		}
-	}
-	if tb.pendingHead > 64 && tb.pendingHead*2 >= len(tb.pending) {
-		n := copy(tb.pending, tb.pending[tb.pendingHead:])
-		tb.pending = tb.pending[:n]
-		tb.pendingHead = 0
-	}
+	delete(tb.ids, tb.prefixes[id])
+	tb.prefixes[id] = netip.Prefix{}
+	tb.state[id] = flowFree
+	tb.free = append(tb.free, id)
 }
 
 // FillIDs attaches the snapshot's ID column against this table, every
@@ -354,8 +281,9 @@ func (tb *FlowTable) Advance() {
 // coming from this table is left untouched, so consumers can never
 // index another table's IDs into their flow state. An unstamped
 // snapshot (batch Series emission, tests) is interned key by key. A
-// column stamped by another table — a pipelined producer's private
-// one, carried across the stage boundary by CopyFrom — is translated:
+// column stamped by another table — a stream accumulator's own, stepped
+// as emitted or carried across a stage boundary by CopyFrom — is
+// translated:
 // each foreign ID indexes the foreignIDs column, and the entry counts
 // only under InternKeyed's rule, so the prefix is hashed just on a
 // flow's first sight and after either side recycled its ID. Keys are
@@ -392,7 +320,6 @@ func (tb *FlowTable) translateIDs(s *FlowSnapshot) {
 		p := s.keys[i]
 		if e := tb.foreignIDs[fid]; e != 0 {
 			if id := e - 1; tb.prefixes[id] == p && tb.state[id] != flowFree {
-				tb.state[id] = flowLive // as Intern: a quarantined flow is resurrected
 				s.ids[i] = id
 				continue
 			}

@@ -34,83 +34,40 @@ func TestFlowTableInternLookup(t *testing.T) {
 	}
 }
 
-func TestFlowTableQuarantineRecycle(t *testing.T) {
+// TestFlowTableReleaseRecycles: Release drops the mapping at once and
+// the next new prefix is bound to the freed ID.
+func TestFlowTableReleaseRecycles(t *testing.T) {
 	tb := NewFlowTable()
-	tb.quarantine = 3 // in-package: shorten the default for the test
 	a, b := pfx(1), pfx(2)
 	ida := tb.Intern(a)
-
+	idb := tb.Intern(b)
 	tb.Release(ida)
-	// During quarantine the mapping must stay fully resolvable.
-	if id, ok := tb.Lookup(a); !ok || id != ida {
-		t.Fatalf("quarantined mapping lost: %d,%v", id, ok)
-	}
-	if tb.PrefixOf(ida) != a {
-		t.Fatal("quarantined PrefixOf lost")
-	}
-	tb.Advance()
-	tb.Advance()
-	// Still quarantined: a new prefix must NOT get the released ID.
-	if idb := tb.Intern(b); idb == ida {
-		t.Fatal("released ID re-bound inside its quarantine")
-	}
-	tb.Advance() // quarantine (3) expires here
-	if _, ok := tb.Lookup(a); ok {
-		t.Fatal("mapping survived quarantine expiry")
+	if _, ok := tb.Lookup(a); ok || tb.Len() != 1 {
+		t.Fatalf("released mapping still resolvable (Len %d)", tb.Len())
 	}
 	if p := tb.PrefixOf(ida); p != (netip.Prefix{}) {
 		t.Errorf("free ID %d resolves to %v, want the zero Prefix", ida, p)
 	}
+	if got := tb.Intern(b); got != idb {
+		t.Errorf("bound b moved from id %d to %d", idb, got)
+	}
 	if idc := tb.Intern(pfx(3)); idc != ida {
-		t.Errorf("expired ID %d not recycled (got %d)", ida, idc)
+		t.Errorf("released ID %d not recycled (got %d)", ida, idc)
 	}
-	if tb.PrefixOf(ida) != pfx(3) {
-		t.Error("recycled ID resolves to stale prefix")
+	if tb.PrefixOf(ida) != pfx(3) || tb.Cap() != 2 {
+		t.Errorf("recycled ID resolves to %v, Cap %d", tb.PrefixOf(ida), tb.Cap())
 	}
-}
-
-func TestFlowTableResurrection(t *testing.T) {
-	tb := NewFlowTable()
-	tb.quarantine = 4 // in-package: shorten the default for the test
-	a := pfx(7)
-	ida := tb.Intern(a)
-	tb.Release(ida)
-	tb.Advance()
-	// Re-intern during quarantine: same identity, release cancelled.
-	if got := tb.Intern(a); got != ida {
-		t.Fatalf("resurrection allocated new id %d (want %d)", got, ida)
-	}
-	for i := 0; i < 10; i++ {
-		tb.Advance()
-	}
-	// The stale pending entry must not have freed the resurrected ID.
-	if id, ok := tb.Lookup(a); !ok || id != ida {
-		t.Fatalf("resurrected mapping dropped by stale pending entry: %d,%v", id, ok)
-	}
-	// Re-release after resurrection starts a fresh quarantine.
-	tb.Release(ida)
-	tb.Advance()
-	if _, ok := tb.Lookup(a); !ok {
-		t.Fatal("fresh quarantine expired after one tick")
-	}
-	for i := 0; i < 4; i++ {
-		tb.Advance()
-	}
-	if _, ok := tb.Lookup(a); ok {
-		t.Fatal("re-release never expired")
+	if got := tb.Intern(a); got == ida || got == idb {
+		t.Errorf("returning a took bound id %d", got)
 	}
 }
 
 func TestFlowTablePinned(t *testing.T) {
 	tb := NewFlowTable()
-	tb.quarantine = 1 // in-package: shorten the default for the test
 	a := pfx(1)
 	ida := tb.Intern(a)
 	tb.Pin()
 	tb.Release(ida) // must be a no-op
-	for i := 0; i < 8; i++ {
-		tb.Advance()
-	}
 	if id, ok := tb.Lookup(a); !ok || id != ida {
 		t.Fatalf("pinned mapping recycled: %d,%v", id, ok)
 	}
@@ -155,21 +112,17 @@ func TestFlowTableRanks(t *testing.T) {
 }
 
 // TestFlowTableSortIDs: the comparison-free bitmap sweep and the direct
-// prefix sort are the same order, on a table with free and quarantined
-// IDs in it, whether the rank column is fresh or stale.
+// prefix sort are the same order, on a table with free and recycled IDs
+// in it, whether the rank column is fresh or stale.
 func TestFlowTableSortIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tb := NewFlowTable()
-	tb.quarantine = 1
 	for _, n := range rng.Perm(300) {
 		tb.Intern(pfx(n))
 	}
-	for n := 0; n < 300; n += 3 { // a third released, half of those recycled
+	for n := 0; n < 300; n += 3 { // a third released, 40 of those recycled
 		id, _ := tb.Lookup(pfx(n))
 		tb.Release(id)
-		if n%2 == 0 {
-			tb.Advance()
-		}
 	}
 	for n := 300; n < 340; n++ {
 		tb.Intern(pfx(n))
@@ -198,22 +151,15 @@ func TestFlowTableSortIDs(t *testing.T) {
 }
 
 // TestFlowTableInternKeyedStaleKey walks the one way a key can point at
-// the wrong flow — its ID was recycled to another prefix — and the one
-// way it can point at a flow that is going away.
+// the wrong flow: its ID was recycled to another prefix.
 func TestFlowTableInternKeyedStaleKey(t *testing.T) {
 	tb := NewFlowTable()
-	tb.quarantine = 1
 	a, b := pfx(1), pfx(2)
 	ida := tb.InternKeyed(a, 7)
 	if got := tb.InternKeyed(a, 7); got != ida {
 		t.Fatalf("keyed re-intern changed id: %d -> %d", ida, got)
 	}
 	tb.Release(ida)
-	if got := tb.InternKeyed(a, 7); got != ida || tb.state[ida] != flowLive {
-		t.Fatalf("keyed intern of a quarantined flow = id %d state %d, want id %d resurrected", got, tb.state[got], ida)
-	}
-	tb.Release(ida)
-	tb.Advance()
 	if idb := tb.Intern(b); idb != ida {
 		t.Fatalf("b got id %d, want the recycled %d", idb, ida)
 	}
@@ -277,40 +223,38 @@ func TestFillIDs(t *testing.T) {
 	}
 }
 
-// FuzzFlowTable drives random intern/release/advance sequences and
-// checks the structural invariants the hot path relies on: no
-// operation panics, Intern is a bijection over the bound IDs (two
-// resolvable prefixes never share an ID, and every resolvable mapping
-// round-trips through PrefixOf), and recycling can never leave a
-// recycled ID aliased by two live prefixes. Bits 4–5 of an intern op
-// pick how the prefix is interned: plainly, or through InternKeyed with
-// the prefix's own key, with a key four prefixes share (a route
-// replaced, or a key from another routing table), or with a key never
-// seen before and far above the table's size (which also fills the key
+// FuzzFlowTable drives random intern/release sequences and checks the
+// structural invariants the hot path relies on: no operation panics,
+// Intern is a bijection over the bound IDs (two resolvable prefixes
+// never share an ID, and every resolvable mapping round-trips through
+// PrefixOf), and recycling can never leave a recycled ID aliased by two
+// live prefixes. An op with bit 6 set releases the prefix its low four
+// bits name, if bound; bit 7 is unused. Bits 4–5 of an intern op pick
+// how the prefix is interned: plainly, or through InternKeyed with the
+// prefix's own key, with a key four prefixes share (a route replaced,
+// or a key from another routing table), or with a key never seen
+// before and far above the table's size (which also fills the key
 // table until it is emptied and resized); a fresh key of 0 is the "no
 // key" value. Whatever the key, InternKeyed must answer as the prefix
 // map does.
 func FuzzFlowTable(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 0x40, 0x80, 0, 0x41, 0x80, 0x80, 0x80, 0})
-	f.Add([]byte{5, 5, 0x45, 0x80, 0x45, 5, 0x80})
+	f.Add([]byte{0, 1, 2, 0x40, 0, 0x41, 0})
+	f.Add([]byte{5, 5, 0x45, 0x45, 5})
 	// Own key, released, recycled to another prefix, then the stale key.
-	f.Add([]byte{0x15, 0x45, 0x80, 0x80, 0x80, 0x06, 0x15, 0x16})
+	f.Add([]byte{0x15, 0x45, 0x06, 0x15, 0x16})
 	// One shared key walking over four prefixes, with and without it.
-	f.Add([]byte{0x20, 0x24, 0x28, 0x2c, 0x20, 0x04, 0x60, 0x80, 0x80, 0x24, 0x20})
+	f.Add([]byte{0x20, 0x24, 0x28, 0x2c, 0x20, 0x04, 0x60, 0x24, 0x20})
 	// Enough fresh keys to empty and resize the key table twice, own
 	// keys before, between and after.
 	f.Add(append(append(append([]byte{0x11, 0x12}, bytes.Repeat([]byte{0x31, 0x13, 0x32}, 15)...), 0x11, 0x12, 0x13), bytes.Repeat([]byte{0x34, 0x11}, 40)...))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tb := NewFlowTable()
-		tb.quarantine = 2 // short quarantine: more recycling per op budget
 		pool := make([]netip.Prefix, 16)
 		for i := range pool {
 			pool[i] = pfx(i)
 		}
 		for i, op := range ops {
 			switch {
-			case op&0x80 != 0:
-				tb.Advance()
 			case op&0x40 != 0:
 				if id, ok := tb.Lookup(pool[op&0x0f]); ok {
 					tb.Release(id)
@@ -356,7 +300,7 @@ func FuzzFlowTable(f *testing.F) {
 }
 
 // TestStepReintersForeignIDColumn is the regression pin for a producer
-// wired to its own private table (instead of sharing the pipeline's):
+// interning into a table of its own, as every stream accumulator does:
 // the emitted ID column is stamped with the foreign table, so the
 // pipeline must re-intern against its own table — indexing foreign IDs
 // used to panic (or worse, silently read another flow's history).
@@ -402,22 +346,6 @@ func TestStepReintersForeignIDColumn(t *testing.T) {
 	}
 	if _, ok := lh.LatentHeat(pfx(7)); !ok {
 		t.Fatal("heaviest flow unknown to the classifier after re-interning")
-	}
-}
-
-// TestEnsureQuarantineOnlyRaises: a producer's window raises the
-// quarantine; a shorter, zero or negative one leaves it alone.
-func TestEnsureQuarantineOnlyRaises(t *testing.T) {
-	tb := NewFlowTable()
-	for _, q := range []int{-1, 0, 1, DefaultQuarantine - 1} {
-		tb.EnsureQuarantine(q)
-	}
-	if got := tb.Quarantine(); got != DefaultQuarantine {
-		t.Errorf("quarantine %d after shorter windows, want %d", got, DefaultQuarantine)
-	}
-	tb.EnsureQuarantine(DefaultQuarantine + 4)
-	if got := tb.Quarantine(); got != DefaultQuarantine+4 {
-		t.Errorf("quarantine %d, want %d", got, DefaultQuarantine+4)
 	}
 }
 

@@ -88,9 +88,6 @@ func (w *LatentWindow) Observe(snap *FlowSnapshot) {
 		}
 		if lastSeen[id] == 0 {
 			w.liveIDs = append(w.liveIDs, id)
-			if w.table.state[id] == flowPending { // interned (by a sharing accumulator) before its release
-				w.table.state[id] = flowLive
-			}
 		}
 		lastSeen[id] = seen
 	}
@@ -148,9 +145,10 @@ func (w *LatentWindow) grow(n int) {
 	w.lastSeen = append(w.lastSeen, make([]int32, n-len(w.lastSeen))...)
 }
 
-// evict hands a flow's ID back to the table's quarantine. A flow is
-// evicted after evictWindows·W idle intervals, and each of the last W
-// zeroed one of its slots, so its history is already all zero (and
+// evict drops a flow's state and releases its ID in the table, free at
+// once for the next new prefix (a pinned table keeps it bound). A flow
+// is evicted after evictWindows·W idle intervals, and each of the last
+// W zeroed one of its slots, so its history is already all zero (and
 // winSum reset to 0 with nzSlots): a future flow admitted under this ID
 // starts from the history a brand-new flow gets.
 func (w *LatentWindow) evict(id uint32) {

@@ -87,9 +87,9 @@ type Pipeline struct {
 	t    int
 	// table is the pipeline's flow identity table: every prefix this
 	// link classifies is interned into a dense uint32 ID exactly once,
-	// and ID-aware classifiers index their per-flow columns by it.
-	// Producers that feed the pipeline (the engine's stream
-	// accumulators) share it so emitted snapshots carry IDs already.
+	// and ID-aware classifiers index their per-flow columns by it. The
+	// pipeline owns it: producers intern into tables of their own, and
+	// their columns are translated into this one (FillIDs).
 	table *FlowTable
 	// needIDs records whether the classifier consumes the ID column
 	// (latent heat, whose per-flow columns the table indexes);
@@ -121,10 +121,9 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// Table returns the pipeline's flow identity table. Producers feeding
-// this pipeline (stream accumulators) attach to it so that emitted
-// snapshots carry dense IDs and the classify path never hashes a
-// prefix; the table is single-goroutine, owned by whoever drives Step.
+// Table returns the pipeline's flow identity table. It is
+// single-goroutine, owned by whoever drives Step; producers intern into
+// tables of their own, whose columns Step translates into this one.
 func (p *Pipeline) Table() *FlowTable { return p.table }
 
 // StepSnapshot is the push-style entry point for streaming producers
@@ -221,10 +220,8 @@ func (p *Pipeline) Step(snap *FlowSnapshot) (Result, error) {
 	// ID-aware classifiers index their flow columns by the snapshot's
 	// dense IDs; batch producers emit plain prefix snapshots, so intern
 	// here (one table hit per active flow — the only hash on the whole
-	// classify path). Stream producers sharing p.table emit IDs already;
-	// a column stamped by a different table (a producer wired to its own
-	// private table, such as the accumulate stage of a LivePipeline) is
-	// translated by FillIDs rather than trusted.
+	// classify path). A column stamped by a stream accumulator's own
+	// table is translated by FillIDs rather than trusted.
 	if p.needIDs {
 		if !snap.HasIDs() || snap.IDTable() != p.table {
 			p.table.FillIDs(snap)
@@ -257,14 +254,8 @@ func (p *Pipeline) Step(snap *FlowSnapshot) (Result, error) {
 	}
 	res.Elephants = mergeElephantsArena(snap, v, &p.arena)
 
-	// Phase 2: fold θ(t) into the EWMA governing interval t+1, and tick
-	// the table's quarantine clock — released IDs become reusable only
-	// after enough intervals have closed that no open accumulator slot
-	// can still reference them.
+	// Phase 2: fold θ(t) into the EWMA governing interval t+1.
 	p.ewma.Update(res.RawThreshold)
-	if p.needIDs {
-		p.table.Advance()
-	}
 	p.t++
 	if obs != nil {
 		now := time.Now()

@@ -40,7 +40,7 @@ func ComparePrefix(a, b netip.Prefix) int {
 // FlowTable.FillIDs) aligned with the prefix column: ids[i] is the
 // FlowTable ID of keys[i]. The column is all-or-nothing — HasIDs
 // reports whether every row has one — and IDs are only meaningful
-// against the single table the producing pipeline owns.
+// against the table that stamped them (IDTable).
 type FlowSnapshot struct {
 	keys    []netip.Prefix
 	bw      []float64
@@ -179,7 +179,7 @@ func (s *FlowSnapshot) HasIDs() bool { return len(s.ids) == len(s.keys) }
 // SetIDTable stamps the table the ID column was interned against.
 // Producers filling via AppendID set it (FillIDs does it itself);
 // consumers use IDTable to reject columns that came from a different
-// pipeline's table — FillIDs rewrites them — instead of indexing
+// table — FillIDs translates them — instead of indexing
 // foreign IDs.
 func (s *FlowSnapshot) SetIDTable(tb *FlowTable) { s.idTable = tb }
 

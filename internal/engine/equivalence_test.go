@@ -92,20 +92,32 @@ func TestLivePipelineConservationAtDefaultBuffer(t *testing.T) {
 }
 
 // TestStreamEvictionRecyclingMatchesBatch runs the corpus through the
-// accumulator stepping each pipeline on the pipeline's table, and pins
-// that the corpus makes some table bind a released ID to another prefix.
+// accumulator stepping each pipeline on its goroutine, and pins that the
+// corpus makes each of the two tables — the accumulator's, which
+// releases quiet flows, and the pipeline's, whose classifier evicts —
+// bind a released ID to another prefix.
 func TestStreamEvictionRecyclingMatchesBatch(t *testing.T) {
 	var ran atomic.Int32
-	var recycled atomic.Bool
+	var accRecycled, pipeRecycled atomic.Bool
 	cases := onCorpus(t, func(r *reference) {
 		ran.Add(1)
-		if r.accumulator() {
-			recycled.Store(true)
+		acc, pipe := r.accumulator()
+		if acc {
+			accRecycled.Store(true)
+		}
+		if pipe {
+			pipeRecycled.Store(true)
 		}
 	})
 	t.Cleanup(func() {
-		if !t.Failed() && int(ran.Load()) == cases && !recycled.Load() {
-			t.Error("no case recycled an ID: the corpus no longer covers the free list")
+		if t.Failed() || int(ran.Load()) != cases {
+			return
+		}
+		if !accRecycled.Load() {
+			t.Error("no case recycled an accumulator's ID: the corpus no longer covers its free list")
+		}
+		if !pipeRecycled.Load() {
+			t.Error("no case recycled a pipeline's ID: the corpus no longer covers its free list")
 		}
 	})
 }
@@ -281,9 +293,10 @@ func (r *reference) matrix() {
 }
 
 // accumulator steps each spec's pipeline on the accumulator's goroutine,
-// on the pipeline's own table, one Add at a time, and reports whether an
-// emitted ID ever stood for two prefixes — a released ID bound again.
-func (r *reference) accumulator() (recycled bool) {
+// one Add at a time, and reports whether an ID ever stood for two
+// prefixes — a released ID bound again — in the accumulator's table, as
+// emitted, and in the pipeline's, once Step has translated the column.
+func (r *reference) accumulator() (accRecycled, pipeRecycled bool) {
 	c := r.c
 	for i, sp := range c.Specs {
 		cfg, err := sp.Config()
@@ -294,22 +307,31 @@ func (r *reference) accumulator() (recycled bool) {
 		if err != nil {
 			r.t.Fatal(err)
 		}
-		acc, err := agg.NewStreamAccumulator(agg.StreamConfig{Start: c.Start, Interval: c.Interval, Window: c.Window, Table: pipe.Table()})
+		acc, err := agg.NewStreamAccumulator(agg.StreamConfig{Start: c.Start, Interval: c.Interval, Window: c.Window})
 		if err != nil {
 			r.t.Fatal(err)
 		}
 		var got []core.Result
-		owner := map[uint32]netip.Prefix{}
-		acc.Emit = func(t int, snap *core.FlowSnapshot) error {
+		accOwner, pipeOwner := map[uint32]netip.Prefix{}, map[uint32]netip.Prefix{}
+		// rebound records the column's IDs in owner and reports whether one
+		// of them stood for another prefix before.
+		rebound := func(owner map[uint32]netip.Prefix, snap *core.FlowSnapshot) (again bool) {
 			for k := 0; k < snap.Len(); k++ {
 				if p, ok := owner[snap.ID(k)]; ok && p != snap.Key(k) {
-					recycled = true
+					again = true
 				}
 				owner[snap.ID(k)] = snap.Key(k)
 			}
+			return again
+		}
+		acc.Emit = func(t int, snap *core.FlowSnapshot) error {
+			accRecycled = rebound(accOwner, snap) || accRecycled
 			res, err := pipe.StepSnapshot(t, snap)
 			if err == nil {
 				got = append(got, res)
+			}
+			if snap.IDTable() == pipe.Table() {
+				pipeRecycled = rebound(pipeOwner, snap) || pipeRecycled
 			}
 			return err
 		}
@@ -325,7 +347,7 @@ func (r *reference) accumulator() (recycled bool) {
 			r.counted("accumulator/"+sp.String(), acc.Stats(), got)
 		}
 	}
-	return recycled
+	return accRecycled, pipeRecycled
 }
 
 // records is a RecordSource over a slice, failing with err at its end

@@ -230,13 +230,11 @@ type LivePipeline struct {
 // NewLivePipeline validates the link, builds its private accumulator
 // and pipeline, and starts the accumulate and classify stages.
 func NewLivePipeline(l LiveLink) (*LivePipeline, error) {
-	// No Table: the accumulator's flow identities are private to the
-	// accumulate stage, which also releases their rows as flows go quiet.
 	// The classify stage runs concurrently and owns the core pipeline's
-	// table, so sharing one table across the stage boundary would race.
-	// A sealed column crosses with the private table's IDs and its stamp
-	// (CopyFrom), and the classify path translates them into its own
-	// table's (FillIDs): it compares the stamp, it never reads the table.
+	// table. A sealed column crosses with the accumulator's own IDs and
+	// its stamp (CopyFrom), and the classify path translates them into
+	// its table's (FillIDs): it compares the stamp, it never reads the
+	// accumulator's table.
 	acc, err := agg.NewStreamAccumulator(agg.StreamConfig{
 		Start:    l.Start,
 		Interval: l.Interval,
@@ -344,7 +342,11 @@ func (p *LivePipeline) classify(pipe *core.Pipeline, onResult func(Sealed) error
 func (p *LivePipeline) run() {
 	for b := range p.ch {
 		n, err := p.acc.AddBatch(b.recs[:b.n])
-		p.lag.Store(int64(p.acc.WatermarkLag()))
+		// Once classify has failed, nothing moves the published lag: a
+		// failed link reads the lag it had when the failure was seen.
+		if !p.classifyFailed.Load() {
+			p.lag.Store(int64(p.acc.WatermarkLag()))
+		}
 		if err != nil {
 			if !errors.Is(err, errClassifyFailed) {
 				p.setErr(fmt.Errorf("engine: link %q: %w", p.id, err))
@@ -366,12 +368,14 @@ func (p *LivePipeline) run() {
 		}
 		p.freeSlabs <- b
 	}
+	// Flush's seals publish the lag as they go, the last one after the
+	// sealed edge reached the watermark; a seal refused because classify
+	// failed publishes nothing.
 	if err := p.acc.Flush(); err != nil {
 		if !errors.Is(err, errClassifyFailed) {
 			p.setErr(fmt.Errorf("engine: link %q: flush: %w", p.id, err))
 		}
 	}
-	p.lag.Store(int64(p.acc.WatermarkLag()))
 	p.finish()
 }
 

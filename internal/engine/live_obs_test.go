@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"net/netip"
 	"testing"
 	"time"
@@ -80,6 +81,78 @@ func TestLivePipelineWatermarkLag(t *testing.T) {
 	if got := lp.WatermarkLag(); got != 0 {
 		t.Errorf("post-flush lag = %v, want 0", got)
 	}
+}
+
+// TestLivePipelineWatermarkLagAfterFailure: once the accumulate stage
+// has seen its classify stage fail, the published lag stops moving: no
+// seal refused in Close's flush or inside a batch, and no batch that
+// seals nothing, changes it. Every interval handed over below seals 30s
+// behind the watermark.
+func TestLivePipelineWatermarkLagAfterFailure(t *testing.T) {
+	const iv = time.Minute
+	boom := errors.New("boom")
+	p := netip.MustParsePrefix("10.0.0.0/24")
+	newLink := func(t *testing.T, onResult func(Sealed) error) *LivePipeline {
+		lp, err := NewLivePipeline(LiveLink{
+			ID: "lag-fail", Start: start, Interval: iv, Window: 1, Config: oneFlowConfig, OnResult: onResult,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lp
+	}
+	send := func(t *testing.T, lp *LivePipeline, ats ...time.Duration) {
+		for _, at := range ats {
+			if err := lp.Send(agg.Record{Prefix: p, Time: start.Add(at), Bits: 1e4}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	closeFailed := func(t *testing.T, lp *LivePipeline) {
+		if err := lp.Close(); !errors.Is(err, boom) {
+			t.Fatalf("Close = %v, want boom", err)
+		}
+		if got := lp.WatermarkLag(); got != 30*time.Second {
+			t.Errorf("lag after Close = %v, want the 30s published before the failure", got)
+		}
+	}
+
+	t.Run("refused in the flush", func(t *testing.T) {
+		// Interval 0's result fails. Close's flush then closes interval 1,
+		// which is refused and leaves the accumulator at a zero lag.
+		lp := newLink(t, func(Sealed) error { return boom })
+		send(t, lp, 10*time.Second, iv+30*time.Second)
+		for deadline := time.Now().Add(10 * time.Second); !lp.classifyFailed.Load() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if !lp.classifyFailed.Load() {
+			t.Fatal("the classify stage never failed")
+		}
+		closeFailed(t, lp)
+	})
+
+	t.Run("refused in a batch", func(t *testing.T) {
+		// Interval 0's result is held while intervals 1 and 2 are sealed,
+		// interval 2 waiting for a transfer buffer, and two batches are
+		// queued behind it: one that seals nothing and would publish 45s,
+		// and one whose seal of interval 3 is refused and would publish
+		// 50s. Only then does interval 0's result fail.
+		gate := make(chan struct{})
+		lp := newLink(t, func(s Sealed) error {
+			if s.T == 0 {
+				<-gate
+				return boom
+			}
+			return nil
+		})
+		send(t, lp, 10*time.Second, iv+30*time.Second, 2*iv+30*time.Second, 3*iv+30*time.Second)
+		for deadline := time.Now().Add(10 * time.Second); len(lp.ch) != 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		send(t, lp, 3*iv+45*time.Second, 4*iv+50*time.Second)
+		close(gate)
+		closeFailed(t, lp)
+	})
 }
 
 // TestLivePipelineStageOverlap: the stage-overlap reading is the

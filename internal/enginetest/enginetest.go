@@ -43,10 +43,10 @@ const (
 	// Keys mixes Record.Key 0, keys a flow keeps, keys several flows
 	// share and keys that move from flow to flow.
 	Keys
-	// Churn adds flows that go quiet for 1 to 4W+19 intervals — evicted,
-	// resurrected within a flow table's quarantine or past it — and flows
-	// that first appear one by one through the second half, taking
-	// recycled IDs.
+	// Churn adds flows that go quiet for 1 to 4W+19 intervals — some
+	// back before their rows are released, others evicted and admitted
+	// again — and flows that first appear one by one through the second
+	// half, taking recycled IDs.
 	Churn
 	// Cohorts adds two cohorts idle for exactly 4W−1 and 4W intervals of
 	// the shaped latent window W: latent heat's eviction edge.

@@ -24,11 +24,15 @@ var sentinels = []struct{ file, key string }{
 	// A flow idle for the eviction horizon is evicted one interval late.
 	{"internal/core/latentwindow.go", "(*LatentWindow).Observe: seen-lastSeen[id] >= evictAt → seen-lastSeen[id] > evictAt"},
 	// A foreign ID column's translation: the prefix check, the free-ID
-	// check, the clear on a new foreign table, the resurrection.
+	// check, the clear on a new foreign table.
 	{"internal/core/flowtable.go", "(*FlowTable).translateIDs: tb.prefixes[id] == p → tb.prefixes[id] != p"},
 	{"internal/core/flowtable.go", "(*FlowTable).translateIDs: tb.state[id] != flowFree → tb.state[id] == flowFree"},
 	{"internal/core/flowtable.go", "(*FlowTable).translateIDs: clear(tb.foreignIDs) → (deleted)"},
-	{"internal/core/flowtable.go", "(*FlowTable).translateIDs: tb.state[id] = flowLive → (deleted)"},
+	// A quiet flow's row is released only if no record touched it since,
+	// and only after the closes of its grace period, floor included.
+	{"internal/agg/stream.go", "(*StreamAccumulator).releaseQuiet: a.lastSeen[id] == g-grace → a.lastSeen[id] != g-grace"},
+	{"internal/agg/stream.go", "(*StreamAccumulator).releaseQuiet: g+1 → g+2"},
+	{"internal/agg/stream.go", "package: minQuietCloses = 15 → minQuietCloses = 14"},
 	// A snapshot admits strictly positive bandwidths only.
 	{"internal/core/snapshot.go", "(*FlowSnapshot).Append: bw > 0 → bw >= 0"},
 
