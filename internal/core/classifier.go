@@ -77,18 +77,8 @@ func (c *SingleFeatureClassifier) Classify(snap *FlowSnapshot, thresholdHat floa
 // and only reads. Either way the classifier runs in a Pipeline, which
 // binds its flow table and stamps every snapshot's ID column from it.
 //
-// Equivalence note: the window sum is maintained incrementally
-// (winSum += bw − old, old being the value that leaves the slot — and
-// bw − 0 is bw exactly), which associates float additions differently
-// than re-summing the ring each interval, so for generic
-// (non-representable) bandwidths the sum can differ from a re-summing
-// implementation in the last ulps — the classification DECISION is
-// equivalent unless a flow's latent heat sits within ~1 ulp of zero,
-// and the sum is exact whenever bandwidths and thresholds are
-// integer-representable (the dual-implementation test asserts
-// bit-equality there). A per-flow nonzero-slot counter snaps the sum
-// back to exactly 0 when the window fully drains, so no residue can
-// misclassify an idle flow.
+// Equivalence note: both sums are added oldest first, Σ x by the window
+// and Σ θ̂ here, so LH_j(t) is a function of the last W intervals alone.
 type LatentHeatClassifier struct {
 	// Window is W, the number of timeslots summed. Must be >= 1.
 	Window int

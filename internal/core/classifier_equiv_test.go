@@ -9,11 +9,12 @@ import (
 )
 
 // refLatentHeat is the pre-refactor prefix-keyed LatentHeatClassifier,
-// kept verbatim as the behavioural reference for the dense-ID columnar
-// implementation: per-flow ring buffers in a map, O(W) window re-sums,
-// and a full-map idle scan, evicting a flow idle for 4W intervals. The
-// equivalence tests drive both implementations with identical inputs
-// and require identical verdicts.
+// kept as the behavioural reference for the dense-ID columnar
+// implementation: per-flow ring buffers in a map, O(W) window re-sums
+// added oldest first, and a full-map idle scan, evicting a flow idle
+// for 4W intervals. The equivalence tests drive both implementations
+// with identical inputs and require identical verdicts and latent
+// heats.
 type refLatentHeat struct {
 	Window int
 
@@ -50,16 +51,22 @@ func (c *refLatentHeat) thresholdSum() float64 {
 	return s
 }
 
+// windowSum returns Σ x over a flow's ring, oldest slot first: the
+// slot the next interval writes.
+func (c *refLatentHeat) windowSum(fh *refFlowHistory) float64 {
+	var s float64
+	for k := range c.Window {
+		s += fh.bw[(c.t+k)%c.Window]
+	}
+	return s
+}
+
 func (c *refLatentHeat) LatentHeat(p netip.Prefix) (float64, bool) {
 	fh, ok := c.flows[p]
 	if !ok {
 		return 0, false
 	}
-	var bwSum float64
-	for _, b := range fh.bw {
-		bwSum += b
-	}
-	return bwSum - c.thresholdSum(), true
+	return c.windowSum(fh) - c.thresholdSum(), true
 }
 
 func (c *refLatentHeat) Classify(snap *FlowSnapshot, thresholdHat float64) Verdict {
@@ -87,12 +94,7 @@ func (c *refLatentHeat) Classify(snap *FlowSnapshot, thresholdHat float64) Verdi
 	c.idx = c.idx[:0]
 	c.offline = c.offline[:0]
 	for i := 0; i < snap.Len(); i++ {
-		fh := c.flows[snap.Key(i)]
-		var bwSum float64
-		for _, b := range fh.bw {
-			bwSum += b
-		}
-		if bwSum-thrSum > 0 {
+		if c.windowSum(c.flows[snap.Key(i)])-thrSum > 0 {
 			c.idx = append(c.idx, i)
 		}
 	}
@@ -102,11 +104,7 @@ func (c *refLatentHeat) Classify(snap *FlowSnapshot, thresholdHat float64) Verdi
 		}
 		fh.bw[slot] = 0
 		fh.idleRuns++
-		var bwSum float64
-		for _, b := range fh.bw {
-			bwSum += b
-		}
-		if bwSum-thrSum > 0 {
+		if c.windowSum(fh)-thrSum > 0 {
 			c.offline = append(c.offline, p)
 		} else if fh.idleRuns >= evictAfter {
 			delete(c.flows, p)
@@ -163,10 +161,9 @@ func verdictsEqual(a, b Verdict) bool {
 // TestLatentHeatEquivalence drives the columnar ID-indexed classifier
 // and the prefix-keyed reference through identical random interval
 // sequences — idle phases, evictions, readmissions — and requires
-// identical verdicts every interval. The integer-bandwidth runs make
-// the float arithmetic exact, so the incremental window sum must agree
-// with the reference's O(W) re-sum to the last bit; the continuous runs
-// cover realistic magnitudes.
+// identical verdicts and bit-identical latent heats every interval.
+// Both add a window oldest first, so the continuous bandwidths agree to
+// the last bit as the integer ones do.
 func TestLatentHeatEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		window  int
@@ -208,13 +205,11 @@ func TestLatentHeatEquivalence(t *testing.T) {
 				if got.TrackedFlows() != len(want.flows) {
 					t.Fatalf("interval %d: tracked %d, reference %d", step, got.TrackedFlows(), len(want.flows))
 				}
-				if tc.integer {
-					for _, p := range pool {
-						glh, gok := got.LatentHeat(p)
-						wlh, wok := want.LatentHeat(p)
-						if gok != wok || glh != wlh {
-							t.Fatalf("interval %d: LatentHeat(%v) = %v,%v, reference %v,%v", step, p, glh, gok, wlh, wok)
-						}
+				for _, p := range pool {
+					glh, gok := got.LatentHeat(p)
+					wlh, wok := want.LatentHeat(p)
+					if gok != wok || glh != wlh {
+						t.Fatalf("interval %d: LatentHeat(%v) = %v,%v, reference %v,%v", step, p, glh, gok, wlh, wok)
 					}
 				}
 			}

@@ -17,15 +17,12 @@ import "fmt"
 // State lives in flat columns indexed by the dense IDs of a FlowTable.
 // hist is the flattened ring of per-flow windows in slot-major layout:
 // flow id's slot s lives at hist[s*stride+id], so one interval reads
-// and writes a single slot plane. winSum is maintained incrementally —
-// winSum += bw − old, where old is the value leaving the slot: for a
-// slot that held nothing, bw − 0 is bw exactly, so one expression
-// serves the flow that was active W intervals ago and the one that was
-// not. nzSlots counts a flow's nonzero slots so that winSum snaps back
-// to exactly 0 when the window drains: no float residue can reach a
-// classification. lastSeen is the 1-based
-// interval of the flow's latest bandwidth, 0 for a flow holding no
-// state; the length of a flow's idle run is the distance from it.
+// and writes a single slot plane. winSum is the sum of a flow's W
+// slots, added oldest first as LatentHeatClassifier adds θ̂, so it is a
+// function of the window alone and exactly 0 once the window drains.
+// lastSeen is the 1-based interval of the flow's latest bandwidth, 0
+// for a flow holding no state; the length of a flow's idle run is the
+// distance from it.
 type LatentWindow struct {
 	window int
 	table  *FlowTable
@@ -34,7 +31,6 @@ type LatentWindow struct {
 	hist     []float64
 	stride   int
 	winSum   []float64
-	nzSlots  []int32
 	lastSeen []int32
 	liveIDs  []uint32 // flows holding state, in admission order
 	idle     []uint32 // of those, the ones absent from the latest snapshot
@@ -54,11 +50,12 @@ func newLatentWindow(window int, table *FlowTable) *LatentWindow {
 // update and the one eviction rule. Active flows get their bandwidth
 // written into the interval's slot; flows holding state but absent from
 // the snapshot get the slot zeroed, and one idle for evictWindows·W
-// intervals is evicted. An owning classifier calls it from Classify;
-// whoever obtained a shared window from ShareLatentWindows calls it
-// exactly once per interval, before the attached classifiers' Classify
-// calls. The snapshot's ID column must come from a table that numbers
-// flows as the classifiers' tables do.
+// intervals is evicted. Then every flow's sum is taken afresh from its
+// slots. An owning classifier calls it from Classify; whoever obtained
+// a shared window from ShareLatentWindows calls it exactly once per
+// interval, before the attached classifiers' Classify calls. The
+// snapshot's ID column must come from a table that numbers flows as
+// the classifiers' tables do.
 func (w *LatentWindow) Observe(snap *FlowSnapshot) {
 	if !snap.HasIDs() {
 		panic("core: LatentWindow: snapshot without an ID column")
@@ -69,7 +66,7 @@ func (w *LatentWindow) Observe(snap *FlowSnapshot) {
 	w.grow(w.table.Cap())
 	n := len(w.winSum)
 	plane := w.hist[slot*w.stride : slot*w.stride+n]
-	winSum, nzSlots, lastSeen := w.winSum, w.nzSlots[:n], w.lastSeen[:n]
+	lastSeen := w.lastSeen[:n]
 	ids := snap.IDs()
 	bws := snap.Bandwidths()[:len(ids)]
 	if DebugInvariants {
@@ -80,12 +77,7 @@ func (w *LatentWindow) Observe(snap *FlowSnapshot) {
 		}
 	}
 	for i, id := range ids {
-		bw, old := bws[i], plane[id]
-		plane[id] = bw
-		winSum[id] += bw - old
-		if old == 0 {
-			nzSlots[id]++
-		}
+		plane[id] = bws[i]
 		if lastSeen[id] == 0 {
 			w.liveIDs = append(w.liveIDs, id)
 		}
@@ -103,15 +95,7 @@ func (w *LatentWindow) Observe(snap *FlowSnapshot) {
 			k++
 			continue
 		}
-		if old := plane[id]; old != 0 {
-			plane[id] = 0
-			nzSlots[id]--
-			if nzSlots[id] == 0 {
-				winSum[id] = 0
-			} else {
-				winSum[id] -= old
-			}
-		}
+		plane[id] = 0
 		if seen-lastSeen[id] >= evictAt {
 			w.evict(id)
 			continue
@@ -122,6 +106,17 @@ func (w *LatentWindow) Observe(snap *FlowSnapshot) {
 	}
 	w.liveIDs = w.liveIDs[:k]
 	w.idle = idle
+	// Re-sum densely, plane by plane, from the oldest: the slot the
+	// next Observe writes.
+	oldest := w.t % w.window
+	winSum := w.winSum[:n]
+	copy(winSum, w.hist[oldest*w.stride:])
+	for j := 1; j < w.window; j++ {
+		s := (oldest + j) % w.window
+		for id, bw := range w.hist[s*w.stride:][:n] {
+			winSum[id] += bw
+		}
+	}
 }
 
 // grow extends the flow columns to cover n IDs. The ring's slot-major
@@ -141,16 +136,15 @@ func (w *LatentWindow) grow(n int) {
 		w.hist, w.stride = hist, stride
 	}
 	w.winSum = append(w.winSum, make([]float64, n-len(w.winSum))...)
-	w.nzSlots = append(w.nzSlots, make([]int32, n-len(w.nzSlots))...)
 	w.lastSeen = append(w.lastSeen, make([]int32, n-len(w.lastSeen))...)
 }
 
 // evict drops a flow's state and releases its ID in the table, free at
 // once for the next new prefix (a pinned table keeps it bound). A flow
 // is evicted after evictWindows·W idle intervals, and each of the last
-// W zeroed one of its slots, so its history is already all zero (and
-// winSum reset to 0 with nzSlots): a future flow admitted under this ID
-// starts from the history a brand-new flow gets.
+// W zeroed one of its slots, so its history is already all zero: a
+// future flow admitted under this ID starts from the history a
+// brand-new flow gets.
 func (w *LatentWindow) evict(id uint32) {
 	w.lastSeen[id] = 0
 	w.table.Release(id)

@@ -82,25 +82,28 @@ func TestEngineValidation(t *testing.T) {
 }
 
 // TestEnginePerLinkErrorsIsolated: one broken link must not abort the
-// other links' runs.
+// other links' runs. With one worker the link whose pipeline fails to
+// build is drawn first, before the worker has interned any rows, so a
+// series loop that ran a task without a live cell would read no row IDs.
 func TestEnginePerLinkErrorsIsolated(t *testing.T) {
 	boom := errors.New("boom")
-	links := testLinks(3)
-	links[1].Config = func() (core.Config, error) { return core.Config{}, boom }
-	links[2].Series = nil
-	eng := MultiLinkEngine{Workers: 2}
-	out, err := eng.Run(links)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].Err != nil || out[0].Results == nil {
-		t.Errorf("healthy link failed: %v", out[0].Err)
-	}
-	if !errors.Is(out[1].Err, boom) {
-		t.Errorf("link-1 err = %v, want wrapped boom", out[1].Err)
-	}
-	if out[2].Err == nil {
-		t.Error("nil-series link reported no error")
+	for _, workers := range []int{2, 1} {
+		links := testLinks(3)
+		links[0].Config = func() (core.Config, error) { return core.Config{}, boom }
+		links[2].Series = nil
+		out, err := (&MultiLinkEngine{Workers: workers}).Run(links)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(out[0].Err, boom) {
+			t.Errorf("workers=%d: link-00 err = %v, want wrapped boom", workers, out[0].Err)
+		}
+		if out[1].Err != nil || out[1].Results == nil {
+			t.Errorf("workers=%d: healthy link failed: %v", workers, out[1].Err)
+		}
+		if out[2].Err == nil {
+			t.Errorf("workers=%d: nil-series link reported no error", workers)
+		}
 	}
 }
 

@@ -64,6 +64,8 @@ var sentinels = []struct{ file, key string }{
 	{"internal/engine/prepass.go", "(*MultiLinkEngine).prepassThresholds: len(dets) == 0 → len(dets) != 0"},
 	{"internal/engine/engine.go", "(*MultiLinkEngine).runPool: w := 0 → w := 1"},
 	{"internal/engine/engine.go", "(seriesTask).run: t < s.Intervals && live > 0 → t < s.Intervals || live > 0"},
+	// A task whose cells all fail to build steps no interval.
+	{"internal/engine/engine.go", "(seriesTask).run: live := 0 → live := 1"},
 	{"internal/engine/engine.go", "stepCells: c.pipe == nil → !(c.pipe == nil)"},
 	{"internal/netflow/recordsource.go", "(*RecordSource).Next: s.next-1 → s.next+1"},
 	{"internal/netflow/collect.go", "AttributeDatagram: len(rest) > 0 → len(rest) >= 0"},
@@ -92,6 +94,9 @@ var edits = []struct{ file, fn, orig, mut string }{
 	// The EWMA's weight on the wrong term: at α = ½ the two weights are
 	// equal and the swap does not show.
 	{"internal/stats/summary.go", "(*EWMA).Update", "float64(e.Alpha*e.value) + float64((1-e.Alpha)*x)", "float64((1-e.Alpha)*e.value) + float64(e.Alpha*x)"},
+	// The window re-summed from the wrong plane: the same W terms in
+	// another order, off by roundings from the oldest-first Σ θ̂.
+	{"internal/core/latentwindow.go", "(*LatentWindow).Observe", "oldest := w.t % w.window", "oldest := (w.t + 1) % w.window"},
 }
 
 // editMutant returns the mutant an edit makes.
