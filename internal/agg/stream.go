@@ -68,8 +68,10 @@ type StreamStats struct {
 	FarFutureBits float64
 	// Closed is the number of intervals closed (and emitted) so far.
 	Closed int
-	// EvictedFlows counts flow rows released by closing intervals — the
-	// eviction that keeps memory independent of trace length.
+	// EvictedFlows counts flow cells evicted with their closing
+	// interval's column — one per flow the interval carried, whether or
+	// not its table row is released — the eviction that keeps memory
+	// independent of trace length.
 	EvictedFlows uint64
 }
 

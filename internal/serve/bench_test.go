@@ -49,11 +49,11 @@ func benchWire(tb testing.TB, table *bgp.Table, at time.Time) []byte {
 }
 
 // BenchmarkIngestDispatch runs the daemon's per-datagram path —
-// DecodeInto into the reader's scratch, link lookup on the
-// copy-on-write map, per-datagram BGP attribution, SendBatch into the
-// link pipeline — excluding only the socket read. It is the allocation
-// pin: 0 allocs/op in steady state, so the sharded front-end can run at
-// socket speed without GC pressure. Its one datagram (600 routes, 30
+// DecodeInto into the reader's scratch, link lookup in the reader's own
+// map, per-datagram BGP attribution, SendBatch into the link pipeline —
+// excluding only the socket read. TestDispatchToKnownLinksAllocatesNothing pins the
+// same path at 0 allocations, so the sharded front-end can run at socket
+// speed without GC pressure. Its one datagram (600 routes, 30
 // fixed destinations, one interval) stays in the cache, so its time says
 // little about a record's cost on a real table; that figure is
 // netflow's BenchmarkRecordPathDatagram.

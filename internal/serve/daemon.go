@@ -205,7 +205,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// Store exposes the daemon's link index (read-only use; handlers and
+// Store exposes the daemon's link store (read-only use; handlers and
 // tests).
 func (d *Daemon) Store() *Store { return d.store }
 
@@ -296,14 +296,15 @@ func (d *Daemon) DrainIngest(ctx context.Context) error {
 
 		// The readers have exited, so no link is created from here on.
 		// Close pipelines in ID order for deterministic logs.
-		for _, ls := range d.store.links() {
+		links := d.store.links()
+		for _, ls := range links {
 			if err := ls.close(); err != nil && d.drainErr == nil {
 				d.drainErr = err
 			}
 		}
 		datagrams, records, decodeErrors := d.ingestTotals()
 		d.cfg.Logf("serve: ingest drained — %d datagrams, %d records, %d decode errors, %d links, %d readers",
-			datagrams, records, decodeErrors, d.store.Len(), len(d.readers))
+			datagrams, records, decodeErrors, len(links), len(d.readers))
 	})
 	return d.drainErr
 }

@@ -29,15 +29,15 @@
 // batch.
 //
 // A link is one LinkState: it holds the link's pipeline and is that
-// pipeline's result hook. The Store is the one index of links: an
-// immutable value behind one atomic pointer, holding the links by wire
-// key and in ID order, replaced under one mutex when a link is created.
-// A datagram's lookup, an HTTP lookup by ID and every ordered walk
-// (/links, /metrics, /healthz, /readyz, DrainIngest) are each one atomic
-// load, so a datagram for an existing link travels read → decode →
-// dispatch without allocating or taking a lock. A link whose pipeline
-// cannot be built is published once, failed, and its datagrams are
-// counted as dropped.
+// pipeline's result hook. The Store is the one set of links: one map by
+// ID under one mutex, so a creation is one insert, an HTTP lookup by ID
+// one read, and every ordered walk (/links, /metrics, /healthz, /readyz,
+// DrainIngest) copies the links out and sorts them by ID. Each reader
+// keeps its own map from wire key to link, filled from the Store on
+// first sight, so a datagram for a link its reader has seen travels
+// read → decode → dispatch without allocating or taking a lock. A link
+// whose pipeline cannot be built is added once, failed, and its
+// datagrams are counted as dropped.
 //
 // Each link's pipeline runs on its own worker behind a bounded record
 // queue that a datagram's records cross as one batch — one copy and one

@@ -117,7 +117,7 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds:     time.Since(d.started).Seconds(),
 		Scheme:            d.cfg.Scheme.String(),
 		IntervalSecs:      d.cfg.Interval.Seconds(),
-		Links:             d.store.Len(),
+		Links:             len(rows),
 		Readers:           len(d.readers),
 		ReusePort:         d.ReusePort(),
 		Datagrams:         datagrams,

@@ -15,17 +15,19 @@ import (
 )
 
 // reader is one ingest goroutine's private state: its socket, a receive
-// buffer, the netflow decode scratch and the attributed-record batch —
-// everything the read→decode→dispatch path touches per datagram lives
-// here, so the steady state allocates nothing and readers share only
-// the store's index pointer and the per-link state they demultiplex into.
+// buffer, the netflow decode scratch, the attributed-record batch and
+// the links it has dispatched to — everything the read→decode→dispatch
+// path touches per datagram lives here, so the steady state allocates
+// nothing, takes no lock, and readers share only the per-link state they
+// demultiplex into.
 type reader struct {
 	index int
 	conn  *net.UDPConn // the reader's own socket
 
-	buf  []byte           // datagram receive buffer (max UDP payload)
-	dg   netflow.Datagram // decode scratch; Records reused across datagrams
-	recs []agg.Record     // attributed-record batch handed to SendBatch
+	buf   []byte                 // datagram receive buffer (max UDP payload)
+	dg    netflow.Datagram       // decode scratch; Records reused across datagrams
+	recs  []agg.Record           // attributed-record batch handed to SendBatch
+	links map[linkKey]*LinkState // the store's links this reader has seen, by wire key
 
 	// Per-reader counters, exported through /metrics and /links.
 	datagrams    atomic.Uint64
@@ -43,6 +45,7 @@ func newReader(index int, conn *net.UDPConn, rcvbuf int) *reader {
 		conn:   conn,
 		buf:    make([]byte, 1<<16),
 		recs:   make([]agg.Record, 0, netflow.MaxRecordsPerDatagram),
+		links:  map[linkKey]*LinkState{},
 		rcvbuf: rcvbuf,
 	}
 }
@@ -104,22 +107,24 @@ func listenUDP(addr string, n int, logf func(string, ...any)) (conns []*net.UDPC
 
 // linkKey identifies a link on the dispatch fast path without building
 // the string ID: the exporter's (unmapped) source address plus the v5
-// engine ID. Comparable, so the index lookup allocates nothing.
+// engine ID. Comparable, so the reader's lookup allocates nothing.
 type linkKey struct {
 	addr   netip.Addr
 	engine uint8
 }
 
-// link returns the exporter's link: one atomic load and one map lookup
-// once it exists. On first sight it is created under the store's
-// creation lock, so exactly one pipeline is built per link however many
-// readers race.
-func (d *Daemon) link(key linkKey) *LinkState {
-	if ls := d.store.index.Load().byKey[key]; ls != nil {
+// link returns the exporter's link: one lookup in the reader's own map
+// once the reader has seen it. On the reader's first sight it is taken
+// from the store, or created under the store's lock, so exactly one
+// pipeline is built per link however many readers race.
+func (d *Daemon) link(r *reader, key linkKey) *LinkState {
+	if ls := r.links[key]; ls != nil {
 		return ls
 	}
 	id := linkID(key.addr, key.engine)
-	return d.store.create(key, id, func() *LinkState { return d.newLink(id) })
+	ls := d.store.create(id, func() *LinkState { return d.newLink(id) })
+	r.links[key] = ls
+	return ls
 }
 
 // newLink builds a link and its pipeline, the link being the pipeline's
@@ -149,18 +154,18 @@ func (d *Daemon) newLink(id string) *LinkState {
 }
 
 // dispatch demultiplexes one decoded datagram: resolve the link
-// (lock-free after first sight), attribute its records against the BGP
-// table into the reader's reusable batch — the datagram's destinations
-// looked up together, one level of the routing index at a time — and
-// hand the batch to the link's pipeline: one copy and one queue
-// operation per datagram, not per record. REUSEPORT hashes a sender's
+// (lock-free once the reader has seen it), attribute its records against
+// the BGP table into the reader's reusable batch — the datagram's
+// destinations looked up together, one level of the routing index at a
+// time — and hand the batch to the link's pipeline: one copy and one
+// queue operation per datagram, not per record. REUSEPORT hashes a sender's
 // 4-tuple to a fixed socket, so a link exported from one source port is
 // dispatched by one reader and keeps its arrival order at any reader
 // count. A link whose engine ID arrives from several source ports is
 // dispatched by several readers at once; SendBatch is safe under that,
 // but the link's datagrams can then reach it out of arrival order.
 func (d *Daemon) dispatch(r *reader, ap netip.AddrPort, dg *netflow.Datagram) {
-	ls := d.link(linkKey{addr: ap.Addr().Unmap(), engine: dg.Header.EngineID})
+	ls := d.link(r, linkKey{addr: ap.Addr().Unmap(), engine: dg.Header.EngineID})
 	recs, unrouted := netflow.AttributeDatagram(d.cfg.Table, dg, r.recs[:0])
 	r.recs = recs
 	var routed, dropped int

@@ -40,11 +40,12 @@ func (lc *logCapture) count(substr string) int {
 	return n
 }
 
-// TestConcurrentLinkCreation hammers the copy-on-write dispatch with M
+// TestConcurrentLinkCreation hammers link creation from dispatch with M
 // goroutines racing over the same fresh exporter identities: every link
 // must end up with exactly one pipeline (one "new link" log line, one
-// store entry) and no datagram may escape the per-link accounting. Run
-// with -race: this is the link index's publication-safety test.
+// store entry), every reader's own map must resolve each wire key to
+// that one state, and no datagram may escape the per-link accounting.
+// Run with -race: this is the store's publication-safety test.
 func TestConcurrentLinkCreation(t *testing.T) {
 	const (
 		goroutines = 8
@@ -81,13 +82,15 @@ func TestConcurrentLinkCreation(t *testing.T) {
 	routes := table.Routes()
 	at := time.Date(2001, time.July, 24, 9, 0, 0, 0, time.UTC)
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	readers := make([]*reader, goroutines)
+	for g := range readers {
+		// Each goroutine is its own "reader": private scratch and link
+		// map, same exporter identities as everyone else.
+		r := newReader(g, nil, 0)
+		readers[g] = r
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each goroutine is its own "reader": private scratch, same
-			// exporter identities as everyone else.
-			r := newReader(0, nil, 0)
 			recs := make([]netflow.Record, recsPerDatagram)
 			for i := range recs {
 				recs[i] = netflow.Record{
@@ -115,11 +118,18 @@ func TestConcurrentLinkCreation(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := d.store.Len(); got != links {
+	if got := len(d.store.links()); got != links {
 		t.Fatalf("store has %d links, want %d", got, links)
 	}
-	if got := len(d.store.index.Load().byKey); got != links {
-		t.Fatalf("index has %d wire keys, want %d", got, links)
+	for _, r := range readers {
+		if got := len(r.links); got != links {
+			t.Fatalf("reader %d has %d wire keys, want %d", r.index, got, links)
+		}
+		for key, ls := range r.links {
+			if id := linkID(key.addr, key.engine); ls != d.store.Get(id) {
+				t.Fatalf("reader %d resolves %s to a state the store does not hold as %s", r.index, ls.id, id)
+			}
+		}
 	}
 	if got := logs.count("new link"); got != links {
 		t.Errorf("%d \"new link\" creations logged, want exactly %d (one pipeline per link)", got, links)

@@ -23,6 +23,9 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
 	m := report.NewMetricsWriter(w)
+	// Every link read once, under its lock once; elephantd_links counts
+	// the same walk's rows.
+	rows := d.store.readings()
 	datagrams, records, decodeErrors := d.ingestTotals()
 	m.Family("elephantd_datagrams_total", "UDP datagrams received.", "counter")
 	m.Sample("elephantd_datagrams_total", nil, float64(datagrams))
@@ -31,7 +34,7 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Family("elephantd_decode_errors_total", "Datagrams rejected by the NetFlow v5 decoder.", "counter")
 	m.Sample("elephantd_decode_errors_total", nil, float64(decodeErrors))
 	m.Family("elephantd_links", "Links currently known to the state store.", "gauge")
-	m.Sample("elephantd_links", nil, float64(d.store.Len()))
+	m.Sample("elephantd_links", nil, float64(len(rows)))
 	m.Family("elephantd_readers", "Ingest reader goroutines.", "gauge")
 	m.Sample("elephantd_readers", nil, float64(len(d.readers)))
 	m.Family("elephantd_reuseport", "1 when each reader owns a SO_REUSEPORT socket, 0 with one reader on one socket.", "gauge")
@@ -58,9 +61,7 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Per-link families, each contiguous over all links, as the
-	// exposition format requires: every link read once, under its lock
-	// once.
-	rows := d.store.readings()
+	// exposition format requires.
 	perLink := func(name, help, typ string, v func(*linkReading) float64) {
 		m.Family(name, help, typ)
 		for i := range rows {
@@ -102,7 +103,7 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(r *linkReading) float64 { return float64(r.Stream.FarFuture) })
 	counter("elephantd_link_intervals_closed_total", "Measurement intervals closed and classified.",
 		func(r *linkReading) float64 { return float64(r.Stream.Closed) })
-	counter("elephantd_link_evicted_flows_total", "Flow rows released by closing intervals.",
+	counter("elephantd_link_evicted_flows_total", "Flow cells evicted with their closing interval's column.",
 		func(r *linkReading) float64 { return float64(r.Stream.EvictedFlows) })
 
 	gauge("elephantd_link_failed", "1 when the link's pipeline has failed, else 0.",

@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"maps"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/agg"
@@ -18,80 +16,59 @@ import (
 // of five-minute intervals.
 const DefaultHistory = 288
 
-// Store is the daemon's one link index: one immutable linkIndex behind
-// one atomic pointer, so a datagram's lookup by wire key, a handler's
-// lookup by ID and every walk of the links in ID order are each one
-// atomic load and never a lock. A creation builds the next index under
-// mu and publishes it; links are never removed. Each link's counters and
-// ring live behind the LinkState's own lock. All methods are safe for
+// Store is the daemon's one set of links, keyed by ID under one mutex:
+// a creation is one map insert, a handler's lookup by ID one map read,
+// and a walk copies the links out and sorts them by ID outside the lock.
+// Links are never removed. A datagram's lookup never reaches the store
+// once its reader has seen the exporter: each reader keeps its own map
+// from wire key to link (reader.links). Each link's counters and ring
+// live behind the LinkState's own lock. All methods are safe for
 // concurrent use.
 type Store struct {
-	mu    sync.Mutex // serialises creations
-	index atomic.Pointer[linkIndex]
-}
-
-// linkIndex is one published version of the store's links, never
-// modified once published: every link in ID order, and the links
-// created by an exporter's datagrams by its wire key.
-type linkIndex struct {
-	sorted []*LinkState
-	byKey  map[linkKey]*LinkState
+	mu   sync.Mutex
+	byID map[string]*LinkState
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	s := &Store{}
-	s.index.Store(&linkIndex{byKey: map[linkKey]*LinkState{}})
-	return s
-}
+func NewStore() *Store { return &Store{byID: map[string]*LinkState{}} }
 
 // links returns every known link in ID order: a link whose creation has
-// returned is in every later read. The slice is shared; callers only
-// read it.
-func (s *Store) links() []*LinkState { return s.index.Load().sorted }
-
-// search finds id's position in links, an ID-ordered slice.
-func search(links []*LinkState, id string) (int, bool) {
-	return slices.BinarySearchFunc(links, id, func(ls *LinkState, id string) int { return strings.Compare(ls.id, id) })
+// returned is in every later read.
+func (s *Store) links() []*LinkState {
+	s.mu.Lock()
+	out := make([]*LinkState, 0, len(s.byID))
+	for _, ls := range s.byID { // order-free: sorted by ID below
+		out = append(out, ls)
+	}
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b *LinkState) int { return strings.Compare(a.id, b.id) })
+	return out
 }
 
 // Get returns the link's state, or nil when the link is unknown.
 func (s *Store) Get(id string) *LinkState {
-	links := s.links()
-	if i, ok := search(links, id); ok {
-		return links[i]
-	}
-	return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.byID[id]
 }
 
 // GetOrCreate returns the link's state, creating it (with the given
 // history capacity and no pipeline, for a caller that steps its own) on
 // first sight.
 func (s *Store) GetOrCreate(id string, history int) *LinkState {
-	if ls := s.Get(id); ls != nil {
-		return ls
-	}
-	return s.create(linkKey{}, id, func() *LinkState { return newLinkState(id, history) })
+	return s.create(id, func() *LinkState { return newLinkState(id, history) })
 }
 
-// create publishes the link mk builds as id — reachable by key too when
-// key is an exporter's — or returns the link already published as id:
-// one state per ID however many callers race.
-func (s *Store) create(key linkKey, id string, mk func() *LinkState) *LinkState {
+// create adds the link mk builds as id, or returns the link already
+// known as id: one state per ID however many callers race.
+func (s *Store) create(id string, mk func() *LinkState) *LinkState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old := s.index.Load()
-	i, found := search(old.sorted, id)
-	if found {
-		return old.sorted[i]
+	if ls := s.byID[id]; ls != nil {
+		return ls
 	}
 	ls := mk()
-	next := &linkIndex{sorted: slices.Insert(slices.Clip(old.sorted), i, ls), byKey: old.byKey}
-	if key.addr.IsValid() {
-		next.byKey = maps.Clone(old.byKey)
-		next.byKey[key] = ls
-	}
-	s.index.Store(next)
+	s.byID[id] = ls
 	return ls
 }
 
@@ -115,9 +92,6 @@ func (s *Store) readings() []linkReading {
 	}
 	return out
 }
-
-// Len reports the number of known links.
-func (s *Store) Len() int { return len(s.links()) }
 
 // IngestCounters counts a link's datagram/record attribution outcomes
 // in the UDP ingest path (decode errors happen before a link is known
